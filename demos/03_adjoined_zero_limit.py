@@ -3,8 +3,10 @@
 When the minimal ideal is not left zero, walks never settle into absorbing
 states and the word-level argument does not apply directly.  Adjoining a
 fresh zero generator with weight t restores absorption; the stationary law
-of the original walk is the exact limit t -> 0, computed here over rational
-functions in t.
+of the original walk is the exact limit t -> 0.  It is computed here over
+truncated power series in t with exact coefficients: a series that loses
+every known term to cancellation raises, and the run repeats at double the
+precision, so the limit is never read from a truncated-away term.
 """
 
 from fractions import Fraction

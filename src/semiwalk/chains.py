@@ -91,6 +91,29 @@ def build_chain(
     raise SemigroupError(f"unknown state space {space!r}")
 
 
+def certify(S: ASemigroup, xs: Sequence[Fraction], result) -> bool:
+    """Exact certificate for an expansion-level stationary law.
+
+    True iff the masses of ``result`` (a ``StationaryResult`` over "kr") are
+    nonnegative, sum to 1, and satisfy pi T = pi on the chain
+    ``build_chain(S, xs, "kr_ideal")``.  Holds for direct and limit-mode
+    results alike.
+    """
+    pi = result.entries
+    if sum(pi.values(), Fraction(0)) != 1 or any(v < 0 for v in pi.values()):
+        return False
+    chain = build_chain(S, xs, "kr_ideal")
+    if not set(pi) <= set(chain.labels):
+        return False
+    vec = [pi.get(lab, Fraction(0)) for lab in chain.labels]
+    image = [Fraction(0)] * chain.n
+    for s, col in enumerate(chain.cols):
+        if vec[s]:
+            for t, p in col.items():
+                image[t] += vec[s] * p
+    return image == vec
+
+
 def truncated_semaphore_chain(
     S: ASemigroup, xs: Sequence[Fraction], max_len: int
 ) -> tuple[TransitionMatrix, set[str], dict[str, tuple[int, ...]]]:

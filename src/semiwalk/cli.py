@@ -10,10 +10,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
-from .chains import build_chain, check_lumping, stationary_oracle, tv_distance
+from .chains import (
+    build_chain,
+    certify,
+    check_lumping,
+    stationary_oracle,
+    tv_distance,
+)
 from .core import SemigroupError, kernel_is_left_zero, minimal_ideal
 from .expansions import karnofsky_rhodes, mccammond
 from .families import parse_family, build as build_family
@@ -91,7 +98,9 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--steps", type=int, default=50_000,
                    help="steps per walker for --simulate")
     v.add_argument("--seed", type=int, default=42)
-    v.add_argument("--tv-tol", type=float, default=0.005)
+    v.add_argument("--tv-tol", type=float,
+                   help="TV tolerance for --simulate; default "
+                        "sqrt(states / (walkers * steps)), to 4 decimals")
     v.set_defaults(func=cmd_verify)
     return p
 
@@ -220,14 +229,24 @@ def cmd_verify(args) -> int:
                 S, xs, walkers=args.walkers, steps=args.steps, seed=args.seed
             )
             tv = tv_distance(emp, {k: float(v) for k, v in result.entries.items()})
-            ok = tv <= args.tv_tol
+            tol = args.tv_tol
+            if tol is None:
+                # Twice the bound sqrt(n/N)/2 on E[TV] for N independent
+                # samples over n states; walk steps are correlated samples.
+                tol = round(math.sqrt(chain.n / (args.walkers * args.steps)), 4)
+            ok = tv <= tol
             lines.append(
-                _report(f"simulation TV {tv:.4f} <= {args.tv_tol} "
+                _report(f"simulation TV {tv:.4f} <= {tol} "
                         f"(seed {args.seed})", ok)
             )
             if not ok:
                 failures.append("simulation")
     else:
+        ok = certify(S, xs, result)
+        lines.append(_report("exact certificate (pi T = pi on the expansion "
+                             "ideal chain)", ok))
+        if not ok:
+            failures.append("certificate")
         lines.append("SKIP oracle/lumping/simulation: minimal ideal is not "
                       "left zero (limit-mode result)")
 

@@ -430,7 +430,8 @@ def adjoin_zero(S: ASemigroup) -> ASemigroup:
     names = S.element_names() + [zname]
     gens = S.gens + [zero]
     gen_names = S.gen_names + [zname]
-    return semigroup_from_table(table, gens, gen_names, names)
+    # S is already checked, and adjoining a zero keeps it associative.
+    return semigroup_from_table(table, gens, gen_names, names, check=False)
 
 
 def opposite(S: ASemigroup) -> ASemigroup:

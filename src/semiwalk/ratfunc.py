@@ -1,9 +1,10 @@
-"""Univariate rational functions over exact rationals.
+"""Functions of one variable t over exact rationals, for the t -> 0 limit.
 
-Just enough field arithmetic for the adjoined-zero limit: the engine runs
-with generator weights scaled by (1-t) and the new zero generator weighted
-t, producing stationary values as rational functions of t; the final answer
-is the limit at t -> 0, taken exactly by cancelling common powers of t.
+The adjoined-zero limit runs the engine with generator weights scaled by
+(1-t) and the new zero generator weighted t, then takes the limit t -> 0 of
+every stationary value.  ``Series`` carries only the low-order terms of
+each value, which is all the limit reads; ``RatF`` carries the full
+gcd-normalised rational function and serves as an independent reference.
 """
 
 from __future__ import annotations
@@ -12,6 +13,96 @@ from fractions import Fraction
 from typing import Sequence
 
 Coeffs = tuple[Fraction, ...]
+
+_ZERO = Fraction(0)
+
+
+class PrecisionLost(ArithmeticError):
+    """A cancellation left a truncated series with no known coefficient."""
+
+
+class Series:
+    """Truncated Laurent series t^val * (c0 + c1*t + ... + c_{p-1}*t^(p-1)).
+
+    ``cs`` holds the p known coefficients, c0 != 0; p is the relative
+    precision and the terms from t^(val+p) on are unknown.  Every known
+    coefficient is exact, so arithmetic never returns a wrong known term:
+    when a sum cancels every known coefficient it raises PrecisionLost
+    instead.
+    """
+
+    __slots__ = ("val", "cs")
+
+    def __init__(self, val: int, cs: Coeffs):
+        self.val = val
+        self.cs = cs
+
+    @staticmethod
+    def const(q, prec: int) -> "Series":
+        """The nonzero constant q, with prec known coefficients."""
+        return Series(0, (Fraction(q),) + (_ZERO,) * (prec - 1))
+
+    @staticmethod
+    def variable(prec: int) -> "Series":
+        return Series(1, (Fraction(1),) + (_ZERO,) * (prec - 1))
+
+    def one(self) -> "Series":
+        return Series.const(1, len(self.cs))
+
+    def __add__(self, other: "Series") -> "Series":
+        a, b = (self, other) if self.val <= other.val else (other, self)
+        shift = b.val - a.val
+        # Known up to the smaller absolute precision, counted from a.val.
+        end = min(len(a.cs), shift + len(b.cs))
+        out = list(a.cs[:end])
+        bcs = b.cs
+        for i in range(shift, end):
+            out[i] += bcs[i - shift]
+        for k, c in enumerate(out):
+            if c:
+                return Series(a.val + k, tuple(out[k:]))
+        raise PrecisionLost(
+            f"sum cancels every known coefficient below t^{a.val + end}"
+        )
+
+    def __neg__(self) -> "Series":
+        return Series(self.val, tuple(-c for c in self.cs))
+
+    def __sub__(self, other: "Series") -> "Series":
+        return self + (-other)
+
+    def __mul__(self, other: "Series") -> "Series":
+        a, b = self.cs, other.cs
+        out = []
+        for k in range(min(len(a), len(b))):
+            s = a[0] * b[k]
+            for i in range(1, k + 1):
+                if a[i]:
+                    s += a[i] * b[k - i]
+            out.append(s)
+        return Series(self.val + other.val, tuple(out))
+
+    def inverse(self) -> "Series":
+        """1/self to the same relative precision, O(p^2)."""
+        a = self.cs
+        inv0 = 1 / a[0]
+        out = [inv0]
+        for k in range(1, len(a)):
+            s = _ZERO
+            for i in range(1, k + 1):
+                if a[i]:
+                    s += a[i] * out[k - i]
+            out.append(-s * inv0)
+        return Series(-self.val, tuple(out))
+
+    def __truediv__(self, other: "Series") -> "Series":
+        return self * other.inverse()
+
+    def limit_at_zero(self) -> Fraction:
+        """lim t->0, exact; raises if there is a pole at 0."""
+        if self.val < 0:
+            raise ZeroDivisionError("pole at t=0")
+        return self.cs[0] if self.val == 0 else _ZERO
 
 
 def _trim(cs: Sequence[Fraction]) -> Coeffs:

@@ -11,8 +11,10 @@ When the minimal ideal is left zero the per-normal-form sums grouped by
 expansion element are the stationary distribution of the expanded chain;
 lumping by underlying element gives the chain on the semigroup itself.
 Otherwise a fresh zero generator is adjoined with formal weight t, the
-user's weights are scaled by (1-t), the left-zero pipeline runs over the
-field of rational functions in t, and the limit t -> 0 is taken exactly.
+user's weights are scaled by (1-t), the left-zero pipeline runs over
+truncated power series in t, and the limit t -> 0 is taken exactly from
+their leading terms.  A series that loses every known term to cancellation
+raises, and the pipeline reruns at double the precision.
 """
 
 from __future__ import annotations
@@ -41,11 +43,21 @@ from .kleene import (
     union,
     zimin_rewrite,
 )
-from .ratfunc import RatF
+from .ratfunc import PrecisionLost, Series
 
 
 class NotACodeWord(SemigroupError):
     pass
+
+
+class LimitPrecisionExceeded(SemigroupError):
+    pass
+
+
+# Known terms per series in the limit pipeline: the first try, and the cap
+# on doubling it after a series loses all of them to cancellation.
+LIMIT_START_PRECISION = 4
+LIMIT_MAX_PRECISION = 64
 
 
 # -- probabilities -------------------------------------------------------------
@@ -473,11 +485,24 @@ def _stationary_kr_direct(
 
 def _stationary_kr_limit(S: ASemigroup, xs: Sequence[Fraction]) -> StationaryResult:
     S2 = adjoin_zero(S)
-    t = RatF.variable()
-    one = RatF.const(1)
-    xs2 = [RatF.const(v) * (one - t) for v in xs] + [t]
     I2 = minimal_ideal(S2)
-    sym = _stationary_kr_direct(S2, xs2, I2)
+    engine = StationaryEngine(S2, I2)
+    prec = LIMIT_START_PRECISION
+    while True:
+        t = Series.variable(prec)
+        one_minus_t = t.one() - t
+        xs2 = [Series.const(v, prec) * one_minus_t for v in xs] + [t]
+        try:
+            sym = _stationary_kr_direct(S2, xs2, I2, engine)
+            limits = {k: v.limit_at_zero() for k, v in sym.entries.items()}
+            break
+        except PrecisionLost as exc:
+            if prec >= LIMIT_MAX_PRECISION:
+                raise LimitPrecisionExceeded(
+                    f"limit stage (t -> 0): series precision exhausted at "
+                    f"{prec} terms, the cap: {exc}"
+                ) from exc
+            prec = min(2 * prec, LIMIT_MAX_PRECISION)
 
     kr1 = karnofsky_rhodes(S)
     K1 = minimal_ideal(kr1.semigroup())
@@ -487,14 +512,13 @@ def _stationary_kr_limit(S: ASemigroup, xs: Sequence[Fraction]) -> StationaryRes
     entries: dict[str, Fraction] = {}
     info: dict[str, KeyInfo] = {}
     collected = []
-    for alt_label, value in sym.entries.items():
+    for alt_label, limit in limits.items():
         ki = sym.key_info[alt_label]
         word2 = ki.word
         if any(g == zero_gen for g in word2[:-1]) or word2[-1] != zero_gen:
             # the adjoined zero letter can only appear once, at the very end
             raise AssertionError("malformed adjoined-zero normal form")
         u = word2[:-1]
-        limit = value.limit_at_zero()
         if not u:
             if limit != 0:
                 raise AssertionError("pure-zero state must vanish in the limit")

@@ -7,15 +7,16 @@ from semiwalk.chains import (
     NotIrreducible,
     TransitionMatrix,
     build_chain,
+    certify,
     check_lumping,
     mixing_bound,
     stationary_oracle,
     truncated_semaphore_chain,
     tv_distance,
 )
-from semiwalk.core import semigroup_from_table
+from semiwalk.core import semigroup_from_table, semigroup_from_transformations
 from semiwalk.expansions import karnofsky_rhodes
-from semiwalk.stationary import stationary_kr, uniform_probs
+from semiwalk.stationary import StationaryResult, stationary_kr, uniform_probs
 from semiwalk import families
 
 F = Fraction
@@ -180,3 +181,34 @@ def test_mixing_bound_b2(b2):
 def test_matrix_validation():
     with pytest.raises(Exception):
         TransitionMatrix(["x"], [{0: F(1, 2)}])
+
+
+def test_certify_direct_and_limit_results(p3, b2, z2x01, klein):
+    for S in (p3, b2, z2x01, klein):
+        xs = uniform_probs(S)
+        assert certify(S, xs, stationary_kr(S, xs))
+
+
+def test_certify_rejects_wrong_laws(b2):
+    result = stationary_kr(b2, HALF)
+    a, b = list(result.entries)[:2]
+    moved = dict(result.entries)
+    moved[a] += F(1, 16)
+    moved[b] -= F(1, 16)
+    assert not certify(b2, HALF, StationaryResult("kr", moved))
+    assert not certify(b2, HALF, StationaryResult("kr", {a: F(1)}))
+    extra = dict(result.entries)
+    extra["not-a-state"] = F(0)
+    assert not certify(b2, HALF, StationaryResult("kr", extra))
+
+
+def test_limit_mode_reaches_size_27_draw():
+    # Three maps on three states whose closure has 27 elements and a kernel
+    # that is not left zero: out of reach of rational-function weights.
+    S = semigroup_from_transformations(
+        3, {"a": [1, 2, 1], "b": [2, 0, 1], "c": [0, 2, 1]}
+    )
+    assert S.size == 27
+    xs = uniform_probs(S)
+    result = stationary_kr(S, xs)
+    assert certify(S, xs, result)

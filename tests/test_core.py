@@ -160,6 +160,16 @@ def test_adjoin_zero(flipflop):
     assert K.members == {z}
 
 
+@pytest.mark.parametrize(
+    "name", ["rees_general", "z2x01", "klein", "tsetlin:5", "rees_B:6"]
+)
+def test_adjoin_zero_unchecked_output_is_associative(name):
+    # adjoin_zero skips the table checks; they hold on its output anyway
+    S = adjoin_zero(families.build(families.parse_family(name)))
+    S.check_generated()
+    S.check_associative()
+
+
 def test_bar_basic(flipflop):
     B = bar(flipflop)
     assert B.size == 2 * flipflop.size + 1

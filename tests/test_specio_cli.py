@@ -153,6 +153,26 @@ def test_cli_verify_limit_mode_reports_skip(capsys):
     code, out, _ = run_cli(["verify", "--family", "z2x01"], capsys)
     assert code == 0
     assert "SKIP" in out and "all checks passed" in out
+    assert "PASS exact certificate" in out
+
+
+def test_cli_limit_precision_cap_is_a_clean_error(capsys, monkeypatch):
+    from semiwalk import stationary
+
+    monkeypatch.setattr(stationary, "LIMIT_START_PRECISION", 1)
+    monkeypatch.setattr(stationary, "LIMIT_MAX_PRECISION", 1)
+    code, out, err = run_cli(["stationary", "--family", "z2x01"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: limit stage") and "precision" in err
+
+
+def test_cli_verify_simulate_default_tolerance(capsys):
+    # At 20 x 50,000 steps, 120 states give TV 0.0059 from sampling noise;
+    # the default tolerance scales with states / samples.
+    code, out, _ = run_cli(["verify", "--family", "tsetlin:5", "--simulate"],
+                           capsys)
+    assert code == 0, out
+    assert "PASS simulation TV 0.0059 <= 0.011 (seed 42)" in out
 
 
 def test_cli_verify_pass(capsys):
