@@ -168,8 +168,8 @@ def stationary_oracle(
     more than one closed class is an error.
     """
     n = T.n
-    succ = [set(col.keys()) for col in T.cols]
-    comp = _scc_of_columns(succ)
+    succ = [list(col) for col in T.cols]
+    comp = sccs(succ)
     n_comp = max(comp) + 1
     closed = [True] * n_comp
     for s in range(n):
@@ -194,21 +194,6 @@ def stationary_oracle(
         if delta < tol:
             return {T.labels[s]: v[s] for s in range(n)}
     raise NotConverged(f"no convergence after {max_iter} iterations")
-
-
-def _scc_of_columns(succ: list[set[int]]) -> list[int]:
-    # reuse the graph SCC routine through a tiny adapter
-    class _G:
-        def __init__(self, succ):
-            self.out = [sorted(s) for s in succ]
-            self.n = len(succ)
-
-        def edges(self):
-            for v, row in enumerate(self.out):
-                for w in row:
-                    yield v, 0, w
-
-    return sccs(_G(succ))  # type: ignore[arg-type]
 
 
 def check_lumping(

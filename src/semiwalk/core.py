@@ -102,6 +102,8 @@ class ASemigroup:
         self.size = size
         self.gens = list(gens)
         self.gen_names = list(gen_names)
+        # word_label juxtaposes single-character names, else joins with a dot
+        self._label_sep = "" if all(len(s) == 1 for s in self.gen_names) else "·"
         self._table = table
         self._mult_fn = mult_fn
         self._mult_memo: dict[tuple[int, int], int] = {}
@@ -176,10 +178,8 @@ class ASemigroup:
         Single-character generator names are juxtaposed; otherwise parts are
         joined with a middle dot to keep labels unambiguous.
         """
-        names = [self.gen_names[g] for g in word]
-        if all(len(s) == 1 for s in self.gen_names):
-            return "".join(names)
-        return "·".join(names)
+        names = self.gen_names
+        return self._label_sep.join([names[g] for g in word])
 
     def element_name(self, e: int) -> str:
         if self._element_names is not None:
@@ -238,7 +238,7 @@ def semigroup_from_table(
     n = len(table)
     rows = [list(r) for r in table]
     for r in rows:
-        if len(r) != n or any(not (0 <= v < n) for v in r):
+        if len(r) != n or (r and (min(r) < 0 or max(r) >= n)):
             raise SemigroupError("table must be n x n over 0..n-1")
     if gen_names is None:
         gen_names = [_default_gen_name(i) for i in range(len(gens))]
@@ -344,14 +344,7 @@ def minimal_ideal(S: ASemigroup) -> IdealSet:
             row.add(S.mult(ge, e))
         succ.append(sorted(row))
 
-    class _G:
-        out = succ
-
-        @property
-        def n(self):
-            return len(succ)
-
-    comp = sccs(_G())  # type: ignore[arg-type]
+    comp = sccs(succ)
     n_comp = max(comp) + 1
     is_sink = [True] * n_comp
     for e in range(n):
@@ -412,7 +405,9 @@ def rees_quotient(S: ASemigroup, I: IdealSet) -> ASemigroup:
     zname = _fresh_name(ZERO_NAME, [S.element_name(e) for e in survivors])
     names = [S.element_name(e) for e in survivors] + [zname]
     gens = [img(S.gens[g]) for g in range(S.n_gens)]
-    return semigroup_from_table(table, gens, list(S.gen_names), names)
+    # A quotient of a checked semigroup by an ideal stays associative and
+    # generated by the images of its generators.
+    return semigroup_from_table(table, gens, list(S.gen_names), names, check=False)
 
 
 def adjoin_zero(S: ASemigroup) -> ASemigroup:
@@ -438,8 +433,10 @@ def opposite(S: ASemigroup) -> ASemigroup:
     """Same elements, multiplication reversed."""
     n = S.size
     table = [[S.mult(j, i) for j in range(n)] for i in range(n)]
+    # Reversing an associative product keeps it associative, and the same
+    # generators still generate.
     return semigroup_from_table(
-        table, list(S.gens), list(S.gen_names), S.element_names()
+        table, list(S.gens), list(S.gen_names), S.element_names(), check=False
     )
 
 
@@ -494,7 +491,8 @@ def bar(S: ASemigroup) -> ASemigroup:
     rname = names[-1]
     gens = S.gens + [r]
     gen_names = S.gen_names + [rname]
-    return semigroup_from_table(table, gens, gen_names, names)
+    # Associative by the relations above; r and S's generators generate it.
+    return semigroup_from_table(table, gens, gen_names, names, check=False)
 
 
 def flat(S: ASemigroup) -> ASemigroup:
@@ -523,4 +521,5 @@ def flat(S: ASemigroup) -> ASemigroup:
     rname = names[-1]
     gens = S.gens + [r]
     gen_names = S.gen_names + [rname]
-    return semigroup_from_table(table, gens, gen_names, names)
+    # Associative by the relations above; r and S's generators generate it.
+    return semigroup_from_table(table, gens, gen_names, names, check=False)

@@ -75,6 +75,7 @@ def karnofsky_rhodes(S: ASemigroup, cap: int = DEFAULT_KR_CAP) -> KRExpansion:
     trans = transition_edges(rcay, comp)
     k = S.n_gens
 
+    crosses = [[(v, a) in trans for a in range(k)] for v in range(rcay.n)]
     key0 = (rcay.root, frozenset())
     index: dict[tuple[int, frozenset], int] = {key0: 0}
     keys = [key0]
@@ -86,10 +87,9 @@ def karnofsky_rhodes(S: ASemigroup, cap: int = DEFAULT_KR_CAP) -> KRExpansion:
         v = head
         head += 1
         rv, tset = keys[v]
+        row, cross = rcay.out[rv], crosses[rv]
         for a in range(k):
-            rw = rcay.out[rv][a]
-            tset2 = tset | {(rv, a)} if (rv, a) in trans else tset
-            key = (rw, tset2)
+            key = (row[a], tset | {(rv, a)} if cross[a] else tset)
             w = index.get(key)
             if w is None:
                 if len(keys) >= cap:
@@ -101,48 +101,37 @@ def karnofsky_rhodes(S: ASemigroup, cap: int = DEFAULT_KR_CAP) -> KRExpansion:
                 out.append([None] * k)
             out[v][a] = w
 
-    labels = [rcay.labels[rcay.root]]
-    images: list[int | None] = [None]
-    for v in range(1, len(keys)):
-        labels.append(_kr_label(S, words[v]))
-        images.append(rcay.s_image[keys[v][0]])
+    labels = _word_labels(S.gen_names, rcay.labels[rcay.root], words)
+    images = [None] + [rcay.s_image[key[0]] for key in keys[1:]]
     graph = RootedLabeledGraph(S.gen_names, labels, out, images)
     tsets = [kv[1] for kv in keys]
     return KRExpansion(S, graph, tsets, words)
 
 
-def _kr_label(S: ASemigroup, word: Word) -> str:
-    return S.word_label(word)
+def _word_labels(names, root_label: str, words: list[Word]) -> list[str]:
+    """Root label, then each word's printable form, as ``ASemigroup.word_label``."""
+    sep = "" if all(len(s) == 1 for s in names) else "·"
+    return [root_label] + [sep.join([names[g] for g in w]) for w in words[1:]]
 
 
 class McExpansion:
     """McCammond expansion: graph over simple paths, spanning tree marked."""
 
-    def __init__(self, base_graph, graph, parent, parent_gen, endpoint, tree_edges):
+    def __init__(self, base_graph, graph, parent, parent_gen, endpoint, words):
         self.base_graph: RootedLabeledGraph = base_graph
         self.graph: RootedLabeledGraph = graph
         self.parent: list[int | None] = parent
         self.parent_gen: list[int | None] = parent_gen
         self.endpoint: list[int] = endpoint  # vertex of the input graph
-        self.tree_edges: set[tuple[int, int]] = tree_edges
+        self.words: list[Word] = words  # tree-path word per vertex
+
+    @property
+    def tree_edges(self) -> set[tuple[int, int]]:
+        return set(zip(self.parent[1:], self.parent_gen[1:]))
 
     @property
     def back_edges(self) -> set[tuple[int, int]]:
         return {(v, a) for v, a, _ in self.graph.edges()} - self.tree_edges
-
-    def depth(self, v: int) -> int:
-        d = 0
-        while self.parent[v] is not None:
-            v = self.parent[v]
-            d += 1
-        return d
-
-    def path_word(self, v: int) -> Word:
-        parts = []
-        while self.parent[v] is not None:
-            parts.append(self.parent_gen[v])
-            v = self.parent[v]
-        return tuple(reversed(parts))
 
 
 def mccammond(G: RootedLabeledGraph, cap: int = DEFAULT_MC_CAP) -> McExpansion:
@@ -151,53 +140,49 @@ def mccammond(G: RootedLabeledGraph, cap: int = DEFAULT_MC_CAP) -> McExpansion:
     parent: list[int | None] = [None]
     parent_gen: list[int | None] = [None]
     endpoint = [G.root]
+    words: list[Word] = [()]
     out: list[list[int | None]] = [[None] * k]
-    tree: set[tuple[int, int]] = set()
 
     # on_path maps an input-graph vertex to the expansion vertex of the
-    # current DFS path that ends there
+    # current DFS path that ends there; next_gen holds, per path vertex,
+    # the next generator to try
     on_path: dict[int, int] = {G.root: 0}
-    # frames: (mc vertex, next generator to try)
-    frames: list[tuple[int, int]] = [(0, 0)]
-    while frames:
-        v, a = frames.pop()
-        if a >= k:
-            del on_path[endpoint[v]]
-            continue
-        frames.append((v, a + 1))
-        u = G.out[endpoint[v]][a]
-        if u is None:
-            continue
-        hit = on_path.get(u)
-        if hit is not None:
-            out[v][a] = hit  # back edge to an initial segment
-            continue
-        w = len(endpoint)
-        if w >= cap:
-            raise SizeCapExceeded(f"simple-path count exceeded cap {cap}")
-        parent.append(v)
-        parent_gen.append(a)
-        endpoint.append(u)
-        out.append([None] * k)
-        out[v][a] = w
-        tree.add((v, a))
-        on_path[u] = w
-        frames.append((w, 0))
-
-    labels = []
-    images: list[int | None] = []
-    mc = McExpansion(G, None, parent, parent_gen, endpoint, tree)  # type: ignore[arg-type]
-    for v in range(len(endpoint)):
-        if v == 0:
-            labels.append(G.labels[G.root])
+    path = [0]
+    next_gen = [0]
+    while path:
+        v = path[-1]
+        row, out_v = G.out[endpoint[v]], out[v]
+        for a in range(next_gen[-1], k):
+            u = row[a]
+            if u is None:
+                continue
+            hit = on_path.get(u)
+            if hit is not None:
+                out_v[a] = hit  # back edge to an initial segment
+                continue
+            w = len(endpoint)
+            if w >= cap:
+                raise SizeCapExceeded(f"simple-path count exceeded cap {cap}")
+            parent.append(v)
+            parent_gen.append(a)
+            endpoint.append(u)
+            words.append(words[v] + (a,))
+            out.append([None] * k)
+            out_v[a] = w
+            on_path[u] = w
+            next_gen[-1] = a + 1
+            path.append(w)
+            next_gen.append(0)
+            break
         else:
-            word = mc.path_word(v)
-            labels.append("·".join(G.alphabet[g] for g in word)
-                          if any(len(s) != 1 for s in G.alphabet)
-                          else "".join(G.alphabet[g] for g in word))
-        images.append(G.s_image[endpoint[v]])
-    mc.graph = RootedLabeledGraph(G.alphabet, labels, out, images)
-    return mc
+            path.pop()
+            next_gen.pop()
+            del on_path[endpoint[v]]
+
+    labels = _word_labels(G.alphabet, G.labels[G.root], words)
+    images = [G.s_image[u] for u in endpoint]
+    graph = RootedLabeledGraph(G.alphabet, labels, out, images)
+    return McExpansion(G, graph, parent, parent_gen, endpoint, words)
 
 
 def mc_kr(S: ASemigroup, kr_cap: int = DEFAULT_KR_CAP, mc_cap: int = DEFAULT_MC_CAP):

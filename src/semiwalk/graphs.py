@@ -115,13 +115,15 @@ def _cayley(S: ASemigroup, right: bool) -> RootedLabeledGraph:
     return g
 
 
-def sccs(G: RootedLabeledGraph) -> list[int]:
+def sccs(G: RootedLabeledGraph | Sequence[Sequence[int | None]]) -> list[int]:
     """Strongly connected components, Tarjan-style, iterative.
 
+    Takes a graph or its successor lists (None entries are skipped).
     Returns a component id per vertex; components are renumbered so that
     component ids increase with their smallest vertex index.
     """
-    n = G.n
+    succ = G.out if isinstance(G, RootedLabeledGraph) else G
+    n = len(succ)
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -141,7 +143,7 @@ def sccs(G: RootedLabeledGraph) -> list[int]:
                 counter += 1
                 stack.append(v)
                 on_stack[v] = True
-            row = G.out[v]
+            row = succ[v]
             advanced = False
             while ei < len(row):
                 w = row[ei]

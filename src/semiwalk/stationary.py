@@ -3,9 +3,15 @@
 Pipeline: expand the right Cayley graph (transition-edge identification,
 then simple-path expansion), enumerate normal forms (shortest simple paths
 from the root into the ideal), and for each normal form sum the weights of
-all ideal-avoiding walks that loop-erase to it.  That sum is obtained by
-weighted state elimination on the ideal-pruned expansion graph, which also
-yields, in a second semiring, a regular expression for the walk language.
+all ideal-avoiding walks that loop-erase to it.  The simple-path expansion
+is a spanning tree plus back edges to ancestors, so that sum is a product
+along the tree path to the normal form: the letter weights times the
+Green's function G_v = 1/(1 - R_v) at each vertex v on the path, where R_v
+is the weight of the excursions that leave v into its subtree and first
+come back to v (Lawler's loop-erased-walk formula).  One bottom-up pass
+gets every G_v and one top-down prefix product gets every value.  A
+regular expression for the walk language comes from weighted state
+elimination on the ideal-pruned expansion graph instead.
 
 When the minimal ideal is left zero the per-normal-form sums grouped by
 expansion element are the stationary distribution of the expanded chain;
@@ -199,17 +205,13 @@ class StationaryEngine:
             (img is not None and img in members) for img in g.s_image
         ]
         self.live = [v for v in range(g.n) if not self._in_ideal[v]]
-        self._depth = [0] * g.n
-        for v in range(1, g.n):
-            self._depth[v] = self._depth[self.mc.parent[v]] + 1
-        self._word = [self.mc.path_word(v) for v in range(g.n)]
 
         forms = []
         for v in range(1, g.n):
             if self._in_ideal[v] and not self._in_ideal[self.mc.parent[v]]:
                 forms.append(
                     NormalForm(
-                        word=self._word[v],
+                        word=self.mc.words[v],
                         mc_vertex=v,
                         kr_vertex=self.mc.endpoint[v],
                         s_element=g.s_image[v],
@@ -219,59 +221,79 @@ class StationaryEngine:
         self.normal_forms = NormalFormSet(forms)
         self._nf_vertices = {nf.mc_vertex for nf in forms}
 
-    # -- exact values, all normal forms in one elimination pass ---------------
+    # -- exact values, all normal forms in one pass over the tree --------------
 
     def values(self, xs: Sequence) -> dict[int, object]:
         """Walk-weight sum per normal form (keyed by expansion vertex).
 
-        One state elimination over the ideal-pruned graph, deepest vertices
-        first; the value of a normal form is the accumulated weight of the
-        root edge into it.
+        Bottom-up over the live vertices (children are created after their
+        parents, so in reverse creation order), each vertex v sums the
+        weight of leaving it into its subtree and first coming out at each
+        ancestor-or-self: its back edges, plus each live child's exits.  The
+        part that comes back to v is R_v, and G_v = 1/(1 - R_v).  The step
+        weight of v is its tree letter's weight times G_v; the parent takes
+        v's exits times that step.  Top-down, the prefix product of steps
+        from the root then gives each normal form's value.  Exit weight
+        still pending at the root went to a vertex that is not an ancestor,
+        which a simple-path expansion never has: AssertionError.
         """
         one = _one_of(xs)
         g = self.mc.graph
-        live = set(self.live)
+        parent, parent_gen = self.mc.parent, self.mc.parent_gen
+        in_ideal = self._in_ideal
         targets = self._nf_vertices
-        out: dict[int, dict[int, object]] = {v: {} for v in self.live}
-        inc: dict[int, dict[int, object]] = {v: {} for v in self.live}
-        for v in self.live:
+        letter_sums: dict[int, object] = {}  # weight per set of letters
+        # step per (tree letter, loop weight); Series hash by identity, so
+        # only Fraction loops share entries
+        steps: dict[tuple, object] = {}
+        step: dict[int, object] = {}
+        # per vertex, exit weight to each strict ancestor, before its step
+        exits: dict[int, dict[int, object]] = {}
+        for v in reversed(self.live):
+            out: dict[int, object] = {}
+            back: dict[int, int] = {}  # back-edge head -> mask of its letters
             for a, w in enumerate(g.out[v]):
                 if w is None:
                     continue
-                if w in live or w in targets:
-                    _acc(out[v], w, xs[a])
-                    if w in live:
-                        _acc(inc[w], v, xs[a])
+                if in_ideal[w]:
+                    if w not in targets or parent[w] != v:
+                        raise AssertionError(
+                            "edge from outside the ideal must enter at a normal form"
+                        )
+                elif parent[w] == v and parent_gen[w] == a:
+                    sw = step[w]
+                    for u, e in exits.pop(w).items():
+                        _acc(out, u, sw * e)
                 else:
-                    raise AssertionError(
-                        "edge from outside the ideal must enter at a normal form"
-                    )
+                    back[w] = back.get(w, 0) | 1 << a
+            for u, mask in back.items():
+                x = letter_sums.get(mask)
+                if x is None:
+                    x = letter_sums[mask] = _letter_sum(xs, mask)
+                _acc(out, u, x)
+            loop = out.pop(v, None)
+            a = parent_gen[v]  # None at the root
+            if loop is None:
+                step[v] = one if a is None else xs[a]
+            else:
+                sv = steps.get((a, loop))
+                if sv is None:
+                    G = _star_value(loop, one)
+                    sv = steps[a, loop] = G if a is None else xs[a] * G
+                step[v] = sv
+            exits[v] = out
+        if exits.pop(0):
+            raise AssertionError(
+                "an exit weight reached no ancestor: back edge off the tree path"
+            )
 
-        order = sorted(
-            (v for v in self.live if v != 0),
-            key=lambda v: (-self._depth[v], self._word[v]),
-        )
-        for v in order:
-            loop = out[v].pop(v, None)
-            inc[v].pop(v, None)
-            factor = one if loop is None else _star_value(loop, one)
-            ins = inc.pop(v)
-            outs = out.pop(v)
-            for u in ins:
-                out[u].pop(v, None)
-            for w in outs:
-                if w in inc:
-                    inc[w].pop(v, None)
-            for u, wu in ins.items():
-                base = wu * factor
-                for w, ww in outs.items():
-                    piece = base * ww
-                    _acc(out[u], w, piece)
-                    if w in inc:
-                        _acc(inc[w], u, piece)
-
-        root_out = out[0]
-        return {v: root_out.get(v, None) for v in targets}
+        prefix = {0: step[0]}
+        for v in self.live[1:]:
+            prefix[v] = prefix[parent[v]] * step[v]
+        return {
+            f: prefix[parent[f]] * xs[parent_gen[f]]
+            for f in (nf.mc_vertex for nf in self.normal_forms)
+        }
 
     # -- symbolic expression for one normal form ------------------------------
 
@@ -306,9 +328,10 @@ class StationaryEngine:
                     if w in live:
                         _acc_expr(inc[w], v, Letter(a))
 
+        words = self.mc.words
         off = sorted(
             (v for v in self.live if v != 0 and v not in geo_set),
-            key=lambda u: (-self._depth[u], self._word[u]),
+            key=lambda u: (-len(words[u]), words[u]),
         )
         for v in off + geodesic:
             loop = out[v].pop(v, None)
@@ -342,6 +365,15 @@ def _acc(d: dict, k, v) -> None:
 def _acc_expr(d: dict, k, e: KleeneExpr) -> None:
     old = d.get(k)
     d[k] = e if old is None else union(old, e)
+
+
+def _letter_sum(xs: Sequence, mask: int):
+    """Sum of the weights of the letters in a bit mask."""
+    total = None
+    for a, x in enumerate(xs):
+        if mask >> a & 1:
+            total = x if total is None else total + x
+    return total
 
 
 def _one_of(xs: Sequence):
@@ -454,24 +486,20 @@ def _stationary_kr_direct(
         engine = StationaryEngine(S, I)
     vals = engine.values(xs)
 
+    # The normal forms come sorted by word, so grouping them in first-seen
+    # order sorts the groups by their least word and keeps each group sorted.
     by_kr: dict[int, list[NormalForm]] = {}
     for nf in engine.normal_forms:
         by_kr.setdefault(nf.kr_vertex, []).append(nf)
 
     entries: dict[str, Fraction] = {}
     info: dict[str, KeyInfo] = {}
-    for kr_v in sorted(by_kr, key=lambda v: min(nf.word for nf in by_kr[v])):
-        forms = sorted(by_kr[kr_v], key=lambda nf: nf.word)
-        total = None
-        for nf in forms:
-            v = vals[nf.mc_vertex]
-            if v is None:
-                continue
-            total = v if total is None else total + v
-        if total is None:
-            continue
+    for kr_v, forms in by_kr.items():
+        total = vals[forms[0].mc_vertex]
+        for nf in forms[1:]:
+            total += vals[nf.mc_vertex]
         canonical = forms[0].word
-        label = S.word_label(canonical)
+        label = engine.mc.graph.labels[forms[0].mc_vertex]  # S.word_label(canonical)
         entries[label] = total
         info[label] = KeyInfo(
             label=label,

@@ -212,3 +212,10 @@ def test_limit_mode_reaches_size_27_draw():
     xs = uniform_probs(S)
     result = stationary_kr(S, xs)
     assert certify(S, xs, result)
+
+
+@pytest.mark.parametrize("name", ["flat_tower:3,2", "rees_zp:4,5", "signed_tsetlin:3"])
+def test_certify_direct_results_of_the_tree_pass(name):
+    S = families.build(families.parse_family(name))
+    xs = uniform_probs(S)
+    assert certify(S, xs, stationary_kr(S, xs))

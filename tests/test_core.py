@@ -226,3 +226,23 @@ def test_rep_words_shortest_lex(p3):
 def test_fresh_generator_names_on_repeated_constructions(p2):
     S = flat(flat(p2))
     assert len(set(S.gen_names)) == S.n_gens
+
+
+@pytest.mark.parametrize("name", ["tsetlin:3", "rees_B:3"])
+@pytest.mark.parametrize(
+    "construct",
+    [bar, flat, opposite, lambda S: rees_quotient(S, minimal_ideal(S))],
+    ids=["bar", "flat", "opposite", "rees_quotient"],
+)
+def test_unchecked_constructions_are_generated_and_associative(name, construct):
+    # these constructions skip the table checks; they hold on the output
+    S = construct(families.build(families.parse_family(name)))
+    S.check_generated()
+    S.check_associative()
+
+
+@pytest.mark.parametrize("name", ["flat_tower:2,2", "flat_tower:3,2", "bar_tower:2,1"])
+def test_towers_of_unchecked_constructions_pass_the_checks(name):
+    S = families.build(families.parse_family(name))
+    S.check_generated()
+    S.check_associative()

@@ -5,7 +5,7 @@ import pytest
 
 from semiwalk.core import IdealSet, SizeCapExceeded, adjoin_zero, minimal_ideal
 from semiwalk.expansions import karnofsky_rhodes
-from semiwalk.kleene import enumerate_words, evaluate_expr, pretty, series
+from semiwalk.kleene import DivergentStar, enumerate_words, evaluate_expr, pretty, series
 from semiwalk.stationary import (
     NotACodeWord,
     StationaryEngine,
@@ -368,3 +368,42 @@ def test_r_trivial_product_formula(p3, flipflop):
         closed = families.r_trivial_stationary(S, xs)
         r = stationary_kr(S, xs)
         assert dict(r.entries) == closed
+
+
+@pytest.mark.parametrize("name", ["flat_tower:2,2", "rees_zp:2,3", "rees_B:3"])
+def test_tree_pass_matches_elimination(name):
+    # the expression path eliminates states; evaluated, it must give the
+    # same walk sums as the tree pass, also with back edges past the parent
+    S = families.build(families.parse_family(name))
+    engine = StationaryEngine(S)
+    xs = uniform_probs(S)
+    vals = engine.values(xs)
+    for nf in engine.normal_forms:
+        assert evaluate_expr(engine.expression(nf), xs) == vals[nf.mc_vertex]
+
+
+def test_tree_pass_rejects_back_edge_to_non_ancestor(p3):
+    engine = StationaryEngine(p3)
+    g, parent = engine.mc.graph, engine.mc.parent
+    live = set(engine.live)
+
+    def ancestors(v):
+        while v is not None:
+            yield v
+            v = parent[v]
+
+    v, a = next(
+        (v, a) for v in engine.live for a, w in enumerate(g.out[v])
+        if w in live and parent[w] != v
+    )
+    stranger = next(u for u in engine.live if u not in set(ancestors(v)))
+    g.out[v][a] = stranger
+    with pytest.raises(AssertionError):
+        engine.values(uniform_probs(p3))
+
+
+def test_tree_pass_raises_divergent_star(b2):
+    # weights that do not sum to 1 give some vertex a loop weight >= 1
+    engine = StationaryEngine(b2)
+    with pytest.raises(DivergentStar):
+        engine.values([F(1), F(1)])
