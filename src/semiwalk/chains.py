@@ -181,11 +181,18 @@ def stationary_oracle(
         raise NotIrreducible(f"{len(closed_ids)} closed classes, need exactly 1")
     recurrent = [s for s in range(n) if comp[s] == closed_ids[0]]
 
+    # Each probability is converted once; the sweep adds in the same column
+    # order as ``apply_float``, so the floats it produces are the same.
+    cols = [[(t, float(p)) for t, p in col.items()] for col in T.cols]
     v = [0.0] * n
     for s in recurrent:
         v[s] = 1.0 / len(recurrent)
     for it in range(max_iter):
-        w = T.apply_float(v)
+        w = [0.0] * n
+        for col, vs in zip(cols, v):
+            if vs:
+                for t, p in col:
+                    w[t] += vs * p
         w = [0.5 * (a + b) for a, b in zip(w, v)]
         norm = sum(w)
         w = [a / norm for a in w]

@@ -191,6 +191,9 @@ def cmd_stationary(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for flag, value in (("--walkers", args.walkers), ("--steps", args.steps)):
+        if value < 1:
+            raise SemigroupError(f"{flag} must be at least 1, got {value}")
     S = _load(args)
     xs = _probs(args, S)
     K = minimal_ideal(S)

@@ -1,16 +1,32 @@
 """Seeded Monte Carlo walks on the word level, for end-to-end verification.
 
-Random number generator contract: SplitMix64 (Steele-Lea-Vigna), 64-bit
-state, advancing by the golden-ratio increment and finalizing with two
-xor-multiply rounds.  Walker w of a run seeded with s uses the stream
-seeded by mix64(mix64(s) ^ (GOLDEN * (w+1) mod 2^64)).  Letters are drawn
-by comparing the top 53 bits of the next output against cumulative integer
-thresholds floor(cum_i * 2^53).  Everything is integer arithmetic, so runs
-are bit-identical across platforms for a fixed seed.
+A walker's state is a minimal ideal-entering word w.  A step draws a letter
+a and moves to the shortest prefix of a·w whose product lies in the minimal
+ideal.  Before a run the walk is compiled to lists: the right action
+``right[e][b] = e·b`` of each generator on S, an ideal flag per element of
+S, and the rows of the automaton that lumps words onto states (the
+Karnofsky-Rhodes graph for "kr_ideal"; for "k_s" the right action itself,
+so the vertex is the element).  One loop then reads a·w letter by letter,
+advancing the element and the lumping vertex together, and stops at the
+first letter whose element is in the ideal.  Nothing is memoized: a step
+costs time linear in the length of the word it enters the ideal with.
+Ideal entry is decided by S's own multiplication, so the walk depends on
+the expansion code only through the final lumping.
+
+Random number generator contract: SplitMix64 (Steele, Lea and Flood,
+OOPSLA 2014), 64-bit state, advancing by the golden-ratio increment and
+finalizing with two xor-multiply rounds.  Walker w of a run seeded with s
+uses the stream seeded by mix64(mix64(s) ^ (GOLDEN * (w+1) mod 2^64)).
+Letters are drawn by comparing the top 53 bits of the next output against
+cumulative integer thresholds floor(cum_i * 2^53).  Everything is integer
+arithmetic, so runs are bit-identical across platforms for a fixed seed.
+The walk loop inlines the generator and draws the same streams as
+``SplitMix64``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -58,14 +74,6 @@ def _thresholds(xs: Sequence[Fraction]) -> list[int]:
     return out
 
 
-def _draw(rng: SplitMix64, thresholds: list[int]) -> int:
-    r = rng.next53()
-    for i, t in enumerate(thresholds):
-        if r < t:
-            return i
-    raise AssertionError("thresholds must cover the draw range")
-
-
 @dataclass
 class EmpiricalDistribution:
     counts: dict[str, int]
@@ -91,62 +99,74 @@ class EmpiricalDistribution:
         return self.counts.keys()
 
 
-class _WordWalk:
-    """Walk on minimal ideal-entering words with memoized steps and lumping."""
+class _WalkTables:
+    """The word walk compiled to lists: the right action of the generators
+    on S, ideal membership per element, and the lumping automaton."""
 
     def __init__(self, S: ASemigroup, ideal, space: str):
-        self.S = S
-        self.ideal = ideal
-        self.members = ideal.members
-        self.space = space
+        self.gens = S.gens
+        self.right = [[S.mult(e, g) for g in S.gens] for e in range(S.size)]
+        self.in_ideal = [e in ideal.members for e in range(S.size)]
         if space == "kr_ideal":
-            self.kr = karnofsky_rhodes(S)
-        elif space != "k_s":
+            g = karnofsky_rhodes(S).graph
+            self.out, self.root, self.labels = g.out, g.root, g.labels
+        elif space == "k_s":
+            # the root row is the generators, so the vertex is the element
+            self.out, self.root = self.right + [list(S.gens)], S.size
+            self.labels = S.element_names()
+        else:
             raise SemigroupError(f"unknown lumping space {space!r}")
-        self._step_memo: dict[tuple[int, Word], Word] = {}
-        self._lump_memo: dict[Word, str] = {}
 
-    def first_entry_prefix(self, word: Word) -> Word:
-        e = self.S.gens[word[0]]
-        if e in self.members:
-            return word[:1]
-        for i in range(1, len(word)):
-            e = self.S.mult(e, self.S.gens[word[i]])
-            if e in self.members:
-                return word[: i + 1]
-        raise AssertionError("word does not reach the ideal")
-
-    def step(self, word: Word, a: int) -> Word:
-        key = (a, word)
-        nxt = self._step_memo.get(key)
-        if nxt is None:
-            nxt = self.first_entry_prefix((a,) + word)
-            if len(self._step_memo) < 200_000:
-                self._step_memo[key] = nxt
-        return nxt
-
-    def lump(self, word: Word) -> str:
-        lab = self._lump_memo.get(word)
-        if lab is None:
-            if self.space == "k_s":
-                lab = self.S.element_name(self.S.product(word))
-            else:
-                g = self.kr.graph
-                v = g.follow(g.root, word)
-                lab = self.S.word_label(self.kr.words[v])
-            if len(self._lump_memo) < 200_000:
-                self._lump_memo[word] = lab
-        return lab
+    def lump(self, word: Word) -> int:
+        v = self.root
+        for b in word:
+            v = self.out[v][b]
+        return v
 
     def initial_word(self, rng: SplitMix64, thresholds: list[int]) -> Word:
+        """Draw letters until the product enters the ideal."""
         word: list[int] = []
         e = None
         while True:
-            a = _draw(rng, thresholds)
+            a = bisect_right(thresholds, rng.next53())
             word.append(a)
-            e = self.S.gens[a] if e is None else self.S.mult(e, self.S.gens[a])
-            if e in self.members:
+            e = self.gens[a] if e is None else self.right[e][a]
+            if self.in_ideal[e]:
                 return tuple(word)
+
+    def run(self, word: Word, state: int, thresholds: list[int], steps: int,
+            visits: list[int]) -> int:
+        """Take ``steps`` steps from ``word`` with the SplitMix64 stream at
+        ``state``, counting each visited lumping vertex in ``visits``;
+        return the vertex of the last word."""
+        gens, right, in_ideal, out = self.gens, self.right, self.in_ideal, self.out
+        first = out[self.root]
+        v = self.lump(word)
+        for _ in range(steps):
+            state = (state + _GOLDEN) & _MASK
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+            a = bisect_right(thresholds, (z ^ (z >> 31)) >> 11)
+            e, v = gens[a], first[a]
+            if in_ideal[e]:
+                word = (a,)
+            else:
+                j = 0
+                for b in word:
+                    j += 1
+                    e, v = right[e][b], out[v][b]
+                    if in_ideal[e]:
+                        break
+                else:
+                    raise AssertionError("word does not reach the ideal")
+                word = (a,) + word[:j]
+            visits[v] += 1
+        return v
+
+    def distribution(self, visits: list[int], total: int) -> EmpiricalDistribution:
+        labels = self.labels
+        return EmpiricalDistribution(
+            {labels[v]: c for v, c in enumerate(visits) if c}, total)
 
 
 def _prepare(S, xs, zero_weight):
@@ -181,18 +201,18 @@ def simulate_semaphore(
     takes ``steps`` left-action steps, recording the lumped state after
     each one.  Counts aggregate over walkers.
     """
+    if walkers < 1 or steps < 1:
+        raise SemigroupError(
+            f"need walkers >= 1 and steps >= 1, got walkers={walkers}, steps={steps}")
     S, xs, I = _prepare(S, xs, zero_weight)
-    walk = _WordWalk(S, I, space)
+    walk = _WalkTables(S, I, space)
     thresholds = _thresholds(xs)
-    counts: dict[str, int] = {}
+    visits = [0] * len(walk.out)
     for w in range(walkers):
         rng = SplitMix64(walker_seed(seed, w))
         word = walk.initial_word(rng, thresholds)
-        for _ in range(steps):
-            word = walk.step(word, _draw(rng, thresholds))
-            lab = walk.lump(word)
-            counts[lab] = counts.get(lab, 0) + 1
-    return EmpiricalDistribution(counts, walkers * steps)
+        walk.run(word, rng.state, thresholds, steps, visits)
+    return walk.distribution(visits, walkers * steps)
 
 
 def simulate_state_at(
@@ -211,20 +231,20 @@ def simulate_state_at(
     first shortest ideal-entering word), so this measures worst-case-style
     convergence from a point mass.
     """
+    if walkers < 1 or steps < 0:
+        raise SemigroupError(
+            f"need walkers >= 1 and steps >= 0, got walkers={walkers}, steps={steps}")
     S, xs, I = _prepare(S, xs, zero_weight)
-    walk = _WordWalk(S, I, space)
+    walk = _WalkTables(S, I, space)
     thresholds = _thresholds(xs)
     if start_word is None:
         start_word = _lex_first_code_word(S, I)
-    counts: dict[str, int] = {}
+    word = tuple(start_word)
+    visits = [0] * len(walk.out)  # the occupation measure, not reported here
+    ends = [0] * len(walk.out)
     for w in range(walkers):
-        rng = SplitMix64(walker_seed(seed, w))
-        word = tuple(start_word)
-        for _ in range(steps):
-            word = walk.step(word, _draw(rng, thresholds))
-        lab = walk.lump(word)
-        counts[lab] = counts.get(lab, 0) + 1
-    return EmpiricalDistribution(counts, walkers)
+        ends[walk.run(word, walker_seed(seed, w), thresholds, steps, visits)] += 1
+    return walk.distribution(ends, walkers)
 
 
 def _lex_first_code_word(S: ASemigroup, I) -> Word:

@@ -82,6 +82,25 @@ def test_oracle_invariance(b2):
     assert sum(abs(a - b) for a, b in zip(v, w)) < 1e-10
 
 
+def test_oracle_equals_per_sweep_conversion():
+    # the oracle converts each probability once; its floats must equal those
+    # of the power iteration that calls apply_float (float(p) every sweep)
+    S = families.flat_tower(2, 2)
+    T = build_chain(S, uniform_probs(S), "kr_ideal")
+    psi = stationary_oracle(T)
+    v = [1.0 / T.n] * T.n  # the chain is irreducible: the oracle's start
+    while True:
+        w = T.apply_float(v)
+        w = [0.5 * (a + b) for a, b in zip(w, v)]
+        norm = sum(w)
+        w = [a / norm for a in w]
+        delta = 0.5 * sum(abs(a - b) for a, b in zip(w, v))
+        v = w
+        if delta < 1e-13:
+            break
+    assert psi == dict(zip(T.labels, v))
+
+
 def test_oracle_rejects_two_closed_classes():
     S = families.rees_general()
     T = build_chain(S, HALF, "k_s")

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from itertools import accumulate, product
 
 import pytest
 
 from semiwalk.chains import tv_distance
-from semiwalk.core import SemigroupError, semigroup_from_table
+from semiwalk.core import SemigroupError, adjoin_zero, minimal_ideal, semigroup_from_table
+from semiwalk.expansions import karnofsky_rhodes
 from semiwalk.simulate import (
     SplitMix64,
     mix64,
@@ -13,6 +15,7 @@ from semiwalk.simulate import (
 )
 from semiwalk.stationary import stationary_kr, uniform_probs
 from semiwalk import families
+from semiwalk.families import build, parse_family
 
 F = Fraction
 HALF = [F(1, 2), F(1, 2)]
@@ -108,3 +111,111 @@ def test_state_at_fixed_step(b2):
     dk = simulate_state_at(b2, HALF, walkers=800, steps=24, seed=13)
     assert tv_distance(dk, exact) < tv_distance(d0, exact)
     assert dk.total == 800
+
+
+def reference_walk(S, xs, walkers, steps, seed, space="kr_ideal",
+                   zero_weight=None, final_only=False):
+    """The word walk written plainly: SplitMix64 objects, ideal entry by
+    ``S.product`` of each prefix, lumping by following the expansion graph."""
+    if zero_weight is not None:
+        S = adjoin_zero(S)
+        xs = [v * (1 - zero_weight) for v in xs] + [zero_weight]
+    ideal = minimal_ideal(S).members
+    thresholds = [int(c * 2**53) for c in accumulate(xs)]
+    thresholds[-1] = 2**53
+
+    def draw(rng):
+        r = rng.next53()
+        return next(i for i, t in enumerate(thresholds) if r < t)
+
+    def enter(word):
+        for j in range(1, len(word) + 1):
+            if S.product(word[:j]) in ideal:
+                return word[:j]
+        raise AssertionError("word does not reach the ideal")
+
+    if space == "k_s":
+        def lump(word):
+            return S.element_name(S.product(word))
+    else:
+        kr = karnofsky_rhodes(S)
+
+        def lump(word):
+            return S.word_label(kr.words[kr.graph.follow(kr.graph.root, word)])
+
+    start = None
+    if final_only:  # lexicographically first shortest ideal-entering word
+        for n in range(1, S.size + 2):
+            start = next((w for w in product(range(S.n_gens), repeat=n)
+                          if S.product(w) in ideal), None)
+            if start is not None:
+                break
+    counts = {}
+    for w in range(walkers):
+        rng = SplitMix64(walker_seed(seed, w))
+        word = start
+        if word is None:
+            word = ()
+            while not word or S.product(word) not in ideal:
+                word += (draw(rng),)
+        for _ in range(steps):
+            word = enter((draw(rng),) + word)
+            if not final_only:
+                counts[lump(word)] = counts.get(lump(word), 0) + 1
+        if final_only:
+            counts[lump(word)] = counts.get(lump(word), 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize("family", ["b2", "tsetlin:4", "rees_zp:3,3", "flat_tower:2,2"])
+def test_walk_counts_equal_reference(family, b2):
+    S = b2 if family == "b2" else build(parse_family(family))
+    k = S.n_gens  # unequal weights 1 : 2 : ... : k
+    xs = [F(2 * (i + 1), k * (k + 1)) for i in range(k)]
+    d = simulate_semaphore(S, xs, walkers=3, steps=1500, seed=17)
+    assert d.counts == reference_walk(S, xs, 3, 1500, 17)
+    assert d.total == 4500
+    d = simulate_semaphore(S, xs, walkers=2, steps=800, seed=3, space="k_s")
+    assert d.counts == reference_walk(S, xs, 2, 800, 3, space="k_s")
+    d = simulate_state_at(S, xs, walkers=200, steps=6, seed=5)
+    assert d.counts == reference_walk(S, xs, 200, 6, 5, final_only=True)
+
+
+def test_adjoined_zero_walk_equals_reference():
+    S = families.rees_general()
+    xs, t = [F(1, 3), F(2, 3)], F(1, 7)
+    for space in ("kr_ideal", "k_s"):
+        d = simulate_semaphore(S, xs, walkers=3, steps=1000, seed=9,
+                               space=space, zero_weight=t)
+        assert d.counts == reference_walk(S, xs, 3, 1000, 9, space=space,
+                                          zero_weight=t)
+    d = simulate_state_at(S, xs, walkers=100, steps=4, seed=9, zero_weight=t)
+    assert d.counts == reference_walk(S, xs, 100, 4, 9, zero_weight=t,
+                                      final_only=True)
+
+
+def test_state_at_zero_steps_is_the_start_word(b2):
+    d = simulate_state_at(b2, HALF, walkers=5, steps=0, seed=1)
+    assert d.counts == reference_walk(b2, HALF, 5, 0, 1, final_only=True)
+    assert d.total == 5 and len(d.counts) == 1
+
+
+@pytest.mark.parametrize("walkers,steps", [(0, 10), (-1, 10), (2, 0), (2, -5)])
+def test_simulate_semaphore_rejects_empty_runs(b2, walkers, steps):
+    with pytest.raises(SemigroupError):
+        simulate_semaphore(b2, HALF, walkers=walkers, steps=steps, seed=0)
+
+
+@pytest.mark.parametrize("walkers,steps", [(0, 10), (-1, 0), (2, -1)])
+def test_simulate_state_at_rejects_empty_runs(b2, walkers, steps):
+    with pytest.raises(SemigroupError):
+        simulate_state_at(b2, HALF, walkers=walkers, steps=steps, seed=0)
+
+
+def test_word_outside_the_ideal_raises():
+    # on four books a word needs three distinct letters to enter the ideal,
+    # so no letter in front of the one-letter word (0,) gets it there
+    S = families.tsetlin(4)
+    with pytest.raises(AssertionError):
+        simulate_state_at(S, uniform_probs(S), walkers=1, steps=1, seed=0,
+                          start_word=(0,))

@@ -198,6 +198,15 @@ def test_cli_verify_simulation_and_failure_exit(capsys):
     assert code == 1 and "FAILED" in out
 
 
+@pytest.mark.parametrize("flag,value", [("--walkers", "0"), ("--steps", "0"),
+                                        ("--steps", "-5"), ("--walkers", "-1")])
+def test_cli_verify_rejects_empty_simulation(capsys, flag, value):
+    code, out, err = run_cli(["verify", "--family", "rees_B:2", "--simulate",
+                              flag, value, "--tv-tol", "0.1"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {flag} must be at least 1")
+
+
 def test_cli_byte_identical_reruns(capsys):
     args = ["verify", "--family", "rees_B:2", "--simulate", "--walkers", "3",
             "--steps", "200", "--seed", "7"]
