@@ -230,8 +230,12 @@ def check_lumping(
 
 
 def tv_distance(d1: Mapping[str, object], d2: Mapping[str, object]) -> float:
-    """Total variation distance, as half the L1 difference."""
-    keys = set(d1) | set(d2)
+    """Total variation distance, as half the L1 difference.
+
+    Summed in sorted key order, so the float does not depend on the
+    interpreter's string hash seed.
+    """
+    keys = sorted(set(d1) | set(d2))
     return 0.5 * sum(abs(float(d1.get(k, 0)) - float(d2.get(k, 0))) for k in keys)
 
 

@@ -9,6 +9,7 @@ exact fraction text unless --float is given.  Identical invocations
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -44,11 +45,20 @@ CHECK_FAILED = 1
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # The expansions are large heaps of acyclic objects that the cyclic
+    # collector would rescan as they grow, finding nothing to free.  No
+    # command makes reference cycles that grow with its input, so the
+    # collector is paused for the command and restored as the caller had it.
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (SemigroupError, DivergentStar, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def _build_parser() -> argparse.ArgumentParser:

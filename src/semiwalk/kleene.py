@@ -317,28 +317,28 @@ def pretty(e: KleeneExpr, names: Sequence[str]) -> str:
     output stays unambiguous.
     """
     sep = "" if all(len(s) == 1 for s in names) else "·"
+    return _render(e, names, sep)
 
-    def atom(node) -> str:
-        s = render(node)
-        if isinstance(node, Letter) and len(names[node.gen]) == 1:
-            return s
-        if isinstance(node, Union):
-            return s  # braces already delimit
-        return "(" + s + ")"
 
-    def render(node) -> str:
-        if isinstance(node, Epsilon):
-            return "ε"
-        if isinstance(node, Letter):
-            return names[node.gen]
-        if isinstance(node, Concat):
-            return sep.join(render(p) for p in node.parts)
-        if isinstance(node, Union):
-            return "{" + ",".join(render(p) for p in node.parts) + "}"
-        assert isinstance(node, Star)
-        return atom(node.child) + "⋆"
-
-    return render(e)
+# Module level: nested closures that call each other would make a
+# reference cycle per call, kept until the CLI's paused collector resumes.
+def _render(node, names: Sequence[str], sep: str) -> str:
+    if isinstance(node, Epsilon):
+        return "ε"
+    if isinstance(node, Letter):
+        return names[node.gen]
+    if isinstance(node, Concat):
+        return sep.join(_render(p, names, sep) for p in node.parts)
+    if isinstance(node, Union):
+        return "{" + ",".join(_render(p, names, sep) for p in node.parts) + "}"
+    assert isinstance(node, Star)
+    child = node.child
+    s = _render(child, names, sep)
+    # A one-character letter or a braced union needs no parentheses.
+    if not ((isinstance(child, Letter) and len(names[child.gen]) == 1)
+            or isinstance(child, Union)):
+        s = "(" + s + ")"
+    return s + "⋆"
 
 
 def letters_word(word: Iterable[int]) -> KleeneExpr:

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import semiwalk
 from semiwalk.chains import (
     NotIrreducible,
     TransitionMatrix,
@@ -238,3 +242,25 @@ def test_certify_direct_results_of_the_tree_pass(name):
     S = families.build(families.parse_family(name))
     xs = uniform_probs(S)
     assert certify(S, xs, stationary_kr(S, xs))
+
+
+def test_tv_distance_does_not_depend_on_the_hash_seed():
+    code = (
+        "from semiwalk import families\n"
+        "from semiwalk.chains import tv_distance\n"
+        "from semiwalk.simulate import simulate_semaphore\n"
+        "from semiwalk.stationary import stationary_kr, uniform_probs\n"
+        "S = families.build(families.parse_family('rees_zp:3,3'))\n"
+        "xs = uniform_probs(S)\n"
+        "exact = {k: float(v) for k, v in stationary_kr(S, xs).entries.items()}\n"
+        "emp = simulate_semaphore(S, xs, walkers=4, steps=5000, seed=42)\n"
+        "print(repr(tv_distance(emp, exact)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(semiwalk.__file__))
+    outs = set()
+    for hash_seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        outs.add(proc.stdout)
+    assert len(outs) == 1, outs

@@ -1,3 +1,4 @@
+import gc
 import json
 import subprocess
 import sys
@@ -222,3 +223,67 @@ def test_console_entry_point_installed():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("|S|=4")
+
+
+def test_cli_restores_the_collector_on_success_and_on_exit_2(capsys):
+    assert gc.isenabled()
+    code, _, _ = run_cli(["build", "--family", "tsetlin:3"], capsys)
+    assert code == 0 and gc.isenabled()
+    code, _, err = run_cli(["stationary", "--family", "nope:1"], capsys)
+    assert code == 2 and err.startswith("error:") and gc.isenabled()
+
+
+def test_cli_restores_the_collector_when_the_command_raises(monkeypatch):
+    from semiwalk import cli
+
+    seen = []
+
+    def boom(args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_build", boom)
+    with pytest.raises(RuntimeError, match="boom"):
+        main(["build", "--family", "tsetlin:3"])
+    assert seen == [False]  # paused while the command ran
+    assert gc.isenabled()
+
+
+def test_cli_leaves_a_disabled_collector_disabled(capsys):
+    gc.disable()
+    try:
+        for argv in (["build", "--family", "tsetlin:3"],
+                     ["stationary", "--family", "nope:1"]):
+            run_cli(argv, capsys)
+            assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+_SIM = ["verify", "--simulate", "--walkers", "2", "--steps", "100",
+        "--tv-tol", "1"]
+
+
+@pytest.mark.parametrize("command,small,large", [
+    (["stationary"], "tsetlin:3", "flat_tower:2,2"),
+    (["stationary", "--over", "s"], "tsetlin:3", "flat_tower:2,2"),
+    (["stationary", "--limit-zero"], "tsetlin:3", "tsetlin:4"),
+    (["stationary", "--expressions"], "tsetlin:3", "flat_tower:2,2"),
+    (_SIM, "rees_B:2", "tsetlin:4"),
+], ids=["direct", "over_s", "limit", "expressions", "simulate"])
+def test_cli_cyclic_garbage_does_not_grow_with_the_input(capsys, command,
+                                                         small, large):
+    # The CLI pauses the cyclic collector for a command, which is safe only
+    # while the cycles a command leaves behind do not grow with its input.
+    # argparse leaves a fixed number, which may differ between Python
+    # versions, so two sizes are compared rather than a fixed count.
+    counts = []
+    gc.disable()
+    try:
+        for family in (small, large):
+            gc.collect()
+            run_cli(command + ["--family", family], capsys)
+            counts.append(gc.collect())
+    finally:
+        gc.enable()
+    assert counts[0] == counts[1], counts
