@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 from .core import ASemigroup, SemigroupError, minimal_ideal
 from .expansions import karnofsky_rhodes, mccammond
-from .graphs import sccs, transition_edges
+from .graphs import closed_classes, sccs, transition_edges
 
 
 class NotConverged(ArithmeticError):
@@ -77,9 +77,10 @@ def build_chain(
                 cols[i][t] = cols[i].get(t, Fraction(0)) + xs[a]
         return TransitionMatrix(labels, cols)
     if space == "kr_ideal":
+        # the closed classes of the expansion graph, its right Cayley graph,
+        # are the minimal right ideals: together, the minimal ideal
         kr = karnofsky_rhodes(S)
-        K = minimal_ideal(kr.semigroup())
-        vertices = sorted(e + 1 for e in K.members)
+        vertices = sorted(v for cls in closed_classes(kr.graph) for v in cls)
         index = {v: i for i, v in enumerate(vertices)}
         labels = [S.word_label(kr.words[v]) for v in vertices]
         cols = [dict() for _ in vertices]
@@ -168,18 +169,10 @@ def stationary_oracle(
     more than one closed class is an error.
     """
     n = T.n
-    succ = [list(col) for col in T.cols]
-    comp = sccs(succ)
-    n_comp = max(comp) + 1
-    closed = [True] * n_comp
-    for s in range(n):
-        for t in succ[s]:
-            if comp[t] != comp[s]:
-                closed[comp[s]] = False
-    closed_ids = [c for c in range(n_comp) if closed[c]]
-    if len(closed_ids) != 1:
-        raise NotIrreducible(f"{len(closed_ids)} closed classes, need exactly 1")
-    recurrent = [s for s in range(n) if comp[s] == closed_ids[0]]
+    classes = closed_classes([list(col) for col in T.cols])
+    if len(classes) != 1:
+        raise NotIrreducible(f"{len(classes)} closed classes, need exactly 1")
+    recurrent = classes[0]
 
     # Each probability is converted once; the sweep adds in the same column
     # order as ``apply_float``, so the floats it produces are the same.

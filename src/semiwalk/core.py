@@ -333,28 +333,20 @@ def minimal_ideal(S: ASemigroup) -> IdealSet:
     exactly the two-sided divisibility relation, so the minimal ideal is
     the unique sink component of that reachability graph.
     """
-    from .graphs import sccs  # local import, graphs depends on core
+    from .graphs import closed_classes  # local import, graphs depends on core
 
-    n = S.size
     succ: list[list[int]] = []
-    for e in range(n):
+    for e in range(S.size):
         row = set()
         for ge in S.gens:
             row.add(S.mult(e, ge))
             row.add(S.mult(ge, e))
         succ.append(sorted(row))
 
-    comp = sccs(succ)
-    n_comp = max(comp) + 1
-    is_sink = [True] * n_comp
-    for e in range(n):
-        for f in succ[e]:
-            if comp[f] != comp[e]:
-                is_sink[comp[e]] = False
-    sinks = [c for c in range(n_comp) if is_sink[c]]
+    sinks = closed_classes(succ)
     if len(sinks) != 1:
         raise AssertionError("a finite semigroup has exactly one minimal ideal")
-    return IdealSet(e for e in range(n) if comp[e] == sinks[0])
+    return IdealSet(sinks[0])
 
 
 def is_left_zero(S: ASemigroup, I: IdealSet) -> bool:

@@ -36,10 +36,6 @@ class KRExpansion:
     def s_image(self, v: int) -> int | None:
         return self.graph.s_image[v]
 
-    def multiply(self, v: int, word: Word) -> int:
-        """Follow ``word`` from vertex v."""
-        return self.graph.follow(v, word)
-
     def left_multiply(self, a: int, v: int) -> int:
         """Vertex of generator a times the element of vertex v."""
         if v == self.graph.root:
@@ -212,8 +208,3 @@ def is_stable1(S: ASemigroup) -> bool:
     if not is_mc_stable(S, kr):
         return False
     return graphs_isomorphic(kr.graph, right_cayley(S))
-
-
-def kr_multiply(kr: KRExpansion, v: int, word: Word) -> int:
-    """Follow a generator word from a vertex of the expansion."""
-    return kr.multiply(v, word)

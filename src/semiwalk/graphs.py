@@ -180,6 +180,26 @@ def sccs(G: RootedLabeledGraph | Sequence[Sequence[int | None]]) -> list[int]:
     return [rank_of[c] for c in comp]
 
 
+def closed_classes(G: RootedLabeledGraph | Sequence[Sequence[int | None]]) -> list[list[int]]:
+    """The closed classes: strongly connected components with no edge out.
+
+    Takes a graph or its successor lists, as ``sccs``.  Each class lists
+    its vertices in increasing order; classes come by smallest vertex.
+    """
+    succ = G.out if isinstance(G, RootedLabeledGraph) else G
+    comp = sccs(succ)
+    closed = [True] * (max(comp, default=-1) + 1)
+    for v, row in enumerate(succ):
+        for w in row:
+            if w is not None and comp[w] != comp[v]:
+                closed[comp[v]] = False
+    classes: dict[int, list[int]] = {}
+    for v, c in enumerate(comp):
+        if closed[c]:
+            classes.setdefault(c, []).append(v)
+    return list(classes.values())
+
+
 def transition_edges(
     G: RootedLabeledGraph, comp: list[int] | None = None
 ) -> set[tuple[int, int]]:

@@ -11,7 +11,7 @@ expression (such as a*a*) to the evaluator sums words with multiplicity;
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class DivergentStar(ArithmeticError):
@@ -19,6 +19,8 @@ class DivergentStar(ArithmeticError):
 
 
 class KleeneExpr:
+    """Also a walk weight: ``*`` concatenates, ``+`` unites, one() is ε."""
+
     __slots__ = ()
 
     def __mul__(self, other):
@@ -26,6 +28,11 @@ class KleeneExpr:
 
     def __or__(self, other):
         return union(self, other)
+
+    __add__ = __or__
+
+    def one(self):
+        return EPSILON
 
 
 class Epsilon(KleeneExpr):
@@ -176,11 +183,11 @@ def evaluate_expr(e: KleeneExpr, x: Sequence):
     1/(1-v); a star whose child evaluates to >= 1 raises DivergentStar.
     """
     if isinstance(e, Epsilon):
-        return _one_like(x)
+        return _one_of(x)
     if isinstance(e, Letter):
         return x[e.gen]
     if isinstance(e, Concat):
-        v = _one_like(x)
+        v = _one_of(x)
         for p in e.parts:
             v = v * evaluate_expr(p, x)
         return v
@@ -191,16 +198,21 @@ def evaluate_expr(e: KleeneExpr, x: Sequence):
             v = pv if v is None else v + pv
         return v
     assert isinstance(e, Star)
-    v = evaluate_expr(e.child, x)
-    one = _one_like(x)
-    if isinstance(v, Fraction) and v >= 1:
-        raise DivergentStar(f"star child has weight {v} >= 1")
-    if v == one:
-        raise DivergentStar("star child has weight 1")
+    return star_value(evaluate_expr(e.child, x), _one_of(x))
+
+
+def star_value(v, one):
+    """The star of a weight: ``star(v)`` for an expression, otherwise the
+    geometric sum 1/(1-v), which diverges (DivergentStar) when v >= 1."""
+    if isinstance(v, KleeneExpr):
+        return star(v)
+    if isinstance(v, Fraction) and v >= 1 or v == one:
+        raise DivergentStar(f"star of weight {v} >= 1 diverges")
     return one / (one - v)
 
 
-def _one_like(x: Sequence):
+def _one_of(x: Sequence):
+    """The unit of the weight ring that the weights ``x`` live in."""
     sample = x[0]
     if isinstance(sample, Fraction):
         return Fraction(1)
@@ -339,7 +351,3 @@ def _render(node, names: Sequence[str], sep: str) -> str:
             or isinstance(child, Union)):
         s = "(" + s + ")"
     return s + "⋆"
-
-
-def letters_word(word: Iterable[int]) -> KleeneExpr:
-    return concat(*[Letter(g) for g in word])

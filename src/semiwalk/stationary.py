@@ -9,9 +9,11 @@ along the tree path to the normal form: the letter weights times the
 Green's function G_v = 1/(1 - R_v) at each vertex v on the path, where R_v
 is the weight of the excursions that leave v into its subtree and first
 come back to v (Lawler's loop-erased-walk formula).  One bottom-up pass
-gets every G_v and one top-down prefix product gets every value.  A
-regular expression for the walk language comes from weighted state
-elimination on the ideal-pruned expansion graph instead.
+gets every G_v and one top-down prefix product gets every value.  The
+regular expression for a normal form's walk language is the same sum over
+Kleene expressions: the bottom-up pass runs once with letters as weights,
+and per normal form only its tree path is eliminated, from the root
+outward, which fixes the printed factored form.
 
 When the minimal ideal is left zero the per-normal-form sums grouped by
 expansion element are the stationary distribution of the expanded chain;
@@ -39,14 +41,16 @@ from .core import (
     minimal_ideal,
 )
 from .expansions import KRExpansion, McExpansion, karnofsky_rhodes, mccammond
+from .graphs import closed_classes
 from .kleene import (
-    DivergentStar,
+    EPSILON,
     KleeneExpr,
     Letter,
+    _one_of,
     concat,
     pretty,
     star,
-    union,
+    star_value,
     zimin_rewrite,
 )
 from .ratfunc import PrecisionLost, Series
@@ -220,57 +224,72 @@ class StationaryEngine:
         forms.sort(key=lambda nf: nf.word)
         self.normal_forms = NormalFormSet(forms)
         self._nf_vertices = {nf.mc_vertex for nf in forms}
+        self._kleene = None  # the reduction over Kleene weights, on demand
 
-    # -- exact values, all normal forms in one pass over the tree --------------
+    # -- walk sums, all normal forms in one pass over the tree -----------------
 
-    def values(self, xs: Sequence) -> dict[int, object]:
-        """Walk-weight sum per normal form (keyed by expansion vertex).
+    def _exits(self, v, xs, step, take, letter_sums, skip=None) -> dict:
+        """Weight of leaving v into its subtree and first coming out at each
+        ancestor-or-self (keyed by that vertex).
 
-        Bottom-up over the live vertices (children are created after their
-        parents, so in reverse creation order), each vertex v sums the
-        weight of leaving it into its subtree and first coming out at each
-        ancestor-or-self: its back edges, plus each live child's exits.  The
-        part that comes back to v is R_v, and G_v = 1/(1 - R_v).  The step
-        weight of v is its tree letter's weight times G_v; the parent takes
-        v's exits times that step.  Top-down, the prefix product of steps
-        from the root then gives each normal form's value.  Exit weight
-        still pending at the root went to a vertex that is not an ancestor,
-        which a simple-path expansion never has: AssertionError.
+        Back-edge letters come first, grouped by head (a bit mask of letters
+        per head, each mask's weight summed once), then each live child's
+        exits, taken by ``take``, times the child's step, in letter order,
+        leaving out ``skip``.  Over expressions this is the order in which
+        eliminating the subtree deepest first would unite the pieces.
         """
-        one = _one_of(xs)
-        g = self.mc.graph
         parent, parent_gen = self.mc.parent, self.mc.parent_gen
         in_ideal = self._in_ideal
-        targets = self._nf_vertices
-        letter_sums: dict[int, object] = {}  # weight per set of letters
+        out: dict = {}
+        back: dict[int, int] = {}  # back-edge head -> mask of its letters
+        children = []
+        for a, w in enumerate(self.mc.graph.out[v]):
+            if w is None:
+                continue
+            if in_ideal[w]:
+                if w not in self._nf_vertices or parent[w] != v:
+                    raise AssertionError(
+                        "edge from outside the ideal must enter at a normal form"
+                    )
+            elif parent[w] == v and parent_gen[w] == a:
+                if w != skip:
+                    children.append(w)
+            else:
+                back[w] = back.get(w, 0) | 1 << a
+        for u, mask in back.items():
+            x = letter_sums.get(mask)
+            if x is None:
+                x = letter_sums[mask] = _letter_sum(xs, mask)
+            out[u] = x
+        for w in children:
+            sw = step[w]
+            for u, e in take(w).items():
+                _acc(out, u, sw * e)
+        return out
+
+    def _reduce(self, xs: Sequence, keep: bool):
+        """The bottom-up pass: step weight and exits of every live vertex.
+
+        Children are created after their parents, so in reverse creation
+        order each vertex v sums its exits (see ``_exits``).  The part that
+        comes back to v is R_v, and G_v = 1/(1 - R_v) (over expressions,
+        (R_v)⋆).  The step weight of v is its tree letter's weight times
+        G_v; the parent takes v's exits times that step.  Unless ``keep``, a
+        child's exits are dropped once merged.  Exit weight still pending
+        at the root went to a vertex that is not an ancestor, which a
+        simple-path expansion never has: AssertionError.
+        """
+        one = _one_of(xs)
+        parent_gen = self.mc.parent_gen
+        letter_sums: dict[int, object] = {}
         # step per (tree letter, loop weight); Series hash by identity, so
-        # only Fraction loops share entries
+        # only Fraction and expression loops share entries
         steps: dict[tuple, object] = {}
         step: dict[int, object] = {}
-        # per vertex, exit weight to each strict ancestor, before its step
         exits: dict[int, dict[int, object]] = {}
+        take = exits.__getitem__ if keep else exits.pop
         for v in reversed(self.live):
-            out: dict[int, object] = {}
-            back: dict[int, int] = {}  # back-edge head -> mask of its letters
-            for a, w in enumerate(g.out[v]):
-                if w is None:
-                    continue
-                if in_ideal[w]:
-                    if w not in targets or parent[w] != v:
-                        raise AssertionError(
-                            "edge from outside the ideal must enter at a normal form"
-                        )
-                elif parent[w] == v and parent_gen[w] == a:
-                    sw = step[w]
-                    for u, e in exits.pop(w).items():
-                        _acc(out, u, sw * e)
-                else:
-                    back[w] = back.get(w, 0) | 1 << a
-            for u, mask in back.items():
-                x = letter_sums.get(mask)
-                if x is None:
-                    x = letter_sums[mask] = _letter_sum(xs, mask)
-                _acc(out, u, x)
+            out = self._exits(v, xs, step, take, letter_sums)
             loop = out.pop(v, None)
             a = parent_gen[v]  # None at the root
             if loop is None:
@@ -278,7 +297,7 @@ class StationaryEngine:
             else:
                 sv = steps.get((a, loop))
                 if sv is None:
-                    G = _star_value(loop, one)
+                    G = star_value(loop, one)
                     sv = steps[a, loop] = G if a is None else xs[a] * G
                 step[v] = sv
             exits[v] = out
@@ -286,7 +305,15 @@ class StationaryEngine:
             raise AssertionError(
                 "an exit weight reached no ancestor: back edge off the tree path"
             )
+        return step, exits
 
+    def values(self, xs: Sequence) -> dict[int, object]:
+        """Walk-weight sum per normal form (keyed by expansion vertex): the
+        bottom-up pass, then top-down the prefix product of steps from the
+        root.
+        """
+        step = self._reduce(xs, keep=False)[0]
+        parent, parent_gen = self.mc.parent, self.mc.parent_gen
         prefix = {0: step[0]}
         for v in self.live[1:]:
             prefix[v] = prefix[parent[v]] * step[v]
@@ -300,71 +327,51 @@ class StationaryEngine:
     def expression(self, nf: NormalForm, rewrite: bool = True) -> KleeneExpr:
         """Regular expression for the ideal-avoiding walks onto this form.
 
-        Elimination order: vertices off the root geodesic of the target
-        first (deepest first, ties by path word), then the geodesic itself
-        from the root outward.  This convention reproduces the compact
-        left-to-right factored forms: loops attach to the vertex where the
-        walk leaves for the target.
+        The same bottom-up reduction as ``values``, over Kleene expressions
+        (built once per engine): a vertex off the target's root path leaves
+        its parent ``letter · (loop)⋆ · exit``, whatever the target.  Only
+        the root path, each of its vertices merged with the path's next
+        vertex left out, is then eliminated per form, from the root outward.
+        This fixes the compact left-to-right factored forms: loops attach
+        to the vertex where the walk leaves for the target.
         """
-        g = self.mc.graph
+        if self._kleene is None:
+            xs = [Letter(a) for a in range(self.S.n_gens)]
+            step, exits = self._reduce(xs, keep=True)
+            self._kleene = (xs, step, exits.__getitem__, {}, {})
+        xs, step, take, letter_sums, merged = self._kleene
+        parent = self.mc.parent
         target = nf.mc_vertex
-        geodesic = []
-        v = self.mc.parent[target]
-        while v is not None and v != 0:
-            geodesic.append(v)
-            v = self.mc.parent[v]
-        geodesic.reverse()
-        geo_set = set(geodesic)
+        path = [target]
+        while parent[path[-1]] is not None:
+            path.append(parent[path[-1]])
+        path.reverse()
 
-        live = set(self.live)
-        out: dict[int, dict[int, KleeneExpr]] = {v: {} for v in self.live}
-        inc: dict[int, dict[int, KleeneExpr]] = {v: {} for v in self.live}
-        for v in self.live:
-            for a, w in enumerate(g.out[v]):
-                if w is None:
-                    continue
-                if w in live or w == target:
-                    _acc_expr(out[v], w, Letter(a))
-                    if w in live:
-                        _acc_expr(inc[w], v, Letter(a))
-
-        words = self.mc.words
-        off = sorted(
-            (v for v in self.live if v != 0 and v not in geo_set),
-            key=lambda u: (-len(words[u]), words[u]),
-        )
-        for v in off + geodesic:
-            loop = out[v].pop(v, None)
-            inc[v].pop(v, None)
-            mid = star(loop) if loop is not None else None
-            ins = inc.pop(v)
+        # per path vertex, its exits and the tree letter to the next one
+        out: dict[int, dict[int, KleeneExpr]] = {}
+        for v, nxt in zip(path, path[1:]):
+            skip = None if nxt == target else nxt  # the target is no live child
+            m = merged.get((v, skip))
+            if m is None:
+                m = merged[v, skip] = self._exits(
+                    v, xs, step, take, letter_sums, skip
+                )
+            out[v] = {**m, nxt: xs[self.mc.parent_gen[nxt]]}
+        for v in path[1:-1]:
             outs = out.pop(v)
-            for u in ins:
-                out[u].pop(v, None)
-            for w in outs:
-                if w in inc:
-                    inc[w].pop(v, None)
-            for u, eu in ins.items():
-                for w, ew in outs.items():
-                    piece = concat(eu, mid, ew) if mid is not None else concat(eu, ew)
-                    _acc_expr(out[u], w, piece)
-                    if w in inc:
-                        _acc_expr(inc[w], u, piece)
-
-        expr = out[0].get(target)
-        if expr is None:
-            raise AssertionError("normal form unreachable from the root")
+            mid = star(outs.pop(v, EPSILON))
+            for d in out.values():
+                ev = d.pop(v, None)
+                if ev is not None:
+                    for w, ew in outs.items():
+                        _acc(d, w, concat(ev, mid, ew))
+        expr = out[0][target]
         return zimin_rewrite(expr) if rewrite else expr
 
 
 def _acc(d: dict, k, v) -> None:
     old = d.get(k)
     d[k] = v if old is None else old + v
-
-
-def _acc_expr(d: dict, k, e: KleeneExpr) -> None:
-    old = d.get(k)
-    d[k] = e if old is None else union(old, e)
 
 
 def _letter_sum(xs: Sequence, mask: int):
@@ -374,23 +381,6 @@ def _letter_sum(xs: Sequence, mask: int):
         if mask >> a & 1:
             total = x if total is None else total + x
     return total
-
-
-def _one_of(xs: Sequence):
-    sample = xs[0]
-    if isinstance(sample, Fraction):
-        return Fraction(1)
-    return sample.one()
-
-
-def _star_value(v, one):
-    if isinstance(v, Fraction):
-        if v >= 1:
-            raise DivergentStar(f"loop weight {v} >= 1: ideal unreachable from a cycle")
-        return one / (one - v)
-    if v == one:
-        raise DivergentStar("loop weight 1: ideal unreachable from a cycle")
-    return one / (one - v)
 
 
 def normal_forms(S: ASemigroup, ideal: IdealSet | None = None) -> NormalFormSet:
@@ -533,8 +523,7 @@ def _stationary_kr_limit(S: ASemigroup, xs: Sequence[Fraction]) -> StationaryRes
             prec = min(2 * prec, LIMIT_MAX_PRECISION)
 
     kr1 = karnofsky_rhodes(S)
-    K1 = minimal_ideal(kr1.semigroup())
-    ideal_vertices = {e + 1 for e in K1.members}
+    ideal_vertices = {v for cls in closed_classes(kr1.graph) for v in cls}
     zero_gen = S.n_gens
 
     entries: dict[str, Fraction] = {}

@@ -1,5 +1,17 @@
-from semiwalk.core import semigroup_from_table
+import random
+
+import pytest
+
+from semiwalk import families
+from semiwalk.core import (
+    adjoin_zero,
+    minimal_ideal,
+    semigroup_from_table,
+    semigroup_from_transformations,
+)
+from semiwalk.expansions import karnofsky_rhodes
 from semiwalk.graphs import (
+    closed_classes,
     graphs_isomorphic,
     left_cayley,
     right_cayley,
@@ -131,3 +143,39 @@ def test_dot_output_deterministic_and_styled(klein):
 
     d3 = to_dot(right_cayley(ff()))
     assert 'style="dashed"' in d3
+
+
+def test_closed_classes_small_graphs():
+    # 0 -> 1 <-> 2, 0 -> 3 (loop), 4 -> 3; None entries are skipped
+    succ = [[1, 3], [2, None], [1], [3], [3]]
+    assert closed_classes(succ) == [[1, 2], [3]]
+    assert closed_classes([[0]]) == [[0]]
+    assert closed_classes([[1], [0]]) == [[0, 1]]
+
+
+KR_IDEAL_CASES = [
+    "tsetlin:3", "rees_zp:3,3", "rees_B:3", "flat_tower:2,2", "bar_tower:2,1",
+    "signed_tsetlin:3", "burnside_straightline:3", "edge_flip_line:3", "z2x01",
+    "klein", "rees_general", "flipflop", "adjoin_zero:z2x01", "adjoin_zero:klein",
+    "adjoin_zero:rees_general", "adjoin_zero:tsetlin:3",
+] + [f"random:{i}" for i in range(12)]
+
+
+def _kr_ideal_case(name):
+    if name.startswith("random:"):
+        # a seeded 3-state, 3-generator transformation semigroup
+        rng = random.Random(int(name[7:]))
+        maps = {g: [rng.randrange(3) for _ in range(3)] for g in "abc"}
+        return semigroup_from_transformations(3, maps)
+    if name.startswith("adjoin_zero:"):
+        return adjoin_zero(_kr_ideal_case(name[12:]))
+    return families.build(families.parse_family(name))
+
+
+@pytest.mark.parametrize("name", KR_IDEAL_CASES)
+def test_closed_classes_of_expansion_are_its_minimal_ideal(name):
+    # the expansion graph is the right Cayley graph of the expansion, so its
+    # closed classes (minimal right ideals) make up its minimal ideal
+    kr = karnofsky_rhodes(_kr_ideal_case(name))
+    vertices = {v for cls in closed_classes(kr.graph) for v in cls}
+    assert vertices == {e + 1 for e in minimal_ideal(kr.semigroup()).members}

@@ -1,11 +1,28 @@
+import random
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
-from semiwalk.core import IdealSet, SizeCapExceeded, adjoin_zero, minimal_ideal
+from semiwalk.core import (
+    IdealSet,
+    SizeCapExceeded,
+    adjoin_zero,
+    minimal_ideal,
+    semigroup_from_transformations,
+)
 from semiwalk.expansions import karnofsky_rhodes
-from semiwalk.kleene import DivergentStar, enumerate_words, evaluate_expr, pretty, series
+from semiwalk.kleene import (
+    DivergentStar,
+    Letter,
+    concat,
+    enumerate_words,
+    evaluate_expr,
+    pretty,
+    series,
+    star,
+    union,
+)
 from semiwalk.stationary import (
     NotACodeWord,
     StationaryEngine,
@@ -372,8 +389,8 @@ def test_r_trivial_product_formula(p3, flipflop):
 
 @pytest.mark.parametrize("name", ["flat_tower:2,2", "rees_zp:2,3", "rees_B:3"])
 def test_tree_pass_matches_elimination(name):
-    # the expression path eliminates states; evaluated, it must give the
-    # same walk sums as the tree pass, also with back edges past the parent
+    # the tree pass over Kleene weights, evaluated, must give the same walk
+    # sums as over Fractions, also with back edges past the parent
     S = families.build(families.parse_family(name))
     engine = StationaryEngine(S)
     xs = uniform_probs(S)
@@ -407,3 +424,120 @@ def test_tree_pass_raises_divergent_star(b2):
     engine = StationaryEngine(b2)
     with pytest.raises(DivergentStar):
         engine.values([F(1), F(1)])
+
+
+# -- expressions against plain state elimination -----------------------------------
+
+
+def reference_expression(engine, nf):
+    """State elimination over every live vertex, for one normal form.
+
+    Vertices off the target's root path go first (deepest first, ties by
+    path word), then the path from the root outward; the pieces on an edge
+    are united in elimination order.  The engine shares the off-path part
+    between forms and must give the same trees.
+    """
+    g, parent = engine.mc.graph, engine.mc.parent
+    target = nf.mc_vertex
+    geodesic = []
+    v = parent[target]
+    while v is not None and v != 0:
+        geodesic.append(v)
+        v = parent[v]
+    geodesic.reverse()
+    geo_set = set(geodesic)
+
+    def acc(d, k, e):
+        d[k] = e if k not in d else union(d[k], e)
+
+    live = set(engine.live)
+    out = {v: {} for v in engine.live}
+    inc = {v: {} for v in engine.live}
+    for v in engine.live:
+        for a, w in enumerate(g.out[v]):
+            if w in live or w == target:
+                acc(out[v], w, Letter(a))
+                if w in live:
+                    acc(inc[w], v, Letter(a))
+
+    words = engine.mc.words
+    off = sorted(
+        (v for v in engine.live if v != 0 and v not in geo_set),
+        key=lambda u: (-len(words[u]), words[u]),
+    )
+    for v in off + geodesic:
+        loop = out[v].pop(v, None)
+        inc[v].pop(v, None)
+        mid = [star(loop)] if loop is not None else []
+        ins, outs = inc.pop(v), out.pop(v)
+        for u in ins:
+            out[u].pop(v, None)
+        for w in outs:
+            if w in inc:
+                inc[w].pop(v, None)
+        for u, eu in ins.items():
+            for w, ew in outs.items():
+                piece = concat(eu, *mid, ew)
+                acc(out[u], w, piece)
+                if w in inc:
+                    acc(inc[w], u, piece)
+    return out[0][target]
+
+
+def _random_draw(seed):
+    rng = random.Random(seed)
+    while True:
+        maps = {g: [rng.randrange(3) for _ in range(3)] for g in "abc"}
+        S = semigroup_from_transformations(3, maps)
+        if 7 <= S.size <= 13:
+            return S
+
+
+# flat_tower:2,2 and bar_tower:2,1 tell a wrong union order apart: merging a
+# vertex's children before its back-edge letters changes most of their trees
+ELIMINATION_CASES = [
+    "signed_tsetlin:4", "rees_zp:4,4", "flat_tower:2,2", "bar_tower:2,1",
+    "rees_zp:2,3", "rees_B:3", "burnside_straightline:3", "edge_flip_line:3",
+    "tsetlin:4", "z2x01", "klein", "rees_general", "adjoin_zero:z2x01",
+    "random:2017",
+]
+
+
+def _elimination_case(name):
+    if name.startswith("adjoin_zero:"):
+        return adjoin_zero(families.build(families.parse_family(name[12:])))
+    if name.startswith("random:"):
+        return _random_draw(int(name[7:]))
+    return families.build(families.parse_family(name))
+
+
+@pytest.mark.parametrize("name", ELIMINATION_CASES)
+def test_expression_equals_state_elimination(name):
+    S = _elimination_case(name)
+    engine = StationaryEngine(S)
+    assert len(engine.normal_forms) > 1
+    for nf in engine.normal_forms:
+        got = engine.expression(nf, rewrite=False)
+        want = reference_expression(engine, nf)
+        assert got == want
+        assert pretty(got, S.gen_names) == pretty(want, S.gen_names)
+
+
+def test_kleene_reduction_built_once_per_engine(monkeypatch):
+    S = families.build(families.parse_family("flat_tower:2,2"))
+    calls = []
+    reduce = StationaryEngine._reduce
+
+    def counted(self, xs, keep):
+        calls.append(keep)
+        return reduce(self, xs, keep)
+
+    monkeypatch.setattr(StationaryEngine, "_reduce", counted)
+    engine = StationaryEngine(S)
+    expressions_report(S, engine)
+    expressions_report(S, engine)
+    assert calls == [True]
+    engine.values(uniform_probs(S))
+    assert calls == [True, False]
+    StationaryEngine(S).expression(engine.normal_forms.forms[0])
+    assert calls == [True, False, True]
