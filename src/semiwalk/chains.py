@@ -65,7 +65,14 @@ def build_chain(
     S: ASemigroup, xs: Sequence[Fraction], space: str = "k_s"
 ) -> TransitionMatrix:
     """Left-multiplication walk, either on the minimal ideal of the
-    semigroup ("k_s") or on the minimal ideal of its expansion ("kr_ideal")."""
+    semigroup ("k_s") or on the minimal ideal of its expansion ("kr_ideal").
+
+    Every column receives one weight per generator, so each sums to
+    ``sum(xs)``; that one sum is checked instead of every column.
+    """
+    total = sum(xs, Fraction(0))
+    if total != 1:
+        raise SemigroupError(f"generator weights sum to {total}, not 1")
     if space == "k_s":
         members = sorted(minimal_ideal(S).members)
         index = {e: i for i, e in enumerate(members)}
@@ -75,7 +82,7 @@ def build_chain(
             for a, ge in enumerate(S.gens):
                 t = index[S.mult(ge, e)]
                 cols[i][t] = cols[i].get(t, Fraction(0)) + xs[a]
-        return TransitionMatrix(labels, cols)
+        return TransitionMatrix(labels, cols, validate=False)
     if space == "kr_ideal":
         # the closed classes of the expansion graph, its right Cayley graph,
         # are the minimal right ideals: together, the minimal ideal
@@ -88,7 +95,7 @@ def build_chain(
             for a in range(S.n_gens):
                 t = index[kr.left_multiply(a, v)]
                 cols[i][t] = cols[i].get(t, Fraction(0)) + xs[a]
-        return TransitionMatrix(labels, cols)
+        return TransitionMatrix(labels, cols, validate=False)
     raise SemigroupError(f"unknown state space {space!r}")
 
 

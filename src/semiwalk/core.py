@@ -1,12 +1,19 @@
 """Finite semigroups with a distinguished generating set.
 
-Elements are dense integer indices 0..n-1.  A semigroup carries the list of
-generator element indices, printable generator names, optional printable
-element names, and (computed lazily) a canonical representative word per
-element: the first word reaching the element in a breadth-first walk that
-multiplies by generators in index order.  That word is shortest possible,
-with ties broken lexicographically, so all derived labelling is
-deterministic across runs.
+Elements are dense integer indices 0..n-1.  A semigroup carries one
+multiplication function on them, the list of generator element indices,
+printable generator names, optional printable element names, and
+(computed lazily) a canonical representative word per element: the first
+word reaching the element in a breadth-first walk that multiplies by
+generators in index order.  That word is shortest possible, with ties
+broken lexicographically, so all derived labelling is deterministic across
+runs.
+
+Only ``semigroup_from_table`` holds a table, the one it is given.  The
+pipeline only ever multiplies by a generator on one side, so derived
+semigroups (quotients, adjoined zeros, opposites, bar and flat) fill none:
+they multiply by reading their relations over the product of the
+semigroup they are built from.
 
 The formal identity used as the root of Cayley graphs is *virtual*: it is
 never an element of the semigroup, matching the convention that the vertex
@@ -76,9 +83,12 @@ class IdealSet:
 class ASemigroup:
     """A finite semigroup together with a chosen generating set.
 
-    Multiplication is either table-backed or composition of transformations
-    (kept lazy for large closures).  Use the ``semigroup_from_*``
-    constructors rather than instantiating directly.
+    Multiplication is one function ``mult(i, j)`` on element indices,
+    stored as ``S.mult``: tables index their rows, transformations compose
+    on demand, and derived semigroups read their relations over the
+    multiplication of the semigroup they are built from.  Use the
+    ``semigroup_from_*`` constructors or the constructions below rather
+    than instantiating directly.
     """
 
     def __init__(
@@ -86,13 +96,9 @@ class ASemigroup:
         size: int,
         gens: Sequence[int],
         gen_names: Sequence[str],
-        table: list[list[int]] | None = None,
-        mult_fn: Callable[[int, int], int] | None = None,
+        mult: Callable[[int, int], int],
         element_names: Sequence[str] | None = None,
-        one_adjoined: bool = False,
     ):
-        if table is None and mult_fn is None:
-            raise SemigroupError("need a multiplication table or function")
         if not gens:
             raise SemigroupError("generator list must be nonempty")
         if len(gen_names) != len(gens):
@@ -104,9 +110,7 @@ class ASemigroup:
         self.gen_names = list(gen_names)
         # word_label juxtaposes single-character names, else joins with a dot
         self._label_sep = "" if all(len(s) == 1 for s in self.gen_names) else "·"
-        self._table = table
-        self._mult_fn = mult_fn
-        self._mult_memo: dict[tuple[int, int], int] = {}
+        self.mult = mult
         self._element_names = list(element_names) if element_names else None
         if self._element_names is not None:
             if len(self._element_names) != size:
@@ -114,7 +118,6 @@ class ASemigroup:
             if len(set(self._element_names)) != size:
                 raise SemigroupError("element names must be unique")
         self._rep_words: list[Word] | None = None
-        self.one_adjoined = one_adjoined
 
     # -- basic structure ---------------------------------------------------
 
@@ -124,16 +127,6 @@ class ASemigroup:
     @property
     def n_gens(self) -> int:
         return len(self.gens)
-
-    def mult(self, i: int, j: int) -> int:
-        if self._table is not None:
-            return self._table[i][j]
-        key = (i, j)
-        r = self._mult_memo.get(key)
-        if r is None:
-            r = self._mult_fn(i, j)
-            self._mult_memo[key] = r
-        return r
 
     def product(self, word: Sequence[int]) -> int:
         """Image of a word of generator indices under the product map."""
@@ -233,8 +226,8 @@ def semigroup_from_table(
     gens: Sequence[int],
     gen_names: Sequence[str] | None = None,
     element_names: Sequence[str] | None = None,
-    check: bool = True,
 ) -> ASemigroup:
+    """Checked semigroup from a multiplication table: rows[i][j] = i*j."""
     n = len(table)
     rows = [list(r) for r in table]
     for r in rows:
@@ -242,10 +235,13 @@ def semigroup_from_table(
             raise SemigroupError("table must be n x n over 0..n-1")
     if gen_names is None:
         gen_names = [_default_gen_name(i) for i in range(len(gens))]
-    S = ASemigroup(n, gens, gen_names, table=rows, element_names=element_names)
-    if check:
-        S.check_generated()
-        S.check_associative()
+
+    def mult(i: int, j: int) -> int:
+        return rows[i][j]
+
+    S = ASemigroup(n, gens, gen_names, mult, element_names)
+    S.check_generated()
+    S.check_associative()
     return S
 
 
@@ -286,27 +282,20 @@ def semigroup_from_transformations(
         f = elements[head]
         head += 1
         for m in gen_maps:
-            fg = tuple(m[q] for q in f)
+            fg = tuple(map(m.__getitem__, f))
             if fg not in index:
                 if len(elements) >= cap:
                     raise ClosureTooLarge(
-                        f"transformation closure exceeded cap {cap}"
+                        f"transformation closure on {n_states} states "
+                        f"exceeded cap {cap} elements"
                     )
                 index[fg] = len(elements)
                 elements.append(fg)
 
-    n = len(elements)
-    if n <= 1500:
-        table = [
-            [index[tuple(g[q] for q in f)] for g in elements] for f in elements
-        ]
-        return ASemigroup(n, gens, gen_names, table=table)
+    def mult(i: int, j: int) -> int:
+        return index[tuple(map(elements[j].__getitem__, elements[i]))]
 
-    def mult_fn(i: int, j: int) -> int:
-        f, g = elements[i], elements[j]
-        return index[tuple(g[q] for q in f)]
-
-    return ASemigroup(n, gens, gen_names, mult_fn=mult_fn)
+    return ASemigroup(len(elements), gens, gen_names, mult)
 
 
 # -- ideals -------------------------------------------------------------------
@@ -385,51 +374,48 @@ def rees_quotient(S: ASemigroup, I: IdealSet) -> ASemigroup:
     survivors = [e for e in range(S.size) if e not in I.members]
     new_index = {e: i for i, e in enumerate(survivors)}
     zero = len(survivors)
-    n = zero + 1
+    m = S.mult
 
-    def img(e: int) -> int:
-        return new_index.get(e, zero)
+    def mult(i: int, j: int) -> int:
+        if i == zero or j == zero:
+            return zero
+        return new_index.get(m(survivors[i], survivors[j]), zero)
 
-    table = [[zero] * n for _ in range(n)]
-    for i, e in enumerate(survivors):
-        for j, f in enumerate(survivors):
-            table[i][j] = img(S.mult(e, f))
-    zname = _fresh_name(ZERO_NAME, [S.element_name(e) for e in survivors])
-    names = [S.element_name(e) for e in survivors] + [zname]
-    gens = [img(S.gens[g]) for g in range(S.n_gens)]
-    # A quotient of a checked semigroup by an ideal stays associative and
+    names = [S.element_name(e) for e in survivors]
+    names.append(_fresh_name(ZERO_NAME, names))
+    gens = [new_index.get(g, zero) for g in S.gens]
+    # A quotient of a semigroup by an ideal stays associative and is
     # generated by the images of its generators.
-    return semigroup_from_table(table, gens, list(S.gen_names), names, check=False)
+    return ASemigroup(zero + 1, gens, list(S.gen_names), mult, names)
 
 
 def adjoin_zero(S: ASemigroup) -> ASemigroup:
     """Append a new zero element, also added as the last generator."""
-    n = S.size
-    zero = n
-    table = [[0] * (n + 1) for _ in range(n + 1)]
-    for i in range(n):
-        for j in range(n):
-            table[i][j] = S.mult(i, j)
-        table[i][zero] = zero
-        table[zero][i] = zero
-    table[zero][zero] = zero
-    zname = _fresh_name(ZERO_NAME, list(S.gen_names) + S.element_names())
-    names = S.element_names() + [zname]
-    gens = S.gens + [zero]
-    gen_names = S.gen_names + [zname]
-    # S is already checked, and adjoining a zero keeps it associative.
-    return semigroup_from_table(table, gens, gen_names, names, check=False)
+    zero = S.size
+    m = S.mult
+
+    def mult(i: int, j: int) -> int:
+        if i == zero or j == zero:
+            return zero
+        return m(i, j)
+
+    names = S.element_names()
+    zname = _fresh_name(ZERO_NAME, S.gen_names + names)
+    names.append(zname)
+    # Adjoining a zero keeps S associative and generated.
+    return ASemigroup(zero + 1, S.gens + [zero], S.gen_names + [zname], mult, names)
 
 
 def opposite(S: ASemigroup) -> ASemigroup:
     """Same elements, multiplication reversed."""
-    n = S.size
-    table = [[S.mult(j, i) for j in range(n)] for i in range(n)]
+    m = S.mult
+
+    def mult(i: int, j: int) -> int:
+        return m(j, i)
+
     # Reversing an associative product keeps it associative, and the same
     # generators still generate.
-    return semigroup_from_table(
-        table, list(S.gens), list(S.gen_names), S.element_names(), check=False
-    )
+    return ASemigroup(S.size, S.gens, S.gen_names, mult, S.element_names())
 
 
 BAR_ONE = "‾\U0001d7d9"  # name of the adjoined reset generator
@@ -463,28 +449,7 @@ def bar(S: ASemigroup) -> ASemigroup:
     relations  x*copy(y) = copy(y),  copy(x)*y = copy(x*y),  z*r = r,
     r*y = copy(y), r*r = r.  Size is 2|S|+1.
     """
-    n = S.size
-    r = 2 * n
-    size = 2 * n + 1
-
-    table = [[0] * size for _ in range(size)]
-    for i in range(n):
-        for j in range(n):
-            table[i][j] = S.mult(i, j)
-            table[n + i][j] = n + S.mult(i, j)
-        table[r][i] = n + i
-    for z in range(size):
-        for j in range(n):
-            table[z][n + j] = n + j
-        table[z][r] = r
-    rname = _fresh_name(BAR_ONE, S.gen_names)
-    names = S.element_names()
-    names = _unique_names(names + ["‾" + s for s in names] + [rname])
-    rname = names[-1]
-    gens = S.gens + [r]
-    gen_names = S.gen_names + [rname]
-    # Associative by the relations above; r and S's generators generate it.
-    return semigroup_from_table(table, gens, gen_names, names, check=False)
+    return _adjoin_reset(S, BAR_ONE, dual=False)
 
 
 def flat(S: ASemigroup) -> ASemigroup:
@@ -493,25 +458,35 @@ def flat(S: ASemigroup) -> ASemigroup:
     Relations:  copy(y)*x = copy(y),  y*copy(x) = copy(y*x),  r*z = r,
     y*r = copy(y), r*r = r.
     """
+    return _adjoin_reset(S, FLAT_ONE, dual=True)
+
+
+def _adjoin_reset(S: ASemigroup, reset_name: str, dual: bool) -> ASemigroup:
+    """:func:`bar` of S, or with ``dual`` its order dual :func:`flat`.
+
+    Elements are S (0..n-1), the copy (n..2n-1) and r (2n).  The product
+    is read off bar's relations; flat evaluates them with both the
+    arguments and S's product reversed.
+    """
     n = S.size
     r = 2 * n
-    size = 2 * n + 1
+    base = S.mult
+    m = (lambda i, j: base(j, i)) if dual else base
 
-    table = [[0] * size for _ in range(size)]
-    for i in range(n):
-        for j in range(n):
-            table[i][j] = S.mult(i, j)
-            table[i][n + j] = n + S.mult(i, j)
-        table[i][r] = n + i
-    for z in range(size):
-        for i in range(n):
-            table[n + i][z] = n + i
-        table[r][z] = r
-    rname = _fresh_name(FLAT_ONE, S.gen_names)
+    def bar_mult(i: int, j: int) -> int:
+        if j >= n:  # x*copy(y) = copy(y) and z*r = r
+            return j
+        if i < n:
+            return m(i, j)
+        if i == r:  # r*y = copy(y)
+            return n + j
+        return n + m(i - n, j)  # copy(x)*y = copy(x*y)
+
+    mult = (lambda i, j: bar_mult(j, i)) if dual else bar_mult
     names = S.element_names()
-    names = _unique_names(names + ["~" + s for s in names] + [rname])
-    rname = names[-1]
-    gens = S.gens + [r]
-    gen_names = S.gen_names + [rname]
+    mark = reset_name[0]
+    names = _unique_names(
+        names + [mark + s for s in names] + [_fresh_name(reset_name, S.gen_names)]
+    )
     # Associative by the relations above; r and S's generators generate it.
-    return semigroup_from_table(table, gens, gen_names, names, check=False)
+    return ASemigroup(2 * n + 1, S.gens + [r], S.gen_names + names[-1:], mult, names)

@@ -46,21 +46,19 @@ class KRExpansion:
     def semigroup(self) -> ASemigroup:
         """The expansion as a semigroup (element i = vertex i+1).
 
-        Multiplication follows the second factor's word through the graph;
-        kept lazy (memoized) since full tables get large for towers.
+        Multiplication follows the second factor's word through the graph,
+        one edge per letter, so multiplying by a generator is one step.
         """
         if self._semigroup is None:
             g = self.graph
-            n = g.n - 1
             words = self.words
 
-            def mult_fn(i: int, j: int) -> int:
+            def mult(i: int, j: int) -> int:
                 return g.follow(i + 1, words[j + 1]) - 1
 
             gens = [g.out[g.root][a] - 1 for a in range(len(g.alphabet))]
-            names = [g.labels[v] for v in range(1, g.n)]
             self._semigroup = ASemigroup(
-                n, gens, list(g.alphabet), mult_fn=mult_fn, element_names=names
+                g.n - 1, gens, list(g.alphabet), mult, g.labels[1:]
             )
         return self._semigroup
 
@@ -89,7 +87,10 @@ def karnofsky_rhodes(S: ASemigroup, cap: int = DEFAULT_KR_CAP) -> KRExpansion:
             w = index.get(key)
             if w is None:
                 if len(keys) >= cap:
-                    raise SizeCapExceeded(f"expansion exceeded cap {cap}")
+                    raise SizeCapExceeded(
+                        f"Karnofsky-Rhodes expansion of a semigroup with "
+                        f"|S| = {S.size} exceeded cap {cap} vertices"
+                    )
                 w = len(keys)
                 index[key] = w
                 keys.append(key)
@@ -158,7 +159,10 @@ def mccammond(G: RootedLabeledGraph, cap: int = DEFAULT_MC_CAP) -> McExpansion:
                 continue
             w = len(endpoint)
             if w >= cap:
-                raise SizeCapExceeded(f"simple-path count exceeded cap {cap}")
+                raise SizeCapExceeded(
+                    f"McCammond expansion of a graph with {G.n} vertices "
+                    f"exceeded cap {cap} simple paths"
+                )
             parent.append(v)
             parent_gen.append(a)
             endpoint.append(u)

@@ -1,9 +1,11 @@
 """Built-in semigroup families and their closed-form stationary laws.
 
-Each builder returns a plain table semigroup with printable element and
-generator names; the closed forms are evaluated exactly and keyed by the
-same labels the generic pipeline produces, so tests can compare the two
-routes with rational equality.
+Each builder returns a semigroup with printable element and generator
+names.  The base families are checked tables; the towers multiply by the
+relations of bar, flat and the Karnofsky-Rhodes expansion, with no table.
+The closed forms are evaluated exactly and keyed by the same labels the
+generic pipeline produces, so tests can compare the two routes with
+rational equality.
 """
 
 from __future__ import annotations

@@ -18,7 +18,11 @@ from semiwalk.chains import (
     truncated_semaphore_chain,
     tv_distance,
 )
-from semiwalk.core import semigroup_from_table, semigroup_from_transformations
+from semiwalk.core import (
+    SemigroupError,
+    semigroup_from_table,
+    semigroup_from_transformations,
+)
 from semiwalk.expansions import karnofsky_rhodes
 from semiwalk.stationary import StationaryResult, stationary_kr, uniform_probs
 from semiwalk import families
@@ -33,6 +37,12 @@ def test_column_sums_exact(p3, b2, z2x01):
         for space in ("k_s", "kr_ideal"):
             T = build_chain(S, xs, space)
             assert all(v == 1 for v in T.column_sums())
+
+
+def test_weights_not_summing_to_one_rejected(b2):
+    for space in ("k_s", "kr_ideal"):
+        with pytest.raises(SemigroupError, match="sum to 2/3"):
+            build_chain(b2, [F(1, 3), F(1, 3)], space)
 
 
 def test_b2_kr_chain_structure(b2):

@@ -1,11 +1,17 @@
 import pytest
 
 from semiwalk.core import (
+    ASemigroup,
+    BAR_ONE,
+    FLAT_ONE,
+    ZERO_NAME,
     ClosureTooLarge,
     GeneratorsDoNotGenerate,
     IdealSet,
     NotAssociative,
     SemigroupError,
+    _fresh_name,
+    _unique_names,
     adjoin_zero,
     bar,
     flat,
@@ -19,6 +25,7 @@ from semiwalk.core import (
     semigroup_from_transformations,
 )
 from semiwalk import families
+from semiwalk.expansions import karnofsky_rhodes
 
 
 def test_flipflop_table(flipflop):
@@ -71,7 +78,8 @@ def test_transformations_closure_cap():
         "u": [min(i + 1, n - 1) for i in range(n)],
         "d": [max(i - 1, 0) for i in range(n)],
     }
-    with pytest.raises(ClosureTooLarge):
+    with pytest.raises(ClosureTooLarge, match="transformation closure on 6 "
+                       "states exceeded cap 5 elements"):
         semigroup_from_transformations(n, maps, cap=5)
 
 
@@ -246,3 +254,148 @@ def test_towers_of_unchecked_constructions_pass_the_checks(name):
     S = families.build(families.parse_family(name))
     S.check_generated()
     S.check_associative()
+
+
+# -- the constructions as full tables, kept as references -----------------------
+
+
+def _table_semigroup(table, gens, gen_names, names):
+    return ASemigroup(len(table), gens, gen_names, lambda i, j: table[i][j], names)
+
+
+def reference_rees_quotient(S, I):
+    survivors = [e for e in range(S.size) if e not in I.members]
+    new_index = {e: i for i, e in enumerate(survivors)}
+    zero = len(survivors)
+    n = zero + 1
+    table = [[zero] * n for _ in range(n)]
+    for i, e in enumerate(survivors):
+        for j, f in enumerate(survivors):
+            table[i][j] = new_index.get(S.mult(e, f), zero)
+    zname = _fresh_name(ZERO_NAME, [S.element_name(e) for e in survivors])
+    names = [S.element_name(e) for e in survivors] + [zname]
+    gens = [new_index.get(g, zero) for g in S.gens]
+    return _table_semigroup(table, gens, list(S.gen_names), names)
+
+
+def reference_adjoin_zero(S):
+    n = S.size
+    zero = n
+    table = [[0] * (n + 1) for _ in range(n + 1)]
+    for i in range(n):
+        for j in range(n):
+            table[i][j] = S.mult(i, j)
+        table[i][zero] = zero
+        table[zero][i] = zero
+    table[zero][zero] = zero
+    zname = _fresh_name(ZERO_NAME, list(S.gen_names) + S.element_names())
+    return _table_semigroup(
+        table, S.gens + [zero], S.gen_names + [zname], S.element_names() + [zname]
+    )
+
+
+def reference_opposite(S):
+    n = S.size
+    table = [[S.mult(j, i) for j in range(n)] for i in range(n)]
+    return _table_semigroup(table, list(S.gens), list(S.gen_names), S.element_names())
+
+
+def reference_bar(S):
+    n = S.size
+    r = 2 * n
+    size = 2 * n + 1
+    table = [[0] * size for _ in range(size)]
+    for i in range(n):
+        for j in range(n):
+            table[i][j] = S.mult(i, j)
+            table[n + i][j] = n + S.mult(i, j)
+        table[r][i] = n + i
+    for z in range(size):
+        for j in range(n):
+            table[z][n + j] = n + j
+        table[z][r] = r
+    names = S.element_names()
+    names = _unique_names(
+        names + ["‾" + s for s in names] + [_fresh_name(BAR_ONE, S.gen_names)]
+    )
+    return _table_semigroup(table, S.gens + [r], S.gen_names + [names[-1]], names)
+
+
+def reference_flat(S):
+    n = S.size
+    r = 2 * n
+    size = 2 * n + 1
+    table = [[0] * size for _ in range(size)]
+    for i in range(n):
+        for j in range(n):
+            table[i][j] = S.mult(i, j)
+            table[i][n + j] = n + S.mult(i, j)
+        table[i][r] = n + i
+    for z in range(size):
+        for i in range(n):
+            table[n + i][z] = n + i
+        table[r][z] = r
+    names = S.element_names()
+    names = _unique_names(
+        names + ["~" + s for s in names] + [_fresh_name(FLAT_ONE, S.gen_names)]
+    )
+    return _table_semigroup(table, S.gens + [r], S.gen_names + [names[-1]], names)
+
+
+def _reference_bases():
+    p2 = families.tsetlin(2)
+    return {
+        "tsetlin:3": families.tsetlin(3),
+        "rees_B:3": families.rees_cycle(3, 1),
+        "z2x01": families.z2x01(),
+        "kr(tsetlin:2)": karnofsky_rhodes(p2).semigroup(),
+        "bar(kr(flat(tsetlin:2)))": bar(karnofsky_rhodes(flat(p2)).semigroup()),
+    }
+
+
+def _kernel_quotient(S):
+    return rees_quotient(S, minimal_ideal(S))
+
+
+def _reference_kernel_quotient(S):
+    return reference_rees_quotient(S, minimal_ideal(S))
+
+
+@pytest.mark.parametrize("base", list(_reference_bases()))
+@pytest.mark.parametrize(
+    "construct, reference",
+    [
+        (bar, reference_bar),
+        (flat, reference_flat),
+        (adjoin_zero, reference_adjoin_zero),
+        (opposite, reference_opposite),
+        (_kernel_quotient, _reference_kernel_quotient),
+    ],
+    ids=["bar", "flat", "adjoin_zero", "opposite", "rees_quotient"],
+)
+def test_constructions_match_their_tables(base, construct, reference):
+    S = _reference_bases()[base]
+    T, R = construct(S), reference(S)
+    assert T.size == R.size
+    assert T.gens == R.gens
+    assert T.gen_names == R.gen_names
+    assert T.element_names() == R.element_names()
+    for i in range(T.size):
+        for j in range(T.size):
+            assert T.mult(i, j) == R.mult(i, j), (i, j)
+
+
+def test_constructions_fill_no_table():
+    S = families.tsetlin(3)
+    calls = [0]
+
+    def counted(i, j):
+        calls[0] += 1
+        return S.mult(i, j)
+
+    # no element names: the constructions name elements by generator words
+    C = ASemigroup(S.size, S.gens, S.gen_names, counted)
+    for construct in (bar, flat, adjoin_zero, opposite):
+        calls[0] = 0
+        construct(C)
+        assert calls[0] < S.size**2, construct.__name__

@@ -167,8 +167,15 @@ def test_flat_subsets_has_unique_paths(p2):
 
 def test_mc_size_cap(z2x01):
     kr = karnofsky_rhodes(z2x01)
-    with pytest.raises(SizeCapExceeded):
+    with pytest.raises(SizeCapExceeded, match=f"McCammond expansion of a graph "
+                       f"with {kr.graph.n} vertices exceeded cap 3 "):
         mccammond(kr.graph, cap=3)
+
+
+def test_kr_size_cap_names_stage_and_size(z2x01):
+    with pytest.raises(SizeCapExceeded, match=r"Karnofsky-Rhodes expansion of "
+                       r"a semigroup with \|S\| = 4 exceeded cap 3 "):
+        karnofsky_rhodes(z2x01, cap=3)
 
 
 def test_dot_export_marks_back_edges(b2):

@@ -1,12 +1,15 @@
 import gc
+import itertools
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from semiwalk.cli import main
 from semiwalk.core import SemigroupError
+from semiwalk.families import DESK_CAPS
 from semiwalk.specio import load_spec, semigroup_from_spec
 
 
@@ -287,3 +290,32 @@ def test_cli_cyclic_garbage_does_not_grow_with_the_input(capsys, command,
     finally:
         gc.enable()
     assert counts[0] == counts[1], counts
+
+
+def _desk_corners():
+    """Every family with each parameter at the low or high end of its range."""
+    corners = []
+    for name, caps in DESK_CAPS.items():
+        ends = [sorted(set(caps[key])) for key in caps]
+        for values in itertools.product(*ends):
+            corners.append(name + (":" + ",".join(map(str, values)) if values else ""))
+    return corners
+
+
+def test_desk_corner_count():
+    assert len(_desk_corners()) == 26
+
+
+@pytest.mark.parametrize("corner", _desk_corners())
+def test_desk_corners_finish_or_name_the_cap(corner, capsys):
+    # in range means: a law within the budget, or exit 2 naming the stage
+    start = time.perf_counter()
+    code, out, err = run_cli(["stationary", "--family", corner], capsys)
+    assert time.perf_counter() - start < 30
+    if code == 0:
+        assert out
+    else:
+        assert code == 2
+        stages = ("Karnofsky-Rhodes expansion", "McCammond expansion",
+                  "transformation closure")
+        assert any(stage in err for stage in stages) and "exceeded cap" in err

@@ -327,8 +327,11 @@ def test_limit_mode_alt_labels(z2x01):
 
 
 def test_limit_reproduces_direct_when_left_zero(b2, p3, flipflop):
+    # the limit adjoins a zero to the tower's 7,319 elements, multiplying
+    # by the relations where a table would hold 7,320^2 entries
+    tower = families.build(families.parse_family("bar_tower:2,2"))
     for S, xs in ((b2, HALF), (p3, [F(1, 2), F(1, 3), F(1, 6)]),
-                  (flipflop, X25)):
+                  (flipflop, X25), (tower, uniform_probs(tower))):
         direct = stationary_kr(S, xs)
         limit = stationary_kr(S, xs, force_limit=True)
         assert dict(direct.entries) == dict(limit.entries)
