@@ -66,6 +66,8 @@ def build_chain(
 ) -> TransitionMatrix:
     """Left-multiplication walk, either on the minimal ideal of the
     semigroup ("k_s") or on the minimal ideal of its expansion ("kr_ideal").
+    States are named by element name, or by the expansion vertex's label:
+    its shortlex-first word, the name ``stationary_kr`` gives it too.
 
     Every column receives one weight per generator, so each sums to
     ``sum(xs)``; that one sum is checked instead of every column.
@@ -74,29 +76,25 @@ def build_chain(
     if total != 1:
         raise SemigroupError(f"generator weights sum to {total}, not 1")
     if space == "k_s":
-        members = sorted(minimal_ideal(S).members)
-        index = {e: i for i, e in enumerate(members)}
-        labels = [S.element_name(e) for e in members]
-        cols: list[dict[int, Fraction]] = [dict() for _ in members]
-        for i, e in enumerate(members):
-            for a, ge in enumerate(S.gens):
-                t = index[S.mult(ge, e)]
-                cols[i][t] = cols[i].get(t, Fraction(0)) + xs[a]
-        return TransitionMatrix(labels, cols, validate=False)
-    if space == "kr_ideal":
+        states = sorted(minimal_ideal(S).members)
+        labels = [S.element_name(e) for e in states]
+        left = lambda a, e: S.mult(S.gens[a], e)
+    elif space == "kr_ideal":
         # the closed classes of the expansion graph, its right Cayley graph,
         # are the minimal right ideals: together, the minimal ideal
         kr = karnofsky_rhodes(S)
-        vertices = sorted(v for cls in closed_classes(kr.graph) for v in cls)
-        index = {v: i for i, v in enumerate(vertices)}
-        labels = [S.word_label(kr.words[v]) for v in vertices]
-        cols = [dict() for _ in vertices]
-        for i, v in enumerate(vertices):
-            for a in range(S.n_gens):
-                t = index[kr.left_multiply(a, v)]
-                cols[i][t] = cols[i].get(t, Fraction(0)) + xs[a]
-        return TransitionMatrix(labels, cols, validate=False)
-    raise SemigroupError(f"unknown state space {space!r}")
+        states = sorted(v for cls in closed_classes(kr.graph) for v in cls)
+        labels = [kr.graph.labels[v] for v in states]
+        left = kr.left_multiply
+    else:
+        raise SemigroupError(f"unknown state space {space!r}")
+    index = {s: i for i, s in enumerate(states)}
+    cols: list[dict[int, Fraction]] = [dict() for _ in states]
+    for col, s in zip(cols, states):
+        for a in range(S.n_gens):
+            t = index[left(a, s)]
+            col[t] = col.get(t, Fraction(0)) + xs[a]
+    return TransitionMatrix(labels, cols, validate=False)
 
 
 def certify(S: ASemigroup, xs: Sequence[Fraction], result) -> bool:

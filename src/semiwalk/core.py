@@ -80,6 +80,12 @@ class IdealSet:
         return f"IdealSet({sorted(self.members)}, kind={self.kind!r})"
 
 
+def label_sep(names: Sequence[str]) -> str:
+    """Separator of printed words: single-character generator names are
+    juxtaposed, longer ones joined with a middle dot to stay unambiguous."""
+    return "" if all(len(s) == 1 for s in names) else "·"
+
+
 class ASemigroup:
     """A finite semigroup together with a chosen generating set.
 
@@ -108,8 +114,7 @@ class ASemigroup:
         self.size = size
         self.gens = list(gens)
         self.gen_names = list(gen_names)
-        # word_label juxtaposes single-character names, else joins with a dot
-        self._label_sep = "" if all(len(s) == 1 for s in self.gen_names) else "·"
+        self._label_sep = label_sep(self.gen_names)
         self.mult = mult
         self._element_names = list(element_names) if element_names else None
         if self._element_names is not None:
@@ -166,11 +171,7 @@ class ASemigroup:
         return self._rep_words
 
     def word_label(self, word: Sequence[int]) -> str:
-        """Printable form of a generator word.
-
-        Single-character generator names are juxtaposed; otherwise parts are
-        joined with a middle dot to keep labels unambiguous.
-        """
+        """Printable form of a generator word, parts joined by ``label_sep``."""
         names = self.gen_names
         return self._label_sep.join([names[g] for g in word])
 
@@ -233,6 +234,8 @@ def semigroup_from_table(
     for r in rows:
         if len(r) != n or (r and (min(r) < 0 or max(r) >= n)):
             raise SemigroupError("table must be n x n over 0..n-1")
+    if not all(isinstance(g, int) and 0 <= g < n for g in gens):
+        raise SemigroupError(f"generator elements must lie in 0..{n - 1}")
     if gen_names is None:
         gen_names = [_default_gen_name(i) for i in range(len(gens))]
 
@@ -265,7 +268,9 @@ def semigroup_from_transformations(
     gen_maps = []
     for name in gen_names:
         m = tuple(maps[name])
-        if len(m) != n_states or any(not (0 <= q < n_states) for q in m):
+        if len(m) != n_states or not all(
+            isinstance(q, int) and 0 <= q < n_states for q in m
+        ):
             raise SemigroupError(f"map {name!r} is not total on 0..{n_states - 1}")
         gen_maps.append(m)
 

@@ -13,7 +13,7 @@ or falls back to the unique initial segment ending at the target vertex
 
 from __future__ import annotations
 
-from .core import ASemigroup, SizeCapExceeded, Word
+from .core import ASemigroup, SizeCapExceeded, Word, label_sep
 from .graphs import RootedLabeledGraph, graphs_isomorphic, right_cayley, sccs, transition_edges
 
 DEFAULT_KR_CAP = 200_000
@@ -26,11 +26,10 @@ class KRExpansion:
     Vertex i > 0 corresponds to semigroup element i-1 of ``semigroup()``.
     """
 
-    def __init__(self, base, graph, tsets, words):
+    def __init__(self, base, graph, words):
         self.base: ASemigroup = base
         self.graph: RootedLabeledGraph = graph
-        self.tsets: list[frozenset] = tsets  # per vertex
-        self.words: list[Word] = words  # BFS word per vertex
+        self.words: list[Word] = words  # shortlex-first (BFS) word per vertex
         self._semigroup: ASemigroup | None = None
 
     def s_image(self, v: int) -> int | None:
@@ -101,13 +100,12 @@ def karnofsky_rhodes(S: ASemigroup, cap: int = DEFAULT_KR_CAP) -> KRExpansion:
     labels = _word_labels(S.gen_names, rcay.labels[rcay.root], words)
     images = [None] + [rcay.s_image[key[0]] for key in keys[1:]]
     graph = RootedLabeledGraph(S.gen_names, labels, out, images)
-    tsets = [kv[1] for kv in keys]
-    return KRExpansion(S, graph, tsets, words)
+    return KRExpansion(S, graph, words)
 
 
 def _word_labels(names, root_label: str, words: list[Word]) -> list[str]:
     """Root label, then each word's printable form, as ``ASemigroup.word_label``."""
-    sep = "" if all(len(s) == 1 for s in names) else "·"
+    sep = label_sep(names)
     return [root_label] + [sep.join([names[g] for g in w]) for w in words[1:]]
 
 

@@ -20,6 +20,7 @@ from .core import (
     SemigroupError,
     bar,
     flat,
+    label_sep,
     semigroup_from_table,
 )
 from .expansions import karnofsky_rhodes
@@ -62,7 +63,12 @@ def parse_family(text: str) -> FamilySpec:
     }.get(name, ("n",))
     params = {}
     if rest:
-        values = [int(v) for v in rest.split(",")]
+        try:
+            values = [int(v) for v in rest.split(",")]
+        except ValueError:
+            raise SemigroupError(
+                f"family parameters must be integers, got {rest!r}"
+            ) from None
         if len(values) > len(order):
             raise SemigroupError(f"too many parameters for family {name!r}")
         params = dict(zip(order, values))
@@ -334,7 +340,8 @@ def closed_form(spec: FamilySpec, xs: Sequence[Fraction]) -> dict[str, Fraction]
             for pi in permutations(range(n))
         }
     if name == "signed_tsetlin":
-        return _signed_closed_form(p.get("n", 2), xs)
+        return {"·".join(map(str, pi)): value
+                for pi, value in _signed_arrangements(p.get("n", 2), xs)}
     if name == "edge_flip_line":
         return edge_flip_closed_form(p.get("n", 2), xs)
     if name in ("rees_B", "rees_zp"):
@@ -361,8 +368,9 @@ def closed_form(spec: FamilySpec, xs: Sequence[Fraction]) -> dict[str, Fraction]
     raise SemigroupError(f"no closed form recorded for family {name!r}")
 
 
-def _signed_closed_form(n: int, ys: Sequence[Fraction]) -> dict[str, Fraction]:
-    out = {}
+def _signed_arrangements(n: int, ys: Sequence[Fraction]):
+    """Each signed arrangement of 1..n with its probability: the chance
+    that its letters are the first-seen ones, in order, under ``ys``."""
     for support in permutations(range(1, n + 1)):
         for signs in iproduct((1, -1), repeat=n):
             pi = tuple(s * v for s, v in zip(signs, support))
@@ -371,9 +379,7 @@ def _signed_closed_form(n: int, ys: Sequence[Fraction]) -> dict[str, Fraction]:
             for a in pi:
                 value *= ys[gen_of_signed_letter(a)] / (1 - used)
                 used += ys[gen_of_signed_letter(a)] + ys[gen_of_signed_letter(-a)]
-            word = tuple(gen_of_signed_letter(a) for a in pi)
-            out["·".join(str(signed_letter_of_gen(g)) for g in word)] = value
-    return out
+            yield pi, value
 
 
 def edge_flip_action(pi: Sequence[int], state: Sequence[int]) -> tuple[int, ...]:
@@ -394,16 +400,9 @@ def edge_flip_closed_form(
     out: dict[str, Fraction] = {}
     for s in iproduct((0, 1), repeat=n + 1):
         out["".join(map(str, s))] = Fraction(0)
-    for support in permutations(range(1, n + 1)):
-        for signs in iproduct((1, -1), repeat=n):
-            pi = tuple(sg * v for sg, v in zip(signs, support))
-            value = Fraction(1)
-            used = Fraction(0)
-            for a in pi:
-                value *= ys[gen_of_signed_letter(a)] / (1 - used)
-                used += ys[gen_of_signed_letter(a)] + ys[gen_of_signed_letter(-a)]
-            state = edge_flip_action(pi, (0,) * (n + 1))
-            out["".join(map(str, state))] += value
+    for pi, value in _signed_arrangements(n, ys):
+        state = edge_flip_action(pi, (0,) * (n + 1))
+        out["".join(map(str, state))] += value
     return out
 
 
@@ -429,7 +428,7 @@ def _rees_cycle_closed_form(
         full *= v
     denom = 1 - full**p
     names = ["a", "b"] if n == 2 else [f"a{i}" for i in range(1, n + 1)]
-    joiner = "" if all(len(nm) == 1 for nm in names) else "·"
+    joiner = label_sep(names)
     out = {}
     for k in range(n):
         for j in range(1, cycle_len + 1):

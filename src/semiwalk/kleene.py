@@ -13,6 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from .core import label_sep
+
 
 class DivergentStar(ArithmeticError):
     """A starred subexpression has weight >= 1, so the series diverges."""
@@ -325,11 +327,9 @@ def enumerate_words(e: KleeneExpr, max_len: int) -> dict[tuple[int, ...], int]:
 def pretty(e: KleeneExpr, names: Sequence[str]) -> str:
     """Postfix star, juxtaposed concatenation, unions in braces.
 
-    Multi-character generator names are joined with a middle dot so the
-    output stays unambiguous.
+    Concatenated parts are joined by ``label_sep`` of the names.
     """
-    sep = "" if all(len(s) == 1 for s in names) else "·"
-    return _render(e, names, sep)
+    return _render(e, names, label_sep(names))
 
 
 # Module level: nested closures that call each other would make a

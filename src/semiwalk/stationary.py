@@ -15,14 +15,16 @@ Kleene expressions: the bottom-up pass runs once with letters as weights,
 and per normal form only its tree path is eliminated, from the root
 outward, which fixes the printed factored form.
 
-When the minimal ideal is left zero the per-normal-form sums grouped by
-expansion element are the stationary distribution of the expanded chain;
-lumping by underlying element gives the chain on the semigroup itself.
-Otherwise a fresh zero generator is adjoined with formal weight t, the
-user's weights are scaled by (1-t), the left-zero pipeline runs over
-truncated power series in t, and the limit t -> 0 is taken exactly from
-their leading terms.  A series that loses every known term to cancellation
-raises, and the pipeline reruns at double the precision.
+When the minimal ideal is left zero the per-normal-form sums added per
+Karnofsky-Rhodes vertex are the stationary distribution of the expanded
+chain; lumping by underlying element gives the chain on the semigroup
+itself.  Otherwise a fresh zero generator is adjoined with formal weight t,
+the user's weights are scaled by (1-t), the left-zero pipeline runs over
+truncated power series in t, the limit t -> 0 is taken exactly from their
+leading terms, and the vertex of u·0 becomes the vertex of u.  A series
+that loses every known term to cancellation raises, and the pipeline
+reruns at double the precision.  Both modes name a state by the
+shortlex-first word reaching its vertex, as chains and simulations do.
 """
 
 from __future__ import annotations
@@ -88,7 +90,10 @@ def parse_probs(text: str, S: ASemigroup) -> list[Fraction]:
         if "=" not in part:
             raise SemigroupError(f"bad probability entry {part!r}")
         name, val = part.split("=", 1)
-        by_name[name.strip()] = Fraction(val.strip())
+        try:
+            by_name[name.strip()] = Fraction(val.strip())
+        except (ValueError, ZeroDivisionError):
+            raise SemigroupError(f"bad probability {val.strip()!r}") from None
     missing = [n for n in S.gen_names if n not in by_name]
     if missing:
         raise SemigroupError(f"missing probabilities for generators {missing}")
@@ -164,7 +169,6 @@ class NormalForm:
     word: Word
     mc_vertex: int
     kr_vertex: int
-    s_element: int
 
 
 @dataclass
@@ -218,7 +222,6 @@ class StationaryEngine:
                         word=self.mc.words[v],
                         mc_vertex=v,
                         kr_vertex=self.mc.endpoint[v],
-                        s_element=g.s_image[v],
                     )
                 )
         forms.sort(key=lambda nf: nf.word)
@@ -405,8 +408,8 @@ def nf_preimage_expr(
 @dataclass
 class KeyInfo:
     label: str
-    word: Word | None = None  # canonical generator word for the state
-    alt_label: str | None = None  # adjoined-zero normal form, in limit mode
+    word: Word | None = None  # shortlex-first word reaching the KR vertex
+    alt_label: str | None = None  # the same name on KR(S⁰), in limit mode
     element: int | None = None  # underlying semigroup element
     kr_vertex: int | None = None  # vertex in the expansion of the input
     nf_words: tuple[Word, ...] = ()
@@ -475,30 +478,13 @@ def _stationary_kr_direct(
     if engine is None:
         engine = StationaryEngine(S, I)
     vals = engine.values(xs)
-
-    # The normal forms come sorted by word, so grouping them in first-seen
-    # order sorts the groups by their least word and keeps each group sorted.
-    by_kr: dict[int, list[NormalForm]] = {}
+    # several normal forms can reach one expansion vertex: their values add
+    masses: dict[int, object] = {}
+    nf_words: dict[int, list[Word]] = {}
     for nf in engine.normal_forms:
-        by_kr.setdefault(nf.kr_vertex, []).append(nf)
-
-    entries: dict[str, Fraction] = {}
-    info: dict[str, KeyInfo] = {}
-    for kr_v, forms in by_kr.items():
-        total = vals[forms[0].mc_vertex]
-        for nf in forms[1:]:
-            total += vals[nf.mc_vertex]
-        canonical = forms[0].word
-        label = engine.mc.graph.labels[forms[0].mc_vertex]  # S.word_label(canonical)
-        entries[label] = total
-        info[label] = KeyInfo(
-            label=label,
-            word=canonical,
-            element=forms[0].s_element,
-            kr_vertex=kr_v,
-            nf_words=tuple(nf.word for nf in forms),
-        )
-    return StationaryResult("kr", entries, info)
+        _acc(masses, nf.kr_vertex, vals[nf.mc_vertex])
+        nf_words.setdefault(nf.kr_vertex, []).append(nf.word)
+    return _kr_result(engine.kr, masses, nf_words, {})
 
 
 def _stationary_kr_limit(S: ASemigroup, xs: Sequence[Fraction]) -> StationaryResult:
@@ -522,13 +508,11 @@ def _stationary_kr_limit(S: ASemigroup, xs: Sequence[Fraction]) -> StationaryRes
                 ) from exc
             prec = min(2 * prec, LIMIT_MAX_PRECISION)
 
+    # each state u·0 of KR(S⁰) with mass in the limit is the vertex of u in KR(S)
     kr1 = karnofsky_rhodes(S)
     ideal_vertices = {v for cls in closed_classes(kr1.graph) for v in cls}
     zero_gen = S.n_gens
-
-    entries: dict[str, Fraction] = {}
-    info: dict[str, KeyInfo] = {}
-    collected = []
+    masses, nf_words, alt_labels = {}, {}, {}
     for alt_label, limit in limits.items():
         ki = sym.key_info[alt_label]
         word2 = ki.word
@@ -547,21 +531,32 @@ def _stationary_kr_limit(S: ASemigroup, xs: Sequence[Fraction]) -> StationaryRes
                     "state outside the expansion ideal kept mass in the limit"
                 )
             continue
-        collected.append((kr1.words[v1], v1, limit, ki.nf_words, alt_label))
-
-    collected.sort(key=lambda item: item[0])
-    for word1, v1, limit, nf_words, alt_label in collected:
-        label = S.word_label(word1)
-        if label in entries:
+        if v1 in masses:
             raise AssertionError("two adjoined-zero states mapped to one state")
-        entries[label] = limit
+        masses[v1], nf_words[v1], alt_labels[v1] = limit, ki.nf_words, alt_label
+    return _kr_result(kr1, masses, nf_words, alt_labels)
+
+
+def _kr_result(kr: KRExpansion, masses: dict, nf_words: dict,
+               alt_labels: dict) -> StationaryResult:
+    """The result over expansion vertices: per vertex its mass, the normal
+    forms reaching it and, in limit mode, its name on KR(S⁰).  A state is
+    named by the shortlex-first word reaching its vertex, and states come
+    in the order of those words.
+    """
+    labels, words, images = kr.graph.labels, kr.words, kr.graph.s_image
+    entries: dict[str, object] = {}
+    info: dict[str, KeyInfo] = {}
+    for v in sorted(masses, key=words.__getitem__):
+        label = labels[v]
+        entries[label] = masses[v]
         info[label] = KeyInfo(
             label=label,
-            word=word1,
-            alt_label=alt_label,
-            element=kr1.graph.s_image[v1],
-            kr_vertex=v1,
-            nf_words=nf_words,
+            word=words[v],
+            alt_label=alt_labels.get(v),
+            element=images[v],
+            kr_vertex=v,
+            nf_words=tuple(nf_words[v]),
         )
     return StationaryResult("kr", entries, info)
 

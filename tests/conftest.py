@@ -1,3 +1,4 @@
+import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -47,17 +48,28 @@ def z2x01_quotient(z2x01):
     return rees_quotient(z2x01, minimal_ideal(z2x01))
 
 
+# Transformation semigroup whose expanded simple-path graph is not a right
+# Cayley graph (four maps on five states, one absorbing).
+COUNTEREXAMPLE_MAPS = {
+    "a1": [1, 4, 4, 2, 4],
+    "a2": [4, 2, 1, 4, 4],
+    "a3": [4, 3, 3, 4, 4],
+    "c": [0, 0, 0, 0, 4],
+}
+
+
 @pytest.fixture(scope="session")
 def counterexample():
-    """Transformation semigroup whose expanded simple-path graph is not a
-    right Cayley graph (four maps on five states, one absorbing)."""
-    maps = {
-        "a1": [1, 4, 4, 2, 4],
-        "a2": [4, 2, 1, 4, 4],
-        "a3": [4, 3, 3, 4, 4],
-        "c": [0, 0, 0, 0, 4],
-    }
-    return semigroup_from_transformations(5, maps)
+    return semigroup_from_transformations(5, COUNTEREXAMPLE_MAPS)
+
+
+@pytest.fixture(scope="session")
+def counterexample_spec(tmp_path_factory):
+    """Path of the counterexample as a ``transformations`` JSON spec."""
+    path = tmp_path_factory.mktemp("specs") / "counterexample.json"
+    spec = {"kind": "transformations", "states": 5, "maps": COUNTEREXAMPLE_MAPS}
+    path.write_text(json.dumps(spec))
+    return str(path)
 
 
 def frac(s: str) -> Fraction:

@@ -222,6 +222,28 @@ def test_certify_direct_and_limit_results(p3, b2, z2x01, klein):
         assert certify(S, xs, stationary_kr(S, xs))
 
 
+def test_certify_counterexample(counterexample):
+    # several normal forms reach one expansion vertex; the law still
+    # lives on the chain's states, under the chain's names
+    xs = uniform_probs(counterexample)
+    assert certify(counterexample, xs, stationary_kr(counterexample, xs))
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["tsetlin:6", "signed_tsetlin:4", "rees_zp:4,5", "bar_tower:2,2",
+     "flat_tower:3,2", "counterexample"],
+)
+def test_direct_states_are_the_chain_states(name, request):
+    if name == "counterexample":
+        S = request.getfixturevalue("counterexample")
+    else:
+        S = families.build(families.parse_family(name))
+    xs = uniform_probs(S)
+    chain = build_chain(S, xs, "kr_ideal")
+    assert set(stationary_kr(S, xs).entries) == set(chain.labels)
+
+
 def test_certify_rejects_wrong_laws(b2):
     result = stationary_kr(b2, HALF)
     a, b = list(result.entries)[:2]

@@ -153,6 +153,52 @@ def test_cli_corrupted_table_exit_nonzero(tmp_path, capsys):
     assert code != 0
 
 
+def test_cli_verify_counterexample_spec(counterexample_spec, capsys):
+    code, out, err = run_cli(["verify", "--spec", counterexample_spec], capsys)
+    assert code == 0, err
+    lines = out.splitlines()
+    assert lines[-1] == "all checks passed"
+    assert len(lines) == 4 and all(ln.startswith("PASS ") for ln in lines[:-1])
+
+
+def _malformed_spec(tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+def test_cli_non_integer_family_parameter_exit_2(capsys):
+    code, out, err = run_cli(["build", "--family", "tsetlin:a"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "integers" in err
+
+
+@pytest.mark.parametrize("probs", ["1=x,2=1/2", "1=1/0,2=1/2"])
+def test_cli_unparsable_probability_exit_2(probs, capsys):
+    code, out, err = run_cli(
+        ["stationary", "--family", "tsetlin:2", "--probs", probs], capsys
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad probability")
+
+
+def test_cli_non_integer_map_entry_exit_2(tmp_path, capsys):
+    spec = {"kind": "transformations", "states": 2, "maps": {"a": [0, "x"]}}
+    code, out, err = run_cli(["build", "--spec", _malformed_spec(tmp_path, spec)],
+                             capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "'a'" in err
+
+
+def test_cli_generator_element_out_of_range_exit_2(tmp_path, capsys):
+    spec = {"kind": "table", "generators": ["a"], "table": [[0]],
+            "gen_elements": [3]}
+    code, out, err = run_cli(["build", "--spec", _malformed_spec(tmp_path, spec)],
+                             capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "generator elements" in err
+
+
 def test_cli_verify_limit_mode_reports_skip(capsys):
     code, out, _ = run_cli(["verify", "--family", "z2x01"], capsys)
     assert code == 0

@@ -326,15 +326,32 @@ def test_limit_mode_alt_labels(z2x01):
     assert r.key_info["aa"].alt_label == "aa" + z
 
 
-def test_limit_reproduces_direct_when_left_zero(b2, p3, flipflop):
+def test_limit_reproduces_direct_when_left_zero(b2, p3, flipflop, counterexample):
     # the limit adjoins a zero to the tower's 7,319 elements, multiplying
     # by the relations where a table would hold 7,320^2 entries
     tower = families.build(families.parse_family("bar_tower:2,2"))
     for S, xs in ((b2, HALF), (p3, [F(1, 2), F(1, 3), F(1, 6)]),
-                  (flipflop, X25), (tower, uniform_probs(tower))):
+                  (flipflop, X25), (tower, uniform_probs(tower)),
+                  (counterexample, uniform_probs(counterexample))):
         direct = stationary_kr(S, xs)
         limit = stationary_kr(S, xs, force_limit=True)
-        assert dict(direct.entries) == dict(limit.entries)
+        # the same states, named alike and in the same order
+        assert list(direct.entries.items()) == list(limit.entries.items())
+
+
+def test_states_are_named_by_the_first_word_of_their_vertex(counterexample):
+    # Not MC-stable: 64 vertices, some reached by several normal forms.
+    S = counterexample
+    r = stationary_kr(S, uniform_probs(S))
+    kr = karnofsky_rhodes(S)
+    assert len(r.entries) == 64
+    assert any(len(ki.nf_words) > 1 for ki in r.key_info.values())
+    for label, ki in r.key_info.items():
+        assert ki.word == kr.words[ki.kr_vertex]
+        assert label == S.word_label(ki.word)
+        assert ki.word == min(ki.nf_words, key=lambda w: (len(w), w))
+    words = [ki.word for ki in r.key_info.values()]
+    assert words == sorted(words)
 
 
 def test_rees_limit(tmp_path):
