@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 from .core import ASemigroup, SemigroupError, minimal_ideal
 from .expansions import karnofsky_rhodes, mccammond
-from .graphs import closed_classes, sccs, transition_edges
+from .graphs import closed_classes, minimal_ideal_vertices, sccs, transition_edges
 
 
 class NotConverged(ArithmeticError):
@@ -80,10 +80,9 @@ def build_chain(
         labels = [S.element_name(e) for e in states]
         left = lambda a, e: S.mult(S.gens[a], e)
     elif space == "kr_ideal":
-        # the closed classes of the expansion graph, its right Cayley graph,
-        # are the minimal right ideals: together, the minimal ideal
+        # the expansion graph is its own right Cayley graph
         kr = karnofsky_rhodes(S)
-        states = sorted(v for cls in closed_classes(kr.graph) for v in cls)
+        states = minimal_ideal_vertices(kr.graph)
         labels = [kr.graph.labels[v] for v in states]
         left = kr.left_multiply
     else:

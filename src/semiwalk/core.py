@@ -3,11 +3,18 @@
 Elements are dense integer indices 0..n-1.  A semigroup carries one
 multiplication function on them, the list of generator element indices,
 printable generator names, optional printable element names, and
-(computed lazily) a canonical representative word per element: the first
-word reaching the element in a breadth-first walk that multiplies by
-generators in index order.  That word is shortest possible, with ties
-broken lexicographically, so all derived labelling is deterministic across
-runs.
+(computed lazily, once) one breadth-first search of the right action of
+its generators: the table ``rows[e][a] = e·gens[a]``, the elements in
+discovery order from the generators in index order, and the first word
+reaching each element.  That word is shortest possible, with ties broken
+lexicographically, and discovery order is the shortlex order of those
+words, so all derived labelling is deterministic across runs.
+Representative words, both Cayley graphs, the minimal ideal and the
+simulator's start word all read this one search.
+
+The minimal right ideals are the closed classes of that right action and
+their union is the minimal ideal (Rhodes and Steinberg, *The q-theory of
+Finite Semigroups*, 2009), which is how ``minimal_ideal`` finds it.
 
 Only ``semigroup_from_table`` holds a table, the one it is given.  The
 pipeline only ever multiplies by a generator on one side, so derived
@@ -51,17 +58,14 @@ class SizeCapExceeded(SemigroupError):
 
 
 class IdealSet:
-    """A two-sided or left ideal, stored as a frozen set of element indices."""
+    """A two-sided ideal, stored as a frozen set of element indices."""
 
-    __slots__ = ("members", "kind")
+    __slots__ = ("members",)
 
-    def __init__(self, members: Iterable[int], kind: str = "two-sided"):
+    def __init__(self, members: Iterable[int]):
         self.members = frozenset(members)
         if not self.members:
             raise SemigroupError("an ideal must be nonempty")
-        if kind not in ("two-sided", "left"):
-            raise SemigroupError("ideal kind must be 'two-sided' or 'left'")
-        self.kind = kind
 
     def __contains__(self, e: int) -> bool:
         return e in self.members
@@ -70,14 +74,10 @@ class IdealSet:
         return len(self.members)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IdealSet)
-            and self.members == other.members
-            and self.kind == other.kind
-        )
+        return isinstance(other, IdealSet) and self.members == other.members
 
     def __repr__(self) -> str:
-        return f"IdealSet({sorted(self.members)}, kind={self.kind!r})"
+        return f"IdealSet({sorted(self.members)})"
 
 
 def label_sep(names: Sequence[str]) -> str:
@@ -122,7 +122,7 @@ class ASemigroup:
                 raise SemigroupError("one name per element required")
             if len(set(self._element_names)) != size:
                 raise SemigroupError("element names must be unique")
-        self._rep_words: list[Word] | None = None
+        self._right_action: tuple[list[list[int]], list[int], list[Word]] | None = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -144,31 +144,40 @@ class ASemigroup:
 
     # -- canonical words and names ------------------------------------------
 
-    def rep_words(self) -> list[Word]:
-        """Shortest (lex-first) generator word per element, by BFS."""
-        if self._rep_words is None:
-            rep: list[Word | None] = [None] * self.size
-            queue: list[int] = []
-            for g, e in enumerate(self.gens):
-                if rep[e] is None:
-                    rep[e] = (g,)
-                    queue.append(e)
-            head = 0
-            while head < len(queue):
-                e = queue[head]
-                head += 1
-                w = rep[e]
-                for g, ge in enumerate(self.gens):
-                    f = self.mult(e, ge)
-                    if rep[f] is None:
-                        rep[f] = w + (g,)
-                        queue.append(f)
-            if any(r is None for r in rep):
+    def right_action(self) -> tuple[list[list[int]], list[int], list[Word]]:
+        """The one breadth-first search of the generators' right action.
+
+        Returns ``(rows, order, words)``: ``rows[e][a] = e·gens[a]``, the
+        elements in discovery order from the generators in index order,
+        and per element the first word reaching it, its shortlex-least
+        word.  Computed once, with |S|·k products.
+        """
+        if self._right_action is None:
+            gens, mult = self.gens, self.mult
+            rows: list = [None] * self.size
+            words: list = [None] * self.size
+            order: list[int] = []
+            for a, e in enumerate(gens):
+                if words[e] is None:
+                    words[e] = (a,)
+                    order.append(e)
+            for e in order:  # the queue: discoveries append to it
+                w = words[e]
+                rows[e] = row = [mult(e, g) for g in gens]
+                for a, f in enumerate(row):
+                    if words[f] is None:
+                        words[f] = w + (a,)
+                        order.append(f)
+            if len(order) != self.size:
                 raise GeneratorsDoNotGenerate(
                     "generators do not generate the whole semigroup"
                 )
-            self._rep_words = rep  # type: ignore[assignment]
-        return self._rep_words
+            self._right_action = rows, order, words
+        return self._right_action
+
+    def rep_words(self) -> list[Word]:
+        """Shortest (lex-first) generator word per element, from the search."""
+        return self.right_action()[2]
 
     def word_label(self, word: Sequence[int]) -> str:
         """Printable form of a generator word, parts joined by ``label_sep``."""
@@ -229,11 +238,17 @@ def semigroup_from_table(
     element_names: Sequence[str] | None = None,
 ) -> ASemigroup:
     """Checked semigroup from a multiplication table: rows[i][j] = i*j."""
+    if not isinstance(table, (list, tuple)) or not all(
+        isinstance(r, (list, tuple)) for r in table
+    ):
+        raise SemigroupError("table must be a list of rows, each a list")
     n = len(table)
     rows = [list(r) for r in table]
     for r in rows:
-        if len(r) != n or (r and (min(r) < 0 or max(r) >= n)):
-            raise SemigroupError("table must be n x n over 0..n-1")
+        if len(r) != n or not all(isinstance(x, int) and 0 <= x < n for x in r):
+            raise SemigroupError(
+                f"table must be {n} x {n} with integer entries in 0..{n - 1}"
+            )
     if not all(isinstance(g, int) and 0 <= g < n for g in gens):
         raise SemigroupError(f"generator elements must lie in 0..{n - 1}")
     if gen_names is None:
@@ -264,15 +279,19 @@ def semigroup_from_transformations(
     the right-Cayley convention where following the edge labelled ``a``
     from the vertex of ``w`` lands on the vertex of ``wa``.
     """
+    if not isinstance(n_states, int):
+        raise SemigroupError(f"states must be an integer, got {n_states!r}")
+    if not isinstance(maps, dict):
+        raise SemigroupError("maps must be an object from generator names to maps")
     gen_names = list(maps.keys())
     gen_maps = []
     for name in gen_names:
-        m = tuple(maps[name])
-        if len(m) != n_states or not all(
+        m = maps[name]
+        if not isinstance(m, (list, tuple)) or len(m) != n_states or not all(
             isinstance(q, int) and 0 <= q < n_states for q in m
         ):
             raise SemigroupError(f"map {name!r} is not total on 0..{n_states - 1}")
-        gen_maps.append(m)
+        gen_maps.append(tuple(m))
 
     index: dict[tuple[int, ...], int] = {}
     elements: list[tuple[int, ...]] = []
@@ -323,24 +342,12 @@ def principal_ideal(S: ASemigroup, e: int) -> IdealSet:
 def minimal_ideal(S: ASemigroup) -> IdealSet:
     """The unique minimal two-sided ideal.
 
-    Mutual reachability under one-generator left/right multiplication is
-    exactly the two-sided divisibility relation, so the minimal ideal is
-    the unique sink component of that reachability graph.
+    The minimal right ideals are the closed classes of the right action of
+    the generators, and their union is the minimal ideal.
     """
-    from .graphs import closed_classes  # local import, graphs depends on core
+    from .graphs import minimal_ideal_vertices  # local import, graphs depends on core
 
-    succ: list[list[int]] = []
-    for e in range(S.size):
-        row = set()
-        for ge in S.gens:
-            row.add(S.mult(e, ge))
-            row.add(S.mult(ge, e))
-        succ.append(sorted(row))
-
-    sinks = closed_classes(succ)
-    if len(sinks) != 1:
-        raise AssertionError("a finite semigroup has exactly one minimal ideal")
-    return IdealSet(sinks[0])
+    return IdealSet(minimal_ideal_vertices(S.right_action()[0]))
 
 
 def is_left_zero(S: ASemigroup, I: IdealSet) -> bool:
@@ -358,13 +365,11 @@ def kernel_is_left_zero(S: ASemigroup, K: IdealSet) -> bool:
     For x in the minimal ideal, x*s = x for every s once it holds for every
     generator (if x*a = x on generators then x*s = x for all s, hence in
     particular on the ideal; conversely left zero forces x*s = (x*s)*u = x
-    for u in the ideal).  Checking |K|*|A| products instead of |K|^2.
+    for u in the ideal).  Reads |K|*|A| entries of the right-action table
+    instead of making |K|^2 products.
     """
-    for x in K.members:
-        for ge in S.gens:
-            if S.mult(x, ge) != x:
-                return False
-    return True
+    rows = S.right_action()[0]
+    return all(f == x for x in K.members for f in rows[x])
 
 
 # -- quotients and element-adjoining constructions ----------------------------
@@ -374,8 +379,6 @@ ZERO_NAME = "□"  # printable box for an adjoined/collapsed zero
 
 def rees_quotient(S: ASemigroup, I: IdealSet) -> ASemigroup:
     """Collapse a two-sided ideal to a single zero element."""
-    if I.kind != "two-sided":
-        raise SemigroupError("Rees quotient needs a two-sided ideal")
     survivors = [e for e in range(S.size) if e not in I.members]
     new_index = {e: i for i, e in enumerate(survivors)}
     zero = len(survivors)

@@ -32,13 +32,8 @@ class KRExpansion:
         self.words: list[Word] = words  # shortlex-first (BFS) word per vertex
         self._semigroup: ASemigroup | None = None
 
-    def s_image(self, v: int) -> int | None:
-        return self.graph.s_image[v]
-
     def left_multiply(self, a: int, v: int) -> int:
         """Vertex of generator a times the element of vertex v."""
-        if v == self.graph.root:
-            return self.graph.out[self.graph.root][a]
         start = self.graph.out[self.graph.root][a]
         return self.graph.follow(start, self.words[v])
 

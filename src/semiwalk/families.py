@@ -76,10 +76,14 @@ def parse_family(text: str) -> FamilySpec:
 
 
 def _check_caps(spec: FamilySpec) -> None:
-    caps = DESK_CAPS[spec.name]
+    caps = DESK_CAPS.get(spec.name)
+    if caps is None:
+        raise SemigroupError(f"unknown family {spec.name!r}; known: {sorted(DESK_CAPS)}")
     for key, value in spec.params.items():
         if key not in caps:
             raise SemigroupError(f"family {spec.name!r} has no parameter {key!r}")
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise SemigroupError(f"{spec.name}.{key} must be an integer, got {value!r}")
         lo, hi = caps[key]
         if not (lo <= value <= hi):
             raise SemigroupError(

@@ -1,15 +1,22 @@
-"""Rooted generator-labelled graphs: Cayley graphs, SCCs, transition edges.
+"""Rooted generator-labelled graphs: Cayley graphs, SCCs, closed classes,
+transition edges.
 
-Vertices are numbered in BFS discovery order from the root (generators in
-index order), so vertex numbering, SCC numbering and DOT output are
-reproducible across runs.
+The right Cayley graph is read off the one breadth-first search of a
+semigroup's right action (``ASemigroup.right_action``): vertex 0 is the
+adjoined identity and vertex i > 0 the i-th element discovered from the
+generators in index order, so vertex numbering, SCC numbering and DOT
+output are reproducible across runs.  The left Cayley graph is the right
+Cayley graph of the opposite semigroup.  On any right action (a
+semigroup's table or an expansion graph) the closed classes are the
+minimal right ideals, and ``minimal_ideal_vertices`` returns their union,
+the minimal ideal.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .core import ASemigroup
+from .core import ASemigroup, opposite
 
 ROOT_LABEL = "\U0001d7d9"  # the adjoined identity
 
@@ -64,55 +71,23 @@ class RootedLabeledGraph:
 
 
 def right_cayley(S: ASemigroup) -> RootedLabeledGraph:
-    """Right Cayley graph: vertices S with adjoined root, edges s -> s*a."""
-    return _cayley(S, right=True)
+    """Right Cayley graph: vertices S with adjoined root, edges s -> s*a.
+
+    Vertices after the root are the elements in the search's discovery
+    order, and their edges are its rows.
+    """
+    rows, order, _ = S.right_action()
+    vertex = dict(zip(order, range(1, S.size + 1)))
+    out = [[vertex[g] for g in S.gens]] + [[vertex[f] for f in rows[e]] for e in order]
+    labels = [ROOT_LABEL] + [S.element_name(e) for e in order]
+    g = RootedLabeledGraph(S.gen_names, labels, out, [None] + order)  # type: ignore[arg-type]
+    g.element_vertex = vertex  # type: ignore[attr-defined]
+    return g
 
 
 def left_cayley(S: ASemigroup) -> RootedLabeledGraph:
     """Left Cayley graph: edges s -> a*s."""
-    return _cayley(S, right=False)
-
-
-def _cayley(S: ASemigroup, right: bool) -> RootedLabeledGraph:
-    k = S.n_gens
-    vertex_of: dict[int, int] = {}
-    labels = [ROOT_LABEL]
-    images: list[int | None] = [None]
-    out: list[list[int | None]] = [[None] * k]
-    order: list[int | None] = [None]  # element per vertex (None = root)
-
-    def vertex(e: int) -> int:
-        v = vertex_of.get(e)
-        if v is None:
-            v = len(labels)
-            vertex_of[e] = v
-            labels.append(S.element_name(e))
-            images.append(e)
-            out.append([None] * k)
-            order.append(e)
-        return v
-
-    head = 0
-    while head < len(labels):
-        v = head
-        head += 1
-        e = order[v]
-        for a in range(k):
-            ge = S.gens[a]
-            if e is None:
-                f = ge
-            elif right:
-                f = S.mult(e, ge)
-            else:
-                f = S.mult(ge, e)
-            out[v][a] = vertex(f)
-
-    if len(labels) != S.size + 1:
-        # cannot happen for a generated semigroup, kept as a guard
-        raise AssertionError("Cayley graph did not reach every element")
-    g = RootedLabeledGraph(S.gen_names, labels, out, images)
-    g.element_vertex = {e: v for e, v in vertex_of.items()}  # type: ignore[attr-defined]
-    return g
+    return right_cayley(opposite(S))
 
 
 def sccs(G: RootedLabeledGraph | Sequence[Sequence[int | None]]) -> list[int]:
@@ -198,6 +173,16 @@ def closed_classes(G: RootedLabeledGraph | Sequence[Sequence[int | None]]) -> li
         if closed[c]:
             classes.setdefault(c, []).append(v)
     return list(classes.values())
+
+
+def minimal_ideal_vertices(G: RootedLabeledGraph | Sequence[Sequence[int | None]]) -> list[int]:
+    """The vertices of all closed classes, in increasing order.
+
+    On a right action of generators, such as a right Cayley graph, the
+    closed classes are the minimal right ideals, so this is the minimal
+    ideal.
+    """
+    return sorted(v for cls in closed_classes(G) for v in cls)
 
 
 def transition_edges(

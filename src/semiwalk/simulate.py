@@ -2,16 +2,19 @@
 
 A walker's state is a minimal ideal-entering word w.  A step draws a letter
 a and moves to the shortest prefix of a·w whose product lies in the minimal
-ideal.  Before a run the walk is compiled to lists: the right action
-``right[e][b] = e·b`` of each generator on S, an ideal flag per element of
-S, and the rows of the automaton that lumps words onto states (the
-Karnofsky-Rhodes graph for "kr_ideal"; for "k_s" the right action itself,
-so the vertex is the element).  One loop then reads a·w letter by letter,
-advancing the element and the lumping vertex together, and stops at the
-first letter whose element is in the ideal.  Nothing is memoized: a step
-costs time linear in the length of the word it enters the ideal with.
-Ideal entry is decided by S's own multiplication, so the walk depends on
-the expansion code only through the final lumping.
+ideal.  Before a run the walk is compiled to lists: S's right-action
+table ``right[e][b] = e·gens[b]`` (``ASemigroup.right_action``), an ideal
+flag per element of S, and the rows of the automaton that lumps words onto
+states (the Karnofsky-Rhodes graph for "kr_ideal"; for "k_s" the right
+action itself, so the vertex is the element).  One loop then reads a·w
+letter by letter, advancing the element and the lumping vertex together,
+and stops at the first letter whose element is in the ideal.  Nothing is
+memoized: a step costs time linear in the length of the word it enters the
+ideal with.  Ideal entry is decided by S's own multiplication, so the walk
+depends on the expansion code only through the final lumping.  The default
+start word of ``simulate_state_at`` is the representative word of the
+first ideal element in the search's discovery order, the shortlex-least
+ideal-entering word.
 
 Random number generator contract: SplitMix64 (Steele, Lea and Flood,
 OOPSLA 2014), 64-bit state, advancing by the golden-ratio increment and
@@ -105,7 +108,7 @@ class _WalkTables:
 
     def __init__(self, S: ASemigroup, ideal, space: str):
         self.gens = S.gens
-        self.right = [[S.mult(e, g) for g in S.gens] for e in range(S.size)]
+        self.right = S.right_action()[0]
         self.in_ideal = [e in ideal.members for e in range(S.size)]
         if space == "kr_ideal":
             g = karnofsky_rhodes(S).graph
@@ -248,18 +251,7 @@ def simulate_state_at(
 
 
 def _lex_first_code_word(S: ASemigroup, I) -> Word:
-    frontier: list[tuple[Word, int]] = []
-    for a, e in enumerate(S.gens):
-        if e in I.members:
-            return (a,)
-        frontier.append(((a,), e))
-    while frontier:
-        nxt = []
-        for word, e in frontier:
-            for a, ge in enumerate(S.gens):
-                f = S.mult(e, ge)
-                if f in I.members:
-                    return word + (a,)
-                nxt.append((word + (a,), f))
-        frontier = nxt
-    raise SemigroupError("ideal unreachable from the generators")
+    """The shortlex-least word entering the ideal: the representative word
+    of the ideal element the search discovers first."""
+    _, order, words = S.right_action()
+    return words[next(e for e in order if e in I.members)]

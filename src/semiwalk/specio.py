@@ -26,14 +26,16 @@ def semigroup_from_spec(data: dict) -> ASemigroup:
     kind = data["kind"]
     if kind == "table":
         table = data.get("table")
-        gen_names = data.get("generators")
+        gen_names = _strings(data, "generators")
         if table is None or gen_names is None:
             raise SemigroupError("table spec needs 'table' and 'generators'")
         gens = data.get("gen_elements", list(range(len(gen_names))))
+        if not isinstance(gens, list):
+            raise SemigroupError("'gen_elements' must be a list of element indices")
         if len(gens) != len(gen_names):
             raise SemigroupError("gen_elements and generators must align")
         return semigroup_from_table(
-            table, gens, gen_names, data.get("element_names")
+            table, gens, gen_names, _strings(data, "element_names")
         )
     if kind == "transformations":
         states = data.get("states")
@@ -43,11 +45,21 @@ def semigroup_from_spec(data: dict) -> ASemigroup:
         return semigroup_from_transformations(states, maps)
     if kind == "family":
         name = data.get("family")
-        if not name:
-            raise SemigroupError("family spec needs a 'family' name")
+        if not name or not isinstance(name, str):
+            raise SemigroupError(f"family spec needs a 'family' name, got {name!r}")
         params = {k: v for k, v in data.items() if k not in ("kind", "family")}
         return build(FamilySpec(name, params))
     raise SemigroupError(f"unknown spec kind {kind!r}")
+
+
+def _strings(data: dict, field: str) -> list[str] | None:
+    """The field's value, which must be absent or a list of strings."""
+    value = data.get(field)
+    if value is not None and not (
+        isinstance(value, list) and all(isinstance(v, str) for v in value)
+    ):
+        raise SemigroupError(f"{field!r} must be a list of strings")
+    return value
 
 
 def load_spec(path: str) -> ASemigroup:

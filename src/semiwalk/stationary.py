@@ -43,7 +43,7 @@ from .core import (
     minimal_ideal,
 )
 from .expansions import KRExpansion, McExpansion, karnofsky_rhodes, mccammond
-from .graphs import closed_classes
+from .graphs import minimal_ideal_vertices
 from .kleene import (
     EPSILON,
     KleeneExpr,
@@ -510,7 +510,7 @@ def _stationary_kr_limit(S: ASemigroup, xs: Sequence[Fraction]) -> StationaryRes
 
     # each state u·0 of KR(S⁰) with mass in the limit is the vertex of u in KR(S)
     kr1 = karnofsky_rhodes(S)
-    ideal_vertices = {v for cls in closed_classes(kr1.graph) for v in cls}
+    ideal_vertices = set(minimal_ideal_vertices(kr1.graph))
     zero_gen = S.n_gens
     masses, nf_words, alt_labels = {}, {}, {}
     for alt_label, limit in limits.items():

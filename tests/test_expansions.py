@@ -28,7 +28,7 @@ def test_kr_flipflop_two_zero_vertices(flipflop):
     v_direct = kr.graph.follow(0, (0,))
     v_via_one = kr.graph.follow(0, (1, 0))
     assert v_direct != v_via_one
-    assert kr.s_image(v_direct) == kr.s_image(v_via_one) == 0
+    assert kr.graph.s_image[v_direct] == kr.graph.s_image[v_via_one] == 0
 
 
 def test_mc_vertex_counts(klein, p3):

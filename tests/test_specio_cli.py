@@ -199,6 +199,42 @@ def test_cli_generator_element_out_of_range_exit_2(tmp_path, capsys):
     assert err.startswith("error:") and "generator elements" in err
 
 
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "transformations", "states": "2", "maps": {"a": [0, 1]}},
+     "states must be an integer"),
+    ({"kind": "transformations", "states": 2, "maps": [[0, 1]]},
+     "maps must be an object"),
+    ({"kind": "transformations", "states": 2, "maps": {"a": 3}},
+     "map 'a' is not total"),
+    ({"kind": "table", "generators": ["a"], "table": [["0"]]},
+     "integer entries"),
+    ({"kind": "table", "generators": ["a"], "table": [0]},
+     "list of rows"),
+    ({"kind": "table", "generators": 5, "table": [[0]]},
+     "'generators' must be a list of strings"),
+    ({"kind": "table", "generators": [1], "table": [[0]]},
+     "'generators' must be a list of strings"),
+    ({"kind": "table", "generators": ["a"], "table": [[0]], "gen_elements": 0},
+     "'gen_elements' must be a list"),
+    ({"kind": "table", "generators": ["a"], "table": [[0]], "element_names": 5},
+     "'element_names' must be a list of strings"),
+    ({"kind": "family", "family": "tsetlin", "n": "3"},
+     "tsetlin.n must be an integer"),
+    ({"kind": "family", "family": "tsetlin", "n": 2.5},
+     "tsetlin.n must be an integer"),
+    ({"kind": "family", "family": ["x"]}, "needs a 'family' name"),
+    ({"kind": "family", "family": "nope"}, "unknown family 'nope'"),
+], ids=["states-string", "maps-list", "map-not-list", "table-string-entry",
+        "table-row-not-list", "generators-int", "generator-name-int",
+        "gen-elements-int", "element-names-int", "family-n-string",
+        "family-n-float", "family-name-list", "family-unknown"])
+def test_cli_malformed_spec_field_exit_2(tmp_path, capsys, spec, message):
+    code, out, err = run_cli(["build", "--spec", _malformed_spec(tmp_path, spec)],
+                             capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and message in err
+
+
 def test_cli_verify_limit_mode_reports_skip(capsys):
     code, out, _ = run_cli(["verify", "--family", "z2x01"], capsys)
     assert code == 0
