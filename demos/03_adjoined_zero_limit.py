@@ -1,12 +1,15 @@
 """The adjoined-zero limit for walks whose recurrent states keep moving.
 
 When the minimal ideal is not left zero, walks never settle into absorbing
-states and the word-level argument does not apply directly.  Adjoining a
-fresh zero generator with weight t restores absorption; the stationary law
-of the original walk is the exact limit t -> 0.  It is computed here over
-truncated power series in t with exact coefficients: a series that loses
-every known term to cancellation raises, and the run repeats at double the
-precision, so the limit is never read from a truncated-away term.
+states and the word-level argument does not apply directly.  Killing the
+walk with weight t at each step restores absorption: the walk on the
+expansion stops at state u·0 of the expansion of S with a zero generator
+of weight t adjoined, the normal form printed beside each state.  The
+stationary law of the original walk is the exact limit t -> 0.  It is
+computed here over truncated power series in t with exact coefficients: a
+series that loses every known term to cancellation raises, and the run
+repeats at double the precision, so the limit is never read from a
+truncated-away term.
 """
 
 from fractions import Fraction

@@ -407,11 +407,15 @@ def adjoin_zero(S: ASemigroup) -> ASemigroup:
             return zero
         return m(i, j)
 
-    names = S.element_names()
-    zname = _fresh_name(ZERO_NAME, S.gen_names + names)
-    names.append(zname)
+    zname = zero_name(S)
+    names = S.element_names() + [zname]
     # Adjoining a zero keeps S associative and generated.
     return ASemigroup(zero + 1, S.gens + [zero], S.gen_names + [zname], mult, names)
+
+
+def zero_name(S: ASemigroup) -> str:
+    """Name of the zero that ``adjoin_zero`` adds, as element and generator."""
+    return _fresh_name(ZERO_NAME, S.gen_names + S.element_names())
 
 
 def opposite(S: ASemigroup) -> ASemigroup:

@@ -45,8 +45,10 @@ DESK_CAPS = {
     "flipflop": {},
     "z2x01": {},
     "burnside_straightline": {"n": (1, 6)},
-    "bar_tower": {"n": (2, 3), "depth": (0, 3)},
-    "flat_tower": {"n": (2, 3), "depth": (1, 3)},
+    # a tower's depth range depends on n: deeper towers exceed the
+    # Karnofsky-Rhodes expansion's size cap
+    "bar_tower": {"n": (2, 3), "depth": {2: (0, 2), 3: (0, 1)}},
+    "flat_tower": {"n": (2, 3), "depth": {2: (1, 3), 3: (1, 2)}},
 }
 
 
@@ -79,15 +81,20 @@ def _check_caps(spec: FamilySpec) -> None:
     caps = DESK_CAPS.get(spec.name)
     if caps is None:
         raise SemigroupError(f"unknown family {spec.name!r}; known: {sorted(DESK_CAPS)}")
-    for key, value in spec.params.items():
+    # n first: a tower's depth range is keyed by its n
+    for key, value in sorted(spec.params.items(), key=lambda kv: kv[0] != "n"):
         if key not in caps:
             raise SemigroupError(f"family {spec.name!r} has no parameter {key!r}")
         if isinstance(value, bool) or not isinstance(value, int):
             raise SemigroupError(f"{spec.name}.{key} must be an integer, got {value!r}")
-        lo, hi = caps[key]
+        bounds, where = caps[key], ""
+        if isinstance(bounds, dict):
+            n = spec.params.get("n", 2)  # the towers' default n
+            bounds, where = bounds[n], f" for n={n}"
+        lo, hi = bounds
         if not (lo <= value <= hi):
             raise SemigroupError(
-                f"{spec.name}.{key}={value} outside desk-scale range [{lo}, {hi}]"
+                f"{spec.name}.{key}={value} outside desk-scale range [{lo}, {hi}]{where}"
             )
 
 

@@ -1,10 +1,10 @@
 """Functions of one variable t over exact rationals, for the t -> 0 limit.
 
-The adjoined-zero limit runs the engine with generator weights scaled by
-(1-t) and the new zero generator weighted t, then takes the limit t -> 0 of
-every stationary value.  ``Series`` carries only the low-order terms of
-each value, which is all the limit reads; ``RatF`` carries the full
-gcd-normalised rational function and serves as an independent reference.
+Limit mode runs the t-killed walk on the expansion of S, weights scaled by
+(1-t): t times a walk weight is a state's mass on the expansion of S with a
+zero of weight t adjoined, and the law is its limit t -> 0.  ``Series``
+carries only the low-order terms, which is all the limit reads; ``RatF``
+carries the full rational function and serves as an independent reference.
 """
 
 from __future__ import annotations

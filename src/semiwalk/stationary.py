@@ -18,13 +18,14 @@ outward, which fixes the printed factored form.
 When the minimal ideal is left zero the per-normal-form sums added per
 Karnofsky-Rhodes vertex are the stationary distribution of the expanded
 chain; lumping by underlying element gives the chain on the semigroup
-itself.  Otherwise a fresh zero generator is adjoined with formal weight t,
-the user's weights are scaled by (1-t), the left-zero pipeline runs over
-truncated power series in t, the limit t -> 0 is taken exactly from their
-leading terms, and the vertex of u·0 becomes the vertex of u.  A series
-that loses every known term to cancellation raises, and the pipeline
-reruns at double the precision.  Both modes name a state by the
-shortlex-first word reaching its vertex, as chains and simulations do.
+itself.  Otherwise limit mode runs the t-killed walk on KR(S): weights
+scaled by (1-t), nothing absorbing, and t times the walk weight onto a
+vertex u is the mass of the state u·0 of KR(S⁰), S with a zero generator
+of weight t adjoined.  Over truncated power series in t, the limit t -> 0
+is read exactly from their leading terms; only the minimal ideal of KR(S)
+keeps mass.  A series that loses every known term to cancellation raises,
+and the pass reruns at double the precision.  Both modes name a state by
+the shortlex-first word reaching its vertex, as chains and simulations do.
 """
 
 from __future__ import annotations
@@ -38,11 +39,13 @@ from .core import (
     IdealSet,
     SemigroupError,
     Word,
-    adjoin_zero,
     kernel_is_left_zero,
+    label_sep,
     minimal_ideal,
+    zero_name,
 )
-from .expansions import KRExpansion, McExpansion, karnofsky_rhodes, mccammond
+from .expansions import DEFAULT_KR_CAP, DEFAULT_MC_CAP, KRExpansion, McExpansion
+from .expansions import karnofsky_rhodes, mccammond
 from .graphs import minimal_ideal_vertices
 from .kleene import (
     EPSILON,
@@ -187,31 +190,24 @@ class NormalFormSet:
 
 
 class StationaryEngine:
-    """Shared expansion state for one semigroup and one target ideal."""
+    """Shared expansion state for one semigroup and one target ideal.  An
+    empty ideal (limit mode's ``frozenset()``) leaves every vertex live."""
 
     def __init__(
         self,
         S: ASemigroup,
-        ideal: IdealSet | None = None,
-        kr_cap: int | None = None,
-        mc_cap: int | None = None,
+        ideal: IdealSet | frozenset[int] | None = None,
+        kr_cap: int = DEFAULT_KR_CAP,
+        mc_cap: int = DEFAULT_MC_CAP,
     ):
         self.S = S
         self.ideal = ideal if ideal is not None else minimal_ideal(S)
-        kw = {}
-        if kr_cap is not None:
-            kw["cap"] = kr_cap
-        self.kr: KRExpansion = karnofsky_rhodes(S, **kw)
-        kw = {}
-        if mc_cap is not None:
-            kw["cap"] = mc_cap
-        self.mc: McExpansion = mccammond(self.kr.graph, **kw)
+        self.kr: KRExpansion = karnofsky_rhodes(S, cap=kr_cap)
+        self.mc: McExpansion = mccammond(self.kr.graph, cap=mc_cap)
 
         g = self.mc.graph
-        members = self.ideal.members
-        self._in_ideal = [
-            (img is not None and img in members) for img in g.s_image
-        ]
+        ideal = self.ideal  # the root's image, None, is in no ideal
+        self._in_ideal = [img in ideal for img in g.s_image]
         self.live = [v for v in range(g.n) if not self._in_ideal[v]]
 
         forms = []
@@ -311,19 +307,19 @@ class StationaryEngine:
         return step, exits
 
     def values(self, xs: Sequence) -> dict[int, object]:
-        """Walk-weight sum per normal form (keyed by expansion vertex): the
-        bottom-up pass, then top-down the prefix product of steps from the
-        root.
+        """Walk-weight sum onto every live vertex and normal form (keyed by
+        expansion vertex): the bottom-up pass, then top-down the prefix
+        product of steps from the root; a normal form's step is its letter.
         """
         step = self._reduce(xs, keep=False)[0]
         parent, parent_gen = self.mc.parent, self.mc.parent_gen
         prefix = {0: step[0]}
         for v in self.live[1:]:
             prefix[v] = prefix[parent[v]] * step[v]
-        return {
-            f: prefix[parent[f]] * xs[parent_gen[f]]
-            for f in (nf.mc_vertex for nf in self.normal_forms)
-        }
+        for nf in self.normal_forms:
+            f = nf.mc_vertex
+            prefix[f] = prefix[parent[f]] * xs[parent_gen[f]]
+        return prefix
 
     # -- symbolic expression for one normal form ------------------------------
 
@@ -409,7 +405,7 @@ def nf_preimage_expr(
 class KeyInfo:
     label: str
     word: Word | None = None  # shortlex-first word reaching the KR vertex
-    alt_label: str | None = None  # the same name on KR(S⁰), in limit mode
+    alt_label: str | None = None  # limit mode: the state's name u·0 on KR(S⁰)
     element: int | None = None  # underlying semigroup element
     kr_vertex: int | None = None  # vertex in the expansion of the input
     nf_words: tuple[Word, ...] = ()
@@ -484,21 +480,30 @@ def _stationary_kr_direct(
     for nf in engine.normal_forms:
         _acc(masses, nf.kr_vertex, vals[nf.mc_vertex])
         nf_words.setdefault(nf.kr_vertex, []).append(nf.word)
+    del vals  # the live vertices' values: free them before the result is built
     return _kr_result(engine.kr, masses, nf_words, {})
 
 
 def _stationary_kr_limit(S: ASemigroup, xs: Sequence[Fraction]) -> StationaryResult:
-    S2 = adjoin_zero(S)
-    I2 = minimal_ideal(S2)
-    engine = StationaryEngine(S2, I2)
+    """Limit mode (see the module docstring): the mass of u is the limit of
+    t times the walk weights onto the simple paths that end at u."""
+    engine = StationaryEngine(S, frozenset())  # nothing absorbs: all live
+    kr, mc = engine.kr, engine.mc
+    ideal_vertices = set(minimal_ideal_vertices(kr.graph))
+    onto: dict[int, list[int]] = {}  # ideal vertex -> the MC vertices onto it
+    for p, u in enumerate(mc.endpoint):
+        if u in ideal_vertices:
+            onto.setdefault(u, []).append(p)
     prec = LIMIT_START_PRECISION
     while True:
         t = Series.variable(prec)
         one_minus_t = t.one() - t
-        xs2 = [Series.const(v, prec) * one_minus_t for v in xs] + [t]
         try:
-            sym = _stationary_kr_direct(S2, xs2, I2, engine)
-            limits = {k: v.limit_at_zero() for k, v in sym.entries.items()}
+            vals = engine.values([Series.const(v, prec) * one_minus_t for v in xs])
+            masses = {
+                u: (t * sum([vals[p] for p in ps[1:]], vals[ps[0]])).limit_at_zero()
+                for u, ps in onto.items()
+            }
             break
         except PrecisionLost as exc:
             if prec >= LIMIT_MAX_PRECISION:
@@ -508,33 +513,14 @@ def _stationary_kr_limit(S: ASemigroup, xs: Sequence[Fraction]) -> StationaryRes
                 ) from exc
             prec = min(2 * prec, LIMIT_MAX_PRECISION)
 
-    # each state u·0 of KR(S⁰) with mass in the limit is the vertex of u in KR(S)
-    kr1 = karnofsky_rhodes(S)
-    ideal_vertices = set(minimal_ideal_vertices(kr1.graph))
-    zero_gen = S.n_gens
-    masses, nf_words, alt_labels = {}, {}, {}
-    for alt_label, limit in limits.items():
-        ki = sym.key_info[alt_label]
-        word2 = ki.word
-        if any(g == zero_gen for g in word2[:-1]) or word2[-1] != zero_gen:
-            # the adjoined zero letter can only appear once, at the very end
-            raise AssertionError("malformed adjoined-zero normal form")
-        u = word2[:-1]
-        if not u:
-            if limit != 0:
-                raise AssertionError("pure-zero state must vanish in the limit")
-            continue
-        v1 = kr1.graph.follow(kr1.graph.root, u)
-        if v1 not in ideal_vertices:
-            if limit != 0:
-                raise AssertionError(
-                    "state outside the expansion ideal kept mass in the limit"
-                )
-            continue
-        if v1 in masses:
-            raise AssertionError("two adjoined-zero states mapped to one state")
-        masses[v1], nf_words[v1], alt_labels[v1] = limit, ki.nf_words, alt_label
-    return _kr_result(kr1, masses, nf_words, alt_labels)
+    # names on KR(S⁰): the normal forms onto u·0 are the simple paths onto
+    # u followed by the zero letter, already sorted (no simple path onto u
+    # extends another), and u's word then the zero letter first reaches u·0
+    names0 = S.gen_names + [zero_name(S)]
+    sep, z = label_sep(names0), (S.n_gens,)
+    nf_words = {u: [mc.words[p] + z for p in ps] for u, ps in onto.items()}
+    alt_labels = {u: sep.join([names0[g] for g in kr.words[u] + z]) for u in onto}
+    return _kr_result(kr, masses, nf_words, alt_labels)
 
 
 def _kr_result(kr: KRExpansion, masses: dict, nf_words: dict,

@@ -220,3 +220,14 @@ def test_all_family_names_buildable():
     for name in DESK_CAPS:
         S = build(FamilySpec(name))
         assert S.size >= 1
+
+
+def test_tower_depth_range_reads_n_or_its_default():
+    with pytest.raises(SemigroupError, match=r"depth=3 .* \[0, 2\] for n=2"):
+        build(FamilySpec("bar_tower", {"depth": 3}))
+    # the range follows n wherever n stands among the parameters
+    with pytest.raises(SemigroupError, match=r"depth=2 .* \[0, 1\] for n=3"):
+        build(FamilySpec("bar_tower", {"depth": 2, "n": 3}))
+    # n is checked before the depth range it selects
+    with pytest.raises(SemigroupError, match=r"n=4 outside desk-scale range \[2, 3\]"):
+        build(FamilySpec("bar_tower", {"depth": 1, "n": 4}))

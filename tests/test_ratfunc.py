@@ -3,17 +3,21 @@ from fractions import Fraction
 
 import pytest
 
-from semiwalk import stationary
+from semiwalk import core, stationary
 from semiwalk.core import (
     adjoin_zero,
     kernel_is_left_zero,
     minimal_ideal,
     semigroup_from_transformations,
 )
+from semiwalk.expansions import karnofsky_rhodes
 from semiwalk.families import build, parse_family
+from semiwalk.graphs import minimal_ideal_vertices
 from semiwalk.ratfunc import PrecisionLost, RatF, Series
 from semiwalk.stationary import (
     LimitPrecisionExceeded,
+    StationaryEngine,
+    _kr_result,
     _stationary_kr_direct,
     stationary_kr,
     uniform_probs,
@@ -183,14 +187,14 @@ def test_precision_retry_gives_same_limits(monkeypatch):
     expected = [stationary_kr(S, uniform_probs(S)).entries for S in cases]
 
     passes = []
-    direct = stationary._stationary_kr_direct
+    values = StationaryEngine.values
 
-    def counted(S2, xs2, *args):
-        passes.append(len(xs2[-1].cs))  # precision of the zero weight t
-        return direct(S2, xs2, *args)
+    def counted(engine, xs, *args):
+        passes.append(len(xs[0].cs))  # precision of the scaled weights
+        return values(engine, xs, *args)
 
     monkeypatch.setattr(stationary, "LIMIT_START_PRECISION", 1)
-    monkeypatch.setattr(stationary, "_stationary_kr_direct", counted)
+    monkeypatch.setattr(StationaryEngine, "values", counted)
     retried = 0
     for S, want in zip(cases, expected):
         passes.clear()
@@ -205,3 +209,92 @@ def test_precision_cap_error(monkeypatch, z2x01):
     monkeypatch.setattr(stationary, "LIMIT_MAX_PRECISION", 1)
     with pytest.raises(LimitPrecisionExceeded, match=r"limit stage.*1 terms"):
         stationary_kr(z2x01, uniform_probs(z2x01))
+
+
+# -- limit mode against the S⁰ route, its reference -------------------------------
+
+
+def reference_limit(S, xs):
+    """The S⁰ route: adjoin a zero generator of weight t, run the direct
+    pipeline on S⁰ over series and map each state u·0 back to the vertex of
+    u in KR(S), keeping the minimal ideal of KR(S)."""
+    S2 = adjoin_zero(S)
+    I2 = minimal_ideal(S2)
+    engine = StationaryEngine(S2, I2)
+    prec = stationary.LIMIT_START_PRECISION
+    while True:
+        t = Series.variable(prec)
+        one_minus_t = t.one() - t
+        xs2 = [Series.const(v, prec) * one_minus_t for v in xs] + [t]
+        try:
+            sym = _stationary_kr_direct(S2, xs2, I2, engine)
+            limits = {k: v.limit_at_zero() for k, v in sym.entries.items()}
+            break
+        except PrecisionLost:
+            prec *= 2
+    kr = karnofsky_rhodes(S)
+    ideal_vertices = set(minimal_ideal_vertices(kr.graph))
+    masses, nf_words, alt_labels = {}, {}, {}
+    for alt_label, limit in limits.items():
+        ki = sym.key_info[alt_label]
+        assert ki.word[-1] == S.n_gens and S.n_gens not in ki.word[:-1]
+        u = kr.graph.follow(kr.graph.root, ki.word[:-1])
+        if u not in ideal_vertices:
+            assert limit == 0  # the pure zero and states outside the ideal
+            continue
+        assert u not in masses
+        masses[u], nf_words[u], alt_labels[u] = limit, ki.nf_words, alt_label
+    return _kr_result(kr, masses, nf_words, alt_labels)
+
+
+S27 = {"a": [1, 2, 1], "b": [2, 0, 1], "c": [0, 2, 1]}
+
+
+def _limit_cases():
+    """LIMIT_FIXTURES, (2/5, 3/5) on two of them, 20 seeded draws and the
+    |S| = 27 draw (also with a generator named □), each with its weights."""
+    named = [(n, build(parse_family(n))) for n, _ in LIMIT_FIXTURES]
+    named += [(f"draw{i}", S) for i, S in enumerate(random_limit_draws(20, seed=2017))]
+    named.append(("size27", semigroup_from_transformations(3, S27)))
+    # a generator named like the zero: the zero is primed, and S⁰'s
+    # two-character name changes how labels join
+    boxed = dict(zip(["□", "b", "c"], S27.values()))
+    named.append(("size27-box", semigroup_from_transformations(3, boxed)))
+    cases = [pytest.param(S, uniform_probs(S), id=n) for n, S in named]
+    for n, S in named[:2]:  # rees_general and z2x01
+        cases.append(pytest.param(S, [Fraction(2, 5), Fraction(3, 5)], id=n + "@2/5"))
+    return cases
+
+
+@pytest.mark.parametrize("S,xs", _limit_cases())
+def test_limit_mode_matches_s0_route(S, xs):
+    got = stationary_kr(S, xs, force_limit=True)
+    want = reference_limit(S, xs)
+    assert list(got.entries.items()) == list(want.entries.items())
+    assert list(got.key_info.items()) == list(want.key_info.items())
+
+
+def test_limit_mode_expands_s_once_and_no_s0(monkeypatch):
+    S = build(parse_family("rees_general"))
+    seen = []
+
+    def spy(name):
+        fn = getattr(stationary, name)
+
+        def wrapped(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            seen.append((name, args[0], result))
+            return result
+        monkeypatch.setattr(stationary, name, wrapped)
+
+    def no_zero(*args, **kwargs):
+        raise AssertionError("limit mode adjoined a zero")
+
+    spy("karnofsky_rhodes")
+    spy("mccammond")
+    monkeypatch.setattr(core, "adjoin_zero", no_zero)
+    monkeypatch.setattr(stationary, "adjoin_zero", no_zero, raising=False)
+    stationary_kr(S, uniform_probs(S))
+    assert [name for name, _, _ in seen] == ["karnofsky_rhodes", "mccammond"]
+    (_, kr_arg, kr), (_, mc_arg, _) = seen
+    assert kr_arg is S and mc_arg is kr.graph

@@ -1,5 +1,4 @@
 import gc
-import itertools
 import json
 import subprocess
 import sys
@@ -375,12 +374,16 @@ def test_cli_cyclic_garbage_does_not_grow_with_the_input(capsys, command,
 
 
 def _desk_corners():
-    """Every family with each parameter at the low or high end of its range."""
+    """Every family with each parameter at the low or high end of its range
+    (a tower's depth range is keyed by its n)."""
     corners = []
     for name, caps in DESK_CAPS.items():
-        ends = [sorted(set(caps[key])) for key in caps]
-        for values in itertools.product(*ends):
-            corners.append(name + (":" + ",".join(map(str, values)) if values else ""))
+        values = [()]
+        for bounds in caps.values():
+            values = [v + (end,) for v in values for end in sorted(set(
+                bounds[v[0]] if isinstance(bounds, dict) else bounds))]
+        corners += [name + (":" + ",".join(map(str, v)) if v else "")
+                    for v in values]
     return corners
 
 
@@ -390,14 +393,25 @@ def test_desk_corner_count():
 
 @pytest.mark.parametrize("corner", _desk_corners())
 def test_desk_corners_finish_or_name_the_cap(corner, capsys):
-    # in range means: a law within the budget, or exit 2 naming the stage
+    # in range means a law within the budget; what the caps cannot reach
+    # is out of range (see the next test)
     start = time.perf_counter()
     code, out, err = run_cli(["stationary", "--family", corner], capsys)
     assert time.perf_counter() - start < 30
-    if code == 0:
-        assert out
-    else:
-        assert code == 2
-        stages = ("Karnofsky-Rhodes expansion", "McCammond expansion",
-                  "transformation closure")
-        assert any(stage in err for stage in stages) and "exceeded cap" in err
+    assert code == 0 and out, err
+
+
+@pytest.mark.parametrize("family,message", [
+    pytest.param(family, message, id=family) for family, message in [
+        ("bar_tower:2,3", "bar_tower.depth=3 outside desk-scale range [0, 2] for n=2"),
+        ("bar_tower:3,2", "bar_tower.depth=2 outside desk-scale range [0, 1] for n=3"),
+        ("bar_tower:3,3", "bar_tower.depth=3 outside desk-scale range [0, 1] for n=3"),
+        ("flat_tower:3,3", "flat_tower.depth=3 outside desk-scale range [1, 2] for n=3"),
+        ("flat_tower:4,1", "flat_tower.n=4 outside desk-scale range [2, 3]"),
+    ]
+])
+def test_towers_out_of_reach_are_out_of_range(family, message, capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(["stationary", "--family", family], capsys)
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (2, "") and message in err
