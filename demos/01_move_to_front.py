@@ -33,7 +33,7 @@ print(f"expanded: {kr.graph.n} vertices (simple-path expansion adds none: "
 
 nfs = normal_forms(S)
 print("\nnormal forms (= arrangements):",
-      " ".join(S.word_label(w) for w in nfs.words))
+      " ".join(S.word_label(nf.word) for nf in nfs))
 
 x = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]
 result = stationary_kr(S, x)

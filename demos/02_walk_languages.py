@@ -36,7 +36,7 @@ for nf in engine.normal_forms:
 
 print("\ntotal:", sum(values[nf.mc_vertex] for nf in engine.normal_forms))
 
-nf0 = engine.normal_forms.forms[0]
+nf0 = engine.normal_forms[0]
 expr0 = engine.expression(nf0)
 truncated = sum(series(expr0, x, 14))
 print(f"partial sums of the {S.word_label(nf0.word)} series up to length 14: "

@@ -42,7 +42,6 @@ from .expansions import (
     is_mc_stable,
     is_stable1,
     karnofsky_rhodes,
-    mc_kr,
     mccammond,
 )
 from .kleene import (

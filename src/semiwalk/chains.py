@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 from .core import ASemigroup, SemigroupError, minimal_ideal
 from .expansions import karnofsky_rhodes, mccammond
-from .graphs import closed_classes, minimal_ideal_vertices, sccs, transition_edges
+from .graphs import closed_classes, minimal_ideal_vertices, sccs
 
 
 class NotConverged(ArithmeticError):
@@ -265,30 +265,20 @@ class MixingBound:
 
 
 def mixing_bound(S: ASemigroup, xs: Sequence[Fraction], c: int = 1) -> MixingBound:
-    kr = karnofsky_rhodes(S)
-    mc = mccammond(kr.graph)
-    g = mc.graph
-    comp = sccs(g)
-    trans = transition_edges(g, comp)
+    mc = mccammond(karnofsky_rhodes(S).graph)
+    comp = sccs(mc.out)
+    parent = mc.parent
 
-    children: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for (v, a) in mc.tree_edges:
-        children[v].append((g.out[v][a], a))
-
-    depth = [0] * g.n
-    run = [0] * g.n  # current run of consecutive non-transitional tree edges
-    best_depth = 0
-    best_run = 0
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        if not children[v]:
-            best_depth = max(best_depth, depth[v])
-        for w, a in children[v]:
-            depth[w] = depth[v] + 1
-            run[w] = 0 if (v, a) in trans else run[v] + 1
-            best_run = max(best_run, run[w])
-            stack.append(w)
+    # parents come before children; a tree edge is transitional when its
+    # ends lie in different components
+    depth = [0] * len(parent)
+    run = [0] * len(parent)  # current run of consecutive non-transitional tree edges
+    for w in range(1, len(parent)):
+        v = parent[w]
+        depth[w] = depth[v] + 1
+        run[w] = 0 if comp[v] != comp[w] else run[v] + 1
+    best_depth = max(depth)
+    best_run = max(run)
 
     p = min(Fraction(v) for v in xs)
     gap = 1 + best_run

@@ -245,11 +245,11 @@ def semigroup_from_table(
     n = len(table)
     rows = [list(r) for r in table]
     for r in rows:
-        if len(r) != n or not all(isinstance(x, int) and 0 <= x < n for x in r):
+        if len(r) != n or not all(_is_int(x) and 0 <= x < n for x in r):
             raise SemigroupError(
                 f"table must be {n} x {n} with integer entries in 0..{n - 1}"
             )
-    if not all(isinstance(g, int) and 0 <= g < n for g in gens):
+    if not all(_is_int(g) and 0 <= g < n for g in gens):
         raise SemigroupError(f"generator elements must lie in 0..{n - 1}")
     if gen_names is None:
         gen_names = [_default_gen_name(i) for i in range(len(gens))]
@@ -261,6 +261,11 @@ def semigroup_from_table(
     S.check_generated()
     S.check_associative()
     return S
+
+
+def _is_int(x) -> bool:
+    """An integer that is not a boolean (JSON's true and false are not indices)."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _default_gen_name(i: int) -> str:
@@ -279,7 +284,7 @@ def semigroup_from_transformations(
     the right-Cayley convention where following the edge labelled ``a``
     from the vertex of ``w`` lands on the vertex of ``wa``.
     """
-    if not isinstance(n_states, int):
+    if not _is_int(n_states):
         raise SemigroupError(f"states must be an integer, got {n_states!r}")
     if not isinstance(maps, dict):
         raise SemigroupError("maps must be an object from generator names to maps")
@@ -288,7 +293,7 @@ def semigroup_from_transformations(
     for name in gen_names:
         m = maps[name]
         if not isinstance(m, (list, tuple)) or len(m) != n_states or not all(
-            isinstance(q, int) and 0 <= q < n_states for q in m
+            _is_int(q) and 0 <= q < n_states for q in m
         ):
             raise SemigroupError(f"map {name!r} is not total on 0..{n_states - 1}")
         gen_maps.append(tuple(m))

@@ -8,10 +8,13 @@ right Cayley graph, so it carries a semigroup structure of its own.
 The McCammond expansion of a deterministic rooted graph has one vertex per
 simple path from the root; an edge either extends a simple path (tree edge)
 or falls back to the unique initial segment ending at the target vertex
-(back edge).
+(back edge).  It is kept as an integer tree; its words and labelled graph
+are built on demand.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from .core import ASemigroup, SizeCapExceeded, Word, label_sep
 from .graphs import RootedLabeledGraph, graphs_isomorphic, right_cayley, sccs, transition_edges
@@ -105,15 +108,38 @@ def _word_labels(names, root_label: str, words: list[Word]) -> list[str]:
 
 
 class McExpansion:
-    """McCammond expansion: graph over simple paths, spanning tree marked."""
+    """McCammond expansion as an integer tree over the simple paths.
 
-    def __init__(self, base_graph, graph, parent, parent_gen, endpoint, words):
+    Vertex v > 0 extends the path ``parent[v]`` by the letter
+    ``parent_gen[v]`` and ends at ``endpoint[v]`` of the input graph;
+    ``out`` holds the tree edges and the back edges to initial segments.
+    """
+
+    def __init__(self, base_graph, out, parent, parent_gen, endpoint):
         self.base_graph: RootedLabeledGraph = base_graph
-        self.graph: RootedLabeledGraph = graph
+        self.out: list[list[int | None]] = out
         self.parent: list[int | None] = parent
         self.parent_gen: list[int | None] = parent_gen
         self.endpoint: list[int] = endpoint  # vertex of the input graph
-        self.words: list[Word] = words  # tree-path word per vertex
+
+    def word(self, v: int) -> Word:
+        """The tree-path word of vertex v."""
+        letters = []
+        while v:
+            letters.append(self.parent_gen[v])
+            v = self.parent[v]
+        return tuple(reversed(letters))
+
+    @cached_property
+    def graph(self) -> RootedLabeledGraph:
+        """The expansion as a labelled graph, built on first use."""
+        G = self.base_graph
+        words: list[Word] = [()]
+        for p, a in zip(self.parent[1:], self.parent_gen[1:]):
+            words.append(words[p] + (a,))  # parents come before children
+        labels = _word_labels(G.alphabet, G.labels[G.root], words)
+        images = [G.s_image[u] for u in self.endpoint]
+        return RootedLabeledGraph(G.alphabet, labels, self.out, images)
 
     @property
     def tree_edges(self) -> set[tuple[int, int]]:
@@ -121,16 +147,20 @@ class McExpansion:
 
     @property
     def back_edges(self) -> set[tuple[int, int]]:
-        return {(v, a) for v, a, _ in self.graph.edges()} - self.tree_edges
+        return {(v, a) for v, row in enumerate(self.out) for a, w in enumerate(row)
+                if w is not None and (self.parent[w], self.parent_gen[w]) != (v, a)}
 
 
 def mccammond(G: RootedLabeledGraph, cap: int = DEFAULT_MC_CAP) -> McExpansion:
-    """Expand a deterministic rooted graph over its simple paths (DFS order)."""
+    """Expand a deterministic rooted graph over its simple paths.
+
+    The depth-first search creates children in letter order, so vertex
+    order is the lexicographic order of the tree-path words.
+    """
     k = len(G.alphabet)
     parent: list[int | None] = [None]
     parent_gen: list[int | None] = [None]
     endpoint = [G.root]
-    words: list[Word] = [()]
     out: list[list[int | None]] = [[None] * k]
 
     # on_path maps an input-graph vertex to the expansion vertex of the
@@ -159,7 +189,6 @@ def mccammond(G: RootedLabeledGraph, cap: int = DEFAULT_MC_CAP) -> McExpansion:
             parent.append(v)
             parent_gen.append(a)
             endpoint.append(u)
-            words.append(words[v] + (a,))
             out.append([None] * k)
             out_v[a] = w
             on_path[u] = w
@@ -172,16 +201,7 @@ def mccammond(G: RootedLabeledGraph, cap: int = DEFAULT_MC_CAP) -> McExpansion:
             next_gen.pop()
             del on_path[endpoint[v]]
 
-    labels = _word_labels(G.alphabet, G.labels[G.root], words)
-    images = [G.s_image[u] for u in endpoint]
-    graph = RootedLabeledGraph(G.alphabet, labels, out, images)
-    return McExpansion(G, graph, parent, parent_gen, endpoint, words)
-
-
-def mc_kr(S: ASemigroup, kr_cap: int = DEFAULT_KR_CAP, mc_cap: int = DEFAULT_MC_CAP):
-    """Convenience: the McCammond expansion of the Karnofsky-Rhodes expansion."""
-    kr = karnofsky_rhodes(S, cap=kr_cap)
-    return kr, mccammond(kr.graph, cap=mc_cap)
+    return McExpansion(G, out, parent, parent_gen, endpoint)
 
 
 def is_mc_stable(S: ASemigroup, kr: KRExpansion | None = None) -> bool:
@@ -195,7 +215,7 @@ def is_mc_stable(S: ASemigroup, kr: KRExpansion | None = None) -> bool:
         mc = mccammond(kr.graph, cap=kr.graph.n)
     except SizeCapExceeded:
         return False
-    return mc.graph.n == kr.graph.n
+    return len(mc.out) == kr.graph.n
 
 
 def is_stable1(S: ASemigroup) -> bool:

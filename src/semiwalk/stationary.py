@@ -4,16 +4,17 @@ Pipeline: expand the right Cayley graph (transition-edge identification,
 then simple-path expansion), enumerate normal forms (shortest simple paths
 from the root into the ideal), and for each normal form sum the weights of
 all ideal-avoiding walks that loop-erase to it.  The simple-path expansion
-is a spanning tree plus back edges to ancestors, so that sum is a product
-along the tree path to the normal form: the letter weights times the
-Green's function G_v = 1/(1 - R_v) at each vertex v on the path, where R_v
-is the weight of the excursions that leave v into its subtree and first
-come back to v (Lawler's loop-erased-walk formula).  One bottom-up pass
-gets every G_v and one top-down prefix product gets every value.  The
-regular expression for a normal form's walk language is the same sum over
-Kleene expressions: the bottom-up pass runs once with letters as weights,
-and per normal form only its tree path is eliminated, from the root
-outward, which fixes the printed factored form.
+is a spanning tree plus back edges to ancestors, read as integer rows (its
+labels are built only on demand), so that sum is a product along the tree
+path to the normal form: the letter weights times the Green's function
+G_v = 1/(1 - R_v) at each vertex v on the path, where R_v is the weight of
+the excursions that leave v into its subtree and first come back to v
+(Lawler's loop-erased-walk formula).  One bottom-up pass gets every G_v
+and one top-down prefix product gets every value.  The regular expression
+for a normal form's walk language is the same sum over Kleene expressions:
+the bottom-up pass runs once with letters as weights, and per normal form
+only its tree path is eliminated, from the root outward, which fixes the
+printed factored form.
 
 When the minimal ideal is left zero the per-normal-form sums added per
 Karnofsky-Rhodes vertex are the stationary distribution of the expanded
@@ -174,21 +175,6 @@ class NormalForm:
     kr_vertex: int
 
 
-@dataclass
-class NormalFormSet:
-    forms: list[NormalForm]
-
-    @property
-    def words(self) -> list[Word]:
-        return [nf.word for nf in self.forms]
-
-    def __len__(self):
-        return len(self.forms)
-
-    def __iter__(self):
-        return iter(self.forms)
-
-
 class StationaryEngine:
     """Shared expansion state for one semigroup and one target ideal.  An
     empty ideal (limit mode's ``frozenset()``) leaves every vertex live."""
@@ -205,24 +191,18 @@ class StationaryEngine:
         self.kr: KRExpansion = karnofsky_rhodes(S, cap=kr_cap)
         self.mc: McExpansion = mccammond(self.kr.graph, cap=mc_cap)
 
-        g = self.mc.graph
+        mc, images = self.mc, self.kr.graph.s_image
         ideal = self.ideal  # the root's image, None, is in no ideal
-        self._in_ideal = [img in ideal for img in g.s_image]
-        self.live = [v for v in range(g.n) if not self._in_ideal[v]]
+        in_ideal = self._in_ideal = [images[u] in ideal for u in mc.endpoint]
+        self.live = [v for v, inside in enumerate(in_ideal) if not inside]
 
-        forms = []
-        for v in range(1, g.n):
-            if self._in_ideal[v] and not self._in_ideal[self.mc.parent[v]]:
-                forms.append(
-                    NormalForm(
-                        word=self.mc.words[v],
-                        mc_vertex=v,
-                        kr_vertex=self.mc.endpoint[v],
-                    )
-                )
-        forms.sort(key=lambda nf: nf.word)
-        self.normal_forms = NormalFormSet(forms)
-        self._nf_vertices = {nf.mc_vertex for nf in forms}
+        # the expansion's vertex order is the order of the tree-path words
+        self.normal_forms = [
+            NormalForm(word=mc.word(v), mc_vertex=v, kr_vertex=mc.endpoint[v])
+            for v in range(1, len(in_ideal))
+            if in_ideal[v] and not in_ideal[mc.parent[v]]
+        ]
+        self._nf_vertices = {nf.mc_vertex for nf in self.normal_forms}
         self._kleene = None  # the reduction over Kleene weights, on demand
 
     # -- walk sums, all normal forms in one pass over the tree -----------------
@@ -242,7 +222,7 @@ class StationaryEngine:
         out: dict = {}
         back: dict[int, int] = {}  # back-edge head -> mask of its letters
         children = []
-        for a, w in enumerate(self.mc.graph.out[v]):
+        for a, w in enumerate(self.mc.out[v]):
             if w is None:
                 continue
             if in_ideal[w]:
@@ -382,7 +362,8 @@ def _letter_sum(xs: Sequence, mask: int):
     return total
 
 
-def normal_forms(S: ASemigroup, ideal: IdealSet | None = None) -> NormalFormSet:
+def normal_forms(S: ASemigroup, ideal: IdealSet | None = None) -> list[NormalForm]:
+    """The normal forms in word order."""
     return StationaryEngine(S, ideal).normal_forms
 
 
@@ -514,11 +495,12 @@ def _stationary_kr_limit(S: ASemigroup, xs: Sequence[Fraction]) -> StationaryRes
             prec = min(2 * prec, LIMIT_MAX_PRECISION)
 
     # names on KR(S⁰): the normal forms onto u·0 are the simple paths onto
-    # u followed by the zero letter, already sorted (no simple path onto u
-    # extends another), and u's word then the zero letter first reaches u·0
+    # u followed by the zero letter, in vertex order, which stays word order
+    # (no simple path onto u extends another), and u's word then the zero
+    # letter first reaches u·0
     names0 = S.gen_names + [zero_name(S)]
     sep, z = label_sep(names0), (S.n_gens,)
-    nf_words = {u: [mc.words[p] + z for p in ps] for u, ps in onto.items()}
+    nf_words = {u: [mc.word(p) + z for p in ps] for u, ps in onto.items()}
     alt_labels = {u: sep.join([names0[g] for g in kr.words[u] + z]) for u in onto}
     return _kr_result(kr, masses, nf_words, alt_labels)
 

@@ -72,6 +72,14 @@ def counterexample_spec(tmp_path_factory):
     return str(path)
 
 
+def reference_words(mc):
+    """Tree-path word per McCammond vertex, extended from the parent's."""
+    words = [()]
+    for v in range(1, len(mc.parent)):
+        words.append(words[mc.parent[v]] + (mc.parent_gen[v],))
+    return words
+
+
 def frac(s: str) -> Fraction:
     return Fraction(s)
 

@@ -21,7 +21,7 @@ from semiwalk.chains import (
     tv_distance,
 )
 from semiwalk.core import minimal_ideal
-from semiwalk.expansions import is_mc_stable, karnofsky_rhodes, mc_kr, mccammond
+from semiwalk.expansions import is_mc_stable, karnofsky_rhodes, mccammond
 from semiwalk.graphs import right_cayley
 from semiwalk.simulate import simulate_semaphore, simulate_state_at
 from semiwalk.stationary import (
@@ -255,7 +255,7 @@ def test_criterion_7_lumping():
 def test_criterion_8_counterexample_regression(counterexample):
     S = counterexample
     assert not is_mc_stable(S)
-    kr, mc = mc_kr(S)
+    mc = mccammond(karnofsky_rhodes(S).graph)
     g = mc.graph
     w = (0, 1, 2)
     c = (3,)

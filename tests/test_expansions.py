@@ -1,11 +1,20 @@
-import pytest
+import random
 
-from semiwalk.core import SizeCapExceeded, bar, flat
+import pytest
+from conftest import reference_words
+
+from semiwalk import families
+from semiwalk.core import (
+    ClosureTooLarge,
+    SizeCapExceeded,
+    bar,
+    flat,
+    semigroup_from_transformations,
+)
 from semiwalk.expansions import (
     is_mc_stable,
     is_stable1,
     karnofsky_rhodes,
-    mc_kr,
     mccammond,
 )
 from semiwalk.graphs import (
@@ -15,6 +24,7 @@ from semiwalk.graphs import (
     sccs,
     to_dot,
 )
+from semiwalk.stationary import StationaryEngine
 
 
 def test_kr_vertex_counts(klein, flipflop, p3):
@@ -56,7 +66,7 @@ def test_mc_of_tree_is_same_tree():
 
 def test_mc_tree_and_back_edge_invariants(klein, b2, z2x01):
     for S in (klein, b2, z2x01):
-        kr, mc = mc_kr(S)
+        mc = mccammond(karnofsky_rhodes(S).graph)
         g = mc.graph
         # tree edges form a spanning tree: each non-root vertex has one parent
         assert all(mc.parent[v] is not None for v in range(1, g.n))
@@ -78,7 +88,7 @@ def test_mc_tree_and_back_edge_invariants(klein, b2, z2x01):
 
 def test_mc_projection_commutes(klein, b2):
     for S in (klein, b2):
-        kr, mc = mc_kr(S)
+        mc = mccammond(karnofsky_rhodes(S).graph)
         g = mc.graph
         for v, a, w in g.edges():
             ev = g.s_image[v]
@@ -144,7 +154,7 @@ def test_kr_is_right_cayley_graph(klein, b2, z2x01, flipflop):
 def test_counterexample_regression(counterexample):
     S = counterexample
     assert not is_mc_stable(S)
-    kr, mc = mc_kr(S)
+    mc = mccammond(karnofsky_rhodes(S).graph)
     g = mc.graph
     w = (0, 1, 2)  # a1 a2 a3
     c = (3,)
@@ -179,8 +189,57 @@ def test_kr_size_cap_names_stage_and_size(z2x01):
 
 
 def test_dot_export_marks_back_edges(b2):
-    kr, mc = mc_kr(b2)
+    mc = mccammond(karnofsky_rhodes(b2).graph)
     text = to_dot(mc.graph, tree=mc.tree_edges)
     assert 'color="red"' in text and 'style="dashed"' in text
     assert text == to_dot(mccammond(karnofsky_rhodes(b2).graph).graph,
                           tree=mc.tree_edges)
+
+
+# -- vertex order and words of the integer tree ------------------------------------
+
+# the twelve families, each at a small desk-scale parameter
+FAMILY_CASES = [
+    "tsetlin:4", "signed_tsetlin:3", "edge_flip_line:3", "rees_B:3",
+    "rees_zp:3,2", "rees_general", "klein", "flipflop", "z2x01",
+    "burnside_straightline:4", "bar_tower:2,1", "flat_tower:2,1",
+]
+
+
+def _random_draws(count, seed=2017):
+    """Seeded 4-state, 3-map semigroups with |S| <= 120.  Draws whose
+    Karnofsky-Rhodes or McCammond expansion passes 2,000 or 5,000 vertices
+    are skipped, so the test stays fast."""
+    rng = random.Random(seed)
+    draws = []
+    while len(draws) < count:
+        maps = {g: [rng.randrange(4) for _ in range(4)] for g in "abc"}
+        try:
+            S = semigroup_from_transformations(4, maps, cap=120)
+            mccammond(karnofsky_rhodes(S, cap=2000).graph, cap=5000)
+        except (ClosureTooLarge, SizeCapExceeded):
+            continue
+        draws.append(S)
+    return draws
+
+
+def _order_cases(name, request):
+    if name == "counterexample":
+        return [request.getfixturevalue("counterexample")]
+    if name == "random":
+        draws = _random_draws(24)
+        assert sum(not is_mc_stable(S) for S in draws) > len(draws) // 2
+        return draws
+    return [families.build(families.parse_family(name))]
+
+
+@pytest.mark.parametrize("name", FAMILY_CASES + ["counterexample", "random"])
+def test_mc_vertex_order_is_word_order(name, request):
+    for S in _order_cases(name, request):
+        mc = mccammond(karnofsky_rhodes(S).graph)
+        words = reference_words(mc)
+        assert words == sorted(words)
+        assert [mc.word(v) for v in range(len(mc.out))] == words
+        nf_words = [nf.word for nf in StationaryEngine(S).normal_forms]
+        assert nf_words == sorted(nf_words)
+

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import subprocess
 import sys
@@ -82,6 +83,58 @@ def test_cli_expand_dot(tmp_path, capsys):
     assert code == 0
     text = out_file.read_text()
     assert text.startswith("digraph") and 'color="red"' in text
+
+
+REES_B2_MC_DOT = (
+    'digraph G {\n'
+    '  v0 [label="𝟙", shape=box];\n'
+    '  v1 [label="a"];\n'
+    '  v2 [label="aa"];\n'
+    '  v3 [label="ab"];\n'
+    '  v4 [label="abb"];\n'
+    '  v5 [label="b"];\n'
+    '  v6 [label="ba"];\n'
+    '  v7 [label="baa"];\n'
+    '  v8 [label="bb"];\n'
+    '  v0 -> v1 [label="a", color="blue"];\n'
+    '  v0 -> v5 [label="b", color="blue"];\n'
+    '  v1 -> v2 [label="a", color="blue"];\n'
+    '  v1 -> v3 [label="b"];\n'
+    '  v2 -> v2 [label="a", style="dashed"];\n'
+    '  v2 -> v2 [label="b", style="dashed"];\n'
+    '  v3 -> v1 [label="a", style="dashed", color="red"];\n'
+    '  v3 -> v4 [label="b", color="blue"];\n'
+    '  v4 -> v4 [label="a", style="dashed"];\n'
+    '  v4 -> v4 [label="b", style="dashed"];\n'
+    '  v5 -> v6 [label="a"];\n'
+    '  v5 -> v8 [label="b", color="blue"];\n'
+    '  v6 -> v7 [label="a", color="blue"];\n'
+    '  v6 -> v5 [label="b", style="dashed", color="red"];\n'
+    '  v7 -> v7 [label="a", style="dashed"];\n'
+    '  v7 -> v7 [label="b", style="dashed"];\n'
+    '  v8 -> v8 [label="a", style="dashed"];\n'
+    '  v8 -> v8 [label="b", style="dashed"];\n'
+    '}\n'
+)
+
+# SHA-256 of `expand --mc --format dot` on the counterexample spec: 194
+# simple paths over 109 Karnofsky-Rhodes vertices
+COUNTEREXAMPLE_MC_DOT_SHA256 = (
+    "af7f5d4e0f7bfd613734f85f09fc13383d292d27b03f18de0f61807185bd4b3e"
+)
+
+
+def test_cli_expand_mc_dot_pins(counterexample_spec, capsys):
+    code, out, _ = run_cli(
+        ["expand", "--mc", "--family", "rees_B:2", "--format", "dot"], capsys
+    )
+    assert code == 0 and out == REES_B2_MC_DOT
+    code, out, _ = run_cli(
+        ["expand", "--mc", "--spec", counterexample_spec, "--format", "dot"],
+        capsys,
+    )
+    assert code == 0 and out.count(" [label=") == 194 + 776
+    assert hashlib.sha256(out.encode()).hexdigest() == COUNTEREXAMPLE_MC_DOT_SHA256
 
 
 def test_cli_stationary(capsys):
@@ -223,10 +276,19 @@ def test_cli_generator_element_out_of_range_exit_2(tmp_path, capsys):
      "tsetlin.n must be an integer"),
     ({"kind": "family", "family": ["x"]}, "needs a 'family' name"),
     ({"kind": "family", "family": "nope"}, "unknown family 'nope'"),
+    # JSON true and false are not integers, though Python's bool is an int
+    ({"kind": "table", "generators": ["a"], "table": [[False]]},
+     "table must be 1 x 1 with integer entries"),
+    ({"kind": "transformations", "states": True, "maps": {"a": [False]}},
+     "states must be an integer, got True"),
+    ({"kind": "table", "generators": ["a", "b"], "table": [[0, 0], [0, 1]],
+      "gen_elements": [True, 0]},
+     "generator elements must lie in 0..1"),
 ], ids=["states-string", "maps-list", "map-not-list", "table-string-entry",
         "table-row-not-list", "generators-int", "generator-name-int",
         "gen-elements-int", "element-names-int", "family-n-string",
-        "family-n-float", "family-name-list", "family-unknown"])
+        "family-n-float", "family-name-list", "family-unknown",
+        "table-entry-false", "states-true", "gen-elements-true"])
 def test_cli_malformed_spec_field_exit_2(tmp_path, capsys, spec, message):
     code, out, err = run_cli(["build", "--spec", _malformed_spec(tmp_path, spec)],
                              capsys)

@@ -3,7 +3,9 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from conftest import reference_words
 
+from semiwalk import expansions
 from semiwalk.core import (
     IdealSet,
     SizeCapExceeded,
@@ -99,18 +101,18 @@ def test_semaphore_left_action_examples(p3, b2, z2x01_quotient):
 
 def test_normal_forms_tsetlin(p3):
     nfs = normal_forms(p3)
-    words = {p3.word_label(w) for w in nfs.words}
+    words = {p3.word_label(w) for w in [nf.word for nf in nfs]}
     assert words == {"".join(str(a + 1) for a in pi) for pi in permutations(range(3))}
 
 
 def test_normal_forms_b2(b2):
     nfs = normal_forms(b2)
-    assert [b2.word_label(w) for w in nfs.words] == ["aa", "abb", "baa", "bb"]
+    assert [b2.word_label(w) for w in [nf.word for nf in nfs]] == ["aa", "abb", "baa", "bb"]
 
 
 def test_normal_forms_quotient(z2x01_quotient):
     nfs = normal_forms(z2x01_quotient)
-    assert [z2x01_quotient.word_label(w) for w in nfs.words] == ["a", "ba", "bba"]
+    assert [z2x01_quotient.word_label(w) for w in [nf.word for nf in nfs]] == ["a", "ba", "bba"]
 
 
 def test_normal_forms_custom_ideal(p3):
@@ -119,7 +121,7 @@ def test_normal_forms_custom_ideal(p3):
     names = p3.element_names()
     members = {e for e, nm in enumerate(names) if len(nm) >= 2}
     nfs = normal_forms(p3, IdealSet(members))
-    labels = [p3.word_label(w) for w in nfs.words]
+    labels = [p3.word_label(w) for w in [nf.word for nf in nfs]]
     assert labels == ["12", "13", "21", "23", "31", "32"]
 
 
@@ -133,7 +135,7 @@ def test_engine_caps_propagate(z2x01_quotient):
 def test_normal_forms_adjoined_zero(z2x01):
     S2 = adjoin_zero(z2x01)
     nfs = normal_forms(S2)
-    labels = [S2.word_label(w) for w in nfs.words]
+    labels = [S2.word_label(w) for w in [nf.word for nf in nfs]]
     z = "□"
     assert labels == sorted(
         [z, "a" + z, "aa" + z, "ab" + z, "b" + z, "bb" + z, "ba" + z,
@@ -439,6 +441,27 @@ def test_tree_pass_rejects_back_edge_to_non_ancestor(p3):
         engine.values(uniform_probs(p3))
 
 
+@pytest.mark.parametrize("name, force_limit", [
+    ("counterexample", False), ("counterexample", True), ("z2x01", False),
+])
+def test_stationary_kr_builds_no_mc_labelled_graph(name, force_limit, request,
+                                                    monkeypatch):
+    # the counterexample's expansion has 194 simple paths over 109 vertices;
+    # z2x01 runs in limit mode
+    S = request.getfixturevalue(name)
+    kr_vertices = karnofsky_rhodes(S).graph.n
+    calls = []
+    word_labels = expansions._word_labels
+
+    def counted(names, root_label, words):
+        calls.append(len(words))
+        return word_labels(names, root_label, words)
+
+    monkeypatch.setattr(expansions, "_word_labels", counted)
+    stationary_kr(S, uniform_probs(S), force_limit=force_limit)
+    assert calls == [kr_vertices]
+
+
 def test_tree_pass_raises_divergent_star(b2):
     # weights that do not sum to 1 give some vertex a loop weight >= 1
     engine = StationaryEngine(b2)
@@ -480,7 +503,7 @@ def reference_expression(engine, nf):
                 if w in live:
                     acc(inc[w], v, Letter(a))
 
-    words = engine.mc.words
+    words = reference_words(engine.mc)
     off = sorted(
         (v for v in engine.live if v != 0 and v not in geo_set),
         key=lambda u: (-len(words[u]), words[u]),
@@ -559,5 +582,5 @@ def test_kleene_reduction_built_once_per_engine(monkeypatch):
     assert calls == [True]
     engine.values(uniform_probs(S))
     assert calls == [True, False]
-    StationaryEngine(S).expression(engine.normal_forms.forms[0])
+    StationaryEngine(S).expression(engine.normal_forms[0])
     assert calls == [True, False, True]
