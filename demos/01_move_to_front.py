@@ -26,7 +26,7 @@ print(f"subset semigroup on {n} letters: |S| = {S.size}")
 
 g = right_cayley(S)
 kr = karnofsky_rhodes(S)
-mc = mccammond(kr.graph)
+mc = mccammond(kr)
 print(f"right Cayley graph: {g.n} vertices")
 print(f"expanded: {kr.graph.n} vertices (simple-path expansion adds none: "
       f"{mc.graph.n})")

@@ -42,7 +42,7 @@ truncated = sum(series(expr0, x, 14))
 print(f"partial sums of the {S.word_label(nf0.word)} series up to length 14: "
       f"{truncated} -> {float(truncated):.6f} vs {float(values[nf0.mc_vertex]):.6f}")
 
-mc = mccammond(karnofsky_rhodes(S).graph)
+mc = mccammond(karnofsky_rhodes(S))
 dot = to_dot(mc.graph, tree=mc.tree_edges)
 print(f"\nDOT export of the expansion ({mc.graph.n} vertices), first lines:")
 print("\n".join(dot.splitlines()[:5]))

@@ -37,8 +37,8 @@ from .graphs import (
     transition_edges,
 )
 from .expansions import (
+    ExpansionTree,
     KRExpansion,
-    McExpansion,
     is_mc_stable,
     is_stable1,
     karnofsky_rhodes,

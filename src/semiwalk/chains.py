@@ -82,8 +82,8 @@ def build_chain(
     elif space == "kr_ideal":
         # the expansion graph is its own right Cayley graph
         kr = karnofsky_rhodes(S)
-        states = minimal_ideal_vertices(kr.graph)
-        labels = [kr.graph.labels[v] for v in states]
+        states = minimal_ideal_vertices(kr.out)
+        labels = kr.names(states)
         left = kr.left_multiply
     else:
         raise SemigroupError(f"unknown state space {space!r}")
@@ -265,7 +265,7 @@ class MixingBound:
 
 
 def mixing_bound(S: ASemigroup, xs: Sequence[Fraction], c: int = 1) -> MixingBound:
-    mc = mccammond(karnofsky_rhodes(S).graph)
+    mc = mccammond(karnofsky_rhodes(S))
     comp = sccs(mc.out)
     parent = mc.parent
 

@@ -9,6 +9,7 @@ exact fraction text unless --float is given.  Identical invocations
 from __future__ import annotations
 
 import argparse
+import csv
 import gc
 import json
 import math
@@ -161,7 +162,7 @@ def cmd_expand(args) -> int:
         g = karnofsky_rhodes(S).graph
         tree = None
     else:
-        mc = mccammond(karnofsky_rhodes(S).graph)
+        mc = mccammond(karnofsky_rhodes(S))
         g = mc.graph
         tree = mc.tree_edges
     if args.format == "dot":
@@ -187,9 +188,9 @@ def cmd_stationary(args) -> int:
     if args.format == "json":
         print(json.dumps(dict(rows), ensure_ascii=False))
     elif args.format == "csv":
-        print("state,probability")
-        for k, v in rows:
-            print(f"{k},{v}")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(("state", "probability"))
+        writer.writerows(rows)
     else:
         for k, v in rows:
             print(f"{k}: {v}")

@@ -1,4 +1,6 @@
-"""Karnofsky-Rhodes and McCammond expansions of rooted labelled graphs.
+"""Karnofsky-Rhodes and McCammond expansions of rooted labelled graphs,
+both integer trees (``ExpansionTree``) with words, names and labelled
+graphs built on demand.
 
 The Karnofsky-Rhodes expansion identifies two generator words iff they reach
 the same element of the underlying semigroup *and* their paths in the right
@@ -8,8 +10,7 @@ right Cayley graph, so it carries a semigroup structure of its own.
 The McCammond expansion of a deterministic rooted graph has one vertex per
 simple path from the root; an edge either extends a simple path (tree edge)
 or falls back to the unique initial segment ending at the target vertex
-(back edge).  It is kept as an integer tree; its words and labelled graph
-are built on demand.
+(back edge).
 """
 
 from __future__ import annotations
@@ -17,28 +18,84 @@ from __future__ import annotations
 from functools import cached_property
 
 from .core import ASemigroup, SizeCapExceeded, Word, label_sep
-from .graphs import RootedLabeledGraph, graphs_isomorphic, right_cayley, sccs, transition_edges
+from .graphs import ROOT_LABEL, RootedLabeledGraph, right_cayley, sccs, transition_edges
 
 DEFAULT_KR_CAP = 200_000
 DEFAULT_MC_CAP = 1_000_000
 
 
-class KRExpansion:
-    """Karnofsky-Rhodes expansion: a rooted graph plus its semigroup view.
+class ExpansionTree:
+    """An expansion as an integer tree over the graph it expands.
 
-    Vertex i > 0 corresponds to semigroup element i-1 of ``semigroup()``.
+    Vertex v > 0 extends the path ``parent[v]`` by the letter
+    ``parent_gen[v]`` and ends at ``endpoint[v]`` of ``base_graph`` (a graph
+    or an expansion); parents come before children.  ``out`` holds the tree
+    edges and every other edge.
     """
 
-    def __init__(self, base, graph, words):
-        self.base: ASemigroup = base
-        self.graph: RootedLabeledGraph = graph
-        self.words: list[Word] = words  # shortlex-first (BFS) word per vertex
-        self._semigroup: ASemigroup | None = None
+    root = 0
+
+    def __init__(self, base_graph, out, parent, parent_gen, endpoint):
+        self.base_graph = base_graph
+        self.alphabet: list[str] = base_graph.alphabet
+        self.out: list[list[int | None]] = out
+        self.parent: list[int | None] = parent
+        self.parent_gen: list[int | None] = parent_gen
+        self.endpoint: list[int] = endpoint  # vertex of the base graph
+        # the underlying semigroup element per vertex, None at the root
+        self.s_image: list[int | None] = [base_graph.s_image[u] for u in endpoint]
+
+    def word(self, v: int) -> Word:
+        """The tree-path word of vertex v."""
+        letters = []
+        while v:
+            letters.append(self.parent_gen[v])
+            v = self.parent[v]
+        return tuple(reversed(letters))
+
+    @cached_property
+    def words(self) -> list[Word]:
+        """The tree-path word of every vertex, in one top-down pass."""
+        words: list[Word] = [()]
+        for p, a in zip(self.parent[1:], self.parent_gen[1:]):
+            words.append(words[p] + (a,))
+        return words
+
+    def names(self, vertices) -> list[str]:
+        """The labels of ``graph`` at these vertices: each vertex's word as
+        ``ASemigroup.word_label`` prints it; the root, the empty word, is 𝟙."""
+        names, words, sep = self.alphabet, self.words, label_sep(self.alphabet)
+        return [sep.join([names[g] for g in words[v]]) if v else ROOT_LABEL
+                for v in vertices]
+
+    @cached_property
+    def graph(self) -> RootedLabeledGraph:
+        """The expansion as a labelled graph, built on first use."""
+        labels = self.names(range(len(self.out)))
+        return RootedLabeledGraph(self.alphabet, labels, self.out, self.s_image)
+
+    @property
+    def tree_edges(self) -> set[tuple[int, int]]:
+        return set(zip(self.parent[1:], self.parent_gen[1:]))
+
+    @property
+    def back_edges(self) -> set[tuple[int, int]]:
+        return {(v, a) for v, row in enumerate(self.out) for a, w in enumerate(row)
+                if w is not None and (self.parent[w], self.parent_gen[w]) != (v, a)}
+
+
+class KRExpansion(ExpansionTree):
+    """Karnofsky-Rhodes expansion: its breadth-first tree over the right
+    Cayley graph plus its semigroup view, in which vertex i > 0 is element
+    i-1.  Every vertex has an edge for every letter."""
 
     def left_multiply(self, a: int, v: int) -> int:
         """Vertex of generator a times the element of vertex v."""
-        start = self.graph.out[self.graph.root][a]
-        return self.graph.follow(start, self.words[v])
+        out = self.out
+        u = out[self.root][a]
+        for b in self.words[v]:
+            u = out[u][b]
+        return u
 
     def semigroup(self) -> ASemigroup:
         """The expansion as a semigroup (element i = vertex i+1).
@@ -46,18 +103,10 @@ class KRExpansion:
         Multiplication follows the second factor's word through the graph,
         one edge per letter, so multiplying by a generator is one step.
         """
-        if self._semigroup is None:
-            g = self.graph
-            words = self.words
-
-            def mult(i: int, j: int) -> int:
-                return g.follow(i + 1, words[j + 1]) - 1
-
-            gens = [g.out[g.root][a] - 1 for a in range(len(g.alphabet))]
-            self._semigroup = ASemigroup(
-                g.n - 1, gens, list(g.alphabet), mult, g.labels[1:]
-            )
-        return self._semigroup
+        g, words = self.graph, self.words
+        gens = [w - 1 for w in g.out[g.root]]
+        return ASemigroup(g.n - 1, gens, list(g.alphabet),
+                          lambda i, j: g.follow(i + 1, words[j + 1]) - 1, g.labels[1:])
 
 
 def karnofsky_rhodes(S: ASemigroup, cap: int = DEFAULT_KR_CAP) -> KRExpansion:
@@ -70,7 +119,8 @@ def karnofsky_rhodes(S: ASemigroup, cap: int = DEFAULT_KR_CAP) -> KRExpansion:
     key0 = (rcay.root, frozenset())
     index: dict[tuple[int, frozenset], int] = {key0: 0}
     keys = [key0]
-    words: list[Word] = [()]
+    parent: list[int | None] = [None]
+    parent_gen: list[int | None] = [None]
     out: list[list[int | None]] = [[None] * k]
 
     head = 0
@@ -91,68 +141,17 @@ def karnofsky_rhodes(S: ASemigroup, cap: int = DEFAULT_KR_CAP) -> KRExpansion:
                 w = len(keys)
                 index[key] = w
                 keys.append(key)
-                words.append(words[v] + (a,))
+                parent.append(v)
+                parent_gen.append(a)
                 out.append([None] * k)
             out[v][a] = w
 
-    labels = _word_labels(S.gen_names, rcay.labels[rcay.root], words)
-    images = [None] + [rcay.s_image[key[0]] for key in keys[1:]]
-    graph = RootedLabeledGraph(S.gen_names, labels, out, images)
-    return KRExpansion(S, graph, words)
+    return KRExpansion(rcay, out, parent, parent_gen, [key[0] for key in keys])
 
 
-def _word_labels(names, root_label: str, words: list[Word]) -> list[str]:
-    """Root label, then each word's printable form, as ``ASemigroup.word_label``."""
-    sep = label_sep(names)
-    return [root_label] + [sep.join([names[g] for g in w]) for w in words[1:]]
-
-
-class McExpansion:
-    """McCammond expansion as an integer tree over the simple paths.
-
-    Vertex v > 0 extends the path ``parent[v]`` by the letter
-    ``parent_gen[v]`` and ends at ``endpoint[v]`` of the input graph;
-    ``out`` holds the tree edges and the back edges to initial segments.
-    """
-
-    def __init__(self, base_graph, out, parent, parent_gen, endpoint):
-        self.base_graph: RootedLabeledGraph = base_graph
-        self.out: list[list[int | None]] = out
-        self.parent: list[int | None] = parent
-        self.parent_gen: list[int | None] = parent_gen
-        self.endpoint: list[int] = endpoint  # vertex of the input graph
-
-    def word(self, v: int) -> Word:
-        """The tree-path word of vertex v."""
-        letters = []
-        while v:
-            letters.append(self.parent_gen[v])
-            v = self.parent[v]
-        return tuple(reversed(letters))
-
-    @cached_property
-    def graph(self) -> RootedLabeledGraph:
-        """The expansion as a labelled graph, built on first use."""
-        G = self.base_graph
-        words: list[Word] = [()]
-        for p, a in zip(self.parent[1:], self.parent_gen[1:]):
-            words.append(words[p] + (a,))  # parents come before children
-        labels = _word_labels(G.alphabet, G.labels[G.root], words)
-        images = [G.s_image[u] for u in self.endpoint]
-        return RootedLabeledGraph(G.alphabet, labels, self.out, images)
-
-    @property
-    def tree_edges(self) -> set[tuple[int, int]]:
-        return set(zip(self.parent[1:], self.parent_gen[1:]))
-
-    @property
-    def back_edges(self) -> set[tuple[int, int]]:
-        return {(v, a) for v, row in enumerate(self.out) for a, w in enumerate(row)
-                if w is not None and (self.parent[w], self.parent_gen[w]) != (v, a)}
-
-
-def mccammond(G: RootedLabeledGraph, cap: int = DEFAULT_MC_CAP) -> McExpansion:
-    """Expand a deterministic rooted graph over its simple paths.
+def mccammond(G, cap: int = DEFAULT_MC_CAP) -> ExpansionTree:
+    """Expand a deterministic rooted graph, or an expansion, over its
+    simple paths.
 
     The depth-first search creates children in letter order, so vertex
     order is the lexicographic order of the tree-path words.
@@ -183,8 +182,8 @@ def mccammond(G: RootedLabeledGraph, cap: int = DEFAULT_MC_CAP) -> McExpansion:
             w = len(endpoint)
             if w >= cap:
                 raise SizeCapExceeded(
-                    f"McCammond expansion of a graph with {G.n} vertices "
-                    f"exceeded cap {cap} simple paths"
+                    f"McCammond expansion of a graph with {len(G.out)} "
+                    f"vertices exceeded cap {cap} simple paths"
                 )
             parent.append(v)
             parent_gen.append(a)
@@ -201,7 +200,7 @@ def mccammond(G: RootedLabeledGraph, cap: int = DEFAULT_MC_CAP) -> McExpansion:
             next_gen.pop()
             del on_path[endpoint[v]]
 
-    return McExpansion(G, out, parent, parent_gen, endpoint)
+    return ExpansionTree(G, out, parent, parent_gen, endpoint)
 
 
 def is_mc_stable(S: ASemigroup, kr: KRExpansion | None = None) -> bool:
@@ -212,16 +211,15 @@ def is_mc_stable(S: ASemigroup, kr: KRExpansion | None = None) -> bool:
     if kr is None:
         kr = karnofsky_rhodes(S)
     try:
-        mc = mccammond(kr.graph, cap=kr.graph.n)
+        mc = mccammond(kr, cap=len(kr.out))
     except SizeCapExceeded:
         return False
-    return len(mc.out) == kr.graph.n
+    return len(mc.out) == len(kr.out)
 
 
 def is_stable1(S: ASemigroup) -> bool:
     """True iff expanding changes nothing at all: the expansion graph is
     label-isomorphic to the right Cayley graph and has unique simple paths."""
     kr = karnofsky_rhodes(S)
-    if not is_mc_stable(S, kr):
-        return False
-    return graphs_isomorphic(kr.graph, right_cayley(S))
+    # endpoint maps it onto the Cayley graph edge for edge: equal sizes suffice
+    return len(kr.out) == kr.base_graph.n and is_mc_stable(S, kr)

@@ -247,9 +247,9 @@ def to_dot(
     lines = [f"digraph {name} {{"]
     for v in range(G.n):
         shape = ', shape=box' if v == G.root else ""
-        lines.append(f'  v{v} [label="{G.labels[v]}"{shape}];')
+        lines.append(f'  v{v} [label={_dot_string(G.labels[v])}{shape}];')
     for v, a, w in G.edges():
-        attrs = [f'label="{G.alphabet[a]}"']
+        attrs = [f'label={_dot_string(G.alphabet[a])}']
         if (v, a) in transitional:
             attrs.append('color="blue"')
         if v == w:
@@ -260,3 +260,8 @@ def to_dot(
         lines.append(f"  v{v} -> v{w} [{', '.join(attrs)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _dot_string(text: str) -> str:
+    """A DOT double-quoted string: backslashes and quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'

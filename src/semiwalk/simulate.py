@@ -5,13 +5,14 @@ a and moves to the shortest prefix of a·w whose product lies in the minimal
 ideal.  Before a run the walk is compiled to lists: S's right-action
 table ``right[e][b] = e·gens[b]`` (``ASemigroup.right_action``), an ideal
 flag per element of S, and the rows of the automaton that lumps words onto
-states (the Karnofsky-Rhodes graph for "kr_ideal"; for "k_s" the right
-action itself, so the vertex is the element).  One loop then reads a·w
-letter by letter, advancing the element and the lumping vertex together,
-and stops at the first letter whose element is in the ideal.  Nothing is
-memoized: a step costs time linear in the length of the word it enters the
-ideal with.  Ideal entry is decided by S's own multiplication, so the walk
-depends on the expansion code only through the final lumping.  The default
+states (the Karnofsky-Rhodes expansion for "kr_ideal"; for "k_s" the
+right action itself, so the vertex is the element).  One loop then reads
+a·w letter by letter, advancing the element and the lumping vertex
+together, and stops at the first letter whose element is in the ideal.
+Only the states the walk visits are named.  Nothing is memoized: a step
+costs time linear in the length of the word it enters the ideal with.
+Ideal entry is decided by S's own multiplication, so the walk depends on
+the expansion code only through the final lumping.  The default
 start word of ``simulate_state_at`` is the representative word of the
 first ideal element in the search's discovery order, the shortlex-least
 ideal-entering word.
@@ -111,12 +112,12 @@ class _WalkTables:
         self.right = S.right_action()[0]
         self.in_ideal = [e in ideal.members for e in range(S.size)]
         if space == "kr_ideal":
-            g = karnofsky_rhodes(S).graph
-            self.out, self.root, self.labels = g.out, g.root, g.labels
+            kr = karnofsky_rhodes(S)
+            self.out, self.root, self.names = kr.out, kr.root, kr.names
         elif space == "k_s":
             # the root row is the generators, so the vertex is the element
             self.out, self.root = self.right + [list(S.gens)], S.size
-            self.labels = S.element_names()
+            self.names = lambda vertices: [S.element_name(e) for e in vertices]
         else:
             raise SemigroupError(f"unknown lumping space {space!r}")
 
@@ -167,9 +168,9 @@ class _WalkTables:
         return v
 
     def distribution(self, visits: list[int], total: int) -> EmpiricalDistribution:
-        labels = self.labels
+        seen = [v for v, c in enumerate(visits) if c]
         return EmpiricalDistribution(
-            {labels[v]: c for v, c in enumerate(visits) if c}, total)
+            {name: visits[v] for v, name in zip(seen, self.names(seen))}, total)
 
 
 def _prepare(S, xs, zero_weight):

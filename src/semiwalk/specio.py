@@ -65,7 +65,18 @@ def _strings(data: dict, field: str) -> list[str] | None:
 def load_spec(path: str) -> ASemigroup:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise SemigroupError(f"invalid JSON in {path}: {exc}") from exc
     return semigroup_from_spec(data)
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's fields; a key given twice (say, one generator in
+    ``maps``) is an error, not a silent override."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise SemigroupError(f"duplicate key {key!r} in spec")
+        data[key] = value
+    return data

@@ -1,20 +1,20 @@
 """Stationary distributions of semigroup random walks, computed exactly.
 
 Pipeline: expand the right Cayley graph (transition-edge identification,
-then simple-path expansion), enumerate normal forms (shortest simple paths
-from the root into the ideal), and for each normal form sum the weights of
-all ideal-avoiding walks that loop-erase to it.  The simple-path expansion
-is a spanning tree plus back edges to ancestors, read as integer rows (its
-labels are built only on demand), so that sum is a product along the tree
-path to the normal form: the letter weights times the Green's function
-G_v = 1/(1 - R_v) at each vertex v on the path, where R_v is the weight of
-the excursions that leave v into its subtree and first come back to v
-(Lawler's loop-erased-walk formula).  One bottom-up pass gets every G_v
-and one top-down prefix product gets every value.  The regular expression
-for a normal form's walk language is the same sum over Kleene expressions:
-the bottom-up pass runs once with letters as weights, and per normal form
-only its tree path is eliminated, from the root outward, which fixes the
-printed factored form.
+then simple-path expansion, both integer trees with no labelled graph),
+enumerate normal forms (shortest simple paths from the root into the
+ideal), and for each normal form sum the weights of all ideal-avoiding
+walks that loop-erase to it.  The simple-path expansion is a spanning tree
+plus back edges to ancestors, read as integer rows, so that sum is a
+product along the tree path to the normal form: the letter weights times
+the Green's function G_v = 1/(1 - R_v) at each vertex v on the path, where
+R_v is the weight of the excursions that leave v into its subtree and
+first come back to v (Lawler's loop-erased-walk formula).  One bottom-up
+pass gets every G_v and one top-down prefix product gets every value.  The
+regular expression for a normal form's walk language is the same sum over
+Kleene expressions: the bottom-up pass runs once with letters as weights,
+and per normal form only its tree path is eliminated, from the root
+outward, which fixes the printed factored form.
 
 When the minimal ideal is left zero the per-normal-form sums added per
 Karnofsky-Rhodes vertex are the stationary distribution of the expanded
@@ -26,7 +26,8 @@ of weight t adjoined.  Over truncated power series in t, the limit t -> 0
 is read exactly from their leading terms; only the minimal ideal of KR(S)
 keeps mass.  A series that loses every known term to cancellation raises,
 and the pass reruns at double the precision.  Both modes name a state by
-the shortlex-first word reaching its vertex, as chains and simulations do.
+the shortlex-first word reaching its vertex, as chains and simulations do;
+only the states of the result are named.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .core import (
     minimal_ideal,
     zero_name,
 )
-from .expansions import DEFAULT_KR_CAP, DEFAULT_MC_CAP, KRExpansion, McExpansion
+from .expansions import DEFAULT_KR_CAP, DEFAULT_MC_CAP, ExpansionTree, KRExpansion
 from .expansions import karnofsky_rhodes, mccammond
 from .graphs import minimal_ideal_vertices
 from .kleene import (
@@ -94,8 +95,11 @@ def parse_probs(text: str, S: ASemigroup) -> list[Fraction]:
         if "=" not in part:
             raise SemigroupError(f"bad probability entry {part!r}")
         name, val = part.split("=", 1)
+        name = name.strip()
+        if name in by_name:
+            raise SemigroupError(f"duplicate probability for generator {name!r}")
         try:
-            by_name[name.strip()] = Fraction(val.strip())
+            by_name[name] = Fraction(val.strip())
         except (ValueError, ZeroDivisionError):
             raise SemigroupError(f"bad probability {val.strip()!r}") from None
     missing = [n for n in S.gen_names if n not in by_name]
@@ -189,11 +193,10 @@ class StationaryEngine:
         self.S = S
         self.ideal = ideal if ideal is not None else minimal_ideal(S)
         self.kr: KRExpansion = karnofsky_rhodes(S, cap=kr_cap)
-        self.mc: McExpansion = mccammond(self.kr.graph, cap=mc_cap)
+        self.mc: ExpansionTree = mccammond(self.kr, cap=mc_cap)
 
-        mc, images = self.mc, self.kr.graph.s_image
-        ideal = self.ideal  # the root's image, None, is in no ideal
-        in_ideal = self._in_ideal = [images[u] in ideal for u in mc.endpoint]
+        mc, ideal = self.mc, self.ideal  # the root's image, None, is in no ideal
+        in_ideal = self._in_ideal = [x in ideal for x in mc.s_image]
         self.live = [v for v, inside in enumerate(in_ideal) if not inside]
 
         # the expansion's vertex order is the order of the tree-path words
@@ -470,7 +473,7 @@ def _stationary_kr_limit(S: ASemigroup, xs: Sequence[Fraction]) -> StationaryRes
     t times the walk weights onto the simple paths that end at u."""
     engine = StationaryEngine(S, frozenset())  # nothing absorbs: all live
     kr, mc = engine.kr, engine.mc
-    ideal_vertices = set(minimal_ideal_vertices(kr.graph))
+    ideal_vertices = set(minimal_ideal_vertices(kr.out))
     onto: dict[int, list[int]] = {}  # ideal vertex -> the MC vertices onto it
     for p, u in enumerate(mc.endpoint):
         if u in ideal_vertices:
@@ -512,11 +515,11 @@ def _kr_result(kr: KRExpansion, masses: dict, nf_words: dict,
     named by the shortlex-first word reaching its vertex, and states come
     in the order of those words.
     """
-    labels, words, images = kr.graph.labels, kr.words, kr.graph.s_image
+    words, images = kr.words, kr.s_image
+    order = sorted(masses, key=words.__getitem__)
     entries: dict[str, object] = {}
     info: dict[str, KeyInfo] = {}
-    for v in sorted(masses, key=words.__getitem__):
-        label = labels[v]
+    for v, label in zip(order, kr.names(order)):
         entries[label] = masses[v]
         info[label] = KeyInfo(
             label=label,

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from conftest import reference_words
+from conftest import reference_kr, reference_words
 
 from semiwalk import families
 from semiwalk.core import (
@@ -243,3 +243,25 @@ def test_mc_vertex_order_is_word_order(name, request):
         nf_words = [nf.word for nf in StationaryEngine(S).normal_forms]
         assert nf_words == sorted(nf_words)
 
+
+@pytest.mark.parametrize("name", FAMILY_CASES + ["counterexample", "random"])
+def test_kr_tree_matches_eager_construction(name, request):
+    for S in _order_cases(name, request):
+        kr = karnofsky_rhodes(S)
+        ref, words = reference_kr(S)
+        n, k = ref.n, S.n_gens
+        assert kr.out == ref.out
+        assert kr.words == words
+        assert kr.graph.labels == ref.labels
+        assert kr.graph.s_image == ref.s_image
+        for v in range(n):
+            for a in range(k):
+                assert kr.left_multiply(a, v) == ref.follow(ref.out[0][a], words[v])
+        T = kr.semigroup()
+        assert (T.size, T.gen_names) == (n - 1, S.gen_names)
+        assert T.gens == [w - 1 for w in ref.out[0]]
+        assert T.element_names() == ref.labels[1:]
+        assert [[T.mult(i, j) for j in range(n - 1)] for i in range(n - 1)] == [
+            [ref.follow(i + 1, words[j + 1]) - 1 for j in range(n - 1)]
+            for i in range(n - 1)
+        ]

@@ -297,4 +297,4 @@ def test_limit_mode_expands_s_once_and_no_s0(monkeypatch):
     stationary_kr(S, uniform_probs(S))
     assert [name for name, _, _ in seen] == ["karnofsky_rhodes", "mccammond"]
     (_, kr_arg, kr), (_, mc_arg, _) = seen
-    assert kr_arg is S and mc_arg is kr.graph
+    assert kr_arg is S and mc_arg is kr

@@ -1,6 +1,9 @@
+import csv
 import gc
 import hashlib
+import io
 import json
+import re
 import subprocess
 import sys
 import time
@@ -137,6 +140,45 @@ def test_cli_expand_mc_dot_pins(counterexample_spec, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == COUNTEREXAMPLE_MC_DOT_SHA256
 
 
+# SHA-256 of `expand --kr --format dot` on flat_tower:3,2 (2,112 vertices)
+FLAT_TOWER_3_2_KR_DOT_SHA256 = (
+    "efb02aab7164c7a63241eb3f726b9529c86eafce96cbec5908b69048db42d7d0"
+)
+
+
+def test_cli_expand_kr_dot_pin(capsys):
+    code, out, _ = run_cli(
+        ["expand", "--kr", "--family", "flat_tower:3,2", "--format", "dot"], capsys
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FLAT_TOWER_3_2_KR_DOT_SHA256
+
+
+def test_cli_expand_dot_escapes_labels(tmp_path, capsys):
+    spec = {"kind": "transformations", "states": 2,
+            "maps": {'a"b': [0, 0], "c\\d": [1, 1]}}
+    code, out, _ = run_cli(["expand", "--kr", "--format", "dot", "--spec",
+                            _malformed_spec(tmp_path, spec)], capsys)
+    assert code == 0
+    quoted = re.findall(r'label=("(?:[^"\\]|\\.)*")', out)
+    # 5 vertices and 10 edges, each label one DOT string read back whole
+    assert len(quoted) == 15 and len(re.findall("label=", out)) == 15
+    names = {json.loads(q) for q in quoted}  # DOT's escapes are JSON's here
+    assert names == {"\U0001d7d9", 'a"b', "c\\d", 'a"b·c\\d', 'c\\d·a"b'}
+
+
+def test_cli_stationary_csv_quotes_names(tmp_path, capsys):
+    spec = {"kind": "transformations", "states": 2,
+            "maps": {"x,y": [0, 0], "z": [1, 1]}}
+    code, out, _ = run_cli(["stationary", "--format", "csv", "--spec",
+                            _malformed_spec(tmp_path, spec)], capsys)
+    assert code == 0
+    assert list(csv.reader(io.StringIO(out))) == [
+        ["state", "probability"], ["x,y", "1/4"], ["x,y·z", "1/4"],
+        ["z", "1/4"], ["z·x,y", "1/4"],
+    ]
+
+
 def test_cli_stationary(capsys):
     code, out, _ = run_cli(
         ["stationary", "--family", "rees_B:2", "--probs", "a=1/2,b=1/2"],
@@ -214,8 +256,9 @@ def test_cli_verify_counterexample_spec(counterexample_spec, capsys):
 
 
 def _malformed_spec(tmp_path, spec):
+    """Path of a spec file: a dict as JSON, a string as written."""
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
     return str(path)
 
 
@@ -232,6 +275,15 @@ def test_cli_unparsable_probability_exit_2(probs, capsys):
     )
     assert code == 2 and out == ""
     assert err.startswith("error: bad probability")
+
+
+def test_cli_duplicate_probability_exit_2(capsys):
+    code, out, err = run_cli(
+        ["stationary", "--family", "tsetlin:2", "--probs", "1=1/3,2=1/3,1=2/3"],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: duplicate probability") and "'1'" in err
 
 
 def test_cli_non_integer_map_entry_exit_2(tmp_path, capsys):
@@ -284,11 +336,14 @@ def test_cli_generator_element_out_of_range_exit_2(tmp_path, capsys):
     ({"kind": "table", "generators": ["a", "b"], "table": [[0, 0], [0, 1]],
       "gen_elements": [True, 0]},
      "generator elements must lie in 0..1"),
+    ('{"kind": "transformations", "states": 2, "maps": {"a": [0, 1], "a": [1, 0]}}',
+     "duplicate key 'a'"),
 ], ids=["states-string", "maps-list", "map-not-list", "table-string-entry",
         "table-row-not-list", "generators-int", "generator-name-int",
         "gen-elements-int", "element-names-int", "family-n-string",
         "family-n-float", "family-name-list", "family-unknown",
-        "table-entry-false", "states-true", "gen-elements-true"])
+        "table-entry-false", "states-true", "gen-elements-true",
+        "maps-duplicate-key"])
 def test_cli_malformed_spec_field_exit_2(tmp_path, capsys, spec, message):
     code, out, err = run_cli(["build", "--spec", _malformed_spec(tmp_path, spec)],
                              capsys)

@@ -5,7 +5,8 @@ from itertools import permutations
 import pytest
 from conftest import reference_words
 
-from semiwalk import expansions
+from semiwalk import chains, stationary
+from semiwalk.chains import build_chain, certify
 from semiwalk.core import (
     IdealSet,
     SizeCapExceeded,
@@ -14,6 +15,7 @@ from semiwalk.core import (
     semigroup_from_transformations,
 )
 from semiwalk.expansions import karnofsky_rhodes
+from semiwalk.graphs import RootedLabeledGraph
 from semiwalk.kleene import (
     DivergentStar,
     Letter,
@@ -447,19 +449,34 @@ def test_tree_pass_rejects_back_edge_to_non_ancestor(p3):
 def test_stationary_kr_builds_no_mc_labelled_graph(name, force_limit, request,
                                                     monkeypatch):
     # the counterexample's expansion has 194 simple paths over 109 vertices;
-    # z2x01 runs in limit mode
+    # z2x01 runs in limit mode.  The only labelled graph built per expansion
+    # is the right Cayley graph it expands: none for KR, none for MC.
     S = request.getfixturevalue(name)
-    kr_vertices = karnofsky_rhodes(S).graph.n
-    calls = []
-    word_labels = expansions._word_labels
+    xs = uniform_probs(S)
+    built, krs = [], []
+    init = RootedLabeledGraph.__init__
 
-    def counted(names, root_label, words):
-        calls.append(len(words))
-        return word_labels(names, root_label, words)
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(expansions, "_word_labels", counted)
-    stationary_kr(S, uniform_probs(S), force_limit=force_limit)
-    assert calls == [kr_vertices]
+    def spy(module):
+        fn = module.karnofsky_rhodes
+
+        def wrapped(*args, **kwargs):
+            krs.append(fn(*args, **kwargs))
+            return krs[-1]
+        monkeypatch.setattr(module, "karnofsky_rhodes", wrapped)
+
+    monkeypatch.setattr(RootedLabeledGraph, "__init__", counted_init)
+    spy(stationary)
+    spy(chains)
+    result = stationary_kr(S, xs, force_limit=force_limit)
+    build_chain(S, xs, "kr_ideal")
+    assert certify(S, xs, result)
+    assert len(krs) == 3
+    assert len(built) == 3
+    assert all(g is kr.base_graph for g, kr in zip(built, krs))
 
 
 def test_tree_pass_raises_divergent_star(b2):
