@@ -101,8 +101,9 @@ def certify(S: ASemigroup, xs: Sequence[Fraction], result) -> bool:
 
     True iff the masses of ``result`` (a ``StationaryResult`` over "kr") are
     nonnegative, sum to 1, and satisfy pi T = pi on the chain
-    ``build_chain(S, xs, "kr_ideal")``.  Holds for direct and limit-mode
-    results alike.
+    ``build_chain(S, xs, "kr_ideal")``.  In limit mode that chain can have
+    several closed classes, and pi T = pi does not fix the mass of each:
+    every mixture of their laws passes.
     """
     pi = result.entries
     if sum(pi.values(), Fraction(0)) != 1 or any(v < 0 for v in pi.values()):

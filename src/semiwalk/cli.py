@@ -205,6 +205,8 @@ def cmd_verify(args) -> int:
     for flag, value in (("--walkers", args.walkers), ("--steps", args.steps)):
         if value < 1:
             raise SemigroupError(f"{flag} must be at least 1, got {value}")
+    if args.tv_tol is not None and not args.tv_tol >= 0:  # also rejects NaN
+        raise SemigroupError(f"--tv-tol must be at least 0, got {args.tv_tol}")
     S = _load(args)
     xs = _probs(args, S)
     K = minimal_ideal(S)

@@ -11,6 +11,8 @@ lexicographically, and discovery order is the shortlex order of those
 words, so all derived labelling is deterministic across runs.
 Representative words, both Cayley graphs, the minimal ideal and the
 simulator's start word all read this one search.
+A semigroup also stores its Karnofsky-Rhodes expansion, built on first
+use, which refers to neither S nor its Cayley graph: no reference cycle.
 
 The minimal right ideals are the closed classes of that right action and
 their union is the minimal ideal (Rhodes and Steinberg, *The q-theory of
@@ -123,6 +125,7 @@ class ASemigroup:
             if len(set(self._element_names)) != size:
                 raise SemigroupError("element names must be unique")
         self._right_action: tuple[list[list[int]], list[int], list[Word]] | None = None
+        self._kr = None  # its Karnofsky-Rhodes expansion, stored by karnofsky_rhodes
 
     # -- basic structure ---------------------------------------------------
 

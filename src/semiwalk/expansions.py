@@ -5,7 +5,8 @@ graphs built on demand.
 The Karnofsky-Rhodes expansion identifies two generator words iff they reach
 the same element of the underlying semigroup *and* their paths in the right
 Cayley graph cross the same set of transition edges.  The result is again a
-right Cayley graph, so it carries a semigroup structure of its own.
+right Cayley graph, so it carries a semigroup structure of its own.  It is
+stored on the semigroup, and every reader shares that one.
 
 The McCammond expansion of a deterministic rooted graph has one vertex per
 simple path from the root; an edge either extends a simple path (tree edge)
@@ -28,15 +29,14 @@ class ExpansionTree:
     """An expansion as an integer tree over the graph it expands.
 
     Vertex v > 0 extends the path ``parent[v]`` by the letter
-    ``parent_gen[v]`` and ends at ``endpoint[v]`` of ``base_graph`` (a graph
-    or an expansion); parents come before children.  ``out`` holds the tree
-    edges and every other edge.
+    ``parent_gen[v]`` and ends at ``endpoint[v]`` of the graph it expands
+    (a graph or an expansion, read here and not kept); parents come before
+    children.  ``out`` holds the tree edges and every other edge.
     """
 
     root = 0
 
     def __init__(self, base_graph, out, parent, parent_gen, endpoint):
-        self.base_graph = base_graph
         self.alphabet: list[str] = base_graph.alphabet
         self.out: list[list[int | None]] = out
         self.parent: list[int | None] = parent
@@ -110,6 +110,10 @@ class KRExpansion(ExpansionTree):
 
 
 def karnofsky_rhodes(S: ASemigroup, cap: int = DEFAULT_KR_CAP) -> KRExpansion:
+    """The expansion of S, stored on S: later calls return the same object.
+    A cap below its size raises: the build stops at the cap, storing nothing."""
+    if S._kr is not None and len(S._kr.out) <= cap:
+        return S._kr
     rcay = right_cayley(S)
     comp = sccs(rcay)
     trans = transition_edges(rcay, comp)
@@ -146,7 +150,8 @@ def karnofsky_rhodes(S: ASemigroup, cap: int = DEFAULT_KR_CAP) -> KRExpansion:
                 out.append([None] * k)
             out[v][a] = w
 
-    return KRExpansion(rcay, out, parent, parent_gen, [key[0] for key in keys])
+    S._kr = KRExpansion(rcay, out, parent, parent_gen, [key[0] for key in keys])
+    return S._kr
 
 
 def mccammond(G, cap: int = DEFAULT_MC_CAP) -> ExpansionTree:
@@ -203,13 +208,12 @@ def mccammond(G, cap: int = DEFAULT_MC_CAP) -> ExpansionTree:
     return ExpansionTree(G, out, parent, parent_gen, endpoint)
 
 
-def is_mc_stable(S: ASemigroup, kr: KRExpansion | None = None) -> bool:
+def is_mc_stable(S: ASemigroup) -> bool:
     """True iff the Karnofsky-Rhodes expansion has unique simple paths.
 
     Equivalently, the McCammond expansion adds no vertices.
     """
-    if kr is None:
-        kr = karnofsky_rhodes(S)
+    kr = karnofsky_rhodes(S)
     try:
         mc = mccammond(kr, cap=len(kr.out))
     except SizeCapExceeded:
@@ -220,6 +224,5 @@ def is_mc_stable(S: ASemigroup, kr: KRExpansion | None = None) -> bool:
 def is_stable1(S: ASemigroup) -> bool:
     """True iff expanding changes nothing at all: the expansion graph is
     label-isomorphic to the right Cayley graph and has unique simple paths."""
-    kr = karnofsky_rhodes(S)
     # endpoint maps it onto the Cayley graph edge for edge: equal sizes suffice
-    return len(kr.out) == kr.base_graph.n and is_mc_stable(S, kr)
+    return len(karnofsky_rhodes(S).out) == S.size + 1 and is_mc_stable(S)

@@ -30,6 +30,8 @@ The walk loop inlines the generator and draws the same streams as
 
 from __future__ import annotations
 
+import csv
+import io
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -87,10 +89,12 @@ class EmpiricalDistribution:
         return {k: c / self.total for k, c in sorted(self.counts.items())}
 
     def to_csv(self) -> str:
-        lines = ["state,count,frequency"]
-        for k, c in sorted(self.counts.items()):
-            lines.append(f"{k},{c},{c / self.total!r}")
-        return "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(("state", "count", "frequency"))
+        writer.writerows((k, c, c / self.total)
+                         for k, c in sorted(self.counts.items()))
+        return buf.getvalue()
 
     # mapping-style access so tv_distance can consume it directly
     def __iter__(self):

@@ -20,10 +20,20 @@ from .core import ASemigroup, SemigroupError, semigroup_from_table, semigroup_fr
 from .families import FamilySpec, build
 
 
+# The fields of each kind; a family spec's other keys are its parameters.
+_FIELDS = {
+    "table": ("kind", "generators", "table", "gen_elements", "element_names"),
+    "transformations": ("kind", "states", "maps"),
+}
+
+
 def semigroup_from_spec(data: dict) -> ASemigroup:
     if not isinstance(data, dict) or "kind" not in data:
         raise SemigroupError("spec must be an object with a 'kind' field")
     kind = data["kind"]
+    for key in data:
+        if kind in _FIELDS and key not in _FIELDS[kind]:
+            raise SemigroupError(f"{kind} spec has no field {key!r}")
     if kind == "table":
         table = data.get("table")
         gen_names = _strings(data, "generators")

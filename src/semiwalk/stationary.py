@@ -1,14 +1,15 @@
 """Stationary distributions of semigroup random walks, computed exactly.
 
 Pipeline: expand the right Cayley graph (transition-edge identification,
-then simple-path expansion, both integer trees with no labelled graph),
-enumerate normal forms (shortest simple paths from the root into the
-ideal), and for each normal form sum the weights of all ideal-avoiding
-walks that loop-erase to it.  The simple-path expansion is a spanning tree
-plus back edges to ancestors, read as integer rows, so that sum is a
-product along the tree path to the normal form: the letter weights times
-the Green's function G_v = 1/(1 - R_v) at each vertex v on the path, where
-R_v is the weight of the excursions that leave v into its subtree and
+stored on the semigroup and shared with every other reader, then
+simple-path expansion, built per engine; both integer trees with no
+labelled graph), enumerate normal forms (shortest simple paths from the
+root into the ideal), and for each normal form sum the weights of all
+ideal-avoiding walks that loop-erase to it.  The simple-path expansion is a
+spanning tree plus back edges to ancestors, read as integer rows, so that
+sum is a product along the tree path to the normal form: the letter weights
+times the Green's function G_v = 1/(1 - R_v) at each vertex v on the path,
+where R_v is the weight of the excursions that leave v into its subtree and
 first come back to v (Lawler's loop-erased-walk formula).  One bottom-up
 pass gets every G_v and one top-down prefix product gets every value.  The
 regular expression for a normal form's walk language is the same sum over
@@ -46,8 +47,7 @@ from .core import (
     minimal_ideal,
     zero_name,
 )
-from .expansions import DEFAULT_KR_CAP, DEFAULT_MC_CAP, ExpansionTree, KRExpansion
-from .expansions import karnofsky_rhodes, mccammond
+from .expansions import ExpansionTree, KRExpansion, karnofsky_rhodes, mccammond
 from .graphs import minimal_ideal_vertices
 from .kleene import (
     EPSILON,
@@ -183,17 +183,11 @@ class StationaryEngine:
     """Shared expansion state for one semigroup and one target ideal.  An
     empty ideal (limit mode's ``frozenset()``) leaves every vertex live."""
 
-    def __init__(
-        self,
-        S: ASemigroup,
-        ideal: IdealSet | frozenset[int] | None = None,
-        kr_cap: int = DEFAULT_KR_CAP,
-        mc_cap: int = DEFAULT_MC_CAP,
-    ):
+    def __init__(self, S: ASemigroup, ideal: IdealSet | frozenset[int] | None = None):
         self.S = S
         self.ideal = ideal if ideal is not None else minimal_ideal(S)
-        self.kr: KRExpansion = karnofsky_rhodes(S, cap=kr_cap)
-        self.mc: ExpansionTree = mccammond(self.kr, cap=mc_cap)
+        self.kr: KRExpansion = karnofsky_rhodes(S)
+        self.mc: ExpansionTree = mccammond(self.kr)
 
         mc, ideal = self.mc, self.ideal  # the root's image, None, is in no ideal
         in_ideal = self._in_ideal = [x in ideal for x in mc.s_image]

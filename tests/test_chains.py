@@ -257,6 +257,18 @@ def test_certify_rejects_wrong_laws(b2):
     assert not certify(b2, HALF, StationaryResult("kr", extra))
 
 
+@pytest.mark.xfail(strict=True, reason="certify checks pi T = pi only; in limit "
+                   "mode that does not fix the mass of each closed class")
+def test_certify_rejects_a_wrong_mixture_of_closed_classes():
+    # rees_general's chain has the closed classes {a, ba, aba, baba} and
+    # {b, ab, bab, abab}; its law is 1/8 on each state.  A wrong label set
+    # would fail certify already and show as an unexpected pass.
+    S = families.build(families.parse_family("rees_general"))
+    wrong = {**dict.fromkeys(["a", "ba", "aba", "baba"], F(1, 16)),
+             **dict.fromkeys(["b", "ab", "bab", "abab"], F(3, 16))}
+    assert not certify(S, uniform_probs(S), StationaryResult("kr", wrong))
+
+
 def test_limit_mode_reaches_size_27_draw():
     # Three maps on three states whose closure has 27 elements and a kernel
     # that is not left zero: out of reach of rational-function weights.

@@ -188,6 +188,24 @@ def test_kr_size_cap_names_stage_and_size(z2x01):
         karnofsky_rhodes(z2x01, cap=3)
 
 
+def test_kr_cap_applies_to_the_stored_expansion():
+    # a build that raises stores nothing; later calls return the stored
+    # expansion, and a cap below its size raises the build's own error
+    S = families.z2x01()
+    message = r"Karnofsky-Rhodes expansion of a semigroup with \|S\| = 4 exceeded cap"
+    with pytest.raises(SizeCapExceeded, match=message + " 3 "):
+        karnofsky_rhodes(S, cap=3)
+    assert S._kr is None
+    kr = karnofsky_rhodes(S)
+    n = len(kr.out)
+    assert n == reference_kr(S)[0].n
+    assert karnofsky_rhodes(S) is kr and karnofsky_rhodes(S, cap=n) is kr
+    with pytest.raises(SizeCapExceeded, match=f"{message} {n - 1} "):
+        karnofsky_rhodes(S, cap=n - 1)
+    assert karnofsky_rhodes(S) is kr
+    assert StationaryEngine(S).kr is kr
+
+
 def test_dot_export_marks_back_edges(b2):
     mc = mccammond(karnofsky_rhodes(b2).graph)
     text = to_dot(mc.graph, tree=mc.tree_edges)

@@ -4,7 +4,13 @@ from itertools import accumulate, product
 import pytest
 
 from semiwalk.chains import tv_distance
-from semiwalk.core import SemigroupError, adjoin_zero, minimal_ideal, semigroup_from_table
+from semiwalk.core import (
+    SemigroupError,
+    adjoin_zero,
+    minimal_ideal,
+    semigroup_from_table,
+    semigroup_from_transformations,
+)
 from semiwalk.expansions import karnofsky_rhodes
 from semiwalk.simulate import (
     SplitMix64,
@@ -44,6 +50,17 @@ def test_simulation_bit_identical(b2):
     csv = d1.to_csv()
     assert csv.splitlines()[0] == "state,count,frequency"
     assert len(csv.splitlines()) == 1 + len(d1.counts)
+
+
+def test_to_csv_quotes_a_state_name_with_a_comma():
+    # the generator named x,y puts a comma into three state names
+    S = semigroup_from_transformations(2, {"x,y": [0, 0], "z": [1, 1]})
+    emp = simulate_semaphore(S, uniform_probs(S), walkers=2, steps=50, seed=1,
+                             zero_weight="1/4")
+    assert emp.to_csv() == (
+        'state,count,frequency\n"x,y·z·□",8,0.08\n"x,y·□",34,0.34\n'
+        '"z·x,y·□",19,0.19\nz·□,17,0.17\n□,22,0.22\n'
+    )
 
 
 def test_single_generator_walk_deterministic():

@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from semiwalk import chains, cli, simulate, stationary
 from semiwalk.cli import main
 from semiwalk.core import SemigroupError
 from semiwalk.families import DESK_CAPS
@@ -338,12 +339,20 @@ def test_cli_generator_element_out_of_range_exit_2(tmp_path, capsys):
      "generator elements must lie in 0..1"),
     ('{"kind": "transformations", "states": 2, "maps": {"a": [0, 1], "a": [1, 0]}}',
      "duplicate key 'a'"),
+    # a misspelt field is an error, not a default
+    ({"kind": "table", "generators": ["a", "b"], "table": [[0, 0], [0, 1]],
+      "gen_element": [1, 0]},
+     "table spec has no field 'gen_element'"),
+    ({"kind": "transformations", "states": 2, "maps": {"a": [0, 1]},
+      "generators": ["a"]},
+     "transformations spec has no field 'generators'"),
 ], ids=["states-string", "maps-list", "map-not-list", "table-string-entry",
         "table-row-not-list", "generators-int", "generator-name-int",
         "gen-elements-int", "element-names-int", "family-n-string",
         "family-n-float", "family-name-list", "family-unknown",
         "table-entry-false", "states-true", "gen-elements-true",
-        "maps-duplicate-key"])
+        "maps-duplicate-key", "table-unknown-field",
+        "transformations-unknown-field"])
 def test_cli_malformed_spec_field_exit_2(tmp_path, capsys, spec, message):
     code, out, err = run_cli(["build", "--spec", _malformed_spec(tmp_path, spec)],
                              capsys)
@@ -407,6 +416,43 @@ def test_cli_verify_rejects_empty_simulation(capsys, flag, value):
                               flag, value, "--tv-tol", "0.1"], capsys)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {flag} must be at least 1")
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "-0.5"])
+def test_cli_verify_rejects_bad_tv_tol(capsys, monkeypatch, value):
+    def no_work(args):
+        raise AssertionError("the input was loaded")
+    monkeypatch.setattr(cli, "_load", no_work)
+    code, out, err = run_cli(["verify", "--family", "rees_B:2", "--simulate",
+                              "--tv-tol", value], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: --tv-tol must be at least 0, got {float(value)}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--family", "flat_tower:3,2", "--simulate", "--walkers", "2",
+     "--steps", "100", "--tv-tol", "1"],
+    ["verify", "--family", "z2x01"],
+    ["stationary", "--family", "rees_zp:4,4", "--expressions"],
+], ids=["verify-simulate", "verify-limit", "stationary-expressions"])
+def test_cli_expands_the_semigroup_once(capsys, monkeypatch, argv):
+    # every reader of the Karnofsky-Rhodes expansion in one command (law,
+    # chain, certificate, simulation, expressions) shares one object
+    krs = []
+
+    def spy(module):
+        fn = module.karnofsky_rhodes
+
+        def wrapped(*args, **kwargs):
+            krs.append(fn(*args, **kwargs))
+            return krs[-1]
+        monkeypatch.setattr(module, "karnofsky_rhodes", wrapped)
+
+    for module in (stationary, chains, simulate):
+        spy(module)
+    code, _, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert len(krs) >= 2 and all(kr is krs[0] for kr in krs)
 
 
 def test_cli_byte_identical_reruns(capsys):

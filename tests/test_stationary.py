@@ -3,19 +3,18 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from conftest import reference_words
+from conftest import COUNTEREXAMPLE_MAPS, reference_words
 
 from semiwalk import chains, stationary
 from semiwalk.chains import build_chain, certify
 from semiwalk.core import (
     IdealSet,
-    SizeCapExceeded,
     adjoin_zero,
     minimal_ideal,
     semigroup_from_transformations,
 )
 from semiwalk.expansions import karnofsky_rhodes
-from semiwalk.graphs import RootedLabeledGraph
+from semiwalk.graphs import RootedLabeledGraph, right_cayley
 from semiwalk.kleene import (
     DivergentStar,
     Letter,
@@ -125,13 +124,6 @@ def test_normal_forms_custom_ideal(p3):
     nfs = normal_forms(p3, IdealSet(members))
     labels = [p3.word_label(w) for w in [nf.word for nf in nfs]]
     assert labels == ["12", "13", "21", "23", "31", "32"]
-
-
-def test_engine_caps_propagate(z2x01_quotient):
-    with pytest.raises(SizeCapExceeded):
-        StationaryEngine(z2x01_quotient, mc_cap=2)
-    with pytest.raises(SizeCapExceeded):
-        StationaryEngine(z2x01_quotient, kr_cap=2)
 
 
 def test_normal_forms_adjoined_zero(z2x01):
@@ -446,12 +438,13 @@ def test_tree_pass_rejects_back_edge_to_non_ancestor(p3):
 @pytest.mark.parametrize("name, force_limit", [
     ("counterexample", False), ("counterexample", True), ("z2x01", False),
 ])
-def test_stationary_kr_builds_no_mc_labelled_graph(name, force_limit, request,
-                                                    monkeypatch):
+def test_stationary_kr_builds_no_mc_labelled_graph(name, force_limit, monkeypatch):
     # the counterexample's expansion has 194 simple paths over 109 vertices;
-    # z2x01 runs in limit mode.  The only labelled graph built per expansion
+    # z2x01 runs in limit mode.  On a fresh semigroup the law, the chain and
+    # the certificate read one expansion, and the only labelled graph built
     # is the right Cayley graph it expands: none for KR, none for MC.
-    S = request.getfixturevalue(name)
+    S = (semigroup_from_transformations(5, COUNTEREXAMPLE_MAPS)
+         if name == "counterexample" else families.z2x01())
     xs = uniform_probs(S)
     built, krs = [], []
     init = RootedLabeledGraph.__init__
@@ -474,9 +467,11 @@ def test_stationary_kr_builds_no_mc_labelled_graph(name, force_limit, request,
     result = stationary_kr(S, xs, force_limit=force_limit)
     build_chain(S, xs, "kr_ideal")
     assert certify(S, xs, result)
-    assert len(krs) == 3
-    assert len(built) == 3
-    assert all(g is kr.base_graph for g, kr in zip(built, krs))
+    assert len(krs) == 3 and all(kr is krs[0] for kr in krs)
+    assert len(built) == 1
+    rcay = right_cayley(S)
+    assert (built[0].labels, built[0].out, built[0].s_image) == (
+        rcay.labels, rcay.out, rcay.s_image)
 
 
 def test_tree_pass_raises_divergent_star(b2):
