@@ -16,6 +16,7 @@ from typing import Mapping, Sequence
 from .core import ASemigroup, SemigroupError, minimal_ideal
 from .expansions import karnofsky_rhodes, mccammond
 from .graphs import closed_classes, minimal_ideal_vertices, sccs
+from .stationary import semaphore_left_action, validate_probs
 
 
 class NotConverged(ArithmeticError):
@@ -70,11 +71,10 @@ def build_chain(
     its shortlex-first word, the name ``stationary_kr`` gives it too.
 
     Every column receives one weight per generator, so each sums to
-    ``sum(xs)``; that one sum is checked instead of every column.
+    ``sum(xs)``; ``validate_probs`` checks that one sum instead of every
+    column.
     """
-    total = sum(xs, Fraction(0))
-    if total != 1:
-        raise SemigroupError(f"generator weights sum to {total}, not 1")
+    xs = validate_probs(S, xs)
     if space == "k_s":
         states = sorted(minimal_ideal(S).members)
         labels = [S.element_name(e) for e in states]
@@ -129,8 +129,7 @@ def truncated_semaphore_chain(
     the set of interior labels whose full column lies inside the
     truncation, and the label -> word map.
     """
-    from .stationary import semaphore_left_action
-
+    xs = validate_probs(S, xs)
     I = minimal_ideal(S)
     words: list[tuple[int, ...]] = []
     stack: list[tuple[tuple[int, ...], int | None]] = [((), None)]
@@ -266,6 +265,7 @@ class MixingBound:
 
 
 def mixing_bound(S: ASemigroup, xs: Sequence[Fraction], c: int = 1) -> MixingBound:
+    xs = validate_probs(S, xs)
     mc = mccammond(karnofsky_rhodes(S))
     comp = sccs(mc.out)
     parent = mc.parent
@@ -281,7 +281,7 @@ def mixing_bound(S: ASemigroup, xs: Sequence[Fraction], c: int = 1) -> MixingBou
     best_depth = max(depth)
     best_run = max(run)
 
-    p = min(Fraction(v) for v in xs)
+    p = min(xs)
     gap = 1 + best_run
     k = math.ceil(Fraction(2) * (best_depth + gap * c - 1) / p**gap)
     return MixingBound(n=best_depth, gap=gap, p_min=p, c=c, k=k)

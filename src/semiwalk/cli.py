@@ -31,6 +31,7 @@ from .kleene import DivergentStar
 from .simulate import simulate_semaphore
 from .specio import load_spec
 from .stationary import (
+    StationaryEngine,
     expressions_report,
     normalization_check,
     parse_probs,
@@ -180,10 +181,12 @@ def cmd_expand(args) -> int:
 def cmd_stationary(args) -> int:
     S = _load(args)
     xs = _probs(args, S)
+    # one engine for the law and the expressions (limit mode builds its own)
+    engine = StationaryEngine(S) if args.expressions else None
     if args.over == "s":
         result = stationary_s(S, xs, force_limit=args.limit_zero)
     else:
-        result = stationary_kr(S, xs, force_limit=args.limit_zero)
+        result = stationary_kr(S, xs, force_limit=args.limit_zero, engine=engine)
     rows = [(k, _frac(v, args.as_float)) for k, v in result.entries.items()]
     if args.format == "json":
         print(json.dumps(dict(rows), ensure_ascii=False))
@@ -196,7 +199,7 @@ def cmd_stationary(args) -> int:
             print(f"{k}: {v}")
     if args.expressions:
         print("# walk languages per normal form")
-        for k, v in expressions_report(S).items():
+        for k, v in expressions_report(S, engine).items():
             print(f"{k}: {v}")
     return 0
 

@@ -1,11 +1,17 @@
 """Built-in semigroup families and their closed-form stationary laws.
 
 Each builder returns a semigroup with printable element and generator
-names.  The base families are checked tables; the towers multiply by the
-relations of bar, flat and the Karnofsky-Rhodes expansion, with no table.
-The closed forms are evaluated exactly and keyed by the same labels the
-generic pipeline produces, so tests can compare the two routes with
-rational equality.
+names.  Every family multiplies by its relations and fills no table: the
+base families compute products of subsets, signed subsets, Rees matrix
+triples or words, and the towers read the relations of bar, flat and the
+Karnofsky-Rhodes expansion.  As trusted constructions they skip the checks
+``semigroup_from_table`` applies to user tables; the test suite runs those
+checks on the base families instead.  The closed forms are evaluated
+exactly and keyed by the same labels the generic pipeline produces, so
+tests can compare the two routes with rational equality.
+
+One table, ``_FAMILIES``, holds each family's builder, closed-form law and
+parameters; parsing, building, the range check and ``closed_form`` read it.
 """
 
 from __future__ import annotations
@@ -13,19 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations, product as iproduct
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .core import (
-    ASemigroup,
-    SemigroupError,
-    bar,
-    flat,
-    label_sep,
-    semigroup_from_table,
-)
+from .core import ZERO_NAME, ASemigroup, SemigroupError, bar, flat, label_sep
 from .expansions import karnofsky_rhodes
-
-ZERO = "□"
 
 
 @dataclass
@@ -34,121 +31,27 @@ class FamilySpec:
     params: dict = field(default_factory=dict)
 
 
-DESK_CAPS = {
-    "tsetlin": {"n": (1, 6)},
-    "signed_tsetlin": {"n": (1, 5)},
-    "edge_flip_line": {"n": (1, 4)},
-    "rees_B": {"n": (2, 6)},
-    "rees_zp": {"n": (2, 4), "p": (1, 5)},
-    "rees_general": {"n": (2, 2), "p": (2, 2)},
-    "klein": {},
-    "flipflop": {},
-    "z2x01": {},
-    "burnside_straightline": {"n": (1, 6)},
-    # a tower's depth range depends on n: deeper towers exceed the
-    # Karnofsky-Rhodes expansion's size cap
-    "bar_tower": {"n": (2, 3), "depth": {2: (0, 2), 3: (0, 1)}},
-    "flat_tower": {"n": (2, 3), "depth": {2: (1, 3), 3: (1, 2)}},
-}
-
-
-def parse_family(text: str) -> FamilySpec:
-    """Parse 'tsetlin:3' or 'rees_zp:2,2' into a FamilySpec."""
-    name, _, rest = text.partition(":")
-    if name not in DESK_CAPS:
-        raise SemigroupError(f"unknown family {name!r}; known: {sorted(DESK_CAPS)}")
-    order = {
-        "rees_zp": ("n", "p"),
-        "rees_general": ("n", "p"),
-        "bar_tower": ("n", "depth"),
-        "flat_tower": ("n", "depth"),
-    }.get(name, ("n",))
-    params = {}
-    if rest:
-        try:
-            values = [int(v) for v in rest.split(",")]
-        except ValueError:
-            raise SemigroupError(
-                f"family parameters must be integers, got {rest!r}"
-            ) from None
-        if len(values) > len(order):
-            raise SemigroupError(f"too many parameters for family {name!r}")
-        params = dict(zip(order, values))
-    return FamilySpec(name, params)
-
-
-def _check_caps(spec: FamilySpec) -> None:
-    caps = DESK_CAPS.get(spec.name)
-    if caps is None:
-        raise SemigroupError(f"unknown family {spec.name!r}; known: {sorted(DESK_CAPS)}")
-    # n first: a tower's depth range is keyed by its n
-    for key, value in sorted(spec.params.items(), key=lambda kv: kv[0] != "n"):
-        if key not in caps:
-            raise SemigroupError(f"family {spec.name!r} has no parameter {key!r}")
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise SemigroupError(f"{spec.name}.{key} must be an integer, got {value!r}")
-        bounds, where = caps[key], ""
-        if isinstance(bounds, dict):
-            n = spec.params.get("n", 2)  # the towers' default n
-            bounds, where = bounds[n], f" for n={n}"
-        lo, hi = bounds
-        if not (lo <= value <= hi):
-            raise SemigroupError(
-                f"{spec.name}.{key}={value} outside desk-scale range [{lo}, {hi}]{where}"
-            )
-
-
-def build(spec: FamilySpec) -> ASemigroup:
-    _check_caps(spec)
-    p = spec.params
-    if spec.name == "tsetlin":
-        return tsetlin(p.get("n", 3))
-    if spec.name == "signed_tsetlin":
-        return signed_tsetlin(p.get("n", 2))
-    if spec.name == "edge_flip_line":
-        return signed_tsetlin(p.get("n", 2))
-    if spec.name == "rees_B":
-        return rees_cycle(p.get("n", 2), 1)
-    if spec.name == "rees_zp":
-        return rees_cycle(p.get("n", 2), p.get("p", 2))
-    if spec.name == "rees_general":
-        return rees_general()
-    if spec.name == "klein":
-        return klein()
-    if spec.name == "flipflop":
-        return flipflop()
-    if spec.name == "z2x01":
-        return z2x01()
-    if spec.name == "burnside_straightline":
-        return burnside_straightline(p.get("n", 2))
-    if spec.name == "bar_tower":
-        return bar_tower(p.get("n", 2), p.get("depth", 1))
-    if spec.name == "flat_tower":
-        return flat_tower(p.get("n", 2), p.get("depth", 1))
-    raise SemigroupError(f"unknown family {spec.name!r}")
-
-
 # -- individual builders ---------------------------------------------------------
 
 
 def tsetlin(n: int) -> ASemigroup:
     """Nonempty subsets of {1..n} under union, generated by singletons."""
-    els = []
-    for k in range(1, n + 1):
-        els.extend(frozenset(c) for c in combinations(range(1, n + 1), k))
-    idx = {e: i for i, e in enumerate(els)}
-    table = [[idx[a | b] for b in els] for a in els]
-    names = ["".join(str(x) for x in sorted(e)) for e in els]
-    gens = [idx[frozenset([i])] for i in range(1, n + 1)]
-    return semigroup_from_table(table, gens, [str(i) for i in range(1, n + 1)], names)
+    subsets = [c for k in range(1, n + 1) for c in combinations(range(1, n + 1), k)]
+    masks = [sum(1 << x for x in c) for c in subsets]
+    idx = {m: i for i, m in enumerate(masks)}
+
+    def mul(a: int, b: int) -> int:
+        return idx[masks[a] | masks[b]]
+
+    names = ["".join(str(x) for x in c) for c in subsets]
+    gens = [idx[1 << i] for i in range(1, n + 1)]
+    return ASemigroup(len(subsets), gens, [str(i) for i in range(1, n + 1)], mul, names)
 
 
 def signed_tsetlin(n: int) -> ASemigroup:
     """Nonempty sign-consistent subsets of {±1..±n}; multiplication adds a
     signed letter only when neither it nor its negative is present."""
-    letters = []
-    for i in range(1, n + 1):
-        letters.extend([i, -i])
+    letters = [s * i for i in range(1, n + 1) for s in (1, -1)]
     els: list[frozenset] = []
     for k in range(1, n + 1):
         for support in combinations(range(1, n + 1), k):
@@ -156,25 +59,18 @@ def signed_tsetlin(n: int) -> ASemigroup:
                 els.append(frozenset(s * v for s, v in zip(signs, support)))
     els.sort(key=lambda e: (len(e), sorted((abs(v), v < 0) for v in e)))
     idx = {e: i for i, e in enumerate(els)}
+    ordered = [sorted(e, key=abs) for e in els]  # one letter per |v|
 
-    def add(e: frozenset, v: int) -> frozenset:
-        if v in e or -v in e:
-            return e
-        return e | {v}
+    def mul(a: int, b: int) -> int:
+        out = els[a]
+        for v in ordered[b]:
+            if v not in out and -v not in out:
+                out = out | {v}
+        return idx[out]
 
-    def mul(a: frozenset, b: frozenset) -> frozenset:
-        out = a
-        for v in sorted(b, key=abs):
-            out = add(out, v)
-        return out
-
-    table = [[idx[mul(a, b)] for b in els] for a in els]
-    names = [
-        "{" + ",".join(str(v) for v in sorted(e, key=lambda v: (abs(v), v < 0))) + "}"
-        for e in els
-    ]
+    names = ["{" + ",".join(map(str, e)) + "}" for e in ordered]
     gens = [idx[frozenset([v])] for v in letters]
-    return semigroup_from_table(table, gens, [str(v) for v in letters], names)
+    return ASemigroup(len(els), gens, [str(v) for v in letters], mul, names)
 
 
 def signed_letter_of_gen(k: int) -> int:
@@ -203,20 +99,13 @@ def rees_cycle(n: int, p: int) -> ASemigroup:
             return zero
         return idx[(i, (g + h) % p, l)]
 
-    size = zero + 1
-    table = [[mul(a, b) for b in range(size)] for a in range(size)]
     if p == 1:
-        names = [f"{i}{j}" for i, g, j in els] + [ZERO]
+        names = [f"{i}{j}" for i, g, j in els] + [ZERO_NAME]
     else:
-        names = [f"({i},{g},{j})" for i, g, j in els] + [ZERO]
-    gens = []
-    for i in range(1, n + 1):
-        if i < n:
-            gens.append(idx[(i, 0, i + 1)])
-        else:
-            gens.append(idx[(n, 1 % p, 1)])
+        names = [f"({i},{g},{j})" for i, g, j in els] + [ZERO_NAME]
+    gens = [idx[(i, 0, i + 1)] for i in range(1, n)] + [idx[(n, 1 % p, 1)]]
     gen_names = ["a", "b"] if n == 2 else [f"a{i}" for i in range(1, n + 1)]
-    return semigroup_from_table(table, gens, gen_names, names)
+    return ASemigroup(zero + 1, gens, gen_names, mul, names)
 
 
 def rees_general() -> ASemigroup:
@@ -232,32 +121,38 @@ def rees_general() -> ASemigroup:
         k, h, l = els[b]
         return idx[(i, (g + matrix[j - 1][k - 1] + h) % 2, l)]
 
-    table = [[mul(a, b) for b in range(len(els))] for a in range(len(els))]
     names = [f"({i},{'1' if g == 0 else '-1'},{j})" for i, g, j in els]
     gens = [idx[(1, 0, 2)], idx[(2, 0, 1)]]
-    return semigroup_from_table(table, gens, ["a", "b"], names)
+    return ASemigroup(len(els), gens, ["a", "b"], mul, names)
 
 
 def klein() -> ASemigroup:
     els = [(1, -1), (-1, 1), (-1, -1), (1, 1)]
     idx = {e: i for i, e in enumerate(els)}
-    table = [[idx[(a[0] * b[0], a[1] * b[1])] for b in els] for a in els]
-    names = [f"({e[0]},{e[1]})" for e in els]
-    return semigroup_from_table(table, [0, 1], ["a", "b"], names)
+
+    def mul(a: int, b: int) -> int:
+        (x, y), (u, v) = els[a], els[b]
+        return idx[(x * u, y * v)]
+
+    names = [f"({x},{y})" for x, y in els]
+    return ASemigroup(len(els), [0, 1], ["a", "b"], mul, names)
 
 
 def flipflop() -> ASemigroup:
-    return semigroup_from_table([[0, 0], [0, 1]], [0, 1], ["0", "1"], ["0", "1"])
+    """{0, 1} under multiplication."""
+    return ASemigroup(2, [0, 1], ["0", "1"], lambda a, b: a * b, ["0", "1"])
 
 
 def z2x01() -> ASemigroup:
     els = [(1, 0), (0, 0), (1, 1), (0, 1)]  # (exponent of z, multiplier bit)
     idx = {e: i for i, e in enumerate(els)}
-    table = [
-        [idx[((a[0] + b[0]) % 2, a[1] * b[1])] for b in els] for a in els
-    ]
+
+    def mul(a: int, b: int) -> int:
+        (z, m), (w, k) = els[a], els[b]
+        return idx[((z + w) % 2, m * k)]
+
     names = ["(z,0)", "(1,0)", "(z,1)", "(1,1)"]
-    return semigroup_from_table(table, [idx[(1, 0)], idx[(1, 1)]], ["a", "b"], names)
+    return ASemigroup(len(els), [idx[(1, 0)], idx[(1, 1)]], ["a", "b"], mul, names)
 
 
 def burnside_straightline(n: int) -> ASemigroup:
@@ -290,17 +185,14 @@ def burnside_straightline(n: int) -> ASemigroup:
             l = 2 * n + (l - 2 * n) % 2
         return idx[(ex[0], l)]
 
-    size = sink + 1
-    table = [[mul(x, y) for y in range(size)] for x in range(size)]
-
     def word(e):
         f, l = e
         other = "b" if f == "a" else "a"
         return "".join(f if i % 2 == 0 else other for i in range(l))
 
-    names = [word(e) for e in els] + [ZERO]
+    names = [word(e) for e in els] + [ZERO_NAME]
     gens = [idx[("a", 1)], idx[("b", 1)]]
-    return semigroup_from_table(table, gens, ["a", "b"], names)
+    return ASemigroup(sink + 1, gens, ["a", "b"], mul, names)
 
 
 def bar_tower(n: int, depth: int) -> ASemigroup:
@@ -334,49 +226,15 @@ def hendricks(xs: Sequence[Fraction], pi: Sequence[int]) -> Fraction:
     return value
 
 
-def closed_form(spec: FamilySpec, xs: Sequence[Fraction]) -> dict[str, Fraction]:
-    """Exact stationary law from the family's published formula.
+def _tsetlin_closed_form(n: int, xs: Sequence[Fraction]) -> dict[str, Fraction]:
+    return {
+        "".join(str(a + 1) for a in pi): hendricks(xs, pi)
+        for pi in permutations(range(n))
+    }
 
-    Keys match the labels produced by the generic pipeline at the
-    expansion level ("kr"), except edge_flip_line which is keyed by the
-    lumped bit-string states.
-    """
-    _check_caps(spec)
-    p = spec.params
-    name = spec.name
-    if name == "tsetlin":
-        n = p.get("n", 3)
-        return {
-            "".join(str(a + 1) for a in pi): hendricks(xs, pi)
-            for pi in permutations(range(n))
-        }
-    if name == "signed_tsetlin":
-        return {"·".join(map(str, pi)): value
-                for pi, value in _signed_arrangements(p.get("n", 2), xs)}
-    if name == "edge_flip_line":
-        return edge_flip_closed_form(p.get("n", 2), xs)
-    if name in ("rees_B", "rees_zp"):
-        n = p.get("n", 2)
-        gp = 1 if name == "rees_B" else p.get("p", 2)
-        return _rees_cycle_closed_form(n, gp, xs)
-    if name == "rees_general":
-        xa, xb = xs
-        return {
-            "a": xa * xa / 2, "ab": xa * xb / 2, "aba": xa * xa / 2,
-            "abab": xa * xb / 2, "b": xb * xb / 2, "ba": xa * xb / 2,
-            "bab": xb * xb / 2, "baba": xa * xb / 2,
-        }
-    if name == "z2x01":
-        xa, xb = xs
-        c = xa * xb / (2 * (1 - xb**2))
-        return {
-            "a": xa / 2, "aa": xa / 2,
-            "ba": c, "baa": c,
-            "bba": c * xb, "bbaa": c * xb,
-        }
-    if name == "burnside_straightline":
-        return _burnside_closed_form(p.get("n", 2), xs)
-    raise SemigroupError(f"no closed form recorded for family {name!r}")
+
+def _signed_closed_form(n: int, xs: Sequence[Fraction]) -> dict[str, Fraction]:
+    return {"·".join(map(str, pi)): value for pi, value in _signed_arrangements(n, xs)}
 
 
 def _signed_arrangements(n: int, ys: Sequence[Fraction]):
@@ -458,6 +316,25 @@ def _rees_cycle_closed_form(
     return out
 
 
+def _rees_general_closed_form(xs: Sequence[Fraction]) -> dict[str, Fraction]:
+    xa, xb = xs
+    return {
+        "a": xa * xa / 2, "ab": xa * xb / 2, "aba": xa * xa / 2,
+        "abab": xa * xb / 2, "b": xb * xb / 2, "ba": xa * xb / 2,
+        "bab": xb * xb / 2, "baba": xa * xb / 2,
+    }
+
+
+def _z2x01_closed_form(xs: Sequence[Fraction]) -> dict[str, Fraction]:
+    xa, xb = xs
+    c = xa * xb / (2 * (1 - xb**2))
+    return {
+        "a": xa / 2, "aa": xa / 2,
+        "ba": c, "baa": c,
+        "bba": c * xb, "bbaa": c * xb,
+    }
+
+
 def _burnside_closed_form(n: int, xs: Sequence[Fraction]) -> dict[str, Fraction]:
     xa, xb = xs
     denom = 1 - xa * xb
@@ -499,3 +376,115 @@ def r_trivial_stationary(S: ASemigroup, xs: Sequence[Fraction]) -> dict[str, Fra
             prefix = S.gens[g] if prefix is None else S.mult(prefix, S.gens[g])
         out[S.word_label(nf.word)] = value
     return out
+
+
+# -- the families: parsing, ranges, building, closed forms ------------------------
+
+
+class _Family(NamedTuple):
+    """A family's builder and closed-form law (or None), both called with
+    its parameter values in parse order (the law with the weights after
+    them), and its parameters as (name, default, desk-scale range).  A
+    range may be a dict keyed by the value of the first parameter."""
+
+    build: Callable[..., ASemigroup]
+    law: Callable[..., dict[str, Fraction]] | None
+    params: tuple = ()
+
+
+_FAMILIES = {
+    "tsetlin": _Family(tsetlin, _tsetlin_closed_form, (("n", 3, (1, 6)),)),
+    "signed_tsetlin": _Family(signed_tsetlin, _signed_closed_form, (("n", 2, (1, 5)),)),
+    "edge_flip_line": _Family(signed_tsetlin, edge_flip_closed_form, (("n", 2, (1, 4)),)),
+    "rees_B": _Family(lambda n: rees_cycle(n, 1),
+                      lambda n, xs: _rees_cycle_closed_form(n, 1, xs),
+                      (("n", 2, (2, 6)),)),
+    "rees_zp": _Family(rees_cycle, _rees_cycle_closed_form,
+                       (("n", 2, (2, 4)), ("p", 2, (1, 5)))),
+    "rees_general": _Family(lambda n, p: rees_general(),
+                            lambda n, p, xs: _rees_general_closed_form(xs),
+                            (("n", 2, (2, 2)), ("p", 2, (2, 2)))),
+    "klein": _Family(klein, None),
+    "flipflop": _Family(flipflop, None),
+    "z2x01": _Family(z2x01, _z2x01_closed_form),
+    "burnside_straightline": _Family(burnside_straightline, _burnside_closed_form,
+                                     (("n", 2, (1, 6)),)),
+    # a tower's depth range depends on n: deeper towers exceed the
+    # Karnofsky-Rhodes expansion's size cap
+    "bar_tower": _Family(bar_tower, None,
+                         (("n", 2, (2, 3)), ("depth", 1, {2: (0, 2), 3: (0, 1)}))),
+    "flat_tower": _Family(flat_tower, None,
+                          (("n", 2, (2, 3)), ("depth", 1, {2: (1, 3), 3: (1, 2)}))),
+}
+
+DESK_CAPS = {
+    name: {key: bounds for key, _, bounds in family.params}
+    for name, family in _FAMILIES.items()
+}
+
+
+def _family(name: str) -> _Family:
+    if name not in _FAMILIES:
+        raise SemigroupError(f"unknown family {name!r}; known: {sorted(_FAMILIES)}")
+    return _FAMILIES[name]
+
+
+def parse_family(text: str) -> FamilySpec:
+    """Parse 'tsetlin:3' or 'rees_zp:2,2' into a FamilySpec."""
+    name, _, rest = text.partition(":")
+    order = [key for key, _, _ in _family(name).params]
+    params = {}
+    if rest:
+        try:
+            values = [int(v) for v in rest.split(",")]
+        except ValueError:
+            raise SemigroupError(
+                f"family parameters must be integers, got {rest!r}"
+            ) from None
+        if len(values) > len(order):
+            raise SemigroupError(f"too many parameters for family {name!r}")
+        params = dict(zip(order, values))
+    return FamilySpec(name, params)
+
+
+def _values(spec: FamilySpec) -> tuple[_Family, list[int]]:
+    """The spec's family and its parameter values in parse order, defaults
+    filled in, each checked against its desk-scale range."""
+    family = _family(spec.name)
+    ranges = {key: bounds for key, _, bounds in family.params}
+    values = {key: default for key, default, _ in family.params}
+    first = next(iter(values), None)
+    # the first parameter first: a later one's range may be keyed by it
+    for key, value in sorted(spec.params.items(), key=lambda kv: kv[0] != first):
+        if key not in ranges:
+            raise SemigroupError(f"family {spec.name!r} has no parameter {key!r}")
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise SemigroupError(f"{spec.name}.{key} must be an integer, got {value!r}")
+        bounds, where = ranges[key], ""
+        if isinstance(bounds, dict):
+            bounds, where = bounds[values[first]], f" for {first}={values[first]}"
+        lo, hi = bounds
+        if not (lo <= value <= hi):
+            raise SemigroupError(
+                f"{spec.name}.{key}={value} outside desk-scale range [{lo}, {hi}]{where}"
+            )
+        values[key] = value
+    return family, list(values.values())
+
+
+def build(spec: FamilySpec) -> ASemigroup:
+    family, values = _values(spec)
+    return family.build(*values)
+
+
+def closed_form(spec: FamilySpec, xs: Sequence[Fraction]) -> dict[str, Fraction]:
+    """Exact stationary law from the family's published formula.
+
+    Keys match the labels produced by the generic pipeline at the
+    expansion level ("kr"), except edge_flip_line which is keyed by the
+    lumped bit-string states.
+    """
+    family, values = _values(spec)
+    if family.law is None:
+        raise SemigroupError(f"no closed form recorded for family {spec.name!r}")
+    return family.law(*values, xs)

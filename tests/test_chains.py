@@ -45,6 +45,23 @@ def test_weights_not_summing_to_one_rejected(b2):
             build_chain(b2, [F(1, 3), F(1, 3)], space)
 
 
+@pytest.mark.parametrize("xs", [
+    [F(1, 2)], [F(3, 4), F(3, 4)], [F(0), F(1)], [F(1)],
+], ids=["too-few", "sum-3/2", "zero-weight", "one-weight"])
+def test_chains_and_mixing_bound_check_their_weights(xs):
+    # the same weight check as the stationary laws, with its messages
+    S = families.build(families.parse_family("rees_B:2"))
+    calls = [
+        lambda: build_chain(S, xs, "kr_ideal"),
+        lambda: build_chain(S, xs, "k_s"),
+        lambda: truncated_semaphore_chain(S, xs, 4),
+        lambda: mixing_bound(S, xs),
+    ]
+    for call in calls:
+        with pytest.raises(SemigroupError, match="probabilit"):
+            call()
+
+
 def test_b2_kr_chain_structure(b2):
     T = build_chain(b2, HALF, "kr_ideal")
     assert sorted(T.labels) == ["aa", "abb", "baa", "bb"]

@@ -3,7 +3,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from semiwalk.core import SemigroupError, bar, flat
+from semiwalk.core import SemigroupError, bar, flat, semigroup_from_table
 from semiwalk.expansions import is_mc_stable, is_stable1, karnofsky_rhodes
 from semiwalk.simulate import SplitMix64
 from semiwalk.stationary import (
@@ -48,6 +48,9 @@ def test_parse_family():
         parse_family("nonsense:1")
     with pytest.raises(SemigroupError):
         parse_family("tsetlin:1,2")
+    # a family without parameters takes none
+    with pytest.raises(SemigroupError, match="too many parameters for family 'klein'"):
+        parse_family("klein:1")
 
 
 def test_desk_caps_enforced():
@@ -220,6 +223,37 @@ def test_all_family_names_buildable():
     for name in DESK_CAPS:
         S = build(FamilySpec(name))
         assert S.size >= 1
+
+
+def _base_family_specs():
+    """Every base family (not a tower) at its defaults and with each
+    parameter at either end of its desk-scale range."""
+    specs = {}
+    for name, caps in DESK_CAPS.items():
+        if name.endswith("_tower"):
+            continue
+        specs[name] = FamilySpec(name)
+        for ends in iproduct(*[sorted(set(bounds)) for bounds in caps.values()]):
+            if ends:
+                specs[name + ":" + ",".join(map(str, ends))] = FamilySpec(
+                    name, dict(zip(caps, ends)))
+    return specs
+
+
+BASE_FAMILY_SPECS = _base_family_specs()
+
+
+@pytest.mark.parametrize("spec", list(BASE_FAMILY_SPECS.values()),
+                         ids=list(BASE_FAMILY_SPECS))
+def test_base_families_pass_the_table_checks(spec):
+    # the families multiply by their relations and skip the checks a user
+    # table gets; as a table their product passes them, with the same
+    # right action and element names
+    S = build(spec)
+    table = [[S.mult(i, j) for j in range(S.size)] for i in range(S.size)]
+    T = semigroup_from_table(table, S.gens, S.gen_names, S.element_names())
+    assert T.right_action() == S.right_action()
+    assert T.element_names() == S.element_names()
 
 
 def test_tower_depth_range_reads_n_or_its_default():

@@ -433,11 +433,10 @@ def test_cli_verify_rejects_bad_tv_tol(capsys, monkeypatch, value):
     ["verify", "--family", "flat_tower:3,2", "--simulate", "--walkers", "2",
      "--steps", "100", "--tv-tol", "1"],
     ["verify", "--family", "z2x01"],
-    ["stationary", "--family", "rees_zp:4,4", "--expressions"],
-], ids=["verify-simulate", "verify-limit", "stationary-expressions"])
+], ids=["verify-simulate", "verify-limit"])
 def test_cli_expands_the_semigroup_once(capsys, monkeypatch, argv):
     # every reader of the Karnofsky-Rhodes expansion in one command (law,
-    # chain, certificate, simulation, expressions) shares one object
+    # chain, certificate, simulation) shares one object
     krs = []
 
     def spy(module):
@@ -453,6 +452,22 @@ def test_cli_expands_the_semigroup_once(capsys, monkeypatch, argv):
     code, _, _ = run_cli(argv, capsys)
     assert code == 0
     assert len(krs) >= 2 and all(kr is krs[0] for kr in krs)
+
+
+def test_cli_stationary_expressions_builds_one_mccammond(capsys, monkeypatch):
+    # the law and the walk languages read one engine, so one McCammond
+    # expansion (direct mode; --over s and limit mode build a second)
+    mcs = []
+    fn = stationary.mccammond
+
+    def wrapped(*args, **kwargs):
+        mcs.append(fn(*args, **kwargs))
+        return mcs[-1]
+    monkeypatch.setattr(stationary, "mccammond", wrapped)
+    code, out, _ = run_cli(["stationary", "--family", "rees_zp:4,4",
+                            "--expressions"], capsys)
+    assert code == 0 and "# walk languages per normal form" in out
+    assert len(mcs) == 1
 
 
 def test_cli_byte_identical_reruns(capsys):
