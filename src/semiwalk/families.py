@@ -401,9 +401,7 @@ _FAMILIES = {
                       (("n", 2, (2, 6)),)),
     "rees_zp": _Family(rees_cycle, _rees_cycle_closed_form,
                        (("n", 2, (2, 4)), ("p", 2, (1, 5)))),
-    "rees_general": _Family(lambda n, p: rees_general(),
-                            lambda n, p, xs: _rees_general_closed_form(xs),
-                            (("n", 2, (2, 2)), ("p", 2, (2, 2)))),
+    "rees_general": _Family(rees_general, _rees_general_closed_form),
     "klein": _Family(klein, None),
     "flipflop": _Family(flipflop, None),
     "z2x01": _Family(z2x01, _z2x01_closed_form),

@@ -3,18 +3,20 @@
 Limit mode runs the t-killed walk on the expansion of S, weights scaled by
 (1-t): t times a walk weight is a state's mass on the expansion of S with a
 zero of weight t adjoined, and the law is its limit t -> 0.  ``Series``
-carries only the low-order terms, which is all the limit reads; ``RatF``
-carries the full rational function and serves as an independent reference.
+carries only the low-order terms, which is all the limit reads, as integer
+numerators over one shared denominator, so each operation reduces once
+instead of once per coefficient; its limit is a ``Fraction``.  ``RatF``
+carries the full rational function over ``Fraction`` coefficients and
+serves as an independent reference.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 Coeffs = tuple[Fraction, ...]
-
-_ZERO = Fraction(0)
 
 
 class PrecisionLost(ArithmeticError):
@@ -24,76 +26,101 @@ class PrecisionLost(ArithmeticError):
 class Series:
     """Truncated Laurent series t^val * (c0 + c1*t + ... + c_{p-1}*t^(p-1)).
 
-    ``cs`` holds the p known coefficients, c0 != 0; p is the relative
-    precision and the terms from t^(val+p) on are unknown.  Every known
-    coefficient is exact, so arithmetic never returns a wrong known term:
-    when a sum cancels every known coefficient it raises PrecisionLost
-    instead.
+    The p known coefficients are c_k = nums[k] / denom: integer numerators
+    over one positive integer denominator, with gcd(denom, *nums) = 1 and
+    nums[0] != 0.  p is the relative precision and the terms from t^(val+p)
+    on are unknown.  Every known coefficient is exact, so arithmetic never
+    returns a wrong known term: when a sum cancels every known coefficient
+    it raises PrecisionLost instead.  ``cs`` reads the coefficients as
+    ``Fraction``s.  There is no ``==``: two series compare by identity.
     """
 
-    __slots__ = ("val", "cs")
+    __slots__ = ("val", "nums", "denom")
 
-    def __init__(self, val: int, cs: Coeffs):
+    def __init__(self, val: int, cs: Sequence):
+        """The series t^val * sum(cs[k] * t^k), from exact coefficients."""
+        cs = [Fraction(c) for c in cs]
+        if not cs or cs[0] == 0:
+            raise ValueError("a series needs a nonzero leading coefficient")
+        # the lcm of the denominators leaves gcd(denom, *nums) = 1
+        denom = lcm(*[c.denominator for c in cs])
         self.val = val
-        self.cs = cs
+        self.nums = tuple(c.numerator * (denom // c.denominator) for c in cs)
+        self.denom = denom
 
     @staticmethod
     def const(q, prec: int) -> "Series":
         """The nonzero constant q, with prec known coefficients."""
-        return Series(0, (Fraction(q),) + (_ZERO,) * (prec - 1))
+        return Series(0, (q,) + (0,) * (prec - 1))
 
     @staticmethod
     def variable(prec: int) -> "Series":
-        return Series(1, (Fraction(1),) + (_ZERO,) * (prec - 1))
+        return Series(1, (1,) + (0,) * (prec - 1))
 
     def one(self) -> "Series":
-        return Series.const(1, len(self.cs))
+        return Series.const(1, len(self.nums))
+
+    @property
+    def cs(self) -> Coeffs:
+        """The known coefficients, c0 first."""
+        d = self.denom
+        return tuple(Fraction(n, d) for n in self.nums)
 
     def __add__(self, other: "Series") -> "Series":
         a, b = (self, other) if self.val <= other.val else (other, self)
         shift = b.val - a.val
+        an, bn = a.nums, b.nums
         # Known up to the smaller absolute precision, counted from a.val.
-        end = min(len(a.cs), shift + len(b.cs))
-        out = list(a.cs[:end])
-        bcs = b.cs
+        end = min(len(an), shift + len(bn))
+        g = gcd(a.denom, b.denom)
+        fa, fb = b.denom // g, a.denom // g  # both sides over the lcm
+        out = [x * fa for x in an[:end]]
         for i in range(shift, end):
-            out[i] += bcs[i - shift]
+            out[i] += bn[i - shift] * fb
         for k, c in enumerate(out):
             if c:
-                return Series(a.val + k, tuple(out[k:]))
+                return _reduced(a.val + k, out[k:], a.denom * fa)
         raise PrecisionLost(
             f"sum cancels every known coefficient below t^{a.val + end}"
         )
 
     def __neg__(self) -> "Series":
-        return Series(self.val, tuple(-c for c in self.cs))
+        return _reduced(self.val, [-x for x in self.nums], self.denom)
 
     def __sub__(self, other: "Series") -> "Series":
         return self + (-other)
 
     def __mul__(self, other: "Series") -> "Series":
-        a, b = self.cs, other.cs
+        a, b = self.nums, other.nums
         out = []
         for k in range(min(len(a), len(b))):
             s = a[0] * b[k]
             for i in range(1, k + 1):
-                if a[i]:
-                    s += a[i] * b[k - i]
+                s += a[i] * b[k - i]
             out.append(s)
-        return Series(self.val + other.val, tuple(out))
+        return _reduced(self.val + other.val, out, self.denom * other.denom)
 
     def inverse(self) -> "Series":
-        """1/self to the same relative precision, O(p^2)."""
-        a = self.cs
-        inv0 = 1 / a[0]
-        out = [inv0]
-        for k in range(1, len(a)):
-            s = _ZERO
+        """1/self to the same relative precision, O(p^2).
+
+        With A = sum nums[k] t^k, 1/A = sum b_k t^k where b_k * a0^(k+1) is
+        an integer, so c_k = b_k * a0^p is an integer and c_k * a0 is minus
+        the sum of a_i * c_{k-i}: the division by a0 is exact.
+        """
+        a = self.nums
+        p = len(a)
+        a0 = a[0]
+        out = [a0 ** (p - 1)]
+        for k in range(1, p):
+            s = 0
             for i in range(1, k + 1):
-                if a[i]:
-                    s += a[i] * out[k - i]
-            out.append(-s * inv0)
-        return Series(-self.val, tuple(out))
+                s += a[i] * out[k - i]
+            out.append(-(s // a0))
+        d = self.denom
+        denom = a0 ** p
+        if denom < 0:
+            d, denom = -d, -denom
+        return _reduced(-self.val, [d * c for c in out], denom)
 
     def __truediv__(self, other: "Series") -> "Series":
         return self * other.inverse()
@@ -102,7 +129,21 @@ class Series:
         """lim t->0, exact; raises if there is a pole at 0."""
         if self.val < 0:
             raise ZeroDivisionError("pole at t=0")
-        return self.cs[0] if self.val == 0 else _ZERO
+        return Fraction(self.nums[0], self.denom) if self.val == 0 else Fraction(0)
+
+
+_new = object.__new__
+
+
+def _reduced(val: int, nums: list, denom: int) -> Series:
+    """A series from numerators over denom > 0, nums[0] != 0, reduced here."""
+    g = gcd(denom, *nums)
+    s = _new(Series)
+    if g == 1:
+        s.val, s.nums, s.denom = val, tuple(nums), denom
+    else:
+        s.val, s.nums, s.denom = val, tuple([x // g for x in nums]), denom // g
+    return s
 
 
 def _trim(cs: Sequence[Fraction]) -> Coeffs:

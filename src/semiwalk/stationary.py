@@ -497,7 +497,8 @@ def _stationary_kr_limit(S: ASemigroup, xs: Sequence[Fraction]) -> StationaryRes
     # letter first reaches u·0
     names0 = S.gen_names + [zero_name(S)]
     sep, z = label_sep(names0), (S.n_gens,)
-    nf_words = {u: [mc.word(p) + z for p in ps] for u, ps in onto.items()}
+    words = mc.words  # nearly every MC vertex ends in the ideal: one pass
+    nf_words = {u: [words[p] + z for p in ps] for u, ps in onto.items()}
     alt_labels = {u: sep.join([names0[g] for g in kr.words[u] + z]) for u in onto}
     return _kr_result(kr, masses, nf_words, alt_labels)
 

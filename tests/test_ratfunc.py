@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from semiwalk.stationary import (
     _kr_result,
     _stationary_kr_direct,
     stationary_kr,
+    stationary_s,
     uniform_probs,
 )
 
@@ -125,6 +127,148 @@ def test_series_limit_and_pole():
         (x.one() / (x.one() - (x.one() - _t(4)))).limit_at_zero()
 
 
+# -- the integer series against the Fraction-coefficient one ----------------------
+
+
+class FractionSeries:
+    """The truncated series with one Fraction per known coefficient: the
+    reference for ``Series`` (same precision rules, one gcd per term)."""
+
+    __slots__ = ("val", "cs")
+
+    def __init__(self, val, cs):
+        self.val = val
+        self.cs = cs
+
+    def __add__(self, other):
+        a, b = (self, other) if self.val <= other.val else (other, self)
+        shift = b.val - a.val
+        end = min(len(a.cs), shift + len(b.cs))
+        out = list(a.cs[:end])
+        for i in range(shift, end):
+            out[i] += b.cs[i - shift]
+        for k, c in enumerate(out):
+            if c:
+                return FractionSeries(a.val + k, tuple(out[k:]))
+        raise PrecisionLost(f"sum cancels every known coefficient below t^{a.val + end}")
+
+    def __neg__(self):
+        return FractionSeries(self.val, tuple(-c for c in self.cs))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        a, b = self.cs, other.cs
+        out = []
+        for k in range(min(len(a), len(b))):
+            out.append(sum((a[i] * b[k - i] for i in range(1, k + 1)), a[0] * b[k]))
+        return FractionSeries(self.val + other.val, tuple(out))
+
+    def inverse(self):
+        a = self.cs
+        inv0 = 1 / a[0]
+        out = [inv0]
+        for k in range(1, len(a)):
+            s = sum((a[i] * out[k - i] for i in range(1, k + 1)), Fraction(0))
+            out.append(-s * inv0)
+        return FractionSeries(-self.val, tuple(out))
+
+    def __truediv__(self, other):
+        return self * other.inverse()
+
+    def limit_at_zero(self):
+        if self.val < 0:
+            raise ZeroDivisionError("pole at t=0")
+        return self.cs[0] if self.val == 0 else Fraction(0)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (PrecisionLost, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_reduced(s):
+    assert s.denom > 0
+    assert math.gcd(s.denom, *s.nums) == 1
+    assert s.nums[0] != 0
+
+
+COEFFS = [Fraction(c) for c in (-2, -1, 0, 0, 1, 1, 2)] + [
+    Fraction(1, 2), Fraction(-1, 3), Fraction(3, 4), Fraction(-5, 6)]
+
+
+def _operand(rng, depth=2):
+    """A random (Series, FractionSeries) pair of precision 1 to 6, either
+    drawn directly or, below ``depth``, the value of a random + - * / on
+    two operands (so denominators and precisions vary)."""
+    if depth and rng.random() < 0.6:
+        op = rng.choice(ARITHMETIC)
+        (x, rx), (y, ry) = _operand(rng, depth - 1), _operand(rng, depth - 1)
+        try:
+            return op(x, y), op(rx, ry)
+        except PrecisionLost:
+            pass
+    prec = rng.randint(1, 6)
+    cs = (rng.choice([c for c in COEFFS if c]),)
+    cs += tuple(rng.choice(COEFFS) for _ in range(prec - 1))
+    val = rng.randint(-2, 2)
+    return Series(val, cs), FractionSeries(val, cs)
+
+
+ARITHMETIC = [
+    lambda x, y: x + y,
+    lambda x, y: x - y,
+    lambda x, y: x * y,
+    lambda x, y: x / y,
+]
+
+
+def test_series_matches_fraction_reference():
+    rng = random.Random(15)
+    ops = [
+        ("+", ARITHMETIC[0]),
+        ("-", ARITHMETIC[1]),
+        ("*", ARITHMETIC[2]),
+        ("/", ARITHMETIC[3]),
+        ("inverse", lambda x, y: x.inverse()),
+        ("limit", lambda x, y: x.limit_at_zero()),
+    ]
+    outcomes = set()
+    for _ in range(3000):
+        name, op = rng.choice(ops)
+        (x, rx), (y, ry) = _operand(rng), _operand(rng)
+        for s, r in ((x, rx), (y, ry)):
+            assert (s.val, s.cs) == (r.val, r.cs)
+            _assert_reduced(s)
+        if rng.random() < 0.2:  # y agrees with x below some power of t
+            shift, c = rng.randint(1, 6), rng.choice(COEFFS[4:])
+            y, ry = x + Series(x.val + shift, (c,)), rx + FractionSeries(x.val + shift, (c,))
+        got, want = _outcome(lambda: op(x, y)), _outcome(lambda: op(rx, ry))
+        if isinstance(want, FractionSeries):
+            assert (got.val, got.cs) == (want.val, want.cs), name
+            _assert_reduced(got)
+            outcomes.add((name, "series"))
+        else:
+            assert got == want, name
+            outcomes.add((name, want[0] if isinstance(want, tuple) else "limit"))
+    assert outcomes >= {("-", PrecisionLost), ("+", PrecisionLost),
+                        ("limit", ZeroDivisionError), ("limit", "limit"),
+                        ("inverse", "series"), ("/", "series")}
+
+
+def test_series_rejects_a_zero_leading_coefficient():
+    with pytest.raises(ValueError):
+        Series(0, (0, 1))
+    with pytest.raises(ValueError):
+        Series.const(0, 3)
+    s = Series(-1, (Fraction(2, 3), Fraction(-4, 9), 0))
+    assert (s.val, s.nums, s.denom) == (-1, (6, -4, 0), 9)
+    assert s.cs == (Fraction(2, 3), Fraction(-4, 9), 0)
+
+
 # -- the limit path against RatF, the independent reference -----------------------
 
 
@@ -209,6 +353,22 @@ def test_precision_cap_error(monkeypatch, z2x01):
     monkeypatch.setattr(stationary, "LIMIT_MAX_PRECISION", 1)
     with pytest.raises(LimitPrecisionExceeded, match=r"limit stage.*1 terms"):
         stationary_kr(z2x01, uniform_probs(z2x01))
+
+
+def test_four_state_limit_draw():
+    # beyond the benchmark's 3-state draws: |S| = 67, values as first printed
+    S = semigroup_from_transformations(
+        4, {"a": [0, 1, 1, 0], "b": [1, 3, 2, 2], "c": [2, 3, 0, 2]})
+    assert S.size == 67 and not kernel_is_left_zero(S, minimal_ideal(S))
+    xs = uniform_probs(S)
+    assert stationary_s(S, xs).entries == {
+        "acb": Fraction(10, 33), "acbc": Fraction(8, 33),
+        "cba": Fraction(3, 11), "cbab": Fraction(2, 11),
+    }
+    kr = stationary_kr(S, xs).entries
+    assert len(kr) == 288 and sum(kr.values()) == 1
+    assert kr["abbb"] == Fraction(22360, 617463)
+    assert kr["acb"] == Fraction(25160, 617463)
 
 
 # -- limit mode against the S⁰ route, its reference -------------------------------

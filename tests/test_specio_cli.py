@@ -269,6 +269,12 @@ def test_cli_non_integer_family_parameter_exit_2(capsys):
     assert err.startswith("error:") and "integers" in err
 
 
+def test_cli_parameters_on_a_family_without_any_exit_2(capsys):
+    code, out, err = run_cli(["stationary", "--family", "rees_general:2,2"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: too many parameters for family 'rees_general'")
+
+
 @pytest.mark.parametrize("probs", ["1=x,2=1/2", "1=1/0,2=1/2"])
 def test_cli_unparsable_probability_exit_2(probs, capsys):
     code, out, err = run_cli(
