@@ -6,10 +6,9 @@ walk with weight t at each step restores absorption: the walk on the
 expansion stops at state u·0 of the expansion of S with a zero generator
 of weight t adjoined, the normal form printed beside each state.  The
 stationary law of the original walk is the exact limit t -> 0.  It is
-computed here over truncated power series in t with exact coefficients: a
-series that loses every known term to cancellation raises, and the run
-repeats at double the precision, so the limit is never read from a
-truncated-away term.
+computed here in closed form, pi(u) = h(R(u)) nu(L(u)) / |H|: the mass h
+of first entering each minimal right ideal R, a small chain's law nu on
+the minimal left ideals L, and uniform mass on each H-class R ∩ L.
 """
 
 from fractions import Fraction

@@ -100,10 +100,13 @@ def certify(S: ASemigroup, xs: Sequence[Fraction], result) -> bool:
     """Exact certificate for an expansion-level stationary law.
 
     True iff the masses of ``result`` (a ``StationaryResult`` over "kr") are
-    nonnegative, sum to 1, and satisfy pi T = pi on the chain
-    ``build_chain(S, xs, "kr_ideal")``.  In limit mode that chain can have
-    several closed classes, and pi T = pi does not fix the mass of each:
-    every mixture of their laws passes.
+    nonnegative, sum to 1, satisfy pi T = pi on the chain
+    ``build_chain(S, xs, "kr_ideal")`` and put the right mass on each of its
+    closed classes.  Those are the minimal left ideals, and the letters act
+    on them through any representative; that action must have one closed
+    class, and the class masses must be stationary for it.  With pi T = pi,
+    which fixes the law within each class, this pins the law.  Nothing is
+    solved: each check is one exact multiplication.
     """
     pi = result.entries
     if sum(pi.values(), Fraction(0)) != 1 or any(v < 0 for v in pi.values()):
@@ -117,7 +120,22 @@ def certify(S: ASemigroup, xs: Sequence[Fraction], result) -> bool:
         if vec[s]:
             for t, p in col.items():
                 image[t] += vec[s] * p
-    return image == vec
+    if image != vec:
+        return False
+    kr = karnofsky_rhodes(S)
+    states = minimal_ideal_vertices(kr.out)  # the chain's states, in order
+    classes = closed_classes([list(col) for col in chain.cols])
+    class_of = {states[i]: c for c, cls in enumerate(classes) for i in cls}
+    action = [[class_of[kr.out[states[cls[0]]][a]] for a in range(S.n_gens)]
+              for cls in classes]
+    if len(closed_classes(action)) != 1:
+        return False
+    mass = [sum([vec[i] for i in cls], Fraction(0)) for cls in classes]
+    moved = [Fraction(0)] * len(classes)
+    for m, row in zip(mass, action):
+        for x, c in zip(xs, row):
+            moved[c] += m * x
+    return moved == mass
 
 
 def truncated_semaphore_chain(

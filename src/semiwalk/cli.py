@@ -181,7 +181,7 @@ def cmd_expand(args) -> int:
 def cmd_stationary(args) -> int:
     S = _load(args)
     xs = _probs(args, S)
-    # one engine for the law and the expressions (limit mode builds its own)
+    # one engine for the law over kr and the expressions, in either mode
     engine = StationaryEngine(S) if args.expressions else None
     if args.over == "s":
         result = stationary_s(S, xs, force_limit=args.limit_zero)

@@ -429,10 +429,10 @@ def _family(name: str) -> _Family:
 
 def parse_family(text: str) -> FamilySpec:
     """Parse 'tsetlin:3' or 'rees_zp:2,2' into a FamilySpec."""
-    name, _, rest = text.partition(":")
+    name, colon, rest = text.partition(":")
     order = [key for key, _, _ in _family(name).params]
     params = {}
-    if rest:
+    if colon:
         try:
             values = [int(v) for v in rest.split(",")]
         except ValueError:

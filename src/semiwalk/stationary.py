@@ -20,14 +20,16 @@ outward, which fixes the printed factored form.
 When the minimal ideal is left zero the per-normal-form sums added per
 Karnofsky-Rhodes vertex are the stationary distribution of the expanded
 chain; lumping by underlying element gives the chain on the semigroup
-itself.  Otherwise limit mode runs the t-killed walk on KR(S): weights
-scaled by (1-t), nothing absorbing, and t times the walk weight onto a
-vertex u is the mass of the state u·0 of KR(S⁰), S with a zero generator
-of weight t adjoined.  Over truncated power series in t, the limit t -> 0
-is read exactly from their leading terms; only the minimal ideal of KR(S)
-keeps mass.  A series that loses every known term to cancellation raises,
-and the pass reruns at double the precision.  Both modes name a state by
-the shortlex-first word reaching its vertex, as chains and simulations do;
+itself.  Otherwise limit mode gives u the limit t -> 0 of the mass of u·0
+on KR(S⁰), S with a zero generator of weight t adjoined and the other
+weights scaled by (1-t).  That limit has a closed form on the minimal ideal
+of KR(S), read from the same sums: pi(u) = h(R(u)) nu(L(u)) / |H|.  Here
+h(R) is the mass of the normal forms entering the minimal right ideal R,
+nu is the stationary law of the letters' action on the minimal left ideals
+(exact elimination on those few classes), and |H| is the size of each
+H-class R ∩ L, on which the law is uniform.  In direct mode every R is one
+vertex, there is one L and |H| = 1.  Both modes name a state by the
+shortlex-first word reaching its vertex, as chains and simulations do;
 only the states of the result are named.
 """
 
@@ -48,7 +50,7 @@ from .core import (
     zero_name,
 )
 from .expansions import ExpansionTree, KRExpansion, karnofsky_rhodes, mccammond
-from .graphs import minimal_ideal_vertices
+from .graphs import closed_classes
 from .kleene import (
     EPSILON,
     KleeneExpr,
@@ -60,21 +62,10 @@ from .kleene import (
     star_value,
     zimin_rewrite,
 )
-from .ratfunc import PrecisionLost, Series
 
 
 class NotACodeWord(SemigroupError):
     pass
-
-
-class LimitPrecisionExceeded(SemigroupError):
-    pass
-
-
-# Known terms per series in the limit pipeline: the first try, and the cap
-# on doubling it after a series loses all of them to cancellation.
-LIMIT_START_PRECISION = 4
-LIMIT_MAX_PRECISION = 64
 
 
 # -- probabilities -------------------------------------------------------------
@@ -180,10 +171,9 @@ class NormalForm:
 
 
 class StationaryEngine:
-    """Shared expansion state for one semigroup and one target ideal.  An
-    empty ideal (limit mode's ``frozenset()``) leaves every vertex live."""
+    """Shared expansion state for one semigroup and one target ideal."""
 
-    def __init__(self, S: ASemigroup, ideal: IdealSet | frozenset[int] | None = None):
+    def __init__(self, S: ASemigroup, ideal: IdealSet | None = None):
         self.S = S
         self.ideal = ideal if ideal is not None else minimal_ideal(S)
         self.kr: KRExpansion = karnofsky_rhodes(S)
@@ -258,8 +248,7 @@ class StationaryEngine:
         one = _one_of(xs)
         parent_gen = self.mc.parent_gen
         letter_sums: dict[int, object] = {}
-        # step per (tree letter, loop weight); Series hash by identity, so
-        # only Fraction and expression loops share entries
+        # step per (tree letter, loop weight): equal loops share one star
         steps: dict[tuple, object] = {}
         step: dict[int, object] = {}
         exits: dict[int, dict[int, object]] = {}
@@ -440,7 +429,7 @@ def stationary_kr(
     I = minimal_ideal(S)
     if kernel_is_left_zero(S, I) and not force_limit:
         return _stationary_kr_direct(S, xs, I, engine)
-    return _stationary_kr_limit(S, xs)
+    return _stationary_kr_limit(S, xs, I, engine)
 
 
 def _stationary_kr_direct(
@@ -462,45 +451,77 @@ def _stationary_kr_direct(
     return _kr_result(engine.kr, masses, nf_words, {})
 
 
-def _stationary_kr_limit(S: ASemigroup, xs: Sequence[Fraction]) -> StationaryResult:
-    """Limit mode (see the module docstring): the mass of u is the limit of
-    t times the walk weights onto the simple paths that end at u."""
-    engine = StationaryEngine(S, frozenset())  # nothing absorbs: all live
-    kr, mc = engine.kr, engine.mc
-    ideal_vertices = set(minimal_ideal_vertices(kr.out))
-    onto: dict[int, list[int]] = {}  # ideal vertex -> the MC vertices onto it
-    for p, u in enumerate(mc.endpoint):
-        if u in ideal_vertices:
-            onto.setdefault(u, []).append(p)
-    prec = LIMIT_START_PRECISION
-    while True:
-        t = Series.variable(prec)
-        one_minus_t = t.one() - t
-        try:
-            vals = engine.values([Series.const(v, prec) * one_minus_t for v in xs])
-            masses = {
-                u: (t * sum([vals[p] for p in ps[1:]], vals[ps[0]])).limit_at_zero()
-                for u, ps in onto.items()
-            }
-            break
-        except PrecisionLost as exc:
-            if prec >= LIMIT_MAX_PRECISION:
-                raise LimitPrecisionExceeded(
-                    f"limit stage (t -> 0): series precision exhausted at "
-                    f"{prec} terms, the cap: {exc}"
-                ) from exc
-            prec = min(2 * prec, LIMIT_MAX_PRECISION)
+def _stationary_kr_limit(
+    S: ASemigroup,
+    xs: Sequence[Fraction],
+    I: IdealSet,
+    engine: StationaryEngine | None = None,
+) -> StationaryResult:
+    """Limit mode (see the module docstring): pi(u) = h(R(u)) nu(L(u)) / |H|
+    on the minimal ideal of KR(S), from the direct-mode walk sums."""
+    if engine is None:
+        engine = StationaryEngine(S, I)
+    kr, mc, k = engine.kr, engine.mc, S.n_gens
+    vals = engine.values(xs)
+    # h: first-entry mass per minimal right ideal, the closed classes of the
+    # right action; the walk crosses no transition edge after entering K(S),
+    # so every entry vertex lies in one of them
+    rights = closed_classes(kr.out)
+    r_of = {u: i for i, R in enumerate(rights) for u in R}
+    h = [Fraction(0)] * len(rights)
+    for nf in engine.normal_forms:
+        h[r_of[nf.kr_vertex]] += vals[nf.mc_vertex]
+    del vals
+    # the minimal left ideals are the classes of left multiplication; the
+    # letters act on them through any representative, and nu is that
+    # action's stationary law
+    ideal = sorted(r_of)
+    index = {u: i for i, u in enumerate(ideal)}
+    lefts = closed_classes(
+        [[index[kr.left_multiply(a, u)] for a in range(k)] for u in ideal])
+    l_of = {ideal[i]: j for j, L in enumerate(lefts) for i in L}
+    nu = _stationary_vector(
+        [[l_of[kr.out[ideal[L[0]]][a]] for a in range(k)] for L in lefts], xs)
+    h_size = len(ideal) // (len(rights) * len(lefts))
+    masses = {u: h[r_of[u]] * nu[l_of[u]] / h_size for u in ideal}
 
     # names on KR(S⁰): the normal forms onto u·0 are the simple paths onto
     # u followed by the zero letter, in vertex order, which stays word order
     # (no simple path onto u extends another), and u's word then the zero
     # letter first reaches u·0
+    onto: dict[int, list[int]] = {u: [] for u in ideal}
+    for p, u in enumerate(mc.endpoint):
+        if u in onto:
+            onto[u].append(p)
     names0 = S.gen_names + [zero_name(S)]
     sep, z = label_sep(names0), (S.n_gens,)
     words = mc.words  # nearly every MC vertex ends in the ideal: one pass
     nf_words = {u: [words[p] + z for p in ps] for u, ps in onto.items()}
-    alt_labels = {u: sep.join([names0[g] for g in kr.words[u] + z]) for u in onto}
+    alt_labels = {u: sep.join([names0[g] for g in kr.words[u] + z]) for u in ideal}
     return _kr_result(kr, masses, nf_words, alt_labels)
+
+
+def _stationary_vector(succ: list[list[int]], xs: Sequence[Fraction]) -> list[Fraction]:
+    """The stationary law of the chain i -> succ[i][a] with weight xs[a],
+    which has one closed class: Gauss-Jordan elimination, exact, on the
+    balance equations with the last replaced by sum = 1."""
+    n = len(succ)
+    rows = [[Fraction(0)] * (n + 1) for _ in range(n)]
+    for i, row in enumerate(succ):
+        rows[i][i] -= 1
+        for a, j in enumerate(row):
+            rows[j][i] += xs[a]
+    rows[-1] = [Fraction(1)] * (n + 1)
+    for c in range(n):
+        p = next(r for r in range(c, n) if rows[r][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        pivot = rows[c][c]
+        rows[c] = [v / pivot for v in rows[c]]
+        for r in range(n):
+            f = rows[r][c]
+            if r != c and f:
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[c])]
+    return [row[n] for row in rows]
 
 
 def _kr_result(kr: KRExpansion, masses: dict, nf_words: dict,

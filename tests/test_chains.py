@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -20,10 +21,13 @@ from semiwalk.chains import (
 )
 from semiwalk.core import (
     SemigroupError,
+    kernel_is_left_zero,
+    minimal_ideal,
     semigroup_from_table,
     semigroup_from_transformations,
 )
 from semiwalk.expansions import karnofsky_rhodes
+from semiwalk.graphs import closed_classes
 from semiwalk.stationary import StationaryResult, stationary_kr, uniform_probs
 from semiwalk import families
 
@@ -274,21 +278,73 @@ def test_certify_rejects_wrong_laws(b2):
     assert not certify(b2, HALF, StationaryResult("kr", extra))
 
 
-@pytest.mark.xfail(strict=True, reason="certify checks pi T = pi only; in limit "
-                   "mode that does not fix the mass of each closed class")
 def test_certify_rejects_a_wrong_mixture_of_closed_classes():
     # rees_general's chain has the closed classes {a, ba, aba, baba} and
-    # {b, ab, bab, abab}; its law is 1/8 on each state.  A wrong label set
-    # would fail certify already and show as an unexpected pass.
+    # {b, ab, bab, abab}; its law is 1/8 on each state.  This mixture keeps
+    # pi T = pi; only the class masses are wrong.
     S = families.build(families.parse_family("rees_general"))
     wrong = {**dict.fromkeys(["a", "ba", "aba", "baba"], F(1, 16)),
              **dict.fromkeys(["b", "ab", "bab", "abab"], F(3, 16))}
     assert not certify(S, uniform_probs(S), StationaryResult("kr", wrong))
 
 
+def test_certify_rejects_a_law_without_a_class():
+    S = families.build(families.parse_family("rees_general"))
+    xs = uniform_probs(S)
+    one_class = dict.fromkeys(["a", "ba", "aba", "baba"], F(1, 4))
+    assert not certify(S, xs, StationaryResult("kr", one_class))
+    assert certify(S, xs, stationary_kr(S, xs))
+
+
+def _limit_draws_with_classes(n, seed):
+    """Seeded 3- and 4-state limit draws (|S| <= 40, random weights) whose
+    expansion-ideal chain has at least two closed classes."""
+    rng = random.Random(seed)
+    while n:
+        states = rng.choice((3, 4))
+        maps = {g: [rng.randrange(states) for _ in range(states)] for g in "abc"}
+        S = semigroup_from_transformations(states, maps)
+        if S.size > 40 or kernel_is_left_zero(S, minimal_ideal(S)):
+            continue
+        ws = [rng.randint(1, 9) for _ in "abc"]
+        xs = [F(w, sum(ws)) for w in ws]
+        chain = build_chain(S, xs, "kr_ideal")
+        classes = closed_classes([list(col) for col in chain.cols])
+        if len(classes) >= 2:
+            n -= 1
+            yield S, xs, [[chain.labels[i] for i in cls] for cls in classes]
+
+
+def test_certify_rejects_reweighted_mixtures_of_closed_classes():
+    # each class keeps its shape and gets a new random mass
+    rng = random.Random(16)
+    for S, xs, classes in _limit_draws_with_classes(50, seed=2024):
+        law = stationary_kr(S, xs).entries
+        assert certify(S, xs, StationaryResult("kr", law))
+        mass = [sum(law[lab] for lab in cls) for cls in classes]
+        new = mass
+        while new == mass:
+            ws = [rng.randint(1, 9) for _ in classes]
+            new = [F(w, sum(ws)) for w in ws]
+        wrong = {lab: law[lab] / m * w
+                 for cls, m, w in zip(classes, mass, new) for lab in cls}
+        assert sum(wrong.values()) == 1
+        assert not certify(S, xs, StationaryResult("kr", wrong))
+
+
+@pytest.mark.parametrize("name,forced", [
+    ("rees_general", False), ("z2x01", False), ("klein", False),
+    ("tsetlin:5", True), ("rees_B:6", True)])
+def test_certify_passes_the_limit_fixtures(name, forced):
+    S = families.build(families.parse_family(name))
+    xs = uniform_probs(S)
+    assert certify(S, xs, stationary_kr(S, xs, force_limit=forced))
+
+
 def test_limit_mode_reaches_size_27_draw():
     # Three maps on three states whose closure has 27 elements and a kernel
-    # that is not left zero: out of reach of rational-function weights.
+    # that is not left zero: the closed-form law passes the certificate,
+    # class masses included.
     S = semigroup_from_transformations(
         3, {"a": [1, 2, 1], "b": [2, 0, 1], "c": [0, 2, 1]}
     )

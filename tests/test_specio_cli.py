@@ -269,6 +269,12 @@ def test_cli_non_integer_family_parameter_exit_2(capsys):
     assert err.startswith("error:") and "integers" in err
 
 
+def test_cli_empty_family_parameter_list_exit_2(capsys):
+    code, out, err = run_cli(["build", "--family", "tsetlin:"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: family parameters must be integers, got ''\n"
+
+
 def test_cli_parameters_on_a_family_without_any_exit_2(capsys):
     code, out, err = run_cli(["stationary", "--family", "rees_general:2,2"], capsys)
     assert code == 2 and out == ""
@@ -373,16 +379,6 @@ def test_cli_verify_limit_mode_reports_skip(capsys):
     assert "PASS exact certificate" in out
 
 
-def test_cli_limit_precision_cap_is_a_clean_error(capsys, monkeypatch):
-    from semiwalk import stationary
-
-    monkeypatch.setattr(stationary, "LIMIT_START_PRECISION", 1)
-    monkeypatch.setattr(stationary, "LIMIT_MAX_PRECISION", 1)
-    code, out, err = run_cli(["stationary", "--family", "z2x01"], capsys)
-    assert code == 2 and out == ""
-    assert err.startswith("error: limit stage") and "precision" in err
-
-
 def test_cli_verify_simulate_default_tolerance(capsys):
     # At 20 x 50,000 steps, 120 states give TV 0.0059 from sampling noise;
     # the default tolerance scales with states / samples.
@@ -462,7 +458,7 @@ def test_cli_expands_the_semigroup_once(capsys, monkeypatch, argv):
 
 def test_cli_stationary_expressions_builds_one_mccammond(capsys, monkeypatch):
     # the law and the walk languages read one engine, so one McCammond
-    # expansion (direct mode; --over s and limit mode build a second)
+    # expansion, in direct and in limit mode (--over s builds a second)
     mcs = []
     fn = stationary.mccammond
 
@@ -470,10 +466,12 @@ def test_cli_stationary_expressions_builds_one_mccammond(capsys, monkeypatch):
         mcs.append(fn(*args, **kwargs))
         return mcs[-1]
     monkeypatch.setattr(stationary, "mccammond", wrapped)
-    code, out, _ = run_cli(["stationary", "--family", "rees_zp:4,4",
-                            "--expressions"], capsys)
-    assert code == 0 and "# walk languages per normal form" in out
-    assert len(mcs) == 1
+    for family in (["rees_zp:4,4"], ["z2x01"], ["tsetlin:3", "--limit-zero"]):
+        mcs.clear()
+        code, out, _ = run_cli(["stationary", "--expressions", "--family", *family],
+                               capsys)
+        assert code == 0 and "# walk languages per normal form" in out
+        assert len(mcs) == 1, family
 
 
 def test_cli_byte_identical_reruns(capsys):
