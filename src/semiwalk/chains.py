@@ -30,13 +30,16 @@ class NotIrreducible(SemigroupError):
 class TransitionMatrix:
     """Sparse column-stochastic matrix with state labels.
 
-    cols[s] maps target index -> exact probability of s -> target.
+    cols[s] maps target index -> exact probability of s -> target;
+    ``states``, when given, holds the element or expansion vertex behind
+    each label.
     """
 
     def __init__(self, labels: Sequence[str], cols: list[dict[int, Fraction]],
-                 validate: bool = True):
+                 validate: bool = True, states: Sequence[int] | None = None):
         self.labels = list(labels)
         self.cols = cols
+        self.states = states
         if validate:
             for s, col in enumerate(cols):
                 total = sum(col.values(), Fraction(0))
@@ -93,7 +96,7 @@ def build_chain(
         for a in range(S.n_gens):
             t = index[left(a, s)]
             col[t] = col.get(t, Fraction(0)) + xs[a]
-    return TransitionMatrix(labels, cols, validate=False)
+    return TransitionMatrix(labels, cols, validate=False, states=states)
 
 
 def certify(S: ASemigroup, xs: Sequence[Fraction], result) -> bool:
@@ -122,8 +125,7 @@ def certify(S: ASemigroup, xs: Sequence[Fraction], result) -> bool:
                 image[t] += vec[s] * p
     if image != vec:
         return False
-    kr = karnofsky_rhodes(S)
-    states = minimal_ideal_vertices(kr.out)  # the chain's states, in order
+    kr, states = karnofsky_rhodes(S), chain.states
     classes = closed_classes([list(col) for col in chain.cols])
     class_of = {states[i]: c for c, cls in enumerate(classes) for i in cls}
     action = [[class_of[kr.out[states[cls[0]]][a]] for a in range(S.n_gens)]

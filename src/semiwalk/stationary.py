@@ -10,12 +10,16 @@ spanning tree plus back edges to ancestors, read as integer rows, so that
 sum is a product along the tree path to the normal form: the letter weights
 times the Green's function G_v = 1/(1 - R_v) at each vertex v on the path,
 where R_v is the weight of the excursions that leave v into its subtree and
-first come back to v (Lawler's loop-erased-walk formula).  One bottom-up
-pass gets every G_v and one top-down prefix product gets every value.  The
-regular expression for a normal form's walk language is the same sum over
-Kleene expressions: the bottom-up pass runs once with letters as weights,
-and per normal form only its tree path is eliminated, from the root
-outward, which fixes the printed factored form.
+first come back to v (Lawler's loop-erased-walk formula).  R_v and G_v
+depend only on the shape of v's subtree (per letter: a child's shape, or a
+back edge and how many levels up it goes), and the tower expansions are
+self-similar, so subtrees of equal shape share one bottom-up reduction.
+One top-down pass then forms the prefix products, interned by value, so
+each distinct product is computed once.  The regular expression for a
+normal form's walk language is the same sum over Kleene expressions: the
+reduction runs once with letters as weights, and per normal form only its
+tree path is eliminated, from the root outward, which fixes the printed
+factored form.
 
 When the minimal ideal is left zero the per-normal-form sums added per
 Karnofsky-Rhodes vertex are the stationary distribution of the expanded
@@ -189,110 +193,113 @@ class StationaryEngine:
             for v in range(1, len(in_ideal))
             if in_ideal[v] and not in_ideal[mc.parent[v]]
         ]
-        self._nf_vertices = {nf.mc_vertex for nf in self.normal_forms}
+        self._shape_table = None  # the live vertices' shapes, on first use
         self._kleene = None  # the reduction over Kleene weights, on demand
 
-    # -- walk sums, all normal forms in one pass over the tree -----------------
+    # -- walk sums, one reduction per subtree shape ----------------------------
 
-    def _exits(self, v, xs, step, take, letter_sums, skip=None) -> dict:
-        """Weight of leaving v into its subtree and first coming out at each
-        ancestor-or-self (keyed by that vertex).
+    def _shapes(self) -> tuple[list[int], list[tuple]]:
+        """The shape id of every live vertex, and the shapes by id.
 
-        Back-edge letters come first, grouped by head (a bit mask of letters
-        per head, each mask's weight summed once), then each live child's
-        exits, taken by ``take``, times the child's step, in letter order,
-        leaving out ``skip``.  Over expressions this is the order in which
-        eliminating the subtree deepest first would unite the pieces.
+        A shape has one entry per letter: None for no edge or an edge into
+        the ideal (which must be a tree edge to a normal form), a live
+        child's shape id, or a back edge d >= 0 levels up as ~d.  Walk sums
+        in a subtree depend only on its shape, so equal subtrees share one
+        reduction.  Shapes are numbered bottom-up, children's first.  Back
+        edges must go to an ancestor (in the preorder numbering,
+        ``w <= v < end[w]``): AssertionError otherwise.
         """
-        parent, parent_gen = self.mc.parent, self.mc.parent_gen
-        in_ideal = self._in_ideal
-        out: dict = {}
-        back: dict[int, int] = {}  # back-edge head -> mask of its letters
-        children = []
-        for a, w in enumerate(self.mc.out[v]):
-            if w is None:
-                continue
-            if in_ideal[w]:
-                if w not in self._nf_vertices or parent[w] != v:
+        if self._shape_table is not None:
+            return self._shape_table
+        mc, live, in_ideal = self.mc, self.live, self._in_ideal
+        out, parent, parent_gen = mc.out, mc.parent, mc.parent_gen
+        depth = [0] * len(out)
+        for v in live[1:]:
+            depth[v] = depth[parent[v]] + 1
+        end = [0] * len(out)  # one past the last live vertex of v's subtree
+        for v in reversed(live[1:]):
+            e = end[v] = end[v] or v + 1
+            if e > end[parent[v]]:
+                end[parent[v]] = e
+        end[0] = len(out)
+        shape = [0] * len(out)
+        index: dict[tuple, int] = {}
+        for v in reversed(live):
+            key = []
+            dv = depth[v]
+            for a, w in enumerate(out[v]):
+                if w is None:
+                    key.append(None)
+                elif parent[w] == v and parent_gen[w] == a:
+                    key.append(None if in_ideal[w] else shape[w])
+                elif in_ideal[w]:
                     raise AssertionError(
                         "edge from outside the ideal must enter at a normal form"
                     )
-            elif parent[w] == v and parent_gen[w] == a:
-                if w != skip:
-                    children.append(w)
-            else:
-                back[w] = back.get(w, 0) | 1 << a
-        for u, mask in back.items():
-            x = letter_sums.get(mask)
-            if x is None:
-                x = letter_sums[mask] = _letter_sum(xs, mask)
-            out[u] = x
-        for w in children:
-            sw = step[w]
-            for u, e in take(w).items():
-                _acc(out, u, sw * e)
-        return out
-
-    def _reduce(self, xs: Sequence, keep: bool):
-        """The bottom-up pass: step weight and exits of every live vertex.
-
-        Children are created after their parents, so in reverse creation
-        order each vertex v sums its exits (see ``_exits``).  The part that
-        comes back to v is R_v, and G_v = 1/(1 - R_v) (over expressions,
-        (R_v)⋆).  The step weight of v is its tree letter's weight times
-        G_v; the parent takes v's exits times that step.  Unless ``keep``, a
-        child's exits are dropped once merged.  Exit weight still pending
-        at the root went to a vertex that is not an ancestor, which a
-        simple-path expansion never has: AssertionError.
-        """
-        one = _one_of(xs)
-        parent_gen = self.mc.parent_gen
-        letter_sums: dict[int, object] = {}
-        # step per (tree letter, loop weight): equal loops share one star
-        steps: dict[tuple, object] = {}
-        step: dict[int, object] = {}
-        exits: dict[int, dict[int, object]] = {}
-        take = exits.__getitem__ if keep else exits.pop
-        for v in reversed(self.live):
-            out = self._exits(v, xs, step, take, letter_sums)
-            loop = out.pop(v, None)
-            a = parent_gen[v]  # None at the root
-            if loop is None:
-                step[v] = one if a is None else xs[a]
-            else:
-                sv = steps.get((a, loop))
-                if sv is None:
-                    G = star_value(loop, one)
-                    sv = steps[a, loop] = G if a is None else xs[a] * G
-                step[v] = sv
-            exits[v] = out
-        if exits.pop(0):
-            raise AssertionError(
-                "an exit weight reached no ancestor: back edge off the tree path"
-            )
-        return step, exits
+                elif w <= v < end[w]:
+                    key.append(~(dv - depth[w]))
+                else:
+                    raise AssertionError("back edge to a vertex off the tree path")
+            key = tuple(key)
+            s = index.get(key)
+            if s is None:
+                s = index[key] = len(index)
+            shape[v] = s
+        self._shape_table = shape, list(index)
+        return self._shape_table
 
     def values(self, xs: Sequence) -> dict[int, object]:
-        """Walk-weight sum onto every live vertex and normal form (keyed by
-        expansion vertex): the bottom-up pass, then top-down the prefix
-        product of steps from the root; a normal form's step is its letter.
+        """Walk-weight sum onto every normal form, keyed by expansion vertex.
+
+        Each shape is reduced once (``_ShapeSums``); then, top-down, a
+        vertex's sum is its parent's times its step, and a normal form's
+        its parent's times its letter.  Sums and steps are interned by
+        value, so each distinct product is formed once.
         """
-        step = self._reduce(xs, keep=False)[0]
+        shape, shapes = self._shapes()
+        sums = _ShapeSums(shapes, xs)
         parent, parent_gen = self.mc.parent, self.mc.parent_gen
-        prefix = {0: step[0]}
+        ids: dict = {}  # value -> id, for prefix sums and steps alike
+        vals: list = []
+
+        def intern(x) -> int:
+            i = ids.get(x)
+            if i is None:
+                i = ids[x] = len(vals)
+                vals.append(x)
+            return i
+
+        step_id: dict[tuple[int, int], int] = {}  # (letter, shape) -> id
+        product: dict[tuple[int, int], int] = {}  # (prefix id, step id) -> id
+        prefix = [0] * len(parent)
+        prefix[0] = intern(sums.step(None, shape[0]))
         for v in self.live[1:]:
-            prefix[v] = prefix[parent[v]] * step[v]
+            key = parent_gen[v], shape[v]
+            st = step_id.get(key)
+            if st is None:
+                st = step_id[key] = intern(sums.step(*key))
+            key = prefix[parent[v]], st
+            p = product.get(key)
+            if p is None:
+                p = product[key] = intern(vals[key[0]] * vals[st])
+            prefix[v] = p
+        at_form: dict[tuple[int, int], object] = {}  # (prefix id, letter)
+        result = {}
         for nf in self.normal_forms:
             f = nf.mc_vertex
-            prefix[f] = prefix[parent[f]] * xs[parent_gen[f]]
-        return prefix
+            key = prefix[parent[f]], parent_gen[f]
+            x = at_form.get(key)
+            if x is None:
+                x = at_form[key] = vals[key[0]] * xs[key[1]]
+            result[f] = x
+        return result
 
     # -- symbolic expression for one normal form ------------------------------
 
     def expression(self, nf: NormalForm, rewrite: bool = True) -> KleeneExpr:
         """Regular expression for the ideal-avoiding walks onto this form.
 
-        The same bottom-up reduction as ``values``, over Kleene expressions
+        The same shape reduction as ``values``, over Kleene expressions
         (built once per engine): a vertex off the target's root path leaves
         its parent ``letter · (loop)⋆ · exit``, whatever the target.  Only
         the root path, each of its vertices merged with the path's next
@@ -300,28 +307,26 @@ class StationaryEngine:
         This fixes the compact left-to-right factored forms: loops attach
         to the vertex where the walk leaves for the target.
         """
+        shape, shapes = self._shapes()
         if self._kleene is None:
-            xs = [Letter(a) for a in range(self.S.n_gens)]
-            step, exits = self._reduce(xs, keep=True)
-            self._kleene = (xs, step, exits.__getitem__, {}, {})
-        xs, step, take, letter_sums, merged = self._kleene
-        parent = self.mc.parent
+            self._kleene = _ShapeSums(shapes, [Letter(a) for a in range(self.S.n_gens)])
+        sums = self._kleene
+        parent, parent_gen = self.mc.parent, self.mc.parent_gen
         target = nf.mc_vertex
         path = [target]
         while parent[path[-1]] is not None:
             path.append(parent[path[-1]])
         path.reverse()
 
-        # per path vertex, its exits and the tree letter to the next one
+        # per path vertex, its exits (the ancestor d levels above the vertex
+        # at depth k is path[k - d]) and the tree letter to the next one
         out: dict[int, dict[int, KleeneExpr]] = {}
-        for v, nxt in zip(path, path[1:]):
-            skip = None if nxt == target else nxt  # the target is no live child
-            m = merged.get((v, skip))
-            if m is None:
-                m = merged[v, skip] = self._exits(
-                    v, xs, step, take, letter_sums, skip
-                )
-            out[v] = {**m, nxt: xs[self.mc.parent_gen[nxt]]}
+        for k, (v, nxt) in enumerate(zip(path, path[1:])):
+            a = parent_gen[nxt]
+            # the target is no live child: nothing is left out before it
+            m = sums.merged(shape[v], None if nxt == target else a)
+            out[v] = {path[k - d]: e for d, e in m.items()}
+            out[v][nxt] = sums.xs[a]
         for v in path[1:-1]:
             outs = out.pop(v)
             mid = star(outs.pop(v, EPSILON))
@@ -332,6 +337,58 @@ class StationaryEngine:
                         _acc(d, w, concat(ev, mid, ew))
         expr = out[0][target]
         return zimin_rewrite(expr) if rewrite else expr
+
+
+class _ShapeSums:
+    """The bottom-up reduction of every shape over one weight ring.
+
+    Per shape, children's first, ``merged`` sums the weight of leaving a
+    vertex of that shape into its subtree and first coming out d levels
+    up: back-edge letters first, grouped by head (a bit mask of letters
+    per d, in first-letter order), then each child's exits times the
+    child's step, in letter order.  Over expressions this is the order in
+    which eliminating the subtree deepest first would unite the pieces.  The part that comes back (d = 0) is the loop R, and the
+    shape's Green's function is G = 1/(1 - R) (over expressions, R⋆; the
+    unit without a loop); ``exits`` keeps the rest, keyed by d.
+    """
+
+    def __init__(self, shapes: list[tuple], xs: Sequence):
+        self.shapes, self.xs, self.one = shapes, xs, _one_of(xs)
+        self._merged: dict[tuple, dict] = {}
+        self.green: list = []
+        self.exits: list[dict[int, object]] = []
+        for s in range(len(shapes)):
+            out = self._merge(s, None)
+            loop = out.pop(0, None)
+            self.green.append(self.one if loop is None else star_value(loop, self.one))
+            self.exits.append(out)
+
+    def step(self, a: int | None, s: int):
+        """Step weight of a vertex of shape s entered by letter a (the
+        root by None): the letter's weight times G."""
+        return self.green[s] if a is None else self.xs[a] * self.green[s]
+
+    def merged(self, s: int, skip: int | None) -> dict:
+        """``_merge`` of shape s, once per (shape, left-out letter)."""
+        m = self._merged.get((s, skip))
+        if m is None:
+            m = self._merged[s, skip] = self._merge(s, skip)
+        return m
+
+    def _merge(self, s: int, skip: int | None) -> dict:
+        """Exits of shape s, loop included, leaving out the child at letter
+        ``skip``."""
+        back: dict[int, int] = {}
+        for a, e in enumerate(self.shapes[s]):
+            if e is not None and e < 0:
+                back[~e] = back.get(~e, 0) | 1 << a
+        out = {d: _letter_sum(self.xs, mask) for d, mask in back.items()}
+        for a, c in enumerate(self.shapes[s]):
+            if c is not None and c >= 0 and a != skip:
+                sw = self.step(a, c)
+                for d, e in self.exits[c].items():
+                    _acc(out, d - 1, sw * e)
+        return out
 
 
 def _acc(d: dict, k, v) -> None:

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import semiwalk
+from semiwalk import chains
 from semiwalk.chains import (
     NotIrreducible,
     TransitionMatrix,
@@ -241,6 +242,23 @@ def test_certify_direct_and_limit_results(p3, b2, z2x01, klein):
     for S in (p3, b2, z2x01, klein):
         xs = uniform_probs(S)
         assert certify(S, xs, stationary_kr(S, xs))
+
+
+def test_certify_finds_the_chain_states_once(z2x01, monkeypatch):
+    # the class action reads the states build_chain found: one search of
+    # the expansion's minimal ideal per certificate
+    xs = uniform_probs(z2x01)
+    result = stationary_kr(z2x01, xs)
+    calls = []
+    search = chains.minimal_ideal_vertices
+
+    def counted(out):
+        calls.append(out)
+        return search(out)
+
+    monkeypatch.setattr(chains, "minimal_ideal_vertices", counted)
+    assert certify(z2x01, xs, result)
+    assert len(calls) == 1
 
 
 def test_certify_counterexample(counterexample):

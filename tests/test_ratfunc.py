@@ -122,7 +122,7 @@ def test_series_limits_match_ratf_on_fixtures(name, forced):
     assert_matches_ratf(S)
 
 
-def test_series_limits_match_ratf_on_random_draws():
+def test_closed_form_limits_match_ratf_on_random_draws():
     for S in random_limit_draws(50, seed=2017):
         assert_matches_ratf(S)
 

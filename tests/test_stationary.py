@@ -9,11 +9,12 @@ from semiwalk import chains, stationary
 from semiwalk.chains import build_chain, certify
 from semiwalk.core import (
     IdealSet,
+    SizeCapExceeded,
     adjoin_zero,
     minimal_ideal,
     semigroup_from_transformations,
 )
-from semiwalk.expansions import karnofsky_rhodes
+from semiwalk.expansions import karnofsky_rhodes, mccammond
 from semiwalk.graphs import RootedLabeledGraph, right_cayley
 from semiwalk.kleene import (
     DivergentStar,
@@ -189,7 +190,7 @@ def _brute_force_walk_series(engine, nf, xs, max_len):
             piece = w * xs[a]
             if u == target:
                 out[depth + 1] += piece
-            elif u in engine._nf_vertices or engine._in_ideal[u]:
+            elif engine._in_ideal[u]:  # normal forms included
                 continue
             else:
                 stack.append((u, piece, depth + 1))
@@ -435,6 +436,20 @@ def test_tree_pass_rejects_back_edge_to_non_ancestor(p3):
         engine.values(uniform_probs(p3))
 
 
+def test_tree_pass_rejects_ideal_entry_off_the_tree(p3):
+    # an edge into the ideal must be the tree edge to the normal form it
+    # creates: point one at another vertex's normal form instead
+    engine = StationaryEngine(p3)
+    out, parent = engine.mc.out, engine.mc.parent
+    in_ideal = engine._in_ideal
+    v, a = next((v, a) for v in engine.live for a, w in enumerate(out[v])
+                if in_ideal[w])
+    out[v][a] = next(nf.mc_vertex for nf in engine.normal_forms
+                     if parent[nf.mc_vertex] != v)
+    with pytest.raises(AssertionError, match="normal form"):
+        engine.values(uniform_probs(p3))
+
+
 @pytest.mark.parametrize("name, force_limit", [
     ("counterexample", False), ("counterexample", True), ("z2x01", False),
 ])
@@ -540,6 +555,89 @@ def reference_expression(engine, nf):
     return out[0][target]
 
 
+def reference_values(engine, xs):
+    """Walk sums onto the normal forms, one reduction per live vertex.
+
+    In reverse creation order each live vertex v sums its exits, keyed by
+    the ancestor-or-self they reach: its back-edge letters, then each live
+    child's exits times the child's step.  The part that comes back to v is
+    R_v, and v's step is its letter's weight times 1/(1 - R_v).  Top-down,
+    a vertex's sum is its parent's times its step, and a normal form's is
+    its parent's times its letter.  The engine shares one reduction between
+    subtrees of equal shape and must give the same sums.
+    """
+    out, parent, parent_gen = engine.mc.out, engine.mc.parent, engine.mc.parent_gen
+    in_ideal = engine._in_ideal
+    step, exits = {}, {}
+    for v in reversed(engine.live):
+        ex = {}
+        for a, w in enumerate(out[v]):
+            if w is None or in_ideal[w]:
+                continue
+            if parent[w] == v and parent_gen[w] == a:
+                for u, e in exits.pop(w).items():
+                    ex[u] = ex.get(u, 0) + step[w] * e
+            else:
+                ex[w] = ex.get(w, 0) + xs[a]
+        loop = ex.pop(v, 0)
+        assert loop < 1
+        step[v] = (1 if v == 0 else xs[parent_gen[v]]) / (1 - F(loop))
+        exits[v] = ex
+    assert exits.pop(0) == {}
+    prefix = {0: step[0]}
+    for v in engine.live[1:]:
+        prefix[v] = prefix[parent[v]] * step[v]
+    return {nf.mc_vertex: prefix[parent[nf.mc_vertex]] * xs[parent_gen[nf.mc_vertex]]
+            for nf in engine.normal_forms}
+
+
+# the benchmark's direct-mode ladder, all but its largest rung
+@pytest.mark.parametrize("name", [
+    "tsetlin:6", "signed_tsetlin:4", "rees_zp:4,5", "bar_tower:2,2",
+    "flat_tower:3,2", "counterexample",
+])
+def test_values_equal_per_vertex_reference(name):
+    S = (semigroup_from_transformations(5, COUNTEREXAMPLE_MAPS)
+         if name == "counterexample" else families.build(families.parse_family(name)))
+    engine = StationaryEngine(S)
+    xs = uniform_probs(S)
+    assert engine.values(xs) == reference_values(engine, xs)
+
+
+def test_values_equal_per_vertex_reference_on_random_draws():
+    # 4- and 5-state draws of 2 or 3 maps with |S| <= 150, at random
+    # rational weights; a draw whose McCammond expansion passes 20,000
+    # simple paths is passed over to keep the test quick
+    rng = random.Random(17)
+    checked = unstable = 0
+    while checked < 52:
+        n, k = rng.choice([4, 5]), rng.choice([2, 3])
+        maps = {g: [rng.randrange(n) for _ in range(n)] for g in "abc"[:k]}
+        S = semigroup_from_transformations(n, maps)
+        if S.size > 150:
+            continue
+        try:
+            mccammond(karnofsky_rhodes(S), cap=20_000)
+        except SizeCapExceeded:
+            continue
+        ints = [rng.randint(1, 9) for _ in range(k)]
+        xs = [F(i, sum(ints)) for i in ints]
+        engine = StationaryEngine(S)
+        assert engine.values(xs) == reference_values(engine, xs)
+        checked += 1
+        unstable += len(engine.mc.out) > len(engine.kr.out)
+    assert unstable > 0
+
+
+@pytest.mark.parametrize("name, shapes, live", [
+    ("flat_tower:2,2", 12, 110), ("bar_tower:2,2", 31, 3660),
+])
+def test_equal_subtrees_share_one_reduction(name, shapes, live):
+    engine = StationaryEngine(families.build(families.parse_family(name)))
+    engine.values(uniform_probs(engine.S))
+    assert (len(engine._shapes()[1]), len(engine.live)) == (shapes, live)
+
+
 def _random_draw(seed):
     rng = random.Random(seed)
     while True:
@@ -582,13 +680,13 @@ def test_expression_equals_state_elimination(name):
 def test_kleene_reduction_built_once_per_engine(monkeypatch):
     S = families.build(families.parse_family("flat_tower:2,2"))
     calls = []
-    reduce = StationaryEngine._reduce
+    init = stationary._ShapeSums.__init__
 
-    def counted(self, xs, keep):
-        calls.append(keep)
-        return reduce(self, xs, keep)
+    def counted(self, shapes, xs):
+        calls.append(isinstance(xs[0], Letter))
+        init(self, shapes, xs)
 
-    monkeypatch.setattr(StationaryEngine, "_reduce", counted)
+    monkeypatch.setattr(stationary._ShapeSums, "__init__", counted)
     engine = StationaryEngine(S)
     expressions_report(S, engine)
     expressions_report(S, engine)
