@@ -18,19 +18,13 @@ from .core import (
     adjoin_zero,
     bar,
     flat,
-    is_left_zero,
     kernel_is_left_zero,
     minimal_ideal,
-    opposite,
-    principal_ideal,
-    rees_quotient,
     semigroup_from_table,
     semigroup_from_transformations,
 )
 from .graphs import (
     RootedLabeledGraph,
-    graphs_isomorphic,
-    left_cayley,
     right_cayley,
     sccs,
     to_dot,
@@ -39,8 +33,6 @@ from .graphs import (
 from .expansions import (
     ExpansionTree,
     KRExpansion,
-    is_mc_stable,
-    is_stable1,
     karnofsky_rhodes,
     mccammond,
 )
@@ -52,7 +44,6 @@ from .kleene import (
     Star,
     Union,
     concat,
-    enumerate_words,
     evaluate_expr,
     pretty,
     series,
@@ -61,18 +52,12 @@ from .kleene import (
     zimin_rewrite,
 )
 from .stationary import (
-    NotACodeWord,
     StationaryEngine,
     StationaryResult,
     expressions_report,
-    ideal_preimage_predicate,
-    is_code_word,
-    lump_by_classifier,
-    nf_preimage_expr,
     normal_forms,
     normalization_check,
     parse_probs,
-    semaphore_left_action,
     stationary_kr,
     stationary_s,
     uniform_probs,

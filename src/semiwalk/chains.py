@@ -1,9 +1,9 @@
 """Independent verification machinery for the exact engine.
 
-Explicit column-stochastic transition matrices (exact rationals), a float
-power-iteration oracle kept deliberately separate from the exact path,
-lumping-condition checks, total-variation distance and the expansion-based
-mixing-time bound.
+Column-stochastic transition matrices (exact rationals) on the minimal
+ideal of a semigroup or of its expansion, the exact certificate of a law
+on the latter, a float power-iteration oracle kept apart from the exact
+path, lumping checks, total-variation distance and the mixing-time bound.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 from .core import ASemigroup, SemigroupError, minimal_ideal
 from .expansions import karnofsky_rhodes, mccammond
 from .graphs import closed_classes, minimal_ideal_vertices, sccs
-from .stationary import semaphore_left_action, validate_probs
+from .stationary import validate_probs
 
 
 class NotConverged(ArithmeticError):
@@ -52,17 +52,6 @@ class TransitionMatrix:
     def n(self) -> int:
         return len(self.labels)
 
-    def column_sums(self) -> list[Fraction]:
-        return [sum(c.values(), Fraction(0)) for c in self.cols]
-
-    def apply_float(self, v: list[float]) -> list[float]:
-        out = [0.0] * self.n
-        for s, col in enumerate(self.cols):
-            vs = v[s]
-            if vs:
-                for t, p in col.items():
-                    out[t] += vs * float(p)
-        return out
 
 
 def build_chain(
@@ -140,49 +129,6 @@ def certify(S: ASemigroup, xs: Sequence[Fraction], result) -> bool:
     return moved == mass
 
 
-def truncated_semaphore_chain(
-    S: ASemigroup, xs: Sequence[Fraction], max_len: int
-) -> tuple[TransitionMatrix, set[str], dict[str, tuple[int, ...]]]:
-    """Word-level walk restricted to ideal-entering words of bounded length.
-
-    Returns the (substochastic at the boundary) matrix over word labels,
-    the set of interior labels whose full column lies inside the
-    truncation, and the label -> word map.
-    """
-    xs = validate_probs(S, xs)
-    I = minimal_ideal(S)
-    words: list[tuple[int, ...]] = []
-    stack: list[tuple[tuple[int, ...], int | None]] = [((), None)]
-    while stack:
-        word, e = stack.pop()
-        if len(word) >= max_len:
-            continue
-        for a, ge in enumerate(S.gens):
-            f = ge if e is None else S.mult(e, ge)
-            if f in I.members:
-                words.append(word + (a,))
-            else:
-                stack.append((word + (a,), f))
-    words.sort()
-    index = {w: i for i, w in enumerate(words)}
-    labels = [S.word_label(w) for w in words]
-    cols: list[dict[int, Fraction]] = [dict() for _ in words]
-    interior: set[str] = set()
-    for i, w in enumerate(words):
-        inside = True
-        for a in range(S.n_gens):
-            t = semaphore_left_action(S, w, a, I)
-            j = index.get(t)
-            if j is None:
-                inside = False
-                continue
-            cols[i][j] = cols[i].get(j, Fraction(0)) + xs[a]
-        if inside:
-            interior.add(labels[i])
-    T = TransitionMatrix(labels, cols, validate=False)
-    return T, interior, dict(zip(labels, words))
-
-
 def stationary_oracle(
     T: TransitionMatrix, tol: float = 1e-13, max_iter: int = 1_000_000
 ) -> dict[str, float]:
@@ -198,8 +144,8 @@ def stationary_oracle(
         raise NotIrreducible(f"{len(classes)} closed classes, need exactly 1")
     recurrent = classes[0]
 
-    # Each probability is converted once; the sweep adds in the same column
-    # order as ``apply_float``, so the floats it produces are the same.
+    # Each probability is converted once, and a sweep adds column by column
+    # in the order of ``T.cols``.
     cols = [[(t, float(p)) for t, p in col.items()] for col in T.cols]
     v = [0.0] * n
     for s in recurrent:
@@ -268,20 +214,6 @@ class MixingBound:
     p_min: Fraction
     c: int
     k: int
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "gap": self.gap,
-            "p_min": str(self.p_min),
-            "c": self.c,
-            "k": self.k,
-        }
-
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(self.as_dict())
 
 
 def mixing_bound(S: ASemigroup, xs: Sequence[Fraction], c: int = 1) -> MixingBound:

@@ -181,10 +181,10 @@ def cmd_expand(args) -> int:
 def cmd_stationary(args) -> int:
     S = _load(args)
     xs = _probs(args, S)
-    # one engine for the law over kr and the expressions, in either mode
+    # one engine for the law and the expressions, in either mode and space
     engine = StationaryEngine(S) if args.expressions else None
     if args.over == "s":
-        result = stationary_s(S, xs, force_limit=args.limit_zero)
+        result = stationary_s(S, xs, force_limit=args.limit_zero, engine=engine)
     else:
         result = stationary_kr(S, xs, force_limit=args.limit_zero, engine=engine)
     rows = [(k, _frac(v, args.as_float)) for k, v in result.entries.items()]

@@ -9,7 +9,7 @@ discovery order from the generators in index order, and the first word
 reaching each element.  That word is shortest possible, with ties broken
 lexicographically, and discovery order is the shortlex order of those
 words, so all derived labelling is deterministic across runs.
-Representative words, both Cayley graphs, the minimal ideal and the
+Representative words, the right Cayley graph, the minimal ideal and the
 simulator's start word all read this one search.
 A semigroup also stores its Karnofsky-Rhodes expansion, built on first
 use, which refers to neither S nor its Cayley graph: no reference cycle.
@@ -20,10 +20,9 @@ Finite Semigroups*, 2009), which is how ``minimal_ideal`` finds it.
 
 Only ``semigroup_from_table`` holds a table, the one it is given.  The
 pipeline only ever multiplies by a generator on one side, so the built-in
-families and derived semigroups (quotients, adjoined zeros, opposites, bar
-and flat) fill none: the families compute their products, and the derived
-semigroups read their relations over the product of the semigroup they
-are built from.
+families and derived semigroups (adjoined zeros, bar and flat) fill none:
+the families compute their products, and the derived semigroups read their
+relations over the product of the semigroup they are built from.
 
 The formal identity used as the root of Cayley graphs is *virtual*: it is
 never an element of the semigroup, matching the convention that the vertex
@@ -322,20 +321,6 @@ def semigroup_from_transformations(
 # -- ideals -------------------------------------------------------------------
 
 
-def principal_ideal(S: ASemigroup, e: int) -> IdealSet:
-    """The two-sided ideal generated by a single element."""
-    seen = {e}
-    stack = [e]
-    while stack:
-        u = stack.pop()
-        for ge in S.gens:
-            for v in (S.mult(u, ge), S.mult(ge, u)):
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-    return IdealSet(seen)
-
-
 def minimal_ideal(S: ASemigroup) -> IdealSet:
     """The unique minimal two-sided ideal.
 
@@ -345,15 +330,6 @@ def minimal_ideal(S: ASemigroup) -> IdealSet:
     from .graphs import minimal_ideal_vertices  # local import, graphs depends on core
 
     return IdealSet(minimal_ideal_vertices(S.right_action()[0]))
-
-
-def is_left_zero(S: ASemigroup, I: IdealSet) -> bool:
-    """True iff x*y = x for all x, y in the given set."""
-    for x in I.members:
-        for y in I.members:
-            if S.mult(x, y) != x:
-                return False
-    return True
 
 
 def kernel_is_left_zero(S: ASemigroup, K: IdealSet) -> bool:
@@ -369,29 +345,9 @@ def kernel_is_left_zero(S: ASemigroup, K: IdealSet) -> bool:
     return all(f == x for x in K.members for f in rows[x])
 
 
-# -- quotients and element-adjoining constructions ----------------------------
+# -- element-adjoining constructions -----------------------------------------
 
 ZERO_NAME = "□"  # printable box for an adjoined/collapsed zero
-
-
-def rees_quotient(S: ASemigroup, I: IdealSet) -> ASemigroup:
-    """Collapse a two-sided ideal to a single zero element."""
-    survivors = [e for e in range(S.size) if e not in I.members]
-    new_index = {e: i for i, e in enumerate(survivors)}
-    zero = len(survivors)
-    m = S.mult
-
-    def mult(i: int, j: int) -> int:
-        if i == zero or j == zero:
-            return zero
-        return new_index.get(m(survivors[i], survivors[j]), zero)
-
-    names = [S.element_name(e) for e in survivors]
-    names.append(_fresh_name(ZERO_NAME, names))
-    gens = [new_index.get(g, zero) for g in S.gens]
-    # A quotient of a semigroup by an ideal stays associative and is
-    # generated by the images of its generators.
-    return ASemigroup(zero + 1, gens, list(S.gen_names), mult, names)
 
 
 def adjoin_zero(S: ASemigroup) -> ASemigroup:
@@ -413,18 +369,6 @@ def adjoin_zero(S: ASemigroup) -> ASemigroup:
 def zero_name(S: ASemigroup) -> str:
     """Name of the zero that ``adjoin_zero`` adds, as element and generator."""
     return _fresh_name(ZERO_NAME, S.gen_names + S.element_names())
-
-
-def opposite(S: ASemigroup) -> ASemigroup:
-    """Same elements, multiplication reversed."""
-    m = S.mult
-
-    def mult(i: int, j: int) -> int:
-        return m(j, i)
-
-    # Reversing an associative product keeps it associative, and the same
-    # generators still generate.
-    return ASemigroup(S.size, S.gens, S.gen_names, mult, S.element_names())
 
 
 BAR_ONE = "‾\U0001d7d9"  # name of the adjoined reset generator

@@ -45,14 +45,6 @@ class ExpansionTree:
         # the underlying semigroup element per vertex, None at the root
         self.s_image: list[int | None] = [base_graph.s_image[u] for u in endpoint]
 
-    def word(self, v: int) -> Word:
-        """The tree-path word of vertex v."""
-        letters = []
-        while v:
-            letters.append(self.parent_gen[v])
-            v = self.parent[v]
-        return tuple(reversed(letters))
-
     @cached_property
     def words(self) -> list[Word]:
         """The tree-path word of every vertex, in one top-down pass."""
@@ -77,11 +69,6 @@ class ExpansionTree:
     @property
     def tree_edges(self) -> set[tuple[int, int]]:
         return set(zip(self.parent[1:], self.parent_gen[1:]))
-
-    @property
-    def back_edges(self) -> set[tuple[int, int]]:
-        return {(v, a) for v, row in enumerate(self.out) for a, w in enumerate(row)
-                if w is not None and (self.parent[w], self.parent_gen[w]) != (v, a)}
 
 
 class KRExpansion(ExpansionTree):
@@ -207,22 +194,3 @@ def mccammond(G, cap: int = DEFAULT_MC_CAP) -> ExpansionTree:
 
     return ExpansionTree(G, out, parent, parent_gen, endpoint)
 
-
-def is_mc_stable(S: ASemigroup) -> bool:
-    """True iff the Karnofsky-Rhodes expansion has unique simple paths.
-
-    Equivalently, the McCammond expansion adds no vertices.
-    """
-    kr = karnofsky_rhodes(S)
-    try:
-        mc = mccammond(kr, cap=len(kr.out))
-    except SizeCapExceeded:
-        return False
-    return len(mc.out) == len(kr.out)
-
-
-def is_stable1(S: ASemigroup) -> bool:
-    """True iff expanding changes nothing at all: the expansion graph is
-    label-isomorphic to the right Cayley graph and has unique simple paths."""
-    # endpoint maps it onto the Cayley graph edge for edge: equal sizes suffice
-    return len(karnofsky_rhodes(S).out) == S.size + 1 and is_mc_stable(S)

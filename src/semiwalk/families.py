@@ -73,11 +73,6 @@ def signed_tsetlin(n: int) -> ASemigroup:
     return ASemigroup(len(els), gens, [str(v) for v in letters], mul, names)
 
 
-def signed_letter_of_gen(k: int) -> int:
-    """Generator index -> signed letter for the signed-subset families."""
-    return (k // 2 + 1) * (1 if k % 2 == 0 else -1)
-
-
 def gen_of_signed_letter(v: int) -> int:
     return 2 * (abs(v) - 1) + (0 if v > 0 else 1)
 
@@ -349,32 +344,6 @@ def _burnside_closed_form(n: int, xs: Sequence[Fraction]) -> dict[str, Fraction]
     out["ba" * n + "a"] = xb**n * xa ** (n + 1) / denom
     out["ab" * n + "aa"] = xa ** (n + 2) * xb**n / denom
     out["ba" * n + "bb"] = xb ** (n + 2) * xa**n / denom
-    return out
-
-
-def r_trivial_stationary(S: ASemigroup, xs: Sequence[Fraction]) -> dict[str, Fraction]:
-    """Product formula for semigroups whose expansion is a tree plus loops:
-    each prefix of a normal form contributes its letter weight over one
-    minus the weight of the generators stabilizing the prefix."""
-    from .stationary import StationaryEngine
-
-    engine = StationaryEngine(S)
-    out = {}
-    for nf in engine.normal_forms:
-        value = Fraction(1)
-        prefix = None
-        for pos, g in enumerate(nf.word):
-            if pos > 0:
-                stab = sum(
-                    (xs[a] for a in range(S.n_gens)
-                     if S.mult(prefix, S.gens[a]) == prefix),
-                    Fraction(0),
-                )
-                value *= xs[g] / (1 - stab)
-            else:
-                value *= xs[g]
-            prefix = S.gens[g] if prefix is None else S.mult(prefix, S.gens[g])
-        out[S.word_label(nf.word)] = value
     return out
 
 

@@ -5,18 +5,17 @@ The right Cayley graph is read off the one breadth-first search of a
 semigroup's right action (``ASemigroup.right_action``): vertex 0 is the
 adjoined identity and vertex i > 0 the i-th element discovered from the
 generators in index order, so vertex numbering, SCC numbering and DOT
-output are reproducible across runs.  The left Cayley graph is the right
-Cayley graph of the opposite semigroup.  On any right action (a
-semigroup's table or an expansion graph) the closed classes are the
-minimal right ideals, and ``minimal_ideal_vertices`` returns their union,
-the minimal ideal.
+output are reproducible across runs.  On any right action (a semigroup's
+table or an expansion graph) the closed classes are the minimal right
+ideals, and ``minimal_ideal_vertices`` returns their union, the minimal
+ideal.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .core import ASemigroup, opposite
+from .core import ASemigroup
 
 ROOT_LABEL = "\U0001d7d9"  # the adjoined identity
 
@@ -66,9 +65,6 @@ class RootedLabeledGraph:
             v = nxt
         return v
 
-    def out_degree(self, v: int) -> int:
-        return sum(1 for w in self.out[v] if w is not None)
-
 
 def right_cayley(S: ASemigroup) -> RootedLabeledGraph:
     """Right Cayley graph: vertices S with adjoined root, edges s -> s*a.
@@ -80,14 +76,7 @@ def right_cayley(S: ASemigroup) -> RootedLabeledGraph:
     vertex = dict(zip(order, range(1, S.size + 1)))
     out = [[vertex[g] for g in S.gens]] + [[vertex[f] for f in rows[e]] for e in order]
     labels = [ROOT_LABEL] + [S.element_name(e) for e in order]
-    g = RootedLabeledGraph(S.gen_names, labels, out, [None] + order)  # type: ignore[arg-type]
-    g.element_vertex = vertex  # type: ignore[attr-defined]
-    return g
-
-
-def left_cayley(S: ASemigroup) -> RootedLabeledGraph:
-    """Left Cayley graph: edges s -> a*s."""
-    return right_cayley(opposite(S))
+    return RootedLabeledGraph(S.gen_names, labels, out, [None] + order)  # type: ignore[arg-type]
 
 
 def sccs(G: RootedLabeledGraph | Sequence[Sequence[int | None]]) -> list[int]:
@@ -199,36 +188,6 @@ def transition_edges(
         if v != w and comp[v] != comp[w]:
             result.add((v, a))
     return result
-
-
-def graphs_isomorphic(G: RootedLabeledGraph, H: RootedLabeledGraph) -> bool:
-    """Rooted label-respecting isomorphism (ignores vertex labels)."""
-    if G.n != H.n or len(G.alphabet) != len(H.alphabet):
-        return False
-    k = len(G.alphabet)
-    pair = {G.root: H.root}
-    back = {H.root: G.root}
-    queue = [(G.root, H.root)]
-    head = 0
-    while head < len(queue):
-        v, w = queue[head]
-        head += 1
-        for a in range(k):
-            gv, hw = G.out[v][a], H.out[w][a]
-            if (gv is None) != (hw is None):
-                return False
-            if gv is None:
-                continue
-            if gv in pair:
-                if pair[gv] != hw:
-                    return False
-            elif hw in back:
-                return False
-            else:
-                pair[gv] = hw
-                back[hw] = gv
-                queue.append((gv, hw))
-    return len(pair) == G.n
 
 
 def to_dot(

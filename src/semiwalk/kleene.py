@@ -4,8 +4,8 @@ Expressions built by the stationary engine are unambiguous: every word of
 the described language is produced by exactly one parse.  Evaluation then
 turns each word into the product of its letter weights and sums the series,
 star becoming a geometric sum 1/(1-v).  Feeding a hand-built ambiguous
-expression (such as a*a*) to the evaluator sums words with multiplicity;
-``series`` and ``enumerate_words`` exist to detect that.
+expression (such as a*a*) to the evaluator sums words with multiplicity,
+and so does ``series``, which grades that sum by word length.
 """
 
 from __future__ import annotations
@@ -278,50 +278,6 @@ def series(e: KleeneExpr, x: Sequence[Fraction], max_len: int) -> list[Fraction]
         return go_star(go(node.child))
 
     return go(e)
-
-
-def enumerate_words(e: KleeneExpr, max_len: int) -> dict[tuple[int, ...], int]:
-    """Multiset (word -> parse count) of words up to max_len."""
-    if isinstance(e, Epsilon):
-        return {(): 1}
-    if isinstance(e, Letter):
-        return {(e.gen,): 1} if max_len >= 1 else {}
-    if isinstance(e, Concat):
-        acc = {(): 1}
-        for p in e.parts:
-            part = enumerate_words(p, max_len)
-            nxt: dict[tuple[int, ...], int] = {}
-            for w1, c1 in acc.items():
-                for w2, c2 in part.items():
-                    if len(w1) + len(w2) <= max_len:
-                        w = w1 + w2
-                        nxt[w] = nxt.get(w, 0) + c1 * c2
-            acc = nxt
-            if not acc:
-                break
-        return acc
-    if isinstance(e, Union):
-        acc = {}
-        for p in e.parts:
-            for w, c in enumerate_words(p, max_len).items():
-                acc[w] = acc.get(w, 0) + c
-        return acc
-    assert isinstance(e, Star)
-    child = enumerate_words(e.child, max_len)
-    child.pop((), None)
-    acc = {(): 1}
-    frontier = {(): 1}
-    while frontier:
-        nxt: dict[tuple[int, ...], int] = {}
-        for w1, c1 in frontier.items():
-            for w2, c2 in child.items():
-                if len(w1) + len(w2) <= max_len:
-                    w = w1 + w2
-                    nxt[w] = nxt.get(w, 0) + c1 * c2
-        for w, c in nxt.items():
-            acc[w] = acc.get(w, 0) + c
-        frontier = nxt
-    return acc
 
 
 def pretty(e: KleeneExpr, names: Sequence[str]) -> str:

@@ -30,8 +30,6 @@ The walk loop inlines the generator and draws the same streams as
 
 from __future__ import annotations
 
-import csv
-import io
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -84,17 +82,6 @@ def _thresholds(xs: Sequence[Fraction]) -> list[int]:
 class EmpiricalDistribution:
     counts: dict[str, int]
     total: int
-
-    def probs(self) -> dict[str, float]:
-        return {k: c / self.total for k, c in sorted(self.counts.items())}
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(("state", "count", "frequency"))
-        writer.writerows((k, c, c / self.total)
-                         for k, c in sorted(self.counts.items()))
-        return buf.getvalue()
 
     # mapping-style access so tv_distance can consume it directly
     def __iter__(self):

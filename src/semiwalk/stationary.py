@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .core import (
     ASemigroup,
@@ -66,10 +66,6 @@ from .kleene import (
     star_value,
     zimin_rewrite,
 )
-
-
-class NotACodeWord(SemigroupError):
-    pass
 
 
 # -- probabilities -------------------------------------------------------------
@@ -117,53 +113,6 @@ def validate_probs(S: ASemigroup, xs: Sequence[Fraction]) -> list[Fraction]:
     return xs
 
 
-# -- semaphore machinery ---------------------------------------------------------
-
-
-def ideal_preimage_predicate(S: ASemigroup, I: IdealSet) -> Callable[[Word], bool]:
-    """Word predicate: does the word's image lie in the ideal?"""
-    members = I.members
-
-    def pred(word: Word) -> bool:
-        return S.product(word) in members
-
-    return pred
-
-
-def is_code_word(S: ASemigroup, word: Word, I: IdealSet) -> bool:
-    """True iff the word enters the ideal exactly at its last letter."""
-    if not word:
-        return False
-    e = S.gens[word[0]]
-    for i, g in enumerate(word[1:], start=1):
-        if e in I.members:
-            return False
-        e = S.mult(e, S.gens[g])
-    return e in I.members
-
-
-def semaphore_left_action(
-    S: ASemigroup, word: Word, a: int, I: IdealSet | None = None
-) -> Word:
-    """Prefix of a.word that first enters the ideal.
-
-    The input must itself be a code word (minimal ideal-entering word).
-    """
-    if I is None:
-        I = minimal_ideal(S)
-    if not is_code_word(S, word, I):
-        raise NotACodeWord(f"{word} is not minimal for the ideal")
-    new = (a,) + tuple(word)
-    e = S.gens[new[0]]
-    if e in I.members:
-        return (new[0],)
-    for i in range(1, len(new)):
-        e = S.mult(e, S.gens[new[i]])
-        if e in I.members:
-            return new[: i + 1]
-    raise AssertionError("prepending a letter must still reach the ideal")
-
-
 # -- normal forms and the engine ------------------------------------------------
 
 
@@ -187,12 +136,19 @@ class StationaryEngine:
         in_ideal = self._in_ideal = [x in ideal for x in mc.s_image]
         self.live = [v for v, inside in enumerate(in_ideal) if not inside]
 
-        # the expansion's vertex order is the order of the tree-path words
-        self.normal_forms = [
-            NormalForm(word=mc.word(v), mc_vertex=v, kr_vertex=mc.endpoint[v])
-            for v in range(1, len(in_ideal))
-            if in_ideal[v] and not in_ideal[mc.parent[v]]
-        ]
+        # vertex order is tree-path word order, parents first: one pass
+        # builds the live vertices' words, and only the normal forms keep theirs
+        parent, parent_gen = mc.parent, mc.parent_gen
+        words: list = [()] + [None] * (len(in_ideal) - 1)
+        self.normal_forms = []
+        for v in range(1, len(in_ideal)):
+            p = parent[v]
+            if not in_ideal[p]:
+                w = words[p] + (parent_gen[v],)
+                if in_ideal[v]:
+                    self.normal_forms.append(NormalForm(w, v, mc.endpoint[v]))
+                else:
+                    words[v] = w
         self._shape_table = None  # the live vertices' shapes, on first use
         self._kleene = None  # the reduction over Kleene weights, on demand
 
@@ -347,9 +303,10 @@ class _ShapeSums:
     up: back-edge letters first, grouped by head (a bit mask of letters
     per d, in first-letter order), then each child's exits times the
     child's step, in letter order.  Over expressions this is the order in
-    which eliminating the subtree deepest first would unite the pieces.  The part that comes back (d = 0) is the loop R, and the
-    shape's Green's function is G = 1/(1 - R) (over expressions, R⋆; the
-    unit without a loop); ``exits`` keeps the rest, keyed by d.
+    which eliminating the subtree deepest first would unite the pieces.
+    The part that comes back (d = 0) is the loop R, and the shape's
+    Green's function is G = 1/(1 - R) (over expressions, R⋆; the unit
+    without a loop); ``exits`` keeps the rest, keyed by d.
     """
 
     def __init__(self, shapes: list[tuple], xs: Sequence):
@@ -410,18 +367,6 @@ def normal_forms(S: ASemigroup, ideal: IdealSet | None = None) -> list[NormalFor
     return StationaryEngine(S, ideal).normal_forms
 
 
-def nf_preimage_expr(
-    S: ASemigroup, word: Word, engine: StationaryEngine | None = None
-) -> KleeneExpr:
-    """Expression for the walks that loop-erase to the given normal form."""
-    if engine is None:
-        engine = StationaryEngine(S)
-    for nf in engine.normal_forms:
-        if nf.word == tuple(word):
-            return engine.expression(nf)
-    raise SemigroupError(f"{word} is not a normal form")
-
-
 # -- results ---------------------------------------------------------------------
 
 
@@ -432,7 +377,6 @@ class KeyInfo:
     alt_label: str | None = None  # limit mode: the state's name u·0 on KR(S⁰)
     element: int | None = None  # underlying semigroup element
     kr_vertex: int | None = None  # vertex in the expansion of the input
-    nf_words: tuple[Word, ...] = ()
 
 
 @dataclass
@@ -451,20 +395,6 @@ class StationaryResult:
 def normalization_check(d: StationaryResult) -> bool:
     """Exact check that the masses sum to one."""
     return d.total() == 1
-
-
-def lump_by_classifier(
-    d: StationaryResult, classify: Callable[[KeyInfo], str]
-) -> StationaryResult:
-    """Project a distribution onto classes of its states."""
-    entries: dict[str, Fraction] = {}
-    info: dict[str, KeyInfo] = {}
-    for label, value in d.entries.items():
-        cls = classify(d.key_info[label])
-        entries[cls] = entries.get(cls, Fraction(0)) + value
-        info.setdefault(cls, KeyInfo(label=cls))
-    ordered = dict(sorted(entries.items()))
-    return StationaryResult("lumped", ordered, info)
 
 
 # -- the two stationary distributions --------------------------------------------
@@ -500,12 +430,10 @@ def _stationary_kr_direct(
     vals = engine.values(xs)
     # several normal forms can reach one expansion vertex: their values add
     masses: dict[int, object] = {}
-    nf_words: dict[int, list[Word]] = {}
     for nf in engine.normal_forms:
         _acc(masses, nf.kr_vertex, vals[nf.mc_vertex])
-        nf_words.setdefault(nf.kr_vertex, []).append(nf.word)
     del vals  # the live vertices' values: free them before the result is built
-    return _kr_result(engine.kr, masses, nf_words, {})
+    return _kr_result(engine.kr, masses, {})
 
 
 def _stationary_kr_limit(
@@ -518,7 +446,7 @@ def _stationary_kr_limit(
     on the minimal ideal of KR(S), from the direct-mode walk sums."""
     if engine is None:
         engine = StationaryEngine(S, I)
-    kr, mc, k = engine.kr, engine.mc, S.n_gens
+    kr, k = engine.kr, S.n_gens
     vals = engine.values(xs)
     # h: first-entry mass per minimal right ideal, the closed classes of the
     # right action; the walk crosses no transition edge after entering K(S),
@@ -542,20 +470,11 @@ def _stationary_kr_limit(
     h_size = len(ideal) // (len(rights) * len(lefts))
     masses = {u: h[r_of[u]] * nu[l_of[u]] / h_size for u in ideal}
 
-    # names on KR(S⁰): the normal forms onto u·0 are the simple paths onto
-    # u followed by the zero letter, in vertex order, which stays word order
-    # (no simple path onto u extends another), and u's word then the zero
-    # letter first reaches u·0
-    onto: dict[int, list[int]] = {u: [] for u in ideal}
-    for p, u in enumerate(mc.endpoint):
-        if u in onto:
-            onto[u].append(p)
+    # names on KR(S⁰): u's word then the zero letter first reaches u·0
     names0 = S.gen_names + [zero_name(S)]
     sep, z = label_sep(names0), (S.n_gens,)
-    words = mc.words  # nearly every MC vertex ends in the ideal: one pass
-    nf_words = {u: [words[p] + z for p in ps] for u, ps in onto.items()}
     alt_labels = {u: sep.join([names0[g] for g in kr.words[u] + z]) for u in ideal}
-    return _kr_result(kr, masses, nf_words, alt_labels)
+    return _kr_result(kr, masses, alt_labels)
 
 
 def _stationary_vector(succ: list[list[int]], xs: Sequence[Fraction]) -> list[Fraction]:
@@ -581,12 +500,10 @@ def _stationary_vector(succ: list[list[int]], xs: Sequence[Fraction]) -> list[Fr
     return [row[n] for row in rows]
 
 
-def _kr_result(kr: KRExpansion, masses: dict, nf_words: dict,
-               alt_labels: dict) -> StationaryResult:
-    """The result over expansion vertices: per vertex its mass, the normal
-    forms reaching it and, in limit mode, its name on KR(S⁰).  A state is
-    named by the shortlex-first word reaching its vertex, and states come
-    in the order of those words.
+def _kr_result(kr: KRExpansion, masses: dict, alt_labels: dict) -> StationaryResult:
+    """The result over expansion vertices: per vertex its mass and, in
+    limit mode, its name on KR(S⁰).  A state is named by the shortlex-first
+    word reaching its vertex, and states come in the order of those words.
     """
     words, images = kr.words, kr.s_image
     order = sorted(masses, key=words.__getitem__)
@@ -600,20 +517,18 @@ def _kr_result(kr: KRExpansion, masses: dict, nf_words: dict,
             alt_label=alt_labels.get(v),
             element=images[v],
             kr_vertex=v,
-            nf_words=tuple(nf_words[v]),
         )
     return StationaryResult("kr", entries, info)
 
 
-def stationary_s(
-    S: ASemigroup, xs: Sequence[Fraction], force_limit: bool = False
-) -> StationaryResult:
+def stationary_s(S: ASemigroup, xs: Sequence[Fraction], force_limit: bool = False,
+                 engine: StationaryEngine | None = None) -> StationaryResult:
     """Stationary distribution of the walk on the semigroup itself.
 
     Obtained from the expansion-level distribution by summing over states
     with the same underlying element.
     """
-    kr_level = stationary_kr(S, xs, force_limit=force_limit)
+    kr_level = stationary_kr(S, xs, force_limit=force_limit, engine=engine)
     by_element: dict[int, Fraction] = {}
     for label, value in kr_level.entries.items():
         e = kr_level.key_info[label].element

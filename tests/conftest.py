@@ -49,7 +49,8 @@ def z2x01():
 
 @pytest.fixture(scope="session")
 def z2x01_quotient(z2x01):
-    from semiwalk.core import minimal_ideal, rees_quotient
+    from reference import rees_quotient
+    from semiwalk.core import minimal_ideal
 
     return rees_quotient(z2x01, minimal_ideal(z2x01))
 

@@ -1,0 +1,335 @@
+"""Constructions the tests use as references, not part of the library.
+
+Each one checks library code or a claim of the paper from another side:
+the two-sided ideals and quotients of a semigroup, stability of the
+expansions, the words an expression describes, the semaphore code (the
+minimal ideal-entering words) with its word-level walk, which lumps onto
+the Karnofsky-Rhodes chain, and the product formula for expansions that
+are a tree plus loops.  The CLI, the demos and the benchmark never call
+them.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Callable, Sequence
+
+from semiwalk.chains import TransitionMatrix
+from semiwalk.core import (
+    ZERO_NAME,
+    ASemigroup,
+    IdealSet,
+    SemigroupError,
+    SizeCapExceeded,
+    Word,
+    _fresh_name,
+    minimal_ideal,
+)
+from semiwalk.expansions import ExpansionTree, karnofsky_rhodes, mccammond
+from semiwalk.graphs import RootedLabeledGraph
+from semiwalk.kleene import Concat, Epsilon, KleeneExpr, Letter, Star, Union
+from semiwalk.stationary import (
+    KeyInfo,
+    StationaryEngine,
+    StationaryResult,
+    validate_probs,
+)
+
+
+# -- semigroups and ideals -------------------------------------------------------
+
+
+def principal_ideal(S: ASemigroup, e: int) -> IdealSet:
+    """The two-sided ideal generated by a single element."""
+    seen = {e}
+    stack = [e]
+    while stack:
+        u = stack.pop()
+        for ge in S.gens:
+            for v in (S.mult(u, ge), S.mult(ge, u)):
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+    return IdealSet(seen)
+
+
+def is_left_zero(S: ASemigroup, I: IdealSet) -> bool:
+    """True iff x*y = x for all x, y in the given set."""
+    for x in I.members:
+        for y in I.members:
+            if S.mult(x, y) != x:
+                return False
+    return True
+
+
+def rees_quotient(S: ASemigroup, I: IdealSet) -> ASemigroup:
+    """Collapse a two-sided ideal to a single zero element."""
+    survivors = [e for e in range(S.size) if e not in I.members]
+    new_index = {e: i for i, e in enumerate(survivors)}
+    zero = len(survivors)
+    m = S.mult
+
+    def mult(i: int, j: int) -> int:
+        if i == zero or j == zero:
+            return zero
+        return new_index.get(m(survivors[i], survivors[j]), zero)
+
+    names = [S.element_name(e) for e in survivors]
+    names.append(_fresh_name(ZERO_NAME, names))
+    gens = [new_index.get(g, zero) for g in S.gens]
+    # A quotient of a semigroup by an ideal stays associative and is
+    # generated by the images of its generators.
+    return ASemigroup(zero + 1, gens, list(S.gen_names), mult, names)
+
+
+def opposite(S: ASemigroup) -> ASemigroup:
+    """Same elements, multiplication reversed."""
+    m = S.mult
+
+    def mult(i: int, j: int) -> int:
+        return m(j, i)
+
+    # Reversing an associative product keeps it associative, and the same
+    # generators still generate.
+    return ASemigroup(S.size, S.gens, S.gen_names, mult, S.element_names())
+
+# -- graphs and expansions -------------------------------------------------------
+
+
+def graphs_isomorphic(G: RootedLabeledGraph, H: RootedLabeledGraph) -> bool:
+    """Rooted label-respecting isomorphism (ignores vertex labels)."""
+    if G.n != H.n or len(G.alphabet) != len(H.alphabet):
+        return False
+    k = len(G.alphabet)
+    pair = {G.root: H.root}
+    back = {H.root: G.root}
+    queue = [(G.root, H.root)]
+    head = 0
+    while head < len(queue):
+        v, w = queue[head]
+        head += 1
+        for a in range(k):
+            gv, hw = G.out[v][a], H.out[w][a]
+            if (gv is None) != (hw is None):
+                return False
+            if gv is None:
+                continue
+            if gv in pair:
+                if pair[gv] != hw:
+                    return False
+            elif hw in back:
+                return False
+            else:
+                pair[gv] = hw
+                back[hw] = gv
+                queue.append((gv, hw))
+    return len(pair) == G.n
+
+
+def is_mc_stable(S: ASemigroup) -> bool:
+    """True iff the Karnofsky-Rhodes expansion has unique simple paths.
+
+    Equivalently, the McCammond expansion adds no vertices.
+    """
+    kr = karnofsky_rhodes(S)
+    try:
+        mc = mccammond(kr, cap=len(kr.out))
+    except SizeCapExceeded:
+        return False
+    return len(mc.out) == len(kr.out)
+
+
+def is_stable1(S: ASemigroup) -> bool:
+    """True iff expanding changes nothing at all: the expansion graph is
+    label-isomorphic to the right Cayley graph and has unique simple paths."""
+    # endpoint maps it onto the Cayley graph edge for edge: equal sizes suffice
+    return len(karnofsky_rhodes(S).out) == S.size + 1 and is_mc_stable(S)
+
+
+def back_edges(tree: ExpansionTree) -> set[tuple[int, int]]:
+    """The (tail, letter) pairs of the expansion's edges that are not tree
+    edges."""
+    return {(v, a) for v, row in enumerate(tree.out) for a, w in enumerate(row)
+            if w is not None and (tree.parent[w], tree.parent_gen[w]) != (v, a)}
+
+
+# -- walk languages --------------------------------------------------------------
+
+
+def enumerate_words(e: KleeneExpr, max_len: int) -> dict[tuple[int, ...], int]:
+    """Multiset (word -> parse count) of words up to max_len."""
+    if isinstance(e, Epsilon):
+        return {(): 1}
+    if isinstance(e, Letter):
+        return {(e.gen,): 1} if max_len >= 1 else {}
+    if isinstance(e, Concat):
+        acc = {(): 1}
+        for p in e.parts:
+            part = enumerate_words(p, max_len)
+            nxt: dict[tuple[int, ...], int] = {}
+            for w1, c1 in acc.items():
+                for w2, c2 in part.items():
+                    if len(w1) + len(w2) <= max_len:
+                        w = w1 + w2
+                        nxt[w] = nxt.get(w, 0) + c1 * c2
+            acc = nxt
+            if not acc:
+                break
+        return acc
+    if isinstance(e, Union):
+        acc = {}
+        for p in e.parts:
+            for w, c in enumerate_words(p, max_len).items():
+                acc[w] = acc.get(w, 0) + c
+        return acc
+    assert isinstance(e, Star)
+    child = enumerate_words(e.child, max_len)
+    child.pop((), None)
+    acc = {(): 1}
+    frontier = {(): 1}
+    while frontier:
+        nxt: dict[tuple[int, ...], int] = {}
+        for w1, c1 in frontier.items():
+            for w2, c2 in child.items():
+                if len(w1) + len(w2) <= max_len:
+                    w = w1 + w2
+                    nxt[w] = nxt.get(w, 0) + c1 * c2
+        for w, c in nxt.items():
+            acc[w] = acc.get(w, 0) + c
+        frontier = nxt
+    return acc
+
+# -- the semaphore code and its word-level chain ---------------------------------
+
+
+class NotACodeWord(SemigroupError):
+    pass
+
+
+def is_code_word(S: ASemigroup, word: Word, I: IdealSet) -> bool:
+    """True iff the word enters the ideal exactly at its last letter."""
+    if not word:
+        return False
+    e = S.gens[word[0]]
+    for i, g in enumerate(word[1:], start=1):
+        if e in I.members:
+            return False
+        e = S.mult(e, S.gens[g])
+    return e in I.members
+
+
+def semaphore_left_action(
+    S: ASemigroup, word: Word, a: int, I: IdealSet | None = None
+) -> Word:
+    """Prefix of a.word that first enters the ideal.
+
+    The input must itself be a code word (minimal ideal-entering word).
+    """
+    if I is None:
+        I = minimal_ideal(S)
+    if not is_code_word(S, word, I):
+        raise NotACodeWord(f"{word} is not minimal for the ideal")
+    new = (a,) + tuple(word)
+    e = S.gens[new[0]]
+    if e in I.members:
+        return (new[0],)
+    for i in range(1, len(new)):
+        e = S.mult(e, S.gens[new[i]])
+        if e in I.members:
+            return new[: i + 1]
+    raise AssertionError("prepending a letter must still reach the ideal")
+
+
+def truncated_semaphore_chain(
+    S: ASemigroup, xs: Sequence[Fraction], max_len: int
+) -> tuple[TransitionMatrix, set[str], dict[str, tuple[int, ...]]]:
+    """Word-level walk restricted to ideal-entering words of bounded length.
+
+    Returns the (substochastic at the boundary) matrix over word labels,
+    the set of interior labels whose full column lies inside the
+    truncation, and the label -> word map.
+    """
+    xs = validate_probs(S, xs)
+    I = minimal_ideal(S)
+    words: list[tuple[int, ...]] = []
+    stack: list[tuple[tuple[int, ...], int | None]] = [((), None)]
+    while stack:
+        word, e = stack.pop()
+        if len(word) >= max_len:
+            continue
+        for a, ge in enumerate(S.gens):
+            f = ge if e is None else S.mult(e, ge)
+            if f in I.members:
+                words.append(word + (a,))
+            else:
+                stack.append((word + (a,), f))
+    words.sort()
+    index = {w: i for i, w in enumerate(words)}
+    labels = [S.word_label(w) for w in words]
+    cols: list[dict[int, Fraction]] = [dict() for _ in words]
+    interior: set[str] = set()
+    for i, w in enumerate(words):
+        inside = True
+        for a in range(S.n_gens):
+            t = semaphore_left_action(S, w, a, I)
+            j = index.get(t)
+            if j is None:
+                inside = False
+                continue
+            cols[i][j] = cols[i].get(j, Fraction(0)) + xs[a]
+        if inside:
+            interior.add(labels[i])
+    T = TransitionMatrix(labels, cols, validate=False)
+    return T, interior, dict(zip(labels, words))
+
+
+def apply_float(T: TransitionMatrix, v: list[float]) -> list[float]:
+    """One step of the chain on a float vector, column by column."""
+    out = [0.0] * T.n
+    for s, col in enumerate(T.cols):
+        vs = v[s]
+        if vs:
+            for t, p in col.items():
+                out[t] += vs * float(p)
+    return out
+
+
+# -- stationary laws -------------------------------------------------------------
+
+
+def r_trivial_stationary(S: ASemigroup, xs: Sequence[Fraction]) -> dict[str, Fraction]:
+    """Product formula for semigroups whose expansion is a tree plus loops:
+    each prefix of a normal form contributes its letter weight over one
+    minus the weight of the generators stabilizing the prefix."""
+    engine = StationaryEngine(S)
+    out = {}
+    for nf in engine.normal_forms:
+        value = Fraction(1)
+        prefix = None
+        for pos, g in enumerate(nf.word):
+            if pos > 0:
+                stab = sum(
+                    (xs[a] for a in range(S.n_gens)
+                     if S.mult(prefix, S.gens[a]) == prefix),
+                    Fraction(0),
+                )
+                value *= xs[g] / (1 - stab)
+            else:
+                value *= xs[g]
+            prefix = S.gens[g] if prefix is None else S.mult(prefix, S.gens[g])
+        out[S.word_label(nf.word)] = value
+    return out
+
+
+def lump_by_classifier(
+    d: StationaryResult, classify: Callable[[KeyInfo], str]
+) -> StationaryResult:
+    """Project a distribution onto classes of its states."""
+    entries: dict[str, Fraction] = {}
+    info: dict[str, KeyInfo] = {}
+    for label, value in d.entries.items():
+        cls = classify(d.key_info[label])
+        entries[cls] = entries.get(cls, Fraction(0)) + value
+        info.setdefault(cls, KeyInfo(label=cls))
+    ordered = dict(sorted(entries.items()))
+    return StationaryResult("lumped", ordered, info)

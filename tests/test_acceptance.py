@@ -17,17 +17,15 @@ from semiwalk.chains import (
     check_lumping,
     mixing_bound,
     stationary_oracle,
-    truncated_semaphore_chain,
     tv_distance,
 )
 from semiwalk.core import minimal_ideal
-from semiwalk.expansions import is_mc_stable, karnofsky_rhodes, mccammond
+from semiwalk.expansions import karnofsky_rhodes, mccammond
 from semiwalk.graphs import right_cayley
 from semiwalk.simulate import simulate_semaphore, simulate_state_at
 from semiwalk.stationary import (
     StationaryEngine,
     expressions_report,
-    lump_by_classifier,
     normalization_check,
     stationary_kr,
     stationary_s,
@@ -40,9 +38,15 @@ from semiwalk.families import (
     edge_flip_closed_form,
     edge_flip_letter_probs,
     hendricks,
-    signed_letter_of_gen,
 )
 from semiwalk.simulate import SplitMix64
+
+from reference import (
+    is_mc_stable,
+    lump_by_classifier,
+    rees_quotient,
+    truncated_semaphore_chain,
+)
 
 F = Fraction
 HALF = [F(1, 2), F(1, 2)]
@@ -136,7 +140,7 @@ def test_criterion_4_edge_flipping():
         r = stationary_kr(S, ys)
 
         def classify(info):
-            pi = [signed_letter_of_gen(g) for g in info.word]
+            pi = [int(S.gen_names[g]) for g in info.word]  # signed letters
             return "".join(map(str, edge_flip_action(pi, (0,) * (n + 1))))
 
         return lump_by_classifier(r, classify)
@@ -233,8 +237,6 @@ def test_criterion_7_lumping():
             )
             classes[lab] = S.element_name(kr.graph.s_image[v])
         assert check_lumping(T, classes), name
-
-    from semiwalk.core import rees_quotient
 
     z = build(FamilySpec("z2x01", {}))
     quotient = rees_quotient(z, minimal_ideal(z))

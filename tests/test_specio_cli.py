@@ -458,7 +458,7 @@ def test_cli_expands_the_semigroup_once(capsys, monkeypatch, argv):
 
 def test_cli_stationary_expressions_builds_one_mccammond(capsys, monkeypatch):
     # the law and the walk languages read one engine, so one McCammond
-    # expansion, in direct and in limit mode (--over s builds a second)
+    # expansion, in direct and in limit mode, over kr and over s
     mcs = []
     fn = stationary.mccammond
 
@@ -466,7 +466,8 @@ def test_cli_stationary_expressions_builds_one_mccammond(capsys, monkeypatch):
         mcs.append(fn(*args, **kwargs))
         return mcs[-1]
     monkeypatch.setattr(stationary, "mccammond", wrapped)
-    for family in (["rees_zp:4,4"], ["z2x01"], ["tsetlin:3", "--limit-zero"]):
+    for family in (["rees_zp:4,4"], ["z2x01"], ["tsetlin:3", "--limit-zero"],
+                   ["rees_zp:4,4", "--over", "s"], ["z2x01", "--over", "s"]):
         mcs.clear()
         code, out, _ = run_cli(["stationary", "--expressions", "--family", *family],
                                capsys)

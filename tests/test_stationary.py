@@ -20,7 +20,6 @@ from semiwalk.kleene import (
     DivergentStar,
     Letter,
     concat,
-    enumerate_words,
     evaluate_expr,
     pretty,
     series,
@@ -28,22 +27,25 @@ from semiwalk.kleene import (
     union,
 )
 from semiwalk.stationary import (
-    NotACodeWord,
     StationaryEngine,
     expressions_report,
-    ideal_preimage_predicate,
-    is_code_word,
-    lump_by_classifier,
-    nf_preimage_expr,
     normal_forms,
     normalization_check,
     parse_probs,
-    semaphore_left_action,
     stationary_kr,
     stationary_s,
     uniform_probs,
 )
 from semiwalk import families
+
+from reference import (
+    NotACodeWord,
+    enumerate_words,
+    is_code_word,
+    lump_by_classifier,
+    r_trivial_stationary,
+    semaphore_left_action,
+)
 
 F = Fraction
 HALF = [F(1, 2), F(1, 2)]
@@ -64,14 +66,6 @@ def test_parse_probs(b2):
 
 
 # -- semaphore machinery -----------------------------------------------------------
-
-
-def test_ideal_preimage_predicate(p3, b2):
-    pred = ideal_preimage_predicate(p3, minimal_ideal(p3))
-    assert pred((0, 1, 2))
-    assert not pred((0, 1))
-    predb = ideal_preimage_predicate(b2, minimal_ideal(b2))
-    assert predb((0, 0))  # aa lands on the sink
 
 
 def test_code_words(p3, b2):
@@ -157,7 +151,8 @@ def test_quotient_expressions(z2x01_quotient):
 
 
 def test_tsetlin_expression_structure(p3):
-    e = nf_preimage_expr(p3, (0, 1, 2))
+    engine = StationaryEngine(p3)
+    e = engine.expression(next(nf for nf in engine.normal_forms if nf.word == (0, 1, 2)))
     # first letter occurs before any loop; value matches the direct formula
     x = [F(1, 2), F(1, 3), F(1, 6)]
     assert evaluate_expr(e, x) == families.hendricks(x, (0, 1, 2))
@@ -312,7 +307,9 @@ def test_adjoined_zero_table_at_concrete_weight(z2x01):
         "bbaa" + z: xa * s * xb * xb * xz / (small * big),
     }
     assert dict(r.entries) == want
-    assert r.key_info["aa" + z].nf_words == ((0, 0, 2), (0, 1, 2))  # aa|ab
+    onto = r.key_info["aa" + z].kr_vertex
+    assert [nf.word for nf in normal_forms(S2) if nf.kr_vertex == onto] == [
+        (0, 0, 2), (0, 1, 2)]  # aa|ab
     assert normalization_check(r)
 
 
@@ -342,11 +339,14 @@ def test_states_are_named_by_the_first_word_of_their_vertex(counterexample):
     r = stationary_kr(S, uniform_probs(S))
     kr = karnofsky_rhodes(S)
     assert len(r.entries) == 64
-    assert any(len(ki.nf_words) > 1 for ki in r.key_info.values())
+    onto = {}  # the normal forms reaching each vertex
+    for nf in normal_forms(S):
+        onto.setdefault(nf.kr_vertex, []).append(nf.word)
+    assert any(len(onto[ki.kr_vertex]) > 1 for ki in r.key_info.values())
     for label, ki in r.key_info.items():
         assert ki.word == kr.words[ki.kr_vertex]
         assert label == S.word_label(ki.word)
-        assert ki.word == min(ki.nf_words, key=lambda w: (len(w), w))
+        assert ki.word == min(onto[ki.kr_vertex], key=lambda w: (len(w), w))
     words = [ki.word for ki in r.key_info.values()]
     assert words == sorted(words)
 
@@ -399,7 +399,7 @@ def test_r_trivial_product_formula(p3, flipflop):
         (families.flat_tower(2, 1), [F(1, 6), F(1, 3), F(1, 2)]),
     ]
     for S, xs in fixtures:
-        closed = families.r_trivial_stationary(S, xs)
+        closed = r_trivial_stationary(S, xs)
         r = stationary_kr(S, xs)
         assert dict(r.entries) == closed
 
