@@ -10,10 +10,10 @@ move-to-front chain, with normal forms as the arrangements.
 from fractions import Fraction
 
 from semiwalk import (
+    StationaryEngine,
     build_chain,
     karnofsky_rhodes,
     mccammond,
-    normal_forms,
     right_cayley,
     stationary_kr,
     stationary_oracle,
@@ -31,9 +31,9 @@ print(f"right Cayley graph: {g.n} vertices")
 print(f"expanded: {kr.graph.n} vertices (simple-path expansion adds none: "
       f"{mc.graph.n})")
 
-nfs = normal_forms(S)
+engine = StationaryEngine(S)
 print("\nnormal forms (= arrangements):",
-      " ".join(S.word_label(nf.word) for nf in nfs))
+      " ".join(S.word_label(engine.mc.words[nf.mc_vertex]) for nf in engine.normal_forms))
 
 x = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]
 result = stationary_kr(S, x)
@@ -41,6 +41,6 @@ print("\nexact stationary law at x = (1/2, 1/3, 1/6):")
 for label, value in result.entries.items():
     print(f"  {label}: {value}   (product formula: {hendricks(x, [int(c) - 1 for c in label])})")
 
-oracle = stationary_oracle(build_chain(S, x, "kr_ideal"))
+oracle = stationary_oracle(build_chain(S, x))
 worst = max(abs(float(v) - oracle[k]) for k, v in result.entries.items())
 print(f"\nfloat power-iteration oracle agrees within {worst:.2e}")

@@ -27,7 +27,7 @@ for steps in (100, 1_000, 10_000):
     emp = simulate_semaphore(S, x, walkers=20, steps=steps, seed=42)
     print(f"  {20 * steps:>7} samples: TV = {tv_distance(emp, exact):.5f}")
 
-mb = mixing_bound(S, x, c=1)
+mb = mixing_bound(S, x)
 print(f"\nmixing bound: depth n={mb.n}, crossing gap={mb.gap}, "
       f"p_min={mb.p_min} -> k={mb.k} steps to TV <= 1/e")
 

@@ -15,7 +15,6 @@ from .core import (
     NotAssociative,
     SemigroupError,
     SizeCapExceeded,
-    adjoin_zero,
     bar,
     flat,
     kernel_is_left_zero,
@@ -55,7 +54,6 @@ from .stationary import (
     StationaryEngine,
     StationaryResult,
     expressions_report,
-    normal_forms,
     normalization_check,
     parse_probs,
     stationary_kr,

@@ -1,9 +1,9 @@
 """Independent verification machinery for the exact engine.
 
-Column-stochastic transition matrices (exact rationals) on the minimal
-ideal of a semigroup or of its expansion, the exact certificate of a law
-on the latter, a float power-iteration oracle kept apart from the exact
-path, lumping checks, total-variation distance and the mixing-time bound.
+The column-stochastic transition matrix (exact rationals) on the minimal
+ideal of the Karnofsky-Rhodes expansion, the exact certificate of a law on
+it, a float power-iteration oracle kept apart from the exact path, the
+lumping check, total-variation distance and the mixing-time bound.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .core import ASemigroup, SemigroupError, minimal_ideal
+# minimal_ideal is not called here; perfbench/spans.py wraps chains.minimal_ideal
+from .core import ASemigroup, SemigroupError, minimal_ideal  # noqa: F401
 from .expansions import karnofsky_rhodes, mccammond
 from .graphs import closed_classes, minimal_ideal_vertices, sccs
 from .stationary import validate_probs
@@ -31,61 +32,42 @@ class TransitionMatrix:
     """Sparse column-stochastic matrix with state labels.
 
     cols[s] maps target index -> exact probability of s -> target;
-    ``states``, when given, holds the element or expansion vertex behind
-    each label.
+    ``states``, when given, holds the expansion vertex behind each label.
+    Columns are not checked here: ``build_chain`` checks the weight sum
+    that every column adds up to.
     """
 
     def __init__(self, labels: Sequence[str], cols: list[dict[int, Fraction]],
-                 validate: bool = True, states: Sequence[int] | None = None):
+                 states: Sequence[int] | None = None):
         self.labels = list(labels)
         self.cols = cols
         self.states = states
-        if validate:
-            for s, col in enumerate(cols):
-                total = sum(col.values(), Fraction(0))
-                if total != 1:
-                    raise SemigroupError(
-                        f"column {self.labels[s]} sums to {total}, not 1"
-                    )
 
     @property
     def n(self) -> int:
         return len(self.labels)
 
 
-
-def build_chain(
-    S: ASemigroup, xs: Sequence[Fraction], space: str = "k_s"
-) -> TransitionMatrix:
-    """Left-multiplication walk, either on the minimal ideal of the
-    semigroup ("k_s") or on the minimal ideal of its expansion ("kr_ideal").
-    States are named by element name, or by the expansion vertex's label:
-    its shortlex-first word, the name ``stationary_kr`` gives it too.
+def build_chain(S: ASemigroup, xs: Sequence[Fraction]) -> TransitionMatrix:
+    """Left-multiplication walk on the minimal ideal of the expansion,
+    K(KR(S)).  States are named by the expansion vertex's label: its
+    shortlex-first word, the name ``stationary_kr`` gives it too.
 
     Every column receives one weight per generator, so each sums to
     ``sum(xs)``; ``validate_probs`` checks that one sum instead of every
     column.
     """
     xs = validate_probs(S, xs)
-    if space == "k_s":
-        states = sorted(minimal_ideal(S).members)
-        labels = [S.element_name(e) for e in states]
-        left = lambda a, e: S.mult(S.gens[a], e)
-    elif space == "kr_ideal":
-        # the expansion graph is its own right Cayley graph
-        kr = karnofsky_rhodes(S)
-        states = minimal_ideal_vertices(kr.out)
-        labels = kr.names(states)
-        left = kr.left_multiply
-    else:
-        raise SemigroupError(f"unknown state space {space!r}")
+    # the expansion graph is its own right Cayley graph
+    kr = karnofsky_rhodes(S)
+    states = minimal_ideal_vertices(kr.out)
     index = {s: i for i, s in enumerate(states)}
     cols: list[dict[int, Fraction]] = [dict() for _ in states]
     for col, s in zip(cols, states):
         for a in range(S.n_gens):
-            t = index[left(a, s)]
+            t = index[kr.left_multiply(a, s)]
             col[t] = col.get(t, Fraction(0)) + xs[a]
-    return TransitionMatrix(labels, cols, validate=False, states=states)
+    return TransitionMatrix(kr.names(states), cols, states=states)
 
 
 def certify(S: ASemigroup, xs: Sequence[Fraction], result) -> bool:
@@ -93,7 +75,7 @@ def certify(S: ASemigroup, xs: Sequence[Fraction], result) -> bool:
 
     True iff the masses of ``result`` (a ``StationaryResult`` over "kr") are
     nonnegative, sum to 1, satisfy pi T = pi on the chain
-    ``build_chain(S, xs, "kr_ideal")`` and put the right mass on each of its
+    ``build_chain(S, xs)`` and put the right mass on each of its
     closed classes.  Those are the minimal left ideals, and the letters act
     on them through any representative; that action must have one closed
     class, and the class masses must be stationary for it.  With pi T = pi,
@@ -103,7 +85,7 @@ def certify(S: ASemigroup, xs: Sequence[Fraction], result) -> bool:
     pi = result.entries
     if sum(pi.values(), Fraction(0)) != 1 or any(v < 0 for v in pi.values()):
         return False
-    chain = build_chain(S, xs, "kr_ideal")
+    chain = build_chain(S, xs)
     if not set(pi) <= set(chain.labels):
         return False
     vec = [pi.get(lab, Fraction(0)) for lab in chain.labels]
@@ -129,14 +111,18 @@ def certify(S: ASemigroup, xs: Sequence[Fraction], result) -> bool:
     return moved == mass
 
 
-def stationary_oracle(
-    T: TransitionMatrix, tol: float = 1e-13, max_iter: int = 1_000_000
-) -> dict[str, float]:
+ORACLE_TOL = 1e-13  # total variation between sweeps that ends the iteration
+ORACLE_MAX_ITER = 1_000_000
+
+
+def stationary_oracle(T: TransitionMatrix) -> dict[str, float]:
     """Float power iteration, independent of the exact engine.
 
     Iterates the lazy chain (T+I)/2, which has the same stationary vector
-    and converges for periodic chains too.  Transient states get mass 0;
-    more than one closed class is an error.
+    and converges for periodic chains too, until one sweep moves less than
+    ``ORACLE_TOL`` in total variation.  Transient states get mass 0; more
+    than one closed class is an error, and so is no convergence within
+    ``ORACLE_MAX_ITER`` sweeps.
     """
     n = T.n
     classes = closed_classes([list(col) for col in T.cols])
@@ -150,7 +136,7 @@ def stationary_oracle(
     v = [0.0] * n
     for s in recurrent:
         v[s] = 1.0 / len(recurrent)
-    for it in range(max_iter):
+    for _ in range(ORACLE_MAX_ITER):
         w = [0.0] * n
         for col, vs in zip(cols, v):
             if vs:
@@ -161,24 +147,17 @@ def stationary_oracle(
         w = [a / norm for a in w]
         delta = 0.5 * sum(abs(a - b) for a, b in zip(w, v))
         v = w
-        if delta < tol:
+        if delta < ORACLE_TOL:
             return {T.labels[s]: v[s] for s in range(n)}
-    raise NotConverged(f"no convergence after {max_iter} iterations")
+    raise NotConverged(f"no convergence after {ORACLE_MAX_ITER} iterations")
 
 
-def check_lumping(
-    T: TransitionMatrix,
-    classes: Mapping[str, str],
-    interior: set[str] | None = None,
-) -> bool:
+def check_lumping(T: TransitionMatrix, classes: Mapping[str, str]) -> bool:
     """Exact lumpability: states in one class must have identical
-    class-aggregated columns.  ``classes`` maps state label -> class label;
-    ``interior`` restricts which columns are compared (for truncations)."""
+    class-aggregated columns.  ``classes`` maps state label -> class label."""
     idx_class = [classes[lab] for lab in T.labels]
     signatures: dict[str, dict[str, Fraction]] = {}
-    for s, lab in enumerate(T.labels):
-        if interior is not None and lab not in interior:
-            continue
+    for s in range(T.n):
         sig: dict[str, Fraction] = {}
         for t, p in T.cols[s].items():
             c = idx_class[t]
@@ -204,19 +183,18 @@ def tv_distance(d1: Mapping[str, object], d2: Mapping[str, object]) -> float:
 
 @dataclass
 class MixingBound:
-    """k = ceil(2*(n + gap*c - 1) / p_min**gap) bounds the time to reach
-    total variation e**-c, where n is the expansion tree depth and gap is
+    """k = ceil(2*(n + gap - 1) / p_min**gap) bounds the time to reach
+    total variation 1/e, where n is the expansion tree depth and gap is
     one more than the longest run of non-transitional tree edges on any
     root-to-leaf path."""
 
     n: int
     gap: int
     p_min: Fraction
-    c: int
     k: int
 
 
-def mixing_bound(S: ASemigroup, xs: Sequence[Fraction], c: int = 1) -> MixingBound:
+def mixing_bound(S: ASemigroup, xs: Sequence[Fraction]) -> MixingBound:
     xs = validate_probs(S, xs)
     mc = mccammond(karnofsky_rhodes(S))
     comp = sccs(mc.out)
@@ -235,5 +213,5 @@ def mixing_bound(S: ASemigroup, xs: Sequence[Fraction], c: int = 1) -> MixingBou
 
     p = min(xs)
     gap = 1 + best_run
-    k = math.ceil(Fraction(2) * (best_depth + gap * c - 1) / p**gap)
-    return MixingBound(n=best_depth, gap=gap, p_min=p, c=c, k=k)
+    k = math.ceil(Fraction(2) * (best_depth + gap - 1) / p**gap)
+    return MixingBound(n=best_depth, gap=gap, p_min=p, k=k)

@@ -224,7 +224,7 @@ def cmd_verify(args) -> int:
         failures.append("normalization")
 
     if not force:
-        chain = build_chain(S, xs, "kr_ideal")
+        chain = build_chain(S, xs)
         oracle = stationary_oracle(chain)
         diff = max(
             abs(float(v) - oracle.get(k, 0.0)) for k, v in result.entries.items()

@@ -20,9 +20,11 @@ Finite Semigroups*, 2009), which is how ``minimal_ideal`` finds it.
 
 Only ``semigroup_from_table`` holds a table, the one it is given.  The
 pipeline only ever multiplies by a generator on one side, so the built-in
-families and derived semigroups (adjoined zeros, bar and flat) fill none:
-the families compute their products, and the derived semigroups read their
-relations over the product of the semigroup they are built from.
+families and the derived semigroups bar and flat fill none: the families
+compute their products, and the derived semigroups read their relations
+over the product of the semigroup they are built from.  Limit mode names
+its states on S⁰, S with a zero adjoined, without building it: ``zero_name``
+gives the zero's name.
 
 The formal identity used as the root of Cayley graphs is *virtual*: it is
 never an element of the semigroup, matching the convention that the vertex
@@ -35,7 +37,7 @@ from typing import Callable, Iterable, Sequence
 
 Word = tuple[int, ...]
 
-DEFAULT_CLOSURE_CAP = 100_000
+CLOSURE_CAP = 100_000  # elements of a transformation closure, read at each call
 
 
 class SemigroupError(ValueError):
@@ -265,11 +267,10 @@ def _default_gen_name(i: int) -> str:
 
 
 def semigroup_from_transformations(
-    n_states: int,
-    maps: dict[str, Sequence[int]],
-    cap: int = DEFAULT_CLOSURE_CAP,
+    n_states: int, maps: dict[str, Sequence[int]]
 ) -> ASemigroup:
-    """Semigroup generated by total maps on 0..n_states-1.
+    """Semigroup generated by total maps on 0..n_states-1, at most
+    ``CLOSURE_CAP`` elements.
 
     The product f*g acts as "f then g": (f*g)(q) = g(f(q)).  This matches
     the right-Cayley convention where following the edge labelled ``a``
@@ -304,10 +305,10 @@ def semigroup_from_transformations(
         for m in gen_maps:
             fg = tuple(map(m.__getitem__, f))
             if fg not in index:
-                if len(elements) >= cap:
+                if len(elements) >= CLOSURE_CAP:
                     raise ClosureTooLarge(
                         f"transformation closure on {n_states} states "
-                        f"exceeded cap {cap} elements"
+                        f"exceeded cap {CLOSURE_CAP} elements"
                     )
                 index[fg] = len(elements)
                 elements.append(fg)
@@ -350,24 +351,9 @@ def kernel_is_left_zero(S: ASemigroup, K: IdealSet) -> bool:
 ZERO_NAME = "□"  # printable box for an adjoined/collapsed zero
 
 
-def adjoin_zero(S: ASemigroup) -> ASemigroup:
-    """Append a new zero element, also added as the last generator."""
-    zero = S.size
-    m = S.mult
-
-    def mult(i: int, j: int) -> int:
-        if i == zero or j == zero:
-            return zero
-        return m(i, j)
-
-    zname = zero_name(S)
-    names = S.element_names() + [zname]
-    # Adjoining a zero keeps S associative and generated.
-    return ASemigroup(zero + 1, S.gens + [zero], S.gen_names + [zname], mult, names)
-
-
 def zero_name(S: ASemigroup) -> str:
-    """Name of the zero that ``adjoin_zero`` adds, as element and generator."""
+    """Name of a zero adjoined to S, as element and generator: the box,
+    primed until no generator or element of S has that name."""
     return _fresh_name(ZERO_NAME, S.gen_names + S.element_names())
 
 

@@ -21,8 +21,9 @@ from functools import cached_property
 from .core import ASemigroup, SizeCapExceeded, Word, label_sep
 from .graphs import ROOT_LABEL, RootedLabeledGraph, right_cayley, sccs, transition_edges
 
-DEFAULT_KR_CAP = 200_000
-DEFAULT_MC_CAP = 1_000_000
+# size caps in vertices, read at each call
+KR_CAP = 200_000
+MC_CAP = 1_000_000
 
 
 class ExpansionTree:
@@ -96,10 +97,10 @@ class KRExpansion(ExpansionTree):
                           lambda i, j: g.follow(i + 1, words[j + 1]) - 1, g.labels[1:])
 
 
-def karnofsky_rhodes(S: ASemigroup, cap: int = DEFAULT_KR_CAP) -> KRExpansion:
+def karnofsky_rhodes(S: ASemigroup) -> KRExpansion:
     """The expansion of S, stored on S: later calls return the same object.
-    A cap below its size raises: the build stops at the cap, storing nothing."""
-    if S._kr is not None and len(S._kr.out) <= cap:
+    A build that passes ``KR_CAP`` vertices raises and stores nothing."""
+    if S._kr is not None:
         return S._kr
     rcay = right_cayley(S)
     comp = sccs(rcay)
@@ -124,10 +125,10 @@ def karnofsky_rhodes(S: ASemigroup, cap: int = DEFAULT_KR_CAP) -> KRExpansion:
             key = (row[a], tset | {(rv, a)} if cross[a] else tset)
             w = index.get(key)
             if w is None:
-                if len(keys) >= cap:
+                if len(keys) >= KR_CAP:
                     raise SizeCapExceeded(
                         f"Karnofsky-Rhodes expansion of a semigroup with "
-                        f"|S| = {S.size} exceeded cap {cap} vertices"
+                        f"|S| = {S.size} exceeded cap {KR_CAP} vertices"
                     )
                 w = len(keys)
                 index[key] = w
@@ -141,9 +142,9 @@ def karnofsky_rhodes(S: ASemigroup, cap: int = DEFAULT_KR_CAP) -> KRExpansion:
     return S._kr
 
 
-def mccammond(G, cap: int = DEFAULT_MC_CAP) -> ExpansionTree:
+def mccammond(G) -> ExpansionTree:
     """Expand a deterministic rooted graph, or an expansion, over its
-    simple paths.
+    simple paths, at most ``MC_CAP`` of them.
 
     The depth-first search creates children in letter order, so vertex
     order is the lexicographic order of the tree-path words.
@@ -172,10 +173,10 @@ def mccammond(G, cap: int = DEFAULT_MC_CAP) -> ExpansionTree:
                 out_v[a] = hit  # back edge to an initial segment
                 continue
             w = len(endpoint)
-            if w >= cap:
+            if w >= MC_CAP:
                 raise SizeCapExceeded(
                     f"McCammond expansion of a graph with {len(G.out)} "
-                    f"vertices exceeded cap {cap} simple paths"
+                    f"vertices exceeded cap {MC_CAP} simple paths"
                 )
             parent.append(v)
             parent_gen.append(a)

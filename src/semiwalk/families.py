@@ -256,11 +256,9 @@ def edge_flip_action(pi: Sequence[int], state: Sequence[int]) -> tuple[int, ...]
     return tuple(s)
 
 
-def edge_flip_closed_form(
-    n: int, xs: Sequence[Fraction], p: Fraction = Fraction(1, 2)
-) -> dict[str, Fraction]:
+def edge_flip_closed_form(n: int, xs: Sequence[Fraction]) -> dict[str, Fraction]:
     """Law of the vertex-writing chain on bit strings of length n+1."""
-    ys = edge_flip_letter_probs(n, xs, p)
+    ys = edge_flip_letter_probs(n, xs)
     out: dict[str, Fraction] = {}
     for s in iproduct((0, 1), repeat=n + 1):
         out["".join(map(str, s))] = Fraction(0)
@@ -270,16 +268,14 @@ def edge_flip_closed_form(
     return out
 
 
-def edge_flip_letter_probs(
-    n: int, xs: Sequence[Fraction], p: Fraction = Fraction(1, 2)
-) -> list[Fraction]:
-    """Split per-edge probabilities into signed-letter probabilities."""
+def edge_flip_letter_probs(n: int, xs: Sequence[Fraction]) -> list[Fraction]:
+    """Split per-edge probabilities into signed-letter probabilities: each
+    edge writes 0 or 1 with equal chance."""
     if len(xs) != n:
         raise SemigroupError("one probability per edge required")
     ys = [Fraction(0)] * (2 * n)
     for i in range(1, n + 1):
-        ys[gen_of_signed_letter(i)] = p * xs[i - 1]
-        ys[gen_of_signed_letter(-i)] = (1 - p) * xs[i - 1]
+        ys[gen_of_signed_letter(i)] = ys[gen_of_signed_letter(-i)] = xs[i - 1] / 2
     return ys
 
 
@@ -382,11 +378,6 @@ _FAMILIES = {
                          (("n", 2, (2, 3)), ("depth", 1, {2: (0, 2), 3: (0, 1)}))),
     "flat_tower": _Family(flat_tower, None,
                           (("n", 2, (2, 3)), ("depth", 1, {2: (1, 3), 3: (1, 2)}))),
-}
-
-DESK_CAPS = {
-    name: {key: bounds for key, _, bounds in family.params}
-    for name, family in _FAMILIES.items()
 }
 
 

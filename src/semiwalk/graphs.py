@@ -25,8 +25,10 @@ class RootedLabeledGraph:
 
     ``out[v][a]`` is the head of the a-labelled edge out of v (None if
     absent).  ``s_image[v]`` is the underlying semigroup element of the
-    vertex, None for the root.
+    vertex, None for the root, vertex 0.
     """
+
+    root = 0
 
     def __init__(
         self,
@@ -34,13 +36,11 @@ class RootedLabeledGraph:
         labels: list[str],
         out: list[list[int | None]],
         s_image: list[int | None],
-        root: int = 0,
     ):
         self.alphabet = list(alphabet)
         self.labels = labels
         self.out = out
         self.s_image = s_image
-        self.root = root
 
     @property
     def n(self) -> int:
@@ -190,20 +190,14 @@ def transition_edges(
     return result
 
 
-def to_dot(
-    G: RootedLabeledGraph,
-    name: str = "G",
-    transitional: set[tuple[int, int]] | None = None,
-    tree: set[tuple[int, int]] | None = None,
-) -> str:
-    """Render as DOT, deterministically.
+def to_dot(G: RootedLabeledGraph, tree: set[tuple[int, int]] | None = None) -> str:
+    """Render as the DOT digraph G, deterministically.
 
     Transitional edges are blue, loops dashed.  When a tree-edge set is
     given (expansion output), non-tree edges are dashed red.
     """
-    if transitional is None:
-        transitional = transition_edges(G)
-    lines = [f"digraph {name} {{"]
+    transitional = transition_edges(G)
+    lines = ["digraph G {"]
     for v in range(G.n):
         shape = ', shape=box' if v == G.root else ""
         lines.append(f'  v{v} [label={_dot_string(G.labels[v])}{shape}];')

@@ -105,10 +105,6 @@ class RatF:
     def const(q) -> "RatF":
         return RatF((Fraction(q),))
 
-    @staticmethod
-    def variable() -> "RatF":
-        return RatF((Fraction(0), Fraction(1)))
-
     def one(self) -> "RatF":
         return RatF.const(1)
 
@@ -172,9 +168,6 @@ class RatF:
 
     def __hash__(self):
         return hash((self.num, self.den))
-
-    def is_zero(self) -> bool:
-        return not self.num
 
     # -- the limit -----------------------------------------------------------
 

@@ -2,19 +2,21 @@
 
 A walker's state is a minimal ideal-entering word w.  A step draws a letter
 a and moves to the shortest prefix of a·w whose product lies in the minimal
-ideal.  Before a run the walk is compiled to lists: S's right-action
-table ``right[e][b] = e·gens[b]`` (``ASemigroup.right_action``), an ideal
-flag per element of S, and the rows of the automaton that lumps words onto
-states (the Karnofsky-Rhodes expansion for "kr_ideal"; for "k_s" the
-right action itself, so the vertex is the element).  One loop then reads
-a·w letter by letter, advancing the element and the lumping vertex
-together, and stops at the first letter whose element is in the ideal.
-Only the states the walk visits are named.  Nothing is memoized: a step
-costs time linear in the length of the word it enters the ideal with.
+ideal.  Lumped onto expansion states, this walk samples the exact engine's
+law only when the minimal ideal is left zero (direct mode); otherwise both
+simulations raise, since the limit-mode law has no sampler here.  Before a
+run the walk is compiled to lists: S's right-action table
+``right[e][b] = e·gens[b]`` (``ASemigroup.right_action``), an ideal flag
+per element of S, and the rows of the Karnofsky-Rhodes expansion, which
+lumps words onto states.  One loop then reads a·w letter by letter,
+advancing the element and the expansion vertex together, and stops at the
+first letter whose element is in the ideal.  Only the states the walk
+visits are named.  Nothing is memoized: a step costs time linear in the
+length of the word it enters the ideal with.
 Ideal entry is decided by S's own multiplication, so the walk depends on
-the expansion code only through the final lumping.  The default
-start word of ``simulate_state_at`` is the representative word of the
-first ideal element in the search's discovery order, the shortlex-least
+the expansion code only through the final lumping.  Every walker of
+``simulate_state_at`` starts from the representative word of the first
+ideal element in the search's discovery order, the shortlex-least
 ideal-entering word.
 
 Random number generator contract: SplitMix64 (Steele, Lea and Flood,
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import ASemigroup, SemigroupError, Word, adjoin_zero, kernel_is_left_zero, minimal_ideal
+from .core import ASemigroup, SemigroupError, Word, kernel_is_left_zero, minimal_ideal
 from .expansions import karnofsky_rhodes
 from .stationary import validate_probs
 
@@ -96,21 +98,15 @@ class EmpiricalDistribution:
 
 class _WalkTables:
     """The word walk compiled to lists: the right action of the generators
-    on S, ideal membership per element, and the lumping automaton."""
+    on S, ideal membership per element, and the Karnofsky-Rhodes expansion
+    that lumps words onto states."""
 
-    def __init__(self, S: ASemigroup, ideal, space: str):
+    def __init__(self, S: ASemigroup, ideal):
         self.gens = S.gens
         self.right = S.right_action()[0]
         self.in_ideal = [e in ideal.members for e in range(S.size)]
-        if space == "kr_ideal":
-            kr = karnofsky_rhodes(S)
-            self.out, self.root, self.names = kr.out, kr.root, kr.names
-        elif space == "k_s":
-            # the root row is the generators, so the vertex is the element
-            self.out, self.root = self.right + [list(S.gens)], S.size
-            self.names = lambda vertices: [S.element_name(e) for e in vertices]
-        else:
-            raise SemigroupError(f"unknown lumping space {space!r}")
+        kr = karnofsky_rhodes(S)
+        self.out, self.root, self.names = kr.out, kr.root, kr.names
 
     def lump(self, word: Word) -> int:
         v = self.root
@@ -164,20 +160,15 @@ class _WalkTables:
             {name: visits[v] for v, name in zip(seen, self.names(seen))}, total)
 
 
-def _prepare(S, xs, zero_weight):
+def _prepare(S, xs):
     xs = validate_probs(S, xs)
     I = minimal_ideal(S)
-    if kernel_is_left_zero(S, I):
-        return S, xs, I
-    if zero_weight is None:
+    if not kernel_is_left_zero(S, I):
         raise SemigroupError(
-            "minimal ideal is not left zero; pass zero_weight to walk the "
-            "adjoined-zero model at an explicit zero probability"
+            "minimal ideal is not left zero: the word walk samples only the "
+            "direct-mode law"
         )
-    w = Fraction(zero_weight)
-    S2 = adjoin_zero(S)
-    xs2 = [v * (1 - w) for v in xs] + [w]
-    return S2, validate_probs(S2, xs2), minimal_ideal(S2)
+    return xs, I
 
 
 def simulate_semaphore(
@@ -186,8 +177,6 @@ def simulate_semaphore(
     walkers: int,
     steps: int,
     seed: int,
-    space: str = "kr_ideal",
-    zero_weight: Fraction | None = None,
 ) -> EmpiricalDistribution:
     """Occupation measure of the lumped word walk.
 
@@ -199,8 +188,8 @@ def simulate_semaphore(
     if walkers < 1 or steps < 1:
         raise SemigroupError(
             f"need walkers >= 1 and steps >= 1, got walkers={walkers}, steps={steps}")
-    S, xs, I = _prepare(S, xs, zero_weight)
-    walk = _WalkTables(S, I, space)
+    xs, I = _prepare(S, xs)
+    walk = _WalkTables(S, I)
     thresholds = _thresholds(xs)
     visits = [0] * len(walk.out)
     for w in range(walkers):
@@ -216,25 +205,20 @@ def simulate_state_at(
     walkers: int,
     steps: int,
     seed: int,
-    space: str = "kr_ideal",
-    start_word: Word | None = None,
-    zero_weight: Fraction | None = None,
 ) -> EmpiricalDistribution:
     """Empirical law of the lumped state after exactly ``steps`` steps.
 
-    All walkers start from the same word (default: the lexicographically
-    first shortest ideal-entering word), so this measures worst-case-style
-    convergence from a point mass.
+    All walkers start from the lexicographically first shortest
+    ideal-entering word, so this measures worst-case-style convergence from
+    a point mass.
     """
     if walkers < 1 or steps < 0:
         raise SemigroupError(
             f"need walkers >= 1 and steps >= 0, got walkers={walkers}, steps={steps}")
-    S, xs, I = _prepare(S, xs, zero_weight)
-    walk = _WalkTables(S, I, space)
+    xs, I = _prepare(S, xs)
+    walk = _WalkTables(S, I)
     thresholds = _thresholds(xs)
-    if start_word is None:
-        start_word = _lex_first_code_word(S, I)
-    word = tuple(start_word)
+    word = _lex_first_code_word(S, I)
     visits = [0] * len(walk.out)  # the occupation measure, not reported here
     ends = [0] * len(walk.out)
     for w in range(walkers):

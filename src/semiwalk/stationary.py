@@ -118,8 +118,7 @@ def validate_probs(S: ASemigroup, xs: Sequence[Fraction]) -> list[Fraction]:
 
 @dataclass
 class NormalForm:
-    word: Word
-    mc_vertex: int
+    mc_vertex: int  # its word is the tree-path word ``mc.words[mc_vertex]``
     kr_vertex: int
 
 
@@ -135,20 +134,13 @@ class StationaryEngine:
         mc, ideal = self.mc, self.ideal  # the root's image, None, is in no ideal
         in_ideal = self._in_ideal = [x in ideal for x in mc.s_image]
         self.live = [v for v, inside in enumerate(in_ideal) if not inside]
-
-        # vertex order is tree-path word order, parents first: one pass
-        # builds the live vertices' words, and only the normal forms keep theirs
-        parent, parent_gen = mc.parent, mc.parent_gen
-        words: list = [()] + [None] * (len(in_ideal) - 1)
-        self.normal_forms = []
-        for v in range(1, len(in_ideal)):
-            p = parent[v]
-            if not in_ideal[p]:
-                w = words[p] + (parent_gen[v],)
-                if in_ideal[v]:
-                    self.normal_forms.append(NormalForm(w, v, mc.endpoint[v]))
-                else:
-                    words[v] = w
+        # the ideal vertices entered from a live parent, in vertex order,
+        # which is the order of their tree-path words
+        parent, endpoint = mc.parent, mc.endpoint
+        self.normal_forms = [
+            NormalForm(v, endpoint[v]) for v in range(1, len(in_ideal))
+            if in_ideal[v] and not in_ideal[parent[v]]
+        ]
         self._shape_table = None  # the live vertices' shapes, on first use
         self._kleene = None  # the reduction over Kleene weights, on demand
 
@@ -252,7 +244,7 @@ class StationaryEngine:
 
     # -- symbolic expression for one normal form ------------------------------
 
-    def expression(self, nf: NormalForm, rewrite: bool = True) -> KleeneExpr:
+    def expression(self, nf: NormalForm) -> KleeneExpr:
         """Regular expression for the ideal-avoiding walks onto this form.
 
         The same shape reduction as ``values``, over Kleene expressions
@@ -261,7 +253,8 @@ class StationaryEngine:
         the root path, each of its vertices merged with the path's next
         vertex left out, is then eliminated per form, from the root outward.
         This fixes the compact left-to-right factored forms: loops attach
-        to the vertex where the walk leaves for the target.
+        to the vertex where the walk leaves for the target.  The result is
+        then put through ``zimin_rewrite``.
         """
         shape, shapes = self._shapes()
         if self._kleene is None:
@@ -291,8 +284,7 @@ class StationaryEngine:
                 if ev is not None:
                     for w, ew in outs.items():
                         _acc(d, w, concat(ev, mid, ew))
-        expr = out[0][target]
-        return zimin_rewrite(expr) if rewrite else expr
+        return zimin_rewrite(out[0][target])
 
 
 class _ShapeSums:
@@ -360,11 +352,6 @@ def _letter_sum(xs: Sequence, mask: int):
         if mask >> a & 1:
             total = x if total is None else total + x
     return total
-
-
-def normal_forms(S: ASemigroup, ideal: IdealSet | None = None) -> list[NormalForm]:
-    """The normal forms in word order."""
-    return StationaryEngine(S, ideal).normal_forms
 
 
 # -- results ---------------------------------------------------------------------
@@ -548,7 +535,8 @@ def expressions_report(
     """Pretty-printed expression per normal form (dict preserves sort order)."""
     if engine is None:
         engine = StationaryEngine(S)
+    words = engine.mc.words
     out = {}
     for nf in engine.normal_forms:
-        out[S.word_label(nf.word)] = pretty(engine.expression(nf), S.gen_names)
+        out[S.word_label(words[nf.mc_vertex])] = pretty(engine.expression(nf), S.gen_names)
     return out

@@ -1,19 +1,23 @@
 """Constructions the tests use as references, not part of the library.
 
 Each one checks library code or a claim of the paper from another side:
-the two-sided ideals and quotients of a semigroup, stability of the
-expansions, the words an expression describes, the semaphore code (the
-minimal ideal-entering words) with its word-level walk, which lumps onto
-the Karnofsky-Rhodes chain, and the product formula for expansions that
-are a tree plus loops.  The CLI, the demos and the benchmark never call
-them.
+the two-sided ideals and quotients of a semigroup, S with a zero adjoined
+(whose direct law at zero weight t tends to limit mode's law as t -> 0),
+stability of the expansions, the words an expression describes, the
+semaphore code (the minimal ideal-entering words) with its word-level
+walk, which lumps onto the Karnofsky-Rhodes chain, and the product formula
+for expansions that are a tree plus loops.  The CLI, the demos and the
+benchmark never call them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
+import pytest
+
+from semiwalk import expansions, families
 from semiwalk.chains import TransitionMatrix
 from semiwalk.core import (
     ZERO_NAME,
@@ -24,6 +28,7 @@ from semiwalk.core import (
     Word,
     _fresh_name,
     minimal_ideal,
+    zero_name,
 )
 from semiwalk.expansions import ExpansionTree, karnofsky_rhodes, mccammond
 from semiwalk.graphs import RootedLabeledGraph
@@ -37,6 +42,13 @@ from semiwalk.stationary import (
 
 
 # -- semigroups and ideals -------------------------------------------------------
+
+
+# each family's parameters with their desk-scale ranges, as the family table holds them
+DESK_CAPS = {
+    name: {key: bounds for key, _, bounds in family.params}
+    for name, family in families._FAMILIES.items()
+}
 
 
 def principal_ideal(S: ASemigroup, e: int) -> IdealSet:
@@ -80,6 +92,22 @@ def rees_quotient(S: ASemigroup, I: IdealSet) -> ASemigroup:
     # A quotient of a semigroup by an ideal stays associative and is
     # generated by the images of its generators.
     return ASemigroup(zero + 1, gens, list(S.gen_names), mult, names)
+
+
+def adjoin_zero(S: ASemigroup) -> ASemigroup:
+    """Append a new zero element, also added as the last generator."""
+    zero = S.size
+    m = S.mult
+
+    def mult(i: int, j: int) -> int:
+        if i == zero or j == zero:
+            return zero
+        return m(i, j)
+
+    zname = zero_name(S)
+    names = S.element_names() + [zname]
+    # Adjoining a zero keeps S associative and generated.
+    return ASemigroup(zero + 1, S.gens + [zero], S.gen_names + [zname], mult, names)
 
 
 def opposite(S: ASemigroup) -> ASemigroup:
@@ -132,10 +160,13 @@ def is_mc_stable(S: ASemigroup) -> bool:
     Equivalently, the McCammond expansion adds no vertices.
     """
     kr = karnofsky_rhodes(S)
-    try:
-        mc = mccammond(kr, cap=len(kr.out))
-    except SizeCapExceeded:
-        return False
+    with pytest.MonkeyPatch.context() as mp:
+        # the expansion stops as soon as it is larger than the graph
+        mp.setattr(expansions, "MC_CAP", len(kr.out))
+        try:
+            mc = mccammond(kr)
+        except SizeCapExceeded:
+            return False
     return len(mc.out) == len(kr.out)
 
 
@@ -279,8 +310,26 @@ def truncated_semaphore_chain(
             cols[i][j] = cols[i].get(j, Fraction(0)) + xs[a]
         if inside:
             interior.add(labels[i])
-    T = TransitionMatrix(labels, cols, validate=False)
+    T = TransitionMatrix(labels, cols)
     return T, interior, dict(zip(labels, words))
+
+
+def check_interior_lumping(
+    T: TransitionMatrix, classes: Mapping[str, str], interior: set[str]
+) -> bool:
+    """``check_lumping`` on the columns of the interior states only, as
+    for a truncated chain, whose boundary columns are incomplete."""
+    idx_class = [classes[lab] for lab in T.labels]
+    signatures: dict[str, dict[str, Fraction]] = {}
+    for s, lab in enumerate(T.labels):
+        if lab not in interior:
+            continue
+        sig: dict[str, Fraction] = {}
+        for t, p in T.cols[s].items():
+            sig[idx_class[t]] = sig.get(idx_class[t], Fraction(0)) + p
+        if signatures.setdefault(idx_class[s], sig) != sig:
+            return False
+    return True
 
 
 def apply_float(T: TransitionMatrix, v: list[float]) -> list[float]:
@@ -304,9 +353,10 @@ def r_trivial_stationary(S: ASemigroup, xs: Sequence[Fraction]) -> dict[str, Fra
     engine = StationaryEngine(S)
     out = {}
     for nf in engine.normal_forms:
+        word = engine.mc.words[nf.mc_vertex]
         value = Fraction(1)
         prefix = None
-        for pos, g in enumerate(nf.word):
+        for pos, g in enumerate(word):
             if pos > 0:
                 stab = sum(
                     (xs[a] for a in range(S.n_gens)
@@ -317,7 +367,7 @@ def r_trivial_stationary(S: ASemigroup, xs: Sequence[Fraction]) -> dict[str, Fra
             else:
                 value *= xs[g]
             prefix = S.gens[g] if prefix is None else S.mult(prefix, S.gens[g])
-        out[S.word_label(nf.word)] = value
+        out[S.word_label(word)] = value
     return out
 
 

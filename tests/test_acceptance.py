@@ -42,6 +42,7 @@ from semiwalk.families import (
 from semiwalk.simulate import SplitMix64
 
 from reference import (
+    check_interior_lumping,
     is_mc_stable,
     lump_by_classifier,
     rees_quotient,
@@ -78,7 +79,7 @@ def test_criterion_1_tsetlin_reproduction():
             for pi in permutations(range(n)):
                 label = "".join(str(a + 1) for a in pi)
                 assert r[label] == hendricks(xs, pi)
-            oracle = stationary_oracle(build_chain(S, xs, "kr_ideal"))
+            oracle = stationary_oracle(build_chain(S, xs))
             for k, v in r.entries.items():
                 assert abs(float(v) - oracle[k]) < 1e-10
         # the walk on the expanded semigroup reproduces the same law
@@ -227,7 +228,7 @@ def test_criterion_7_lumping():
         S = build(spec)
         k = S.n_gens
         xs = _random_exact(k, hash(name) % 10_000)
-        T = build_chain(S, xs, "kr_ideal")
+        T = build_chain(S, xs)
         kr = karnofsky_rhodes(S)
         classes = {}
         for lab in T.labels:
@@ -250,7 +251,7 @@ def test_criterion_7_lumping():
             lab: S.word_label(kr.words[kr.graph.follow(0, w)])
             for lab, w in words.items()
         }
-        assert check_lumping(T, classes, interior)
+        assert check_interior_lumping(T, classes, interior)
     report(7, "expansion-to-semigroup and word-to-expansion lumpings hold")
 
 
@@ -289,7 +290,7 @@ def test_criterion_10_mixing_bound():
     ]
     for S, _ in cases:
         xs = uniform_probs(S)
-        mb = mixing_bound(S, xs, c=1)
+        mb = mixing_bound(S, xs)
         exact = {k: float(v) for k, v in stationary_kr(S, xs).entries.items()}
         emp = simulate_state_at(S, xs, walkers=4000, steps=mb.k, seed=99)
         tv = tv_distance(emp, exact)

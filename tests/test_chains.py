@@ -11,7 +11,6 @@ import semiwalk
 from semiwalk import chains
 from semiwalk.chains import (
     NotIrreducible,
-    TransitionMatrix,
     build_chain,
     certify,
     check_lumping,
@@ -31,7 +30,7 @@ from semiwalk.graphs import closed_classes
 from semiwalk.stationary import StationaryResult, stationary_kr, uniform_probs
 from semiwalk import families
 
-from reference import apply_float, truncated_semaphore_chain
+from reference import apply_float, check_interior_lumping, truncated_semaphore_chain
 
 F = Fraction
 HALF = [F(1, 2), F(1, 2)]
@@ -40,15 +39,13 @@ HALF = [F(1, 2), F(1, 2)]
 def test_column_sums_exact(p3, b2, z2x01):
     for S, xs in ((p3, [F(1, 2), F(1, 3), F(1, 6)]), (b2, HALF),
                   (z2x01, HALF)):
-        for space in ("k_s", "kr_ideal"):
-            T = build_chain(S, xs, space)
-            assert all(sum(col.values()) == 1 for col in T.cols)
+        T = build_chain(S, xs)
+        assert all(sum(col.values()) == 1 for col in T.cols)
 
 
 def test_weights_not_summing_to_one_rejected(b2):
-    for space in ("k_s", "kr_ideal"):
-        with pytest.raises(SemigroupError, match="sum to 2/3"):
-            build_chain(b2, [F(1, 3), F(1, 3)], space)
+    with pytest.raises(SemigroupError, match="sum to 2/3"):
+        build_chain(b2, [F(1, 3), F(1, 3)])
 
 
 @pytest.mark.parametrize("xs", [
@@ -58,8 +55,7 @@ def test_chains_and_mixing_bound_check_their_weights(xs):
     # the same weight check as the stationary laws, with its messages
     S = families.build(families.parse_family("rees_B:2"))
     calls = [
-        lambda: build_chain(S, xs, "kr_ideal"),
-        lambda: build_chain(S, xs, "k_s"),
+        lambda: build_chain(S, xs),
         lambda: truncated_semaphore_chain(S, xs, 4),
         lambda: mixing_bound(S, xs),
     ]
@@ -69,7 +65,7 @@ def test_chains_and_mixing_bound_check_their_weights(xs):
 
 
 def test_b2_kr_chain_structure(b2):
-    T = build_chain(b2, HALF, "kr_ideal")
+    T = build_chain(b2, HALF)
     assert sorted(T.labels) == ["aa", "abb", "baa", "bb"]
     lab = {name: i for i, name in enumerate(T.labels)}
     # from aa: a loops, b moves to baa
@@ -82,14 +78,14 @@ def test_b2_kr_chain_structure(b2):
 
 def test_one_state_chain():
     S = semigroup_from_table([[0]], gens=[0], gen_names=["e"])
-    T = build_chain(S, [F(1)], "k_s")
+    T = build_chain(S, [F(1)])
     assert T.n == 1 and T.cols[0] == {0: F(1)}
     assert stationary_oracle(T) == {"e": 1.0}
 
 
 def test_tsetlin_chain_is_move_to_front(p3):
     x = [F(1, 2), F(1, 3), F(1, 6)]
-    T = build_chain(p3, x, "kr_ideal")
+    T = build_chain(p3, x)
     assert T.n == 6
     lab = {name: i for i, name in enumerate(T.labels)}
     # letter 2 moves 132 to 213
@@ -105,14 +101,14 @@ def test_oracle_matches_engine(p3, b2, z2x01_quotient):
     ]
     for S, xs in fixtures:
         r = stationary_kr(S, xs)
-        T = build_chain(S, xs, "kr_ideal")
+        T = build_chain(S, xs)
         oracle = stationary_oracle(T)
         for k, v in r.entries.items():
             assert abs(float(v) - oracle[k]) < 1e-10
 
 
 def test_oracle_invariance(b2):
-    T = build_chain(b2, HALF, "kr_ideal")
+    T = build_chain(b2, HALF)
     psi = stationary_oracle(T)
     v = [psi[lab] for lab in T.labels]
     w = apply_float(T, v)
@@ -123,7 +119,7 @@ def test_oracle_equals_per_sweep_conversion():
     # the oracle converts each probability once; its floats must equal those
     # of the power iteration that calls apply_float (float(p) every sweep)
     S = families.flat_tower(2, 2)
-    T = build_chain(S, uniform_probs(S), "kr_ideal")
+    T = build_chain(S, uniform_probs(S))
     psi = stationary_oracle(T)
     v = [1.0 / T.n] * T.n  # the chain is irreducible: the oracle's start
     while True:
@@ -140,7 +136,7 @@ def test_oracle_equals_per_sweep_conversion():
 
 def test_oracle_rejects_two_closed_classes():
     S = families.rees_general()
-    T = build_chain(S, HALF, "k_s")
+    T = build_chain(S, HALF)
     with pytest.raises(NotIrreducible):
         stationary_oracle(T)
 
@@ -149,14 +145,14 @@ def test_check_lumping_kr_to_s(z2x01_quotient, b2, p3):
     for S, xs in ((z2x01_quotient, [F(2, 5), F(3, 5)]), (b2, HALF),
                   (p3, uniform_probs(p3))):
         r = stationary_kr(S, xs)
-        T = build_chain(S, xs, "kr_ideal")
+        T = build_chain(S, xs)
         classes = {lab: S.element_name(r.key_info[lab].element) for lab in T.labels}
         assert check_lumping(T, classes)
 
 
 def test_check_lumping_negative_control(b2):
     # non-uniform weights so no accidental symmetry lumping survives
-    T = build_chain(b2, [F(2, 5), F(3, 5)], "kr_ideal")
+    T = build_chain(b2, [F(2, 5), F(3, 5)])
     lab = {name: i for i, name in enumerate(T.labels)}
     bad = {"aa": "x", "bb": "x", "abb": "y", "baa": "y"}
     assert set(bad) == set(lab)
@@ -172,7 +168,7 @@ def test_semaphore_truncation_lumps_to_kr(b2, z2x01_quotient):
             lab: S.word_label(kr.words[kr.graph.follow(0, w)])
             for lab, w in words.items()
         }
-        assert check_lumping(T, classes, interior)
+        assert check_interior_lumping(T, classes, interior)
 
 
 def test_semaphore_truncation_lumps_to_semigroup():
@@ -183,14 +179,14 @@ def test_semaphore_truncation_lumps_to_semigroup():
     assert interior
     classes = {lab: S.element_name(S.product(w)) for lab, w in words.items()}
     assert len(set(classes.values())) == 4
-    assert check_lumping(T, classes, interior)
+    assert check_interior_lumping(T, classes, interior)
 
 
 def test_semaphore_truncation_negative(b2):
     T, interior, words = truncated_semaphore_chain(b2, [F(2, 5), F(3, 5)], 12)
     # classify by word length parity: not a lumping
     classes = {lab: str(len(w) % 2) for lab, w in words.items()}
-    assert not check_lumping(T, classes, interior)
+    assert not check_interior_lumping(T, classes, interior)
 
 
 def test_code_words_form_a_prefix_code(b2, p3):
@@ -211,7 +207,7 @@ def test_tv_distance():
 
 
 def test_mixing_bound_tsetlin(p3):
-    mb = mixing_bound(p3, uniform_probs(p3), 1)
+    mb = mixing_bound(p3, uniform_probs(p3))
     assert (mb.n, mb.gap, mb.p_min, mb.k) == (3, 1, F(1, 3), 18)
 
 
@@ -219,20 +215,15 @@ def test_mixing_bound_single_generator_line():
     n = 4
     table = [[min(i + j + 2, n) - 1 for j in range(n)] for i in range(n)]
     S = semigroup_from_table(table, gens=[0], gen_names=["a"])
-    mb = mixing_bound(S, [F(1)], 1)
+    mb = mixing_bound(S, [F(1)])
     assert mb.gap == 1
     assert mb.k == 2 * (mb.n + 1 - 1)  # p = 1
 
 
 def test_mixing_bound_b2(b2):
-    mb = mixing_bound(b2, HALF, 1)
+    mb = mixing_bound(b2, HALF)
     assert mb.n == 3 and mb.gap == 2 and mb.p_min == F(1, 2)
     assert mb.k == math.ceil(2 * (3 + 2 - 1) / F(1, 2) ** 2)
-
-
-def test_matrix_validation():
-    with pytest.raises(Exception):
-        TransitionMatrix(["x"], [{0: F(1, 2)}])
 
 
 def test_certify_direct_and_limit_results(p3, b2, z2x01, klein):
@@ -276,7 +267,7 @@ def test_direct_states_are_the_chain_states(name, request):
     else:
         S = families.build(families.parse_family(name))
     xs = uniform_probs(S)
-    chain = build_chain(S, xs, "kr_ideal")
+    chain = build_chain(S, xs)
     assert set(stationary_kr(S, xs).entries) == set(chain.labels)
 
 
@@ -323,7 +314,7 @@ def _limit_draws_with_classes(n, seed):
             continue
         ws = [rng.randint(1, 9) for _ in "abc"]
         xs = [F(w, sum(ws)) for w in ws]
-        chain = build_chain(S, xs, "kr_ideal")
+        chain = build_chain(S, xs)
         classes = closed_classes([list(col) for col in chain.cols])
         if len(classes) >= 2:
             n -= 1

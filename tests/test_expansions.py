@@ -3,7 +3,7 @@ import random
 import pytest
 from conftest import reference_kr, reference_words
 
-from semiwalk import families
+from semiwalk import core, expansions, families
 from semiwalk.core import (
     ClosureTooLarge,
     SizeCapExceeded,
@@ -171,33 +171,36 @@ def test_flat_subsets_has_unique_paths(p2):
     assert is_mc_stable(flat(p2))
 
 
-def test_mc_size_cap(z2x01):
+def test_mc_size_cap(z2x01, monkeypatch):
     kr = karnofsky_rhodes(z2x01)
+    monkeypatch.setattr(expansions, "MC_CAP", 3)
     with pytest.raises(SizeCapExceeded, match=f"McCammond expansion of a graph "
                        f"with {kr.graph.n} vertices exceeded cap 3 "):
-        mccammond(kr.graph, cap=3)
+        mccammond(kr.graph)
 
 
-def test_kr_size_cap_names_stage_and_size(z2x01):
+def test_kr_size_cap_names_stage_and_size(monkeypatch):
+    monkeypatch.setattr(expansions, "KR_CAP", 3)
     with pytest.raises(SizeCapExceeded, match=r"Karnofsky-Rhodes expansion of "
                        r"a semigroup with \|S\| = 4 exceeded cap 3 "):
-        karnofsky_rhodes(z2x01, cap=3)
+        karnofsky_rhodes(families.z2x01())
 
 
-def test_kr_cap_applies_to_the_stored_expansion():
+def test_kr_cap_failure_stores_nothing(monkeypatch):
     # a build that raises stores nothing; later calls return the stored
-    # expansion, and a cap below its size raises the build's own error
+    # expansion, whatever the cap is then
     S = families.z2x01()
     message = r"Karnofsky-Rhodes expansion of a semigroup with \|S\| = 4 exceeded cap"
+    monkeypatch.setattr(expansions, "KR_CAP", 3)
     with pytest.raises(SizeCapExceeded, match=message + " 3 "):
-        karnofsky_rhodes(S, cap=3)
+        karnofsky_rhodes(S)
     assert S._kr is None
+    monkeypatch.undo()
     kr = karnofsky_rhodes(S)
     n = len(kr.out)
     assert n == reference_kr(S)[0].n
-    assert karnofsky_rhodes(S) is kr and karnofsky_rhodes(S, cap=n) is kr
-    with pytest.raises(SizeCapExceeded, match=f"{message} {n - 1} "):
-        karnofsky_rhodes(S, cap=n - 1)
+    assert karnofsky_rhodes(S) is kr
+    monkeypatch.setattr(expansions, "KR_CAP", n - 1)
     assert karnofsky_rhodes(S) is kr
     assert StationaryEngine(S).kr is kr
 
@@ -226,14 +229,18 @@ def _random_draws(count, seed=2017):
     are skipped, so the test stays fast."""
     rng = random.Random(seed)
     draws = []
-    while len(draws) < count:
-        maps = {g: [rng.randrange(4) for _ in range(4)] for g in "abc"}
-        try:
-            S = semigroup_from_transformations(4, maps, cap=120)
-            mccammond(karnofsky_rhodes(S, cap=2000).graph, cap=5000)
-        except (ClosureTooLarge, SizeCapExceeded):
-            continue
-        draws.append(S)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "CLOSURE_CAP", 120)
+        mp.setattr(expansions, "KR_CAP", 2000)
+        mp.setattr(expansions, "MC_CAP", 5000)
+        while len(draws) < count:
+            maps = {g: [rng.randrange(4) for _ in range(4)] for g in "abc"}
+            try:
+                S = semigroup_from_transformations(4, maps)
+                mccammond(karnofsky_rhodes(S).graph)
+            except (ClosureTooLarge, SizeCapExceeded):
+                continue
+            draws.append(S)
     return draws
 
 
@@ -254,7 +261,8 @@ def test_mc_vertex_order_is_word_order(name, request):
         words = reference_words(mc)
         assert words == sorted(words)
         assert mc.words == words
-        nf_words = [nf.word for nf in StationaryEngine(S).normal_forms]
+        engine = StationaryEngine(S)
+        nf_words = [engine.mc.words[nf.mc_vertex] for nf in engine.normal_forms]
         assert nf_words == sorted(nf_words)
 
 

@@ -4,7 +4,6 @@ import pytest
 
 from semiwalk import families
 from semiwalk.core import (
-    adjoin_zero,
     minimal_ideal,
     semigroup_from_table,
     semigroup_from_transformations,
@@ -18,7 +17,7 @@ from semiwalk.graphs import (
     transition_edges,
 )
 
-from reference import graphs_isomorphic, opposite
+from reference import adjoin_zero, graphs_isomorphic, opposite
 
 
 def test_right_cayley_klein(klein):

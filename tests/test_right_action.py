@@ -15,7 +15,6 @@ import pytest
 from semiwalk import families
 from semiwalk.core import (
     GeneratorsDoNotGenerate,
-    adjoin_zero,
     kernel_is_left_zero,
     minimal_ideal,
     semigroup_from_transformations,
@@ -24,7 +23,7 @@ from semiwalk.expansions import karnofsky_rhodes
 from semiwalk.graphs import ROOT_LABEL, closed_classes, right_cayley
 from semiwalk.simulate import _lex_first_code_word
 
-from reference import opposite
+from reference import adjoin_zero, opposite
 
 # -- references ------------------------------------------------------------------
 

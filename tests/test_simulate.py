@@ -4,15 +4,12 @@ from itertools import accumulate, product
 import pytest
 
 from semiwalk.chains import tv_distance
-from semiwalk.core import (
-    SemigroupError,
-    adjoin_zero,
-    minimal_ideal,
-    semigroup_from_table,
-)
+from semiwalk.core import SemigroupError, minimal_ideal, semigroup_from_table
 from semiwalk.expansions import karnofsky_rhodes
 from semiwalk.simulate import (
     SplitMix64,
+    _thresholds,
+    _WalkTables,
     mix64,
     simulate_semaphore,
     simulate_state_at,
@@ -50,7 +47,7 @@ def test_simulation_bit_identical(b2):
 
 def test_single_generator_walk_deterministic():
     S = semigroup_from_table([[0]], gens=[0], gen_names=["a"])
-    d = simulate_semaphore(S, [F(1)], walkers=2, steps=50, seed=1, space="k_s")
+    d = simulate_semaphore(S, [F(1)], walkers=2, steps=50, seed=1)
     assert d.counts == {"a": 100}
 
 
@@ -81,30 +78,18 @@ def test_law_of_large_numbers_decades(b2):
 
 
 def test_lump_to_semigroup_level(p3):
-    emp = simulate_semaphore(p3, uniform_probs(p3), walkers=2, steps=100,
-                             seed=5, space="k_s")
-    assert set(emp.counts) == {"123"}
+    xs = uniform_probs(p3)
+    emp = simulate_semaphore(p3, xs, walkers=2, steps=100, seed=5)
+    info = stationary_kr(p3, xs).key_info
+    assert {p3.element_name(info[k].element) for k in emp.counts} == {"123"}
 
 
-def test_non_left_zero_requires_zero_weight():
+def test_non_left_zero_kernel_is_rejected():
     S = families.rees_general()
-    with pytest.raises(SemigroupError):
-        simulate_semaphore(S, HALF, walkers=1, steps=10, seed=0)
-
-
-def test_adjoined_zero_walk_matches_symbolic_value():
-    # with an explicit zero weight the walk follows the adjoined model,
-    # whose exact law comes from the direct pipeline on the bigger semigroup
-    from semiwalk.core import adjoin_zero
-
-    S = families.rees_general()
-    t = F(1, 10)
-    S2 = adjoin_zero(S)
-    xs2 = [F(1, 2) * (1 - t), F(1, 2) * (1 - t), t]
-    exact = {k: float(v) for k, v in stationary_kr(S2, xs2).entries.items()}
-    emp = simulate_semaphore(S, HALF, walkers=10, steps=4000, seed=9,
-                             zero_weight=t)
-    assert tv_distance(emp, exact) < 0.03
+    for simulate in (simulate_semaphore, simulate_state_at):
+        with pytest.raises(SemigroupError, match="not left zero") as err:
+            simulate(S, HALF, walkers=1, steps=10, seed=0)
+        assert "zero_weight" not in str(err.value)
 
 
 def test_state_at_fixed_step(b2):
@@ -115,13 +100,9 @@ def test_state_at_fixed_step(b2):
     assert dk.total == 800
 
 
-def reference_walk(S, xs, walkers, steps, seed, space="kr_ideal",
-                   zero_weight=None, final_only=False):
+def reference_walk(S, xs, walkers, steps, seed, final_only=False):
     """The word walk written plainly: SplitMix64 objects, ideal entry by
     ``S.product`` of each prefix, lumping by following the expansion graph."""
-    if zero_weight is not None:
-        S = adjoin_zero(S)
-        xs = [v * (1 - zero_weight) for v in xs] + [zero_weight]
     ideal = minimal_ideal(S).members
     thresholds = [int(c * 2**53) for c in accumulate(xs)]
     thresholds[-1] = 2**53
@@ -136,14 +117,10 @@ def reference_walk(S, xs, walkers, steps, seed, space="kr_ideal",
                 return word[:j]
         raise AssertionError("word does not reach the ideal")
 
-    if space == "k_s":
-        def lump(word):
-            return S.element_name(S.product(word))
-    else:
-        kr = karnofsky_rhodes(S)
+    kr = karnofsky_rhodes(S)
 
-        def lump(word):
-            return S.word_label(kr.words[kr.graph.follow(kr.graph.root, word)])
+    def lump(word):
+        return S.word_label(kr.words[kr.graph.follow(kr.graph.root, word)])
 
     start = None
     if final_only:  # lexicographically first shortest ideal-entering word
@@ -177,23 +154,8 @@ def test_walk_counts_equal_reference(family, b2):
     d = simulate_semaphore(S, xs, walkers=3, steps=1500, seed=17)
     assert d.counts == reference_walk(S, xs, 3, 1500, 17)
     assert d.total == 4500
-    d = simulate_semaphore(S, xs, walkers=2, steps=800, seed=3, space="k_s")
-    assert d.counts == reference_walk(S, xs, 2, 800, 3, space="k_s")
     d = simulate_state_at(S, xs, walkers=200, steps=6, seed=5)
     assert d.counts == reference_walk(S, xs, 200, 6, 5, final_only=True)
-
-
-def test_adjoined_zero_walk_equals_reference():
-    S = families.rees_general()
-    xs, t = [F(1, 3), F(2, 3)], F(1, 7)
-    for space in ("kr_ideal", "k_s"):
-        d = simulate_semaphore(S, xs, walkers=3, steps=1000, seed=9,
-                               space=space, zero_weight=t)
-        assert d.counts == reference_walk(S, xs, 3, 1000, 9, space=space,
-                                          zero_weight=t)
-    d = simulate_state_at(S, xs, walkers=100, steps=4, seed=9, zero_weight=t)
-    assert d.counts == reference_walk(S, xs, 100, 4, 9, zero_weight=t,
-                                      final_only=True)
 
 
 def test_state_at_zero_steps_is_the_start_word(b2):
@@ -218,6 +180,6 @@ def test_word_outside_the_ideal_raises():
     # on four books a word needs three distinct letters to enter the ideal,
     # so no letter in front of the one-letter word (0,) gets it there
     S = families.tsetlin(4)
+    walk = _WalkTables(S, minimal_ideal(S))
     with pytest.raises(AssertionError):
-        simulate_state_at(S, uniform_probs(S), walkers=1, steps=1, seed=0,
-                          start_word=(0,))
+        walk.run((0,), 0, _thresholds(uniform_probs(S)), 1, [0] * len(walk.out))

@@ -13,8 +13,9 @@ import pytest
 from semiwalk import chains, cli, simulate, stationary
 from semiwalk.cli import main
 from semiwalk.core import SemigroupError
-from semiwalk.families import DESK_CAPS
 from semiwalk.specio import load_spec, semigroup_from_spec
+
+from reference import DESK_CAPS
 
 
 def run_cli(args, capsys):

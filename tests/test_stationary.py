@@ -10,10 +10,10 @@ from semiwalk.chains import build_chain, certify
 from semiwalk.core import (
     IdealSet,
     SizeCapExceeded,
-    adjoin_zero,
     minimal_ideal,
     semigroup_from_transformations,
 )
+from semiwalk import expansions
 from semiwalk.expansions import karnofsky_rhodes, mccammond
 from semiwalk.graphs import RootedLabeledGraph, right_cayley
 from semiwalk.kleene import (
@@ -29,7 +29,6 @@ from semiwalk.kleene import (
 from semiwalk.stationary import (
     StationaryEngine,
     expressions_report,
-    normal_forms,
     normalization_check,
     parse_probs,
     stationary_kr,
@@ -40,6 +39,7 @@ from semiwalk import families
 
 from reference import (
     NotACodeWord,
+    adjoin_zero,
     enumerate_words,
     is_code_word,
     lump_by_classifier,
@@ -95,20 +95,23 @@ def test_semaphore_left_action_examples(p3, b2, z2x01_quotient):
 # -- normal forms ------------------------------------------------------------------
 
 
+def nf_words(S, ideal=None):
+    """The engine's normal forms as their tree-path words, in its order."""
+    engine = StationaryEngine(S, ideal)
+    return [engine.mc.words[nf.mc_vertex] for nf in engine.normal_forms]
+
+
 def test_normal_forms_tsetlin(p3):
-    nfs = normal_forms(p3)
-    words = {p3.word_label(w) for w in [nf.word for nf in nfs]}
+    words = {p3.word_label(w) for w in nf_words(p3)}
     assert words == {"".join(str(a + 1) for a in pi) for pi in permutations(range(3))}
 
 
 def test_normal_forms_b2(b2):
-    nfs = normal_forms(b2)
-    assert [b2.word_label(w) for w in [nf.word for nf in nfs]] == ["aa", "abb", "baa", "bb"]
+    assert [b2.word_label(w) for w in nf_words(b2)] == ["aa", "abb", "baa", "bb"]
 
 
 def test_normal_forms_quotient(z2x01_quotient):
-    nfs = normal_forms(z2x01_quotient)
-    assert [z2x01_quotient.word_label(w) for w in [nf.word for nf in nfs]] == ["a", "ba", "bba"]
+    assert [z2x01_quotient.word_label(w) for w in nf_words(z2x01_quotient)] == ["a", "ba", "bba"]
 
 
 def test_normal_forms_custom_ideal(p3):
@@ -116,15 +119,13 @@ def test_normal_forms_custom_ideal(p3):
     # letter, so the forms are the ordered pairs
     names = p3.element_names()
     members = {e for e, nm in enumerate(names) if len(nm) >= 2}
-    nfs = normal_forms(p3, IdealSet(members))
-    labels = [p3.word_label(w) for w in [nf.word for nf in nfs]]
+    labels = [p3.word_label(w) for w in nf_words(p3, IdealSet(members))]
     assert labels == ["12", "13", "21", "23", "31", "32"]
 
 
 def test_normal_forms_adjoined_zero(z2x01):
     S2 = adjoin_zero(z2x01)
-    nfs = normal_forms(S2)
-    labels = [S2.word_label(w) for w in [nf.word for nf in nfs]]
+    labels = [S2.word_label(w) for w in nf_words(S2)]
     z = "□"
     assert labels == sorted(
         [z, "a" + z, "aa" + z, "ab" + z, "b" + z, "bb" + z, "ba" + z,
@@ -152,7 +153,9 @@ def test_quotient_expressions(z2x01_quotient):
 
 def test_tsetlin_expression_structure(p3):
     engine = StationaryEngine(p3)
-    e = engine.expression(next(nf for nf in engine.normal_forms if nf.word == (0, 1, 2)))
+    words = engine.mc.words
+    e = engine.expression(next(nf for nf in engine.normal_forms
+                               if words[nf.mc_vertex] == (0, 1, 2)))
     # first letter occurs before any loop; value matches the direct formula
     x = [F(1, 2), F(1, 3), F(1, 6)]
     assert evaluate_expr(e, x) == families.hendricks(x, (0, 1, 2))
@@ -308,8 +311,9 @@ def test_adjoined_zero_table_at_concrete_weight(z2x01):
     }
     assert dict(r.entries) == want
     onto = r.key_info["aa" + z].kr_vertex
-    assert [nf.word for nf in normal_forms(S2) if nf.kr_vertex == onto] == [
-        (0, 0, 2), (0, 1, 2)]  # aa|ab
+    engine = StationaryEngine(S2)
+    assert [engine.mc.words[nf.mc_vertex] for nf in engine.normal_forms
+            if nf.kr_vertex == onto] == [(0, 0, 2), (0, 1, 2)]  # aa|ab
     assert normalization_check(r)
 
 
@@ -340,8 +344,9 @@ def test_states_are_named_by_the_first_word_of_their_vertex(counterexample):
     kr = karnofsky_rhodes(S)
     assert len(r.entries) == 64
     onto = {}  # the normal forms reaching each vertex
-    for nf in normal_forms(S):
-        onto.setdefault(nf.kr_vertex, []).append(nf.word)
+    engine = StationaryEngine(S)
+    for nf in engine.normal_forms:
+        onto.setdefault(nf.kr_vertex, []).append(engine.mc.words[nf.mc_vertex])
     assert any(len(onto[ki.kr_vertex]) > 1 for ki in r.key_info.values())
     for label, ki in r.key_info.items():
         assert ki.word == kr.words[ki.kr_vertex]
@@ -481,7 +486,7 @@ def test_stationary_kr_builds_no_mc_labelled_graph(name, force_limit, monkeypatc
     spy(stationary)
     spy(chains)
     result = stationary_kr(S, xs, force_limit=force_limit)
-    build_chain(S, xs, "kr_ideal")
+    build_chain(S, xs)
     assert certify(S, xs, result)
     assert len(krs) == 4 and all(kr is krs[0] for kr in krs)
     assert len(built) == 1
@@ -604,10 +609,11 @@ def test_values_equal_per_vertex_reference(name):
     assert engine.values(xs) == reference_values(engine, xs)
 
 
-def test_values_equal_per_vertex_reference_on_random_draws():
+def test_values_equal_per_vertex_reference_on_random_draws(monkeypatch):
     # 4- and 5-state draws of 2 or 3 maps with |S| <= 150, at random
     # rational weights; a draw whose McCammond expansion passes 20,000
     # simple paths is passed over to keep the test quick
+    monkeypatch.setattr(expansions, "MC_CAP", 20_000)
     rng = random.Random(17)
     checked = unstable = 0
     while checked < 52:
@@ -617,7 +623,7 @@ def test_values_equal_per_vertex_reference_on_random_draws():
         if S.size > 150:
             continue
         try:
-            mccammond(karnofsky_rhodes(S), cap=20_000)
+            mccammond(karnofsky_rhodes(S))
         except SizeCapExceeded:
             continue
         ints = [rng.randint(1, 9) for _ in range(k)]
@@ -666,12 +672,14 @@ def _elimination_case(name):
 
 
 @pytest.mark.parametrize("name", ELIMINATION_CASES)
-def test_expression_equals_state_elimination(name):
+def test_expression_equals_state_elimination(name, monkeypatch):
+    # compared before the star-of-union rewrite
+    monkeypatch.setattr(stationary, "zimin_rewrite", lambda e: e)
     S = _elimination_case(name)
     engine = StationaryEngine(S)
     assert len(engine.normal_forms) > 1
     for nf in engine.normal_forms:
-        got = engine.expression(nf, rewrite=False)
+        got = engine.expression(nf)
         want = reference_expression(engine, nf)
         assert got == want
         assert pretty(got, S.gen_names) == pretty(want, S.gen_names)
