@@ -11,7 +11,6 @@ from .core import (
     ASemigroup,
     ClosureTooLarge,
     GeneratorsDoNotGenerate,
-    IdealSet,
     NotAssociative,
     SemigroupError,
     SizeCapExceeded,

@@ -1,9 +1,10 @@
 """Independent verification machinery for the exact engine.
 
 The column-stochastic transition matrix (exact rationals) on the minimal
-ideal of the Karnofsky-Rhodes expansion, the exact certificate of a law on
-it, a float power-iteration oracle kept apart from the exact path, the
-lumping check, total-variation distance and the mixing-time bound.
+ideal of the Karnofsky-Rhodes expansion, its vertices over K(S), the exact
+certificate of a law on it, a float power-iteration oracle kept apart from
+the exact path, the lumping check, total-variation distance and the
+mixing-time bound.
 """
 
 from __future__ import annotations
@@ -13,10 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-# minimal_ideal is not called here; perfbench/spans.py wraps chains.minimal_ideal
-from .core import ASemigroup, SemigroupError, minimal_ideal  # noqa: F401
+from .core import ASemigroup, SemigroupError, minimal_ideal
 from .expansions import karnofsky_rhodes, mccammond
-from .graphs import closed_classes, minimal_ideal_vertices, sccs
+from .graphs import closed_classes, sccs
 from .stationary import validate_probs
 
 
@@ -58,9 +58,8 @@ def build_chain(S: ASemigroup, xs: Sequence[Fraction]) -> TransitionMatrix:
     column.
     """
     xs = validate_probs(S, xs)
-    # the expansion graph is its own right Cayley graph
     kr = karnofsky_rhodes(S)
-    states = minimal_ideal_vertices(kr.out)
+    states = kr.ideal_over(minimal_ideal(S))
     index = {s: i for i, s in enumerate(states)}
     cols: list[dict[int, Fraction]] = [dict() for _ in states]
     for col, s in zip(cols, states):
@@ -96,11 +95,8 @@ def certify(S: ASemigroup, xs: Sequence[Fraction], result) -> bool:
                 image[t] += vec[s] * p
     if image != vec:
         return False
-    kr, states = karnofsky_rhodes(S), chain.states
-    classes = closed_classes([list(col) for col in chain.cols])
-    class_of = {states[i]: c for c, cls in enumerate(classes) for i in cls}
-    action = [[class_of[kr.out[states[cls[0]]][a]] for a in range(S.n_gens)]
-              for cls in classes]
+    classes, action = karnofsky_rhodes(S).left_ideals(
+        chain.states, [list(col) for col in chain.cols])
     if len(closed_classes(action)) != 1:
         return False
     mass = [sum([vec[i] for i in cls], Fraction(0)) for cls in classes]

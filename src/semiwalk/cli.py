@@ -140,7 +140,7 @@ def _frac(v: Fraction, as_float: bool = False) -> str:
 def cmd_build(args) -> int:
     S = _load(args)
     K = minimal_ideal(S)
-    names = sorted(S.element_name(e) for e in K.members)
+    names = sorted(S.element_name(e) for e in K)
     if args.json:
         print(json.dumps({
             "size": S.size,
@@ -188,6 +188,8 @@ def cmd_stationary(args) -> int:
     else:
         result = stationary_kr(S, xs, force_limit=args.limit_zero, engine=engine)
     rows = [(k, _frac(v, args.as_float)) for k, v in result.entries.items()]
+    # built before anything is printed, so a cap it hits leaves stdout empty
+    report = expressions_report(S, engine) if args.expressions else {}
     if args.format == "json":
         print(json.dumps(dict(rows), ensure_ascii=False))
     elif args.format == "csv":
@@ -199,7 +201,7 @@ def cmd_stationary(args) -> int:
             print(f"{k}: {v}")
     if args.expressions:
         print("# walk languages per normal form")
-        for k, v in expressions_report(S, engine).items():
+        for k, v in report.items():
             print(f"{k}: {v}")
     return 0
 
@@ -212,11 +214,10 @@ def cmd_verify(args) -> int:
         raise SemigroupError(f"--tv-tol must be at least 0, got {args.tv_tol}")
     S = _load(args)
     xs = _probs(args, S)
-    K = minimal_ideal(S)
     failures = []
     lines = []
 
-    force = not kernel_is_left_zero(S, K)
+    force = not kernel_is_left_zero(S, minimal_ideal(S))
     result = stationary_kr(S, xs)
     ok = normalization_check(result)
     lines.append(_report("normalization (exact sum = 1)", ok))

@@ -11,8 +11,9 @@ lexicographically, and discovery order is the shortlex order of those
 words, so all derived labelling is deterministic across runs.
 Representative words, the right Cayley graph, the minimal ideal and the
 simulator's start word all read this one search.
-A semigroup also stores its Karnofsky-Rhodes expansion, built on first
-use, which refers to neither S nor its Cayley graph: no reference cycle.
+A semigroup also stores, built on first use, its minimal ideal K(S), a
+frozen set of elements, and its Karnofsky-Rhodes expansion, which refers to
+neither S nor its Cayley graph: no reference cycle.
 
 The minimal right ideals are the closed classes of that right action and
 their union is the minimal ideal (Rhodes and Steinberg, *The q-theory of
@@ -60,29 +61,6 @@ class SizeCapExceeded(SemigroupError):
     pass
 
 
-class IdealSet:
-    """A two-sided ideal, stored as a frozen set of element indices."""
-
-    __slots__ = ("members",)
-
-    def __init__(self, members: Iterable[int]):
-        self.members = frozenset(members)
-        if not self.members:
-            raise SemigroupError("an ideal must be nonempty")
-
-    def __contains__(self, e: int) -> bool:
-        return e in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IdealSet) and self.members == other.members
-
-    def __repr__(self) -> str:
-        return f"IdealSet({sorted(self.members)})"
-
-
 def label_sep(names: Sequence[str]) -> str:
     """Separator of printed words: single-character generator names are
     juxtaposed, longer ones joined with a middle dot to stay unambiguous."""
@@ -126,6 +104,7 @@ class ASemigroup:
             if len(set(self._element_names)) != size:
                 raise SemigroupError("element names must be unique")
         self._right_action: tuple[list[list[int]], list[int], list[Word]] | None = None
+        self._minimal_ideal: frozenset[int] | None = None  # stored by minimal_ideal
         self._kr = None  # its Karnofsky-Rhodes expansion, stored by karnofsky_rhodes
 
     # -- basic structure ---------------------------------------------------
@@ -179,10 +158,6 @@ class ASemigroup:
             self._right_action = rows, order, words
         return self._right_action
 
-    def rep_words(self) -> list[Word]:
-        """Shortest (lex-first) generator word per element, from the search."""
-        return self.right_action()[2]
-
     def word_label(self, word: Sequence[int]) -> str:
         """Printable form of a generator word, parts joined by ``label_sep``."""
         names = self.gen_names
@@ -191,15 +166,12 @@ class ASemigroup:
     def element_name(self, e: int) -> str:
         if self._element_names is not None:
             return self._element_names[e]
-        return self.word_label(self.rep_words()[e])
+        return self.word_label(self.right_action()[2][e])
 
     def element_names(self) -> list[str]:
         return [self.element_name(e) for e in range(self.size)]
 
     # -- checks --------------------------------------------------------------
-
-    def check_generated(self) -> None:
-        self.rep_words()
 
     def check_associative(self) -> None:
         """Light's associativity test: only triples whose middle factor is
@@ -207,7 +179,7 @@ class ASemigroup:
         semigroup (checked first).
         """
         n = self.size
-        self.check_generated()
+        self.right_action()  # raises GeneratorsDoNotGenerate
         for ge in set(self.gens):
             for a in range(n):
                 ag = self.mult(a, ge)
@@ -251,7 +223,6 @@ def semigroup_from_table(
         return rows[i][j]
 
     S = ASemigroup(n, gens, gen_names, mult, element_names)
-    S.check_generated()
     S.check_associative()
     return S
 
@@ -322,18 +293,21 @@ def semigroup_from_transformations(
 # -- ideals -------------------------------------------------------------------
 
 
-def minimal_ideal(S: ASemigroup) -> IdealSet:
-    """The unique minimal two-sided ideal.
+def minimal_ideal(S: ASemigroup) -> frozenset[int]:
+    """The unique minimal two-sided ideal K(S), stored on S: later calls
+    return the same set.
 
     The minimal right ideals are the closed classes of the right action of
     the generators, and their union is the minimal ideal.
     """
-    from .graphs import minimal_ideal_vertices  # local import, graphs depends on core
+    if S._minimal_ideal is None:
+        from .graphs import closed_classes  # local import, graphs depends on core
 
-    return IdealSet(minimal_ideal_vertices(S.right_action()[0]))
+        S._minimal_ideal = frozenset(e for R in closed_classes(S.right_action()[0]) for e in R)
+    return S._minimal_ideal
 
 
-def kernel_is_left_zero(S: ASemigroup, K: IdealSet) -> bool:
+def kernel_is_left_zero(S: ASemigroup, K: frozenset[int]) -> bool:
     """Left-zero test specialized to the minimal ideal.
 
     For x in the minimal ideal, x*s = x for every s once it holds for every
@@ -343,7 +317,7 @@ def kernel_is_left_zero(S: ASemigroup, K: IdealSet) -> bool:
     instead of making |K|^2 products.
     """
     rows = S.right_action()[0]
-    return all(f == x for x in K.members for f in rows[x])
+    return all(f == x for x in K for f in rows[x])
 
 
 # -- element-adjoining constructions -----------------------------------------

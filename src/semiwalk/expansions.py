@@ -6,7 +6,8 @@ The Karnofsky-Rhodes expansion identifies two generator words iff they reach
 the same element of the underlying semigroup *and* their paths in the right
 Cayley graph cross the same set of transition edges.  The result is again a
 right Cayley graph, so it carries a semigroup structure of its own.  It is
-stored on the semigroup, and every reader shares that one.
+stored on the semigroup, and every reader shares that one.  Its minimal
+ideal is read off by image: the vertices over the minimal ideal of S.
 
 The McCammond expansion of a deterministic rooted graph has one vertex per
 simple path from the root; an edge either extends a simple path (tree edge)
@@ -19,7 +20,8 @@ from __future__ import annotations
 from functools import cached_property
 
 from .core import ASemigroup, SizeCapExceeded, Word, label_sep
-from .graphs import ROOT_LABEL, RootedLabeledGraph, right_cayley, sccs, transition_edges
+from .graphs import ROOT_LABEL, RootedLabeledGraph, closed_classes, right_cayley
+from .graphs import sccs, transition_edges
 
 # size caps in vertices, read at each call
 KR_CAP = 200_000
@@ -84,6 +86,28 @@ class KRExpansion(ExpansionTree):
         for b in self.words[v]:
             u = out[u][b]
         return u
+
+    def ideal_over(self, K: frozenset[int]) -> list[int]:
+        """The minimal ideal of the expansion, in vertex order, given the
+        minimal ideal K of S: the vertices whose image lies in K.
+
+        K(KR) is the union of the closed classes of ``out``.  Edges out of
+        K(S) stay in a strongly connected minimal right ideal, so a walk from
+        a vertex (r, T) over K(S) crosses no transition edge: it keeps T and
+        can walk back.  So each vertex over K(S) lies in a closed class.
+        Conversely a closed class holds u·w for a word w with product in
+        K(S), and the whole class is reached from there: it lies over K(S).
+        """
+        return [v for v, e in enumerate(self.s_image) if e in K]
+
+    def left_ideals(self, ideal: list[int], left: list[list[int]]) -> tuple[list, list]:
+        """The minimal left ideals, the closed classes of ``left`` (per
+        vertex of ``ideal``, the indices into it of the letters' left
+        multiples), and the letters' action on them: letter a maps the
+        class c of any u to ``action[c][a]``, the class of u·a."""
+        classes = closed_classes(left)
+        class_of = {ideal[i]: c for c, L in enumerate(classes) for i in L}
+        return classes, [[class_of[w] for w in self.out[ideal[L[0]]]] for L in classes]
 
     def semigroup(self) -> ASemigroup:
         """The expansion as a semigroup (element i = vertex i+1).

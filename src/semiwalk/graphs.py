@@ -7,8 +7,8 @@ adjoined identity and vertex i > 0 the i-th element discovered from the
 generators in index order, so vertex numbering, SCC numbering and DOT
 output are reproducible across runs.  On any right action (a semigroup's
 table or an expansion graph) the closed classes are the minimal right
-ideals, and ``minimal_ideal_vertices`` returns their union, the minimal
-ideal.
+ideals, whose union is the minimal ideal; ``core.minimal_ideal`` finds
+K(S) that way.
 """
 
 from __future__ import annotations
@@ -144,13 +144,12 @@ def sccs(G: RootedLabeledGraph | Sequence[Sequence[int | None]]) -> list[int]:
     return [rank_of[c] for c in comp]
 
 
-def closed_classes(G: RootedLabeledGraph | Sequence[Sequence[int | None]]) -> list[list[int]]:
+def closed_classes(succ: Sequence[Sequence[int | None]]) -> list[list[int]]:
     """The closed classes: strongly connected components with no edge out.
 
-    Takes a graph or its successor lists, as ``sccs``.  Each class lists
+    Takes successor lists (None entries are skipped).  Each class lists
     its vertices in increasing order; classes come by smallest vertex.
     """
-    succ = G.out if isinstance(G, RootedLabeledGraph) else G
     comp = sccs(succ)
     closed = [True] * (max(comp, default=-1) + 1)
     for v, row in enumerate(succ):
@@ -162,16 +161,6 @@ def closed_classes(G: RootedLabeledGraph | Sequence[Sequence[int | None]]) -> li
         if closed[c]:
             classes.setdefault(c, []).append(v)
     return list(classes.values())
-
-
-def minimal_ideal_vertices(G: RootedLabeledGraph | Sequence[Sequence[int | None]]) -> list[int]:
-    """The vertices of all closed classes, in increasing order.
-
-    On a right action of generators, such as a right Cayley graph, the
-    closed classes are the minimal right ideals, so this is the minimal
-    ideal.
-    """
-    return sorted(v for cls in closed_classes(G) for v in cls)
 
 
 def transition_edges(

@@ -177,6 +177,25 @@ def zimin_rewrite(e: KleeneExpr) -> KleeneExpr:
     return expr
 
 
+def node_count(e: KleeneExpr) -> int:
+    """Nodes of the expression as a tree, a shared subexpression counted at
+    each place: the size ``zimin_rewrite`` and ``pretty`` walk, in one pass."""
+    return _count(e, {})
+
+
+def _count(node, sizes: dict[int, int]) -> int:
+    t = type(node)  # exact types: this runs once per printed expression
+    if t is Concat or t is Union:
+        n = sizes.get(id(node))  # by id: the expression keeps its nodes alive
+        if n is None:
+            n = 1
+            for p in node.parts:
+                n += _count(p, sizes)
+            sizes[id(node)] = n
+        return n
+    return 1 + _count(node.child, sizes) if t is Star else 1
+
+
 def evaluate_expr(e: KleeneExpr, x: Sequence):
     """Sum of letter-weight products over the language, computed exactly.
 

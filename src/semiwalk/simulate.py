@@ -101,10 +101,10 @@ class _WalkTables:
     on S, ideal membership per element, and the Karnofsky-Rhodes expansion
     that lumps words onto states."""
 
-    def __init__(self, S: ASemigroup, ideal):
+    def __init__(self, S: ASemigroup):
         self.gens = S.gens
         self.right = S.right_action()[0]
-        self.in_ideal = [e in ideal.members for e in range(S.size)]
+        self.in_ideal = list(map(minimal_ideal(S).__contains__, range(S.size)))
         kr = karnofsky_rhodes(S)
         self.out, self.root, self.names = kr.out, kr.root, kr.names
 
@@ -162,13 +162,12 @@ class _WalkTables:
 
 def _prepare(S, xs):
     xs = validate_probs(S, xs)
-    I = minimal_ideal(S)
-    if not kernel_is_left_zero(S, I):
+    if not kernel_is_left_zero(S, minimal_ideal(S)):
         raise SemigroupError(
             "minimal ideal is not left zero: the word walk samples only the "
             "direct-mode law"
         )
-    return xs, I
+    return xs
 
 
 def simulate_semaphore(
@@ -188,8 +187,8 @@ def simulate_semaphore(
     if walkers < 1 or steps < 1:
         raise SemigroupError(
             f"need walkers >= 1 and steps >= 1, got walkers={walkers}, steps={steps}")
-    xs, I = _prepare(S, xs)
-    walk = _WalkTables(S, I)
+    xs = _prepare(S, xs)
+    walk = _WalkTables(S)
     thresholds = _thresholds(xs)
     visits = [0] * len(walk.out)
     for w in range(walkers):
@@ -215,10 +214,10 @@ def simulate_state_at(
     if walkers < 1 or steps < 0:
         raise SemigroupError(
             f"need walkers >= 1 and steps >= 0, got walkers={walkers}, steps={steps}")
-    xs, I = _prepare(S, xs)
-    walk = _WalkTables(S, I)
+    xs = _prepare(S, xs)
+    walk = _WalkTables(S)
     thresholds = _thresholds(xs)
-    word = _lex_first_code_word(S, I)
+    word = _lex_first_code_word(S)
     visits = [0] * len(walk.out)  # the occupation measure, not reported here
     ends = [0] * len(walk.out)
     for w in range(walkers):
@@ -226,8 +225,8 @@ def simulate_state_at(
     return walk.distribution(ends, walkers)
 
 
-def _lex_first_code_word(S: ASemigroup, I) -> Word:
-    """The shortlex-least word entering the ideal: the representative word
-    of the ideal element the search discovers first."""
+def _lex_first_code_word(S: ASemigroup) -> Word:
+    """The shortlex-least word entering the minimal ideal: the
+    representative word of the ideal element the search discovers first."""
     _, order, words = S.right_action()
-    return words[next(e for e in order if e in I.members)]
+    return words[next(filter(minimal_ideal(S).__contains__, order))]

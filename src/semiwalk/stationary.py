@@ -45,8 +45,8 @@ from typing import Sequence
 
 from .core import (
     ASemigroup,
-    IdealSet,
     SemigroupError,
+    SizeCapExceeded,
     Word,
     kernel_is_left_zero,
     label_sep,
@@ -61,11 +61,16 @@ from .kleene import (
     Letter,
     _one_of,
     concat,
+    node_count,
     pretty,
     star,
     star_value,
     zimin_rewrite,
 )
+
+
+# nodes of a walk expression before the star-of-union rewrite, read at each call
+EXPRESSION_CAP = 20_000
 
 
 # -- probabilities -------------------------------------------------------------
@@ -123,15 +128,14 @@ class NormalForm:
 
 
 class StationaryEngine:
-    """Shared expansion state for one semigroup and one target ideal."""
+    """Shared expansion state for one semigroup and its minimal ideal."""
 
-    def __init__(self, S: ASemigroup, ideal: IdealSet | None = None):
+    def __init__(self, S: ASemigroup):
         self.S = S
-        self.ideal = ideal if ideal is not None else minimal_ideal(S)
         self.kr: KRExpansion = karnofsky_rhodes(S)
         self.mc: ExpansionTree = mccammond(self.kr)
 
-        mc, ideal = self.mc, self.ideal  # the root's image, None, is in no ideal
+        mc, ideal = self.mc, minimal_ideal(S)  # the root's image, None, is in no ideal
         in_ideal = self._in_ideal = [x in ideal for x in mc.s_image]
         self.live = [v for v, inside in enumerate(in_ideal) if not inside]
         # the ideal vertices entered from a live parent, in vertex order,
@@ -254,7 +258,8 @@ class StationaryEngine:
         vertex left out, is then eliminated per form, from the root outward.
         This fixes the compact left-to-right factored forms: loops attach
         to the vertex where the walk leaves for the target.  The result is
-        then put through ``zimin_rewrite``.
+        then put through ``zimin_rewrite``; one over ``EXPRESSION_CAP`` nodes,
+        whose rewrite and text grow faster still, raises ``SizeCapExceeded``.
         """
         shape, shapes = self._shapes()
         if self._kleene is None:
@@ -284,7 +289,14 @@ class StationaryEngine:
                 if ev is not None:
                     for w, ew in outs.items():
                         _acc(d, w, concat(ev, mid, ew))
-        return zimin_rewrite(out[0][target])
+        expr = out[0][target]
+        size = node_count(expr)
+        if size > EXPRESSION_CAP:
+            name = self.S.word_label(self.mc.words[target])
+            raise SizeCapExceeded(
+                f"walk expression of normal form {name} with {size} nodes exceeded "
+                f"cap {EXPRESSION_CAP} before the star-of-union rewrite")
+        return zimin_rewrite(expr)
 
 
 class _ShapeSums:
@@ -359,7 +371,6 @@ def _letter_sum(xs: Sequence, mask: int):
 
 @dataclass
 class KeyInfo:
-    label: str
     word: Word | None = None  # shortlex-first word reaching the KR vertex
     alt_label: str | None = None  # limit mode: the state's name u·0 on KR(S⁰)
     element: int | None = None  # underlying semigroup element
@@ -368,7 +379,6 @@ class KeyInfo:
 
 @dataclass
 class StationaryResult:
-    over: str  # "kr" | "s" | "lumped"
     entries: dict[str, Fraction]
     key_info: dict[str, KeyInfo] = field(default_factory=dict)
 
@@ -400,20 +410,16 @@ def stationary_kr(
     minimal ideal is not left zero (or when forced).
     """
     xs = validate_probs(S, xs)
-    I = minimal_ideal(S)
-    if kernel_is_left_zero(S, I) and not force_limit:
-        return _stationary_kr_direct(S, xs, I, engine)
-    return _stationary_kr_limit(S, xs, I, engine)
+    if kernel_is_left_zero(S, minimal_ideal(S)) and not force_limit:
+        return _stationary_kr_direct(S, xs, engine)
+    return _stationary_kr_limit(S, xs, engine)
 
 
 def _stationary_kr_direct(
-    S: ASemigroup,
-    xs: Sequence,
-    I: IdealSet,
-    engine: StationaryEngine | None = None,
+    S: ASemigroup, xs: Sequence, engine: StationaryEngine | None = None
 ) -> StationaryResult:
     if engine is None:
-        engine = StationaryEngine(S, I)
+        engine = StationaryEngine(S)
     vals = engine.values(xs)
     # several normal forms can reach one expansion vertex: their values add
     masses: dict[int, object] = {}
@@ -424,36 +430,29 @@ def _stationary_kr_direct(
 
 
 def _stationary_kr_limit(
-    S: ASemigroup,
-    xs: Sequence[Fraction],
-    I: IdealSet,
-    engine: StationaryEngine | None = None,
+    S: ASemigroup, xs: Sequence[Fraction], engine: StationaryEngine | None = None
 ) -> StationaryResult:
     """Limit mode (see the module docstring): pi(u) = h(R(u)) nu(L(u)) / |H|
     on the minimal ideal of KR(S), from the direct-mode walk sums."""
     if engine is None:
-        engine = StationaryEngine(S, I)
-    kr, k = engine.kr, S.n_gens
+        engine = StationaryEngine(S)
+    kr = engine.kr
+    ideal = kr.ideal_over(minimal_ideal(S))
+    index = {u: i for i, u in enumerate(ideal)}
     vals = engine.values(xs)
     # h: first-entry mass per minimal right ideal, the closed classes of the
-    # right action; the walk crosses no transition edge after entering K(S),
-    # so every entry vertex lies in one of them
-    rights = closed_classes(kr.out)
-    r_of = {u: i for i, R in enumerate(rights) for u in R}
+    # right action on the ideal, which every normal form enters
+    rights = closed_classes([[index[w] for w in kr.out[u]] for u in ideal])
+    r_of = {ideal[i]: j for j, R in enumerate(rights) for i in R}
     h = [Fraction(0)] * len(rights)
     for nf in engine.normal_forms:
         h[r_of[nf.kr_vertex]] += vals[nf.mc_vertex]
     del vals
-    # the minimal left ideals are the classes of left multiplication; the
-    # letters act on them through any representative, and nu is that
-    # action's stationary law
-    ideal = sorted(r_of)
-    index = {u: i for i, u in enumerate(ideal)}
-    lefts = closed_classes(
-        [[index[kr.left_multiply(a, u)] for a in range(k)] for u in ideal])
+    # nu: the stationary law of the letters' action on the minimal left ideals
+    lefts, action = kr.left_ideals(
+        ideal, [[index[kr.left_multiply(a, u)] for a in range(S.n_gens)] for u in ideal])
     l_of = {ideal[i]: j for j, L in enumerate(lefts) for i in L}
-    nu = _stationary_vector(
-        [[l_of[kr.out[ideal[L[0]]][a]] for a in range(k)] for L in lefts], xs)
+    nu = _stationary_vector(action, xs)
     h_size = len(ideal) // (len(rights) * len(lefts))
     masses = {u: h[r_of[u]] * nu[l_of[u]] / h_size for u in ideal}
 
@@ -498,14 +497,9 @@ def _kr_result(kr: KRExpansion, masses: dict, alt_labels: dict) -> StationaryRes
     info: dict[str, KeyInfo] = {}
     for v, label in zip(order, kr.names(order)):
         entries[label] = masses[v]
-        info[label] = KeyInfo(
-            label=label,
-            word=words[v],
-            alt_label=alt_labels.get(v),
-            element=images[v],
-            kr_vertex=v,
-        )
-    return StationaryResult("kr", entries, info)
+        info[label] = KeyInfo(word=words[v], alt_label=alt_labels.get(v),
+                              element=images[v], kr_vertex=v)
+    return StationaryResult(entries, info)
 
 
 def stationary_s(S: ASemigroup, xs: Sequence[Fraction], force_limit: bool = False,
@@ -525,8 +519,8 @@ def stationary_s(S: ASemigroup, xs: Sequence[Fraction], force_limit: bool = Fals
     for e in sorted(by_element, key=lambda e: S.element_name(e)):
         label = S.element_name(e)
         entries[label] = by_element[e]
-        info[label] = KeyInfo(label=label, element=e)
-    return StationaryResult("s", entries, info)
+        info[label] = KeyInfo(element=e)
+    return StationaryResult(entries, info)
 
 
 def expressions_report(

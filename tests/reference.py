@@ -22,7 +22,6 @@ from semiwalk.chains import TransitionMatrix
 from semiwalk.core import (
     ZERO_NAME,
     ASemigroup,
-    IdealSet,
     SemigroupError,
     SizeCapExceeded,
     Word,
@@ -51,7 +50,7 @@ DESK_CAPS = {
 }
 
 
-def principal_ideal(S: ASemigroup, e: int) -> IdealSet:
+def principal_ideal(S: ASemigroup, e: int) -> frozenset[int]:
     """The two-sided ideal generated by a single element."""
     seen = {e}
     stack = [e]
@@ -62,21 +61,21 @@ def principal_ideal(S: ASemigroup, e: int) -> IdealSet:
                 if v not in seen:
                     seen.add(v)
                     stack.append(v)
-    return IdealSet(seen)
+    return frozenset(seen)
 
 
-def is_left_zero(S: ASemigroup, I: IdealSet) -> bool:
+def is_left_zero(S: ASemigroup, I: frozenset[int]) -> bool:
     """True iff x*y = x for all x, y in the given set."""
-    for x in I.members:
-        for y in I.members:
+    for x in I:
+        for y in I:
             if S.mult(x, y) != x:
                 return False
     return True
 
 
-def rees_quotient(S: ASemigroup, I: IdealSet) -> ASemigroup:
+def rees_quotient(S: ASemigroup, I: frozenset[int]) -> ASemigroup:
     """Collapse a two-sided ideal to a single zero element."""
-    survivors = [e for e in range(S.size) if e not in I.members]
+    survivors = [e for e in range(S.size) if e not in I]
     new_index = {e: i for i, e in enumerate(survivors)}
     zero = len(survivors)
     m = S.mult
@@ -237,20 +236,20 @@ class NotACodeWord(SemigroupError):
     pass
 
 
-def is_code_word(S: ASemigroup, word: Word, I: IdealSet) -> bool:
+def is_code_word(S: ASemigroup, word: Word, I: frozenset[int]) -> bool:
     """True iff the word enters the ideal exactly at its last letter."""
     if not word:
         return False
     e = S.gens[word[0]]
     for i, g in enumerate(word[1:], start=1):
-        if e in I.members:
+        if e in I:
             return False
         e = S.mult(e, S.gens[g])
-    return e in I.members
+    return e in I
 
 
 def semaphore_left_action(
-    S: ASemigroup, word: Word, a: int, I: IdealSet | None = None
+    S: ASemigroup, word: Word, a: int, I: frozenset[int] | None = None
 ) -> Word:
     """Prefix of a.word that first enters the ideal.
 
@@ -262,11 +261,11 @@ def semaphore_left_action(
         raise NotACodeWord(f"{word} is not minimal for the ideal")
     new = (a,) + tuple(word)
     e = S.gens[new[0]]
-    if e in I.members:
+    if e in I:
         return (new[0],)
     for i in range(1, len(new)):
         e = S.mult(e, S.gens[new[i]])
-        if e in I.members:
+        if e in I:
             return new[: i + 1]
     raise AssertionError("prepending a letter must still reach the ideal")
 
@@ -290,7 +289,7 @@ def truncated_semaphore_chain(
             continue
         for a, ge in enumerate(S.gens):
             f = ge if e is None else S.mult(e, ge)
-            if f in I.members:
+            if f in I:
                 words.append(word + (a,))
             else:
                 stack.append((word + (a,), f))
@@ -380,6 +379,6 @@ def lump_by_classifier(
     for label, value in d.entries.items():
         cls = classify(d.key_info[label])
         entries[cls] = entries.get(cls, Fraction(0)) + value
-        info.setdefault(cls, KeyInfo(label=cls))
+        info.setdefault(cls, KeyInfo())
     ordered = dict(sorted(entries.items()))
-    return StationaryResult("lumped", ordered, info)
+    return StationaryResult(ordered, info)

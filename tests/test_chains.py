@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 import semiwalk
-from semiwalk import chains
 from semiwalk.chains import (
     NotIrreducible,
     build_chain,
@@ -232,23 +231,6 @@ def test_certify_direct_and_limit_results(p3, b2, z2x01, klein):
         assert certify(S, xs, stationary_kr(S, xs))
 
 
-def test_certify_finds_the_chain_states_once(z2x01, monkeypatch):
-    # the class action reads the states build_chain found: one search of
-    # the expansion's minimal ideal per certificate
-    xs = uniform_probs(z2x01)
-    result = stationary_kr(z2x01, xs)
-    calls = []
-    search = chains.minimal_ideal_vertices
-
-    def counted(out):
-        calls.append(out)
-        return search(out)
-
-    monkeypatch.setattr(chains, "minimal_ideal_vertices", counted)
-    assert certify(z2x01, xs, result)
-    assert len(calls) == 1
-
-
 def test_certify_counterexample(counterexample):
     # several normal forms reach one expansion vertex; the law still
     # lives on the chain's states, under the chain's names
@@ -277,11 +259,11 @@ def test_certify_rejects_wrong_laws(b2):
     moved = dict(result.entries)
     moved[a] += F(1, 16)
     moved[b] -= F(1, 16)
-    assert not certify(b2, HALF, StationaryResult("kr", moved))
-    assert not certify(b2, HALF, StationaryResult("kr", {a: F(1)}))
+    assert not certify(b2, HALF, StationaryResult(moved))
+    assert not certify(b2, HALF, StationaryResult({a: F(1)}))
     extra = dict(result.entries)
     extra["not-a-state"] = F(0)
-    assert not certify(b2, HALF, StationaryResult("kr", extra))
+    assert not certify(b2, HALF, StationaryResult(extra))
 
 
 def test_certify_rejects_a_wrong_mixture_of_closed_classes():
@@ -291,14 +273,14 @@ def test_certify_rejects_a_wrong_mixture_of_closed_classes():
     S = families.build(families.parse_family("rees_general"))
     wrong = {**dict.fromkeys(["a", "ba", "aba", "baba"], F(1, 16)),
              **dict.fromkeys(["b", "ab", "bab", "abab"], F(3, 16))}
-    assert not certify(S, uniform_probs(S), StationaryResult("kr", wrong))
+    assert not certify(S, uniform_probs(S), StationaryResult(wrong))
 
 
 def test_certify_rejects_a_law_without_a_class():
     S = families.build(families.parse_family("rees_general"))
     xs = uniform_probs(S)
     one_class = dict.fromkeys(["a", "ba", "aba", "baba"], F(1, 4))
-    assert not certify(S, xs, StationaryResult("kr", one_class))
+    assert not certify(S, xs, StationaryResult(one_class))
     assert certify(S, xs, stationary_kr(S, xs))
 
 
@@ -326,7 +308,7 @@ def test_certify_rejects_reweighted_mixtures_of_closed_classes():
     rng = random.Random(16)
     for S, xs, classes in _limit_draws_with_classes(50, seed=2024):
         law = stationary_kr(S, xs).entries
-        assert certify(S, xs, StationaryResult("kr", law))
+        assert certify(S, xs, StationaryResult(law))
         mass = [sum(law[lab] for lab in cls) for cls in classes]
         new = mass
         while new == mass:
@@ -335,7 +317,7 @@ def test_certify_rejects_reweighted_mixtures_of_closed_classes():
         wrong = {lab: law[lab] / m * w
                  for cls, m, w in zip(classes, mass, new) for lab in cls}
         assert sum(wrong.values()) == 1
-        assert not certify(S, xs, StationaryResult("kr", wrong))
+        assert not certify(S, xs, StationaryResult(wrong))
 
 
 @pytest.mark.parametrize("name,forced", [

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from conftest import reference_kr, reference_words
@@ -9,11 +10,14 @@ from semiwalk.core import (
     SizeCapExceeded,
     bar,
     flat,
+    kernel_is_left_zero,
+    minimal_ideal,
     semigroup_from_transformations,
 )
 from semiwalk.expansions import karnofsky_rhodes, mccammond
 from semiwalk.graphs import (
     RootedLabeledGraph,
+    closed_classes,
     right_cayley,
     sccs,
     to_dot,
@@ -287,3 +291,42 @@ def test_kr_tree_matches_eager_construction(name, request):
             [ref.follow(i + 1, words[j + 1]) - 1 for j in range(n - 1)]
             for i in range(n - 1)
         ]
+
+
+def _closed_class_vertices(kr):
+    """The reference for the expansion's minimal ideal: the union of the
+    closed classes of its whole right action."""
+    return sorted(v for cls in closed_classes(kr.out) for v in cls)
+
+
+@pytest.mark.parametrize("name", [
+    "tsetlin:6", "signed_tsetlin:4", "rees_zp:4,5", "bar_tower:2,2",
+    "flat_tower:3,2", "flat_tower:2,3", "rees_general", "z2x01", "klein",
+    "tsetlin:5", "rees_B:6", "burnside_straightline:3",
+])
+def test_expansion_ideal_by_image_on_the_ladder(name):
+    S = families.build(families.parse_family(name))
+    kr = karnofsky_rhodes(S)
+    assert kr.ideal_over(minimal_ideal(S)) == _closed_class_vertices(kr)
+
+
+def test_expansion_ideal_by_image_on_random_draws(monkeypatch):
+    # 3- to 5-state draws of 2 or 3 maps, 60 whose minimal ideal is left
+    # zero (direct mode) and 60 whose is not (limit mode); a draw whose
+    # expansion passes 20,000 vertices is passed over to keep the test quick
+    monkeypatch.setattr(expansions, "KR_CAP", 20_000)
+    rng = random.Random(20)
+    modes = Counter()
+    while min(modes[True], modes[False]) < 60:
+        n, k = rng.choice([3, 4, 5]), rng.choice([2, 3])
+        S = semigroup_from_transformations(
+            n, {g: [rng.randrange(n) for _ in range(n)] for g in "abc"[:k]})
+        direct = kernel_is_left_zero(S, minimal_ideal(S))
+        if modes[direct] >= 60 or S.size > 300:
+            continue
+        try:
+            kr = karnofsky_rhodes(S)
+        except SizeCapExceeded:
+            continue
+        assert kr.ideal_over(minimal_ideal(S)) == _closed_class_vertices(kr)
+        modes[direct] += 1

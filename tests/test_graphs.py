@@ -180,5 +180,5 @@ def test_closed_classes_of_expansion_are_its_minimal_ideal(name):
     # the expansion graph is the right Cayley graph of the expansion, so its
     # closed classes (minimal right ideals) make up its minimal ideal
     kr = karnofsky_rhodes(_kr_ideal_case(name))
-    vertices = {v for cls in closed_classes(kr.graph) for v in cls}
-    assert vertices == {e + 1 for e in minimal_ideal(kr.semigroup()).members}
+    vertices = {v for cls in closed_classes(kr.out) for v in cls}
+    assert vertices == {e + 1 for e in minimal_ideal(kr.semigroup())}

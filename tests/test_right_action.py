@@ -159,7 +159,7 @@ def test_draws_include_the_full_transformation_monoid():
 
 
 def test_rep_words_equal_the_reference(semigroup):
-    assert semigroup.rep_words() == reference_rep_words(semigroup)
+    assert semigroup.right_action()[2] == reference_rep_words(semigroup)
 
 
 @pytest.mark.parametrize("right", [True, False], ids=["right", "left"])
@@ -174,15 +174,14 @@ def test_cayley_graphs_equal_the_reference(semigroup, right):
 
 def test_minimal_ideal_equals_the_two_sided_reference(semigroup):
     members = reference_minimal_ideal(semigroup)
-    assert minimal_ideal(semigroup).members == members
+    assert minimal_ideal(semigroup) == members
     assert kernel_is_left_zero(semigroup, minimal_ideal(semigroup)) == \
         reference_kernel_is_left_zero(semigroup, members)
 
 
 def test_start_word_equals_the_word_enumeration(semigroup):
-    I = minimal_ideal(semigroup)
-    assert _lex_first_code_word(semigroup, I) == reference_start_word(
-        semigroup, I.members)
+    assert _lex_first_code_word(semigroup) == reference_start_word(
+        semigroup, minimal_ideal(semigroup))
 
 
 def _counted(S):
@@ -205,8 +204,8 @@ def test_start_word_makes_one_search_of_products(states, size, length):
         "b": [0] + list(range(1, states - 1)) + [0],
     })
     calls = _counted(S)
+    word = _lex_first_code_word(S)
     I = minimal_ideal(S)
-    word = _lex_first_code_word(S, I)
     assert S.size == size and len(word) == length
     assert calls[0] <= S.size * S.n_gens
     assert S.product(word) in I

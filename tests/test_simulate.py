@@ -103,7 +103,7 @@ def test_state_at_fixed_step(b2):
 def reference_walk(S, xs, walkers, steps, seed, final_only=False):
     """The word walk written plainly: SplitMix64 objects, ideal entry by
     ``S.product`` of each prefix, lumping by following the expansion graph."""
-    ideal = minimal_ideal(S).members
+    ideal = minimal_ideal(S)
     thresholds = [int(c * 2**53) for c in accumulate(xs)]
     thresholds[-1] = 2**53
 
@@ -180,6 +180,6 @@ def test_word_outside_the_ideal_raises():
     # on four books a word needs three distinct letters to enter the ideal,
     # so no letter in front of the one-letter word (0,) gets it there
     S = families.tsetlin(4)
-    walk = _WalkTables(S, minimal_ideal(S))
+    walk = _WalkTables(S)
     with pytest.raises(AssertionError):
         walk.run((0,), 0, _thresholds(uniform_probs(S)), 1, [0] * len(walk.out))

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from semiwalk import chains, cli, simulate, stationary
+from semiwalk import chains, cli, graphs, simulate, stationary
 from semiwalk.cli import main
 from semiwalk.core import SemigroupError
 from semiwalk.specio import load_spec, semigroup_from_spec
@@ -599,3 +599,38 @@ def test_towers_out_of_reach_are_out_of_range(family, message, capsys):
     code, out, err = run_cli(["stationary", "--family", family], capsys)
     assert time.perf_counter() - start < 5
     assert (code, out) == (2, "") and message in err
+
+
+@pytest.mark.parametrize("family,form,size", [
+    ("flat_tower:2,3", "1·2·~𝟙·‾𝟙·1·2·~𝟙·~𝟙'·‾𝟙'·1·2·~𝟙·‾𝟙·1·2·~𝟙·~𝟙'·~𝟙''", 496806),
+    ("bar_tower:2,2", "1·2·‾𝟙·1·2·~𝟙·‾𝟙'·1·2·‾𝟙·1·2·~𝟙·~𝟙'", 28105),
+])
+def test_expressions_past_the_cap_fail_fast_and_print_nothing(family, form, size, capsys):
+    # the first normal form's expression is past stationary.EXPRESSION_CAP
+    # nodes before the star-of-union rewrite, which would multiply it
+    start = time.perf_counter()
+    code, out, err = run_cli(["stationary", "--expressions", "--family", family], capsys)
+    assert time.perf_counter() - start < 10
+    assert code == 2 and out == ""
+    assert err == (f"error: walk expression of normal form {form} with {size} nodes "
+                   f"exceeded cap 20000 before the star-of-union rewrite\n")
+
+
+@pytest.mark.parametrize("family", ["rees_B:2", "z2x01"])
+def test_verify_finds_the_minimal_ideal_once(family, capsys, monkeypatch):
+    # K(S) is stored on S, and the expansion's minimal ideal is read off by
+    # image, so the one closed-class search is the one over S's right action
+    calls = []
+    search = graphs.closed_classes
+
+    def counted(succ):
+        calls.append(len(succ))
+        return search(succ)
+    monkeypatch.setattr(graphs, "closed_classes", counted)
+    args = ["verify", "--family", family]
+    if family == "rees_B:2":
+        args += ["--simulate", "--walkers", "2", "--steps", "100"]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0 and out.endswith("all checks passed\n")
+    S = cli.build_family(cli.parse_family(family))
+    assert calls == [S.size]

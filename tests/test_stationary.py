@@ -8,7 +8,6 @@ from conftest import COUNTEREXAMPLE_MAPS, reference_words
 from semiwalk import chains, stationary
 from semiwalk.chains import build_chain, certify
 from semiwalk.core import (
-    IdealSet,
     SizeCapExceeded,
     minimal_ideal,
     semigroup_from_transformations,
@@ -21,6 +20,7 @@ from semiwalk.kleene import (
     Letter,
     concat,
     evaluate_expr,
+    node_count,
     pretty,
     series,
     star,
@@ -95,9 +95,9 @@ def test_semaphore_left_action_examples(p3, b2, z2x01_quotient):
 # -- normal forms ------------------------------------------------------------------
 
 
-def nf_words(S, ideal=None):
+def nf_words(S):
     """The engine's normal forms as their tree-path words, in its order."""
-    engine = StationaryEngine(S, ideal)
+    engine = StationaryEngine(S)
     return [engine.mc.words[nf.mc_vertex] for nf in engine.normal_forms]
 
 
@@ -112,15 +112,6 @@ def test_normal_forms_b2(b2):
 
 def test_normal_forms_quotient(z2x01_quotient):
     assert [z2x01_quotient.word_label(w) for w in nf_words(z2x01_quotient)] == ["a", "ba", "bba"]
-
-
-def test_normal_forms_custom_ideal(p3):
-    # target the ideal of subsets of size >= 2: entry happens at the second
-    # letter, so the forms are the ordered pairs
-    names = p3.element_names()
-    members = {e for e, nm in enumerate(names) if len(nm) >= 2}
-    labels = [p3.word_label(w) for w in nf_words(p3, IdealSet(members))]
-    assert labels == ["12", "13", "21", "23", "31", "32"]
 
 
 def test_normal_forms_adjoined_zero(z2x01):
@@ -381,7 +372,7 @@ def test_lump_by_classifier_total(b2):
 def test_normalization_check_negative():
     from semiwalk.stationary import StationaryResult
 
-    bad = StationaryResult("kr", {"x": F(1, 2), "y": F(1, 3)})
+    bad = StationaryResult({"x": F(1, 2), "y": F(1, 3)})
     assert not normalization_check(bad)
 
 
@@ -703,3 +694,22 @@ def test_kleene_reduction_built_once_per_engine(monkeypatch):
     assert calls == [True, False]
     StationaryEngine(S).expression(engine.normal_forms[0])
     assert calls == [True, False, True]
+
+
+def test_expression_cap_is_checked_before_the_rewrite(monkeypatch):
+    # flat_tower:2,2's first normal form has 434 nodes before the rewrite
+    S = families.build(families.parse_family("flat_tower:2,2"))
+    engine = StationaryEngine(S)
+    nf = engine.normal_forms[0]
+    monkeypatch.setattr(stationary, "EXPRESSION_CAP", 434)
+    engine.expression(nf)
+    monkeypatch.setattr(stationary, "EXPRESSION_CAP", 433)
+    monkeypatch.setattr(stationary, "zimin_rewrite", None)  # never reached
+    with pytest.raises(SizeCapExceeded, match="with 434 nodes exceeded cap 433"):
+        engine.expression(nf)
+
+
+def test_node_count_counts_shared_nodes_at_each_place():
+    ab = concat(Letter(0), Letter(1))
+    assert node_count(ab) == 3
+    assert node_count(star(union(ab, ab))) == 8
