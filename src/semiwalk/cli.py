@@ -224,6 +224,15 @@ def cmd_verify(args) -> int:
     if not ok:
         failures.append("normalization")
 
+    ok = certify(S, xs, result)
+    # direct mode prints the certificate's line only when it fails, so a
+    # passing run prints the oracle, lumping and simulation lines alone
+    if force or not ok:
+        lines.append(_report("exact certificate (pi T = pi on the expansion "
+                             "ideal chain)", ok))
+    if not ok:
+        failures.append("certificate")
+
     if not force:
         chain = build_chain(S, xs)
         oracle = stationary_oracle(chain)
@@ -262,13 +271,8 @@ def cmd_verify(args) -> int:
             if not ok:
                 failures.append("simulation")
     else:
-        ok = certify(S, xs, result)
-        lines.append(_report("exact certificate (pi T = pi on the expansion "
-                             "ideal chain)", ok))
-        if not ok:
-            failures.append("certificate")
         lines.append("SKIP oracle/lumping/simulation: minimal ideal is not "
-                      "left zero (limit-mode result)")
+                     "left zero (limit-mode result)")
 
     for line in lines:
         print(line)

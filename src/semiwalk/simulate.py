@@ -26,16 +26,21 @@ uses the stream seeded by mix64(mix64(s) ^ (GOLDEN * (w+1) mod 2^64)).
 Letters are drawn by comparing the top 53 bits of the next output against
 cumulative integer thresholds floor(cum_i * 2^53).  Everything is integer
 arithmetic, so runs are bit-identical across platforms for a fixed seed.
-The walk loop inlines the generator and draws the same streams as
-``SplitMix64``.
+The walk loop draws its letters from ``_next53s``, which computes the same
+stream as ``SplitMix64`` up to 1,024 outputs at a time, one 128-bit lane of
+a single integer per output, so each step of the finalizer is one
+whole-integer operation per block rather than one per output.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import cache, partial
+from typing import Iterator, Sequence
 
 from .core import ASemigroup, SemigroupError, Word, kernel_is_left_zero, minimal_ideal
 from .expansions import karnofsky_rhodes
@@ -68,6 +73,49 @@ class SplitMix64:
 
 def walker_seed(seed: int, index: int) -> int:
     return mix64(mix64(seed) ^ ((_GOLDEN * (index + 1)) & _MASK))
+
+
+_BLOCK = 1024  # outputs computed together by _next53s
+
+
+@cache
+def _lanes() -> tuple[int, int, int]:
+    """Constants over _BLOCK 128-bit lanes: 1 in each lane, 2^64 - 1 in
+    each lane, and (t+1)·GOLDEN mod 2^64 in lane t."""
+    ones = ((1 << 128 * _BLOCK) - 1) // ((1 << 128) - 1)
+    steps = b"".join((_GOLDEN * t & _MASK).to_bytes(16, "little")
+                     for t in range(1, _BLOCK + 1))
+    return ones, ones * _MASK, int.from_bytes(steps, "little")
+
+
+def _next53s(state: int, count: int) -> Iterator[int]:
+    """The first ``count`` outputs of ``SplitMix64(state).next53()``.
+
+    They are computed _BLOCK at a time: lane t (bits 128t to 128t+127) of
+    one integer holds the generator's state after t+1 advances, so each
+    xor-shift, multiply and mask of ``mix64`` is one operation on the whole
+    integer.  A 64-bit lane times a 64-bit constant fits in its lane, and a
+    right shift carries low bits of lane t+1 into bits 98-127 of lane t,
+    which the mask after each xor-shift clears.  The lanes are read back as
+    the even words of an array of 64-bit words.
+    """
+    ones, mask, steps = _lanes()
+    while count > 0:
+        n = min(count, _BLOCK)
+        if n < _BLOCK:  # the last block keeps its first n lanes
+            cut = (1 << 128 * n) - 1
+            ones, mask, steps = ones & cut, mask & cut, steps & cut
+        z = (state * ones + steps) & mask
+        z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
+        z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
+        # bits 64-96 of each lane are clear here, so >> 11 leaves the top
+        # 53 bits of the output alone in the lane's low word
+        words = array("Q", ((z ^ (z >> 31)) >> 11).to_bytes(16 * n, "little"))
+        if sys.byteorder == "big":
+            words.byteswap()
+        yield from words[::2]
+        state = (state + n * _GOLDEN) & _MASK
+        count -= n
 
 
 def _thresholds(xs: Sequence[Fraction]) -> list[int]:
@@ -127,17 +175,14 @@ class _WalkTables:
 
     def run(self, word: Word, state: int, thresholds: list[int], steps: int,
             visits: list[int]) -> int:
-        """Take ``steps`` steps from ``word`` with the SplitMix64 stream at
-        ``state``, counting each visited lumping vertex in ``visits``;
-        return the vertex of the last word."""
+        """Take ``steps`` steps from ``word``, drawing letters from the
+        SplitMix64 stream at ``state`` as ``_next53s`` computes it, block by
+        block; count each visited lumping vertex in ``visits`` and return
+        the vertex of the last word."""
         gens, right, in_ideal, out = self.gens, self.right, self.in_ideal, self.out
         first = out[self.root]
         v = self.lump(word)
-        for _ in range(steps):
-            state = (state + _GOLDEN) & _MASK
-            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-            a = bisect_right(thresholds, (z ^ (z >> 31)) >> 11)
+        for a in map(partial(bisect_right, thresholds), _next53s(state, steps)):
             e, v = gens[a], first[a]
             if in_ideal[e]:
                 word = (a,)

@@ -7,7 +7,10 @@ from semiwalk.chains import tv_distance
 from semiwalk.core import SemigroupError, minimal_ideal, semigroup_from_table
 from semiwalk.expansions import karnofsky_rhodes
 from semiwalk.simulate import (
+    _BLOCK,
+    _GOLDEN,
     SplitMix64,
+    _next53s,
     _thresholds,
     _WalkTables,
     mix64,
@@ -35,6 +38,15 @@ def test_splitmix_reference_values():
     assert walker_seed(42, 0) == walker_seed(42, 0)
     assert walker_seed(42, 0) != walker_seed(42, 1)
     assert walker_seed(42, 0) != walker_seed(43, 0)
+
+
+@pytest.mark.parametrize("state", [0, 2**64 - 1, 2**64 - _GOLDEN + 5],
+                         ids=["zero", "top", "wraps"])
+@pytest.mark.parametrize("count", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+def test_block_stream_equals_the_generator(state, count):
+    # "wraps": state + GOLDEN passes 2^64 by 5, so lane 0 holds a wrapped sum
+    rng = SplitMix64(state)
+    assert list(_next53s(state, count)) == [rng.next53() for _ in range(count)]
 
 
 def test_simulation_bit_identical(b2):
@@ -156,6 +168,19 @@ def test_walk_counts_equal_reference(family, b2):
     assert d.total == 4500
     d = simulate_state_at(S, xs, walkers=200, steps=6, seed=5)
     assert d.counts == reference_walk(S, xs, 200, 6, 5, final_only=True)
+
+
+@pytest.mark.parametrize("family", ["b2", "rees_zp:3,3"])
+def test_walk_counts_equal_reference_across_blocks(family, b2):
+    # 2,500 steps take two whole blocks of the stream and part of a third;
+    # 1,025 final steps end one letter into the second block
+    S = b2 if family == "b2" else build(parse_family(family))
+    xs = uniform_probs(S)
+    d = simulate_semaphore(S, xs, walkers=2, steps=2500, seed=23)
+    assert d.counts == reference_walk(S, xs, 2, 2500, 23)
+    for steps in (0, 1025):
+        d = simulate_state_at(S, xs, walkers=3, steps=steps, seed=23)
+        assert d.counts == reference_walk(S, xs, 3, steps, 23, final_only=True)
 
 
 def test_state_at_zero_steps_is_the_start_word(b2):

@@ -396,6 +396,27 @@ def test_cli_verify_pass(capsys):
     assert "PASS lumping" in out
 
 
+def test_cli_verify_direct_mode_fails_a_corrupted_law(capsys, monkeypatch):
+    # swapping two unequal masses keeps the sum at 1 and breaks pi T = pi;
+    # a passing certificate prints nothing in direct mode
+    code, out, _ = run_cli(["verify", "--family", "rees_B:2"], capsys)
+    assert code == 0 and "certificate" not in out
+    law = stationary.stationary_kr
+
+    def corrupted(S, xs):
+        result = law(S, xs)
+        e = result.entries
+        e["aa"], e["abb"] = e["abb"], e["aa"]
+        return result
+    monkeypatch.setattr(cli, "stationary_kr", corrupted)
+    code, out, _ = run_cli(["verify", "--family", "rees_B:2"], capsys)
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[:2] == ["PASS normalization (exact sum = 1)",
+                         "FAIL exact certificate (pi T = pi on the expansion ideal chain)"]
+    assert lines[-1] == "FAILED: certificate, oracle"
+
+
 def test_cli_verify_simulation_and_failure_exit(capsys):
     code, out, _ = run_cli(
         ["verify", "--family", "rees_B:2", "--simulate", "--walkers", "4",

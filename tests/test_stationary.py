@@ -587,6 +587,23 @@ def reference_values(engine, xs):
             for nf in engine.normal_forms}
 
 
+@pytest.mark.parametrize("name", [
+    "tsetlin:6", "signed_tsetlin:4", "rees_zp:4,5", "bar_tower:2,2",
+    "flat_tower:3,2", "flat_tower:2,3",
+])
+def test_expansion_vertex_order_is_shortlex_and_states_are_lex(name):
+    # the breadth-first search runs in letter order, so vertex order is the
+    # shortlex order of the words; the law lists its states in the
+    # lexicographic order of their words, which differs from it wherever
+    # ideal words have several lengths (every rung but the Tsetlin ones)
+    S = families.build(families.parse_family(name))
+    words = karnofsky_rhodes(S).words
+    assert all((len(u), u) < (len(w), w) for u, w in zip(words, words[1:]))
+    result = stationary_kr(S, uniform_probs(S))
+    listed = [info.word for info in result.key_info.values()]
+    assert listed == sorted(listed)
+
+
 # the benchmark's direct-mode ladder, all but its largest rung
 @pytest.mark.parametrize("name", [
     "tsetlin:6", "signed_tsetlin:4", "rees_zp:4,5", "bar_tower:2,2",
