@@ -1,10 +1,10 @@
 """Independent verification machinery for the exact engine.
 
 The column-stochastic transition matrix (exact rationals) on the minimal
-ideal of the Karnofsky-Rhodes expansion, its vertices over K(S), the exact
-certificate of a law on it, a float power-iteration oracle kept apart from
-the exact path, the lumping check, total-variation distance and the
-mixing-time bound.
+ideal of the Karnofsky-Rhodes expansion, read off its left-action table;
+the exact certificate of a law on such a chain, a float power-iteration
+oracle kept apart from the exact path, the lumping check, total-variation
+distance and the mixing-time bound.
 """
 
 from __future__ import annotations
@@ -63,18 +63,18 @@ def build_chain(S: ASemigroup, xs: Sequence[Fraction]) -> TransitionMatrix:
     index = {s: i for i, s in enumerate(states)}
     cols: list[dict[int, Fraction]] = [dict() for _ in states]
     for col, s in zip(cols, states):
-        for a in range(S.n_gens):
-            t = index[kr.left_multiply(a, s)]
-            col[t] = col.get(t, Fraction(0)) + xs[a]
+        for u, x in zip(kr.left[s], xs):
+            t = index[u]
+            col[t] = col.get(t, Fraction(0)) + x
     return TransitionMatrix(kr.names(states), cols, states=states)
 
 
-def certify(S: ASemigroup, xs: Sequence[Fraction], result) -> bool:
+def certify(S: ASemigroup, xs: Sequence[Fraction], result, chain) -> bool:
     """Exact certificate for an expansion-level stationary law.
 
     True iff the masses of ``result`` (a ``StationaryResult`` over "kr") are
-    nonnegative, sum to 1, satisfy pi T = pi on the chain
-    ``build_chain(S, xs)`` and put the right mass on each of its
+    nonnegative, sum to 1, satisfy pi T = pi on ``chain``, which is
+    ``build_chain(S, xs)``, and put the right mass on each of its
     closed classes.  Those are the minimal left ideals, and the letters act
     on them through any representative; that action must have one closed
     class, and the class masses must be stationary for it.  With pi T = pi,
@@ -84,7 +84,6 @@ def certify(S: ASemigroup, xs: Sequence[Fraction], result) -> bool:
     pi = result.entries
     if sum(pi.values(), Fraction(0)) != 1 or any(v < 0 for v in pi.values()):
         return False
-    chain = build_chain(S, xs)
     if not set(pi) <= set(chain.labels):
         return False
     vec = [pi.get(lab, Fraction(0)) for lab in chain.labels]
@@ -95,8 +94,7 @@ def certify(S: ASemigroup, xs: Sequence[Fraction], result) -> bool:
                 image[t] += vec[s] * p
     if image != vec:
         return False
-    classes, action = karnofsky_rhodes(S).left_ideals(
-        chain.states, [list(col) for col in chain.cols])
+    classes, action = karnofsky_rhodes(S).left_ideals(chain.states)
     if len(closed_classes(action)) != 1:
         return False
     mass = [sum([vec[i] for i in cls], Fraction(0)) for cls in classes]

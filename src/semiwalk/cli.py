@@ -214,44 +214,39 @@ def cmd_verify(args) -> int:
         raise SemigroupError(f"--tv-tol must be at least 0, got {args.tv_tol}")
     S = _load(args)
     xs = _probs(args, S)
-    failures = []
-    lines = []
+    failures, lines = [], []
+
+    def check(name: str, ok: bool, label: str) -> None:
+        lines.append(f"{'PASS' if ok else 'FAIL'} {label}")
+        if not ok:
+            failures.append(name)
 
     force = not kernel_is_left_zero(S, minimal_ideal(S))
     result = stationary_kr(S, xs)
-    ok = normalization_check(result)
-    lines.append(_report("normalization (exact sum = 1)", ok))
-    if not ok:
-        failures.append("normalization")
+    check("normalization", normalization_check(result),
+          "normalization (exact sum = 1)")
 
-    ok = certify(S, xs, result)
+    chain = build_chain(S, xs)
+    ok = certify(S, xs, result, chain)
     # direct mode prints the certificate's line only when it fails, so a
     # passing run prints the oracle, lumping and simulation lines alone
     if force or not ok:
-        lines.append(_report("exact certificate (pi T = pi on the expansion "
-                             "ideal chain)", ok))
-    if not ok:
-        failures.append("certificate")
+        check("certificate", ok,
+              "exact certificate (pi T = pi on the expansion ideal chain)")
 
     if not force:
-        chain = build_chain(S, xs)
         oracle = stationary_oracle(chain)
         diff = max(
             abs(float(v) - oracle.get(k, 0.0)) for k, v in result.entries.items()
         )
-        ok = diff < 1e-10
-        lines.append(_report(f"power-iteration oracle (max diff {diff:.2e})", ok))
-        if not ok:
-            failures.append("oracle")
+        check("oracle", diff < 1e-10, f"power-iteration oracle (max diff {diff:.2e})")
 
         classes = {
             lab: S.element_name(result.key_info[lab].element)
             for lab in chain.labels
         }
-        ok = check_lumping(chain, classes)
-        lines.append(_report("lumping expansion -> semigroup", ok))
-        if not ok:
-            failures.append("lumping")
+        check("lumping", check_lumping(chain, classes),
+              "lumping expansion -> semigroup")
 
         if args.simulate:
             emp = simulate_semaphore(
@@ -263,13 +258,8 @@ def cmd_verify(args) -> int:
                 # Twice the bound sqrt(n/N)/2 on E[TV] for N independent
                 # samples over n states; walk steps are correlated samples.
                 tol = round(math.sqrt(chain.n / (args.walkers * args.steps)), 4)
-            ok = tv <= tol
-            lines.append(
-                _report(f"simulation TV {tv:.4f} <= {tol} "
-                        f"(seed {args.seed})", ok)
-            )
-            if not ok:
-                failures.append("simulation")
+            check("simulation", tv <= tol,
+                  f"simulation TV {tv:.4f} <= {tol} (seed {args.seed})")
     else:
         lines.append("SKIP oracle/lumping/simulation: minimal ideal is not "
                      "left zero (limit-mode result)")
@@ -281,10 +271,6 @@ def cmd_verify(args) -> int:
         return CHECK_FAILED
     print("all checks passed")
     return 0
-
-
-def _report(label: str, ok: bool) -> str:
-    return f"{'PASS' if ok else 'FAIL'} {label}"
 
 
 if __name__ == "__main__":

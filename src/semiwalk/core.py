@@ -97,7 +97,7 @@ class ASemigroup:
         self.gen_names = list(gen_names)
         self._label_sep = label_sep(self.gen_names)
         self.mult = mult
-        self._element_names = list(element_names) if element_names else None
+        self._element_names = None if element_names is None else list(element_names)
         if self._element_names is not None:
             if len(self._element_names) != size:
                 raise SemigroupError("one name per element required")

@@ -7,7 +7,10 @@ the same element of the underlying semigroup *and* their paths in the right
 Cayley graph cross the same set of transition edges.  The result is again a
 right Cayley graph, so it carries a semigroup structure of its own.  It is
 stored on the semigroup, and every reader shares that one.  Its minimal
-ideal is read off by image: the vertices over the minimal ideal of S.
+ideal is read off by image: the vertices over the minimal ideal of S.  The
+letters' left action on it is one table, built top-down along the
+breadth-first tree on first use; the expansion-ideal chain and the minimal
+left ideals both read that table.
 
 The McCammond expansion of a deterministic rooted graph has one vertex per
 simple path from the root; an edge either extends a simple path (tree edge)
@@ -77,15 +80,19 @@ class ExpansionTree:
 class KRExpansion(ExpansionTree):
     """Karnofsky-Rhodes expansion: its breadth-first tree over the right
     Cayley graph plus its semigroup view, in which vertex i > 0 is element
-    i-1.  Every vertex has an edge for every letter."""
+    i-1.  Every vertex has an edge for every letter, and ``left`` holds
+    every vertex's left multiples by the letters."""
 
-    def left_multiply(self, a: int, v: int) -> int:
-        """Vertex of generator a times the element of vertex v."""
+    @cached_property
+    def left(self) -> list[list[int]]:
+        """``left[v][a]`` is the vertex of generator a times vertex v.  As
+        a·(w b) = (a·w)·b, a row is its parent's row moved by the vertex's
+        letter: one top-down pass."""
         out = self.out
-        u = out[self.root][a]
-        for b in self.words[v]:
-            u = out[u][b]
-        return u
+        left = [out[self.root]]
+        for p, b in zip(self.parent[1:], self.parent_gen[1:]):
+            left.append([out[u][b] for u in left[p]])
+        return left
 
     def ideal_over(self, K: frozenset[int]) -> list[int]:
         """The minimal ideal of the expansion, in vertex order, given the
@@ -100,12 +107,12 @@ class KRExpansion(ExpansionTree):
         """
         return [v for v, e in enumerate(self.s_image) if e in K]
 
-    def left_ideals(self, ideal: list[int], left: list[list[int]]) -> tuple[list, list]:
-        """The minimal left ideals, the closed classes of ``left`` (per
-        vertex of ``ideal``, the indices into it of the letters' left
-        multiples), and the letters' action on them: letter a maps the
-        class c of any u to ``action[c][a]``, the class of u·a."""
-        classes = closed_classes(left)
+    def left_ideals(self, ideal: list[int]) -> tuple[list, list]:
+        """The minimal left ideals, the closed classes of ``left`` on
+        ``ideal`` (as indices into it), and the letters' action on them:
+        a maps the class c of any u to ``action[c][a]``, the class of u·a."""
+        index = {u: i for i, u in enumerate(ideal)}
+        classes = closed_classes([[index[w] for w in self.left[u]] for u in ideal])
         class_of = {ideal[i]: c for c, L in enumerate(classes) for i in L}
         return classes, [[class_of[w] for w in self.out[ideal[L[0]]]] for L in classes]
 

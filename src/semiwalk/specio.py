@@ -76,7 +76,7 @@ def load_spec(path: str) -> ASemigroup:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh, object_pairs_hook=_unique_keys)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise SemigroupError(f"invalid JSON in {path}: {exc}") from exc
     return semigroup_from_spec(data)
 

@@ -449,8 +449,7 @@ def _stationary_kr_limit(
         h[r_of[nf.kr_vertex]] += vals[nf.mc_vertex]
     del vals
     # nu: the stationary law of the letters' action on the minimal left ideals
-    lefts, action = kr.left_ideals(
-        ideal, [[index[kr.left_multiply(a, u)] for a in range(S.n_gens)] for u in ideal])
+    lefts, action = kr.left_ideals(ideal)
     l_of = {ideal[i]: j for j, L in enumerate(lefts) for i in L}
     nu = _stationary_vector(action, xs)
     h_size = len(ideal) // (len(rights) * len(lefts))

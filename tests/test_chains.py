@@ -228,14 +228,15 @@ def test_mixing_bound_b2(b2):
 def test_certify_direct_and_limit_results(p3, b2, z2x01, klein):
     for S in (p3, b2, z2x01, klein):
         xs = uniform_probs(S)
-        assert certify(S, xs, stationary_kr(S, xs))
+        assert certify(S, xs, stationary_kr(S, xs), build_chain(S, xs))
 
 
 def test_certify_counterexample(counterexample):
     # several normal forms reach one expansion vertex; the law still
     # lives on the chain's states, under the chain's names
     xs = uniform_probs(counterexample)
-    assert certify(counterexample, xs, stationary_kr(counterexample, xs))
+    assert certify(counterexample, xs, stationary_kr(counterexample, xs),
+                   build_chain(counterexample, xs))
 
 
 @pytest.mark.parametrize(
@@ -259,11 +260,12 @@ def test_certify_rejects_wrong_laws(b2):
     moved = dict(result.entries)
     moved[a] += F(1, 16)
     moved[b] -= F(1, 16)
-    assert not certify(b2, HALF, StationaryResult(moved))
-    assert not certify(b2, HALF, StationaryResult({a: F(1)}))
+    chain = build_chain(b2, HALF)
+    assert not certify(b2, HALF, StationaryResult(moved), chain)
+    assert not certify(b2, HALF, StationaryResult({a: F(1)}), chain)
     extra = dict(result.entries)
     extra["not-a-state"] = F(0)
-    assert not certify(b2, HALF, StationaryResult(extra))
+    assert not certify(b2, HALF, StationaryResult(extra), chain)
 
 
 def test_certify_rejects_a_wrong_mixture_of_closed_classes():
@@ -273,20 +275,22 @@ def test_certify_rejects_a_wrong_mixture_of_closed_classes():
     S = families.build(families.parse_family("rees_general"))
     wrong = {**dict.fromkeys(["a", "ba", "aba", "baba"], F(1, 16)),
              **dict.fromkeys(["b", "ab", "bab", "abab"], F(3, 16))}
-    assert not certify(S, uniform_probs(S), StationaryResult(wrong))
+    xs = uniform_probs(S)
+    assert not certify(S, xs, StationaryResult(wrong), build_chain(S, xs))
 
 
 def test_certify_rejects_a_law_without_a_class():
     S = families.build(families.parse_family("rees_general"))
     xs = uniform_probs(S)
     one_class = dict.fromkeys(["a", "ba", "aba", "baba"], F(1, 4))
-    assert not certify(S, xs, StationaryResult(one_class))
-    assert certify(S, xs, stationary_kr(S, xs))
+    chain = build_chain(S, xs)
+    assert not certify(S, xs, StationaryResult(one_class), chain)
+    assert certify(S, xs, stationary_kr(S, xs), chain)
 
 
 def _limit_draws_with_classes(n, seed):
     """Seeded 3- and 4-state limit draws (|S| <= 40, random weights) whose
-    expansion-ideal chain has at least two closed classes."""
+    expansion-ideal chain has at least two closed classes, with that chain."""
     rng = random.Random(seed)
     while n:
         states = rng.choice((3, 4))
@@ -300,15 +304,15 @@ def _limit_draws_with_classes(n, seed):
         classes = closed_classes([list(col) for col in chain.cols])
         if len(classes) >= 2:
             n -= 1
-            yield S, xs, [[chain.labels[i] for i in cls] for cls in classes]
+            yield S, xs, chain, [[chain.labels[i] for i in cls] for cls in classes]
 
 
 def test_certify_rejects_reweighted_mixtures_of_closed_classes():
     # each class keeps its shape and gets a new random mass
     rng = random.Random(16)
-    for S, xs, classes in _limit_draws_with_classes(50, seed=2024):
+    for S, xs, chain, classes in _limit_draws_with_classes(50, seed=2024):
         law = stationary_kr(S, xs).entries
-        assert certify(S, xs, StationaryResult(law))
+        assert certify(S, xs, StationaryResult(law), chain)
         mass = [sum(law[lab] for lab in cls) for cls in classes]
         new = mass
         while new == mass:
@@ -317,7 +321,7 @@ def test_certify_rejects_reweighted_mixtures_of_closed_classes():
         wrong = {lab: law[lab] / m * w
                  for cls, m, w in zip(classes, mass, new) for lab in cls}
         assert sum(wrong.values()) == 1
-        assert not certify(S, xs, StationaryResult(wrong))
+        assert not certify(S, xs, StationaryResult(wrong), chain)
 
 
 @pytest.mark.parametrize("name,forced", [
@@ -326,7 +330,7 @@ def test_certify_rejects_reweighted_mixtures_of_closed_classes():
 def test_certify_passes_the_limit_fixtures(name, forced):
     S = families.build(families.parse_family(name))
     xs = uniform_probs(S)
-    assert certify(S, xs, stationary_kr(S, xs, force_limit=forced))
+    assert certify(S, xs, stationary_kr(S, xs, force_limit=forced), build_chain(S, xs))
 
 
 def test_limit_mode_reaches_size_27_draw():
@@ -339,14 +343,14 @@ def test_limit_mode_reaches_size_27_draw():
     assert S.size == 27
     xs = uniform_probs(S)
     result = stationary_kr(S, xs)
-    assert certify(S, xs, result)
+    assert certify(S, xs, result, build_chain(S, xs))
 
 
 @pytest.mark.parametrize("name", ["flat_tower:3,2", "rees_zp:4,5", "signed_tsetlin:3"])
 def test_certify_direct_results_of_the_tree_pass(name):
     S = families.build(families.parse_family(name))
     xs = uniform_probs(S)
-    assert certify(S, xs, stationary_kr(S, xs))
+    assert certify(S, xs, stationary_kr(S, xs), build_chain(S, xs))
 
 
 def test_tv_distance_does_not_depend_on_the_hash_seed():

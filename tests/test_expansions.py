@@ -282,7 +282,7 @@ def test_kr_tree_matches_eager_construction(name, request):
         assert kr.graph.s_image == ref.s_image
         for v in range(n):
             for a in range(k):
-                assert kr.left_multiply(a, v) == ref.follow(ref.out[0][a], words[v])
+                assert kr.left[v][a] == ref.follow(ref.out[0][a], words[v])
         T = kr.semigroup()
         assert (T.size, T.gen_names) == (n - 1, S.gen_names)
         assert T.gens == [w - 1 for w in ref.out[0]]

@@ -234,10 +234,15 @@ def test_cli_bad_probs_exit_2(capsys):
 
 
 def test_cli_malformed_spec_exit_2(tmp_path, capsys):
+    # a syntax error, bytes that are not UTF-8 and nesting past the
+    # parser's recursion limit each give one error line naming the file
     bad = tmp_path / "bad.json"
-    bad.write_text("{]")
-    code, _, err = run_cli(["build", "--spec", str(bad)], capsys)
-    assert code == 2 and "JSON" in err
+    for text in (b"{]", b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000):
+        bad.write_bytes(text)
+        code, out, err = run_cli(["build", "--spec", str(bad)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: invalid JSON in {bad}:")
+        assert err.count("\n") == 1
 
 
 def test_cli_corrupted_table_exit_nonzero(tmp_path, capsys):
@@ -336,6 +341,10 @@ def test_cli_generator_element_out_of_range_exit_2(tmp_path, capsys):
      "'gen_elements' must be a list"),
     ({"kind": "table", "generators": ["a"], "table": [[0]], "element_names": 5},
      "'element_names' must be a list of strings"),
+    # an empty list names no element; it is not the same as no names
+    ({"kind": "table", "generators": ["a", "b"], "table": [[0, 0], [0, 1]],
+      "element_names": []},
+     "one name per element required"),
     ({"kind": "family", "family": "tsetlin", "n": "3"},
      "tsetlin.n must be an integer"),
     ({"kind": "family", "family": "tsetlin", "n": 2.5},
@@ -361,7 +370,8 @@ def test_cli_generator_element_out_of_range_exit_2(tmp_path, capsys):
      "transformations spec has no field 'generators'"),
 ], ids=["states-string", "maps-list", "map-not-list", "table-string-entry",
         "table-row-not-list", "generators-int", "generator-name-int",
-        "gen-elements-int", "element-names-int", "family-n-string",
+        "gen-elements-int", "element-names-int", "element-names-empty",
+        "family-n-string",
         "family-n-float", "family-name-list", "family-unknown",
         "table-entry-false", "states-true", "gen-elements-true",
         "maps-duplicate-key", "table-unknown-field",
@@ -655,3 +665,23 @@ def test_verify_finds_the_minimal_ideal_once(family, capsys, monkeypatch):
     assert code == 0 and out.endswith("all checks passed\n")
     S = cli.build_family(cli.parse_family(family))
     assert calls == [S.size]
+
+
+@pytest.mark.parametrize("family", ["rees_B:2", "z2x01"])
+def test_verify_builds_one_chain(family, capsys, monkeypatch):
+    # the certificate checks the chain verify builds, and in direct mode
+    # the oracle and the lumping check read that same chain
+    built = []
+    build = chains.build_chain
+
+    def counted(*args):
+        built.append(build(*args))
+        return built[-1]
+    monkeypatch.setattr(cli, "build_chain", counted)
+    monkeypatch.setattr(chains, "build_chain", counted)
+    args = ["verify", "--family", family]
+    if family == "rees_B:2":
+        args += ["--simulate", "--walkers", "2", "--steps", "100"]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0 and out.endswith("all checks passed\n")
+    assert len(built) == 1
