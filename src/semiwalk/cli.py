@@ -4,12 +4,19 @@ Subcommands: build, expand, stationary, verify.  All numeric output is
 exact fraction text unless --float is given.  Identical invocations
 (including --seed) produce byte-identical output.  Exit codes: 0 success,
 1 verification failure, 2 usage or input error.
+
+``main(argv)`` may be called repeatedly in one process.  It builds its
+argument parser on the first call and reuses it; parsing makes a fresh
+namespace each time, so no option carries over to a later call.  Nothing
+else is kept between calls: every semigroup, expansion and law is built
+afresh for each.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import gc
 import json
 import math
@@ -45,8 +52,11 @@ CHECK_FAILED = 1
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    # looked up at call time, so a command replaced after the parser was
+    # built is the one that runs
+    commands = {"build": cmd_build, "expand": cmd_expand,
+                "stationary": cmd_stationary, "verify": cmd_verify}
     # The expansions are large heaps of acyclic objects that the cyclic
     # collector would rescan as they grow, finding nothing to free.  No
     # command makes reference cycles that grow with its input, so the
@@ -54,7 +64,7 @@ def main(argv=None) -> int:
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except (SemigroupError, DivergentStar, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -63,36 +73,39 @@ def main(argv=None) -> int:
             gc.enable()
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by later ones,
+    which parse with it and change nothing on it."""
     p = argparse.ArgumentParser(
         prog="semiwalk",
         description="Exact stationary distributions of semigroup random walks.",
     )
     sub = p.add_subparsers(required=True)
 
-    def add_input(sp):
+    def add_command(name, summary):
+        """A subcommand with the input options every command takes; the
+        parsed namespace names it in ``command``."""
+        sp = sub.add_parser(name, help=summary)
+        sp.set_defaults(command=name)
         g = sp.add_mutually_exclusive_group(required=True)
         g.add_argument("--family", help="built-in family, e.g. tsetlin:3 or rees_B:2")
         g.add_argument("--spec", help="path to a JSON semigroup spec")
         sp.add_argument("--probs", help="exact probabilities, e.g. a=1/2,b=1/2")
+        return sp
 
-    b = sub.add_parser("build", help="construct a semigroup and summarize it")
-    add_input(b)
+    b = add_command("build", "construct a semigroup and summarize it")
     b.add_argument("--json", action="store_true", help="JSON summary")
-    b.set_defaults(func=cmd_build)
 
-    e = sub.add_parser("expand", help="expansion graphs and their sizes")
-    add_input(e)
+    e = add_command("expand", "expansion graphs and their sizes")
     which = e.add_mutually_exclusive_group(required=True)
     which.add_argument("--rcay", action="store_true", help="right Cayley graph")
     which.add_argument("--kr", action="store_true", help="transition-edge expansion")
     which.add_argument("--mc", action="store_true", help="simple-path expansion of it")
     e.add_argument("--format", choices=("text", "dot"), default="text")
     e.add_argument("--out", help="write output to this file instead of stdout")
-    e.set_defaults(func=cmd_expand)
 
-    s = sub.add_parser("stationary", help="exact stationary distribution")
-    add_input(s)
+    s = add_command("stationary", "exact stationary distribution")
     s.add_argument("--over", choices=("kr", "s"), default="kr",
                    help="states of the expansion (kr) or of the semigroup (s)")
     s.add_argument("--limit-zero", action="store_true",
@@ -101,10 +114,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="include the walk-language expression per normal form")
     s.add_argument("--format", choices=("json", "csv", "text"), default="text")
     s.add_argument("--float", action="store_true", dest="as_float")
-    s.set_defaults(func=cmd_stationary)
 
-    v = sub.add_parser("verify", help="cross-check the exact engine")
-    add_input(v)
+    v = add_command("verify", "cross-check the exact engine")
     v.add_argument("--simulate", action="store_true", help="add a Monte Carlo check")
     v.add_argument("--walkers", type=int, default=20)
     v.add_argument("--steps", type=int, default=50_000,
@@ -113,7 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--tv-tol", type=float,
                    help="TV tolerance for --simulate; default "
                         "sqrt(states / (walkers * steps)), to 4 decimals")
-    v.set_defaults(func=cmd_verify)
     return p
 
 

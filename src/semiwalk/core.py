@@ -104,6 +104,7 @@ class ASemigroup:
             if len(set(self._element_names)) != size:
                 raise SemigroupError("element names must be unique")
         self._right_action: tuple[list[list[int]], list[int], list[Word]] | None = None
+        self._components: list[int] | None = None  # stored by right_components
         self._minimal_ideal: frozenset[int] | None = None  # stored by minimal_ideal
         self._kr = None  # its Karnofsky-Rhodes expansion, stored by karnofsky_rhodes
 
@@ -157,6 +158,17 @@ class ASemigroup:
                 )
             self._right_action = rows, order, words
         return self._right_action
+
+    def right_components(self) -> list[int]:
+        """The strongly connected component of each element in the right
+        action (its R-class), one Tarjan search stored on S.  The minimal
+        ideal and the Karnofsky-Rhodes expansion's transition edges both
+        read it."""
+        if self._components is None:
+            from .graphs import sccs  # local import, graphs depends on core
+
+            self._components = sccs(self.right_action()[0])
+        return self._components
 
     def word_label(self, word: Sequence[int]) -> str:
         """Printable form of a generator word, parts joined by ``label_sep``."""
@@ -249,6 +261,8 @@ def semigroup_from_transformations(
     """
     if not _is_int(n_states):
         raise SemigroupError(f"states must be an integer, got {n_states!r}")
+    if n_states < 0:
+        raise SemigroupError(f"states must be at least 0, got {n_states}")
     if not isinstance(maps, dict):
         raise SemigroupError("maps must be an object from generator names to maps")
     gen_names = list(maps.keys())
@@ -303,7 +317,8 @@ def minimal_ideal(S: ASemigroup) -> frozenset[int]:
     if S._minimal_ideal is None:
         from .graphs import closed_classes  # local import, graphs depends on core
 
-        S._minimal_ideal = frozenset(e for R in closed_classes(S.right_action()[0]) for e in R)
+        classes = closed_classes(S.right_action()[0], S.right_components())
+        S._minimal_ideal = frozenset(e for R in classes for e in R)
     return S._minimal_ideal
 
 

@@ -24,6 +24,8 @@ from functools import cached_property
 
 from .core import ASemigroup, SizeCapExceeded, Word, label_sep
 from .graphs import ROOT_LABEL, RootedLabeledGraph, closed_classes, right_cayley
+# sccs is not called here since S stores its components, but
+# perfbench/spans.py times the expansion's graph work by these names
 from .graphs import sccs, transition_edges
 
 # size caps in vertices, read at each call
@@ -134,8 +136,10 @@ def karnofsky_rhodes(S: ASemigroup) -> KRExpansion:
     if S._kr is not None:
         return S._kr
     rcay = right_cayley(S)
-    comp = sccs(rcay)
-    trans = transition_edges(rcay, comp)
+    # S's components, relabelled to the graph's vertices; the root, which
+    # no edge enters, is a component of its own
+    comp = S.right_components()
+    trans = transition_edges(rcay, [-1] + [comp[e] for e in rcay.s_image[1:]])
     k = S.n_gens
 
     crosses = [[(v, a) in trans for a in range(k)] for v in range(rcay.n)]

@@ -144,13 +144,17 @@ def sccs(G: RootedLabeledGraph | Sequence[Sequence[int | None]]) -> list[int]:
     return [rank_of[c] for c in comp]
 
 
-def closed_classes(succ: Sequence[Sequence[int | None]]) -> list[list[int]]:
+def closed_classes(
+    succ: Sequence[Sequence[int | None]], comp: list[int] | None = None
+) -> list[list[int]]:
     """The closed classes: strongly connected components with no edge out.
 
-    Takes successor lists (None entries are skipped).  Each class lists
-    its vertices in increasing order; classes come by smallest vertex.
+    Takes successor lists (None entries are skipped) and, if already
+    known, the component id per vertex.  Each class lists its vertices in
+    increasing order; classes come by smallest vertex.
     """
-    comp = sccs(succ)
+    if comp is None:
+        comp = sccs(succ)
     closed = [True] * (max(comp, default=-1) + 1)
     for v, row in enumerate(succ):
         for w in row:

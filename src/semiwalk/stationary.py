@@ -452,8 +452,10 @@ def _stationary_kr_limit(
     lefts, action = kr.left_ideals(ideal)
     l_of = {ideal[i]: j for j, L in enumerate(lefts) for i in L}
     nu = _stationary_vector(action, xs)
+    # |H| divides h once per right ideal, not once per state
     h_size = len(ideal) // (len(rights) * len(lefts))
-    masses = {u: h[r_of[u]] * nu[l_of[u]] / h_size for u in ideal}
+    h = [m / h_size for m in h]
+    masses = {u: h[r_of[u]] * nu[l_of[u]] for u in ideal}
 
     # names on KR(S⁰): u's word then the zero letter first reaches u·0
     names0 = S.gen_names + [zero_name(S)]

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from semiwalk import chains, cli, graphs, simulate, stationary
+from semiwalk import chains, cli, expansions, graphs, simulate, stationary
 from semiwalk.cli import main
 from semiwalk.core import SemigroupError
 from semiwalk.specio import load_spec, semigroup_from_spec
@@ -356,6 +356,8 @@ def test_cli_generator_element_out_of_range_exit_2(tmp_path, capsys):
      "table must be 1 x 1 with integer entries"),
     ({"kind": "transformations", "states": True, "maps": {"a": [False]}},
      "states must be an integer, got True"),
+    ({"kind": "transformations", "states": -1, "maps": {"a": []}},
+     "states must be at least 0, got -1"),
     ({"kind": "table", "generators": ["a", "b"], "table": [[0, 0], [0, 1]],
       "gen_elements": [True, 0]},
      "generator elements must lie in 0..1"),
@@ -373,7 +375,7 @@ def test_cli_generator_element_out_of_range_exit_2(tmp_path, capsys):
         "gen-elements-int", "element-names-int", "element-names-empty",
         "family-n-string",
         "family-n-float", "family-name-list", "family-unknown",
-        "table-entry-false", "states-true", "gen-elements-true",
+        "table-entry-false", "states-true", "states-negative", "gen-elements-true",
         "maps-duplicate-key", "table-unknown-field",
         "transformations-unknown-field"])
 def test_cli_malformed_spec_field_exit_2(tmp_path, capsys, spec, message):
@@ -515,6 +517,52 @@ def test_cli_byte_identical_reruns(capsys):
     assert (code1, out1) == (code2, out2)
 
 
+def _outcome(argv, capsys):
+    """Exit code, stdout and stderr of one call, a usage error included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_cli_reuses_its_parser_and_nothing_else(capsys, monkeypatch):
+    # every command, then the same command without the options of the call
+    # before it, with usage errors in between: each call prints what it
+    # prints with a parser of its own, and the process builds one parser
+    sim = ["--simulate", "--walkers", "2", "--steps", "100"]
+    sequence = [
+        ["build", "--family", "rees_B:2", "--json"],
+        ["expand", "--mc", "--family", "klein", "--format", "dot"],
+        ["stationary", "--family", "tsetlin:3", "--probs", "1=1/2,2=1/3,3=1/6",
+         "--over", "s", "--format", "json"],
+        ["stationary", "--family", "nope:1"],
+        ["stationary", "--family", "tsetlin:3"],
+        ["verify", "--family", "rees_B:2", *sim, "--tv-tol", "0.5"],
+        ["verify", "--simulate"],
+        ["verify", "--family", "rees_B:2", *sim],
+        ["stationary", "--family", "z2x01", "--expressions", "--format", "csv"],
+    ]
+    built = []
+    init = cli.argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "semiwalk":
+            built.append(self)
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counted)
+    shared = [_outcome(argv, capsys) for argv in sequence]
+    assert len(built) <= 1  # none if an earlier call in this process built it
+    shared_builds = len(built)
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = [_outcome(argv, capsys) for argv in sequence]
+    assert len(built) == shared_builds + len(sequence)
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 0, 2, 0, 0, 2, 0, 0]
+    assert "required" in shared[6][2]
+
+
 def test_console_entry_point_installed():
     proc = subprocess.run(
         [sys.executable, "-m", "semiwalk.cli", "build", "--family", "klein"],
@@ -575,7 +623,10 @@ def test_cli_cyclic_garbage_does_not_grow_with_the_input(capsys, command,
     # The CLI pauses the cyclic collector for a command, which is safe only
     # while the cycles a command leaves behind do not grow with its input.
     # argparse leaves a fixed number, which may differ between Python
-    # versions, so two sizes are compared rather than a fixed count.
+    # versions, so two sizes are compared rather than a fixed count.  The
+    # parser is built once per process, and building it leaves cycles of
+    # its own, so it is built before anything is counted.
+    cli._build_parser()
     counts = []
     gc.disable()
     try:
@@ -649,22 +700,26 @@ def test_expressions_past_the_cap_fail_fast_and_print_nothing(family, form, size
 
 @pytest.mark.parametrize("family", ["rees_B:2", "z2x01"])
 def test_verify_finds_the_minimal_ideal_once(family, capsys, monkeypatch):
-    # K(S) is stored on S, and the expansion's minimal ideal is read off by
-    # image, so the one closed-class search is the one over S's right action
-    calls = []
-    search = graphs.closed_classes
+    # S stores the components of its right action, which K(S) and the
+    # expansion's transition edges both read, and the expansion's minimal
+    # ideal is read off by image: one component search over S, and none
+    # over its right Cayley graph
+    searched = []
+    search = graphs.sccs
 
-    def counted(succ):
-        calls.append(len(succ))
-        return search(succ)
-    monkeypatch.setattr(graphs, "closed_classes", counted)
+    def counted(G):
+        searched.append(G.out if isinstance(G, graphs.RootedLabeledGraph) else G)
+        return search(G)
+    monkeypatch.setattr(graphs, "sccs", counted)
+    monkeypatch.setattr(expansions, "sccs", counted)
     args = ["verify", "--family", family]
     if family == "rees_B:2":
         args += ["--simulate", "--walkers", "2", "--steps", "100"]
     code, out, _ = run_cli(args, capsys)
     assert code == 0 and out.endswith("all checks passed\n")
     S = cli.build_family(cli.parse_family(family))
-    assert calls == [S.size]
+    over_s = [S.right_action()[0], graphs.right_cayley(S).out]
+    assert [succ for succ in searched if succ in over_s] == over_s[:1]
 
 
 @pytest.mark.parametrize("family", ["rees_B:2", "z2x01"])
