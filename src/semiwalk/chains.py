@@ -4,19 +4,20 @@ The column-stochastic transition matrix (exact rationals) on the minimal
 ideal of the Karnofsky-Rhodes expansion, read off its left-action table;
 the exact certificate of a law on such a chain, a float power-iteration
 oracle kept apart from the exact path, the lumping check, total-variation
-distance and the mixing-time bound.
+distance, and the mixing bound from the exact tail P(T > k) of the first
+step T at which the random word's product enters the minimal ideal.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .core import ASemigroup, SemigroupError, minimal_ideal
+from .core import ASemigroup, SemigroupError, SizeCapExceeded, minimal_ideal
+# mccammond is not called here, but perfbench/spans.py wraps it here by name
 from .expansions import karnofsky_rhodes, mccammond
-from .graphs import closed_classes, sccs
+from .graphs import closed_classes
 from .stationary import validate_probs
 
 
@@ -82,9 +83,8 @@ def certify(S: ASemigroup, xs: Sequence[Fraction], result, chain) -> bool:
     solved: each check is one exact multiplication.
     """
     pi = result.entries
-    if sum(pi.values(), Fraction(0)) != 1 or any(v < 0 for v in pi.values()):
-        return False
-    if not set(pi) <= set(chain.labels):
+    if (sum(pi.values(), Fraction(0)) != 1 or any(v < 0 for v in pi.values())
+            or not set(pi) <= set(chain.labels)):
         return False
     vec = [pi.get(lab, Fraction(0)) for lab in chain.labels]
     image = [Fraction(0)] * chain.n
@@ -156,12 +156,8 @@ def check_lumping(T: TransitionMatrix, classes: Mapping[str, str]) -> bool:
         for t, p in T.cols[s].items():
             c = idx_class[t]
             sig[c] = sig.get(c, Fraction(0)) + p
-        cls = idx_class[s]
-        if cls in signatures:
-            if signatures[cls] != sig:
-                return False
-        else:
-            signatures[cls] = sig
+        if signatures.setdefault(idx_class[s], sig) != sig:
+            return False
     return True
 
 
@@ -175,37 +171,49 @@ def tv_distance(d1: Mapping[str, object], d2: Mapping[str, object]) -> float:
     return 0.5 * sum(abs(float(d1.get(k, 0)) - float(d2.get(k, 0))) for k in keys)
 
 
+# steps of the mixing bound's tail, read at each call; a run costs ~|S|·|A|·k² digits
+MIXING_CAP = 500
+E_INV_LOWER = Fraction(3678794411714423, 10**16)  # e^-1 = 0.36787944117144232...
+
+
 @dataclass
 class MixingBound:
-    """k = ceil(2*(n + gap - 1) / p_min**gap) bounds the time to reach
-    total variation 1/e, where n is the expansion tree depth and gap is
-    one more than the longest run of non-transitional tree edges on any
-    root-to-leaf path."""
+    """The least k with P(T > k) <= 1/e, T the first step at which the
+    random word's product lies in the minimal ideal K, and that tail.  As K
+    is left zero, walks with the same letters agree from step T on, so after
+    k steps the total variation is at most P(T > k) from every start."""
 
-    n: int
-    gap: int
-    p_min: Fraction
     k: int
+    tail: Fraction
 
 
 def mixing_bound(S: ASemigroup, xs: Sequence[Fraction]) -> MixingBound:
+    """The tail, pushed a letter at a time through the right action outside
+    K as integers over D^k, D the weights' least common denominator.  K is
+    left zero iff some x is fixed by every generator ({x} is then a minimal
+    right ideal, and all have one size), and is then the set of those;
+    otherwise SemigroupError.  Past ``MIXING_CAP`` steps, SizeCapExceeded."""
     xs = validate_probs(S, xs)
-    mc = mccammond(karnofsky_rhodes(S))
-    comp = sccs(mc.out)
-    parent = mc.parent
-
-    # parents come before children; a tree edge is transitional when its
-    # ends lie in different components
-    depth = [0] * len(parent)
-    run = [0] * len(parent)  # current run of consecutive non-transitional tree edges
-    for w in range(1, len(parent)):
-        v = parent[w]
-        depth[w] = depth[v] + 1
-        run[w] = 0 if comp[v] != comp[w] else run[v] + 1
-    best_depth = max(depth)
-    best_run = max(run)
-
-    p = min(xs)
-    gap = 1 + best_run
-    k = math.ceil(Fraction(2) * (best_depth + gap - 1) / p**gap)
-    return MixingBound(n=best_depth, gap=gap, p_min=p, k=k)
+    rows = S.right_action()[0]
+    live = [e for e, row in enumerate(rows) if any(f != e for f in row)]
+    if len(live) == S.size:
+        raise SemigroupError("minimal ideal is not left zero: the mixing bound's "
+                             "coupling holds only in direct mode")
+    denom = 1
+    for x in xs:  # times the part of x's denominator that denom lacks
+        denom *= Fraction(denom, x.denominator).denominator
+    ws = [int(x * denom) for x in xs]
+    mass = [0] * S.size  # mass[e] / denom^k: the product of k letters is e
+    for e, w in zip(S.gens, ws):
+        mass[e] += w
+    for k in range(1, MIXING_CAP + 1):
+        tail = Fraction(sum([mass[e] for e in live]), denom**k)
+        if tail <= E_INV_LOWER:
+            return MixingBound(k, tail)
+        step = [0] * S.size
+        for e in live:
+            for f, w in zip(rows[e], ws):
+                step[f] += mass[e] * w
+        mass = step
+    raise SizeCapExceeded(f"mixing bound of |S| = {S.size}: first-entry tail still "
+                          f"above 1/e, exceeded cap {MIXING_CAP} steps")

@@ -140,11 +140,7 @@ def _probs(args, S):
 
 
 def _frac(v: Fraction, as_float: bool = False) -> str:
-    if as_float:
-        return repr(float(v))
-    if v.denominator == 1:
-        return str(v.numerator)
-    return f"{v.numerator}/{v.denominator}"
+    return repr(float(v)) if as_float else str(v)  # n/d, or n when d = 1
 
 
 def cmd_build(args) -> int:
@@ -166,16 +162,14 @@ def cmd_build(args) -> int:
 
 def cmd_expand(args) -> int:
     S = _load(args)
+    tree = None
     if args.rcay:
         g = right_cayley(S)
-        tree = None
     elif args.kr:
         g = karnofsky_rhodes(S).graph
-        tree = None
     else:
         mc = mccammond(karnofsky_rhodes(S))
-        g = mc.graph
-        tree = mc.tree_edges
+        g, tree = mc.graph, mc.tree_edges
     if args.format == "dot":
         text = to_dot(g, tree=tree)
     else:

@@ -92,6 +92,10 @@ class ASemigroup:
             raise SemigroupError("one name per generator required")
         if len(set(gen_names)) != len(gen_names):
             raise SemigroupError("generator names must be unique")
+        for name in gen_names:
+            if "·" in name:
+                raise SemigroupError(f"generator name {name!r} contains '·', which "
+                                     "joins the names in printed words")
         self.size = size
         self.gens = list(gens)
         self.gen_names = list(gen_names)

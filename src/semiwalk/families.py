@@ -259,9 +259,7 @@ def edge_flip_action(pi: Sequence[int], state: Sequence[int]) -> tuple[int, ...]
 def edge_flip_closed_form(n: int, xs: Sequence[Fraction]) -> dict[str, Fraction]:
     """Law of the vertex-writing chain on bit strings of length n+1."""
     ys = edge_flip_letter_probs(n, xs)
-    out: dict[str, Fraction] = {}
-    for s in iproduct((0, 1), repeat=n + 1):
-        out["".join(map(str, s))] = Fraction(0)
+    out = {"".join(map(str, s)): Fraction(0) for s in iproduct((0, 1), repeat=n + 1)}
     for pi, value in _signed_arrangements(n, ys):
         state = edge_flip_action(pi, (0,) * (n + 1))
         out["".join(map(str, state))] += value

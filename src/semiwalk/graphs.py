@@ -135,13 +135,10 @@ def sccs(G: RootedLabeledGraph | Sequence[Sequence[int | None]]) -> list[int]:
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[v])
 
-    # renumber by smallest contained vertex
-    first_vertex = [n] * n_comp
-    for v in range(n):
-        first_vertex[comp[v]] = min(first_vertex[comp[v]], v)
-    ranking = sorted(range(n_comp), key=lambda c: first_vertex[c])
-    rank_of = {c: i for i, c in enumerate(ranking)}
-    return [rank_of[c] for c in comp]
+    rank: dict[int, int] = {}  # by smallest contained vertex: first seen first
+    for c in comp:
+        rank.setdefault(c, len(rank))
+    return [rank[c] for c in comp]
 
 
 def closed_classes(

@@ -248,6 +248,7 @@ def series(e: KleeneExpr, x: Sequence[Fraction], max_len: int) -> list[Fraction]
     this is the exact length-graded decomposition of evaluate_expr.
     """
     zero = [Fraction(0)] * (max_len + 1)
+    unit = [Fraction(1)] + zero[1:]  # the empty word's series
 
     def conv(a, b):
         out = list(zero)
@@ -261,9 +262,7 @@ def series(e: KleeneExpr, x: Sequence[Fraction], max_len: int) -> list[Fraction]
         return out
 
     def go_star(child_series) -> list[Fraction]:
-        s = list(zero)
-        s[0] = Fraction(1)
-        acc = s[:]
+        s, acc = list(unit), unit
         for _ in range(max_len):
             acc = conv(acc, child_series)
             if all(v == 0 for v in acc):
@@ -274,9 +273,7 @@ def series(e: KleeneExpr, x: Sequence[Fraction], max_len: int) -> list[Fraction]
 
     def go(node) -> list[Fraction]:
         if isinstance(node, Epsilon):
-            s = list(zero)
-            s[0] = Fraction(1)
-            return s
+            return list(unit)
         if isinstance(node, Letter):
             s = list(zero)
             if max_len >= 1:

@@ -178,12 +178,9 @@ class RatF:
         num, den = self.num, self.den
         nlow = next(i for i, v in enumerate(num) if v)
         dlow = next(i for i, v in enumerate(den) if v)
-        k = min(nlow, dlow)
-        n0 = Fraction(0) if nlow > k else num[k]
-        d0 = Fraction(0) if dlow > k else den[k]
-        if d0 == 0:
+        if dlow > nlow:
             raise ZeroDivisionError("pole at t=0")
-        return n0 / d0
+        return num[nlow] / den[dlow] if nlow == dlow else Fraction(0)
 
     def __repr__(self):
         def poly(cs):

@@ -34,7 +34,7 @@ nu is the stationary law of the letters' action on the minimal left ideals
 H-class R ∩ L, on which the law is uniform.  In direct mode every R is one
 vertex, there is one L and |H| = 1.  Both modes name a state by the
 shortlex-first word reaching its vertex, as chains and simulations do;
-only the states of the result are named.
+only the states of the result are named, and the law over S names none.
 """
 
 from __future__ import annotations
@@ -397,26 +397,36 @@ def normalization_check(d: StationaryResult) -> bool:
 # -- the two stationary distributions --------------------------------------------
 
 
-def stationary_kr(
-    S: ASemigroup,
-    xs: Sequence[Fraction],
-    force_limit: bool = False,
-    engine: StationaryEngine | None = None,
-) -> StationaryResult:
+def stationary_kr(S: ASemigroup, xs: Sequence[Fraction], force_limit: bool = False,
+                  engine: StationaryEngine | None = None) -> StationaryResult:
     """Stationary distribution of the walk on the expanded semigroup.
 
     States are the elements of the minimal ideal of the expansion; exact
     rational masses.  Falls back to the adjoined-zero limit when the
     minimal ideal is not left zero (or when forced).
     """
+    return _stationary(S, xs, force_limit, engine, "kr")
+
+
+def stationary_s(S: ASemigroup, xs: Sequence[Fraction], force_limit: bool = False,
+                 engine: StationaryEngine | None = None) -> StationaryResult:
+    """Stationary distribution of the walk on the semigroup itself: the
+    expansion-level masses summed by underlying element, with no
+    expansion state named."""
+    return _stationary(S, xs, force_limit, engine, "s")
+
+
+def _stationary(S, xs, force_limit, engine, over: str) -> StationaryResult:
+    """The law over the expansion ("kr") or the semigroup ("s")."""
     xs = validate_probs(S, xs)
     if kernel_is_left_zero(S, minimal_ideal(S)) and not force_limit:
-        return _stationary_kr_direct(S, xs, engine)
-    return _stationary_kr_limit(S, xs, engine)
+        return _stationary_kr_direct(S, xs, engine, over)
+    return _stationary_kr_limit(S, xs, engine, over)
 
 
 def _stationary_kr_direct(
-    S: ASemigroup, xs: Sequence, engine: StationaryEngine | None = None
+    S: ASemigroup, xs: Sequence, engine: StationaryEngine | None = None,
+    over: str = "kr",
 ) -> StationaryResult:
     if engine is None:
         engine = StationaryEngine(S)
@@ -426,11 +436,14 @@ def _stationary_kr_direct(
     for nf in engine.normal_forms:
         _acc(masses, nf.kr_vertex, vals[nf.mc_vertex])
     del vals  # the live vertices' values: free them before the result is built
+    if over == "s":
+        return _s_result(S, engine.kr, masses)
     return _kr_result(engine.kr, masses, {})
 
 
 def _stationary_kr_limit(
-    S: ASemigroup, xs: Sequence[Fraction], engine: StationaryEngine | None = None
+    S: ASemigroup, xs: Sequence[Fraction], engine: StationaryEngine | None = None,
+    over: str = "kr",
 ) -> StationaryResult:
     """Limit mode (see the module docstring): pi(u) = h(R(u)) nu(L(u)) / |H|
     on the minimal ideal of KR(S), from the direct-mode walk sums."""
@@ -456,6 +469,8 @@ def _stationary_kr_limit(
     h_size = len(ideal) // (len(rights) * len(lefts))
     h = [m / h_size for m in h]
     masses = {u: h[r_of[u]] * nu[l_of[u]] for u in ideal}
+    if over == "s":
+        return _s_result(S, kr, masses)
 
     # names on KR(S⁰): u's word then the zero letter first reaches u·0
     names0 = S.gen_names + [zero_name(S)]
@@ -503,25 +518,16 @@ def _kr_result(kr: KRExpansion, masses: dict, alt_labels: dict) -> StationaryRes
     return StationaryResult(entries, info)
 
 
-def stationary_s(S: ASemigroup, xs: Sequence[Fraction], force_limit: bool = False,
-                 engine: StationaryEngine | None = None) -> StationaryResult:
-    """Stationary distribution of the walk on the semigroup itself.
-
-    Obtained from the expansion-level distribution by summing over states
-    with the same underlying element.
-    """
-    kr_level = stationary_kr(S, xs, force_limit=force_limit, engine=engine)
-    by_element: dict[int, Fraction] = {}
-    for label, value in kr_level.entries.items():
-        e = kr_level.key_info[label].element
-        by_element[e] = by_element.get(e, Fraction(0)) + value
-    entries: dict[str, Fraction] = {}
-    info: dict[str, KeyInfo] = {}
-    for e in sorted(by_element, key=lambda e: S.element_name(e)):
-        label = S.element_name(e)
-        entries[label] = by_element[e]
-        info[label] = KeyInfo(element=e)
-    return StationaryResult(entries, info)
+def _s_result(S: ASemigroup, kr: KRExpansion, masses: dict) -> StationaryResult:
+    """The result over semigroup elements: the masses of the vertices over
+    each element added up, the states named by element and in name order."""
+    by_element: dict[int, object] = {}
+    for v, m in masses.items():
+        _acc(by_element, kr.s_image[v], m)
+    names = {e: S.element_name(e) for e in by_element}
+    order = sorted(by_element, key=names.__getitem__)
+    return StationaryResult({names[e]: by_element[e] for e in order},
+                            {names[e]: KeyInfo(element=e) for e in order})
 
 
 def expressions_report(

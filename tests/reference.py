@@ -5,13 +5,15 @@ the two-sided ideals and quotients of a semigroup, S with a zero adjoined
 (whose direct law at zero weight t tends to limit mode's law as t -> 0),
 stability of the expansions, the words an expression describes, the
 semaphore code (the minimal ideal-entering words) with its word-level
-walk, which lumps onto the Karnofsky-Rhodes chain, and the product formula
-for expansions that are a tree plus loops.  The CLI, the demos and the
-benchmark never call them.
+walk, which lumps onto the Karnofsky-Rhodes chain, the first-entry tail of
+the random word by enumeration, and the product formula for expansions
+that are a tree plus loops.  The CLI, the demos and the benchmark never
+call them.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -311,6 +313,23 @@ def truncated_semaphore_chain(
             interior.add(labels[i])
     T = TransitionMatrix(labels, cols)
     return T, interior, dict(zip(labels, words))
+
+
+def first_entry_tail(S: ASemigroup, xs: Sequence[Fraction], k: int) -> Fraction:
+    """P(T > k) by brute force: the weight of the words of length k whose
+    product lies outside the minimal ideal (the empty word's has no image,
+    so P(T > 0) = 1).  Enumerates all |A|^k words."""
+    if k == 0:
+        return Fraction(1)
+    I = minimal_ideal(S)
+    tail = Fraction(0)
+    for word in itertools.product(range(S.n_gens), repeat=k):
+        if S.product(word) not in I:
+            weight = Fraction(1)
+            for a in word:
+                weight *= xs[a]
+            tail += weight
+    return tail
 
 
 def check_interior_lumping(

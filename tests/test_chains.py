@@ -1,14 +1,17 @@
+import dataclasses
 import math
 import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
 import semiwalk
 from semiwalk.chains import (
+    E_INV_LOWER,
     NotIrreducible,
     build_chain,
     certify,
@@ -19,6 +22,7 @@ from semiwalk.chains import (
 )
 from semiwalk.core import (
     SemigroupError,
+    SizeCapExceeded,
     kernel_is_left_zero,
     minimal_ideal,
     semigroup_from_table,
@@ -29,10 +33,16 @@ from semiwalk.graphs import closed_classes
 from semiwalk.stationary import StationaryResult, stationary_kr, uniform_probs
 from semiwalk import families
 
-from reference import apply_float, check_interior_lumping, truncated_semaphore_chain
+from reference import (
+    apply_float,
+    check_interior_lumping,
+    first_entry_tail,
+    truncated_semaphore_chain,
+)
 
 F = Fraction
 HALF = [F(1, 2), F(1, 2)]
+X236 = [F(1, 2), F(1, 3), F(1, 6)]
 
 
 def test_column_sums_exact(p3, b2, z2x01):
@@ -205,24 +215,152 @@ def test_tv_distance():
                            {"x": 1 / 3, "y": 2 / 3}) - 1 / 6) < 1e-15
 
 
+def coupon_tail(n: int, k: int) -> Fraction:
+    """P(T > k) for the coupon collector with n equally likely coupons."""
+    return sum((-1) ** (j + 1) * math.comb(n, j) * F(n - j, n) ** k
+               for j in range(1, n + 1))
+
+
 def test_mixing_bound_tsetlin(p3):
+    # the first k with 3 (2/3)^k - 3 (1/3)^k <= 1/e
     mb = mixing_bound(p3, uniform_probs(p3))
-    assert (mb.n, mb.gap, mb.p_min, mb.k) == (3, 1, F(1, 3), 18)
+    assert (mb.k, mb.tail) == (6, F(7, 27))
+    assert [f.name for f in dataclasses.fields(mb)] == ["k", "tail"]
 
 
 def test_mixing_bound_single_generator_line():
+    # a^k first lies in the ideal {a^n} at k = n
     n = 4
     table = [[min(i + j + 2, n) - 1 for j in range(n)] for i in range(n)]
     S = semigroup_from_table(table, gens=[0], gen_names=["a"])
     mb = mixing_bound(S, [F(1)])
-    assert mb.gap == 1
-    assert mb.k == 2 * (mb.n + 1 - 1)  # p = 1
+    assert (mb.k, mb.tail) == (n, 0)
 
 
 def test_mixing_bound_b2(b2):
+    # only the words a^k and b^k stay outside the ideal: P(T > k) = 2^(1-k)
     mb = mixing_bound(b2, HALF)
-    assert mb.n == 3 and mb.gap == 2 and mb.p_min == F(1, 2)
-    assert mb.k == math.ceil(2 * (3 + 2 - 1) / F(1, 2) ** 2)
+    assert [first_entry_tail(b2, HALF, k) for k in range(1, 5)] == [1, F(1, 2), F(1, 4), F(1, 8)]
+    assert (mb.k, mb.tail) == (3, F(1, 4))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_mixing_tail_is_the_coupon_collector_tail(n):
+    S = families.tsetlin(n)
+    xs = uniform_probs(S)
+    mb = mixing_bound(S, xs)
+    assert mb.tail == coupon_tail(n, mb.k) <= math.exp(-1)
+    assert coupon_tail(n, mb.k - 1) > math.exp(-1)
+    for k in range(min(n + 2, 6)):
+        assert first_entry_tail(S, xs, k) == coupon_tail(n, k)
+
+
+def test_mixing_tail_tsetlin4_at_four_steps():
+    S = families.tsetlin(4)
+    assert first_entry_tail(S, uniform_probs(S), 4) == coupon_tail(4, 4) == F(29, 32)
+
+
+def test_e_inv_lower_is_a_close_lower_bound():
+    # partial sums of sum (-1)^j / j! alternate around 1/e
+    below = sum(F((-1) ** j, math.factorial(j)) for j in range(24))
+    above = below + F(1, math.factorial(24))
+    assert below < above and E_INV_LOWER < below
+    assert above - E_INV_LOWER < F(1, 10**16)
+
+
+@pytest.mark.parametrize("name,k", [
+    ("tsetlin:6", 15), ("signed_tsetlin:3", 6), ("burnside_straightline:3", 3),
+    ("edge_flip_line:4", 9), ("rees_B:4", 2), ("flat_tower:2,2", 5),
+    ("bar_tower:2,2", 6), ("flat_tower:2,3", 7),
+])
+def test_mixing_bound_ladder(name, k):
+    S = families.build(families.parse_family(name))
+    xs = uniform_probs(S)
+    start = time.perf_counter()
+    mb = mixing_bound(S, xs)
+    assert time.perf_counter() - start < 1.0
+    assert mb.k == k and 0 < mb.tail <= math.exp(-1)
+
+
+def _power_tvs(chain, pi, steps):
+    """Exact total variation from pi after 1..steps steps, per start."""
+    target = [pi.get(lab, F(0)) for lab in chain.labels]
+    for s in range(chain.n):
+        v = [F(0)] * chain.n
+        v[s] = F(1)
+        tvs = []
+        for _ in range(steps):
+            w = [F(0)] * chain.n
+            for col, vs in zip(chain.cols, v):
+                if vs:
+                    for t, p in col.items():
+                        w[t] += vs * p
+            v = w
+            tvs.append(sum(abs(a - b) for a, b in zip(v, target)) / 2)
+        yield tvs
+
+
+@pytest.mark.parametrize("name,xs", [
+    ("tsetlin:3", X236), ("rees_B:2", None), ("rees_zp:2,2", [F(1, 3), F(2, 3)]),
+    ("burnside_straightline:2", None), ("flat_tower:2,1", None),
+    ("signed_tsetlin:2", None),
+])
+def test_total_variation_is_at_most_the_tail(name, xs):
+    S = families.build(families.parse_family(name))
+    xs = xs or uniform_probs(S)
+    tails = [first_entry_tail(S, xs, k) for k in range(1, 9)]
+    chain = build_chain(S, xs)
+    pi = stationary_kr(S, xs).entries
+    for tvs in _power_tvs(chain, pi, 8):
+        assert all(tv <= tail for tv, tail in zip(tvs, tails)), (tvs, tails)
+    mb = mixing_bound(S, xs)
+    assert mb.tail == first_entry_tail(S, xs, mb.k)
+
+
+def test_mixing_bound_reads_no_expansion(monkeypatch):
+    want = [mixing_bound(families.build(families.parse_family(name)), X236)
+            for name in ("tsetlin:3", "flat_tower:2,1")]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("mixing_bound built an expansion")
+
+    for owner, attr in ((semiwalk.chains, "karnofsky_rhodes"),
+                        (semiwalk.chains, "mccammond"),
+                        (semiwalk.expansions, "karnofsky_rhodes"),
+                        (semiwalk.expansions, "mccammond"),
+                        (semiwalk.graphs, "sccs")):
+        monkeypatch.setattr(owner, attr, refuse)
+    got = [mixing_bound(families.build(families.parse_family(name)), X236)
+           for name in ("tsetlin:3", "flat_tower:2,1")]
+    assert got == want
+
+
+@pytest.mark.parametrize("name", ["klein", "z2x01", "rees_general"])
+def test_mixing_bound_refuses_limit_mode(name):
+    S = families.build(families.parse_family(name))
+    with pytest.raises(SemigroupError, match="not left zero"):
+        mixing_bound(S, uniform_probs(S))
+
+
+def test_mixing_bound_fixed_points_are_the_left_zero_ideal():
+    # K is left zero iff a point is fixed by every generator, and then K
+    # is the set of those points: the set mixing_bound sums over
+    for name in families._FAMILIES:
+        S = families.build(families.parse_family(name))
+        rows = S.right_action()[0]
+        fixed = {e for e, row in enumerate(rows) if all(f == e for f in row)}
+        K = minimal_ideal(S)
+        assert fixed == (K if kernel_is_left_zero(S, K) else set()), name
+
+
+def test_mixing_cap_names_the_cap(monkeypatch):
+    S = families.tsetlin(6)
+    xs = uniform_probs(S)
+    monkeypatch.setattr(semiwalk.chains, "MIXING_CAP", 15)
+    assert mixing_bound(S, xs).k == 15
+    monkeypatch.setattr(semiwalk.chains, "MIXING_CAP", 14)
+    with pytest.raises(SizeCapExceeded, match="mixing bound .* exceeded cap 14 steps"):
+        mixing_bound(S, xs)
 
 
 def test_certify_direct_and_limit_results(p3, b2, z2x01, klein):

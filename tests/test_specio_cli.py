@@ -385,6 +385,21 @@ def test_cli_malformed_spec_field_exit_2(tmp_path, capsys, spec, message):
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize("maps,name", [
+    ({"x": [0, 0, 1], "a": [1, 2, 2], "x·a": [2, 2, 0]}, "x·a"),
+    ({"a·b": [0, 0, 0], "a": [1, 1, 2], "b": [2, 2, 2]}, "a·b"),
+], ids=["x·a", "a·b"])
+@pytest.mark.parametrize("command", ["build", "stationary", "verify"])
+def test_cli_generator_name_with_the_separator_exit_2(tmp_path, capsys, maps, name, command):
+    # '·' joins multi-character names in printed words, so a name holding
+    # one would print two elements alike (x·x·a is both x,x·a and x,x,a)
+    spec = {"kind": "transformations", "states": 3, "maps": maps}
+    code, out, err = run_cli([command, "--spec", _malformed_spec(tmp_path, spec)],
+                             capsys)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and repr(name) in err
+
+
 def test_cli_verify_limit_mode_reports_skip(capsys):
     code, out, _ = run_cli(["verify", "--family", "z2x01"], capsys)
     assert code == 0
