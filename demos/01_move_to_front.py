@@ -33,7 +33,7 @@ print(f"expanded: {kr.graph.n} vertices (simple-path expansion adds none: "
 
 engine = StationaryEngine(S)
 print("\nnormal forms (= arrangements):",
-      " ".join(S.word_label(engine.mc.words[nf.mc_vertex]) for nf in engine.normal_forms))
+      " ".join(S.word_label(nf.word) for nf in engine.normal_forms))
 
 x = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]
 result = stationary_kr(S, x)

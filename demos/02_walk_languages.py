@@ -24,23 +24,23 @@ S = build(FamilySpec("rees_B", {"n": 2}))
 engine = StationaryEngine(S)
 
 x = [Fraction(1, 2), Fraction(1, 2)]
-values = engine.values(x)
+values = engine.values(x)  # per state: each normal form here enters its own
 
 print("normal form | walk language | exact mass at (1/2, 1/2)")
 for nf in engine.normal_forms:
     expr = engine.expression(nf)
-    label = S.word_label(engine.mc.words[nf.mc_vertex])
+    label = S.word_label(nf.word)
     value = evaluate_expr(expr, x)
-    assert value == values[nf.mc_vertex]
+    assert value == values[nf.kr_vertex]
     print(f"  {label:4} | {pretty(expr, S.gen_names):12} | {value}")
 
-print("\ntotal:", sum(values[nf.mc_vertex] for nf in engine.normal_forms))
+print("\ntotal:", sum(values.values()))
 
 nf0 = engine.normal_forms[0]
 expr0 = engine.expression(nf0)
 truncated = sum(series(expr0, x, 14))
-print(f"partial sums of the {S.word_label(engine.mc.words[nf0.mc_vertex])} series up to length 14: "
-      f"{truncated} -> {float(truncated):.6f} vs {float(values[nf0.mc_vertex]):.6f}")
+print(f"partial sums of the {S.word_label(nf0.word)} series up to length 14: "
+      f"{truncated} -> {float(truncated):.6f} vs {float(values[nf0.kr_vertex]):.6f}")
 
 mc = mccammond(karnofsky_rhodes(S))
 dot = to_dot(mc.graph, tree=mc.tree_edges)

@@ -195,8 +195,12 @@ def cmd_stationary(args) -> int:
     # built before anything is printed, so a cap it hits leaves stdout empty
     report = expressions_report(S, engine) if args.expressions else {}
     if args.format == "json":
-        print(json.dumps(dict(rows), ensure_ascii=False))
-    elif args.format == "csv":
+        # with expressions, one object holding both, so stdout stays JSON
+        law = dict(rows)
+        print(json.dumps({"law": law, "expressions": report} if args.expressions
+                         else law, ensure_ascii=False))
+        return 0
+    if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(("state", "probability"))
         writer.writerows(rows)

@@ -4,7 +4,11 @@ graphs built on demand.
 
 The Karnofsky-Rhodes expansion identifies two generator words iff they reach
 the same element of the underlying semigroup *and* their paths in the right
-Cayley graph cross the same set of transition edges.  The result is again a
+Cayley graph cross the same set of transition edges.  A path never
+re-enters a strongly connected component it has left, nor crosses one edge
+twice, so the expansion is a tree of copies of the graph's components,
+each entered by exactly one edge; it is built copy by copy, and every
+vertex knows its copy and every copy its entry.  The result is again a
 right Cayley graph, so it carries a semigroup structure of its own.  It is
 stored on the semigroup, and every reader shares that one.  Its minimal
 ideal is read off by image: the vertices over the minimal ideal of S.  The
@@ -15,7 +19,8 @@ left ideals both read that table.
 The McCammond expansion of a deterministic rooted graph has one vertex per
 simple path from the root; an edge either extends a simple path (tree edge)
 or falls back to the unique initial segment ending at the target vertex
-(back edge).
+(back edge).  ``expand --mc`` and the demos build it; the walk sums build
+such trees per component instead (``stationary.StationaryEngine``).
 """
 
 from __future__ import annotations
@@ -24,8 +29,9 @@ from functools import cached_property
 
 from .core import ASemigroup, SizeCapExceeded, Word, label_sep
 from .graphs import ROOT_LABEL, RootedLabeledGraph, closed_classes, right_cayley
-# sccs is not called here since S stores its components, but
-# perfbench/spans.py times the expansion's graph work by these names
+# sccs and transition_edges are not called here, since S stores its
+# components and the build tells crossings by them, but perfbench/spans.py
+# times the expansion's graph work by these names
 from .graphs import sccs, transition_edges
 
 # size caps in vertices, read at each call
@@ -83,7 +89,19 @@ class KRExpansion(ExpansionTree):
     """Karnofsky-Rhodes expansion: its breadth-first tree over the right
     Cayley graph plus its semigroup view, in which vertex i > 0 is element
     i-1.  Every vertex has an edge for every letter, and ``left`` holds
-    every vertex's left multiples by the letters."""
+    every vertex's left multiples by the letters.
+
+    Vertex v lies in copy ``copy_of[v]`` of a component of the graph it
+    expands, and copy c is entered at vertex ``entry[c]`` by its tree edge
+    alone; copy 0 is the root's.  Copies are numbered in the order their
+    entries were found, so a copy comes after the copy its entry edge
+    leaves.
+    """
+
+    def __init__(self, base_graph, out, parent, parent_gen, endpoint, copy_of, entry):
+        super().__init__(base_graph, out, parent, parent_gen, endpoint)
+        self.copy_of: list[int] = copy_of
+        self.entry: list[int] = entry
 
     @cached_property
     def left(self) -> list[list[int]]:
@@ -132,48 +150,64 @@ class KRExpansion(ExpansionTree):
 
 def karnofsky_rhodes(S: ASemigroup) -> KRExpansion:
     """The expansion of S, stored on S: later calls return the same object.
-    A build that passes ``KR_CAP`` vertices raises and stores nothing."""
+    A build that passes ``KR_CAP`` vertices raises and stores nothing.
+
+    A path never re-enters a component it has left, so its set of crossed
+    transition edges is a chain whose last edge names the copy it is in:
+    the expansion is a tree of copies of the right Cayley graph's strongly
+    connected components, each entered by one edge.  The breadth-first
+    search builds it copy by copy.  An edge that crosses components opens
+    a new copy of the target's component; an edge inside a component reads
+    the copy's table, indexed by the target's position in its component.
+    """
     if S._kr is not None:
         return S._kr
     rcay = right_cayley(S)
     # S's components, relabelled to the graph's vertices; the root, which
-    # no edge enters, is a component of its own
+    # no edge enters, is a component of its own, numbered last
     comp = S.right_components()
-    trans = transition_edges(rcay, [-1] + [comp[e] for e in rcay.s_image[1:]])
-    k = S.n_gens
+    root_comp = max(comp) + 1
+    vcomp = [root_comp] + [comp[e] for e in rcay.s_image[1:]]
+    size = [0] * (root_comp + 1)
+    pos = []  # each graph vertex's position in its component
+    for c in vcomp:
+        pos.append(size[c])
+        size[c] += 1
+    # per graph vertex, its edges (letter, target, the target's position if
+    # the edge stays in the component, None if it crosses)
+    edges = [[(a, u, pos[u] if vcomp[u] == c else None) for a, u in enumerate(row)]
+             for row, c in zip(rcay.out, vcomp)]
 
-    crosses = [[(v, a) in trans for a in range(k)] for v in range(rcay.n)]
-    key0 = (rcay.root, frozenset())
-    index: dict[tuple[int, frozenset], int] = {key0: 0}
-    keys = [key0]
-    parent: list[int | None] = [None]
-    parent_gen: list[int | None] = [None]
-    out: list[list[int | None]] = [[None] * k]
-
-    head = 0
-    while head < len(keys):
-        v = head
-        head += 1
-        rv, tset = keys[v]
-        row, cross = rcay.out[rv], crosses[rv]
-        for a in range(k):
-            key = (row[a], tset | {(rv, a)} if cross[a] else tset)
-            w = index.get(key)
+    # per vertex in order of discovery: (parent, letter, graph vertex, copy)
+    found: list[tuple] = [(None, None, rcay.root, 0)]
+    out: list[list[int]] = []  # filled in the same order
+    entry = [0]
+    tables = [[0]]  # per copy, its vertex at each position, None until found
+    for v, (_, _, rv, c) in enumerate(found):  # the queue: discoveries append to it
+        table, row = tables[c], []
+        for a, u, p in edges[rv]:
+            w = table[p] if p is not None else None
             if w is None:
-                if len(keys) >= KR_CAP:
+                w = len(found)
+                if w >= KR_CAP:
                     raise SizeCapExceeded(
                         f"Karnofsky-Rhodes expansion of a semigroup with "
                         f"|S| = {S.size} exceeded cap {KR_CAP} vertices"
                     )
-                w = len(keys)
-                index[key] = w
-                keys.append(key)
-                parent.append(v)
-                parent_gen.append(a)
-                out.append([None] * k)
-            out[v][a] = w
+                if p is None:  # a crossing opens a new copy of u's component
+                    fresh = [None] * size[vcomp[u]]
+                    fresh[pos[u]] = w
+                    found.append((v, a, u, len(entry)))
+                    entry.append(w)
+                    tables.append(fresh)
+                else:
+                    table[p] = w
+                    found.append((v, a, u, c))
+            row.append(w)
+        out.append(row)
 
-    S._kr = KRExpansion(rcay, out, parent, parent_gen, [key[0] for key in keys])
+    parent, parent_gen, endpoint, copy_of = map(list, zip(*found))
+    S._kr = KRExpansion(rcay, out, parent, parent_gen, endpoint, copy_of, entry)
     return S._kr
 
 
@@ -190,35 +224,51 @@ def mccammond(G) -> ExpansionTree:
     endpoint = [G.root]
     out: list[list[int | None]] = [[None] * k]
 
-    # on_path maps an input-graph vertex to the expansion vertex of the
-    # current DFS path that ends there; next_gen holds, per path vertex,
-    # the next generator to try
-    on_path: dict[int, int] = {G.root: 0}
-    path = [0]
+    def add(u: int, v: int, a: int) -> int:
+        w = len(endpoint)
+        if w >= MC_CAP:
+            raise SizeCapExceeded(
+                f"McCammond expansion of a graph with {len(G.out)} "
+                f"vertices exceeded cap {MC_CAP} simple paths"
+            )
+        parent.append(v)
+        parent_gen.append(a)
+        endpoint.append(u)
+        out.append([None] * k)
+        return w
+
+    grow_simple_paths(G.out.__getitem__, 0, endpoint, out, add)
+    return ExpansionTree(G, out, parent, parent_gen, endpoint)
+
+
+def grow_simple_paths(row, root: int, endpoint: list, out: list, add) -> None:
+    """Grow the tree of simple paths from tree vertex ``root`` depth first,
+    children in letter order.
+
+    ``row(x)`` lists the heads of the edges out of graph vertex x by letter
+    (None for no edge), ``endpoint`` maps tree vertices to graph vertices
+    and ``out`` holds their edge rows; ``add(x, v, a)`` makes the tree
+    vertex that extends v by letter a to x, and returns it.  An edge to a
+    graph vertex on the current path is a back edge to the tree vertex of
+    that initial segment.
+    """
+    # on_path maps a graph vertex to the tree vertex of the current DFS
+    # path that ends there; next_gen holds, per path vertex, the next letter
+    on_path = {endpoint[root]: root}
+    path = [root]
     next_gen = [0]
     while path:
         v = path[-1]
-        row, out_v = G.out[endpoint[v]], out[v]
-        for a in range(next_gen[-1], k):
-            u = row[a]
+        heads, out_v = row(endpoint[v]), out[v]
+        for a in range(next_gen[-1], len(heads)):
+            u = heads[a]
             if u is None:
                 continue
             hit = on_path.get(u)
             if hit is not None:
                 out_v[a] = hit  # back edge to an initial segment
                 continue
-            w = len(endpoint)
-            if w >= MC_CAP:
-                raise SizeCapExceeded(
-                    f"McCammond expansion of a graph with {len(G.out)} "
-                    f"vertices exceeded cap {MC_CAP} simple paths"
-                )
-            parent.append(v)
-            parent_gen.append(a)
-            endpoint.append(u)
-            out.append([None] * k)
-            out_v[a] = w
-            on_path[u] = w
+            w = out_v[a] = on_path[u] = add(u, v, a)
             next_gen[-1] = a + 1
             path.append(w)
             next_gen.append(0)
@@ -227,6 +277,3 @@ def mccammond(G) -> ExpansionTree:
             path.pop()
             next_gen.pop()
             del on_path[endpoint[v]]
-
-    return ExpansionTree(G, out, parent, parent_gen, endpoint)
-

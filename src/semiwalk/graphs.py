@@ -164,15 +164,12 @@ def closed_classes(
     return list(classes.values())
 
 
-def transition_edges(
-    G: RootedLabeledGraph, comp: list[int] | None = None
-) -> set[tuple[int, int]]:
+def transition_edges(G: RootedLabeledGraph) -> set[tuple[int, int]]:
     """Edges crossing between distinct SCCs, as (tail, generator) pairs.
 
     Loops are never transitional.
     """
-    if comp is None:
-        comp = sccs(G)
+    comp = sccs(G)
     result = set()
     for v, a, w in G.edges():
         if v != w and comp[v] != comp[w]:

@@ -1,34 +1,44 @@
 """Stationary distributions of semigroup random walks, computed exactly.
 
-Pipeline: expand the right Cayley graph (transition-edge identification,
-stored on the semigroup and shared with every other reader, then
-simple-path expansion, built per engine; both integer trees with no
-labelled graph), enumerate normal forms (shortest simple paths from the
-root into the ideal), and for each normal form sum the weights of all
-ideal-avoiding walks that loop-erase to it.  The simple-path expansion is a
-spanning tree plus back edges to ancestors, read as integer rows, so that
-sum is a product along the tree path to the normal form: the letter weights
-times the Green's function G_v = 1/(1 - R_v) at each vertex v on the path,
-where R_v is the weight of the excursions that leave v into its subtree and
-first come back to v (Lawler's loop-erased-walk formula).  R_v and G_v
-depend only on the shape of v's subtree (per letter: a child's shape, or a
-back edge and how many levels up it goes), and the tower expansions are
-self-similar, so subtrees of equal shape share one bottom-up reduction.
-One top-down pass then forms the prefix products, interned by value, so
-each distinct product is computed once.  The regular expression for a
-normal form's walk language is the same sum over Kleene expressions: the
-reduction runs once with letters as weights, and per normal form only its
-tree path is eliminated, from the root outward, which fixes the printed
-factored form.
+Pipeline: expand the right Cayley graph by transition-edge identification
+(stored on the semigroup and shared with every other reader), a tree of
+copies of the graph's components, each entered by one edge.  A walk from
+the root that leaves a copy never comes back, so the weight of the walks
+that first enter the ideal at a copy is a product over the copies on
+their way: the mass entering a copy by the edge (v, a) is the mass
+entering v's copy, times W(e0, v), the weight of the walks from that
+copy's entry e0 to v inside the component, times the weight of a.  W
+depends on the component and e0 only, so it is summed once per entry
+element: on the McCammond tree of the component entered there (its simple
+paths from e0 along edges inside the component), a spanning tree plus back
+edges to ancestors, read as integer rows.  The walks onto a tree vertex
+sum to a product along its tree path: the letter weights times the Green's
+function G_v = 1/(1 - R_v) at each vertex v on the path, where R_v is the
+weight of the excursions that leave v into its subtree and first come
+back to v (Lawler's loop-erased-walk formula), and W(e0, e) adds these
+over the tree's vertices that end at e.  R_v and G_v depend only on the
+shape of v's subtree (per letter: a child's shape, a back edge and how
+many levels up it goes, or a letter that leaves the component), so
+subtrees of equal shape share one bottom-up reduction, across all trees.
+One pass over the copies in order then forms the masses, interned by
+value, so each distinct product is computed once.
 
-When the minimal ideal is left zero the per-normal-form sums added per
-Karnofsky-Rhodes vertex are the stationary distribution of the expanded
+The normal forms are the simple paths from the root whose last letter,
+and only that, enters the ideal: the trees glued at their entries, walked
+in letter order, so in the order of their words.  The regular expression
+for a normal form's walk language, the walks that loop-erase to it, is the
+same sum over Kleene expressions: the reduction runs once with letters as
+weights, and per normal form only its path is eliminated, from the root
+outward, which fixes the printed factored form.
+
+When the minimal ideal is left zero each ideal copy is one vertex, and the
+masses entering them are the stationary distribution of the expanded
 chain; lumping by underlying element gives the chain on the semigroup
 itself.  Otherwise limit mode gives u the limit t -> 0 of the mass of u·0
 on KR(S⁰), S with a zero generator of weight t adjoined and the other
 weights scaled by (1-t).  That limit has a closed form on the minimal ideal
 of KR(S), read from the same sums: pi(u) = h(R(u)) nu(L(u)) / |H|.  Here
-h(R) is the mass of the normal forms entering the minimal right ideal R,
+h(R) is the mass entering the minimal right ideal R, an ideal copy,
 nu is the stationary law of the letters' action on the minimal left ideals
 (exact elimination on those few classes), and |H| is the size of each
 H-class R ∩ L, on which the law is uniform.  In direct mode every R is one
@@ -41,6 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .core import (
@@ -53,8 +64,9 @@ from .core import (
     minimal_ideal,
     zero_name,
 )
-from .expansions import ExpansionTree, KRExpansion, karnofsky_rhodes, mccammond
-from .graphs import closed_classes
+from . import expansions
+# mccammond is not called here, but perfbench/spans.py wraps it here by name
+from .expansions import KRExpansion, grow_simple_paths, karnofsky_rhodes, mccammond
 from .kleene import (
     EPSILON,
     KleeneExpr,
@@ -123,71 +135,100 @@ def validate_probs(S: ASemigroup, xs: Sequence[Fraction]) -> list[Fraction]:
 
 @dataclass
 class NormalForm:
-    mc_vertex: int  # its word is the tree-path word ``mc.words[mc_vertex]``
-    kr_vertex: int
+    word: Word  # a simple path from the root whose last letter enters the ideal
+    kr_vertex: int  # the ideal vertex it enters, an ideal copy's entry
+    path: tuple[int, ...]  # per letter, the component-tree vertex it leaves
 
 
 class StationaryEngine:
-    """Shared expansion state for one semigroup and its minimal ideal."""
+    """Walk sums for one semigroup: its expansion, and one McCammond tree
+    per component entry that a copy outside the ideal is entered at.
+
+    Tree vertex v is a simple path inside one component of the right Cayley
+    graph, from the tree's entry to element ``elem[v]``; it extends
+    ``parent[v]`` by ``letter[v]``.  ``out[v][a]`` is the tree child or the
+    ancestor that letter a leads to, or None where a leaves the component.
+    Each tree is one block of vertices in depth-first preorder, children in
+    letter order.  Vertex 0 is the root's tree: the root alone, every letter
+    leaving it.  ``tree_of`` maps an entry element to its tree's first
+    vertex (the root's entry, None, to 0).
+    """
 
     def __init__(self, S: ASemigroup):
         self.S = S
         self.kr: KRExpansion = karnofsky_rhodes(S)
-        self.mc: ExpansionTree = mccammond(self.kr)
-
-        mc, ideal = self.mc, minimal_ideal(S)  # the root's image, None, is in no ideal
-        in_ideal = self._in_ideal = [x in ideal for x in mc.s_image]
-        self.live = [v for v, inside in enumerate(in_ideal) if not inside]
-        # the ideal vertices entered from a live parent, in vertex order,
-        # which is the order of their tree-path words
-        parent, endpoint = mc.parent, mc.endpoint
-        self.normal_forms = [
-            NormalForm(v, endpoint[v]) for v in range(1, len(in_ideal))
-            if in_ideal[v] and not in_ideal[parent[v]]
-        ]
-        self._shape_table = None  # the live vertices' shapes, on first use
+        self._ideal = minimal_ideal(S)
+        k = S.n_gens
+        self.elem: list[int | None] = [None]
+        self.parent: list[int | None] = [None]
+        self.letter: list[int | None] = [None]
+        self.out: list[list[int | None]] = [[None] * k]
+        self.tree_of: dict[int | None, int] = {None: 0}
+        # per element, its edges that stay in its component
+        comp = S.right_components()
+        inner = [[f if comp[f] == comp[e] else None for f in row]
+                 for e, row in enumerate(S.right_action()[0])]
+        image = self.kr.s_image
+        for w in self.kr.entry[1:]:
+            e = image[w]
+            if e not in self.tree_of and e not in self._ideal:
+                # the McCammond tree of e's component entered at e
+                self.tree_of[e] = root = self._add(e, None, None)
+                grow_simple_paths(inner.__getitem__, root, self.elem, self.out, self._add)
+        self._shape_table = None  # the tree vertices' shapes, on first use
         self._kleene = None  # the reduction over Kleene weights, on demand
+
+    def _add(self, e: int, p: int | None, a: int | None) -> int:
+        """A new tree vertex ending at e, child of p by letter a; at most
+        ``MC_CAP`` vertices over all trees."""
+        w = len(self.elem)
+        if w >= expansions.MC_CAP:
+            raise SizeCapExceeded(
+                f"McCammond trees of the components of a semigroup with "
+                f"|S| = {self.S.size} exceeded cap {expansions.MC_CAP} simple paths")
+        self.elem.append(e)
+        self.parent.append(p)
+        self.letter.append(a)
+        self.out.append([None] * self.S.n_gens)
+        return w
 
     # -- walk sums, one reduction per subtree shape ----------------------------
 
     def _shapes(self) -> tuple[list[int], list[tuple]]:
-        """The shape id of every live vertex, and the shapes by id.
+        """The shape id of every tree vertex, and the shapes by id.
 
-        A shape has one entry per letter: None for no edge or an edge into
-        the ideal (which must be a tree edge to a normal form), a live
-        child's shape id, or a back edge d >= 0 levels up as ~d.  Walk sums
-        in a subtree depend only on its shape, so equal subtrees share one
-        reduction.  Shapes are numbered bottom-up, children's first.  Back
-        edges must go to an ancestor (in the preorder numbering,
-        ``w <= v < end[w]``): AssertionError otherwise.
+        A shape has one entry per letter: None for a letter that leaves the
+        component, a child's shape id, or a back edge d >= 0 levels up as ~d.
+        Walk sums in a subtree depend only on its shape, so equal subtrees
+        share one reduction, across trees too.  Shapes are numbered
+        bottom-up, children's first.  Back edges must go to an ancestor (in
+        the preorder numbering, ``w <= v < end[w]``): AssertionError
+        otherwise.
         """
         if self._shape_table is not None:
             return self._shape_table
-        mc, live, in_ideal = self.mc, self.live, self._in_ideal
-        out, parent, parent_gen = mc.out, mc.parent, mc.parent_gen
-        depth = [0] * len(out)
-        for v in live[1:]:
-            depth[v] = depth[parent[v]] + 1
-        end = [0] * len(out)  # one past the last live vertex of v's subtree
-        for v in reversed(live[1:]):
+        out, parent, letter = self.out, self.parent, self.letter
+        n = len(out)
+        depth = [0] * n
+        for v in range(n):
+            if parent[v] is not None:
+                depth[v] = depth[parent[v]] + 1
+        end = [0] * n  # one past the last vertex of v's subtree
+        for v in reversed(range(n)):
             e = end[v] = end[v] or v + 1
-            if e > end[parent[v]]:
-                end[parent[v]] = e
-        end[0] = len(out)
-        shape = [0] * len(out)
+            p = parent[v]
+            if p is not None and e > end[p]:
+                end[p] = e
+        shape = [0] * n
         index: dict[tuple, int] = {}
-        for v in reversed(live):
+        for v in reversed(range(n)):
             key = []
             dv = depth[v]
             for a, w in enumerate(out[v]):
                 if w is None:
                     key.append(None)
-                elif parent[w] == v and parent_gen[w] == a:
-                    key.append(None if in_ideal[w] else shape[w])
-                elif in_ideal[w]:
-                    raise AssertionError(
-                        "edge from outside the ideal must enter at a normal form"
-                    )
+                elif parent[w] == v and letter[w] == a:
+                    key.append(shape[w])
                 elif w <= v < end[w]:
                     key.append(~(dv - depth[w]))
                 else:
@@ -201,18 +242,22 @@ class StationaryEngine:
         return self._shape_table
 
     def values(self, xs: Sequence) -> dict[int, object]:
-        """Walk-weight sum onto every normal form, keyed by expansion vertex.
+        """First-entry mass of every ideal copy, keyed by its entry vertex.
 
-        Each shape is reduced once (``_ShapeSums``); then, top-down, a
-        vertex's sum is its parent's times its step, and a normal form's
-        its parent's times its letter.  Sums and steps are interned by
-        value, so each distinct product is formed once.
+        Each shape is reduced once (``_ShapeSums``).  Top-down in each tree
+        a vertex's prefix is its parent's times its step, so W(e0, e), the
+        weight of the walks from entry e0 to e inside the component, is the
+        sum of the prefixes of e0's tree at e.  A walk never comes back to a
+        copy it has left, so then, over the copies in order, the mass
+        entering a copy by the edge (v, a) is the mass entering v's copy
+        times W(its entry, v) times the weight of a.  Masses and exits are
+        interned by value, so each distinct product is formed once.
         """
         shape, shapes = self._shapes()
         sums = _ShapeSums(shapes, xs)
-        parent, parent_gen = self.mc.parent, self.mc.parent_gen
-        ids: dict = {}  # value -> id, for prefix sums and steps alike
+        ids: dict = {}  # value -> id, for every value below
         vals: list = []
+        product: dict[tuple[int, int], int] = {}  # pair of ids -> id
 
         def intern(x) -> int:
             i = ids.get(x)
@@ -221,81 +266,134 @@ class StationaryEngine:
                 vals.append(x)
             return i
 
-        step_id: dict[tuple[int, int], int] = {}  # (letter, shape) -> id
-        product: dict[tuple[int, int], int] = {}  # (prefix id, step id) -> id
-        prefix = [0] * len(parent)
-        prefix[0] = intern(sums.step(None, shape[0]))
-        for v in self.live[1:]:
-            key = parent_gen[v], shape[v]
+        def times(i: int, j: int) -> int:
+            p = product.get((i, j))
+            if p is None:
+                p = product[i, j] = intern(vals[i] * vals[j])
+            return p
+
+        step_id: dict[tuple, int] = {}  # (letter, shape) -> id
+        # (tree, element) -> the prefix ids of the tree's vertices there
+        walks: dict[tuple[int, int | None], list[int]] = {}
+        parent, letter, elem = self.parent, self.letter, self.elem
+        prefix, root = [0] * len(parent), [0] * len(parent)
+        for v, p in enumerate(parent):
+            key = letter[v], shape[v]
             st = step_id.get(key)
             if st is None:
                 st = step_id[key] = intern(sums.step(*key))
-            key = prefix[parent[v]], st
-            p = product.get(key)
             if p is None:
-                p = product[key] = intern(vals[key[0]] * vals[st])
-            prefix[v] = p
-        at_form: dict[tuple[int, int], object] = {}  # (prefix id, letter)
-        result = {}
-        for nf in self.normal_forms:
-            f = nf.mc_vertex
-            key = prefix[parent[f]], parent_gen[f]
-            x = at_form.get(key)
-            if x is None:
-                x = at_form[key] = vals[key[0]] * xs[key[1]]
-            result[f] = x
-        return result
+                root[v], prefix[v] = v, st
+            else:
+                root[v], prefix[v] = root[p], times(prefix[p], st)
+            walks.setdefault((root[v], elem[v]), []).append(prefix[v])
 
-    # -- symbolic expression for one normal form ------------------------------
+        kr, tree_of = self.kr, self.tree_of
+        entry, copy_of, image = kr.entry, kr.copy_of, kr.s_image
+        kparent, kletter = kr.parent, kr.parent_gen
+        tree = [tree_of.get(image[w]) for w in entry]  # None for an ideal copy
+        mass = [intern(sums.one)] * len(entry)  # per copy, its entering mass's id
+        letter_id = [intern(x) for x in xs]
+        exit_id: dict[tuple, int] = {}  # (tree, element, letter) -> id
+        for c in range(1, len(entry)):
+            w = entry[c]
+            v = kparent[w]
+            cv = copy_of[v]
+            key = tree[cv], image[v], kletter[w]
+            x = exit_id.get(key)
+            if x is None:
+                ws = walks[key[:2]]
+                if len(ws) > 1:  # W: the prefixes added, once per (tree, element)
+                    ws[:] = [intern(sum(map(vals.__getitem__, ws[1:]), vals[ws[0]]))]
+                x = exit_id[key] = times(ws[0], letter_id[key[2]])
+            m = product.get((mass[cv], x))
+            mass[c] = times(mass[cv], x) if m is None else m
+        return {w: vals[m] for w, m, t in zip(entry, mass, tree) if t is None}
+
+    # -- normal forms and their walk expressions -------------------------------
+
+    @cached_property
+    def normal_forms(self) -> list[NormalForm]:
+        """The simple paths from the root whose last letter, and only that,
+        enters the ideal, in the order of their words: the trees glued at
+        their entries, walked depth first in letter order."""
+        out, parent, letter, elem = self.out, self.parent, self.letter, self.elem
+        gens, rows = self.S.gens, self.S.right_action()[0]
+        kr_out, ideal, tree_of = self.kr.out, self._ideal, self.tree_of
+        forms: list[NormalForm] = []
+        word: list[int] = []  # the letters and tree vertices of the path so far
+        path: list[int] = []
+        stack = [(0, 0)]  # (tree vertex, expansion vertex) per glued vertex
+        next_gen = [0]
+        while stack:
+            v, kv = stack[-1]
+            for a in range(next_gen[-1], len(out[v])):
+                w = out[v][a]
+                if w is not None:
+                    if parent[w] != v or letter[w] != a:
+                        continue  # a back edge
+                else:
+                    f = gens[a] if elem[v] is None else rows[elem[v]][a]
+                    if f in ideal:
+                        forms.append(NormalForm((*word, a), kr_out[kv][a], (*path, v)))
+                        continue
+                    w = tree_of[f]
+                next_gen[-1] = a + 1
+                word.append(a)
+                path.append(v)
+                stack.append((w, kr_out[kv][a]))
+                next_gen.append(0)
+                break
+            else:
+                stack.pop()
+                next_gen.pop()
+                if word:
+                    word.pop()
+                    path.pop()
+        return forms
 
     def expression(self, nf: NormalForm) -> KleeneExpr:
         """Regular expression for the ideal-avoiding walks onto this form.
 
         The same shape reduction as ``values``, over Kleene expressions
-        (built once per engine): a vertex off the target's root path leaves
-        its parent ``letter · (loop)⋆ · exit``, whatever the target.  Only
-        the root path, each of its vertices merged with the path's next
-        vertex left out, is then eliminated per form, from the root outward.
-        This fixes the compact left-to-right factored forms: loops attach
-        to the vertex where the walk leaves for the target.  The result is
-        then put through ``zimin_rewrite``; one over ``EXPRESSION_CAP`` nodes,
-        whose rewrite and text grow faster still, raises ``SizeCapExceeded``.
+        (built once per engine): a vertex off the form's path leaves its
+        parent ``letter · (loop)⋆ · exit``, whatever the form.  Only the
+        path, each of its vertices merged with the path's next vertex left
+        out, is then eliminated per form, from the root outward.  This
+        fixes the compact left-to-right factored forms: loops attach to the
+        vertex where the walk leaves for the target.  The result is then
+        put through ``zimin_rewrite``; one over ``EXPRESSION_CAP`` nodes,
+        whose rewrite and text grow faster still, raises
+        ``SizeCapExceeded``.
         """
         shape, shapes = self._shapes()
         if self._kleene is None:
             self._kleene = _ShapeSums(shapes, [Letter(a) for a in range(self.S.n_gens)])
         sums = self._kleene
-        parent, parent_gen = self.mc.parent, self.mc.parent_gen
-        target = nf.mc_vertex
-        path = [target]
-        while parent[path[-1]] is not None:
-            path.append(parent[path[-1]])
-        path.reverse()
-
-        # per path vertex, its exits (the ancestor d levels above the vertex
-        # at depth k is path[k - d]) and the tree letter to the next one
+        # per path position, its exits (the vertex d levels above position
+        # i is at i - d, in the same tree) and the letter to the next one
+        # (position n is the target); a letter that leaves the component is
+        # no child, so leaving it out changes nothing
+        n = len(nf.path)
         out: dict[int, dict[int, KleeneExpr]] = {}
-        for k, (v, nxt) in enumerate(zip(path, path[1:])):
-            a = parent_gen[nxt]
-            # the target is no live child: nothing is left out before it
-            m = sums.merged(shape[v], None if nxt == target else a)
-            out[v] = {path[k - d]: e for d, e in m.items()}
-            out[v][nxt] = sums.xs[a]
-        for v in path[1:-1]:
-            outs = out.pop(v)
-            mid = star(outs.pop(v, EPSILON))
+        for i, (v, a) in enumerate(zip(nf.path, nf.word)):
+            out[i] = {i - d: e for d, e in sums.merged(shape[v], a).items()}
+            out[i][i + 1] = sums.xs[a]
+        for i in range(1, n):
+            outs = out.pop(i)
+            mid = star(outs.pop(i, EPSILON))
             for d in out.values():
-                ev = d.pop(v, None)
+                ev = d.pop(i, None)
                 if ev is not None:
                     for w, ew in outs.items():
                         _acc(d, w, concat(ev, mid, ew))
-        expr = out[0][target]
+        expr = out[0][n]
         size = node_count(expr)
         if size > EXPRESSION_CAP:
-            name = self.S.word_label(self.mc.words[target])
             raise SizeCapExceeded(
-                f"walk expression of normal form {name} with {size} nodes exceeded "
-                f"cap {EXPRESSION_CAP} before the star-of-union rewrite")
+                f"walk expression of normal form {self.S.word_label(nf.word)} with "
+                f"{size} nodes exceeded cap {EXPRESSION_CAP} before the "
+                f"star-of-union rewrite")
         return zimin_rewrite(expr)
 
 
@@ -430,12 +528,8 @@ def _stationary_kr_direct(
 ) -> StationaryResult:
     if engine is None:
         engine = StationaryEngine(S)
-    vals = engine.values(xs)
-    # several normal forms can reach one expansion vertex: their values add
-    masses: dict[int, object] = {}
-    for nf in engine.normal_forms:
-        _acc(masses, nf.kr_vertex, vals[nf.mc_vertex])
-    del vals  # the live vertices' values: free them before the result is built
+    # each ideal copy is one vertex, its entry
+    masses = engine.values(xs)
     if over == "s":
         return _s_result(S, engine.kr, masses)
     return _kr_result(engine.kr, masses, {})
@@ -451,24 +545,17 @@ def _stationary_kr_limit(
         engine = StationaryEngine(S)
     kr = engine.kr
     ideal = kr.ideal_over(minimal_ideal(S))
-    index = {u: i for i, u in enumerate(ideal)}
-    vals = engine.values(xs)
-    # h: first-entry mass per minimal right ideal, the closed classes of the
-    # right action on the ideal, which every normal form enters
-    rights = closed_classes([[index[w] for w in kr.out[u]] for u in ideal])
-    r_of = {ideal[i]: j for j, R in enumerate(rights) for i in R}
-    h = [Fraction(0)] * len(rights)
-    for nf in engine.normal_forms:
-        h[r_of[nf.kr_vertex]] += vals[nf.mc_vertex]
-    del vals
+    # h: first-entry mass per minimal right ideal of the expansion, which
+    # are its ideal copies: closed, as K(S)'s components are
+    h = {kr.copy_of[u]: m for u, m in engine.values(xs).items()}
     # nu: the stationary law of the letters' action on the minimal left ideals
     lefts, action = kr.left_ideals(ideal)
     l_of = {ideal[i]: j for j, L in enumerate(lefts) for i in L}
     nu = _stationary_vector(action, xs)
     # |H| divides h once per right ideal, not once per state
-    h_size = len(ideal) // (len(rights) * len(lefts))
-    h = [m / h_size for m in h]
-    masses = {u: h[r_of[u]] * nu[l_of[u]] for u in ideal}
+    h_size = len(ideal) // (len(h) * len(lefts))
+    h = {c: m / h_size for c, m in h.items()}
+    masses = {u: h[kr.copy_of[u]] * nu[l_of[u]] for u in ideal}
     if over == "s":
         return _s_result(S, kr, masses)
 
@@ -536,8 +623,5 @@ def expressions_report(
     """Pretty-printed expression per normal form (dict preserves sort order)."""
     if engine is None:
         engine = StationaryEngine(S)
-    words = engine.mc.words
-    out = {}
-    for nf in engine.normal_forms:
-        out[S.word_label(words[nf.mc_vertex])] = pretty(engine.expression(nf), S.gen_names)
-    return out
+    return {S.word_label(nf.word): pretty(engine.expression(nf), S.gen_names)
+            for nf in engine.normal_forms}

@@ -9,12 +9,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from semiwalk import families  # noqa: E402
 from semiwalk.core import label_sep, semigroup_from_transformations  # noqa: E402
-from semiwalk.graphs import (  # noqa: E402
-    RootedLabeledGraph,
-    right_cayley,
-    sccs,
-    transition_edges,
-)
+from semiwalk.graphs import ROOT_LABEL, RootedLabeledGraph, right_cayley  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -88,38 +83,19 @@ def reference_words(mc):
 
 
 def reference_kr(S):
-    """The Karnofsky-Rhodes expansion built eagerly: a breadth-first search
-    keyed by (Cayley vertex, frozenset of transition edges crossed) that
-    stores every vertex's word, label and image.  Returns the labelled
-    graph and the word list."""
-    rcay = right_cayley(S)
-    trans = transition_edges(rcay, sccs(rcay))
-    k = S.n_gens
-    key0 = (rcay.root, frozenset())
-    index = {key0: 0}
-    keys = [key0]
+    """The Karnofsky-Rhodes expansion keyed by sets of transition edges
+    (``reference.frozenset_kr``), with every vertex's word, label and
+    image.  Returns the labelled graph and the word list."""
+    from reference import frozenset_kr
+
+    out, parent, parent_gen, endpoint = frozenset_kr(S)
     words = [()]
-    out = [[None] * k]
-    head = 0
-    while head < len(keys):
-        v = head
-        head += 1
-        rv, tset = keys[v]
-        for a in range(k):
-            crossed = (rv, a) in trans
-            key = (rcay.out[rv][a], tset | {(rv, a)} if crossed else tset)
-            if key not in index:
-                index[key] = len(keys)
-                keys.append(key)
-                words.append(words[v] + (a,))
-                out.append([None] * k)
-            out[v][a] = index[key]
+    for p, a in zip(parent[1:], parent_gen[1:]):
+        words.append(words[p] + (a,))
     sep = label_sep(S.gen_names)
-    labels = [rcay.labels[rcay.root]] + [
-        sep.join(S.gen_names[g] for g in w) for w in words[1:]
-    ]
-    images = [None] + [rcay.s_image[key[0]] for key in keys[1:]]
-    return RootedLabeledGraph(S.gen_names, labels, out, images), words
+    labels = [ROOT_LABEL] + [sep.join(S.gen_names[g] for g in w) for w in words[1:]]
+    rcay = right_cayley(S)
+    return RootedLabeledGraph(S.gen_names, labels, out, [rcay.s_image[u] for u in endpoint]), words
 
 
 def frac(s: str) -> Fraction:

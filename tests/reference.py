@@ -6,14 +6,16 @@ the two-sided ideals and quotients of a semigroup, S with a zero adjoined
 stability of the expansions, the words an expression describes, the
 semaphore code (the minimal ideal-entering words) with its word-level
 walk, which lumps onto the Karnofsky-Rhodes chain, the first-entry tail of
-the random word by enumeration, and the product formula for expansions
-that are a tree plus loops.  The CLI, the demos and the benchmark never
-call them.
+the random word by enumeration, the product formula for expansions that
+are a tree plus loops, the Karnofsky-Rhodes expansion keyed by sets of
+transition edges, and the walk sums on one McCammond tree over the whole
+expansion.  The CLI, the demos and the benchmark never call them.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -31,13 +33,26 @@ from semiwalk.core import (
     minimal_ideal,
     zero_name,
 )
-from semiwalk.expansions import ExpansionTree, karnofsky_rhodes, mccammond
-from semiwalk.graphs import RootedLabeledGraph
-from semiwalk.kleene import Concat, Epsilon, KleeneExpr, Letter, Star, Union
+from semiwalk.expansions import ExpansionTree, KRExpansion, karnofsky_rhodes, mccammond
+from semiwalk.graphs import RootedLabeledGraph, closed_classes, right_cayley, transition_edges
+from semiwalk.kleene import (
+    EPSILON,
+    Concat,
+    Epsilon,
+    KleeneExpr,
+    Letter,
+    Star,
+    Union,
+    concat,
+    star,
+)
 from semiwalk.stationary import (
     KeyInfo,
     StationaryEngine,
     StationaryResult,
+    _acc,
+    _ShapeSums,
+    _stationary_vector,
     validate_probs,
 )
 
@@ -368,10 +383,9 @@ def r_trivial_stationary(S: ASemigroup, xs: Sequence[Fraction]) -> dict[str, Fra
     """Product formula for semigroups whose expansion is a tree plus loops:
     each prefix of a normal form contributes its letter weight over one
     minus the weight of the generators stabilizing the prefix."""
-    engine = StationaryEngine(S)
     out = {}
-    for nf in engine.normal_forms:
-        word = engine.mc.words[nf.mc_vertex]
+    for nf in StationaryEngine(S).normal_forms:
+        word = nf.word
         value = Fraction(1)
         prefix = None
         for pos, g in enumerate(word):
@@ -401,3 +415,241 @@ def lump_by_classifier(
         info.setdefault(cls, KeyInfo())
     ordered = dict(sorted(entries.items()))
     return StationaryResult(ordered, info)
+
+
+# -- the McCammond-tree engine -----------------------------------------------------
+
+
+def frozenset_kr(S: ASemigroup) -> tuple[list, list, list, list]:
+    """The Karnofsky-Rhodes expansion as a breadth-first search in letter
+    order keyed by (Cayley vertex, frozenset of transition edges crossed).
+    Returns its ``out``, ``parent``, ``parent_gen`` and ``endpoint``."""
+    rcay = right_cayley(S)
+    trans = transition_edges(rcay)
+    k = S.n_gens
+    key0 = (rcay.root, frozenset())
+    index = {key0: 0}
+    keys = [key0]
+    parent, parent_gen, out = [None], [None], [[None] * k]
+    head = 0
+    while head < len(keys):
+        v = head
+        head += 1
+        rv, tset = keys[v]
+        for a in range(k):
+            key = (rcay.out[rv][a], tset | {(rv, a)} if (rv, a) in trans else tset)
+            if key not in index:
+                index[key] = len(keys)
+                keys.append(key)
+                parent.append(v)
+                parent_gen.append(a)
+                out.append([None] * k)
+            out[v][a] = index[key]
+    return out, parent, parent_gen, [key[0] for key in keys]
+
+
+@dataclass
+class TreeNormalForm:
+    mc_vertex: int  # its word is the tree-path word ``mc.words[mc_vertex]``
+    kr_vertex: int
+
+
+class TreeEngine:
+    """The walk sums on one McCammond tree over the whole Karnofsky-Rhodes
+    expansion: per normal form, the product of the steps along its tree
+    path, each a letter's weight times the Green's function of a subtree
+    shape.  ``StationaryEngine`` cuts this tree at component entries and
+    must give the same sums, expressions and normal forms."""
+
+    def __init__(self, S: ASemigroup):
+        self.S = S
+        self.kr: KRExpansion = karnofsky_rhodes(S)
+        self.mc: ExpansionTree = mccammond(self.kr)
+
+        mc, ideal = self.mc, minimal_ideal(S)  # the root's image, None, is in no ideal
+        in_ideal = self._in_ideal = [x in ideal for x in mc.s_image]
+        self.live = [v for v, inside in enumerate(in_ideal) if not inside]
+        # the ideal vertices entered from a live parent, in vertex order,
+        # which is the order of their tree-path words
+        parent, endpoint = mc.parent, mc.endpoint
+        self.normal_forms = [
+            TreeNormalForm(v, endpoint[v]) for v in range(1, len(in_ideal))
+            if in_ideal[v] and not in_ideal[parent[v]]
+        ]
+        self._shape_table = None  # the live vertices' shapes, on first use
+        self._kleene = None  # the reduction over Kleene weights, on demand
+
+    # -- walk sums, one reduction per subtree shape ----------------------------
+
+    def _shapes(self) -> tuple[list[int], list[tuple]]:
+        """The shape id of every live vertex, and the shapes by id.
+
+        A shape has one entry per letter: None for no edge or an edge into
+        the ideal (which must be a tree edge to a normal form), a live
+        child's shape id, or a back edge d >= 0 levels up as ~d.  Walk sums
+        in a subtree depend only on its shape, so equal subtrees share one
+        reduction.  Shapes are numbered bottom-up, children's first.  Back
+        edges must go to an ancestor (in the preorder numbering,
+        ``w <= v < end[w]``): AssertionError otherwise.
+        """
+        if self._shape_table is not None:
+            return self._shape_table
+        mc, live, in_ideal = self.mc, self.live, self._in_ideal
+        out, parent, parent_gen = mc.out, mc.parent, mc.parent_gen
+        depth = [0] * len(out)
+        for v in live[1:]:
+            depth[v] = depth[parent[v]] + 1
+        end = [0] * len(out)  # one past the last live vertex of v's subtree
+        for v in reversed(live[1:]):
+            e = end[v] = end[v] or v + 1
+            if e > end[parent[v]]:
+                end[parent[v]] = e
+        end[0] = len(out)
+        shape = [0] * len(out)
+        index: dict[tuple, int] = {}
+        for v in reversed(live):
+            key = []
+            dv = depth[v]
+            for a, w in enumerate(out[v]):
+                if w is None:
+                    key.append(None)
+                elif parent[w] == v and parent_gen[w] == a:
+                    key.append(None if in_ideal[w] else shape[w])
+                elif in_ideal[w]:
+                    raise AssertionError(
+                        "edge from outside the ideal must enter at a normal form"
+                    )
+                elif w <= v < end[w]:
+                    key.append(~(dv - depth[w]))
+                else:
+                    raise AssertionError("back edge to a vertex off the tree path")
+            key = tuple(key)
+            s = index.get(key)
+            if s is None:
+                s = index[key] = len(index)
+            shape[v] = s
+        self._shape_table = shape, list(index)
+        return self._shape_table
+
+    def values(self, xs: Sequence) -> dict[int, object]:
+        """Walk-weight sum onto every normal form, keyed by expansion vertex.
+
+        Each shape is reduced once (``_ShapeSums``); then, top-down, a
+        vertex's sum is its parent's times its step, and a normal form's
+        its parent's times its letter.  Sums and steps are interned by
+        value, so each distinct product is formed once.
+        """
+        shape, shapes = self._shapes()
+        sums = _ShapeSums(shapes, xs)
+        parent, parent_gen = self.mc.parent, self.mc.parent_gen
+        ids: dict = {}  # value -> id, for prefix sums and steps alike
+        vals: list = []
+
+        def intern(x) -> int:
+            i = ids.get(x)
+            if i is None:
+                i = ids[x] = len(vals)
+                vals.append(x)
+            return i
+
+        step_id: dict[tuple[int, int], int] = {}  # (letter, shape) -> id
+        product: dict[tuple[int, int], int] = {}  # (prefix id, step id) -> id
+        prefix = [0] * len(parent)
+        prefix[0] = intern(sums.step(None, shape[0]))
+        for v in self.live[1:]:
+            key = parent_gen[v], shape[v]
+            st = step_id.get(key)
+            if st is None:
+                st = step_id[key] = intern(sums.step(*key))
+            key = prefix[parent[v]], st
+            p = product.get(key)
+            if p is None:
+                p = product[key] = intern(vals[key[0]] * vals[st])
+            prefix[v] = p
+        at_form: dict[tuple[int, int], object] = {}  # (prefix id, letter)
+        result = {}
+        for nf in self.normal_forms:
+            f = nf.mc_vertex
+            key = prefix[parent[f]], parent_gen[f]
+            x = at_form.get(key)
+            if x is None:
+                x = at_form[key] = vals[key[0]] * xs[key[1]]
+            result[f] = x
+        return result
+
+    # -- symbolic expression for one normal form ------------------------------
+
+    def expression(self, nf: TreeNormalForm) -> KleeneExpr:
+        """Regular expression for the ideal-avoiding walks onto this form.
+
+        The same shape reduction as ``values``, over Kleene expressions
+        (built once per engine): a vertex off the target's root path leaves
+        its parent ``letter · (loop)⋆ · exit``, whatever the target.  Only
+        the root path, each of its vertices merged with the path's next
+        vertex left out, is then eliminated per form, from the root outward.
+        This fixes the compact left-to-right factored forms: loops attach
+        to the vertex where the walk leaves for the target.  Returned before
+        the star-of-union rewrite, with no size cap.
+        """
+        shape, shapes = self._shapes()
+        if self._kleene is None:
+            self._kleene = _ShapeSums(shapes, [Letter(a) for a in range(self.S.n_gens)])
+        sums = self._kleene
+        parent, parent_gen = self.mc.parent, self.mc.parent_gen
+        target = nf.mc_vertex
+        path = [target]
+        while parent[path[-1]] is not None:
+            path.append(parent[path[-1]])
+        path.reverse()
+
+        # per path vertex, its exits (the ancestor d levels above the vertex
+        # at depth k is path[k - d]) and the tree letter to the next one
+        out: dict[int, dict[int, KleeneExpr]] = {}
+        for k, (v, nxt) in enumerate(zip(path, path[1:])):
+            a = parent_gen[nxt]
+            # the target is no live child: nothing is left out before it
+            m = sums.merged(shape[v], None if nxt == target else a)
+            out[v] = {path[k - d]: e for d, e in m.items()}
+            out[v][nxt] = sums.xs[a]
+        for v in path[1:-1]:
+            outs = out.pop(v)
+            mid = star(outs.pop(v, EPSILON))
+            for d in out.values():
+                ev = d.pop(v, None)
+                if ev is not None:
+                    for w, ew in outs.items():
+                        _acc(d, w, concat(ev, mid, ew))
+        return out[0][target]
+
+
+def tree_masses(engine: TreeEngine, xs: Sequence) -> dict[int, object]:
+    """The tree engine's walk sums added per expansion vertex: the
+    first-entry mass of every ideal vertex that a normal form enters."""
+    vals = engine.values(xs)
+    masses: dict[int, object] = {}
+    for nf in engine.normal_forms:
+        masses[nf.kr_vertex] = masses.get(nf.kr_vertex, 0) + vals[nf.mc_vertex]
+    return masses
+
+
+def tree_law(S: ASemigroup, xs: Sequence[Fraction], limit: bool) -> dict[int, Fraction]:
+    """The law per expansion vertex from the McCammond-tree engine: its
+    first-entry masses, or in limit mode h(R(u)) nu(L(u)) / |H| with h the
+    masses added per minimal right ideal, found as the closed classes of
+    the right action on the ideal."""
+    masses = tree_masses(TreeEngine(S), xs)
+    if not limit:
+        return masses
+    kr = karnofsky_rhodes(S)
+    ideal = kr.ideal_over(minimal_ideal(S))
+    index = {u: i for i, u in enumerate(ideal)}
+    rights = closed_classes([[index[w] for w in kr.out[u]] for u in ideal])
+    r_of = {ideal[i]: j for j, R in enumerate(rights) for i in R}
+    h = [Fraction(0)] * len(rights)
+    for u, m in masses.items():
+        h[r_of[u]] += m
+    lefts, action = kr.left_ideals(ideal)
+    l_of = {ideal[i]: j for j, L in enumerate(lefts) for i in L}
+    nu = _stationary_vector(action, xs)
+    h_size = len(ideal) // (len(rights) * len(lefts))
+    return {u: h[r_of[u]] / h_size * nu[l_of[u]] for u in ideal}

@@ -24,7 +24,13 @@ from semiwalk.graphs import (
 )
 from semiwalk.stationary import StationaryEngine
 
-from reference import back_edges, graphs_isomorphic, is_mc_stable, is_stable1
+from reference import (
+    back_edges,
+    frozenset_kr,
+    graphs_isomorphic,
+    is_mc_stable,
+    is_stable1,
+)
 
 
 def test_kr_vertex_counts(klein, flipflop, p3):
@@ -265,8 +271,7 @@ def test_mc_vertex_order_is_word_order(name, request):
         words = reference_words(mc)
         assert words == sorted(words)
         assert mc.words == words
-        engine = StationaryEngine(S)
-        nf_words = [engine.mc.words[nf.mc_vertex] for nf in engine.normal_forms]
+        nf_words = [nf.word for nf in StationaryEngine(S).normal_forms]
         assert nf_words == sorted(nf_words)
 
 
@@ -291,6 +296,54 @@ def test_kr_tree_matches_eager_construction(name, request):
             [ref.follow(i + 1, words[j + 1]) - 1 for j in range(n - 1)]
             for i in range(n - 1)
         ]
+
+
+# the benchmark's direct-mode ladder
+LADDER = ["tsetlin:6", "signed_tsetlin:4", "rees_zp:4,5", "bar_tower:2,2",
+          "flat_tower:3,2", "flat_tower:2,3"]
+
+
+def assert_copies_equal_the_frozenset_build(S):
+    """The build copy by copy gives the same arrays as the one keyed by sets
+    of transition edges, and its copies are what it says: each vertex lies
+    over its copy's component, and the one edge into a copy from outside
+    is the tree edge to its entry, from an earlier copy."""
+    kr = karnofsky_rhodes(S)
+    assert (kr.out, kr.parent, kr.parent_gen, kr.endpoint) == frozenset_kr(S)
+    comp = S.right_components()
+    copy_of, entry = kr.copy_of, kr.entry
+    assert (copy_of[0], entry[0]) == (0, 0)
+    assert [copy_of[w] for w in entry] == list(range(len(entry)))
+    assert all(copy_of[kr.parent[w]] < c for c, w in enumerate(entry) if c)
+    for v, image in enumerate(kr.s_image[1:], 1):
+        assert comp[image] == comp[kr.s_image[entry[copy_of[v]]]]
+    for v, row in enumerate(kr.out):
+        for a, w in enumerate(row):
+            if copy_of[w] != copy_of[v]:
+                assert w == entry[copy_of[w]] and (kr.parent[w], kr.parent_gen[w]) == (v, a)
+
+
+@pytest.mark.parametrize("name", LADDER + ["z2x01", "klein", "rees_general"])
+def test_kr_copies_equal_the_frozenset_build(name):
+    assert_copies_equal_the_frozenset_build(families.build(families.parse_family(name)))
+
+
+def test_kr_copies_equal_the_frozenset_build_on_random_draws(monkeypatch):
+    # 100 draws of 4 or 5 states and 2 or 3 maps with |S| <= 300
+    monkeypatch.setattr(expansions, "KR_CAP", 20_000)
+    rng = random.Random(25)
+    checked = 0
+    while checked < 100:
+        n, k = rng.choice([4, 5]), rng.choice([2, 3])
+        S = semigroup_from_transformations(
+            n, {g: [rng.randrange(n) for _ in range(n)] for g in "abc"[:k]})
+        if S.size > 300:
+            continue
+        try:
+            assert_copies_equal_the_frozenset_build(S)
+        except SizeCapExceeded:
+            continue
+        checked += 1
 
 
 def _closed_class_vertices(kr):

@@ -196,10 +196,27 @@ def test_cli_stationary_json_and_expressions(capsys):
          "--expressions"],
         capsys,
     )
+    # the whole of stdout is one JSON object
     assert code == 0
-    first = out.splitlines()[0]
-    assert json.loads(first) == {"aa": "1/3", "abb": "1/6", "baa": "1/6", "bb": "1/3"}
-    assert "a(ba)⋆a" in out
+    assert json.loads(out) == {
+        "law": {"aa": "1/3", "abb": "1/6", "baa": "1/6", "bb": "1/3"},
+        "expressions": {"aa": "a(ba)⋆a", "abb": "ab(ab)⋆b", "baa": "ba(ba)⋆a",
+                        "bb": "b(ab)⋆b"},
+    }
+
+
+@pytest.mark.parametrize("extra", [[], ["--over", "s"], ["--float"]])
+def test_cli_stationary_json_expressions_in_limit_mode(capsys, extra):
+    argv = ["stationary", "--family", "z2x01", "--expressions", *extra]
+    code, text, _ = run_cli(argv, capsys)
+    assert code == 0
+    code, out, _ = run_cli([*argv, "--format", "json"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    law, report = text.split("# walk languages per normal form\n")
+    assert list(data) == ["law", "expressions"]
+    assert [f"{k}: {v}" for k, v in data["law"].items()] == law.splitlines()
+    assert [f"{k}: {v}" for k, v in data["expressions"].items()] == report.splitlines()
 
 
 def test_cli_stationary_csv_and_float(capsys):
@@ -505,23 +522,30 @@ def test_cli_expands_the_semigroup_once(capsys, monkeypatch, argv):
     assert len(krs) >= 2 and all(kr is krs[0] for kr in krs)
 
 
-def test_cli_stationary_expressions_builds_one_mccammond(capsys, monkeypatch):
-    # the law and the walk languages read one engine, so one McCammond
-    # expansion, in direct and in limit mode, over kr and over s
-    mcs = []
-    fn = stationary.mccammond
+def test_cli_stationary_expressions_builds_one_kr_and_no_mccammond(capsys, monkeypatch):
+    # the law and the walk languages read one engine over one expansion, in
+    # direct and in limit mode, over kr and over s; no McCammond expansion
+    # is built, the engine's trees cover the components alone
+    krs = []
+    init = expansions.KRExpansion.__init__
 
-    def wrapped(*args, **kwargs):
-        mcs.append(fn(*args, **kwargs))
-        return mcs[-1]
-    monkeypatch.setattr(stationary, "mccammond", wrapped)
+    def counted(self, *args, **kwargs):
+        krs.append(self)
+        init(self, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("stationary built a McCammond expansion")
+
+    monkeypatch.setattr(expansions.KRExpansion, "__init__", counted)
+    for module in (expansions, stationary, cli):
+        monkeypatch.setattr(module, "mccammond", refuse)
     for family in (["rees_zp:4,4"], ["z2x01"], ["tsetlin:3", "--limit-zero"],
                    ["rees_zp:4,4", "--over", "s"], ["z2x01", "--over", "s"]):
-        mcs.clear()
+        krs.clear()
         code, out, _ = run_cli(["stationary", "--expressions", "--family", *family],
                                capsys)
         assert code == 0 and "# walk languages per normal form" in out
-        assert len(mcs) == 1, family
+        assert len(krs) == 1, family
 
 
 def test_cli_byte_identical_reruns(capsys):

@@ -1,6 +1,8 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from conftest import COUNTEREXAMPLE_MAPS, reference_words
@@ -9,12 +11,14 @@ from semiwalk import chains, stationary
 from semiwalk.chains import build_chain, certify
 from semiwalk.core import (
     SizeCapExceeded,
+    kernel_is_left_zero,
     minimal_ideal,
     semigroup_from_transformations,
 )
 from semiwalk import expansions
 from semiwalk.expansions import karnofsky_rhodes, mccammond
 from semiwalk.graphs import RootedLabeledGraph, right_cayley
+from semiwalk.specio import load_spec
 from semiwalk.kleene import (
     DivergentStar,
     Letter,
@@ -39,12 +43,14 @@ from semiwalk import families
 
 from reference import (
     NotACodeWord,
+    TreeEngine,
     adjoin_zero,
     enumerate_words,
     is_code_word,
     lump_by_classifier,
     r_trivial_stationary,
     semaphore_left_action,
+    tree_law,
 )
 
 F = Fraction
@@ -96,9 +102,23 @@ def test_semaphore_left_action_examples(p3, b2, z2x01_quotient):
 
 
 def nf_words(S):
-    """The engine's normal forms as their tree-path words, in its order."""
-    engine = StationaryEngine(S)
-    return [engine.mc.words[nf.mc_vertex] for nf in engine.normal_forms]
+    """The engine's normal forms as their words, in its order."""
+    return [nf.word for nf in StationaryEngine(S).normal_forms]
+
+
+def tree_values_by_word(S, xs):
+    """The McCammond-tree reference's walk sum per normal form, by word."""
+    ref = TreeEngine(S)
+    vals = ref.values(xs)
+    return {ref.mc.words[nf.mc_vertex]: vals[nf.mc_vertex] for nf in ref.normal_forms}
+
+
+def test_normal_forms_equal_the_tree_reference(b2, p3, z2x01, counterexample):
+    # the same words in the same order, each onto the same vertex
+    for S in (b2, p3, z2x01, adjoin_zero(z2x01), counterexample):
+        ref = TreeEngine(S)
+        assert [(nf.word, nf.kr_vertex) for nf in StationaryEngine(S).normal_forms] == [
+            (ref.mc.words[nf.mc_vertex], nf.kr_vertex) for nf in ref.normal_forms]
 
 
 def test_normal_forms_tsetlin(p3):
@@ -144,27 +164,36 @@ def test_quotient_expressions(z2x01_quotient):
 
 def test_tsetlin_expression_structure(p3):
     engine = StationaryEngine(p3)
-    words = engine.mc.words
     e = engine.expression(next(nf for nf in engine.normal_forms
-                               if words[nf.mc_vertex] == (0, 1, 2)))
+                               if nf.word == (0, 1, 2)))
     # first letter occurs before any loop; value matches the direct formula
     x = [F(1, 2), F(1, 3), F(1, 6)]
     assert evaluate_expr(e, x) == families.hendricks(x, (0, 1, 2))
     assert pretty(e, p3.gen_names).startswith("11⋆2")
 
 
+def assert_expressions_evaluate_to_the_sums(S, xs):
+    """Each form's expression evaluates to the reference's walk sum onto
+    it, and they add up to the engine's mass per vertex."""
+    engine = StationaryEngine(S)
+    want = tree_values_by_word(S, xs)
+    masses = {}
+    for nf in engine.normal_forms:
+        value = evaluate_expr(engine.expression(nf), xs)
+        assert value == want[nf.word]
+        masses[nf.kr_vertex] = masses.get(nf.kr_vertex, 0) + value
+    assert masses == engine.values(xs)
+
+
 def test_expression_values_match_engine(b2, p3, z2x01_quotient):
     for S, xs in ((b2, HALF), (p3, [F(1, 2), F(1, 3), F(1, 6)]),
                   (z2x01_quotient, X25)):
-        engine = StationaryEngine(S)
-        vals = engine.values(xs)
-        for nf in engine.normal_forms:
-            e = engine.expression(nf)
-            assert evaluate_expr(e, xs) == vals[nf.mc_vertex]
+        assert_expressions_evaluate_to_the_sums(S, xs)
 
 
 def _brute_force_walk_series(engine, nf, xs, max_len):
-    """Weights of ideal-avoiding walks onto nf, graded by length."""
+    """Weights of ideal-avoiding walks onto nf, graded by length, on the
+    McCammond tree of the reference ``engine``."""
     g = engine.mc.graph
     out = [F(0)] * (max_len + 1)
     target = nf.mc_vertex
@@ -193,11 +222,11 @@ def test_expression_series_exact_to_length_12(b2, z2x01_quotient, p3):
         (p3, [F(1, 2), F(1, 3), F(1, 6)], 12),
     ]
     for S, xs, depth in fixtures:
-        engine = StationaryEngine(S)
-        for nf in engine.normal_forms:
-            e = engine.expression(nf)
-            truncated = series(e, xs, depth)
-            brute = _brute_force_walk_series(engine, nf, xs, depth)
+        engine, ref = StationaryEngine(S), TreeEngine(S)
+        for nf, ref_nf in zip(engine.normal_forms, ref.normal_forms, strict=True):
+            assert nf.word == ref.mc.words[ref_nf.mc_vertex]
+            truncated = series(engine.expression(nf), xs, depth)
+            brute = _brute_force_walk_series(ref, ref_nf, xs, depth)
             assert truncated == brute
 
 
@@ -303,7 +332,7 @@ def test_adjoined_zero_table_at_concrete_weight(z2x01):
     assert dict(r.entries) == want
     onto = r.key_info["aa" + z].kr_vertex
     engine = StationaryEngine(S2)
-    assert [engine.mc.words[nf.mc_vertex] for nf in engine.normal_forms
+    assert [nf.word for nf in engine.normal_forms
             if nf.kr_vertex == onto] == [(0, 0, 2), (0, 1, 2)]  # aa|ab
     assert normalization_check(r)
 
@@ -337,7 +366,7 @@ def test_states_are_named_by_the_first_word_of_their_vertex(counterexample):
     onto = {}  # the normal forms reaching each vertex
     engine = StationaryEngine(S)
     for nf in engine.normal_forms:
-        onto.setdefault(nf.kr_vertex, []).append(engine.mc.words[nf.mc_vertex])
+        onto.setdefault(nf.kr_vertex, []).append(nf.word)
     assert any(len(onto[ki.kr_vertex]) > 1 for ki in r.key_info.values())
     for label, ki in r.key_info.items():
         assert ki.word == kr.words[ki.kr_vertex]
@@ -405,44 +434,37 @@ def test_tree_pass_matches_elimination(name):
     # the tree pass over Kleene weights, evaluated, must give the same walk
     # sums as over Fractions, also with back edges past the parent
     S = families.build(families.parse_family(name))
-    engine = StationaryEngine(S)
-    xs = uniform_probs(S)
-    vals = engine.values(xs)
-    for nf in engine.normal_forms:
-        assert evaluate_expr(engine.expression(nf), xs) == vals[nf.mc_vertex]
+    assert_expressions_evaluate_to_the_sums(S, uniform_probs(S))
+
+
+def _ancestors(engine, v):
+    while v is not None:
+        yield v
+        v = engine.parent[v]
 
 
 def test_tree_pass_rejects_back_edge_to_non_ancestor(p3):
     engine = StationaryEngine(p3)
-    g, parent = engine.mc.graph, engine.mc.parent
-    live = set(engine.live)
-
-    def ancestors(v):
-        while v is not None:
-            yield v
-            v = parent[v]
-
-    v, a = next(
-        (v, a) for v in engine.live for a, w in enumerate(g.out[v])
-        if w in live and parent[w] != v
-    )
-    stranger = next(u for u in engine.live if u not in set(ancestors(v)))
-    g.out[v][a] = stranger
-    with pytest.raises(AssertionError):
+    out, parent = engine.out, engine.parent
+    v, a = next((v, a) for v, row in enumerate(out) for a, w in enumerate(row)
+                if w is not None and parent[w] != v)
+    stranger = next(u for u in range(len(out)) if u not in set(_ancestors(engine, v)))
+    out[v][a] = stranger
+    with pytest.raises(AssertionError, match="off the tree path"):
         engine.values(uniform_probs(p3))
 
 
 def test_tree_pass_rejects_ideal_entry_off_the_tree(p3):
-    # an edge into the ideal must be the tree edge to the normal form it
-    # creates: point one at another vertex's normal form instead
+    # an edge into the ideal leaves its component, so no tree holds it:
+    # point one at another tree's entry instead
     engine = StationaryEngine(p3)
-    out, parent = engine.mc.out, engine.mc.parent
-    in_ideal = engine._in_ideal
-    v, a = next((v, a) for v in engine.live for a, w in enumerate(out[v])
-                if in_ideal[w])
-    out[v][a] = next(nf.mc_vertex for nf in engine.normal_forms
-                     if parent[nf.mc_vertex] != v)
-    with pytest.raises(AssertionError, match="normal form"):
+    ideal, rows = minimal_ideal(p3), p3.right_action()[0]
+    v, a = next((v, a) for v in range(1, len(engine.out)) for a in range(p3.n_gens)
+                if rows[engine.elem[v]][a] in ideal)
+    assert engine.out[v][a] is None
+    engine.out[v][a] = next(t for t in engine.tree_of.values()
+                            if t not in set(_ancestors(engine, v)))
+    with pytest.raises(AssertionError, match="off the tree path"):
         engine.values(uniform_probs(p3))
 
 
@@ -496,7 +518,8 @@ def test_tree_pass_raises_divergent_star(b2):
 
 
 def reference_expression(engine, nf):
-    """State elimination over every live vertex, for one normal form.
+    """State elimination over every live vertex of the McCammond-tree
+    reference ``engine``, for one of its normal forms.
 
     Vertices off the target's root path go first (deepest first, ties by
     path word), then the path from the root outward; the pieces on an edge
@@ -551,7 +574,8 @@ def reference_expression(engine, nf):
 
 
 def reference_values(engine, xs):
-    """Walk sums onto the normal forms, one reduction per live vertex.
+    """Walk sums onto the normal forms of the McCammond-tree reference
+    ``engine``, one reduction per live vertex, added per expansion vertex.
 
     In reverse creation order each live vertex v sums its exits, keyed by
     the ancestor-or-self they reach: its back-edge letters, then each live
@@ -559,7 +583,8 @@ def reference_values(engine, xs):
     R_v, and v's step is its letter's weight times 1/(1 - R_v).  Top-down,
     a vertex's sum is its parent's times its step, and a normal form's is
     its parent's times its letter.  The engine shares one reduction between
-    subtrees of equal shape and must give the same sums.
+    subtrees of equal shape, cuts the tree at component entries, and must
+    give the same sums.
     """
     out, parent, parent_gen = engine.mc.out, engine.mc.parent, engine.mc.parent_gen
     in_ideal = engine._in_ideal
@@ -582,8 +607,11 @@ def reference_values(engine, xs):
     prefix = {0: step[0]}
     for v in engine.live[1:]:
         prefix[v] = prefix[parent[v]] * step[v]
-    return {nf.mc_vertex: prefix[parent[nf.mc_vertex]] * xs[parent_gen[nf.mc_vertex]]
-            for nf in engine.normal_forms}
+    masses = {}
+    for nf in engine.normal_forms:
+        f = nf.mc_vertex
+        masses[nf.kr_vertex] = masses.get(nf.kr_vertex, 0) + prefix[parent[f]] * xs[parent_gen[f]]
+    return masses
 
 
 @pytest.mark.parametrize("name", [
@@ -611,9 +639,8 @@ def test_expansion_vertex_order_is_shortlex_and_states_are_lex(name):
 def test_values_equal_per_vertex_reference(name):
     S = (semigroup_from_transformations(5, COUNTEREXAMPLE_MAPS)
          if name == "counterexample" else families.build(families.parse_family(name)))
-    engine = StationaryEngine(S)
     xs = uniform_probs(S)
-    assert engine.values(xs) == reference_values(engine, xs)
+    assert StationaryEngine(S).values(xs) == reference_values(TreeEngine(S), xs)
 
 
 def test_values_equal_per_vertex_reference_on_random_draws(monkeypatch):
@@ -635,20 +662,22 @@ def test_values_equal_per_vertex_reference_on_random_draws(monkeypatch):
             continue
         ints = [rng.randint(1, 9) for _ in range(k)]
         xs = [F(i, sum(ints)) for i in ints]
-        engine = StationaryEngine(S)
-        assert engine.values(xs) == reference_values(engine, xs)
+        ref = TreeEngine(S)
+        assert StationaryEngine(S).values(xs) == reference_values(ref, xs)
         checked += 1
-        unstable += len(engine.mc.out) > len(engine.kr.out)
+        unstable += len(ref.mc.out) > len(ref.kr.out)
     assert unstable > 0
 
 
+# the tree vertices, against the expansion's 220, 7,320 and 97,240 vertices
 @pytest.mark.parametrize("name, shapes, live", [
-    ("flat_tower:2,2", 12, 110), ("bar_tower:2,2", 31, 3660),
+    ("flat_tower:2,2", 12, 20), ("bar_tower:2,2", 31, 3660),
+    ("flat_tower:2,3", 56, 440),
 ])
 def test_equal_subtrees_share_one_reduction(name, shapes, live):
     engine = StationaryEngine(families.build(families.parse_family(name)))
     engine.values(uniform_probs(engine.S))
-    assert (len(engine._shapes()[1]), len(engine.live)) == (shapes, live)
+    assert (len(engine._shapes()[1]), len(engine.out)) == (shapes, live)
 
 
 def _random_draw(seed):
@@ -683,11 +712,12 @@ def test_expression_equals_state_elimination(name, monkeypatch):
     # compared before the star-of-union rewrite
     monkeypatch.setattr(stationary, "zimin_rewrite", lambda e: e)
     S = _elimination_case(name)
-    engine = StationaryEngine(S)
+    engine, ref = StationaryEngine(S), TreeEngine(S)
     assert len(engine.normal_forms) > 1
-    for nf in engine.normal_forms:
+    for nf, ref_nf in zip(engine.normal_forms, ref.normal_forms, strict=True):
+        assert nf.word == ref.mc.words[ref_nf.mc_vertex]
         got = engine.expression(nf)
-        want = reference_expression(engine, nf)
+        want = reference_expression(ref, ref_nf)
         assert got == want
         assert pretty(got, S.gen_names) == pretty(want, S.gen_names)
 
@@ -729,3 +759,61 @@ def test_node_count_counts_shared_nodes_at_each_place():
     ab = concat(Letter(0), Letter(1))
     assert node_count(ab) == 3
     assert node_count(star(union(ab, ab))) == 8
+
+
+def _law_by_vertex(result):
+    return {info.kr_vertex: result[label] for label, info in result.key_info.items()}
+
+
+def test_law_equals_tree_reference_on_random_draws(monkeypatch):
+    # 4- and 5-state draws of 2 or 3 maps with |S| <= 150 at random rational
+    # weights, 100 whose minimal ideal is left zero (direct mode, also
+    # forced into limit mode) and 100 whose is not; a draw whose McCammond
+    # expansion passes 20,000 simple paths is passed over
+    monkeypatch.setattr(expansions, "MC_CAP", 20_000)
+    rng = random.Random(25)
+    modes, unstable = Counter(), 0
+    while min(modes[True], modes[False]) < 100:
+        n, k = rng.choice([4, 5]), rng.choice([2, 3])
+        maps = {g: [rng.randrange(n) for _ in range(n)] for g in "abc"[:k]}
+        ints = [rng.randint(1, 9) for _ in range(k)]
+        S = semigroup_from_transformations(n, maps)
+        direct = kernel_is_left_zero(S, minimal_ideal(S))
+        if S.size > 150 or modes[direct] >= 100:
+            continue
+        try:
+            ref = TreeEngine(S)
+        except SizeCapExceeded:
+            continue
+        xs = [F(i, sum(ints)) for i in ints]
+        for limit in {not direct, True}:
+            got = stationary_kr(S, xs, force_limit=limit)
+            assert _law_by_vertex(got) == tree_law(S, xs, limit)
+            assert normalization_check(got)
+        modes[direct] += 1
+        unstable += len(ref.mc.out) > len(ref.kr.out)
+    assert unstable >= 10
+
+
+def test_limit_draw_past_the_mccammond_cap():
+    # a McCammond tree over the whole expansion of this draw passes MC_CAP
+    # (1,000,000 simple paths); CI runs verify on the same spec
+    S = load_spec(str(Path(__file__).parent / "specs" / "maps4_s172.json"))
+    assert S.size == 172 and not kernel_is_left_zero(S, minimal_ideal(S))
+    xs = [F(1, 2), F(1, 3), F(1, 6)]
+    engine = StationaryEngine(S)
+    assert (len(engine.tree_of), len(engine.out)) == (57, 11_186)
+    result = stationary_kr(S, xs, engine=engine)
+    assert len(result.entries) == 2_496 and normalization_check(result)
+    assert certify(S, xs, result, build_chain(S, xs))
+
+
+def test_mc_cap_counts_component_tree_vertices(monkeypatch):
+    # flat_tower:2,2 has 20 tree vertices, the root's included
+    S = families.build(families.parse_family("flat_tower:2,2"))
+    monkeypatch.setattr(expansions, "MC_CAP", 20)
+    assert len(StationaryEngine(S).out) == 20
+    monkeypatch.setattr(expansions, "MC_CAP", 19)
+    with pytest.raises(SizeCapExceeded, match=r"McCammond trees of the components "
+                       r"of a semigroup with \|S\| = 39 exceeded cap 19 "):
+        stationary_kr(S, uniform_probs(S))
