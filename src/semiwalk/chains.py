@@ -171,8 +171,11 @@ def tv_distance(d1: Mapping[str, object], d2: Mapping[str, object]) -> float:
     return 0.5 * sum(abs(float(d1.get(k, 0)) - float(d2.get(k, 0))) for k in keys)
 
 
-# steps of the mixing bound's tail, read at each call; a run costs ~|S|·|A|·k² digits
-MIXING_CAP = 500
+# work of the mixing bound in element-bits, read at each call: per step, the
+# elements outside K times the bits of the tail's common denominator, summed
+# over the steps.  A step's integer products cost about that, so the cap
+# bounds the time as well as the steps.
+MIXING_CAP = 100_000_000
 E_INV_LOWER = Fraction(3678794411714423, 10**16)  # e^-1 = 0.36787944117144232...
 
 
@@ -192,7 +195,9 @@ def mixing_bound(S: ASemigroup, xs: Sequence[Fraction]) -> MixingBound:
     K as integers over D^k, D the weights' least common denominator.  K is
     left zero iff some x is fixed by every generator ({x} is then a minimal
     right ideal, and all have one size), and is then the set of those;
-    otherwise SemigroupError.  Past ``MIXING_CAP`` steps, SizeCapExceeded."""
+    otherwise SemigroupError.  Past ``MIXING_CAP`` element-bits of work
+    (the elements outside K times the bits of D^k, summed over the steps),
+    SizeCapExceeded."""
     xs = validate_probs(S, xs)
     rows = S.right_action()[0]
     live = [e for e, row in enumerate(rows) if any(f != e for f in row)]
@@ -203,17 +208,22 @@ def mixing_bound(S: ASemigroup, xs: Sequence[Fraction]) -> MixingBound:
     for x in xs:  # times the part of x's denominator that denom lacks
         denom *= Fraction(denom, x.denominator).denominator
     ws = [int(x * denom) for x in xs]
-    mass = [0] * S.size  # mass[e] / denom^k: the product of k letters is e
+    mass = [0] * S.size  # mass[e] / scale, scale = denom^k: the product of k letters is e
     for e, w in zip(S.gens, ws):
         mass[e] += w
-    for k in range(1, MIXING_CAP + 1):
-        tail = Fraction(sum([mass[e] for e in live]), denom**k)
-        if tail <= E_INV_LOWER:
-            return MixingBound(k, tail)
+    k, scale, work = 1, denom, 0
+    while True:
+        tail = sum([mass[e] for e in live])
+        if tail * E_INV_LOWER.denominator <= E_INV_LOWER.numerator * scale:
+            return MixingBound(k, Fraction(tail, scale))
+        work += len(live) * scale.bit_length()
+        if work > MIXING_CAP:
+            raise SizeCapExceeded(
+                f"mixing bound of |S| = {S.size}: first-entry tail still above 1/e "
+                f"after {k} steps, exceeded cap {MIXING_CAP} element-bits of work")
         step = [0] * S.size
         for e in live:
             for f, w in zip(rows[e], ws):
                 step[f] += mass[e] * w
         mass = step
-    raise SizeCapExceeded(f"mixing bound of |S| = {S.size}: first-entry tail still "
-                          f"above 1/e, exceeded cap {MIXING_CAP} steps")
+        k, scale = k + 1, scale * denom

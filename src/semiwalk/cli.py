@@ -1,7 +1,7 @@
 """Command-line surface.
 
-Subcommands: build, expand, stationary, verify.  All numeric output is
-exact fraction text unless --float is given.  Identical invocations
+Subcommands: build, expand, stationary, verify, mixing.  All numeric
+output is exact fraction text unless --float is given.  Identical invocations
 (including --seed) produce byte-identical output.  Exit codes: 0 success,
 1 verification failure, 2 usage or input error.
 
@@ -27,6 +27,7 @@ from .chains import (
     build_chain,
     certify,
     check_lumping,
+    mixing_bound,
     stationary_oracle,
     tv_distance,
 )
@@ -56,7 +57,8 @@ def main(argv=None) -> int:
     # looked up at call time, so a command replaced after the parser was
     # built is the one that runs
     commands = {"build": cmd_build, "expand": cmd_expand,
-                "stationary": cmd_stationary, "verify": cmd_verify}
+                "stationary": cmd_stationary, "verify": cmd_verify,
+                "mixing": cmd_mixing}
     # The expansions are large heaps of acyclic objects that the cyclic
     # collector would rescan as they grow, finding nothing to free.  No
     # command makes reference cycles that grow with its input, so the
@@ -124,6 +126,8 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--tv-tol", type=float,
                    help="TV tolerance for --simulate; default "
                         "sqrt(states / (walkers * steps)), to 4 decimals")
+
+    add_command("mixing", "steps until the first-entry tail is at most 1/e")
     return p
 
 
@@ -191,9 +195,9 @@ def cmd_stationary(args) -> int:
         result = stationary_s(S, xs, force_limit=args.limit_zero, engine=engine)
     else:
         result = stationary_kr(S, xs, force_limit=args.limit_zero, engine=engine)
-    rows = [(k, _frac(v, args.as_float)) for k, v in result.entries.items()]
     # built before anything is printed, so a cap it hits leaves stdout empty
     report = expressions_report(S, engine) if args.expressions else {}
+    rows = ((k, _frac(v, args.as_float)) for k, v in result.entries.items())
     if args.format == "json":
         # with expressions, one object holding both, so stdout stays JSON
         law = dict(rows)
@@ -205,8 +209,7 @@ def cmd_stationary(args) -> int:
         writer.writerow(("state", "probability"))
         writer.writerows(rows)
     else:
-        for k, v in rows:
-            print(f"{k}: {v}")
+        sys.stdout.writelines(f"{k}: {v}\n" for k, v in rows)
     if args.expressions:
         print("# walk languages per normal form")
         for k, v in report.items():
@@ -278,6 +281,14 @@ def cmd_verify(args) -> int:
         print(f"FAILED: {', '.join(failures)}")
         return CHECK_FAILED
     print("all checks passed")
+    return 0
+
+
+def cmd_mixing(args) -> int:
+    S = _load(args)
+    mb = mixing_bound(S, _probs(args, S))
+    print(f"k: {mb.k}")
+    print(f"tail: {_frac(mb.tail)}")
     return 0
 
 

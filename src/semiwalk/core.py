@@ -10,7 +10,10 @@ reaching each element.  That word is shortest possible, with ties broken
 lexicographically, and discovery order is the shortlex order of those
 words, so all derived labelling is deterministic across runs.
 Representative words, the right Cayley graph, the minimal ideal and the
-simulator's start word all read this one search.
+simulator's start word all read this one search.  A semigroup made from
+a Karnofsky-Rhodes expansion (``KRExpansion.semigroup``) makes no search:
+the expansion's build made the same one, and hands it over with its
+components.
 A semigroup also stores, built on first use, its minimal ideal K(S), a
 frozen set of elements, and its Karnofsky-Rhodes expansion, which refers to
 neither S nor its Cayley graph: no reference cycle.
@@ -138,7 +141,8 @@ class ASemigroup:
         Returns ``(rows, order, words)``: ``rows[e][a] = e·gens[a]``, the
         elements in discovery order from the generators in index order,
         and per element the first word reaching it, its shortlex-least
-        word.  Computed once, with |S|·k products.
+        word.  Computed once, with |S|·k products, unless an expansion's
+        build handed it over (``KRExpansion.semigroup``).
         """
         if self._right_action is None:
             gens, mult = self.gens, self.mult
@@ -165,9 +169,10 @@ class ASemigroup:
 
     def right_components(self) -> list[int]:
         """The strongly connected component of each element in the right
-        action (its R-class), one Tarjan search stored on S.  The minimal
-        ideal and the Karnofsky-Rhodes expansion's transition edges both
-        read it."""
+        action (its R-class), one Tarjan search stored on S, or the
+        expansion's copies where ``KRExpansion.semigroup`` made S.  The
+        minimal ideal and the Karnofsky-Rhodes expansion's transition edges
+        both read it."""
         if self._components is None:
             from .graphs import sccs  # local import, graphs depends on core
 

@@ -9,10 +9,12 @@ re-enters a strongly connected component it has left, nor crosses one edge
 twice, so the expansion is a tree of copies of the graph's components,
 each entered by exactly one edge; it is built copy by copy, and every
 vertex knows its copy and every copy its entry.  The result is again a
-right Cayley graph, so it carries a semigroup structure of its own.  It is
-stored on the semigroup, and every reader shares that one.  Its minimal
-ideal is read off by image: the vertices over the minimal ideal of S.  The
-letters' left action on it is one table, built top-down along the
+right Cayley graph, so it carries a semigroup structure of its own, and
+its build is that semigroup's right-action search: ``semigroup`` hands
+the search and the R-classes (the copies) to the semigroup it makes.
+The expansion is stored on the semigroup, and every reader shares that
+one.  Its minimal ideal is read off by image: the vertices over the
+minimal ideal of S.  The letters' left action on it is one table, built top-down along the
 breadth-first tree on first use; the expansion-ideal chain and the minimal
 left ideals both read that table.
 
@@ -141,11 +143,28 @@ class KRExpansion(ExpansionTree):
 
         Multiplication follows the second factor's word through the graph,
         one edge per letter, so multiplying by a generator is one step.
+        The build has already made the search ``ASemigroup.right_action``
+        would make, so the semigroup is handed it: the rows are ``out``
+        less the root, the elements come in vertex order with their tree
+        words, and the R-classes are the copies.  A copy is strongly
+        connected and a path never comes back to it, and copies are
+        numbered by their first vertex, as ``sccs`` numbers components.
+        Element names are those words, printed on first use.
         """
-        g, words = self.graph, self.words
-        gens = [w - 1 for w in g.out[g.root]]
-        return ASemigroup(g.n - 1, gens, list(g.alphabet),
-                          lambda i, j: g.follow(i + 1, words[j + 1]) - 1, g.labels[1:])
+        out, words = self.out, self.words
+
+        def mult(i: int, j: int) -> int:
+            v = i + 1
+            for a in words[j + 1]:
+                v = out[v][a]
+            return v - 1
+
+        n = len(out) - 1
+        T = ASemigroup(n, [w - 1 for w in out[self.root]], list(self.alphabet), mult)
+        T._right_action = ([[u - 1 for u in row] for row in out[1:]], list(range(n)),
+                           words[1:])
+        T._components = [c - 1 for c in self.copy_of[1:]]
+        return T
 
 
 def karnofsky_rhodes(S: ASemigroup) -> KRExpansion:

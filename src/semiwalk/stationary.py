@@ -45,6 +45,8 @@ H-class R ∩ L, on which the law is uniform.  In direct mode every R is one
 vertex, there is one L and |H| = 1.  Both modes name a state by the
 shortlex-first word reaching its vertex, as chains and simulations do;
 only the states of the result are named, and the law over S names none.
+A state's ``KeyInfo`` (word, element, vertex and, in limit mode, its name
+on KR(S⁰)) is made only when ``key_info`` is first read.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .core import (
     ASemigroup,
@@ -477,8 +479,17 @@ class KeyInfo:
 
 @dataclass
 class StationaryResult:
+    """The law, state name to mass in print order, and per state its
+    ``KeyInfo``.  ``key_info`` is built on first read, by calling
+    ``info``, so a law that is only printed builds no record per state."""
+
     entries: dict[str, Fraction]
-    key_info: dict[str, KeyInfo] = field(default_factory=dict)
+    info: Callable[[], dict[str, KeyInfo]] = field(default=dict, repr=False,
+                                                   compare=False)
+
+    @cached_property
+    def key_info(self) -> dict[str, KeyInfo]:
+        return self.info()
 
     def total(self) -> Fraction:
         return sum(self.entries.values(), Fraction(0))
@@ -532,7 +543,7 @@ def _stationary_kr_direct(
     masses = engine.values(xs)
     if over == "s":
         return _s_result(S, engine.kr, masses)
-    return _kr_result(engine.kr, masses, {})
+    return _kr_result(engine.kr, masses, dict)
 
 
 def _stationary_kr_limit(
@@ -559,10 +570,11 @@ def _stationary_kr_limit(
     if over == "s":
         return _s_result(S, kr, masses)
 
-    # names on KR(S⁰): u's word then the zero letter first reaches u·0
-    names0 = S.gen_names + [zero_name(S)]
-    sep, z = label_sep(names0), (S.n_gens,)
-    alt_labels = {u: sep.join([names0[g] for g in kr.words[u] + z]) for u in ideal}
+    def alt_labels() -> dict[int, str]:
+        # names on KR(S⁰): u's word then the zero letter first reaches u·0
+        names0 = S.gen_names + [zero_name(S)]
+        sep, z = label_sep(names0), (S.n_gens,)
+        return {u: sep.join([names0[g] for g in kr.words[u] + z]) for u in ideal}
     return _kr_result(kr, masses, alt_labels)
 
 
@@ -589,19 +601,22 @@ def _stationary_vector(succ: list[list[int]], xs: Sequence[Fraction]) -> list[Fr
     return [row[n] for row in rows]
 
 
-def _kr_result(kr: KRExpansion, masses: dict, alt_labels: dict) -> StationaryResult:
-    """The result over expansion vertices: per vertex its mass and, in
-    limit mode, its name on KR(S⁰).  A state is named by the shortlex-first
-    word reaching its vertex, and states come in the order of those words.
+def _kr_result(kr: KRExpansion, masses: dict,
+               alt_labels: Callable[[], dict[int, str]]) -> StationaryResult:
+    """The result over expansion vertices.  A state is named by the
+    shortlex-first word reaching its vertex, and states come in the order
+    of those words.  Its ``KeyInfo``, with its name on KR(S⁰) from
+    ``alt_labels()`` in limit mode, is made on first read of ``key_info``.
     """
-    words, images = kr.words, kr.s_image
+    words = kr.words
     order = sorted(masses, key=words.__getitem__)
-    entries: dict[str, object] = {}
-    info: dict[str, KeyInfo] = {}
-    for v, label in zip(order, kr.names(order)):
-        entries[label] = masses[v]
-        info[label] = KeyInfo(word=words[v], alt_label=alt_labels.get(v),
-                              element=images[v], kr_vertex=v)
+    entries = dict(zip(kr.names(order), map(masses.__getitem__, order)))
+
+    def info() -> dict[str, KeyInfo]:
+        alt, images = alt_labels(), kr.s_image
+        return {label: KeyInfo(word=words[v], alt_label=alt.get(v),
+                               element=images[v], kr_vertex=v)
+                for label, v in zip(entries, order)}
     return StationaryResult(entries, info)
 
 
@@ -614,7 +629,7 @@ def _s_result(S: ASemigroup, kr: KRExpansion, masses: dict) -> StationaryResult:
     names = {e: S.element_name(e) for e in by_element}
     order = sorted(by_element, key=names.__getitem__)
     return StationaryResult({names[e]: by_element[e] for e in order},
-                            {names[e]: KeyInfo(element=e) for e in order})
+                            lambda: {names[e]: KeyInfo(element=e) for e in order})
 
 
 def expressions_report(

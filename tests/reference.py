@@ -414,7 +414,7 @@ def lump_by_classifier(
         entries[cls] = entries.get(cls, Fraction(0)) + value
         info.setdefault(cls, KeyInfo())
     ordered = dict(sorted(entries.items()))
-    return StationaryResult(ordered, info)
+    return StationaryResult(ordered, lambda: info)
 
 
 # -- the McCammond-tree engine -----------------------------------------------------

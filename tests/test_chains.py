@@ -271,7 +271,8 @@ def test_e_inv_lower_is_a_close_lower_bound():
 @pytest.mark.parametrize("name,k", [
     ("tsetlin:6", 15), ("signed_tsetlin:3", 6), ("burnside_straightline:3", 3),
     ("edge_flip_line:4", 9), ("rees_B:4", 2), ("flat_tower:2,2", 5),
-    ("bar_tower:2,2", 6), ("flat_tower:2,3", 7),
+    ("bar_tower:2,2", 6), ("flat_tower:2,3", 7), ("signed_tsetlin:5", 12),
+    ("rees_zp:4,5", 2), ("flat_tower:3,2", 6),
 ])
 def test_mixing_bound_ladder(name, k):
     S = families.build(families.parse_family(name))
@@ -356,11 +357,31 @@ def test_mixing_bound_fixed_points_are_the_left_zero_ideal():
 def test_mixing_cap_names_the_cap(monkeypatch):
     S = families.tsetlin(6)
     xs = uniform_probs(S)
-    monkeypatch.setattr(semiwalk.chains, "MIXING_CAP", 15)
+    # k = 15 takes 14 steps, each over the 62 elements outside K with
+    # integers over 6^j for the j-th
+    work = sum(62 * (6**j).bit_length() for j in range(1, 15))
+    monkeypatch.setattr(semiwalk.chains, "MIXING_CAP", work)
     assert mixing_bound(S, xs).k == 15
-    monkeypatch.setattr(semiwalk.chains, "MIXING_CAP", 14)
-    with pytest.raises(SizeCapExceeded, match="mixing bound .* exceeded cap 14 steps"):
+    monkeypatch.setattr(semiwalk.chains, "MIXING_CAP", work - 1)
+    with pytest.raises(SizeCapExceeded, match=f"mixing bound of .* after 14 steps, "
+                       f"exceeded cap {work - 1} element-bits of work"):
         mixing_bound(S, xs)
+
+
+@pytest.mark.parametrize("name,gen,denominator", [
+    ("bar_tower:2,2", "~𝟙'", 1000), ("bar_tower:2,2", "~𝟙'", 10**4),
+    ("tsetlin:6", "1", 1000), ("tsetlin:2", "1", 10**9),
+])
+def test_mixing_cap_bounds_the_time(name, gen, denominator):
+    # one rare letter: the tail stays above 1/e for hundreds of steps or
+    # more while its integers grow, and the cap on their bits stops the run
+    S = families.build(families.parse_family(name))
+    rare = F(1, denominator)
+    xs = [rare if g == gen else (1 - rare) / (S.n_gens - 1) for g in S.gen_names]
+    start = time.perf_counter()
+    with pytest.raises(SizeCapExceeded, match="mixing bound .* exceeded cap"):
+        mixing_bound(S, xs)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_certify_direct_and_limit_results(p3, b2, z2x01, klein):

@@ -383,3 +383,26 @@ def test_expansion_ideal_by_image_on_random_draws(monkeypatch):
             continue
         assert kr.ideal_over(minimal_ideal(S)) == _closed_class_vertices(kr)
         modes[direct] += 1
+
+
+@pytest.mark.parametrize("name", ["bar_tower:2,2", "bar_tower:3,1", "flat_tower:2,3",
+                                  "flat_tower:3,2"])
+def test_expansion_hands_its_search_to_its_semigroup(name, monkeypatch):
+    # every level a tower builds through semigroup() (these top corners
+    # build the lower levels on their way) gets the expansion's own right
+    # action, discovery order, words and R-classes, equal to a fresh search
+    # over its multiplication, and names its elements as the graph does
+    built = []
+    semigroup = expansions.KRExpansion.semigroup
+
+    def spy(kr):
+        built.append((kr, semigroup(kr)))
+        return built[-1][1]
+    monkeypatch.setattr(expansions.KRExpansion, "semigroup", spy)
+    families.build(families.parse_family(name))
+    assert built
+    for kr, T in built:
+        handed = T.right_action(), T.right_components()
+        assert T.element_names() == kr.graph.labels[1:]
+        T._right_action = T._components = None
+        assert (T.right_action(), T.right_components()) == handed

@@ -211,7 +211,7 @@ def reference_limit(S, xs):
             continue
         assert u not in masses
         masses[u], alt_labels[u] = limit, alt_label
-    return _kr_result(kr, masses, alt_labels)
+    return _kr_result(kr, masses, lambda: alt_labels)
 
 
 S27 = {"a": [1, 2, 1], "b": [2, 0, 1], "c": [0, 2, 1]}

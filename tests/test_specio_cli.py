@@ -7,6 +7,8 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -779,3 +781,62 @@ def test_verify_builds_one_chain(family, capsys, monkeypatch):
     code, out, _ = run_cli(args, capsys)
     assert code == 0 and out.endswith("all checks passed\n")
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "flat_tower:3,2"], ["--family", "z2x01"],
+    ["--family", "tsetlin:3", "--limit-zero"], ["--family", "rees_zp:4,5", "--over", "s"],
+    ["--family", "klein", "--over", "s"], ["--family", "rees_general", "--format", "csv"],
+], ids=["direct", "limit", "forced-limit", "direct-over-s", "limit-over-s", "csv"])
+def test_cli_stationary_builds_no_key_info(argv, capsys, monkeypatch):
+    # the printed law reads the states' names and masses alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("stationary built a KeyInfo")
+    monkeypatch.setattr(stationary, "KeyInfo", refuse)
+    code, out, err = run_cli(["stationary", *argv], capsys)
+    assert code == 0 and out, err
+
+
+def test_cli_exact_ladder_matches_the_benchmark_reference(capsys):
+    # each exact_ladder request prints the bytes the benchmark's reference
+    # recorded, the text law of flat_tower:2,3 (48,620 lines) among them
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+    requests = json.loads(path.read_text(encoding="utf-8"))["fixed"]["exact_ladder"]
+    assert len(requests) == 8
+    for req in requests:
+        code, out, err = run_cli(req["argv"], capsys)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == req["sha256"], req["argv"]
+
+
+# bar_tower:2,2 with weight 1/1000 on ~𝟙' and the rest split evenly
+_SKEWED = "1=999/5000,2=999/5000,‾𝟙=999/5000,~𝟙=999/5000,‾𝟙'=999/5000,~𝟙'=1/1000"
+
+
+@pytest.mark.parametrize("family,out", [
+    ("flat_tower:2,3", "k: 7\ntail: 279936/823543\n"),
+    ("tsetlin:6", "k: 15\ntail: 129078571/362797056\n"),
+    ("rees_zp:4,5", "k: 2\ntail: 1/4\n"),
+])
+def test_cli_mixing(family, out, capsys):
+    assert run_cli(["mixing", "--family", family], capsys) == (0, out, "")
+
+
+def test_cli_mixing_with_weights(capsys):
+    code, out, _ = run_cli(["mixing", "--family", "tsetlin:3",
+                            "--probs", "1=1/2,2=1/3,3=1/6"], capsys)
+    want = chains.mixing_bound(cli.build_family(cli.parse_family("tsetlin:3")),
+                               [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)])
+    assert (code, out) == (0, f"k: {want.k}\ntail: {want.tail}\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--family", "z2x01"], "error: minimal ideal is not left zero: the mixing bound's "),
+    (["--family", "bar_tower:2,2", "--probs", _SKEWED],
+     "error: mixing bound of |S| = 7319: first-entry tail still above 1/e after "),
+], ids=["limit-mode", "cap"])
+def test_cli_mixing_names_the_stage_and_exits_2(argv, message, capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(["mixing", *argv], capsys)
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (2, "") and err.startswith(message)

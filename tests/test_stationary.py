@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -817,3 +818,68 @@ def test_mc_cap_counts_component_tree_vertices(monkeypatch):
     with pytest.raises(SizeCapExceeded, match=r"McCammond trees of the components "
                        r"of a semigroup with \|S\| = 39 exceeded cap 19 "):
         stationary_kr(S, uniform_probs(S))
+
+
+# digests of list(key_info.items()), over kr and over s, as every state's
+# record was built before the records were made on first read
+KEY_INFO_DIGESTS = {
+    ("flat_tower:3,2", False): (
+        "14aea50e8326e13fc3a3da4b467f42a9a1404787d3a6e9ff7211a0e310bf0ef1",
+        "c1494dd31e2782b7aba9c5d121f3477dc901081a846399b1a37bd6f54dfed1d7"),
+    ("rees_zp:4,5", False): (
+        "ef672d8f0c75a8625855402d31d01c31e30416aacd3f025fbc439c5014869fb7",
+        "604a55caa83b71d1bd0915aee69e062a2cfba6a53951030392540c0576022aa0"),
+    ("z2x01", False): (
+        "8e602c62a3c3d7f0721b84deb4b5f1f27a22810c6dba241d427490d702eda7bc",
+        "b7b680af88c98876c12f5ddbd1290f0d0b56a4a5e2c910076b227306d12ada44"),
+    ("klein", False): (
+        "febb033d89afcd2dbe3f4321ba1e4f40f8a6e003784f3b2ba2c9c14363c26576",
+        "c0b038bd4b1cd8e70a4fb61b89aacb36335535b1e7a362c3c4107d50a1a407c5"),
+    ("rees_general", False): (
+        "6aa9c1fe64fac497ef9c411773004db1e1b3941d2a018ca326e465e761a89204",
+        "54a98820eb92ab361c9686220b79d69a370d503091af3f4dbfff8613aa9d6654"),
+    ("tsetlin:3", True): (
+        "79ea6a0ec711703c758e397b30b11b03effb675e5d80d70a3a58a896915f8d1a",
+        "b15efcc283fb01ef0931be47ecc3249c3cc3fc3965fc216f4188b67cc4d8d16e"),
+}
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name,force", list(KEY_INFO_DIGESTS))
+def test_key_info_is_built_on_first_read(name, force, monkeypatch):
+    # the law alone makes no KeyInfo; the records it makes on first read,
+    # the KR(S⁰) names of limit mode among them, are the ones made before
+    made = []
+    key_info = stationary.KeyInfo
+
+    def counted(*args, **kwargs):
+        made.append(key_info(*args, **kwargs))
+        return made[-1]
+    monkeypatch.setattr(stationary, "KeyInfo", counted)
+    S = families.build(families.parse_family(name))
+    xs = uniform_probs(S)
+    results = [stationary_kr(S, xs, force_limit=force),
+               stationary_s(S, xs, force_limit=force)]
+    assert all(r.entries for r in results) and made == []
+    for r, want in zip(results, KEY_INFO_DIGESTS[name, force]):
+        made.clear()
+        assert _digest(list(r.key_info.items())) == want
+        assert len(made) == len(r.entries)
+        assert r.key_info is r.key_info and len(made) == len(r.entries)
+
+
+@pytest.mark.parametrize("name,want", [
+    ("flat_tower:3,2", "06f9502e26ac673921ba1d5c97b93d39320b7d65bea82c3710ef59588889bad2"),
+    ("rees_B:2", "fd7d95b41d8044e79b1456e3bec1a18a2108e3860d643ebcb7911f00132b83b2"),
+    ("rees_zp:4,5", "c042cc935692be489415063b290ccffd5398b1432155d88b812492a90a1c55b5"),
+])
+def test_verify_lumping_classes_read_the_records(name, want):
+    # the classes verify's lumping check reads off key_info, per chain state
+    S = families.build(families.parse_family(name))
+    xs = uniform_probs(S)
+    r, chain = stationary_kr(S, xs), build_chain(S, xs)
+    classes = {lab: S.element_name(r.key_info[lab].element) for lab in chain.labels}
+    assert _digest(list(classes.items())) == want
