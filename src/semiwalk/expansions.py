@@ -30,11 +30,12 @@ from __future__ import annotations
 from functools import cached_property
 
 from .core import ASemigroup, SizeCapExceeded, Word, label_sep
-from .graphs import ROOT_LABEL, RootedLabeledGraph, closed_classes, right_cayley
-# sccs and transition_edges are not called here, since S stores its
-# components and the build tells crossings by them, but perfbench/spans.py
-# times the expansion's graph work by these names
-from .graphs import sccs, transition_edges
+from .graphs import ROOT_LABEL, RootedLabeledGraph, closed_classes, right_cayley_rows
+# right_cayley, sccs and transition_edges are not called here, since the
+# build needs no vertex labels, S stores its components and the build tells
+# crossings by them, but perfbench/spans.py times the expansion's graph
+# work by these names
+from .graphs import right_cayley, sccs, transition_edges
 
 # size caps in vertices, read at each call
 KR_CAP = 200_000
@@ -46,20 +47,21 @@ class ExpansionTree:
 
     Vertex v > 0 extends the path ``parent[v]`` by the letter
     ``parent_gen[v]`` and ends at ``endpoint[v]`` of the graph it expands
-    (a graph or an expansion, read here and not kept); parents come before
-    children.  ``out`` holds the tree edges and every other edge.
+    (a graph or an expansion, whose alphabet and images ``base_image`` in
+    S are passed in); parents come before children.  ``out`` holds the
+    tree edges and every other edge.
     """
 
     root = 0
 
-    def __init__(self, base_graph, out, parent, parent_gen, endpoint):
-        self.alphabet: list[str] = base_graph.alphabet
+    def __init__(self, alphabet, base_image, out, parent, parent_gen, endpoint):
+        self.alphabet: list[str] = alphabet
         self.out: list[list[int | None]] = out
         self.parent: list[int | None] = parent
         self.parent_gen: list[int | None] = parent_gen
         self.endpoint: list[int] = endpoint  # vertex of the base graph
         # the underlying semigroup element per vertex, None at the root
-        self.s_image: list[int | None] = [base_graph.s_image[u] for u in endpoint]
+        self.s_image: list[int | None] = [base_image[u] for u in endpoint]
 
     @cached_property
     def words(self) -> list[Word]:
@@ -100,8 +102,9 @@ class KRExpansion(ExpansionTree):
     leaves.
     """
 
-    def __init__(self, base_graph, out, parent, parent_gen, endpoint, copy_of, entry):
-        super().__init__(base_graph, out, parent, parent_gen, endpoint)
+    def __init__(self, alphabet, base_image, out, parent, parent_gen, endpoint,
+                 copy_of, entry):
+        super().__init__(alphabet, base_image, out, parent, parent_gen, endpoint)
         self.copy_of: list[int] = copy_of
         self.entry: list[int] = entry
 
@@ -181,12 +184,12 @@ def karnofsky_rhodes(S: ASemigroup) -> KRExpansion:
     """
     if S._kr is not None:
         return S._kr
-    rcay = right_cayley(S)
+    gout, image = right_cayley_rows(S)
     # S's components, relabelled to the graph's vertices; the root, which
     # no edge enters, is a component of its own, numbered last
     comp = S.right_components()
     root_comp = max(comp) + 1
-    vcomp = [root_comp] + [comp[e] for e in rcay.s_image[1:]]
+    vcomp = [root_comp] + [comp[e] for e in image[1:]]
     size = [0] * (root_comp + 1)
     pos = []  # each graph vertex's position in its component
     for c in vcomp:
@@ -195,10 +198,10 @@ def karnofsky_rhodes(S: ASemigroup) -> KRExpansion:
     # per graph vertex, its edges (letter, target, the target's position if
     # the edge stays in the component, None if it crosses)
     edges = [[(a, u, pos[u] if vcomp[u] == c else None) for a, u in enumerate(row)]
-             for row, c in zip(rcay.out, vcomp)]
+             for row, c in zip(gout, vcomp)]
 
     # per vertex in order of discovery: (parent, letter, graph vertex, copy)
-    found: list[tuple] = [(None, None, rcay.root, 0)]
+    found: list[tuple] = [(None, None, 0, 0)]
     out: list[list[int]] = []  # filled in the same order
     entry = [0]
     tables = [[0]]  # per copy, its vertex at each position, None until found
@@ -226,7 +229,8 @@ def karnofsky_rhodes(S: ASemigroup) -> KRExpansion:
         out.append(row)
 
     parent, parent_gen, endpoint, copy_of = map(list, zip(*found))
-    S._kr = KRExpansion(rcay, out, parent, parent_gen, endpoint, copy_of, entry)
+    S._kr = KRExpansion(list(S.gen_names), image, out, parent, parent_gen, endpoint,
+                        copy_of, entry)
     return S._kr
 
 
@@ -257,7 +261,7 @@ def mccammond(G) -> ExpansionTree:
         return w
 
     grow_simple_paths(G.out.__getitem__, 0, endpoint, out, add)
-    return ExpansionTree(G, out, parent, parent_gen, endpoint)
+    return ExpansionTree(G.alphabet, G.s_image, out, parent, parent_gen, endpoint)
 
 
 def grow_simple_paths(row, root: int, endpoint: list, out: list, add) -> None:

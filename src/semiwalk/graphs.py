@@ -67,16 +67,20 @@ class RootedLabeledGraph:
 
 
 def right_cayley(S: ASemigroup) -> RootedLabeledGraph:
-    """Right Cayley graph: vertices S with adjoined root, edges s -> s*a.
+    """Right Cayley graph: vertices S with adjoined root, edges s -> s*a."""
+    out, s_image = right_cayley_rows(S)
+    labels = [ROOT_LABEL] + [S.element_name(e) for e in s_image[1:]]
+    return RootedLabeledGraph(S.gen_names, labels, out, s_image)  # type: ignore[arg-type]
 
-    Vertices after the root are the elements in the search's discovery
-    order, and their edges are its rows.
-    """
+
+def right_cayley_rows(S: ASemigroup) -> tuple[list[list[int]], list[int | None]]:
+    """The right Cayley graph's edge rows and vertex images, without its
+    labels: vertices after the root are the elements in the search's
+    discovery order, and their edges are its rows."""
     rows, order, _ = S.right_action()
     vertex = dict(zip(order, range(1, S.size + 1)))
     out = [[vertex[g] for g in S.gens]] + [[vertex[f] for f in rows[e]] for e in order]
-    labels = [ROOT_LABEL] + [S.element_name(e) for e in order]
-    return RootedLabeledGraph(S.gen_names, labels, out, [None] + order)  # type: ignore[arg-type]
+    return out, [None, *order]
 
 
 def sccs(G: RootedLabeledGraph | Sequence[Sequence[int | None]]) -> list[int]:

@@ -2,22 +2,25 @@
 
 A walker's state is a minimal ideal-entering word w.  A step draws a letter
 a and moves to the shortest prefix of a·w whose product lies in the minimal
-ideal.  Lumped onto expansion states, this walk samples the exact engine's
-law only when the minimal ideal is left zero (direct mode); otherwise both
-simulations raise, since the limit-mode law has no sampler here.  Before a
-run the walk is compiled to lists: S's right-action table
-``right[e][b] = e·gens[b]`` (``ASemigroup.right_action``), an ideal flag
-per element of S, and the rows of the Karnofsky-Rhodes expansion, which
-lumps words onto states.  One loop then reads a·w letter by letter,
-advancing the element and the expansion vertex together, and stops at the
-first letter whose element is in the ideal.  Only the states the walk
-visits are named.  Nothing is memoized: a step costs time linear in the
-length of the word it enters the ideal with.
-Ideal entry is decided by S's own multiplication, so the walk depends on
-the expansion code only through the final lumping.  Every walker of
+ideal K.  Lumped onto expansion states, this walk samples the exact engine's
+law only when K is left zero (direct mode); otherwise both simulations
+raise, since the limit-mode law has no sampler here.  Every walker of
 ``simulate_state_at`` starts from the representative word of the first
 ideal element in the search's discovery order, the shortlex-least
 ideal-entering word.
+
+No word is carried.  K is a two-sided ideal, so the word after step t is
+the shortest prefix entering K of the walker's letters read newest first,
+followed by its start word: a walker's letters are reversed once, the start
+word appended, and the word of step t is read forward from position
+``steps - t``.  The start word is checked once to enter K, so no read runs
+past it.  A read follows one table over the (element, vertex) pairs the walk
+reaches, built by one breadth-first search from the generators: S's right
+action ``right[e][b] = e·gens[b]`` (``ASemigroup.right_action``) paired with
+the rows of the Karnofsky-Rhodes expansion, which lump words onto states.
+A read stops at the first pair whose element lies in K, by S's own
+multiplication, so the walk reads the expansion's rows only: neither its
+left action nor its images in S.  Only the states the walk visits are named.
 
 Random number generator contract: SplitMix64 (Steele, Lea and Flood,
 OOPSLA 2014), 64-bit state, advancing by the golden-ratio increment and
@@ -26,20 +29,21 @@ uses the stream seeded by mix64(mix64(s) ^ (GOLDEN * (w+1) mod 2^64)).
 Letters are drawn by comparing the top 53 bits of the next output against
 cumulative integer thresholds floor(cum_i * 2^53).  Everything is integer
 arithmetic, so runs are bit-identical across platforms for a fixed seed.
-The walk loop draws its letters from ``_next53s``, which computes the same
-stream as ``SplitMix64`` up to 1,024 outputs at a time, one 128-bit lane of
-a single integer per output, so each step of the finalizer is one
-whole-integer operation per block rather than one per output.
+``_letters`` computes the same stream as ``SplitMix64`` up to 1,024
+outputs at a time, one 128-bit lane of a single integer per output, so
+each step of the finalizer is one whole-integer operation per block.  A
+block's top bytes map to letters through one 256-entry table in one
+``bytes.translate``; an output whose top byte's range holds a threshold
+is drawn by its exact 53 bits.
 """
 
 from __future__ import annotations
 
-import sys
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from typing import Iterator, Sequence
 
 from .core import ASemigroup, SemigroupError, Word, kernel_is_left_zero, minimal_ideal
@@ -75,7 +79,8 @@ def walker_seed(seed: int, index: int) -> int:
     return mix64(mix64(seed) ^ ((_GOLDEN * (index + 1)) & _MASK))
 
 
-_BLOCK = 1024  # outputs computed together by _next53s
+_BLOCK = 1024  # outputs computed together by _blocks
+_SENTINEL = 255  # a top byte whose range a threshold splits
 
 
 @cache
@@ -88,16 +93,17 @@ def _lanes() -> tuple[int, int, int]:
     return ones, ones * _MASK, int.from_bytes(steps, "little")
 
 
-def _next53s(state: int, count: int) -> Iterator[int]:
-    """The first ``count`` outputs of ``SplitMix64(state).next53()``.
+def _blocks(state: int, count: int) -> Iterator[bytes]:
+    """The first ``count`` outputs of ``SplitMix64(state).next64()``, up to
+    _BLOCK at a time, as little-endian bytes: output t of a block is bytes
+    16t to 16t+7.
 
-    They are computed _BLOCK at a time: lane t (bits 128t to 128t+127) of
-    one integer holds the generator's state after t+1 advances, so each
-    xor-shift, multiply and mask of ``mix64`` is one operation on the whole
-    integer.  A 64-bit lane times a 64-bit constant fits in its lane, and a
-    right shift carries low bits of lane t+1 into bits 98-127 of lane t,
-    which the mask after each xor-shift clears.  The lanes are read back as
-    the even words of an array of 64-bit words.
+    Lane t (bits 128t to 128t+127) of one integer holds the generator's
+    state after t+1 advances, so each xor-shift, multiply and mask of
+    ``mix64`` is one operation on the whole integer.  A 64-bit lane times a
+    64-bit constant fits in its lane, and a right shift carries low bits of
+    lane t+1 into bits 97-127 of lane t, which the masks clear or, after
+    the last xor-shift, the output leaves out.
     """
     ones, mask, steps = _lanes()
     while count > 0:
@@ -108,14 +114,41 @@ def _next53s(state: int, count: int) -> Iterator[int]:
         z = (state * ones + steps) & mask
         z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
         z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
-        # bits 64-96 of each lane are clear here, so >> 11 leaves the top
-        # 53 bits of the output alone in the lane's low word
-        words = array("Q", ((z ^ (z >> 31)) >> 11).to_bytes(16 * n, "little"))
-        if sys.byteorder == "big":
-            words.byteswap()
-        yield from words[::2]
+        yield (z ^ (z >> 31)).to_bytes(16 * n, "little")
         state = (state + n * _GOLDEN) & _MASK
         count -= n
+
+
+def _letter_table(thresholds: list[int]) -> bytes:
+    """Per top byte b of an output, the letter of every 53-bit value in
+    [b·2^45, (b+1)·2^45), or _SENTINEL where a threshold splits that range
+    or the alphabet has _SENTINEL letters or more."""
+    table = bytearray()
+    for b in range(256):
+        lo = bisect_right(thresholds, b << 45)
+        hi = bisect_right(thresholds, (b + 1 << 45) - 1)
+        table.append(lo if lo == hi and len(thresholds) <= _SENTINEL else _SENTINEL)
+    return bytes(table)
+
+
+def _letters(state: int, count: int, thresholds: list[int],
+             table: bytes) -> bytearray | array:
+    """``bisect_right(thresholds, SplitMix64(state).next53())`` for the
+    first ``count`` outputs, given ``table = _letter_table(thresholds)``:
+    a block's top bytes (byte 7 of each lane) go through ``table`` in one
+    ``bytes.translate``, and only the outputs mapped to _SENTINEL, about
+    (k-1)/256 of them for k < 256 letters, are drawn by their top 53 bits.
+    """
+    letters = bytearray() if len(thresholds) <= _SENTINEL else array("L")
+    for raw in _blocks(state, count):
+        tops, base = raw[7::16].translate(table), len(letters)
+        letters.extend(tops)
+        i = tops.find(_SENTINEL)
+        while i >= 0:
+            letters[base + i] = bisect_right(
+                thresholds, int.from_bytes(raw[16 * i:16 * i + 8], "little") >> 11)
+            i = tops.find(_SENTINEL, i + 1)
+    return letters
 
 
 def _thresholds(xs: Sequence[Fraction]) -> list[int]:
@@ -145,59 +178,67 @@ class EmpiricalDistribution:
 
 
 class _WalkTables:
-    """The word walk compiled to lists: the right action of the generators
-    on S, ideal membership per element, and the Karnofsky-Rhodes expansion
-    that lumps words onto states."""
+    """The word walk compiled to one table over the (element, vertex) pairs
+    it reaches: S's right action paired with the Karnofsky-Rhodes rows that
+    lump words onto states.
 
-    def __init__(self, S: ASemigroup):
-        self.gens = S.gens
-        self.right = S.right_action()[0]
-        self.in_ideal = list(map(minimal_ideal(S).__contains__, range(S.size)))
+    The successor row of pair p outside the ideal is ``nxt[p : p+k]`` (p
+    is its index times k, the root's 0); a pair in the ideal, where reads
+    stop, is ``~v``, negative, for its expansion vertex v.
+    """
+
+    def __init__(self, S: ASemigroup, thresholds: list[int]):
+        self.thresholds, self.table = thresholds, _letter_table(thresholds)
+        right, K = S.right_action()[0], minimal_ideal(S)
         kr = karnofsky_rhodes(S)
-        self.out, self.root, self.names = kr.out, kr.root, kr.names
+        out, self.names, self.n = kr.out, kr.names, len(kr.out)
+        self.nxt: list[int] = []
+        index: dict[tuple[int, int], int] = {}
+        todo: list[tuple] = [(None, kr.root)]  # the queue of pairs outside K
+        for e, v in todo:
+            for a, u in enumerate(out[v]):
+                f = S.gens[a] if e is None else right[e][a]
+                if f in K:
+                    self.nxt.append(~u)
+                    continue
+                if (f, u) not in index:
+                    index[f, u] = len(todo) * S.n_gens
+                    todo.append((f, u))
+                self.nxt.append(index[f, u])
 
-    def lump(self, word: Word) -> int:
-        v = self.root
-        for b in word:
-            v = self.out[v][b]
-        return v
-
-    def initial_word(self, rng: SplitMix64, thresholds: list[int]) -> Word:
+    def initial_word(self, rng: SplitMix64) -> list[int]:
         """Draw letters until the product enters the ideal."""
-        word: list[int] = []
-        e = None
-        while True:
-            a = bisect_right(thresholds, rng.next53())
-            word.append(a)
-            e = self.gens[a] if e is None else self.right[e][a]
-            if self.in_ideal[e]:
-                return tuple(word)
+        word, p = [], 0
+        while p >= 0:
+            word.append(bisect_right(self.thresholds, rng.next53()))
+            p = self.nxt[p + word[-1]]
+        return word
 
-    def run(self, word: Word, state: int, thresholds: list[int], steps: int,
-            visits: list[int]) -> int:
-        """Take ``steps`` steps from ``word``, drawing letters from the
-        SplitMix64 stream at ``state`` as ``_next53s`` computes it, block by
-        block; count each visited lumping vertex in ``visits`` and return
-        the vertex of the last word."""
-        gens, right, in_ideal, out = self.gens, self.right, self.in_ideal, self.out
-        first = out[self.root]
-        v = self.lump(word)
-        for a in map(partial(bisect_right, thresholds), _next53s(state, steps)):
-            e, v = gens[a], first[a]
-            if in_ideal[e]:
-                word = (a,)
-            else:
-                j = 0
-                for b in word:
-                    j += 1
-                    e, v = right[e][b], out[v][b]
-                    if in_ideal[e]:
-                        break
-                else:
-                    raise AssertionError("word does not reach the ideal")
-                word = (a,) + word[:j]
-            visits[v] += 1
-        return v
+    def history(self, word: Sequence[int], state: int, steps: int) -> bytearray | array:
+        """The letters of ``steps`` steps from ``word``, drawn from the
+        SplitMix64 stream at ``state``, newest first, then ``word``, which
+        must enter K.  K is an ideal, so the word after step t is the
+        shortest prefix entering K of the letters from position
+        ``steps - t`` on, and no read runs past ``word``."""
+        try:
+            self.count(word, 1, [0] * self.n)
+        except IndexError:
+            raise AssertionError("word does not reach the ideal") from None
+        letters = _letters(state, steps, self.thresholds, self.table)
+        letters.reverse()
+        letters.extend(word)
+        return letters
+
+    def count(self, hist: bytearray | array, steps: int, visits: list[int]) -> None:
+        """Count in ``visits`` the vertex of the words read from positions
+        0 to ``steps - 1`` of ``hist``, the walk's last ``steps`` words."""
+        nxt = self.nxt
+        for i in range(steps):
+            p = nxt[hist[i]]  # the root's row comes first
+            while p >= 0:
+                i += 1
+                p = nxt[p + hist[i]]
+            visits[~p] += 1
 
     def distribution(self, visits: list[int], total: int) -> EmpiricalDistribution:
         seen = [v for v, c in enumerate(visits) if c]
@@ -232,14 +273,12 @@ def simulate_semaphore(
     if walkers < 1 or steps < 1:
         raise SemigroupError(
             f"need walkers >= 1 and steps >= 1, got walkers={walkers}, steps={steps}")
-    xs = _prepare(S, xs)
-    walk = _WalkTables(S)
-    thresholds = _thresholds(xs)
-    visits = [0] * len(walk.out)
+    walk = _WalkTables(S, _thresholds(_prepare(S, xs)))
+    visits = [0] * walk.n
     for w in range(walkers):
         rng = SplitMix64(walker_seed(seed, w))
-        word = walk.initial_word(rng, thresholds)
-        walk.run(word, rng.state, thresholds, steps, visits)
+        word = walk.initial_word(rng)
+        walk.count(walk.history(word, rng.state, steps), steps, visits)
     return walk.distribution(visits, walkers * steps)
 
 
@@ -259,14 +298,11 @@ def simulate_state_at(
     if walkers < 1 or steps < 0:
         raise SemigroupError(
             f"need walkers >= 1 and steps >= 0, got walkers={walkers}, steps={steps}")
-    xs = _prepare(S, xs)
-    walk = _WalkTables(S)
-    thresholds = _thresholds(xs)
+    walk = _WalkTables(S, _thresholds(_prepare(S, xs)))
     word = _lex_first_code_word(S)
-    visits = [0] * len(walk.out)  # the occupation measure, not reported here
-    ends = [0] * len(walk.out)
-    for w in range(walkers):
-        ends[walk.run(word, walker_seed(seed, w), thresholds, steps, visits)] += 1
+    ends = [0] * walk.n
+    for w in range(walkers):  # the last word is read from position 0
+        walk.count(walk.history(word, walker_seed(seed, w), steps), 1, ends)
     return walk.distribution(ends, walkers)
 
 

@@ -18,7 +18,7 @@ from semiwalk.core import (
 )
 from semiwalk import expansions
 from semiwalk.expansions import karnofsky_rhodes, mccammond
-from semiwalk.graphs import RootedLabeledGraph, right_cayley
+from semiwalk.graphs import RootedLabeledGraph
 from semiwalk.specio import load_spec
 from semiwalk.kleene import (
     DivergentStar,
@@ -476,8 +476,8 @@ def test_stationary_kr_builds_no_mc_labelled_graph(name, force_limit, monkeypatc
     # the counterexample's expansion has 194 simple paths over 109 vertices;
     # z2x01 runs in limit mode.  On a fresh semigroup the law, the chain and
     # the certificate (its action on the chain's classes) read one
-    # expansion, and the only labelled graph built is the right
-    # Cayley graph it expands: none for KR, none for MC.
+    # expansion, and no labelled graph is built: the expansion reads S's
+    # right action, not the right Cayley graph, and none for KR or MC.
     S = (semigroup_from_transformations(5, COUNTEREXAMPLE_MAPS)
          if name == "counterexample" else families.z2x01())
     xs = uniform_probs(S)
@@ -502,10 +502,7 @@ def test_stationary_kr_builds_no_mc_labelled_graph(name, force_limit, monkeypatc
     result = stationary_kr(S, xs, force_limit=force_limit)
     assert certify(S, xs, result, build_chain(S, xs))
     assert len(krs) == 3 and all(kr is krs[0] for kr in krs)
-    assert len(built) == 1
-    rcay = right_cayley(S)
-    assert (built[0].labels, built[0].out, built[0].s_image) == (
-        rcay.labels, rcay.out, rcay.s_image)
+    assert built == []
 
 
 def test_tree_pass_raises_divergent_star(b2):
