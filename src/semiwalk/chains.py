@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
+# minimal_ideal and mccammond are not called here; perfbench/spans.py wraps them
 from .core import ASemigroup, SemigroupError, SizeCapExceeded, minimal_ideal
-# mccammond is not called here, but perfbench/spans.py wraps it here by name
 from .expansions import karnofsky_rhodes, mccammond
 from .graphs import closed_classes
 from .stationary import validate_probs
@@ -60,7 +60,7 @@ def build_chain(S: ASemigroup, xs: Sequence[Fraction]) -> TransitionMatrix:
     """
     xs = validate_probs(S, xs)
     kr = karnofsky_rhodes(S)
-    states = kr.ideal_over(minimal_ideal(S))
+    states = kr.ideal
     index = {s: i for i, s in enumerate(states)}
     cols: list[dict[int, Fraction]] = [dict() for _ in states]
     for col, s in zip(cols, states):
@@ -75,9 +75,10 @@ def certify(S: ASemigroup, xs: Sequence[Fraction], result, chain) -> bool:
 
     True iff the masses of ``result`` (a ``StationaryResult`` over "kr") are
     nonnegative, sum to 1, satisfy pi T = pi on ``chain``, which is
-    ``build_chain(S, xs)``, and put the right mass on each of its
-    closed classes.  Those are the minimal left ideals, and the letters act
-    on them through any representative; that action must have one closed
+    ``build_chain(S, xs)``, and put the right mass on each of its closed
+    classes.  Those are the minimal left ideals the expansion stores, over
+    ``kr.ideal``, which is ``chain.states``, and the letters act on them
+    through any representative; that action must have one closed
     class, and the class masses must be stationary for it.  With pi T = pi,
     which fixes the law within each class, this pins the law.  Nothing is
     solved: each check is one exact multiplication.
@@ -94,7 +95,7 @@ def certify(S: ASemigroup, xs: Sequence[Fraction], result, chain) -> bool:
                 image[t] += vec[s] * p
     if image != vec:
         return False
-    classes, action = karnofsky_rhodes(S).left_ideals(chain.states)
+    classes, action = karnofsky_rhodes(S).left_ideals
     if len(closed_classes(action)) != 1:
         return False
     mass = [sum([vec[i] for i in cls], Fraction(0)) for cls in classes]
@@ -146,13 +147,13 @@ def stationary_oracle(T: TransitionMatrix) -> dict[str, float]:
     raise NotConverged(f"no convergence after {ORACLE_MAX_ITER} iterations")
 
 
-def check_lumping(T: TransitionMatrix, classes: Mapping[str, str]) -> bool:
+def check_lumping(T: TransitionMatrix, classes: Mapping[str, Hashable]) -> bool:
     """Exact lumpability: states in one class must have identical
-    class-aggregated columns.  ``classes`` maps state label -> class label."""
+    class-aggregated columns.  ``classes`` maps state label -> its class."""
     idx_class = [classes[lab] for lab in T.labels]
-    signatures: dict[str, dict[str, Fraction]] = {}
+    signatures: dict[Hashable, dict[Hashable, Fraction]] = {}
     for s in range(T.n):
-        sig: dict[str, Fraction] = {}
+        sig: dict[Hashable, Fraction] = {}
         for t, p in T.cols[s].items():
             c = idx_class[t]
             sig[c] = sig.get(c, Fraction(0)) + p

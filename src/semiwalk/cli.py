@@ -39,7 +39,6 @@ from .kleene import DivergentStar
 from .simulate import simulate_semaphore
 from .specio import load_spec
 from .stationary import (
-    StationaryEngine,
     expressions_report,
     normalization_check,
     parse_probs,
@@ -189,14 +188,12 @@ def cmd_expand(args) -> int:
 def cmd_stationary(args) -> int:
     S = _load(args)
     xs = _probs(args, S)
-    # one engine for the law and the expressions, in either mode and space
-    engine = StationaryEngine(S) if args.expressions else None
     if args.over == "s":
-        result = stationary_s(S, xs, force_limit=args.limit_zero, engine=engine)
+        result = stationary_s(S, xs, force_limit=args.limit_zero)
     else:
-        result = stationary_kr(S, xs, force_limit=args.limit_zero, engine=engine)
+        result = stationary_kr(S, xs, force_limit=args.limit_zero)
     # built before anything is printed, so a cap it hits leaves stdout empty
-    report = expressions_report(S, engine) if args.expressions else {}
+    report = expressions_report(S) if args.expressions else {}
     rows = ((k, _frac(v, args.as_float)) for k, v in result.entries.items())
     if args.format == "json":
         # with expressions, one object holding both, so stdout stays JSON
@@ -252,10 +249,9 @@ def cmd_verify(args) -> int:
         )
         check("oracle", diff < 1e-10, f"power-iteration oracle (max diff {diff:.2e})")
 
-        classes = {
-            lab: S.element_name(result.key_info[lab].element)
-            for lab in chain.labels
-        }
+        # each chain state's class is the element under its vertex
+        image = karnofsky_rhodes(S).s_image
+        classes = dict(zip(chain.labels, map(image.__getitem__, chain.states)))
         check("lumping", check_lumping(chain, classes),
               "lumping expansion -> semigroup")
 

@@ -14,9 +14,9 @@ simulator's start word all read this one search.  A semigroup made from
 a Karnofsky-Rhodes expansion (``KRExpansion.semigroup``) makes no search:
 the expansion's build made the same one, and hands it over with its
 components.
-A semigroup also stores, built on first use, its minimal ideal K(S), a
-frozen set of elements, and its Karnofsky-Rhodes expansion, which refers to
-neither S nor its Cayley graph: no reference cycle.
+A semigroup also stores, each built on first use, its minimal ideal K(S)
+(a frozen set), its Karnofsky-Rhodes expansion and the walk-sum engine over
+that expansion; neither of the last two refers to S: no reference cycle.
 
 The minimal right ideals are the closed classes of that right action and
 their union is the minimal ideal (Rhodes and Steinberg, *The q-theory of
@@ -114,6 +114,7 @@ class ASemigroup:
         self._components: list[int] | None = None  # stored by right_components
         self._minimal_ideal: frozenset[int] | None = None  # stored by minimal_ideal
         self._kr = None  # its Karnofsky-Rhodes expansion, stored by karnofsky_rhodes
+        self._engine = None  # its walk-sum engine, stored by stationary._engine
 
     # -- basic structure ---------------------------------------------------
 
@@ -197,18 +198,22 @@ class ASemigroup:
     def check_associative(self) -> None:
         """Light's associativity test: only triples whose middle factor is
         a generator, which is complete once the generators generate the
-        semigroup (checked first).
+        semigroup (checked first).  The table is made once, with n²
+        products; then (a·g)·b = a·(g·b) for every b is one comparison of
+        the row of a·g with a's row read through g's.
         """
-        n = self.size
         self.right_action()  # raises GeneratorsDoNotGenerate
+        elements = range(self.size)
+        table = [[self.mult(a, b) for b in elements] for a in elements]
         for ge in set(self.gens):
-            for a in range(n):
-                ag = self.mult(a, ge)
-                for b in range(n):
-                    if self.mult(ag, b) != self.mult(a, self.mult(ge, b)):
-                        raise NotAssociative(
-                            f"({a}*g)*{b} != {a}*(g*{b}) for generator element {ge}"
-                        )
+            gb = table[ge]
+            for a, row in enumerate(table):
+                ag = table[row[ge]]
+                if ag != list(map(row.__getitem__, gb)):
+                    b = next(b for b in elements if ag[b] != row[gb[b]])
+                    raise NotAssociative(
+                        f"({a}*g)*{b} != {a}*(g*{b}) for generator element {ge}"
+                    )
 
     def __repr__(self) -> str:
         return f"ASemigroup(|S|={self.size}, A={self.gen_names})"

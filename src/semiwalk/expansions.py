@@ -13,10 +13,11 @@ right Cayley graph, so it carries a semigroup structure of its own, and
 its build is that semigroup's right-action search: ``semigroup`` hands
 the search and the R-classes (the copies) to the semigroup it makes.
 The expansion is stored on the semigroup, and every reader shares that
-one.  Its minimal ideal is read off by image: the vertices over the
-minimal ideal of S.  The letters' left action on it is one table, built top-down along the
-breadth-first tree on first use; the expansion-ideal chain and the minimal
-left ideals both read that table.
+one.  It keeps K(S), so it finds its own minimal ideal (the vertices over
+K(S)) and minimal left ideals once, on first use, for every reader.  The
+letters' left action is one table, built top-down along the breadth-first
+tree on first use; the expansion-ideal chain and the minimal left ideals
+both read that table.
 
 The McCammond expansion of a deterministic rooted graph has one vertex per
 simple path from the root; an edge either extends a simple path (tree edge)
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .core import ASemigroup, SizeCapExceeded, Word, label_sep
+from .core import ASemigroup, SizeCapExceeded, Word, label_sep, minimal_ideal
 from .graphs import ROOT_LABEL, RootedLabeledGraph, closed_classes, right_cayley_rows
 # right_cayley, sccs and transition_edges are not called here, since the
 # build needs no vertex labels, S stores its components and the build tells
@@ -99,14 +100,15 @@ class KRExpansion(ExpansionTree):
     expands, and copy c is entered at vertex ``entry[c]`` by its tree edge
     alone; copy 0 is the root's.  Copies are numbered in the order their
     entries were found, so a copy comes after the copy its entry edge
-    leaves.
+    leaves.  ``base_ideal`` is K(S), the minimal ideal of S.
     """
 
     def __init__(self, alphabet, base_image, out, parent, parent_gen, endpoint,
-                 copy_of, entry):
+                 copy_of, entry, base_ideal):
         super().__init__(alphabet, base_image, out, parent, parent_gen, endpoint)
         self.copy_of: list[int] = copy_of
         self.entry: list[int] = entry
+        self.base_ideal: frozenset[int] = base_ideal
 
     @cached_property
     def left(self) -> list[list[int]]:
@@ -119,9 +121,10 @@ class KRExpansion(ExpansionTree):
             left.append([out[u][b] for u in left[p]])
         return left
 
-    def ideal_over(self, K: frozenset[int]) -> list[int]:
-        """The minimal ideal of the expansion, in vertex order, given the
-        minimal ideal K of S: the vertices whose image lies in K.
+    @cached_property
+    def ideal(self) -> list[int]:
+        """The minimal ideal of the expansion, in vertex order: the
+        vertices whose image lies in K = K(S).
 
         K(KR) is the union of the closed classes of ``out``.  Edges out of
         K(S) stay in a strongly connected minimal right ideal, so a walk from
@@ -130,12 +133,15 @@ class KRExpansion(ExpansionTree):
         Conversely a closed class holds u·w for a word w with product in
         K(S), and the whole class is reached from there: it lies over K(S).
         """
+        K = self.base_ideal
         return [v for v, e in enumerate(self.s_image) if e in K]
 
-    def left_ideals(self, ideal: list[int]) -> tuple[list, list]:
+    @cached_property
+    def left_ideals(self) -> tuple[list, list]:
         """The minimal left ideals, the closed classes of ``left`` on
         ``ideal`` (as indices into it), and the letters' action on them:
         a maps the class c of any u to ``action[c][a]``, the class of u·a."""
+        ideal = self.ideal
         index = {u: i for i, u in enumerate(ideal)}
         classes = closed_classes([[index[w] for w in self.left[u]] for u in ideal])
         class_of = {ideal[i]: c for c, L in enumerate(classes) for i in L}
@@ -230,7 +236,7 @@ def karnofsky_rhodes(S: ASemigroup) -> KRExpansion:
 
     parent, parent_gen, endpoint, copy_of = map(list, zip(*found))
     S._kr = KRExpansion(list(S.gen_names), image, out, parent, parent_gen, endpoint,
-                        copy_of, entry)
+                        copy_of, entry, minimal_ideal(S))
     return S._kr
 
 

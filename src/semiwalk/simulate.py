@@ -14,13 +14,13 @@ the shortest prefix entering K of the walker's letters read newest first,
 followed by its start word: a walker's letters are reversed once, the start
 word appended, and the word of step t is read forward from position
 ``steps - t``.  The start word is checked once to enter K, so no read runs
-past it.  A read follows one table over the (element, vertex) pairs the walk
-reaches, built by one breadth-first search from the generators: S's right
-action ``right[e][b] = e·gens[b]`` (``ASemigroup.right_action``) paired with
-the rows of the Karnofsky-Rhodes expansion, which lump words onto states.
-A read stops at the first pair whose element lies in K, by S's own
-multiplication, so the walk reads the expansion's rows only: neither its
-left action nor its images in S.  Only the states the walk visits are named.
+past it.  A read follows the rows of the Karnofsky-Rhodes expansion, which
+lump words onto states, from its root.  A word's vertex also fixes its
+product in S, so the (element, vertex) pairs a walk reaches are just the
+expansion's vertices outside its own minimal ideal (``KRExpansion.ideal``,
+the vertices over K): the table is their rows, and a read stops at the
+first vertex in that ideal.  The walk multiplies nothing in S.  Only the
+states the walk visits are named.
 
 Random number generator contract: SplitMix64 (Steele, Lea and Flood,
 OOPSLA 2014), 64-bit state, advancing by the golden-ratio increment and
@@ -178,33 +178,23 @@ class EmpiricalDistribution:
 
 
 class _WalkTables:
-    """The word walk compiled to one table over the (element, vertex) pairs
-    it reaches: S's right action paired with the Karnofsky-Rhodes rows that
-    lump words onto states.
+    """The word walk compiled to one table: the Karnofsky-Rhodes rows of
+    the vertices outside the expansion's ideal, in vertex order, the root
+    first.
 
-    The successor row of pair p outside the ideal is ``nxt[p : p+k]`` (p
-    is its index times k, the root's 0); a pair in the ideal, where reads
-    stop, is ``~v``, negative, for its expansion vertex v.
+    The row of vertex v outside the ideal is ``nxt[p : p+k]``, where p is
+    v's index among those vertices times k (the root's is 0); a target u in
+    the ideal, where reads stop, is ``~u``, negative.
     """
 
     def __init__(self, S: ASemigroup, thresholds: list[int]):
         self.thresholds, self.table = thresholds, _letter_table(thresholds)
-        right, K = S.right_action()[0], minimal_ideal(S)
         kr = karnofsky_rhodes(S)
         out, self.names, self.n = kr.out, kr.names, len(kr.out)
-        self.nxt: list[int] = []
-        index: dict[tuple[int, int], int] = {}
-        todo: list[tuple] = [(None, kr.root)]  # the queue of pairs outside K
-        for e, v in todo:
-            for a, u in enumerate(out[v]):
-                f = S.gens[a] if e is None else right[e][a]
-                if f in K:
-                    self.nxt.append(~u)
-                    continue
-                if (f, u) not in index:
-                    index[f, u] = len(todo) * S.n_gens
-                    todo.append((f, u))
-                self.nxt.append(index[f, u])
+        inside, k = set(kr.ideal), len(kr.alphabet)
+        rest = [v for v in range(self.n) if v not in inside]
+        at = {v: i * k for i, v in enumerate(rest)}
+        self.nxt: list[int] = [at.get(u, ~u) for v in rest for u in out[v]]
 
     def initial_word(self, rng: SplitMix64) -> list[int]:
         """Draw letters until the product enters the ideal."""

@@ -47,6 +47,10 @@ shortlex-first word reaching its vertex, as chains and simulations do;
 only the states of the result are named, and the law over S names none.
 A state's ``KeyInfo`` (word, element, vertex and, in limit mode, its name
 on KR(S⁰)) is made only when ``key_info`` is first read.
+
+S stores its engine, built on first use, and every law and expression of
+S reads that one; the engine keeps no reference to S, so storing it makes
+no reference cycle.
 """
 
 from __future__ import annotations
@@ -157,9 +161,8 @@ class StationaryEngine:
     """
 
     def __init__(self, S: ASemigroup):
-        self.S = S
+        self.size = S.size  # S stores the engine, which keeps no reference to S
         self.kr: KRExpansion = karnofsky_rhodes(S)
-        self._ideal = minimal_ideal(S)
         k = S.n_gens
         self.elem: list[int | None] = [None]
         self.parent: list[int | None] = [None]
@@ -173,7 +176,7 @@ class StationaryEngine:
         image = self.kr.s_image
         for w in self.kr.entry[1:]:
             e = image[w]
-            if e not in self.tree_of and e not in self._ideal:
+            if e not in self.tree_of and e not in self.kr.base_ideal:
                 # the McCammond tree of e's component entered at e
                 self.tree_of[e] = root = self._add(e, None, None)
                 grow_simple_paths(inner.__getitem__, root, self.elem, self.out, self._add)
@@ -187,11 +190,11 @@ class StationaryEngine:
         if w >= expansions.MC_CAP:
             raise SizeCapExceeded(
                 f"McCammond trees of the components of a semigroup with "
-                f"|S| = {self.S.size} exceeded cap {expansions.MC_CAP} simple paths")
+                f"|S| = {self.size} exceeded cap {expansions.MC_CAP} simple paths")
         self.elem.append(e)
         self.parent.append(p)
         self.letter.append(a)
-        self.out.append([None] * self.S.n_gens)
+        self.out.append([None] * len(self.kr.alphabet))
         return w
 
     # -- walk sums, one reduction per subtree shape ----------------------------
@@ -319,9 +322,9 @@ class StationaryEngine:
         """The simple paths from the root whose last letter, and only that,
         enters the ideal, in the order of their words: the trees glued at
         their entries, walked depth first in letter order."""
-        out, parent, letter, elem = self.out, self.parent, self.letter, self.elem
-        gens, rows = self.S.gens, self.S.right_action()[0]
-        kr_out, ideal, tree_of = self.kr.out, self._ideal, self.tree_of
+        out, parent, letter = self.out, self.parent, self.letter
+        kr_out, image = self.kr.out, self.kr.s_image
+        ideal, tree_of = self.kr.base_ideal, self.tree_of
         forms: list[NormalForm] = []
         word: list[int] = []  # the letters and tree vertices of the path so far
         path: list[int] = []
@@ -330,20 +333,19 @@ class StationaryEngine:
         while stack:
             v, kv = stack[-1]
             for a in range(next_gen[-1], len(out[v])):
-                w = out[v][a]
+                w, u = out[v][a], kr_out[kv][a]
                 if w is not None:
                     if parent[w] != v or letter[w] != a:
                         continue  # a back edge
+                elif image[u] in ideal:
+                    forms.append(NormalForm((*word, a), u, (*path, v)))
+                    continue
                 else:
-                    f = gens[a] if elem[v] is None else rows[elem[v]][a]
-                    if f in ideal:
-                        forms.append(NormalForm((*word, a), kr_out[kv][a], (*path, v)))
-                        continue
-                    w = tree_of[f]
+                    w = tree_of[image[u]]
                 next_gen[-1] = a + 1
                 word.append(a)
                 path.append(v)
-                stack.append((w, kr_out[kv][a]))
+                stack.append((w, u))
                 next_gen.append(0)
                 break
             else:
@@ -370,7 +372,8 @@ class StationaryEngine:
         """
         shape, shapes = self._shapes()
         if self._kleene is None:
-            self._kleene = _ShapeSums(shapes, [Letter(a) for a in range(self.S.n_gens)])
+            letters = [Letter(a) for a in range(len(self.kr.alphabet))]
+            self._kleene = _ShapeSums(shapes, letters)
         sums = self._kleene
         # per path position, its exits (the vertex d levels above position
         # i is at i - d, in the same tree) and the letter to the next one
@@ -392,8 +395,10 @@ class StationaryEngine:
         expr = out[0][n]
         size = node_count(expr)
         if size > EXPRESSION_CAP:
+            names = self.kr.alphabet
+            label = label_sep(names).join([names[g] for g in nf.word])
             raise SizeCapExceeded(
-                f"walk expression of normal form {self.S.word_label(nf.word)} with "
+                f"walk expression of normal form {label} with "
                 f"{size} nodes exceeded cap {EXPRESSION_CAP} before the "
                 f"star-of-union rewrite")
         return zimin_rewrite(expr)
@@ -506,39 +511,43 @@ def normalization_check(d: StationaryResult) -> bool:
 # -- the two stationary distributions --------------------------------------------
 
 
-def stationary_kr(S: ASemigroup, xs: Sequence[Fraction], force_limit: bool = False,
-                  engine: StationaryEngine | None = None) -> StationaryResult:
+def stationary_kr(S: ASemigroup, xs: Sequence[Fraction],
+                  force_limit: bool = False) -> StationaryResult:
     """Stationary distribution of the walk on the expanded semigroup.
 
     States are the elements of the minimal ideal of the expansion; exact
     rational masses.  Falls back to the adjoined-zero limit when the
     minimal ideal is not left zero (or when forced).
     """
-    return _stationary(S, xs, force_limit, engine, "kr")
+    return _stationary(S, xs, force_limit, "kr")
 
 
-def stationary_s(S: ASemigroup, xs: Sequence[Fraction], force_limit: bool = False,
-                 engine: StationaryEngine | None = None) -> StationaryResult:
+def stationary_s(S: ASemigroup, xs: Sequence[Fraction],
+                 force_limit: bool = False) -> StationaryResult:
     """Stationary distribution of the walk on the semigroup itself: the
     expansion-level masses summed by underlying element, with no
     expansion state named."""
-    return _stationary(S, xs, force_limit, engine, "s")
+    return _stationary(S, xs, force_limit, "s")
 
 
-def _stationary(S, xs, force_limit, engine, over: str) -> StationaryResult:
+def _stationary(S, xs, force_limit, over: str) -> StationaryResult:
     """The law over the expansion ("kr") or the semigroup ("s")."""
     xs = validate_probs(S, xs)
     if kernel_is_left_zero(S, minimal_ideal(S)) and not force_limit:
-        return _stationary_kr_direct(S, xs, engine, over)
-    return _stationary_kr_limit(S, xs, engine, over)
+        return _stationary_kr_direct(S, xs, over)
+    return _stationary_kr_limit(S, xs, over)
 
 
-def _stationary_kr_direct(
-    S: ASemigroup, xs: Sequence, engine: StationaryEngine | None = None,
-    over: str = "kr",
-) -> StationaryResult:
-    if engine is None:
-        engine = StationaryEngine(S)
+def _engine(S: ASemigroup) -> StationaryEngine:
+    """The engine of S, stored on S as ``karnofsky_rhodes`` stores the
+    expansion: built on first use; a build that hits a cap stores nothing."""
+    if S._engine is None:
+        S._engine = StationaryEngine(S)
+    return S._engine
+
+
+def _stationary_kr_direct(S: ASemigroup, xs: Sequence, over: str) -> StationaryResult:
+    engine = _engine(S)
     # each ideal copy is one vertex, its entry
     masses = engine.values(xs)
     if over == "s":
@@ -546,21 +555,18 @@ def _stationary_kr_direct(
     return _kr_result(engine.kr, masses, dict)
 
 
-def _stationary_kr_limit(
-    S: ASemigroup, xs: Sequence[Fraction], engine: StationaryEngine | None = None,
-    over: str = "kr",
-) -> StationaryResult:
+def _stationary_kr_limit(S: ASemigroup, xs: Sequence[Fraction],
+                         over: str) -> StationaryResult:
     """Limit mode (see the module docstring): pi(u) = h(R(u)) nu(L(u)) / |H|
     on the minimal ideal of KR(S), from the direct-mode walk sums."""
-    if engine is None:
-        engine = StationaryEngine(S)
+    engine = _engine(S)
     kr = engine.kr
-    ideal = kr.ideal_over(minimal_ideal(S))
+    ideal = kr.ideal
     # h: first-entry mass per minimal right ideal of the expansion, which
     # are its ideal copies: closed, as K(S)'s components are
     h = {kr.copy_of[u]: m for u, m in engine.values(xs).items()}
     # nu: the stationary law of the letters' action on the minimal left ideals
-    lefts, action = kr.left_ideals(ideal)
+    lefts, action = kr.left_ideals
     l_of = {ideal[i]: j for j, L in enumerate(lefts) for i in L}
     nu = _stationary_vector(action, xs)
     # |H| divides h once per right ideal, not once per state
@@ -632,11 +638,8 @@ def _s_result(S: ASemigroup, kr: KRExpansion, masses: dict) -> StationaryResult:
                             lambda: {names[e]: KeyInfo(element=e) for e in order})
 
 
-def expressions_report(
-    S: ASemigroup, engine: StationaryEngine | None = None
-) -> dict[str, str]:
+def expressions_report(S: ASemigroup) -> dict[str, str]:
     """Pretty-printed expression per normal form (dict preserves sort order)."""
-    if engine is None:
-        engine = StationaryEngine(S)
+    engine = _engine(S)
     return {S.word_label(nf.word): pretty(engine.expression(nf), S.gen_names)
             for nf in engine.normal_forms}

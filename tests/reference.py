@@ -641,14 +641,14 @@ def tree_law(S: ASemigroup, xs: Sequence[Fraction], limit: bool) -> dict[int, Fr
     if not limit:
         return masses
     kr = karnofsky_rhodes(S)
-    ideal = kr.ideal_over(minimal_ideal(S))
+    ideal = kr.ideal
     index = {u: i for i, u in enumerate(ideal)}
     rights = closed_classes([[index[w] for w in kr.out[u]] for u in ideal])
     r_of = {ideal[i]: j for j, R in enumerate(rights) for i in R}
     h = [Fraction(0)] * len(rights)
     for u, m in masses.items():
         h[r_of[u]] += m
-    lefts, action = kr.left_ideals(ideal)
+    lefts, action = kr.left_ideals
     l_of = {ideal[i]: j for j, L in enumerate(lefts) for i in L}
     nu = _stationary_vector(action, xs)
     h_size = len(ideal) // (len(rights) * len(lefts))

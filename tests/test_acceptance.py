@@ -24,7 +24,6 @@ from semiwalk.expansions import karnofsky_rhodes, mccammond
 from semiwalk.graphs import right_cayley
 from semiwalk.simulate import simulate_semaphore, simulate_state_at
 from semiwalk.stationary import (
-    StationaryEngine,
     expressions_report,
     normalization_check,
     stationary_kr,
@@ -72,10 +71,9 @@ def test_criterion_1_tsetlin_reproduction():
     }
     for n in (3, 4):
         S = build(FamilySpec("tsetlin", {"n": n}))
-        engine = StationaryEngine(S)
         vectors = [uniform_probs(S), fixed[n], _random_exact(n, 1000 + n)]
         for xs in vectors:
-            r = stationary_kr(S, xs, engine=engine)
+            r = stationary_kr(S, xs)
             for pi in permutations(range(n)):
                 label = "".join(str(a + 1) for a in pi)
                 assert r[label] == hendricks(xs, pi)
@@ -86,7 +84,7 @@ def test_criterion_1_tsetlin_reproduction():
         expanded = karnofsky_rhodes(S).semigroup()
         rs = stationary_s(expanded, vectors[1])
         assert dict(rs.entries) == dict(
-            stationary_kr(S, vectors[1], engine=engine).entries
+            stationary_kr(S, vectors[1]).entries
         )
     elapsed = time.time() - start
     assert elapsed < 5, f"took {elapsed:.2f}s"
@@ -195,7 +193,6 @@ def test_criterion_6_normalization_everywhere():
     checked = 0
     for spec in specs:
         S = build(spec)
-        engine = StationaryEngine(S)
         k = S.n_gens
         weights = [F(2 ** (k - i)) for i in range(k)]
         vectors = [
@@ -205,7 +202,7 @@ def test_criterion_6_normalization_everywhere():
         ]
         seed += 1
         for xs in vectors:
-            r = stationary_kr(S, xs, engine=engine)
+            r = stationary_kr(S, xs)
             assert normalization_check(r), (spec, xs)
             checked += 1
     report(6, f"{checked} family/probability combinations sum to one exactly")

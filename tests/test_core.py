@@ -36,9 +36,11 @@ def test_trivial_semigroup():
 
 
 def test_not_associative_rejected():
-    # (1*1)*1 = 0*1 = 1 but 1*(1*1) = 1*0 = 0
+    # (1*0)*1 = 0*1 = 1 but 1*(0*1) = 1*1 = 0, the first failure with the
+    # generator 0 in the middle
     table = [[0, 1], [0, 0]]
-    with pytest.raises(NotAssociative):
+    with pytest.raises(NotAssociative,
+                       match=r"^\(1\*g\)\*1 != 1\*\(g\*1\) for generator element 0$"):
         semigroup_from_table(table, gens=[0, 1], gen_names=["a", "b"])
 
 

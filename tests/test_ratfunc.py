@@ -103,7 +103,7 @@ def ratf_s0(S, xs):
     t = RatF((0, 1))
     one = RatF.const(1)
     weights = [RatF.const(v) * (one - t) for v in xs] + [t]
-    sym = _stationary_kr_direct(S2, weights)
+    sym = _stationary_kr_direct(S2, weights, "kr")
     return sym, {label: f.limit_at_zero() for label, f in sym.entries.items()}
 
 

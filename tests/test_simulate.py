@@ -232,6 +232,29 @@ def test_simulate_state_at_rejects_empty_runs(b2, walkers, steps):
         simulate_state_at(b2, HALF, walkers=walkers, steps=steps, seed=0)
 
 
+@pytest.mark.parametrize("name,rows", [
+    ("rees_zp:4,5", 81), ("flat_tower:3,2", 1_056), ("bar_tower:2,1", 30),
+    ("signed_tsetlin:3", 31), ("rees_B:3", 10), ("flat_tower:2,3", 48_620),
+])
+def test_walk_tables_are_the_expansion_rows_outside_its_ideal(name, rows, monkeypatch):
+    # one row per expansion vertex outside its ideal, the root first, read
+    # off the expansion alone: nothing of S is multiplied or searched
+    S = build(parse_family(name))
+    kr = karnofsky_rhodes(S)
+
+    def refuse(*args):
+        raise AssertionError("the walk tables read S")
+    monkeypatch.setattr(S, "mult", refuse)
+    monkeypatch.setattr(S, "right_action", refuse)
+    walk = _WalkTables(S, _thresholds(uniform_probs(S)))
+    ideal, k = set(kr.ideal), S.n_gens
+    rest = [v for v in range(len(kr.out)) if v not in ideal]
+    assert len(rest) == rows and rest[0] == kr.root and len(walk.nxt) == rows * k
+    assert [[~p if p < 0 else rest[p // k] for p in walk.nxt[i * k:i * k + k]]
+            for i in range(rows)] == [kr.out[v] for v in rest]
+    assert all(p >= 0 or ~p in ideal for p in walk.nxt)
+
+
 def test_word_outside_the_ideal_raises():
     # on four books a word needs all four letters to enter the ideal, so
     # the one-letter word (0,) is no start word, nor is (0, 1, 2)

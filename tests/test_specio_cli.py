@@ -763,6 +763,23 @@ def test_verify_finds_the_minimal_ideal_once(family, capsys, monkeypatch):
     assert [succ for succ in searched if succ in over_s] == over_s[:1]
 
 
+@pytest.mark.parametrize("family", ["z2x01", "klein", "rees_general"])
+def test_limit_verify_finds_the_minimal_left_ideals_once(family, capsys, monkeypatch):
+    # the law and its certificate read the expansion's one stored search
+    # for its minimal left ideals (the only closed-class search there)
+    searched = []
+    search = expansions.closed_classes
+
+    def counted(succ):
+        searched.append(len(succ))
+        return search(succ)
+    monkeypatch.setattr(expansions, "closed_classes", counted)
+    code, out, _ = run_cli(["verify", "--family", family], capsys)
+    assert code == 0 and out.endswith("all checks passed\n")
+    S = cli.build_family(cli.parse_family(family))
+    assert searched == [len(expansions.karnofsky_rhodes(S).ideal)]
+
+
 @pytest.mark.parametrize("family", ["rees_B:2", "z2x01"])
 def test_verify_builds_one_chain(family, capsys, monkeypatch):
     # the certificate checks the chain verify builds, and in direct mode
@@ -795,6 +812,19 @@ def test_cli_stationary_builds_no_key_info(argv, capsys, monkeypatch):
     monkeypatch.setattr(stationary, "KeyInfo", refuse)
     code, out, err = run_cli(["stationary", *argv], capsys)
     assert code == 0 and out, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "flat_tower:3,2", "--simulate", "--walkers", "2", "--steps", "100"],
+    ["--family", "rees_zp:4,5"], ["--family", "z2x01"],
+], ids=["direct-simulate", "direct", "limit"])
+def test_cli_verify_builds_no_key_info(argv, capsys, monkeypatch):
+    # the lumping classes are the elements under the chain's own vertices
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify built a KeyInfo")
+    monkeypatch.setattr(stationary, "KeyInfo", refuse)
+    code, out, err = run_cli(["verify", *argv], capsys)
+    assert code == 0 and out.endswith("all checks passed\n"), err
 
 
 def test_cli_exact_ladder_matches_the_benchmark_reference(capsys):

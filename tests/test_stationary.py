@@ -673,8 +673,9 @@ def test_values_equal_per_vertex_reference_on_random_draws(monkeypatch):
     ("flat_tower:2,3", 56, 440),
 ])
 def test_equal_subtrees_share_one_reduction(name, shapes, live):
-    engine = StationaryEngine(families.build(families.parse_family(name)))
-    engine.values(uniform_probs(engine.S))
+    S = families.build(families.parse_family(name))
+    engine = StationaryEngine(S)
+    engine.values(uniform_probs(S))
     assert (len(engine._shapes()[1]), len(engine.out)) == (shapes, live)
 
 
@@ -730,14 +731,36 @@ def test_kleene_reduction_built_once_per_engine(monkeypatch):
         init(self, shapes, xs)
 
     monkeypatch.setattr(stationary._ShapeSums, "__init__", counted)
-    engine = StationaryEngine(S)
-    expressions_report(S, engine)
-    expressions_report(S, engine)
+    expressions_report(S)
+    expressions_report(S)
     assert calls == [True]
+    engine = stationary._engine(S)
     engine.values(uniform_probs(S))
     assert calls == [True, False]
     StationaryEngine(S).expression(engine.normal_forms[0])
     assert calls == [True, False, True]
+
+
+@pytest.mark.parametrize("name,force", [("flat_tower:2,2", False), ("z2x01", False),
+                                        ("tsetlin:3", True)])
+def test_one_engine_per_semigroup(name, force, monkeypatch):
+    # S stores its engine: laws at two weights, over either space, and the
+    # expressions all read the one engine built on the first call
+    built = []
+    init = StationaryEngine.__init__
+
+    def counted(self, S):
+        built.append(S)
+        init(self, S)
+    monkeypatch.setattr(StationaryEngine, "__init__", counted)
+    S = families.build(families.parse_family(name))
+    k = S.n_gens
+    weights = [F(i + 1, k * (k + 1) // 2) for i in range(k)]
+    first = stationary_kr(S, uniform_probs(S), force_limit=force)
+    second = stationary_kr(S, weights, force_limit=force)
+    stationary_s(S, weights, force_limit=force)
+    report = expressions_report(S)
+    assert built == [S] and first.entries != second.entries and report
 
 
 def test_expression_cap_is_checked_before_the_rewrite(monkeypatch):
@@ -799,9 +822,9 @@ def test_limit_draw_past_the_mccammond_cap():
     S = load_spec(str(Path(__file__).parent / "specs" / "maps4_s172.json"))
     assert S.size == 172 and not kernel_is_left_zero(S, minimal_ideal(S))
     xs = [F(1, 2), F(1, 3), F(1, 6)]
-    engine = StationaryEngine(S)
+    result = stationary_kr(S, xs)
+    engine = stationary._engine(S)
     assert (len(engine.tree_of), len(engine.out)) == (57, 11_186)
-    result = stationary_kr(S, xs, engine=engine)
     assert len(result.entries) == 2_496 and normalization_check(result)
     assert certify(S, xs, result, build_chain(S, xs))
 
@@ -874,9 +897,14 @@ def test_key_info_is_built_on_first_read(name, force, monkeypatch):
     ("rees_zp:4,5", "c042cc935692be489415063b290ccffd5398b1432155d88b812492a90a1c55b5"),
 ])
 def test_verify_lumping_classes_read_the_records(name, want):
-    # the classes verify's lumping check reads off key_info, per chain state
+    # the classes read off key_info per chain state, as verify's lumping
+    # check read them before, are the elements under the chain's own
+    # vertices, which it reads now
     S = families.build(families.parse_family(name))
     xs = uniform_probs(S)
     r, chain = stationary_kr(S, xs), build_chain(S, xs)
     classes = {lab: S.element_name(r.key_info[lab].element) for lab in chain.labels}
     assert _digest(list(classes.items())) == want
+    image = karnofsky_rhodes(S).s_image
+    assert classes == {lab: S.element_name(image[v])
+                       for lab, v in zip(chain.labels, chain.states)}
