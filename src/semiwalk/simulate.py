@@ -5,22 +5,24 @@ a and moves to the shortest prefix of a·w whose product lies in the minimal
 ideal K.  Lumped onto expansion states, this walk samples the exact engine's
 law only when K is left zero (direct mode); otherwise both simulations
 raise, since the limit-mode law has no sampler here.  Every walker of
-``simulate_state_at`` starts from the representative word of the first
-ideal element in the search's discovery order, the shortlex-least
-ideal-entering word.
+``simulate_state_at`` starts from the shortlex-least ideal-entering word,
+the word of the expansion's first vertex in its ideal.
 
 No word is carried.  K is a two-sided ideal, so the word after step t is
 the shortest prefix entering K of the walker's letters read newest first,
 followed by its start word: a walker's letters are reversed once, the start
 word appended, and the word of step t is read forward from position
-``steps - t``.  The start word is checked once to enter K, so no read runs
-past it.  A read follows the rows of the Karnofsky-Rhodes expansion, which
-lump words onto states, from its root.  A word's vertex also fixes its
-product in S, so the (element, vertex) pairs a walk reaches are just the
-expansion's vertices outside its own minimal ideal (``KRExpansion.ideal``,
-the vertices over K): the table is their rows, and a read stops at the
-first vertex in that ideal.  The walk multiplies nothing in S.  Only the
-states the walk visits are named.
+``steps - t``.  The start word enters K (a drawn word by construction,
+``simulate_state_at``'s checked once per run), so no read runs past it.  A
+read follows the rows of the Karnofsky-Rhodes expansion, which lump words
+onto states, from its root.  A word's vertex also fixes its product in S,
+so the (element, vertex) pairs a walk reaches are just the expansion's
+vertices outside its own minimal ideal (``KRExpansion.ideal``, the
+vertices over K): the table is their rows, and a read stops at the first
+vertex in that ideal.  ``simulate_semaphore`` reads two letters per
+lookup, by their pair codes, when k <= 16 and the pair table is no larger
+than a walker's steps (``_WalkTables``).  The walk multiplies nothing in
+S.  Only the states the walk visits are named.
 
 Random number generator contract: SplitMix64 (Steele, Lea and Flood,
 OOPSLA 2014), 64-bit state, advancing by the golden-ratio increment and
@@ -46,7 +48,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterator, Sequence
 
-from .core import ASemigroup, SemigroupError, Word, kernel_is_left_zero, minimal_ideal
+from .core import ASemigroup, SemigroupError, kernel_is_left_zero, minimal_ideal
 from .expansions import karnofsky_rhodes
 from .stationary import validate_probs
 
@@ -180,14 +182,23 @@ class EmpiricalDistribution:
 class _WalkTables:
     """The word walk compiled to one table: the Karnofsky-Rhodes rows of
     the vertices outside the expansion's ideal, in vertex order, the root
-    first.
+    first, read m = 1 or 2 letters per lookup.
 
     The row of vertex v outside the ideal is ``nxt[p : p+k]``, where p is
     v's index among those vertices times k (the root's is 0); a target u in
-    the ideal, where reads stop, is ``~u``, negative.
+    the ideal, where reads stop, is ``~u``, negative.  With m = 2 the table
+    ``tab`` has k² entries per row, and entry a·k + b of a row is where
+    letters a then b lead from it: ``~u`` for every b if a enters the
+    ideal at u, else the entry of b in the row a leads to, with its row
+    base scaled from k to k².  A read then looks up the pair codes
+    ``hist[i]·k + hist[i+1]`` of the history.  The walk uses m = 2 when
+    k <= 16, so a code fits a byte, and the table has at most as many
+    entries as the ``steps`` words read per history: its memory stays of
+    the order of one history's.  ``simulate_state_at`` reads one word per
+    history and passes no ``steps``, so there m = 1 and ``tab`` is ``nxt``.
     """
 
-    def __init__(self, S: ASemigroup, thresholds: list[int]):
+    def __init__(self, S: ASemigroup, thresholds: list[int], steps: int = 0):
         self.thresholds, self.table = thresholds, _letter_table(thresholds)
         kr = karnofsky_rhodes(S)
         out, self.names, self.n = kr.out, kr.names, len(kr.out)
@@ -195,6 +206,12 @@ class _WalkTables:
         rest = [v for v in range(self.n) if v not in inside]
         at = {v: i * k for i, v in enumerate(rest)}
         self.nxt: list[int] = [at.get(u, ~u) for v in rest for u in out[v]]
+        self.k, self.m, self.tab = k, 1, self.nxt
+        if k <= 16 and len(rest) * k * k <= steps:
+            base = list(range(0, len(rest) * k * k, k * k))  # one int per row base
+            wide = [p if p < 0 else base[p // k] for p in self.nxt]
+            self.m, self.tab = 2, [q for p in self.nxt
+                                   for q in (wide[p:p + k] if p >= 0 else (p,) * k)]
 
     def initial_word(self, rng: SplitMix64) -> list[int]:
         """Draw letters until the product enters the ideal."""
@@ -204,30 +221,49 @@ class _WalkTables:
             p = self.nxt[p + word[-1]]
         return word
 
-    def history(self, word: Sequence[int], state: int, steps: int) -> bytearray | array:
+    def check_start(self, word: Sequence[int]) -> None:
+        """Raise AssertionError unless ``word`` enters the ideal, read one
+        letter at a time up to its end."""
+        p, nxt = 0, self.nxt
+        for a in word:
+            p = nxt[p + a]
+            if p < 0:
+                return
+        raise AssertionError("word does not reach the ideal")
+
+    def history(self, word: Sequence[int], state: int, steps: int) -> bytes | bytearray | array:
         """The letters of ``steps`` steps from ``word``, drawn from the
         SplitMix64 stream at ``state``, newest first, then ``word``, which
-        must enter K.  K is an ideal, so the word after step t is the
-        shortest prefix entering K of the letters from position
-        ``steps - t`` on, and no read runs past ``word``."""
-        try:
-            self.count(word, 1, [0] * self.n)
-        except IndexError:
-            raise AssertionError("word does not reach the ideal") from None
+        must enter K (``check_start``), as the codes the table reads.  K is
+        an ideal, so the word after step t is the shortest prefix entering
+        K of the letters from position ``steps - t`` on, and no read runs
+        past ``word``.
+
+        With m = 2 the history as one little-endian integer H has
+        ``hist[i]`` in byte lane i, and ``H·k + (H >> 8)`` has the code of
+        positions i and i+1 there: a·k + b <= k² - 1 <= 255, so no lane
+        carries.  The last lane pairs the last letter with a 0, as though
+        a 0 followed ``word``; a read stops within ``word``, at the latest
+        on the first letter of a pair, so that 0 never counts.
+        """
         letters = _letters(state, steps, self.thresholds, self.table)
         letters.reverse()
         letters.extend(word)
-        return letters
+        if self.m == 1:
+            return letters
+        h = int.from_bytes(letters, "little")
+        return (h * self.k + (h >> 8)).to_bytes(len(letters), "little")
 
-    def count(self, hist: bytearray | array, steps: int, visits: list[int]) -> None:
+    def count(self, codes: bytes | bytearray | array, steps: int, visits: list[int]) -> None:
         """Count in ``visits`` the vertex of the words read from positions
-        0 to ``steps - 1`` of ``hist``, the walk's last ``steps`` words."""
-        nxt = self.nxt
+        0 to ``steps - 1`` of a history's ``codes``, the walk's last
+        ``steps`` words."""
+        tab, m = self.tab, self.m
         for i in range(steps):
-            p = nxt[hist[i]]  # the root's row comes first
+            p = tab[codes[i]]  # the root's row comes first
             while p >= 0:
-                i += 1
-                p = nxt[p + hist[i]]
+                i += m
+                p = tab[p + codes[i]]
             visits[~p] += 1
 
     def distribution(self, visits: list[int], total: int) -> EmpiricalDistribution:
@@ -263,7 +299,7 @@ def simulate_semaphore(
     if walkers < 1 or steps < 1:
         raise SemigroupError(
             f"need walkers >= 1 and steps >= 1, got walkers={walkers}, steps={steps}")
-    walk = _WalkTables(S, _thresholds(_prepare(S, xs)))
+    walk = _WalkTables(S, _thresholds(_prepare(S, xs)), steps)
     visits = [0] * walk.n
     for w in range(walkers):
         rng = SplitMix64(walker_seed(seed, w))
@@ -283,21 +319,17 @@ def simulate_state_at(
 
     All walkers start from the lexicographically first shortest
     ideal-entering word, so this measures worst-case-style convergence from
-    a point mass.
+    a point mass.  The expansion numbers its vertices in shortlex order of
+    their words, so that word is the word of its first ideal vertex.
     """
     if walkers < 1 or steps < 0:
         raise SemigroupError(
             f"need walkers >= 1 and steps >= 0, got walkers={walkers}, steps={steps}")
     walk = _WalkTables(S, _thresholds(_prepare(S, xs)))
-    word = _lex_first_code_word(S)
+    kr = karnofsky_rhodes(S)
+    word = kr.words[kr.ideal[0]]
+    walk.check_start(word)
     ends = [0] * walk.n
     for w in range(walkers):  # the last word is read from position 0
         walk.count(walk.history(word, walker_seed(seed, w), steps), 1, ends)
     return walk.distribution(ends, walkers)
-
-
-def _lex_first_code_word(S: ASemigroup) -> Word:
-    """The shortlex-least word entering the minimal ideal: the
-    representative word of the ideal element the search discovers first."""
-    _, order, words = S.right_action()
-    return words[next(filter(minimal_ideal(S).__contains__, order))]

@@ -6,7 +6,7 @@ from itertools import accumulate, product
 import pytest
 
 from semiwalk.chains import tv_distance
-from semiwalk.core import SemigroupError, minimal_ideal, semigroup_from_table
+from semiwalk.core import SemigroupError, kernel_is_left_zero, minimal_ideal, semigroup_from_table
 from semiwalk.expansions import karnofsky_rhodes
 from semiwalk.simulate import (
     _BLOCK,
@@ -143,6 +143,16 @@ def test_state_at_fixed_step(b2):
     assert dk.total == 800
 
 
+def reference_start(S):
+    """The lexicographically first shortest ideal-entering word."""
+    ideal = minimal_ideal(S)
+    for n in range(1, S.size + 2):
+        start = next((w for w in product(range(S.n_gens), repeat=n)
+                      if S.product(w) in ideal), None)
+        if start is not None:
+            return start
+
+
 def reference_walk(S, xs, walkers, steps, seed, final_only=False):
     """The word walk written plainly: SplitMix64 objects, ideal entry by
     ``S.product`` of each prefix, lumping by following the expansion graph."""
@@ -165,13 +175,7 @@ def reference_walk(S, xs, walkers, steps, seed, final_only=False):
     def lump(word):
         return S.word_label(kr.words[kr.graph.follow(kr.graph.root, word)])
 
-    start = None
-    if final_only:  # lexicographically first shortest ideal-entering word
-        for n in range(1, S.size + 2):
-            start = next((w for w in product(range(S.n_gens), repeat=n)
-                          if S.product(w) in ideal), None)
-            if start is not None:
-                break
+    start = reference_start(S) if final_only else None
     counts = {}
     for w in range(walkers):
         rng = SplitMix64(walker_seed(seed, w))
@@ -187,6 +191,21 @@ def reference_walk(S, xs, walkers, steps, seed, final_only=False):
         if final_only:
             counts[lump(word)] = counts.get(lump(word), 0) + 1
     return counts
+
+
+@pytest.mark.parametrize("family", [
+    "tsetlin:4", "rees_zp:4,5", "flat_tower:3,2", "bar_tower:2,1", "signed_tsetlin:3",
+    "rees_B:3", "z2x01", "klein", "rees_general", "burnside_straightline:3"])
+def test_start_word_is_the_first_ideal_vertex_word(family, monkeypatch):
+    # the expansion numbers its vertices in shortlex order of their words
+    S = build(parse_family(family))
+    kr = karnofsky_rhodes(S)
+    assert kr.words[kr.ideal[0]] == reference_start(S)
+    if kernel_is_left_zero(S, minimal_ideal(S)):  # the word the walkers start from
+        checked = []
+        monkeypatch.setattr(_WalkTables, "check_start", lambda walk, word: checked.append(word))
+        simulate_state_at(S, uniform_probs(S), walkers=3, steps=1, seed=0)
+        assert checked == [reference_start(S)]
 
 
 @pytest.mark.parametrize("family", ["b2", "tsetlin:4", "rees_zp:3,3", "flat_tower:2,2"])
@@ -262,8 +281,25 @@ def test_word_outside_the_ideal_raises():
     walk = _WalkTables(S, _thresholds(uniform_probs(S)))
     for word in ((0,), (0, 1, 2)):
         with pytest.raises(AssertionError):
-            walk.history(word, 0, 1)
+            walk.check_start(word)
+    walk.check_start((0, 1, 2, 3))
     assert list(walk.history((0, 1, 2, 3), 0, 0)) == [0, 1, 2, 3]
+
+
+def test_start_check_reads_no_pair_code():
+    # with two letters per lookup the pair code after (1, 2, 3) reads a 0
+    # past the word, which would complete its entry; the check reads one
+    # letter at a time and stops at the word's end
+    S = families.tsetlin(4)
+    walk = _WalkTables(S, _thresholds(uniform_probs(S)), 10**6)
+    assert walk.m == 2
+    with pytest.raises(AssertionError):
+        walk.check_start((1, 2, 3))
+    codes = walk.history((1, 2, 3), 0, 0)
+    visits = [0] * walk.n
+    walk.count(codes, 1, visits)  # the unchecked read stops on the 0
+    kr = karnofsky_rhodes(S)
+    assert visits.index(1) == kr.graph.follow(kr.root, (1, 2, 3, 0))
 
 
 def _digest(d):
@@ -317,6 +353,45 @@ def test_counts_match_the_recorded_digests(family, weights):
     final = simulate_state_at(S, xs, walkers=120, steps=1030, seed=102)
     assert (_digest(occupation), _digest(final)) == DIGESTS[family, weights]
     assert (occupation.total, final.total) == (7800, 120)
+
+
+@pytest.mark.parametrize("family,weights", sorted(DIGESTS))
+def test_pair_reads_count_what_letter_reads_count(family, weights):
+    # one walker's history read one letter per lookup and two per lookup
+    S = build(parse_family(family))
+    k = S.n_gens
+    xs = uniform_probs(S) if weights == "uniform" else [F(i + 1, k * (k + 1) // 2) for i in range(k)]
+    thresholds = _thresholds(xs)
+    single, pairs = _WalkTables(S, thresholds), _WalkTables(S, thresholds, 10**7)
+    assert (single.m, pairs.m) == (1, 2) and single.tab is single.nxt
+    nxt = single.nxt
+    for p in range(0, len(nxt), k):  # entry (a, b) of a row: two lookups
+        for a in range(k):
+            q = nxt[p + a]
+            assert pairs.tab[p * k + a * k:p * k + a * k + k] == (
+                [q] * k if q < 0 else [r if r < 0 else r * k for r in nxt[q:q + k]])
+    rng = SplitMix64(walker_seed(101, 0))
+    word = single.initial_word(rng)
+    counts = []
+    for walk in (single, pairs):
+        visits = [0] * walk.n
+        walk.count(walk.history(word, rng.state, 2600), 2600, visits)
+        counts.append(visits)
+    assert counts[0] == counts[1] and sum(counts[0]) == 2600
+
+
+@pytest.mark.parametrize("name,steps,m", [
+    ("rees_zp:4,5", 50_000, 2), ("flat_tower:3,2", 50_000, 2),
+    ("flat_tower:3,2", 38_015, 1), ("flat_tower:3,2", 38_016, 2),
+    ("wide_band", 50_000, 1), ("wide_band_with_identity", 10**7, 1),
+])
+def test_two_letters_per_lookup_at_the_check_sizes(name, steps, m):
+    # m = 2 needs k <= 16 and at most ``steps`` pair-table entries:
+    # flat_tower:3,2 has 1,056 rows outside its ideal and 6 letters
+    S = _wide_band(name.endswith("identity")) if name.startswith("wide") else build(parse_family(name))
+    walk = _WalkTables(S, _thresholds(uniform_probs(S)), steps)
+    assert walk.m == m
+    assert len(walk.tab) == len(walk.nxt) * (walk.k if m == 2 else 1)
 
 
 def _wide_band(identity):
