@@ -1,8 +1,9 @@
 """Monte Carlo verification and the mixing time from the first-entry tail.
 
-The simulator walks on ideal-entering words directly (the state a walker
-carries is a word, not a matrix index), lumps each step onto the expansion
-states, and is bit-reproducible from its seed.  The mixing bound is the
+The simulator walks on ideal-entering words lumped onto the expansion
+states: a walker's state is the vertex of its word, and a step reads the
+new word's vertex off the expansion's own rows, never off the exact
+chain.  Runs are bit-reproducible from the seed.  The mixing bound is the
 least k with P(T > k) <= 1/e, where T is the first step at which the random
 word's product lies in the minimal ideal; P(T > k) bounds the total
 variation after k steps from any start.

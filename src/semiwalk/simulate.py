@@ -8,21 +8,20 @@ raise, since the limit-mode law has no sampler here.  Every walker of
 ``simulate_state_at`` starts from the shortlex-least ideal-entering word,
 the word of the expansion's first vertex in its ideal.
 
-No word is carried.  K is a two-sided ideal, so the word after step t is
-the shortest prefix entering K of the walker's letters read newest first,
-followed by its start word: a walker's letters are reversed once, the start
-word appended, and the word of step t is read forward from position
-``steps - t``.  The start word enters K (a drawn word by construction,
-``simulate_state_at``'s checked once per run), so no read runs past it.  A
-read follows the rows of the Karnofsky-Rhodes expansion, which lump words
-onto states, from its root.  A word's vertex also fixes its product in S,
-so the (element, vertex) pairs a walk reaches are just the expansion's
-vertices outside its own minimal ideal (``KRExpansion.ideal``, the
-vertices over K): the table is their rows, and a read stops at the first
-vertex in that ideal.  ``simulate_semaphore`` reads two letters per
-lookup, by their pair codes, when k <= 16 and the pair table is no larger
-than a walker's steps (``_WalkTables``).  The walk multiplies nothing in
-S.  Only the states the walk visits are named.
+No word is carried.  In direct mode K is left zero, so x·s = x for x in K:
+the rows of the expansion's ideal vertices (``KRExpansion.ideal``, the
+vertices over K) are loops, and a word's vertex is the one at which it
+enters that ideal.  So the state a step reaches depends on the word only
+through its vertex u: it is the vertex at which a·word(u) enters the ideal
+(the word-to-expansion lumping).  A walker's state is that vertex, and a
+step is one lookup in a table filled on first need by reading a·word(u)
+through the expansion's rows, ``kr.out``, from its root (``_Walk``); the
+left-action table ``kr.left``, which the exact chain reads, is never
+read, so the two stay independent.  ``simulate_state_at`` reads one word
+per walker, its last: K is an ideal, so that word is the shortest prefix
+entering K of the walker's letters newest first, then its start word, and
+only the newest letters it needs are drawn.  The walk multiplies nothing
+in S.  Only the states the walk visits are named.
 
 Random number generator contract: SplitMix64 (Steele, Lea and Flood,
 OOPSLA 2014), 64-bit state, advancing by the golden-ratio increment and
@@ -46,7 +45,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Iterator, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 from .core import ASemigroup, SemigroupError, kernel_is_left_zero, minimal_ideal
 from .expansions import karnofsky_rhodes
@@ -179,97 +179,61 @@ class EmpiricalDistribution:
         return self.counts.keys()
 
 
-class _WalkTables:
-    """The word walk compiled to one table: the Karnofsky-Rhodes rows of
-    the vertices outside the expansion's ideal, in vertex order, the root
-    first, read m = 1 or 2 letters per lookup.
+class _Walk:
+    """The lumped word walk, one lookup per step.
 
-    The row of vertex v outside the ideal is ``nxt[p : p+k]``, where p is
-    v's index among those vertices times k (the root's is 0); a target u in
-    the ideal, where reads stop, is ``~u``, negative.  With m = 2 the table
-    ``tab`` has k² entries per row, and entry a·k + b of a row is where
-    letters a then b lead from it: ``~u`` for every b if a enters the
-    ideal at u, else the entry of b in the row a leads to, with its row
-    base scaled from k to k².  A read then looks up the pair codes
-    ``hist[i]·k + hist[i+1]`` of the history.  The walk uses m = 2 when
-    k <= 16, so a code fits a byte, and the table has at most as many
-    entries as the ``steps`` words read per history: its memory stays of
-    the order of one history's.  ``simulate_state_at`` reads one word per
-    history and passes no ``steps``, so there m = 1 and ``tab`` is ``nxt``.
+    State i is the ideal vertex ``kr.ideal[i]``, held as its offset
+    p = i·k.  ``step[p + a]`` is the offset of the state that letter a leads
+    to: the vertex at which a·word(u), u the state's vertex, enters the
+    ideal (``enter``).  An entry starts at -1 and is filled the first time
+    a step needs it.
     """
 
-    def __init__(self, S: ASemigroup, thresholds: list[int], steps: int = 0):
+    def __init__(self, S: ASemigroup, thresholds: list[int]):
         self.thresholds, self.table = thresholds, _letter_table(thresholds)
-        kr = karnofsky_rhodes(S)
-        out, self.names, self.n = kr.out, kr.names, len(kr.out)
-        inside, k = set(kr.ideal), len(kr.alphabet)
-        rest = [v for v in range(self.n) if v not in inside]
-        at = {v: i * k for i, v in enumerate(rest)}
-        self.nxt: list[int] = [at.get(u, ~u) for v in rest for u in out[v]]
-        self.k, self.m, self.tab = k, 1, self.nxt
-        if k <= 16 and len(rest) * k * k <= steps:
-            base = list(range(0, len(rest) * k * k, k * k))  # one int per row base
-            wide = [p if p < 0 else base[p // k] for p in self.nxt]
-            self.m, self.tab = 2, [q for p in self.nxt
-                                   for q in (wide[p:p + k] if p >= 0 else (p,) * k)]
+        self.kr = kr = karnofsky_rhodes(S)
+        self.k = k = len(kr.alphabet)
+        self.at = [-1] * len(kr.out)  # a vertex's offset, -1 outside the ideal
+        for i, u in enumerate(kr.ideal):
+            self.at[u] = i * k
+        self.step = [-1] * (len(kr.ideal) * k)
 
-    def initial_word(self, rng: SplitMix64) -> list[int]:
-        """Draw letters until the product enters the ideal."""
-        word, p = [], 0
-        while p >= 0:
-            word.append(bisect_right(self.thresholds, rng.next53()))
-            p = self.nxt[p + word[-1]]
-        return word
-
-    def check_start(self, word: Sequence[int]) -> None:
-        """Raise AssertionError unless ``word`` enters the ideal, read one
-        letter at a time up to its end."""
-        p, nxt = 0, self.nxt
-        for a in word:
-            p = nxt[p + a]
-            if p < 0:
-                return
+    def enter(self, letters: Iterable[int]) -> int:
+        """The first vertex in the ideal that ``letters`` reach, read
+        through ``kr.out`` from the root; AssertionError if there is none."""
+        out, at, v = self.kr.out, self.at, self.kr.root
+        for a in letters:
+            v = out[v][a]
+            if at[v] >= 0:
+                return v
         raise AssertionError("word does not reach the ideal")
 
-    def history(self, word: Sequence[int], state: int, steps: int) -> bytes | bytearray | array:
-        """The letters of ``steps`` steps from ``word``, drawn from the
-        SplitMix64 stream at ``state``, newest first, then ``word``, which
-        must enter K (``check_start``), as the codes the table reads.  K is
-        an ideal, so the word after step t is the shortest prefix entering
-        K of the letters from position ``steps - t`` on, and no read runs
-        past ``word``.
-
-        With m = 2 the history as one little-endian integer H has
-        ``hist[i]`` in byte lane i, and ``H·k + (H >> 8)`` has the code of
-        positions i and i+1 there: a·k + b <= k² - 1 <= 255, so no lane
-        carries.  The last lane pairs the last letter with a 0, as though
-        a 0 followed ``word``; a read stops within ``word``, at the latest
-        on the first letter of a pair, so that 0 never counts.
-        """
-        letters = _letters(state, steps, self.thresholds, self.table)
-        letters.reverse()
-        letters.extend(word)
-        if self.m == 1:
-            return letters
-        h = int.from_bytes(letters, "little")
-        return (h * self.k + (h >> 8)).to_bytes(len(letters), "little")
-
-    def count(self, codes: bytes | bytearray | array, steps: int, visits: list[int]) -> None:
-        """Count in ``visits`` the vertex of the words read from positions
-        0 to ``steps - 1`` of a history's ``codes``, the walk's last
-        ``steps`` words."""
-        tab, m = self.tab, self.m
-        for i in range(steps):
-            p = tab[codes[i]]  # the root's row comes first
-            while p >= 0:
-                i += m
-                p = tab[p + codes[i]]
-            visits[~p] += 1
+    def fill(self, p: int, a: int) -> int:
+        """Fill ``step[p + a]`` and return it."""
+        kr = self.kr
+        q = self.step[p + a] = self.at[self.enter((a, *kr.words[kr.ideal[p // self.k]]))]
+        return q
 
     def distribution(self, visits: list[int], total: int) -> EmpiricalDistribution:
-        seen = [v for v, c in enumerate(visits) if c]
-        return EmpiricalDistribution(
-            {name: visits[v] for v, name in zip(seen, self.names(seen))}, total)
+        """The visited states by name, given ``visits`` per offset."""
+        counts, ideal = visits[::self.k], self.kr.ideal
+        seen = [i for i, c in enumerate(counts) if c]
+        names = self.kr.names([ideal[i] for i in seen])
+        return EmpiricalDistribution({name: counts[i] for i, name in zip(seen, names)}, total)
+
+
+def _newest_first(state: int, count: int, thresholds: list[int], table: bytes) -> Iterator[int]:
+    """The first ``count`` letters of the stream at ``state``, newest
+    first, drawn a block at a time from the end: output t of the stream is
+    mix64(state + (t+1)·GOLDEN), so the block [end - n, end) is the first n
+    outputs of the stream at state + (end - n)·GOLDEN."""
+    end = count
+    while end > 0:
+        n = min(end, _BLOCK)
+        end -= n
+        block = _letters((state + end * _GOLDEN) & _MASK, n, thresholds, table)
+        block.reverse()
+        yield from block
 
 
 def _prepare(S, xs):
@@ -299,12 +263,19 @@ def simulate_semaphore(
     if walkers < 1 or steps < 1:
         raise SemigroupError(
             f"need walkers >= 1 and steps >= 1, got walkers={walkers}, steps={steps}")
-    walk = _WalkTables(S, _thresholds(_prepare(S, xs)), steps)
-    visits = [0] * walk.n
+    walk = _Walk(S, _thresholds(_prepare(S, xs)))
+    thresholds, step = walk.thresholds, walk.step
+    visits = [0] * len(step)
     for w in range(walkers):
         rng = SplitMix64(walker_seed(seed, w))
-        word = walk.initial_word(rng)
-        walk.count(walk.history(word, rng.state, steps), steps, visits)
+        # the initial word's letters, drawn one at a time until it enters
+        p = walk.at[walk.enter(iter(lambda: bisect_right(thresholds, rng.next53()), None))]
+        for a in _letters(rng.state, steps, thresholds, walk.table):
+            q = step[p + a]
+            if q < 0:
+                q = walk.fill(p, a)
+            p = q
+            visits[p] += 1
     return walk.distribution(visits, walkers * steps)
 
 
@@ -320,16 +291,18 @@ def simulate_state_at(
     All walkers start from the lexicographically first shortest
     ideal-entering word, so this measures worst-case-style convergence from
     a point mass.  The expansion numbers its vertices in shortlex order of
-    their words, so that word is the word of its first ideal vertex.
+    their words, so that word is the word of its first ideal vertex.  K is
+    an ideal, so a walker's last word is the shortest prefix entering K of
+    its letters newest first, then the start word: only the letters that
+    prefix needs are drawn.
     """
     if walkers < 1 or steps < 0:
         raise SemigroupError(
             f"need walkers >= 1 and steps >= 0, got walkers={walkers}, steps={steps}")
-    walk = _WalkTables(S, _thresholds(_prepare(S, xs)))
-    kr = karnofsky_rhodes(S)
-    word = kr.words[kr.ideal[0]]
-    walk.check_start(word)
-    ends = [0] * walk.n
-    for w in range(walkers):  # the last word is read from position 0
-        walk.count(walk.history(word, walker_seed(seed, w), steps), 1, ends)
+    walk = _Walk(S, _thresholds(_prepare(S, xs)))
+    start = walk.kr.words[walk.kr.ideal[0]]
+    ends = [0] * len(walk.step)
+    for w in range(walkers):
+        letters = _newest_first(walker_seed(seed, w), steps, walk.thresholds, walk.table)
+        ends[walk.at[walk.enter(chain(letters, start))]] += 1
     return walk.distribution(ends, walkers)

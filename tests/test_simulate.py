@@ -1,5 +1,6 @@
 import hashlib
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, product
 
@@ -8,6 +9,7 @@ import pytest
 from semiwalk.chains import tv_distance
 from semiwalk.core import SemigroupError, kernel_is_left_zero, minimal_ideal, semigroup_from_table
 from semiwalk.expansions import karnofsky_rhodes
+from semiwalk import simulate
 from semiwalk.simulate import (
     _BLOCK,
     _GOLDEN,
@@ -16,7 +18,7 @@ from semiwalk.simulate import (
     _letter_table,
     _letters,
     _thresholds,
-    _WalkTables,
+    _Walk,
     mix64,
     simulate_semaphore,
     simulate_state_at,
@@ -196,16 +198,14 @@ def reference_walk(S, xs, walkers, steps, seed, final_only=False):
 @pytest.mark.parametrize("family", [
     "tsetlin:4", "rees_zp:4,5", "flat_tower:3,2", "bar_tower:2,1", "signed_tsetlin:3",
     "rees_B:3", "z2x01", "klein", "rees_general", "burnside_straightline:3"])
-def test_start_word_is_the_first_ideal_vertex_word(family, monkeypatch):
+def test_start_word_is_the_first_ideal_vertex_word(family):
     # the expansion numbers its vertices in shortlex order of their words
     S = build(parse_family(family))
     kr = karnofsky_rhodes(S)
     assert kr.words[kr.ideal[0]] == reference_start(S)
     if kernel_is_left_zero(S, minimal_ideal(S)):  # the word the walkers start from
-        checked = []
-        monkeypatch.setattr(_WalkTables, "check_start", lambda walk, word: checked.append(word))
-        simulate_state_at(S, uniform_probs(S), walkers=3, steps=1, seed=0)
-        assert checked == [reference_start(S)]
+        d = simulate_state_at(S, uniform_probs(S), walkers=3, steps=0, seed=0)
+        assert d.counts == {S.word_label(reference_start(S)): 3}
 
 
 @pytest.mark.parametrize("family", ["b2", "tsetlin:4", "rees_zp:3,3", "flat_tower:2,2"])
@@ -249,57 +249,6 @@ def test_simulate_semaphore_rejects_empty_runs(b2, walkers, steps):
 def test_simulate_state_at_rejects_empty_runs(b2, walkers, steps):
     with pytest.raises(SemigroupError):
         simulate_state_at(b2, HALF, walkers=walkers, steps=steps, seed=0)
-
-
-@pytest.mark.parametrize("name,rows", [
-    ("rees_zp:4,5", 81), ("flat_tower:3,2", 1_056), ("bar_tower:2,1", 30),
-    ("signed_tsetlin:3", 31), ("rees_B:3", 10), ("flat_tower:2,3", 48_620),
-])
-def test_walk_tables_are_the_expansion_rows_outside_its_ideal(name, rows, monkeypatch):
-    # one row per expansion vertex outside its ideal, the root first, read
-    # off the expansion alone: nothing of S is multiplied or searched
-    S = build(parse_family(name))
-    kr = karnofsky_rhodes(S)
-
-    def refuse(*args):
-        raise AssertionError("the walk tables read S")
-    monkeypatch.setattr(S, "mult", refuse)
-    monkeypatch.setattr(S, "right_action", refuse)
-    walk = _WalkTables(S, _thresholds(uniform_probs(S)))
-    ideal, k = set(kr.ideal), S.n_gens
-    rest = [v for v in range(len(kr.out)) if v not in ideal]
-    assert len(rest) == rows and rest[0] == kr.root and len(walk.nxt) == rows * k
-    assert [[~p if p < 0 else rest[p // k] for p in walk.nxt[i * k:i * k + k]]
-            for i in range(rows)] == [kr.out[v] for v in rest]
-    assert all(p >= 0 or ~p in ideal for p in walk.nxt)
-
-
-def test_word_outside_the_ideal_raises():
-    # on four books a word needs all four letters to enter the ideal, so
-    # the one-letter word (0,) is no start word, nor is (0, 1, 2)
-    S = families.tsetlin(4)
-    walk = _WalkTables(S, _thresholds(uniform_probs(S)))
-    for word in ((0,), (0, 1, 2)):
-        with pytest.raises(AssertionError):
-            walk.check_start(word)
-    walk.check_start((0, 1, 2, 3))
-    assert list(walk.history((0, 1, 2, 3), 0, 0)) == [0, 1, 2, 3]
-
-
-def test_start_check_reads_no_pair_code():
-    # with two letters per lookup the pair code after (1, 2, 3) reads a 0
-    # past the word, which would complete its entry; the check reads one
-    # letter at a time and stops at the word's end
-    S = families.tsetlin(4)
-    walk = _WalkTables(S, _thresholds(uniform_probs(S)), 10**6)
-    assert walk.m == 2
-    with pytest.raises(AssertionError):
-        walk.check_start((1, 2, 3))
-    codes = walk.history((1, 2, 3), 0, 0)
-    visits = [0] * walk.n
-    walk.count(codes, 1, visits)  # the unchecked read stops on the 0
-    kr = karnofsky_rhodes(S)
-    assert visits.index(1) == kr.graph.follow(kr.root, (1, 2, 3, 0))
 
 
 def _digest(d):
@@ -355,43 +304,36 @@ def test_counts_match_the_recorded_digests(family, weights):
     assert (occupation.total, final.total) == (7800, 120)
 
 
+def read_entry(kr, ideal, word):
+    """The shortest prefix of ``word`` that enters ``ideal``, the
+    expansion's ideal as a set, and its vertex, read through ``kr.out``."""
+    v = kr.root
+    for j, a in enumerate(word):
+        v = kr.out[v][a]
+        if v in ideal:
+            return word[:j + 1], v
+    raise AssertionError("word does not reach the ideal")
+
+
 @pytest.mark.parametrize("family,weights", sorted(DIGESTS))
-def test_pair_reads_count_what_letter_reads_count(family, weights):
-    # one walker's history read one letter per lookup and two per lookup
+def test_table_steps_count_what_word_reads_count(family, weights):
+    # one walker's steps by table lookup, and by carrying its word and
+    # reading a·w through the expansion's rows at every step
     S = build(parse_family(family))
     k = S.n_gens
     xs = uniform_probs(S) if weights == "uniform" else [F(i + 1, k * (k + 1) // 2) for i in range(k)]
     thresholds = _thresholds(xs)
-    single, pairs = _WalkTables(S, thresholds), _WalkTables(S, thresholds, 10**7)
-    assert (single.m, pairs.m) == (1, 2) and single.tab is single.nxt
-    nxt = single.nxt
-    for p in range(0, len(nxt), k):  # entry (a, b) of a row: two lookups
-        for a in range(k):
-            q = nxt[p + a]
-            assert pairs.tab[p * k + a * k:p * k + a * k + k] == (
-                [q] * k if q < 0 else [r if r < 0 else r * k for r in nxt[q:q + k]])
+    kr = karnofsky_rhodes(S)
+    ideal = set(kr.ideal)
     rng = SplitMix64(walker_seed(101, 0))
-    word = single.initial_word(rng)
-    counts = []
-    for walk in (single, pairs):
-        visits = [0] * walk.n
-        walk.count(walk.history(word, rng.state, 2600), 2600, visits)
-        counts.append(visits)
-    assert counts[0] == counts[1] and sum(counts[0]) == 2600
-
-
-@pytest.mark.parametrize("name,steps,m", [
-    ("rees_zp:4,5", 50_000, 2), ("flat_tower:3,2", 50_000, 2),
-    ("flat_tower:3,2", 38_015, 1), ("flat_tower:3,2", 38_016, 2),
-    ("wide_band", 50_000, 1), ("wide_band_with_identity", 10**7, 1),
-])
-def test_two_letters_per_lookup_at_the_check_sizes(name, steps, m):
-    # m = 2 needs k <= 16 and at most ``steps`` pair-table entries:
-    # flat_tower:3,2 has 1,056 rows outside its ideal and 6 letters
-    S = _wide_band(name.endswith("identity")) if name.startswith("wide") else build(parse_family(name))
-    walk = _WalkTables(S, _thresholds(uniform_probs(S)), steps)
-    assert walk.m == m
-    assert len(walk.tab) == len(walk.nxt) * (walk.k if m == 2 else 1)
+    word = ()
+    while not word or kr.graph.follow(kr.root, word) not in ideal:
+        word += (bisect_right(thresholds, rng.next53()),)
+    counts = Counter()
+    for a in _letters(rng.state, 2600, thresholds, _letter_table(thresholds)):
+        word, v = read_entry(kr, ideal, (a, *word))
+        counts[kr.names([v])[0]] += 1
+    assert simulate_semaphore(S, xs, walkers=1, steps=2600, seed=101).counts == counts
 
 
 def _wide_band(identity):
@@ -413,3 +355,77 @@ def test_alphabet_wider_than_a_byte(identity):
     assert d.counts == reference_walk(S, xs, 2, 2100, 19)
     d = simulate_state_at(S, xs, walkers=12, steps=1025, seed=19)
     assert d.counts == reference_walk(S, xs, 12, 1025, 19, final_only=True)
+
+
+@pytest.mark.parametrize("family", sorted({f for f, _ in DIGESTS} | {"flat_tower:2,3"}))
+def test_entering_one_letter_on_is_the_left_action(family):
+    # the step table reads a·word(u) through the expansion's rows; the left
+    # action table is built top-down from the same rows independently
+    S = build(parse_family(family))
+    kr = karnofsky_rhodes(S)
+    walk = _Walk(S, _thresholds(uniform_probs(S)))
+    words, left = kr.words, kr.left
+    for u in kr.ideal:
+        assert [walk.enter((a, *words[u])) for a in range(walk.k)] == left[u]
+
+
+@pytest.mark.parametrize("family", ["rees_zp:4,5", "flat_tower:3,2"])
+def test_the_walk_reads_nothing_of_s(family, monkeypatch):
+    # once the left-zero guard has read S's right action, both simulations
+    # read the expansion alone: nothing of S is multiplied or searched
+    S = build(parse_family(family))
+    xs = uniform_probs(S)
+    expected = (simulate_semaphore(S, xs, walkers=2, steps=3000, seed=3).counts,
+                simulate_state_at(S, xs, walkers=20, steps=40, seed=4).counts)
+
+    def refuse(*args):
+        raise AssertionError("the walk reads S")
+    monkeypatch.setattr(simulate, "_prepare", lambda S, xs: xs)
+    monkeypatch.setattr(S, "mult", refuse)
+    monkeypatch.setattr(S, "right_action", refuse)
+    assert (simulate_semaphore(S, xs, walkers=2, steps=3000, seed=3).counts,
+            simulate_state_at(S, xs, walkers=20, steps=40, seed=4).counts) == expected
+
+
+def test_word_outside_the_ideal_raises():
+    # on four books a word needs all four letters to enter the ideal, so
+    # the one-letter word (0,) enters nowhere, nor does (0, 1, 2)
+    S = families.tsetlin(4)
+    walk = _Walk(S, _thresholds(uniform_probs(S)))
+    for word in ((0,), (0, 1, 2)):
+        with pytest.raises(AssertionError):
+            walk.enter(word)
+    kr = karnofsky_rhodes(S)
+    assert walk.enter((0, 1, 2, 3, 0)) == kr.graph.follow(kr.root, (0, 1, 2, 3))
+
+
+def test_state_at_draws_only_the_newest_letters(monkeypatch):
+    # a walker's last word needs only its newest letters, so a million
+    # steps draw at most one block of the stream per walker
+    S = build(parse_family("rees_zp:4,5"))
+    drawn = []
+
+    def spy(state, count, thresholds, table):
+        drawn.append(count)
+        return _letters(state, count, thresholds, table)
+    monkeypatch.setattr(simulate, "_letters", spy)
+    d = simulate_state_at(S, uniform_probs(S), walkers=20, steps=10**6, seed=8)
+    assert d.total == 20 and len(drawn) == 20 and max(drawn) <= _BLOCK
+
+
+@pytest.mark.parametrize("family", ["b2", "tsetlin:4", "rees_zp:4,5", "flat_tower:3,2"])
+def test_state_at_equals_a_read_of_the_whole_stream(family, b2):
+    # the last word read off every letter of the stream reversed, then the
+    # start word, at block edges and at 10^5 steps
+    S = b2 if family == "b2" else build(parse_family(family))
+    xs = uniform_probs(S)
+    thresholds = _thresholds(xs)
+    kr = karnofsky_rhodes(S)
+    ideal, start = set(kr.ideal), kr.words[kr.ideal[0]]
+    for steps in (0, 1, 6, 1023, 1024, 1025, 2049, 10**5):
+        counts = Counter()
+        for w in range(4):
+            letters = _letters(walker_seed(29, w), steps, thresholds, _letter_table(thresholds))
+            _, v = read_entry(kr, ideal, (*reversed(letters), *start))
+            counts[kr.names([v])[0]] += 1
+        assert simulate_state_at(S, xs, walkers=4, steps=steps, seed=29).counts == counts
