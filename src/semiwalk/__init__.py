@@ -64,7 +64,6 @@ from .chains import (
     MixingBound,
     NotConverged,
     NotIrreducible,
-    TransitionMatrix,
     build_chain,
     check_lumping,
     mixing_bound,
@@ -73,7 +72,6 @@ from .chains import (
 )
 from .simulate import (
     EmpiricalDistribution,
-    SplitMix64,
     mix64,
     simulate_semaphore,
     simulate_state_at,

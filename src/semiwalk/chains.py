@@ -1,15 +1,16 @@
 """Independent verification machinery for the exact engine.
 
-The column-stochastic transition matrix (exact rationals) on the minimal
-ideal of the Karnofsky-Rhodes expansion, read off its left-action table;
-the exact certificate of a law on such a chain, a float power-iteration
-oracle kept apart from the exact path, the lumping check, total-variation
+The walk on the minimal ideal of the Karnofsky-Rhodes expansion as one
+integer table read off its left-action table; on it the exact
+certificate of a law and the lumping check, in integers, and a float
+power-iteration oracle kept apart from the exact path.  Total-variation
 distance, and the mixing bound from the exact tail P(T > k) of the first
 step T at which the random word's product enters the minimal ideal.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Mapping, Sequence
@@ -29,88 +30,91 @@ class NotIrreducible(SemigroupError):
     pass
 
 
-class TransitionMatrix:
-    """Sparse column-stochastic matrix with state labels.
+def integer_weights(xs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """W and E with x_a = W[a] / E, E the least common denominator."""
+    denom = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (denom // x.denominator) for x in xs], denom
 
-    cols[s] maps target index -> exact probability of s -> target;
-    ``states``, when given, holds the expansion vertex behind each label.
-    Columns are not checked here: ``build_chain`` checks the weight sum
-    that every column adds up to.
-    """
 
-    def __init__(self, labels: Sequence[str], cols: list[dict[int, Fraction]],
-                 states: Sequence[int] | None = None):
-        self.labels = list(labels)
-        self.cols = cols
-        self.states = states
+@dataclass
+class ActionChain:
+    """A walk given by an action table: letter a, of weight
+    ``weights[a] / denom``, moves state i to ``rows[i][a]``.  State i is
+    named ``labels[i]`` and is the expansion vertex ``states[i]``."""
+
+    labels: list[str]
+    states: list[int]
+    rows: list[list[int]]
+    weights: list[int]
+    denom: int
 
     @property
     def n(self) -> int:
         return len(self.labels)
 
 
-def build_chain(S: ASemigroup, xs: Sequence[Fraction]) -> TransitionMatrix:
+def build_chain(S: ASemigroup, xs: Sequence[Fraction]) -> ActionChain:
     """Left-multiplication walk on the minimal ideal of the expansion,
-    K(KR(S)).  States are named by the expansion vertex's label: its
-    shortlex-first word, the name ``stationary_kr`` gives it too.
-
-    Every column receives one weight per generator, so each sums to
-    ``sum(xs)``; ``validate_probs`` checks that one sum instead of every
-    column.
-    """
-    xs = validate_probs(S, xs)
+    K(KR(S)), read off ``kr.left``: state i is ``kr.ideal[i]``, named by
+    its shortlex-first word, as ``stationary_kr`` names it."""
+    W, E = integer_weights(validate_probs(S, xs))
     kr = karnofsky_rhodes(S)
     states = kr.ideal
     index = {s: i for i, s in enumerate(states)}
-    cols: list[dict[int, Fraction]] = [dict() for _ in states]
-    for col, s in zip(cols, states):
-        for u, x in zip(kr.left[s], xs):
-            t = index[u]
-            col[t] = col.get(t, Fraction(0)) + x
-    return TransitionMatrix(kr.names(states), cols, states=states)
+    rows = [[index[u] for u in kr.left[s]] for s in states]
+    return ActionChain(kr.names(states), states, rows, W, E)
 
 
-def certify(S: ASemigroup, xs: Sequence[Fraction], result, chain) -> bool:
+def _fixed(mass: Sequence[int], rows: Sequence[Sequence[int]], chain: ActionChain) -> bool:
+    """Whether ``mass`` moved one step through ``rows`` is ``mass`` times E."""
+    image = [0] * len(mass)
+    for m, row in zip(mass, rows):
+        if m:
+            for t, w in zip(row, chain.weights):
+                image[t] += m * w
+    return image == [m * chain.denom for m in mass]
+
+
+def _summed(row: Sequence[int], W: Sequence[int], key: Sequence[Hashable]) -> dict:
+    """A row's weights summed by ``key[target]``, keys in first-reached order."""
+    out: dict = {}
+    for t, w in zip(row, W):
+        out[key[t]] = out.get(key[t], 0) + w
+    return out
+
+
+def certify(S: ASemigroup, result, chain: ActionChain) -> bool:
     """Exact certificate for an expansion-level stationary law.
 
     True iff the masses of ``result`` (a ``StationaryResult`` over "kr") are
     nonnegative, sum to 1, satisfy pi T = pi on ``chain``, which is
-    ``build_chain(S, xs)``, and put the right mass on each of its closed
-    classes.  Those are the minimal left ideals the expansion stores, over
-    ``kr.ideal``, which is ``chain.states``, and the letters act on them
-    through any representative; that action must have one closed
-    class, and the class masses must be stationary for it.  With pi T = pi,
-    which fixes the law within each class, this pins the law.  Nothing is
-    solved: each check is one exact multiplication.
+    ``build_chain(S, xs)`` for the law's weights, and put the right mass on
+    each of its closed classes.  Those are the minimal left ideals the
+    expansion stores, on which the letters act through any representative;
+    that action must have one closed class, and the class masses must be
+    stationary for it.  With pi T = pi, which fixes the law within each
+    class, this pins the law.  Nothing is solved: with the law as integers
+    P over D, each check is one integer multiplication through a table,
+    whose image must be P·E.
     """
     pi = result.entries
-    if (sum(pi.values(), Fraction(0)) != 1 or any(v < 0 for v in pi.values())
-            or not set(pi) <= set(chain.labels)):
+    if not pi.keys() <= set(chain.labels):
         return False
-    vec = [pi.get(lab, Fraction(0)) for lab in chain.labels]
-    image = [Fraction(0)] * chain.n
-    for s, col in enumerate(chain.cols):
-        if vec[s]:
-            for t, p in col.items():
-                image[t] += vec[s] * p
-    if image != vec:
+    D = math.lcm(*(v.denominator for v in pi.values()))
+    P = [v.numerator * (D // v.denominator) for v in (pi.get(lab, 0) for lab in chain.labels)]
+    if sum(P) != D or any(p < 0 for p in P) or not _fixed(P, chain.rows, chain):
         return False
     classes, action = karnofsky_rhodes(S).left_ideals
     if len(closed_classes(action)) != 1:
         return False
-    mass = [sum([vec[i] for i in cls], Fraction(0)) for cls in classes]
-    moved = [Fraction(0)] * len(classes)
-    for m, row in zip(mass, action):
-        for x, c in zip(xs, row):
-            moved[c] += m * x
-    return moved == mass
+    return _fixed([sum([P[i] for i in cls]) for cls in classes], action, chain)
 
 
 ORACLE_TOL = 1e-13  # total variation between sweeps that ends the iteration
 ORACLE_MAX_ITER = 1_000_000
 
 
-def stationary_oracle(T: TransitionMatrix) -> dict[str, float]:
+def stationary_oracle(T: ActionChain) -> dict[str, float]:
     """Float power iteration, independent of the exact engine.
 
     Iterates the lazy chain (T+I)/2, which has the same stationary vector
@@ -120,14 +124,15 @@ def stationary_oracle(T: TransitionMatrix) -> dict[str, float]:
     ``ORACLE_MAX_ITER`` sweeps.
     """
     n = T.n
-    classes = closed_classes([list(col) for col in T.cols])
+    classes = closed_classes(T.rows)
     if len(classes) != 1:
         raise NotIrreducible(f"{len(classes)} closed classes, need exactly 1")
     recurrent = classes[0]
 
-    # Each probability is converted once, and a sweep adds column by column
-    # in the order of ``T.cols``.
-    cols = [[(t, float(p)) for t, p in col.items()] for col in T.cols]
+    # Per state, each target once, in first-reached order, with its summed
+    # weight over E: a correctly rounded quotient, the exact probability's float.
+    cols = [[(t, w / T.denom) for t, w in _summed(row, T.weights, range(n)).items()]
+            for row in T.rows]
     v = [0.0] * n
     for s in recurrent:
         v[s] = 1.0 / len(recurrent)
@@ -147,17 +152,13 @@ def stationary_oracle(T: TransitionMatrix) -> dict[str, float]:
     raise NotConverged(f"no convergence after {ORACLE_MAX_ITER} iterations")
 
 
-def check_lumping(T: TransitionMatrix, classes: Mapping[str, Hashable]) -> bool:
-    """Exact lumpability: states in one class must have identical
-    class-aggregated columns.  ``classes`` maps state label -> its class."""
-    idx_class = [classes[lab] for lab in T.labels]
-    signatures: dict[Hashable, dict[Hashable, Fraction]] = {}
-    for s in range(T.n):
-        sig: dict[Hashable, Fraction] = {}
-        for t, p in T.cols[s].items():
-            c = idx_class[t]
-            sig[c] = sig.get(c, Fraction(0)) + p
-        if signatures.setdefault(idx_class[s], sig) != sig:
+def check_lumping(T: ActionChain, classes: Sequence[Hashable]) -> bool:
+    """Exact lumpability: states in one class must send the same weight to
+    each class.  ``classes[i]`` is state i's class."""
+    signatures: dict = {}
+    for c, row in zip(classes, T.rows):
+        sig = _summed(row, T.weights, classes)
+        if signatures.setdefault(c, sig) != sig:
             return False
     return True
 
@@ -205,10 +206,7 @@ def mixing_bound(S: ASemigroup, xs: Sequence[Fraction]) -> MixingBound:
     if len(live) == S.size:
         raise SemigroupError("minimal ideal is not left zero: the mixing bound's "
                              "coupling holds only in direct mode")
-    denom = 1
-    for x in xs:  # times the part of x's denominator that denom lacks
-        denom *= Fraction(denom, x.denominator).denominator
-    ws = [int(x * denom) for x in xs]
+    ws, denom = integer_weights(xs)
     mass = [0] * S.size  # mass[e] / scale, scale = denom^k: the product of k letters is e
     for e, w in zip(S.gens, ws):
         mass[e] += w

@@ -3,7 +3,8 @@
 Subcommands: build, expand, stationary, verify, mixing.  All numeric
 output is exact fraction text unless --float is given.  Identical invocations
 (including --seed) produce byte-identical output.  Exit codes: 0 success,
-1 verification failure, 2 usage or input error.
+1 verification failure, 2 usage or input error, 141 (128 + SIGPIPE) when
+the reader of stdout closes it early, as in ``semiwalk ... | head -1``.
 
 ``main(argv)`` may be called repeatedly in one process.  It builds its
 argument parser on the first call and reuses it; parsing makes a fresh
@@ -20,6 +21,7 @@ import functools
 import gc
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -49,6 +51,7 @@ from .stationary import (
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+PIPE_CLOSED = 128 + 13  # the status of a writer killed by SIGPIPE
 
 
 def main(argv=None) -> int:
@@ -65,7 +68,12 @@ def main(argv=None) -> int:
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return commands[args.command](args)
+        code = commands[args.command](args)
+        sys.stdout.flush()  # so a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:  # the reader has gone: print nothing, exit quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return PIPE_CLOSED
     except (SemigroupError, DivergentStar, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -235,7 +243,7 @@ def cmd_verify(args) -> int:
           "normalization (exact sum = 1)")
 
     chain = build_chain(S, xs)
-    ok = certify(S, xs, result, chain)
+    ok = certify(S, result, chain)
     # direct mode prints the certificate's line only when it fails, so a
     # passing run prints the oracle, lumping and simulation lines alone
     if force or not ok:
@@ -251,8 +259,7 @@ def cmd_verify(args) -> int:
 
         # each chain state's class is the element under its vertex
         image = karnofsky_rhodes(S).s_image
-        classes = dict(zip(chain.labels, map(image.__getitem__, chain.states)))
-        check("lumping", check_lumping(chain, classes),
+        check("lumping", check_lumping(chain, [image[v] for v in chain.states]),
               "lumping expansion -> semigroup")
 
         if args.simulate:

@@ -21,21 +21,22 @@ read, so the two stay independent.  ``simulate_state_at`` reads one word
 per walker, its last: K is an ideal, so that word is the shortest prefix
 entering K of the walker's letters newest first, then its start word, and
 only the newest letters it needs are drawn.  The walk multiplies nothing
-in S.  Only the states the walk visits are named.
+in S.  Only the states the walk reaches are numbered, and counted ones named.
 
 Random number generator contract: SplitMix64 (Steele, Lea and Flood,
 OOPSLA 2014), 64-bit state, advancing by the golden-ratio increment and
 finalizing with two xor-multiply rounds.  Walker w of a run seeded with s
-uses the stream seeded by mix64(mix64(s) ^ (GOLDEN * (w+1) mod 2^64)).
-Letters are drawn by comparing the top 53 bits of the next output against
-cumulative integer thresholds floor(cum_i * 2^53).  Everything is integer
-arithmetic, so runs are bit-identical across platforms for a fixed seed.
-``_letters`` computes the same stream as ``SplitMix64`` up to 1,024
-outputs at a time, one 128-bit lane of a single integer per output, so
-each step of the finalizer is one whole-integer operation per block.  A
-block's top bytes map to letters through one 256-entry table in one
-``bytes.translate``; an output whose top byte's range holds a threshold
-is drawn by its exact 53 bits.
+uses the stream seeded by mix64(mix64(s) ^ (GOLDEN * (w+1) mod 2^64)):
+its initial word takes the first m letters, its steps the stream after
+them, seeded by that seed + m·GOLDEN.  Letters are drawn by comparing
+the top 53 bits of each output against cumulative integer thresholds
+floor(cum_i * 2^53).  Everything is integer arithmetic, so runs are
+bit-identical across platforms for a fixed seed.  ``_letters`` computes
+the stream up to 1,024 outputs at a time, one 128-bit lane of a single
+integer per output, so each step of the finalizer is one whole-integer
+operation per block.  A block's top bytes map to letters through one
+256-entry table in one ``bytes.translate``; an output whose top byte's
+range holds a threshold is drawn by its exact 53 bits.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Iterable, Iterator, Sequence
 
 from .core import ASemigroup, SemigroupError, kernel_is_left_zero, minimal_ideal
@@ -61,20 +62,6 @@ def mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return z ^ (z >> 31)
-
-
-class SplitMix64:
-    __slots__ = ("state",)
-
-    def __init__(self, seed: int):
-        self.state = seed & _MASK
-
-    def next64(self) -> int:
-        self.state = (self.state + _GOLDEN) & _MASK
-        return mix64(self.state)
-
-    def next53(self) -> int:
-        return self.next64() >> 11
 
 
 def walker_seed(seed: int, index: int) -> int:
@@ -96,9 +83,9 @@ def _lanes() -> tuple[int, int, int]:
 
 
 def _blocks(state: int, count: int) -> Iterator[bytes]:
-    """The first ``count`` outputs of ``SplitMix64(state).next64()``, up to
-    _BLOCK at a time, as little-endian bytes: output t of a block is bytes
-    16t to 16t+7.
+    """The first ``count`` outputs of the stream at ``state``, output t
+    being mix64(state + (t+1)·GOLDEN mod 2^64), up to _BLOCK at a time, as
+    little-endian bytes: output t of a block is bytes 16t to 16t+7.
 
     Lane t (bits 128t to 128t+127) of one integer holds the generator's
     state after t+1 advances, so each xor-shift, multiply and mask of
@@ -135,8 +122,9 @@ def _letter_table(thresholds: list[int]) -> bytes:
 
 def _letters(state: int, count: int, thresholds: list[int],
              table: bytes) -> bytearray | array:
-    """``bisect_right(thresholds, SplitMix64(state).next53())`` for the
-    first ``count`` outputs, given ``table = _letter_table(thresholds)``:
+    """``bisect_right(thresholds, output >> 11)`` for the first ``count``
+    outputs of the stream at ``state``, given
+    ``table = _letter_table(thresholds)``:
     a block's top bytes (byte 7 of each lane) go through ``table`` in one
     ``bytes.translate``, and only the outputs mapped to _SENTINEL, about
     (k-1)/256 of them for k < 256 letters, are drawn by their top 53 bits.
@@ -154,11 +142,7 @@ def _letters(state: int, count: int, thresholds: list[int],
 
 
 def _thresholds(xs: Sequence[Fraction]) -> list[int]:
-    acc = Fraction(0)
-    out = []
-    for v in xs:
-        acc += v
-        out.append(int(acc * (1 << 53)))
+    out = [int(acc * (1 << 53)) for acc in accumulate(xs)]
     out[-1] = 1 << 53
     return out
 
@@ -175,51 +159,63 @@ class EmpiricalDistribution:
     def get(self, key, default=0):
         return self.counts.get(key, 0) / self.total if self.total else default
 
-    def keys(self):
-        return self.counts.keys()
-
 
 class _Walk:
     """The lumped word walk, one lookup per step.
 
-    State i is the ideal vertex ``kr.ideal[i]``, held as its offset
-    p = i·k.  ``step[p + a]`` is the offset of the state that letter a leads
-    to: the vertex at which a·word(u), u the state's vertex, enters the
-    ideal (``enter``).  An entry starts at -1 and is filled the first time
-    a step needs it.
+    The states are the ideal vertices the walk reaches, numbered on first
+    visit: state i is the vertex ``vertex[i]``, held as its offset p = i·k.
+    ``step[p + a]`` is the offset of the state that letter a leads to: the
+    vertex at which a·word(u), u the state's vertex, enters the ideal
+    (``enter``), or -1 until a step first needs it.  ``counts[p]`` counts
+    the state's visits.  The lists grow in place, k entries per state.
     """
 
     def __init__(self, S: ASemigroup, thresholds: list[int]):
         self.thresholds, self.table = thresholds, _letter_table(thresholds)
         self.kr = kr = karnofsky_rhodes(S)
-        self.k = k = len(kr.alphabet)
-        self.at = [-1] * len(kr.out)  # a vertex's offset, -1 outside the ideal
-        for i, u in enumerate(kr.ideal):
-            self.at[u] = i * k
-        self.step = [-1] * (len(kr.ideal) * k)
+        self.k, self.ideal = len(kr.alphabet), set(kr.ideal)
+        self.at, self.vertex, self.step, self.counts = {}, [], [], []
 
-    def enter(self, letters: Iterable[int]) -> int:
+    def enter(self, letters: Iterable[int]) -> tuple[int, int]:
         """The first vertex in the ideal that ``letters`` reach, read
-        through ``kr.out`` from the root; AssertionError if there is none."""
-        out, at, v = self.kr.out, self.at, self.kr.root
-        for a in letters:
+        through ``kr.out`` from the root, and the number of letters read;
+        AssertionError if there is none."""
+        out, ideal, v = self.kr.out, self.ideal, self.kr.root
+        for m, a in enumerate(letters, 1):
             v = out[v][a]
-            if at[v] >= 0:
-                return v
+            if v in ideal:
+                return v, m
         raise AssertionError("word does not reach the ideal")
+
+    def offset(self, v: int) -> int:
+        """The offset of ideal vertex v's state, numbered on first visit."""
+        p = self.at.get(v)
+        if p is None:
+            p = self.at[v] = len(self.step)
+            self.vertex.append(v)
+            self.step += [-1] * self.k
+            self.counts += [0] * self.k
+        return p
 
     def fill(self, p: int, a: int) -> int:
         """Fill ``step[p + a]`` and return it."""
-        kr = self.kr
-        q = self.step[p + a] = self.at[self.enter((a, *kr.words[kr.ideal[p // self.k]]))]
+        word = self.kr.words[self.vertex[p // self.k]]
+        q = self.step[p + a] = self.offset(self.enter((a, *word))[0])
         return q
 
-    def distribution(self, visits: list[int], total: int) -> EmpiricalDistribution:
-        """The visited states by name, given ``visits`` per offset."""
-        counts, ideal = visits[::self.k], self.kr.ideal
-        seen = [i for i, c in enumerate(counts) if c]
-        names = self.kr.names([ideal[i] for i in seen])
-        return EmpiricalDistribution({name: counts[i] for i, name in zip(seen, names)}, total)
+    def distribution(self, total: int) -> EmpiricalDistribution:
+        """The counted states by name, in vertex order."""
+        visited = sorted((v, c) for v, c in zip(self.vertex, self.counts[::self.k]) if c)
+        names = self.kr.names([v for v, _ in visited])
+        return EmpiricalDistribution({name: c for name, (_, c) in zip(names, visited)}, total)
+
+
+def _stream(state: int, thresholds: list[int], table: bytes) -> Iterator[int]:
+    """The letters of the stream at ``state``, a block at a time, endlessly."""
+    while True:
+        yield from _letters(state, _BLOCK, thresholds, table)
+        state = (state + _BLOCK * _GOLDEN) & _MASK
 
 
 def _newest_first(state: int, count: int, thresholds: list[int], table: bytes) -> Iterator[int]:
@@ -264,19 +260,19 @@ def simulate_semaphore(
         raise SemigroupError(
             f"need walkers >= 1 and steps >= 1, got walkers={walkers}, steps={steps}")
     walk = _Walk(S, _thresholds(_prepare(S, xs)))
-    thresholds, step = walk.thresholds, walk.step
-    visits = [0] * len(step)
+    thresholds, step, visits = walk.thresholds, walk.step, walk.counts
     for w in range(walkers):
-        rng = SplitMix64(walker_seed(seed, w))
-        # the initial word's letters, drawn one at a time until it enters
-        p = walk.at[walk.enter(iter(lambda: bisect_right(thresholds, rng.next53()), None))]
-        for a in _letters(rng.state, steps, thresholds, walk.table):
+        # the initial word's m letters, then the steps' from the stream after them
+        state = walker_seed(seed, w)
+        v, m = walk.enter(_stream(state, thresholds, walk.table))
+        p = walk.offset(v)
+        for a in _letters((state + m * _GOLDEN) & _MASK, steps, thresholds, walk.table):
             q = step[p + a]
             if q < 0:
                 q = walk.fill(p, a)
             p = q
             visits[p] += 1
-    return walk.distribution(visits, walkers * steps)
+    return walk.distribution(walkers * steps)
 
 
 def simulate_state_at(
@@ -301,8 +297,7 @@ def simulate_state_at(
             f"need walkers >= 1 and steps >= 0, got walkers={walkers}, steps={steps}")
     walk = _Walk(S, _thresholds(_prepare(S, xs)))
     start = walk.kr.words[walk.kr.ideal[0]]
-    ends = [0] * len(walk.step)
     for w in range(walkers):
         letters = _newest_first(walker_seed(seed, w), steps, walk.thresholds, walk.table)
-        ends[walk.at[walk.enter(chain(letters, start))]] += 1
-    return walk.distribution(ends, walkers)
+        walk.counts[walk.offset(walk.enter(chain(letters, start))[0])] += 1
+    return walk.distribution(walkers)

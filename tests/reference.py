@@ -5,11 +5,13 @@ the two-sided ideals and quotients of a semigroup, S with a zero adjoined
 (whose direct law at zero weight t tends to limit mode's law as t -> 0),
 stability of the expansions, the words an expression describes, the
 semaphore code (the minimal ideal-entering words) with its word-level
-walk, which lumps onto the Karnofsky-Rhodes chain, the first-entry tail of
-the random word by enumeration, the product formula for expansions that
-are a tree plus loops, the Karnofsky-Rhodes expansion keyed by sets of
-transition edges, and the walk sums on one McCammond tree over the whole
-expansion.  The CLI, the demos and the benchmark never call them.
+walk, which lumps onto the Karnofsky-Rhodes chain, that chain as
+columns of Fractions with its certificate, lumping check and float
+oracle, the first-entry tail of the random word by enumeration, the
+simulator's random stream drawn one output at a time, the product
+formula for expansions that are a tree plus loops, the Karnofsky-Rhodes
+expansion keyed by sets of transition edges, and the walk sums on one
+McCammond tree over the whole expansion.  The CLI, the demos and the benchmark never call them.
 """
 
 from __future__ import annotations
@@ -17,12 +19,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Hashable, Mapping, Sequence
 
 import pytest
 
 from semiwalk import expansions, families
-from semiwalk.chains import TransitionMatrix
+from semiwalk.chains import ORACLE_TOL
+from semiwalk.simulate import _GOLDEN, _MASK, mix64
 from semiwalk.core import (
     ZERO_NAME,
     ASemigroup,
@@ -246,6 +249,92 @@ def enumerate_words(e: KleeneExpr, max_len: int) -> dict[tuple[int, ...], int]:
         frontier = nxt
     return acc
 
+# -- chains as columns of Fractions ---------------------------------------------
+
+
+class TransitionMatrix:
+    """Sparse column-stochastic matrix with state labels: ``cols[s]`` maps
+    target index -> exact probability of s -> target."""
+
+    def __init__(self, labels: Sequence[str], cols: list[dict[int, Fraction]]):
+        self.labels = list(labels)
+        self.cols = cols
+
+    @property
+    def n(self) -> int:
+        return len(self.labels)
+
+
+def fraction_chain(S: ASemigroup, xs: Sequence[Fraction]) -> TransitionMatrix:
+    """``build_chain``'s walk on the expansion ideal as Fraction columns:
+    each letter's weight added to the column entry of its target."""
+    xs = validate_probs(S, xs)
+    kr = karnofsky_rhodes(S)
+    index = {s: i for i, s in enumerate(kr.ideal)}
+    cols: list[dict[int, Fraction]] = [dict() for _ in kr.ideal]
+    for col, s in zip(cols, kr.ideal):
+        for u, x in zip(kr.left[s], xs):
+            col[index[u]] = col.get(index[u], Fraction(0)) + x
+    return TransitionMatrix(kr.names(kr.ideal), cols)
+
+
+def fraction_certify(S: ASemigroup, xs: Sequence[Fraction], result,
+                     T: TransitionMatrix) -> bool:
+    """``certify`` in Fractions: masses nonnegative and summing to 1 on
+    the chain's states, pi T = pi, and the class masses stationary for
+    the letters' action on the minimal left ideals, which has one closed
+    class."""
+    pi = result.entries
+    if (sum(pi.values(), Fraction(0)) != 1 or any(v < 0 for v in pi.values())
+            or not set(pi) <= set(T.labels)):
+        return False
+    vec = [pi.get(lab, Fraction(0)) for lab in T.labels]
+    image = [Fraction(0)] * T.n
+    for s, col in enumerate(T.cols):
+        for t, p in col.items():
+            image[t] += vec[s] * p
+    if image != vec:
+        return False
+    classes, action = karnofsky_rhodes(S).left_ideals
+    if len(closed_classes(action)) != 1:
+        return False
+    mass = [sum([vec[i] for i in cls], Fraction(0)) for cls in classes]
+    moved = [Fraction(0)] * len(classes)
+    for m, row in zip(mass, action):
+        for x, c in zip(xs, row):
+            moved[c] += m * x
+    return moved == mass
+
+
+def fraction_lumping(T: TransitionMatrix, classes: Mapping[str, Hashable]) -> bool:
+    """``check_lumping`` in Fractions, ``classes`` mapping label -> class."""
+    return check_interior_lumping(T, classes, set(T.labels))
+
+
+def fraction_oracle(T: TransitionMatrix) -> dict[str, float]:
+    """``stationary_oracle`` over Fraction columns: the lazy power
+    iteration from the uniform law on the one closed class, with each
+    probability converted by ``float`` once."""
+    classes = closed_classes([list(col) for col in T.cols])
+    assert len(classes) == 1, classes
+    cols = [[(t, float(p)) for t, p in col.items()] for col in T.cols]
+    v = [0.0] * T.n
+    for s in classes[0]:
+        v[s] = 1.0 / len(classes[0])
+    while True:
+        w = [0.0] * T.n
+        for col, vs in zip(cols, v):
+            for t, p in col:
+                w[t] += vs * p
+        w = [0.5 * (a + b) for a, b in zip(w, v)]
+        norm = sum(w)
+        w = [a / norm for a in w]
+        delta = 0.5 * sum(abs(a - b) for a, b in zip(w, v))
+        v = w
+        if delta < ORACLE_TOL:
+            return dict(zip(T.labels, v))
+
+
 # -- the semaphore code and its word-level chain ---------------------------------
 
 
@@ -348,16 +437,16 @@ def first_entry_tail(S: ASemigroup, xs: Sequence[Fraction], k: int) -> Fraction:
 
 
 def check_interior_lumping(
-    T: TransitionMatrix, classes: Mapping[str, str], interior: set[str]
+    T: TransitionMatrix, classes: Mapping[str, Hashable], interior: set[str]
 ) -> bool:
     """``check_lumping`` on the columns of the interior states only, as
     for a truncated chain, whose boundary columns are incomplete."""
     idx_class = [classes[lab] for lab in T.labels]
-    signatures: dict[str, dict[str, Fraction]] = {}
+    signatures: dict[Hashable, dict[Hashable, Fraction]] = {}
     for s, lab in enumerate(T.labels):
         if lab not in interior:
             continue
-        sig: dict[str, Fraction] = {}
+        sig: dict[Hashable, Fraction] = {}
         for t, p in T.cols[s].items():
             sig[idx_class[t]] = sig.get(idx_class[t], Fraction(0)) + p
         if signatures.setdefault(idx_class[s], sig) != sig:
@@ -374,6 +463,28 @@ def apply_float(T: TransitionMatrix, v: list[float]) -> list[float]:
             for t, p in col.items():
                 out[t] += vs * float(p)
     return out
+
+
+# -- the simulator's stream ------------------------------------------------------
+
+
+class SplitMix64:
+    """The simulator's stream (Steele, Lea and Flood, OOPSLA 2014) one
+    output at a time: the state advances by GOLDEN, and each output is
+    ``mix64`` of the new state.  The simulator computes the same outputs a
+    block at a time."""
+
+    __slots__ = ("state",)
+
+    def __init__(self, seed: int):
+        self.state = seed & _MASK
+
+    def next64(self) -> int:
+        self.state = (self.state + _GOLDEN) & _MASK
+        return mix64(self.state)
+
+    def next53(self) -> int:
+        return self.next64() >> 11
 
 
 # -- stationary laws -------------------------------------------------------------

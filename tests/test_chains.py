@@ -37,6 +37,10 @@ from reference import (
     apply_float,
     check_interior_lumping,
     first_entry_tail,
+    fraction_certify,
+    fraction_chain,
+    fraction_lumping,
+    fraction_oracle,
     truncated_semaphore_chain,
 )
 
@@ -49,7 +53,8 @@ def test_column_sums_exact(p3, b2, z2x01):
     for S, xs in ((p3, [F(1, 2), F(1, 3), F(1, 6)]), (b2, HALF),
                   (z2x01, HALF)):
         T = build_chain(S, xs)
-        assert all(sum(col.values()) == 1 for col in T.cols)
+        assert [F(w, T.denom) for w in T.weights] == xs
+        assert all(len(row) == len(xs) for row in T.rows)
 
 
 def test_weights_not_summing_to_one_rejected(b2):
@@ -77,18 +82,19 @@ def test_b2_kr_chain_structure(b2):
     T = build_chain(b2, HALF)
     assert sorted(T.labels) == ["aa", "abb", "baa", "bb"]
     lab = {name: i for i, name in enumerate(T.labels)}
+    assert (T.weights, T.denom) == ([1, 1], 2)
     # from aa: a loops, b moves to baa
-    assert T.cols[lab["aa"]] == {lab["aa"]: F(1, 2), lab["baa"]: F(1, 2)}
+    assert T.rows[lab["aa"]] == [lab["aa"], lab["baa"]]
     # from baa: a back to aa, b to bb
-    assert T.cols[lab["baa"]] == {lab["aa"]: F(1, 2), lab["bb"]: F(1, 2)}
+    assert T.rows[lab["baa"]] == [lab["aa"], lab["bb"]]
     # from abb: a to aa, b to bb
-    assert T.cols[lab["abb"]] == {lab["aa"]: F(1, 2), lab["bb"]: F(1, 2)}
+    assert T.rows[lab["abb"]] == [lab["aa"], lab["bb"]]
 
 
 def test_one_state_chain():
     S = semigroup_from_table([[0]], gens=[0], gen_names=["e"])
     T = build_chain(S, [F(1)])
-    assert T.n == 1 and T.cols[0] == {0: F(1)}
+    assert T.n == 1 and T.rows == [[0]] and (T.weights, T.denom) == ([1], 1)
     assert stationary_oracle(T) == {"e": 1.0}
 
 
@@ -97,8 +103,9 @@ def test_tsetlin_chain_is_move_to_front(p3):
     T = build_chain(p3, x)
     assert T.n == 6
     lab = {name: i for i, name in enumerate(T.labels)}
-    # letter 2 moves 132 to 213
-    assert T.cols[lab["132"]][lab["213"]] == F(1, 3)
+    # letter 2, of weight 1/3, moves 132 to 213, and no other letter does
+    assert [a for a, t in enumerate(T.rows[lab["132"]]) if t == lab["213"]] == [1]
+    assert F(T.weights[1], T.denom) == F(1, 3)
 
 
 def test_oracle_matches_engine(p3, b2, z2x01_quotient):
@@ -120,19 +127,22 @@ def test_oracle_invariance(b2):
     T = build_chain(b2, HALF)
     psi = stationary_oracle(T)
     v = [psi[lab] for lab in T.labels]
-    w = apply_float(T, v)
+    w = apply_float(fraction_chain(b2, HALF), v)
     assert sum(abs(a - b) for a, b in zip(v, w)) < 1e-10
 
 
 def test_oracle_equals_per_sweep_conversion():
-    # the oracle converts each probability once; its floats must equal those
-    # of the power iteration that calls apply_float (float(p) every sweep)
+    # the oracle converts each summed integer weight over E once; its floats
+    # must equal those of the power iteration over the Fraction columns that
+    # calls apply_float (float(p) every sweep)
     S = families.flat_tower(2, 2)
     T = build_chain(S, uniform_probs(S))
+    R = fraction_chain(S, uniform_probs(S))
+    assert R.labels == T.labels
     psi = stationary_oracle(T)
     v = [1.0 / T.n] * T.n  # the chain is irreducible: the oracle's start
     while True:
-        w = apply_float(T, v)
+        w = apply_float(R, v)
         w = [0.5 * (a + b) for a, b in zip(w, v)]
         norm = sum(w)
         w = [a / norm for a in w]
@@ -155,7 +165,7 @@ def test_check_lumping_kr_to_s(z2x01_quotient, b2, p3):
                   (p3, uniform_probs(p3))):
         r = stationary_kr(S, xs)
         T = build_chain(S, xs)
-        classes = {lab: S.element_name(r.key_info[lab].element) for lab in T.labels}
+        classes = [S.element_name(r.key_info[lab].element) for lab in T.labels]
         assert check_lumping(T, classes)
 
 
@@ -165,7 +175,7 @@ def test_check_lumping_negative_control(b2):
     lab = {name: i for i, name in enumerate(T.labels)}
     bad = {"aa": "x", "bb": "x", "abb": "y", "baa": "y"}
     assert set(bad) == set(lab)
-    assert not check_lumping(T, bad)
+    assert not check_lumping(T, [bad[name] for name in T.labels])
 
 
 def test_semaphore_truncation_lumps_to_kr(b2, z2x01_quotient):
@@ -286,16 +296,17 @@ def test_mixing_bound_ladder(name, k):
 def _power_tvs(chain, pi, steps):
     """Exact total variation from pi after 1..steps steps, per start."""
     target = [pi.get(lab, F(0)) for lab in chain.labels]
+    xs = [F(w, chain.denom) for w in chain.weights]
     for s in range(chain.n):
         v = [F(0)] * chain.n
         v[s] = F(1)
         tvs = []
         for _ in range(steps):
             w = [F(0)] * chain.n
-            for col, vs in zip(chain.cols, v):
+            for row, vs in zip(chain.rows, v):
                 if vs:
-                    for t, p in col.items():
-                        w[t] += vs * p
+                    for t, x in zip(row, xs):
+                        w[t] += vs * x
             v = w
             tvs.append(sum(abs(a - b) for a, b in zip(v, target)) / 2)
         yield tvs
@@ -387,14 +398,14 @@ def test_mixing_cap_bounds_the_time(name, gen, denominator):
 def test_certify_direct_and_limit_results(p3, b2, z2x01, klein):
     for S in (p3, b2, z2x01, klein):
         xs = uniform_probs(S)
-        assert certify(S, xs, stationary_kr(S, xs), build_chain(S, xs))
+        assert certify(S, stationary_kr(S, xs), build_chain(S, xs))
 
 
 def test_certify_counterexample(counterexample):
     # several normal forms reach one expansion vertex; the law still
     # lives on the chain's states, under the chain's names
     xs = uniform_probs(counterexample)
-    assert certify(counterexample, xs, stationary_kr(counterexample, xs),
+    assert certify(counterexample, stationary_kr(counterexample, xs),
                    build_chain(counterexample, xs))
 
 
@@ -420,11 +431,11 @@ def test_certify_rejects_wrong_laws(b2):
     moved[a] += F(1, 16)
     moved[b] -= F(1, 16)
     chain = build_chain(b2, HALF)
-    assert not certify(b2, HALF, StationaryResult(moved), chain)
-    assert not certify(b2, HALF, StationaryResult({a: F(1)}), chain)
+    assert not certify(b2, StationaryResult(moved), chain)
+    assert not certify(b2, StationaryResult({a: F(1)}), chain)
     extra = dict(result.entries)
     extra["not-a-state"] = F(0)
-    assert not certify(b2, HALF, StationaryResult(extra), chain)
+    assert not certify(b2, StationaryResult(extra), chain)
 
 
 def test_certify_rejects_a_wrong_mixture_of_closed_classes():
@@ -435,7 +446,7 @@ def test_certify_rejects_a_wrong_mixture_of_closed_classes():
     wrong = {**dict.fromkeys(["a", "ba", "aba", "baba"], F(1, 16)),
              **dict.fromkeys(["b", "ab", "bab", "abab"], F(3, 16))}
     xs = uniform_probs(S)
-    assert not certify(S, xs, StationaryResult(wrong), build_chain(S, xs))
+    assert not certify(S, StationaryResult(wrong), build_chain(S, xs))
 
 
 def test_certify_rejects_a_law_without_a_class():
@@ -443,8 +454,8 @@ def test_certify_rejects_a_law_without_a_class():
     xs = uniform_probs(S)
     one_class = dict.fromkeys(["a", "ba", "aba", "baba"], F(1, 4))
     chain = build_chain(S, xs)
-    assert not certify(S, xs, StationaryResult(one_class), chain)
-    assert certify(S, xs, stationary_kr(S, xs), chain)
+    assert not certify(S, StationaryResult(one_class), chain)
+    assert certify(S, stationary_kr(S, xs), chain)
 
 
 def _limit_draws_with_classes(n, seed):
@@ -460,7 +471,7 @@ def _limit_draws_with_classes(n, seed):
         ws = [rng.randint(1, 9) for _ in "abc"]
         xs = [F(w, sum(ws)) for w in ws]
         chain = build_chain(S, xs)
-        classes = closed_classes([list(col) for col in chain.cols])
+        classes = closed_classes(chain.rows)
         if len(classes) >= 2:
             n -= 1
             yield S, xs, chain, [[chain.labels[i] for i in cls] for cls in classes]
@@ -471,7 +482,7 @@ def test_certify_rejects_reweighted_mixtures_of_closed_classes():
     rng = random.Random(16)
     for S, xs, chain, classes in _limit_draws_with_classes(50, seed=2024):
         law = stationary_kr(S, xs).entries
-        assert certify(S, xs, StationaryResult(law), chain)
+        assert certify(S, StationaryResult(law), chain)
         mass = [sum(law[lab] for lab in cls) for cls in classes]
         new = mass
         while new == mass:
@@ -480,7 +491,7 @@ def test_certify_rejects_reweighted_mixtures_of_closed_classes():
         wrong = {lab: law[lab] / m * w
                  for cls, m, w in zip(classes, mass, new) for lab in cls}
         assert sum(wrong.values()) == 1
-        assert not certify(S, xs, StationaryResult(wrong), chain)
+        assert not certify(S, StationaryResult(wrong), chain)
 
 
 @pytest.mark.parametrize("name,forced", [
@@ -489,7 +500,7 @@ def test_certify_rejects_reweighted_mixtures_of_closed_classes():
 def test_certify_passes_the_limit_fixtures(name, forced):
     S = families.build(families.parse_family(name))
     xs = uniform_probs(S)
-    assert certify(S, xs, stationary_kr(S, xs, force_limit=forced), build_chain(S, xs))
+    assert certify(S, stationary_kr(S, xs, force_limit=forced), build_chain(S, xs))
 
 
 def test_limit_mode_reaches_size_27_draw():
@@ -502,14 +513,86 @@ def test_limit_mode_reaches_size_27_draw():
     assert S.size == 27
     xs = uniform_probs(S)
     result = stationary_kr(S, xs)
-    assert certify(S, xs, result, build_chain(S, xs))
+    assert certify(S, result, build_chain(S, xs))
 
 
 @pytest.mark.parametrize("name", ["flat_tower:3,2", "rees_zp:4,5", "signed_tsetlin:3"])
 def test_certify_direct_results_of_the_tree_pass(name):
     S = families.build(families.parse_family(name))
     xs = uniform_probs(S)
-    assert certify(S, xs, stationary_kr(S, xs), build_chain(S, xs))
+    assert certify(S, stationary_kr(S, xs), build_chain(S, xs))
+
+
+# the benchmark's direct-mode ladder up to flat_tower:3,2, and its limit fixtures
+LADDER = ["tsetlin:6", "signed_tsetlin:4", "rees_zp:4,5", "bar_tower:2,2", "flat_tower:3,2"]
+LIMIT_FIXTURES = [("rees_general", False), ("z2x01", False), ("klein", False),
+                  ("tsetlin:5", True), ("rees_B:6", True)]
+
+
+def _skewed(S):
+    """The weights 1 : 2 : ... : k."""
+    k = S.n_gens
+    return [F(i + 1, k * (k + 1) // 2) for i in range(k)]
+
+
+def _wrong_laws(law):
+    """The law with half of one state's mass moved to another, with one
+    mass negative, scaled by 2, and with a state the chain lacks."""
+    a, b = list(law)[:2]
+    moved, negative = dict(law), dict(law)
+    moved[a], moved[b] = law[a] / 2, law[b] + law[a] / 2
+    negative[a], negative[b] = -law[b], law[b] + law[a] + law[b]
+    return [moved, negative, {k: 2 * v for k, v in law.items()}, {**law, "not-a-state": F(0)}]
+
+
+def _same_verdicts(S, xs, laws, chain):
+    ref = fraction_chain(S, xs)
+    assert ref.labels == chain.labels
+    verdicts = [certify(S, StationaryResult(law), chain) for law in laws]
+    assert verdicts == [fraction_certify(S, xs, StationaryResult(law), ref) for law in laws]
+    return verdicts
+
+
+@pytest.mark.parametrize("name,forced", [(name, False) for name in LADDER] + LIMIT_FIXTURES)
+def test_integer_checks_agree_with_the_fraction_reference(name, forced):
+    # the certificate's and the lumping check's verdicts over the integer
+    # table equal those over Fraction columns, at weights 1 : 2 : ... : k
+    S = families.build(families.parse_family(name))
+    xs = _skewed(S)
+    chain = build_chain(S, xs)
+    law = stationary_kr(S, xs, force_limit=forced).entries
+    assert _same_verdicts(S, xs, [law, *_wrong_laws(law)], chain) == [True] + [False] * 4
+    image = karnofsky_rhodes(S).s_image
+    by_element = [image[v] for v in chain.states]
+    partitions = [by_element, [e % 2 for e in by_element],
+                  [len(lab) for lab in chain.labels], [i % 3 for i in range(chain.n)]]
+    ref = fraction_chain(S, xs)
+    verdicts = [check_lumping(chain, p) for p in partitions]
+    assert verdicts == [fraction_lumping(ref, dict(zip(ref.labels, p))) for p in partitions]
+    assert verdicts[0] and not all(verdicts)  # the lumping onto S holds in both modes
+
+
+def test_integer_certificate_agrees_on_the_limit_draws():
+    # the laws and the reweighted mixtures of
+    # test_certify_rejects_reweighted_mixtures_of_closed_classes
+    rng = random.Random(16)
+    for S, xs, chain, classes in _limit_draws_with_classes(50, seed=2024):
+        law = stationary_kr(S, xs).entries
+        mass = [sum(law[lab] for lab in cls) for cls in classes]
+        ws = [rng.randint(1, 9) for _ in classes]
+        wrong = {lab: law[lab] / m * F(w, sum(ws))
+                 for cls, m, w in zip(classes, mass, ws) for lab in cls}
+        _same_verdicts(S, xs, [law, wrong, *_wrong_laws(law)], chain)
+
+
+@pytest.mark.parametrize("name", ["tsetlin:5", "rees_zp:4,5", "flat_tower:3,2", "bar_tower:2,2",
+                                  "signed_tsetlin:4", "rees_B:3", "burnside_straightline:3"])
+def test_oracle_equals_the_fraction_reference(name):
+    # summed integer weights over E give the floats of the Fraction sums,
+    # so the oracle's dict is the reference's, float for float
+    S = families.build(families.parse_family(name))
+    for xs in (uniform_probs(S), _skewed(S)):
+        assert stationary_oracle(build_chain(S, xs)) == fraction_oracle(fraction_chain(S, xs))
 
 
 def test_tv_distance_does_not_depend_on_the_hash_seed():

@@ -5,7 +5,6 @@ import pytest
 
 from semiwalk.core import SemigroupError, bar, flat, semigroup_from_table
 from semiwalk.expansions import karnofsky_rhodes
-from semiwalk.simulate import SplitMix64
 from semiwalk.stationary import (
     normalization_check,
     stationary_kr,
@@ -22,7 +21,7 @@ from semiwalk.families import (
     parse_family,
 )
 
-from reference import DESK_CAPS, is_mc_stable, is_stable1, lump_by_classifier
+from reference import DESK_CAPS, SplitMix64, is_mc_stable, is_stable1, lump_by_classifier
 
 F = Fraction
 

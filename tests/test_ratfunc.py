@@ -157,7 +157,7 @@ def test_limit_draw_with_h_classes_of_two():
     # 80 minimal right ideals and 4 minimal left ideals of KR(S), so |H| = 2
     rights = closed_classes(karnofsky_rhodes(S).out)
     chain = build_chain(S, xs)
-    lefts = closed_classes([list(col) for col in chain.cols])
+    lefts = closed_classes(chain.rows)
     assert (len(rights), len(lefts), chain.n) == (80, 4, 640)
     assert stationary_s(S, xs).entries == dict.fromkeys(
         ["aa", "aaa", "aab", "aba", "acb", "ba", "bab", "bcb"], Fraction(1, 8))

@@ -14,7 +14,6 @@ from semiwalk.simulate import (
     _BLOCK,
     _GOLDEN,
     _SENTINEL,
-    SplitMix64,
     _letter_table,
     _letters,
     _thresholds,
@@ -27,6 +26,8 @@ from semiwalk.simulate import (
 from semiwalk.stationary import stationary_kr, uniform_probs
 from semiwalk import families
 from semiwalk.families import build, parse_family
+
+from reference import SplitMix64
 
 F = Fraction
 HALF = [F(1, 2), F(1, 2)]
@@ -357,6 +358,30 @@ def test_alphabet_wider_than_a_byte(identity):
     assert d.counts == reference_walk(S, xs, 12, 1025, 19, final_only=True)
 
 
+def test_walk_tables_grow_with_the_reached_states(monkeypatch):
+    # the band with an identity has 22,650 ideal vertices and 300 letters,
+    # 6,795,000 pairs; the step table and the counts hold k entries per
+    # state the walk reaches: every counted state, and at most each
+    # walker's first
+    walks = []
+
+    class Spy(_Walk):
+        def __init__(self, *args):
+            super().__init__(*args)
+            walks.append(self)
+    monkeypatch.setattr(simulate, "_Walk", Spy)
+    S = _wide_band(True)
+    xs = [F(i + 1, 45150) for i in range(300)]
+    occupation = simulate_semaphore(S, xs, walkers=2, steps=2100, seed=19)
+    final = simulate_state_at(S, xs, walkers=12, steps=1025, seed=19)
+    k = S.n_gens
+    for walk, d, walkers in zip(walks, (occupation, final), (2, 0)):
+        states = len(walk.vertex)
+        assert len(d.counts) <= states <= len(d.counts) + walkers
+        assert len(walk.step) == len(walk.counts) == states * k
+    assert len(walks[0].vertex) < len(karnofsky_rhodes(S).ideal) // 10
+
+
 @pytest.mark.parametrize("family", sorted({f for f, _ in DIGESTS} | {"flat_tower:2,3"}))
 def test_entering_one_letter_on_is_the_left_action(family):
     # the step table reads a·word(u) through the expansion's rows; the left
@@ -366,7 +391,7 @@ def test_entering_one_letter_on_is_the_left_action(family):
     walk = _Walk(S, _thresholds(uniform_probs(S)))
     words, left = kr.words, kr.left
     for u in kr.ideal:
-        assert [walk.enter((a, *words[u])) for a in range(walk.k)] == left[u]
+        assert [walk.enter((a, *words[u]))[0] for a in range(walk.k)] == left[u]
 
 
 @pytest.mark.parametrize("family", ["rees_zp:4,5", "flat_tower:3,2"])
@@ -396,7 +421,7 @@ def test_word_outside_the_ideal_raises():
         with pytest.raises(AssertionError):
             walk.enter(word)
     kr = karnofsky_rhodes(S)
-    assert walk.enter((0, 1, 2, 3, 0)) == kr.graph.follow(kr.root, (0, 1, 2, 3))
+    assert walk.enter((0, 1, 2, 3, 0)) == (kr.graph.follow(kr.root, (0, 1, 2, 3)), 4)
 
 
 def test_state_at_draws_only_the_newest_letters(monkeypatch):

@@ -613,6 +613,23 @@ def test_console_entry_point_installed():
     assert proc.stdout.startswith("|S|=4")
 
 
+def test_a_closed_pipe_exits_141_and_prints_nothing():
+    # the reader takes one line and closes its end, as head -1 does; the
+    # law of flat_tower:2,3 (48,620 lines) is far more than a pipe holds,
+    # so later writes find the pipe closed
+    proc = subprocess.Popen(
+        [sys.executable, "-W", "error", "-m", "semiwalk.cli", "stationary",
+         "--family", "flat_tower:2,3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b"" and first.endswith(b"\n")
+
+
 def test_cli_restores_the_collector_on_success_and_on_exit_2(capsys):
     assert gc.isenabled()
     code, _, _ = run_cli(["build", "--family", "tsetlin:3"], capsys)

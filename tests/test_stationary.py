@@ -500,7 +500,7 @@ def test_stationary_kr_builds_no_mc_labelled_graph(name, force_limit, monkeypatc
     spy(stationary)
     spy(chains)
     result = stationary_kr(S, xs, force_limit=force_limit)
-    assert certify(S, xs, result, build_chain(S, xs))
+    assert certify(S, result, build_chain(S, xs))
     assert len(krs) == 3 and all(kr is krs[0] for kr in krs)
     assert built == []
 
@@ -826,7 +826,7 @@ def test_limit_draw_past_the_mccammond_cap():
     engine = stationary._engine(S)
     assert (len(engine.tree_of), len(engine.out)) == (57, 11_186)
     assert len(result.entries) == 2_496 and normalization_check(result)
-    assert certify(S, xs, result, build_chain(S, xs))
+    assert certify(S, result, build_chain(S, xs))
 
 
 def test_mc_cap_counts_component_tree_vertices(monkeypatch):
