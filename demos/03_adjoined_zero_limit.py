@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from semiwalk import kernel_is_left_zero, minimal_ideal, stationary_kr, stationary_s
 from semiwalk.families import FamilySpec, build
+from semiwalk.stationary import zero_limit_names
 
 for name in ("z2x01", "rees_general"):
     S = build(FamilySpec(name, {}))
@@ -24,10 +25,10 @@ for name in ("z2x01", "rees_general"):
 
     x = [Fraction(2, 5), Fraction(3, 5)]
     r = stationary_kr(S, x)
+    alt = zero_limit_names(S)
     print("  expansion-level limit law:")
     for label, value in r.entries.items():
-        alt = r.key_info[label].alt_label
-        print(f"    {label:6} (normal form {alt}): {value}")
+        print(f"    {label:6} (normal form {alt[label]}): {value}")
     print("  total:", r.total())
 
     rs = stationary_s(S, x)

@@ -40,13 +40,15 @@ def integer_weights(xs: Sequence[Fraction]) -> tuple[list[int], int]:
 class ActionChain:
     """A walk given by an action table: letter a, of weight
     ``weights[a] / denom``, moves state i to ``rows[i][a]``.  State i is
-    named ``labels[i]`` and is the expansion vertex ``states[i]``."""
+    named ``labels[i]`` and is the expansion vertex ``states[i]``;
+    ``classes`` are the closed classes of ``rows``."""
 
     labels: list[str]
     states: list[int]
     rows: list[list[int]]
     weights: list[int]
     denom: int
+    classes: list[list[int]]
 
     @property
     def n(self) -> int:
@@ -56,13 +58,13 @@ class ActionChain:
 def build_chain(S: ASemigroup, xs: Sequence[Fraction]) -> ActionChain:
     """Left-multiplication walk on the minimal ideal of the expansion,
     K(KR(S)), read off ``kr.left``: state i is ``kr.ideal[i]``, named by
-    its shortlex-first word, as ``stationary_kr`` names it."""
+    its shortlex-first word, as ``stationary_kr`` names it.  Its rows and
+    closed classes are the ones the expansion stores, ``kr.ideal_left`` and
+    the minimal left ideals."""
     W, E = integer_weights(validate_probs(S, xs))
     kr = karnofsky_rhodes(S)
-    states = kr.ideal
-    index = {s: i for i, s in enumerate(states)}
-    rows = [[index[u] for u in kr.left[s]] for s in states]
-    return ActionChain(kr.names(states), states, rows, W, E)
+    return ActionChain(kr.names(kr.ideal), kr.ideal, kr.ideal_left, W, E,
+                       kr.left_ideals[0])
 
 
 def _fixed(mass: Sequence[int], rows: Sequence[Sequence[int]], chain: ActionChain) -> bool:
@@ -124,10 +126,9 @@ def stationary_oracle(T: ActionChain) -> dict[str, float]:
     ``ORACLE_MAX_ITER`` sweeps.
     """
     n = T.n
-    classes = closed_classes(T.rows)
-    if len(classes) != 1:
-        raise NotIrreducible(f"{len(classes)} closed classes, need exactly 1")
-    recurrent = classes[0]
+    if len(T.classes) != 1:
+        raise NotIrreducible(f"{len(T.classes)} closed classes, need exactly 1")
+    recurrent = T.classes[0]
 
     # Per state, each target once, in first-reached order, with its summed
     # weight over E: a correctly rounded quotient, the exact probability's float.

@@ -137,13 +137,18 @@ class KRExpansion(ExpansionTree):
         return [v for v, e in enumerate(self.s_image) if e in K]
 
     @cached_property
+    def ideal_left(self) -> list[list[int]]:
+        """``left`` on ``ideal``, as indices into it."""
+        index = {u: i for i, u in enumerate(self.ideal)}
+        return [[index[w] for w in self.left[u]] for u in self.ideal]
+
+    @cached_property
     def left_ideals(self) -> tuple[list, list]:
-        """The minimal left ideals, the closed classes of ``left`` on
-        ``ideal`` (as indices into it), and the letters' action on them:
-        a maps the class c of any u to ``action[c][a]``, the class of u·a."""
+        """The minimal left ideals, the closed classes of ``ideal_left``,
+        and the letters' action on them: a maps the class c of any u to
+        ``action[c][a]``, the class of u·a."""
         ideal = self.ideal
-        index = {u: i for i, u in enumerate(ideal)}
-        classes = closed_classes([[index[w] for w in self.left[u]] for u in ideal])
+        classes = closed_classes(self.ideal_left)
         class_of = {ideal[i]: c for c, L in enumerate(classes) for i in L}
         return classes, [[class_of[w] for w in self.out[ideal[L[0]]]] for L in classes]
 

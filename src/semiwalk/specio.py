@@ -31,6 +31,8 @@ def semigroup_from_spec(data: dict) -> ASemigroup:
     if not isinstance(data, dict) or "kind" not in data:
         raise SemigroupError("spec must be an object with a 'kind' field")
     kind = data["kind"]
+    if not isinstance(kind, str):
+        raise SemigroupError(f"'kind' must be a string, got {kind!r}")
     for key in data:
         if kind in _FIELDS and key not in _FIELDS[kind]:
             raise SemigroupError(f"{kind} spec has no field {key!r}")

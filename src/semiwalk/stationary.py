@@ -45,8 +45,8 @@ H-class R ∩ L, on which the law is uniform.  In direct mode every R is one
 vertex, there is one L and |H| = 1.  Both modes name a state by the
 shortlex-first word reaching its vertex, as chains and simulations do;
 only the states of the result are named, and the law over S names none.
-A state's ``KeyInfo`` (word, element, vertex and, in limit mode, its name
-on KR(S⁰)) is made only when ``key_info`` is first read.
+A law is its masses alone; ``zero_limit_names`` gives limit mode's states
+their names u·0 on KR(S⁰).
 
 S stores its engine, built on first use, and every law and expression of
 S reads that one; the engine keeps no reference to S, so storing it makes
@@ -55,10 +55,10 @@ no reference cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .core import (
     ASemigroup,
@@ -475,26 +475,10 @@ def _letter_sum(xs: Sequence, mask: int):
 
 
 @dataclass
-class KeyInfo:
-    word: Word | None = None  # shortlex-first word reaching the KR vertex
-    alt_label: str | None = None  # limit mode: the state's name u·0 on KR(S⁰)
-    element: int | None = None  # underlying semigroup element
-    kr_vertex: int | None = None  # vertex in the expansion of the input
-
-
-@dataclass
 class StationaryResult:
-    """The law, state name to mass in print order, and per state its
-    ``KeyInfo``.  ``key_info`` is built on first read, by calling
-    ``info``, so a law that is only printed builds no record per state."""
+    """The law: state name to mass, in print order."""
 
     entries: dict[str, Fraction]
-    info: Callable[[], dict[str, KeyInfo]] = field(default=dict, repr=False,
-                                                   compare=False)
-
-    @cached_property
-    def key_info(self) -> dict[str, KeyInfo]:
-        return self.info()
 
     def total(self) -> Fraction:
         return sum(self.entries.values(), Fraction(0))
@@ -552,7 +536,7 @@ def _stationary_kr_direct(S: ASemigroup, xs: Sequence, over: str) -> StationaryR
     masses = engine.values(xs)
     if over == "s":
         return _s_result(S, engine.kr, masses)
-    return _kr_result(engine.kr, masses, dict)
+    return _kr_result(engine.kr, masses)
 
 
 def _stationary_kr_limit(S: ASemigroup, xs: Sequence[Fraction],
@@ -575,13 +559,17 @@ def _stationary_kr_limit(S: ASemigroup, xs: Sequence[Fraction],
     masses = {u: h[kr.copy_of[u]] * nu[l_of[u]] for u in ideal}
     if over == "s":
         return _s_result(S, kr, masses)
+    return _kr_result(kr, masses)
 
-    def alt_labels() -> dict[int, str]:
-        # names on KR(S⁰): u's word then the zero letter first reaches u·0
-        names0 = S.gen_names + [zero_name(S)]
-        sep, z = label_sep(names0), (S.n_gens,)
-        return {u: sep.join([names0[g] for g in kr.words[u] + z]) for u in ideal}
-    return _kr_result(kr, masses, alt_labels)
+
+def zero_limit_names(S: ASemigroup) -> dict[str, str]:
+    """Each state of the limit-mode law over the expansion, by its name, to
+    its name u·0 on KR(S⁰): u's word then the zero letter first reaches u·0."""
+    kr = karnofsky_rhodes(S)
+    names0 = S.gen_names + [zero_name(S)]
+    sep, z = label_sep(names0), (S.n_gens,)
+    return {name: sep.join([names0[g] for g in kr.words[u] + z])
+            for name, u in zip(kr.names(kr.ideal), kr.ideal)}
 
 
 def _stationary_vector(succ: list[list[int]], xs: Sequence[Fraction]) -> list[Fraction]:
@@ -607,23 +595,12 @@ def _stationary_vector(succ: list[list[int]], xs: Sequence[Fraction]) -> list[Fr
     return [row[n] for row in rows]
 
 
-def _kr_result(kr: KRExpansion, masses: dict,
-               alt_labels: Callable[[], dict[int, str]]) -> StationaryResult:
+def _kr_result(kr: KRExpansion, masses: dict) -> StationaryResult:
     """The result over expansion vertices.  A state is named by the
     shortlex-first word reaching its vertex, and states come in the order
-    of those words.  Its ``KeyInfo``, with its name on KR(S⁰) from
-    ``alt_labels()`` in limit mode, is made on first read of ``key_info``.
-    """
-    words = kr.words
-    order = sorted(masses, key=words.__getitem__)
-    entries = dict(zip(kr.names(order), map(masses.__getitem__, order)))
-
-    def info() -> dict[str, KeyInfo]:
-        alt, images = alt_labels(), kr.s_image
-        return {label: KeyInfo(word=words[v], alt_label=alt.get(v),
-                               element=images[v], kr_vertex=v)
-                for label, v in zip(entries, order)}
-    return StationaryResult(entries, info)
+    of those words."""
+    order = sorted(masses, key=kr.words.__getitem__)
+    return StationaryResult(dict(zip(kr.names(order), map(masses.__getitem__, order))))
 
 
 def _s_result(S: ASemigroup, kr: KRExpansion, masses: dict) -> StationaryResult:
@@ -634,8 +611,7 @@ def _s_result(S: ASemigroup, kr: KRExpansion, masses: dict) -> StationaryResult:
         _acc(by_element, kr.s_image[v], m)
     names = {e: S.element_name(e) for e in by_element}
     order = sorted(by_element, key=names.__getitem__)
-    return StationaryResult({names[e]: by_element[e] for e in order},
-                            lambda: {names[e]: KeyInfo(element=e) for e in order})
+    return StationaryResult({names[e]: by_element[e] for e in order})
 
 
 def expressions_report(S: ASemigroup) -> dict[str, str]:

@@ -9,9 +9,10 @@ walk, which lumps onto the Karnofsky-Rhodes chain, that chain as
 columns of Fractions with its certificate, lumping check and float
 oracle, the first-entry tail of the random word by enumeration, the
 simulator's random stream drawn one output at a time, the product
-formula for expansions that are a tree plus loops, the Karnofsky-Rhodes
-expansion keyed by sets of transition edges, and the walk sums on one
-McCammond tree over the whole expansion.  The CLI, the demos and the benchmark never call them.
+formula for expansions that are a tree plus loops, each state's record
+(word, element, vertex and name on KR(S⁰)) read off the expansion, the
+Karnofsky-Rhodes expansion keyed by sets of transition edges, and the
+walk sums on one McCammond tree over the whole expansion.  The CLI, the demos and the benchmark never call them.
 """
 
 from __future__ import annotations
@@ -50,13 +51,13 @@ from semiwalk.kleene import (
     star,
 )
 from semiwalk.stationary import (
-    KeyInfo,
     StationaryEngine,
     StationaryResult,
     _acc,
     _ShapeSums,
     _stationary_vector,
     validate_probs,
+    zero_limit_names,
 )
 
 
@@ -514,18 +515,45 @@ def r_trivial_stationary(S: ASemigroup, xs: Sequence[Fraction]) -> dict[str, Fra
     return out
 
 
+@dataclass
+class KeyInfo:
+    """A state's record, rebuilt from the expansion: its fields and their
+    order are those the recorded ``repr`` digests were taken over."""
+
+    word: Word | None = None  # shortlex-first word reaching the KR vertex
+    alt_label: str | None = None  # limit mode: the state's name u·0 on KR(S⁰)
+    element: int | None = None  # underlying semigroup element
+    kr_vertex: int | None = None  # vertex in the expansion of the input
+
+
+def kr_key_info(S: ASemigroup, d: StationaryResult,
+                alt_labels: Mapping[str, str] | None = None) -> dict[str, KeyInfo]:
+    """Per state of a law over the expansion of S, in the law's order, its
+    record: the vertex named by the state's label, its word and element,
+    and its name on KR(S⁰) from ``alt_labels`` (limit mode passes
+    ``zero_limit_names(S)``)."""
+    kr = karnofsky_rhodes(S)
+    vertex = dict(zip(kr.names(kr.ideal), kr.ideal))
+    alt = alt_labels or {}
+    return {label: KeyInfo(kr.words[v], alt.get(label), kr.s_image[v], v)
+            for label, v in zip(d.entries, map(vertex.__getitem__, d.entries))}
+
+
+def s_key_info(S: ASemigroup, d: StationaryResult) -> dict[str, KeyInfo]:
+    """Per state of a law over S, in the law's order, its element."""
+    element = {S.element_name(e): e for e in range(S.size)}
+    return {label: KeyInfo(element=element[label]) for label in d.entries}
+
+
 def lump_by_classifier(
-    d: StationaryResult, classify: Callable[[KeyInfo], str]
+    S: ASemigroup, d: StationaryResult, classify: Callable[[KeyInfo], str]
 ) -> StationaryResult:
-    """Project a distribution onto classes of its states."""
+    """Project a law over the expansion of S onto classes of its states."""
     entries: dict[str, Fraction] = {}
-    info: dict[str, KeyInfo] = {}
-    for label, value in d.entries.items():
-        cls = classify(d.key_info[label])
-        entries[cls] = entries.get(cls, Fraction(0)) + value
-        info.setdefault(cls, KeyInfo())
-    ordered = dict(sorted(entries.items()))
-    return StationaryResult(ordered, lambda: info)
+    for label, info in kr_key_info(S, d).items():
+        cls = classify(info)
+        entries[cls] = entries.get(cls, Fraction(0)) + d.entries[label]
+    return StationaryResult(dict(sorted(entries.items())))
 
 
 # -- the McCammond-tree engine -----------------------------------------------------

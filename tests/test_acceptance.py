@@ -29,6 +29,7 @@ from semiwalk.stationary import (
     stationary_kr,
     stationary_s,
     uniform_probs,
+    zero_limit_names,
 )
 from semiwalk.families import (
     FamilySpec,
@@ -115,7 +116,8 @@ def test_criterion_3_rees_limit():
     xa, xb = F(2, 5), F(3, 5)
     r = stationary_kr(S, [xa, xb])
     z = "□"
-    by_alt = {info.alt_label: r.entries[lab] for lab, info in r.key_info.items()}
+    alt = zero_limit_names(S)
+    by_alt = {alt[lab]: value for lab, value in r.entries.items()}
     assert by_alt["a" + z] == xa * xa / 2
     assert by_alt["ab" + z] == xa * xb / 2
     assert by_alt["aba" + z] == xa * xa / 2
@@ -142,7 +144,7 @@ def test_criterion_4_edge_flipping():
             pi = [int(S.gen_names[g]) for g in info.word]  # signed letters
             return "".join(map(str, edge_flip_action(pi, (0,) * (n + 1))))
 
-        return lump_by_classifier(r, classify)
+        return lump_by_classifier(S, r, classify)
 
     for x in ([F(2, 5), F(3, 5)], [F(1, 4), F(3, 4)]):
         psi = lumped_pipeline(2, x)

@@ -41,6 +41,7 @@ from reference import (
     fraction_chain,
     fraction_lumping,
     fraction_oracle,
+    kr_key_info,
     truncated_semaphore_chain,
 )
 
@@ -165,7 +166,8 @@ def test_check_lumping_kr_to_s(z2x01_quotient, b2, p3):
                   (p3, uniform_probs(p3))):
         r = stationary_kr(S, xs)
         T = build_chain(S, xs)
-        classes = [S.element_name(r.key_info[lab].element) for lab in T.labels]
+        info = kr_key_info(S, r)
+        classes = [S.element_name(info[lab].element) for lab in T.labels]
         assert check_lumping(T, classes)
 
 

@@ -179,7 +179,7 @@ def test_edge_flip_lumping_matches_closed_form():
         pi = [int(S.gen_names[g]) for g in info.word]  # signed letters
         return "".join(map(str, edge_flip_action(pi, (0,) * (n + 1))))
 
-    lumped = lump_by_classifier(r, classify)
+    lumped = lump_by_classifier(S, r, classify)
     want = {k: v for k, v in edge_flip_closed_form(n, x).items() if v != 0}
     assert dict(lumped.entries) == want
 

@@ -21,9 +21,10 @@ from semiwalk.stationary import (
     stationary_kr,
     stationary_s,
     uniform_probs,
+    zero_limit_names,
 )
 
-from reference import adjoin_zero
+from reference import adjoin_zero, kr_key_info
 
 T = RatF((0, 1))
 ONE = RatF.const(1)
@@ -98,20 +99,21 @@ def random_limit_draws(n, seed):
 def ratf_s0(S, xs):
     """The direct pipeline on S⁰, S with a zero generator of weight t
     adjoined and the other weights scaled by (1-t), over full rational
-    functions: the result and its limit per state."""
+    functions: S⁰, the result and its limit per state."""
     S2 = adjoin_zero(S)
     t = RatF((0, 1))
     one = RatF.const(1)
     weights = [RatF.const(v) * (one - t) for v in xs] + [t]
     sym = _stationary_kr_direct(S2, weights, "kr")
-    return sym, {label: f.limit_at_zero() for label, f in sym.entries.items()}
+    return S2, sym, {label: f.limit_at_zero() for label, f in sym.entries.items()}
 
 
 def assert_matches_ratf(S):
     xs = uniform_probs(S)
     got = stationary_kr(S, xs, force_limit=True)
-    by_alt = {got.key_info[k].alt_label: v for k, v in got.entries.items()}
-    want = ratf_s0(S, xs)[1]
+    alt = zero_limit_names(S)
+    by_alt = {alt[k]: v for k, v in got.entries.items()}
+    want = ratf_s0(S, xs)[2]
     assert set(by_alt) <= set(want)
     assert {k: by_alt.get(k, 0) for k in want} == want
 
@@ -197,21 +199,24 @@ def test_limit_draw_of_size_72_at_unequal_weights():
 def reference_limit(S, xs):
     """The S⁰ route: run the direct pipeline on S⁰ over ``RatF`` weights (see
     ``ratf_s0``) and map each state u·0 back to the vertex of u in KR(S),
-    keeping the minimal ideal of KR(S)."""
-    sym, limits = ratf_s0(S, xs)
+    keeping the minimal ideal of KR(S).  The law, and its states' records
+    with their names u·0 from this route."""
+    S2, sym, limits = ratf_s0(S, xs)
+    info0 = kr_key_info(S2, sym)
     kr = karnofsky_rhodes(S)
     ideal_vertices = {v for cls in closed_classes(kr.out) for v in cls}
     masses, alt_labels = {}, {}
     for alt_label, limit in limits.items():
-        ki = sym.key_info[alt_label]
+        ki = info0[alt_label]
         assert ki.word[-1] == S.n_gens and S.n_gens not in ki.word[:-1]
         u = kr.graph.follow(kr.graph.root, ki.word[:-1])
         if u not in ideal_vertices:
             assert limit == 0  # the pure zero and states outside the ideal
             continue
         assert u not in masses
-        masses[u], alt_labels[u] = limit, alt_label
-    return _kr_result(kr, masses, lambda: alt_labels)
+        masses[u], alt_labels[kr.names([u])[0]] = limit, alt_label
+    law = _kr_result(kr, masses)
+    return law, kr_key_info(S, law, alt_labels)
 
 
 S27 = {"a": [1, 2, 1], "b": [2, 0, 1], "c": [0, 2, 1]}
@@ -236,8 +241,8 @@ def _limit_cases():
 
 
 # The S⁰ route over RatF takes about 15 s on the |S| = 27 draw, so those two
-# cases compare with digests of the law, entries and key_info, as the S⁰
-# route over truncated power series printed it.
+# cases compare with digests of the law's entries and its states' records,
+# as the S⁰ route over truncated power series printed them.
 S27_DIGESTS = {
     "size27": "71d55e59704fd55e3adb548cf15a5326cc15359d354ed081af6f06a448e2294e",
     "size27-box": "a3990af2548a76789c7f575d2cd8066f4b331d16b157ae1756143529df004a4b",
@@ -247,12 +252,13 @@ S27_DIGESTS = {
 @pytest.mark.parametrize("S,xs,digest", _limit_cases())
 def test_limit_mode_matches_s0_route(S, xs, digest):
     got = stationary_kr(S, xs, force_limit=True)
+    info = kr_key_info(S, got, zero_limit_names(S))
     if digest is not None:
-        assert _digest((list(got.entries.items()), list(got.key_info.items()))) == digest
+        assert _digest((list(got.entries.items()), list(info.items()))) == digest
         return
-    want = reference_limit(S, xs)
+    want, want_info = reference_limit(S, xs)
     assert list(got.entries.items()) == list(want.entries.items())
-    assert list(got.key_info.items()) == list(want.key_info.items())
+    assert list(info.items()) == list(want_info.items())
 
 
 def test_limit_mode_expands_s_once_and_no_s0(monkeypatch):

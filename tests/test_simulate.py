@@ -27,7 +27,7 @@ from semiwalk.stationary import stationary_kr, uniform_probs
 from semiwalk import families
 from semiwalk.families import build, parse_family
 
-from reference import SplitMix64
+from reference import SplitMix64, kr_key_info
 
 F = Fraction
 HALF = [F(1, 2), F(1, 2)]
@@ -126,7 +126,7 @@ def test_law_of_large_numbers_decades(b2):
 def test_lump_to_semigroup_level(p3):
     xs = uniform_probs(p3)
     emp = simulate_semaphore(p3, xs, walkers=2, steps=100, seed=5)
-    info = stationary_kr(p3, xs).key_info
+    info = kr_key_info(p3, stationary_kr(p3, xs))
     assert {p3.element_name(info[k].element) for k in emp.counts} == {"123"}
 
 

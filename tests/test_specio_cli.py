@@ -389,6 +389,9 @@ def test_cli_generator_element_out_of_range_exit_2(tmp_path, capsys):
     ({"kind": "transformations", "states": 2, "maps": {"a": [0, 1]},
       "generators": ["a"]},
      "transformations spec has no field 'generators'"),
+    # a kind that is no string names no kind, and is no key to look up
+    ({"kind": ["table"]}, "'kind' must be a string, got ['table']"),
+    ({"kind": {"a": 1}}, "'kind' must be a string, got {'a': 1}"),
 ], ids=["states-string", "maps-list", "map-not-list", "table-string-entry",
         "table-row-not-list", "generators-int", "generator-name-int",
         "gen-elements-int", "element-names-int", "element-names-empty",
@@ -396,7 +399,7 @@ def test_cli_generator_element_out_of_range_exit_2(tmp_path, capsys):
         "family-n-float", "family-name-list", "family-unknown",
         "table-entry-false", "states-true", "states-negative", "gen-elements-true",
         "maps-duplicate-key", "table-unknown-field",
-        "transformations-unknown-field"])
+        "transformations-unknown-field", "kind-list", "kind-object"])
 def test_cli_malformed_spec_field_exit_2(tmp_path, capsys, spec, message):
     code, out, err = run_cli(["build", "--spec", _malformed_spec(tmp_path, spec)],
                              capsys)
@@ -780,10 +783,12 @@ def test_verify_finds_the_minimal_ideal_once(family, capsys, monkeypatch):
     assert [succ for succ in searched if succ in over_s] == over_s[:1]
 
 
-@pytest.mark.parametrize("family", ["z2x01", "klein", "rees_general"])
+@pytest.mark.parametrize("family", ["z2x01", "klein", "rees_general",
+                                    "tsetlin:3", "rees_zp:4,5", "flat_tower:3,2"])
 def test_limit_verify_finds_the_minimal_left_ideals_once(family, capsys, monkeypatch):
-    # the law and its certificate read the expansion's one stored search
-    # for its minimal left ideals (the only closed-class search there)
+    # the law, the chain, its certificate and the oracle read the
+    # expansion's one stored search for its minimal left ideals; the other
+    # search is the certificate's, over the letters' action on those ideals
     searched = []
     search = expansions.closed_classes
 
@@ -791,10 +796,12 @@ def test_limit_verify_finds_the_minimal_left_ideals_once(family, capsys, monkeyp
         searched.append(len(succ))
         return search(succ)
     monkeypatch.setattr(expansions, "closed_classes", counted)
+    monkeypatch.setattr(chains, "closed_classes", counted)
     code, out, _ = run_cli(["verify", "--family", family], capsys)
     assert code == 0 and out.endswith("all checks passed\n")
-    S = cli.build_family(cli.parse_family(family))
-    assert searched == [len(expansions.karnofsky_rhodes(S).ideal)]
+    got = list(searched)
+    kr = expansions.karnofsky_rhodes(cli.build_family(cli.parse_family(family)))
+    assert got == [len(kr.ideal), len(kr.left_ideals[0])]
 
 
 @pytest.mark.parametrize("family", ["rees_B:2", "z2x01"])
@@ -815,33 +822,6 @@ def test_verify_builds_one_chain(family, capsys, monkeypatch):
     code, out, _ = run_cli(args, capsys)
     assert code == 0 and out.endswith("all checks passed\n")
     assert len(built) == 1
-
-
-@pytest.mark.parametrize("argv", [
-    ["--family", "flat_tower:3,2"], ["--family", "z2x01"],
-    ["--family", "tsetlin:3", "--limit-zero"], ["--family", "rees_zp:4,5", "--over", "s"],
-    ["--family", "klein", "--over", "s"], ["--family", "rees_general", "--format", "csv"],
-], ids=["direct", "limit", "forced-limit", "direct-over-s", "limit-over-s", "csv"])
-def test_cli_stationary_builds_no_key_info(argv, capsys, monkeypatch):
-    # the printed law reads the states' names and masses alone
-    def refuse(*args, **kwargs):
-        raise AssertionError("stationary built a KeyInfo")
-    monkeypatch.setattr(stationary, "KeyInfo", refuse)
-    code, out, err = run_cli(["stationary", *argv], capsys)
-    assert code == 0 and out, err
-
-
-@pytest.mark.parametrize("argv", [
-    ["--family", "flat_tower:3,2", "--simulate", "--walkers", "2", "--steps", "100"],
-    ["--family", "rees_zp:4,5"], ["--family", "z2x01"],
-], ids=["direct-simulate", "direct", "limit"])
-def test_cli_verify_builds_no_key_info(argv, capsys, monkeypatch):
-    # the lumping classes are the elements under the chain's own vertices
-    def refuse(*args, **kwargs):
-        raise AssertionError("verify built a KeyInfo")
-    monkeypatch.setattr(stationary, "KeyInfo", refuse)
-    code, out, err = run_cli(["verify", *argv], capsys)
-    assert code == 0 and out.endswith("all checks passed\n"), err
 
 
 def test_cli_exact_ladder_matches_the_benchmark_reference(capsys):

@@ -39,6 +39,7 @@ from semiwalk.stationary import (
     stationary_kr,
     stationary_s,
     uniform_probs,
+    zero_limit_names,
 )
 from semiwalk import families
 
@@ -48,8 +49,10 @@ from reference import (
     adjoin_zero,
     enumerate_words,
     is_code_word,
+    kr_key_info,
     lump_by_classifier,
     r_trivial_stationary,
+    s_key_info,
     semaphore_left_action,
     tree_law,
 )
@@ -331,7 +334,7 @@ def test_adjoined_zero_table_at_concrete_weight(z2x01):
         "bbaa" + z: xa * s * xb * xb * xz / (small * big),
     }
     assert dict(r.entries) == want
-    onto = r.key_info["aa" + z].kr_vertex
+    onto = kr_key_info(S2, r)["aa" + z].kr_vertex
     engine = StationaryEngine(S2)
     assert [nf.word for nf in engine.normal_forms
             if nf.kr_vertex == onto] == [(0, 0, 2), (0, 1, 2)]  # aa|ab
@@ -341,8 +344,10 @@ def test_adjoined_zero_table_at_concrete_weight(z2x01):
 def test_limit_mode_alt_labels(z2x01):
     r = stationary_kr(z2x01, HALF)
     z = "□"
-    assert r.key_info["a"].alt_label == "a" + z
-    assert r.key_info["aa"].alt_label == "aa" + z
+    alt = zero_limit_names(z2x01)
+    assert list(alt) == list(r.entries)
+    assert alt["a"] == "a" + z
+    assert alt["aa"] == "aa" + z
 
 
 def test_limit_reproduces_direct_when_left_zero(b2, p3, flipflop, counterexample):
@@ -368,12 +373,13 @@ def test_states_are_named_by_the_first_word_of_their_vertex(counterexample):
     engine = StationaryEngine(S)
     for nf in engine.normal_forms:
         onto.setdefault(nf.kr_vertex, []).append(nf.word)
-    assert any(len(onto[ki.kr_vertex]) > 1 for ki in r.key_info.values())
-    for label, ki in r.key_info.items():
+    info = kr_key_info(S, r)
+    assert any(len(onto[ki.kr_vertex]) > 1 for ki in info.values())
+    for label, ki in info.items():
         assert ki.word == kr.words[ki.kr_vertex]
         assert label == S.word_label(ki.word)
         assert ki.word == min(onto[ki.kr_vertex], key=lambda w: (len(w), w))
-    words = [ki.word for ki in r.key_info.values()]
+    words = [ki.word for ki in info.values()]
     assert words == sorted(words)
 
 
@@ -389,13 +395,14 @@ def test_rees_limit(tmp_path):
     assert r["bab"] == xb * xb / 2
     assert normalization_check(r)
     z = "□"
-    assert r.key_info["a"].alt_label == "a" + z
-    assert r.key_info["ab"].alt_label == "ab" + z
+    alt = zero_limit_names(S)
+    assert alt["a"] == "a" + z
+    assert alt["ab"] == "ab" + z
 
 
 def test_lump_by_classifier_total(b2):
     r = stationary_kr(b2, HALF)
-    lumped = lump_by_classifier(r, lambda info: "all")
+    lumped = lump_by_classifier(b2, r, lambda info: "all")
     assert dict(lumped.entries) == {"all": F(1)}
 
 
@@ -625,7 +632,7 @@ def test_expansion_vertex_order_is_shortlex_and_states_are_lex(name):
     words = karnofsky_rhodes(S).words
     assert all((len(u), u) < (len(w), w) for u, w in zip(words, words[1:]))
     result = stationary_kr(S, uniform_probs(S))
-    listed = [info.word for info in result.key_info.values()]
+    listed = [info.word for info in kr_key_info(S, result).values()]
     assert listed == sorted(listed)
 
 
@@ -782,8 +789,8 @@ def test_node_count_counts_shared_nodes_at_each_place():
     assert node_count(star(union(ab, ab))) == 8
 
 
-def _law_by_vertex(result):
-    return {info.kr_vertex: result[label] for label, info in result.key_info.items()}
+def _law_by_vertex(S, result):
+    return {info.kr_vertex: result[label] for label, info in kr_key_info(S, result).items()}
 
 
 def test_law_equals_tree_reference_on_random_draws(monkeypatch):
@@ -809,7 +816,7 @@ def test_law_equals_tree_reference_on_random_draws(monkeypatch):
         xs = [F(i, sum(ints)) for i in ints]
         for limit in {not direct, True}:
             got = stationary_kr(S, xs, force_limit=limit)
-            assert _law_by_vertex(got) == tree_law(S, xs, limit)
+            assert _law_by_vertex(S, got) == tree_law(S, xs, limit)
             assert normalization_check(got)
         modes[direct] += 1
         unstable += len(ref.mc.out) > len(ref.kr.out)
@@ -840,8 +847,9 @@ def test_mc_cap_counts_component_tree_vertices(monkeypatch):
         stationary_kr(S, uniform_probs(S))
 
 
-# digests of list(key_info.items()), over kr and over s, as every state's
-# record was built before the records were made on first read
+# digests of the records of every state, over kr and over s, as the library
+# built them when a law carried them; the reference rebuilds them from the
+# expansion and, in limit mode, from zero_limit_names
 KEY_INFO_DIGESTS = {
     ("flat_tower:3,2", False): (
         "14aea50e8326e13fc3a3da4b467f42a9a1404787d3a6e9ff7211a0e310bf0ef1",
@@ -869,26 +877,18 @@ def _digest(obj) -> str:
 
 
 @pytest.mark.parametrize("name,force", list(KEY_INFO_DIGESTS))
-def test_key_info_is_built_on_first_read(name, force, monkeypatch):
-    # the law alone makes no KeyInfo; the records it makes on first read,
-    # the KR(S⁰) names of limit mode among them, are the ones made before
-    made = []
-    key_info = stationary.KeyInfo
-
-    def counted(*args, **kwargs):
-        made.append(key_info(*args, **kwargs))
-        return made[-1]
-    monkeypatch.setattr(stationary, "KeyInfo", counted)
+def test_key_info_is_built_on_first_read(name, force):
+    # the records rebuilt from the expansion, the KR(S⁰) names of limit
+    # mode among them, are the ones the library made
     S = families.build(families.parse_family(name))
     xs = uniform_probs(S)
-    results = [stationary_kr(S, xs, force_limit=force),
-               stationary_s(S, xs, force_limit=force)]
-    assert all(r.entries for r in results) and made == []
-    for r, want in zip(results, KEY_INFO_DIGESTS[name, force]):
-        made.clear()
-        assert _digest(list(r.key_info.items())) == want
-        assert len(made) == len(r.entries)
-        assert r.key_info is r.key_info and len(made) == len(r.entries)
+    r_kr = stationary_kr(S, xs, force_limit=force)
+    r_s = stationary_s(S, xs, force_limit=force)
+    limit = force or not kernel_is_left_zero(S, minimal_ideal(S))
+    alt = zero_limit_names(S) if limit else None
+    want_kr, want_s = KEY_INFO_DIGESTS[name, force]
+    assert _digest(list(kr_key_info(S, r_kr, alt).items())) == want_kr
+    assert _digest(list(s_key_info(S, r_s).items())) == want_s
 
 
 @pytest.mark.parametrize("name,want", [
@@ -897,13 +897,14 @@ def test_key_info_is_built_on_first_read(name, force, monkeypatch):
     ("rees_zp:4,5", "c042cc935692be489415063b290ccffd5398b1432155d88b812492a90a1c55b5"),
 ])
 def test_verify_lumping_classes_read_the_records(name, want):
-    # the classes read off key_info per chain state, as verify's lumping
+    # the classes read off the records per chain state, as verify's lumping
     # check read them before, are the elements under the chain's own
     # vertices, which it reads now
     S = families.build(families.parse_family(name))
     xs = uniform_probs(S)
     r, chain = stationary_kr(S, xs), build_chain(S, xs)
-    classes = {lab: S.element_name(r.key_info[lab].element) for lab in chain.labels}
+    info = kr_key_info(S, r)
+    classes = {lab: S.element_name(info[lab].element) for lab in chain.labels}
     assert _digest(list(classes.items())) == want
     image = karnofsky_rhodes(S).s_image
     assert classes == {lab: S.element_name(image[v])
