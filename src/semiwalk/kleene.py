@@ -159,27 +159,39 @@ def zimin_rewrite(e: KleeneExpr) -> KleeneExpr:
 
     The rewriting preserves the language (and preserves unambiguity), and
     removes unions underneath stars, so the result uses only letters,
-    concatenation and star there.
+    concatenation and star there.  Each distinct node is rewritten once,
+    and the rewrite of a shared node is shared.
     """
-    if isinstance(e, (Letter, Epsilon)):
-        return e
-    if isinstance(e, Concat):
-        return concat(*[zimin_rewrite(p) for p in e.parts])
-    if isinstance(e, Union):
-        return union(*[zimin_rewrite(p) for p in e.parts])
-    assert isinstance(e, Star)
-    child = zimin_rewrite(e.child)
-    if not isinstance(child, Union):
-        return star(child)
-    expr = star(child.parts[0])
-    for part in child.parts[1:]:
-        expr = concat(expr, star(concat(part, expr)))
-    return expr
+    return _rewrite(e, {})
+
+
+def _rewrite(node, done: dict[int, KleeneExpr]) -> KleeneExpr:
+    t = type(node)
+    if t is Letter or t is Epsilon:
+        return node
+    r = done.get(id(node))  # by id: the expression keeps its nodes alive
+    if r is None:
+        if t is Concat:
+            r = concat(*[_rewrite(p, done) for p in node.parts])
+        elif t is Union:
+            r = union(*[_rewrite(p, done) for p in node.parts])
+        else:
+            child = _rewrite(node.child, done)
+            if type(child) is not Union:
+                r = star(child)
+            else:
+                r = star(child.parts[0])
+                for part in child.parts[1:]:
+                    r = concat(r, star(concat(part, r)))
+        done[id(node)] = r
+    return r
 
 
 def node_count(e: KleeneExpr) -> int:
     """Nodes of the expression as a tree, a shared subexpression counted at
-    each place: the size ``zimin_rewrite`` and ``pretty`` walk, in one pass."""
+    each place, in one pass over the DAG.  That tree size is what the
+    printed text grows with; ``zimin_rewrite`` and ``pretty`` walk the DAG,
+    each distinct node once."""
     return _count(e, {})
 
 
@@ -299,27 +311,33 @@ def series(e: KleeneExpr, x: Sequence[Fraction], max_len: int) -> list[Fraction]
 def pretty(e: KleeneExpr, names: Sequence[str]) -> str:
     """Postfix star, juxtaposed concatenation, unions in braces.
 
-    Concatenated parts are joined by ``label_sep`` of the names.
+    Concatenated parts are joined by ``label_sep`` of the names.  The text
+    of each distinct node is built once, from its children's texts.
     """
-    return _render(e, names, label_sep(names))
+    return _render(e, names, label_sep(names), {})
 
 
 # Module level: nested closures that call each other would make a
 # reference cycle per call, kept until the CLI's paused collector resumes.
-def _render(node, names: Sequence[str], sep: str) -> str:
-    if isinstance(node, Epsilon):
-        return "ε"
-    if isinstance(node, Letter):
+def _render(node, names: Sequence[str], sep: str, done: dict[int, str]) -> str:
+    t = type(node)
+    if t is Letter:
         return names[node.gen]
-    if isinstance(node, Concat):
-        return sep.join(_render(p, names, sep) for p in node.parts)
-    if isinstance(node, Union):
-        return "{" + ",".join(_render(p, names, sep) for p in node.parts) + "}"
-    assert isinstance(node, Star)
-    child = node.child
-    s = _render(child, names, sep)
-    # A one-character letter or a braced union needs no parentheses.
-    if not ((isinstance(child, Letter) and len(names[child.gen]) == 1)
-            or isinstance(child, Union)):
-        s = "(" + s + ")"
-    return s + "⋆"
+    if t is Epsilon:
+        return "ε"
+    s = done.get(id(node))  # by id: the expression keeps its nodes alive
+    if s is None:
+        if t is Concat:
+            s = sep.join([_render(p, names, sep, done) for p in node.parts])
+        elif t is Union:
+            s = "{" + ",".join([_render(p, names, sep, done) for p in node.parts]) + "}"
+        else:
+            child = node.child
+            s = _render(child, names, sep, done)
+            # A one-character letter or a braced union needs no parentheses.
+            if not ((type(child) is Letter and len(names[child.gen]) == 1)
+                    or type(child) is Union):
+                s = "(" + s + ")"
+            s += "⋆"
+        done[id(node)] = s
+    return s

@@ -87,7 +87,8 @@ from .kleene import (
 )
 
 
-# nodes of a walk expression before the star-of-union rewrite, read at each call
+# nodes of a walk expression as a tree, before the star-of-union rewrite,
+# read at each call
 EXPRESSION_CAP = 20_000
 
 
@@ -366,9 +367,10 @@ class StationaryEngine:
         out, is then eliminated per form, from the root outward.  This
         fixes the compact left-to-right factored forms: loops attach to the
         vertex where the walk leaves for the target.  The result is then
-        put through ``zimin_rewrite``; one over ``EXPRESSION_CAP`` nodes,
-        whose rewrite and text grow faster still, raises
-        ``SizeCapExceeded``.
+        put through ``zimin_rewrite``.  The rewrite and the printer walk
+        the expression's DAG, but its text grows with its size as a tree,
+        and faster still after the rewrite: one over ``EXPRESSION_CAP``
+        nodes as a tree raises ``SizeCapExceeded``.
         """
         shape, shapes = self._shapes()
         if self._kleene is None:
@@ -598,9 +600,19 @@ def _stationary_vector(succ: list[list[int]], xs: Sequence[Fraction]) -> list[Fr
 def _kr_result(kr: KRExpansion, masses: dict) -> StationaryResult:
     """The result over expansion vertices.  A state is named by the
     shortlex-first word reaching its vertex, and states come in the order
-    of those words."""
-    order = sorted(masses, key=kr.words.__getitem__)
-    return StationaryResult(dict(zip(kr.names(order), map(masses.__getitem__, order))))
+    of those words.
+
+    One top-down pass names every vertex and keys it by its word as a
+    string, one code point per letter, so that string order is the word
+    tuples' order; the root, the empty word, is never a state."""
+    names, sep = kr.alphabet, label_sep(kr.alphabet)
+    tail = [sep + n for n in names]
+    char = [chr(a) for a in range(len(names))]
+    label, key = [""], [""]
+    for p, a in zip(kr.parent[1:], kr.parent_gen[1:]):
+        label.append(label[p] + tail[a] if p else names[a])
+        key.append(key[p] + char[a])
+    return StationaryResult({label[v]: masses[v] for v in sorted(masses, key=key.__getitem__)})
 
 
 def _s_result(S: ASemigroup, kr: KRExpansion, masses: dict) -> StationaryResult:

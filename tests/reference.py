@@ -4,14 +4,16 @@ Each one checks library code or a claim of the paper from another side:
 the two-sided ideals and quotients of a semigroup, S with a zero adjoined
 (whose direct law at zero weight t tends to limit mode's law as t -> 0),
 stability of the expansions, the words an expression describes, the
-semaphore code (the minimal ideal-entering words) with its word-level
+walk-expression rewrite and printer walked as trees, the semaphore code
+(the minimal ideal-entering words) with its word-level
 walk, which lumps onto the Karnofsky-Rhodes chain, that chain as
 columns of Fractions with its certificate, lumping check and float
 oracle, the first-entry tail of the random word by enumeration, the
 simulator's random stream drawn one output at a time, the product
 formula for expansions that are a tree plus loops, each state's record
 (word, element, vertex and name on KR(S⁰)) read off the expansion, the
-Karnofsky-Rhodes expansion keyed by sets of transition edges, and the
+law over the expansion named and ordered by its word tuples, a 300-letter
+band, the Karnofsky-Rhodes expansion keyed by sets of transition edges, and the
 walk sums on one McCammond tree over the whole expansion.  The CLI, the demos and the benchmark never call them.
 """
 
@@ -34,7 +36,9 @@ from semiwalk.core import (
     SizeCapExceeded,
     Word,
     _fresh_name,
+    label_sep,
     minimal_ideal,
+    semigroup_from_table,
     zero_name,
 )
 from semiwalk.expansions import ExpansionTree, KRExpansion, karnofsky_rhodes, mccammond
@@ -49,6 +53,7 @@ from semiwalk.kleene import (
     Union,
     concat,
     star,
+    union,
 )
 from semiwalk.stationary import (
     StationaryEngine,
@@ -249,6 +254,51 @@ def enumerate_words(e: KleeneExpr, max_len: int) -> dict[tuple[int, ...], int]:
             acc[w] = acc.get(w, 0) + c
         frontier = nxt
     return acc
+
+
+def tree_zimin_rewrite(e: KleeneExpr) -> KleeneExpr:
+    """``kleene.zimin_rewrite`` walking the expression as a tree: a shared
+    subexpression is rewritten again at each place."""
+    if isinstance(e, (Letter, Epsilon)):
+        return e
+    if isinstance(e, Concat):
+        return concat(*[tree_zimin_rewrite(p) for p in e.parts])
+    if isinstance(e, Union):
+        return union(*[tree_zimin_rewrite(p) for p in e.parts])
+    assert isinstance(e, Star)
+    child = tree_zimin_rewrite(e.child)
+    if not isinstance(child, Union):
+        return star(child)
+    expr = star(child.parts[0])
+    for part in child.parts[1:]:
+        expr = concat(expr, star(concat(part, expr)))
+    return expr
+
+
+def tree_pretty(e: KleeneExpr, names: Sequence[str]) -> str:
+    """``kleene.pretty`` walking the expression as a tree: a shared
+    subexpression is printed again at each place."""
+    sep = label_sep(names)
+
+    def render(node) -> str:
+        if isinstance(node, Epsilon):
+            return "ε"
+        if isinstance(node, Letter):
+            return names[node.gen]
+        if isinstance(node, Concat):
+            return sep.join(render(p) for p in node.parts)
+        if isinstance(node, Union):
+            return "{" + ",".join(render(p) for p in node.parts) + "}"
+        assert isinstance(node, Star)
+        child = node.child
+        s = render(child)
+        if not ((isinstance(child, Letter) and len(names[child.gen]) == 1)
+                or isinstance(child, Union)):
+            s = "(" + s + ")"
+        return s + "⋆"
+
+    return render(e)
+
 
 # -- chains as columns of Fractions ---------------------------------------------
 
@@ -554,6 +604,24 @@ def lump_by_classifier(
         cls = classify(info)
         entries[cls] = entries.get(cls, Fraction(0)) + d.entries[label]
     return StationaryResult(dict(sorted(entries.items())))
+
+
+def word_sorted_kr_result(kr: KRExpansion, masses: Mapping[int, Fraction]) -> StationaryResult:
+    """The law over expansion vertices named and ordered through the word
+    tuples ``kr.words``: each state by its word's label, in word order."""
+    order = sorted(masses, key=kr.words.__getitem__)
+    return StationaryResult(dict(zip(kr.names(order), map(masses.__getitem__, order))))
+
+
+def wide_band(identity: bool) -> ASemigroup:
+    """300 letters over a left-zero band of four elements; with ``identity``
+    half of the letters are an adjoined identity, so words run longer than
+    one letter and the expansion has 22,801 vertices."""
+    n = 5
+    table = [[j if i == 0 else i for j in range(n)] if identity else [i] * n
+             for i in range(n)]
+    gens = [0] * 150 + [1 + i % 4 for i in range(150)] if identity else [i % n for i in range(300)]
+    return semigroup_from_table(table, gens)
 
 
 # -- the McCammond-tree engine -----------------------------------------------------

@@ -2,13 +2,17 @@ from fractions import Fraction
 
 import pytest
 
+from semiwalk import kleene
 from semiwalk.kleene import (
     DivergentStar,
     EPSILON,
+    Concat,
     Letter,
     Star,
+    Union,
     concat,
     evaluate_expr,
+    node_count,
     pretty,
     series,
     star,
@@ -16,7 +20,7 @@ from semiwalk.kleene import (
     zimin_rewrite,
 )
 
-from reference import enumerate_words
+from reference import enumerate_words, tree_pretty, tree_zimin_rewrite
 
 A, B, C = Letter(0), Letter(1), Letter(2)
 HALF = [Fraction(1, 2), Fraction(1, 2)]
@@ -112,3 +116,40 @@ def test_smart_constructors():
     assert star(star(A)) == star(A)
     assert isinstance(concat(concat(A, B), C).parts, tuple)
     assert len(concat(concat(A, B), C).parts) == 3
+
+
+def _inner_nodes(e) -> set[int]:
+    """The ids of the distinct concatenation, union and star nodes of e."""
+    seen: dict[int, object] = {}
+    todo = [e]
+    while todo:
+        node = todo.pop()
+        if type(node) in (Concat, Union, Star) and id(node) not in seen:
+            seen[id(node)] = node
+            todo.extend(node.parts if type(node) is not Star else [node.child])
+    return set(seen)
+
+
+def test_rewrite_and_printer_visit_each_distinct_node_once(monkeypatch):
+    # a doubling DAG: each level holds the one below twice, under a star of
+    # a union for the rewrite to expand, so the tree is far larger than the
+    # DAG, and the rewrite's more so
+    e = star(union(A, B))
+    for _ in range(6):
+        e = star(union(concat(e, B), concat(A, e)))
+    built = {}
+    for name in ("_rewrite", "_render"):
+        walk = getattr(kleene, name)
+
+        def spy(node, *args, walk=walk, name=name):
+            if id(node) not in args[-1]:  # not in the memo yet
+                built.setdefault(name, []).append(id(node))
+            return walk(node, *args)
+        monkeypatch.setattr(kleene, name, spy)
+    r = zimin_rewrite(e)
+    text = pretty(r, "ab")
+    inner, inner_r = _inner_nodes(e), _inner_nodes(r)
+    assert sorted(i for i in built["_rewrite"] if i in inner) == sorted(inner)
+    assert sorted(i for i in built["_render"] if i in inner_r) == sorted(inner_r)
+    assert (node_count(e), len(inner), node_count(r), len(inner_r)) == (634, 26, 8380, 28)
+    assert r == tree_zimin_rewrite(e) and text == tree_pretty(r, "ab")

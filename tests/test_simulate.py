@@ -27,7 +27,7 @@ from semiwalk.stationary import stationary_kr, uniform_probs
 from semiwalk import families
 from semiwalk.families import build, parse_family
 
-from reference import SplitMix64, kr_key_info
+from reference import SplitMix64, kr_key_info, wide_band
 
 F = Fraction
 HALF = [F(1, 2), F(1, 2)]
@@ -337,20 +337,9 @@ def test_table_steps_count_what_word_reads_count(family, weights):
     assert simulate_semaphore(S, xs, walkers=1, steps=2600, seed=101).counts == counts
 
 
-def _wide_band(identity):
-    """300 letters over a left-zero band of four elements; with ``identity``
-    half of the letters are an adjoined identity, so words run longer than
-    one letter and the expansion has 22,801 vertices."""
-    n = 5
-    table = [[j if i == 0 else i for j in range(n)] if identity else [i] * n
-             for i in range(n)]
-    gens = [0] * 150 + [1 + i % 4 for i in range(150)] if identity else [i % n for i in range(300)]
-    return semigroup_from_table(table, gens)
-
-
 @pytest.mark.parametrize("identity", [False, True], ids=["band", "band_with_identity"])
 def test_alphabet_wider_than_a_byte(identity):
-    S = _wide_band(identity)
+    S = wide_band(identity)
     xs = [F(i + 1, 45150) for i in range(300)]
     d = simulate_semaphore(S, xs, walkers=2, steps=2100, seed=19)
     assert d.counts == reference_walk(S, xs, 2, 2100, 19)
@@ -370,7 +359,7 @@ def test_walk_tables_grow_with_the_reached_states(monkeypatch):
             super().__init__(*args)
             walks.append(self)
     monkeypatch.setattr(simulate, "_Walk", Spy)
-    S = _wide_band(True)
+    S = wide_band(True)
     xs = [F(i + 1, 45150) for i in range(300)]
     occupation = simulate_semaphore(S, xs, walkers=2, steps=2100, seed=19)
     final = simulate_state_at(S, xs, walkers=12, steps=1025, seed=19)

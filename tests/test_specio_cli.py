@@ -785,7 +785,7 @@ def test_verify_finds_the_minimal_ideal_once(family, capsys, monkeypatch):
 
 @pytest.mark.parametrize("family", ["z2x01", "klein", "rees_general",
                                     "tsetlin:3", "rees_zp:4,5", "flat_tower:3,2"])
-def test_limit_verify_finds_the_minimal_left_ideals_once(family, capsys, monkeypatch):
+def test_verify_makes_one_closed_class_search_per_table(family, capsys, monkeypatch):
     # the law, the chain, its certificate and the oracle read the
     # expansion's one stored search for its minimal left ideals; the other
     # search is the certificate's, over the letters' action on those ideals

@@ -30,6 +30,7 @@ from semiwalk.kleene import (
     series,
     star,
     union,
+    zimin_rewrite,
 )
 from semiwalk.stationary import (
     StationaryEngine,
@@ -55,6 +56,10 @@ from reference import (
     s_key_info,
     semaphore_left_action,
     tree_law,
+    tree_pretty,
+    tree_zimin_rewrite,
+    wide_band,
+    word_sorted_kr_result,
 )
 
 F = Fraction
@@ -789,6 +794,43 @@ def test_node_count_counts_shared_nodes_at_each_place():
     assert node_count(star(union(ab, ab))) == 8
 
 
+@pytest.mark.parametrize("name", ELIMINATION_CASES)
+def test_rewrite_and_printer_equal_the_tree_walks(name, monkeypatch):
+    # every normal form, the check workload's three --expressions families
+    # among them: the walks over the DAG give the expressions and the text
+    # of the walks over the tree
+    monkeypatch.setattr(stationary, "zimin_rewrite", lambda e: e)
+    S = _elimination_case(name)
+    engine = StationaryEngine(S)
+    for nf in engine.normal_forms:
+        e = engine.expression(nf)
+        got, want = zimin_rewrite(e), tree_zimin_rewrite(e)
+        assert got == want
+        assert pretty(got, S.gen_names) == tree_pretty(want, S.gen_names)
+
+
+# the exact ladder, the limit fixtures, and a multi-character alphabet
+KR_RESULT_CASES = [
+    "tsetlin:6", "signed_tsetlin:4", "rees_zp:4,5", "bar_tower:2,2",
+    "flat_tower:3,2", "flat_tower:2,3", "rees_general", "z2x01", "klein",
+    "tsetlin:5", "rees_B:6", "band", "band_with_identity",
+]
+
+
+@pytest.mark.parametrize("name", KR_RESULT_CASES)
+def test_kr_result_names_and_orders_as_the_sorted_words(name):
+    # every ideal vertex a state, listed against vertex order; the 300
+    # letters of the bands pass chr(255) and join with a middle dot
+    if name.startswith("band"):
+        S = wide_band(name == "band_with_identity")
+    else:
+        S = families.build(families.parse_family(name))
+    kr = karnofsky_rhodes(S)
+    masses = {u: F(i) for i, u in enumerate(reversed(kr.ideal))}
+    got = stationary._kr_result(kr, masses).entries
+    assert list(got.items()) == list(word_sorted_kr_result(kr, masses).entries.items())
+
+
 def _law_by_vertex(S, result):
     return {info.kr_vertex: result[label] for label, info in kr_key_info(S, result).items()}
 
@@ -877,7 +919,7 @@ def _digest(obj) -> str:
 
 
 @pytest.mark.parametrize("name,force", list(KEY_INFO_DIGESTS))
-def test_key_info_is_built_on_first_read(name, force):
+def test_reference_records_match_the_recorded_digests(name, force):
     # the records rebuilt from the expansion, the KR(S⁰) names of limit
     # mode among them, are the ones the library made
     S = families.build(families.parse_family(name))
