@@ -150,7 +150,7 @@ def stationary_oracle(T: ActionChain) -> dict[str, float]:
         v = w
         if delta < ORACLE_TOL:
             return {T.labels[s]: v[s] for s in range(n)}
-    raise NotConverged(f"no convergence after {ORACLE_MAX_ITER} iterations")
+    raise NotConverged(f"no convergence after {ORACLE_MAX_ITER} sweeps")
 
 
 def check_lumping(T: ActionChain, classes: Sequence[Hashable]) -> bool:

@@ -1,27 +1,36 @@
 """Stationary distributions of semigroup random walks, computed exactly.
 
-Pipeline: expand the right Cayley graph by transition-edge identification
-(stored on the semigroup and shared with every other reader), a tree of
-copies of the graph's components, each entered by one edge.  A walk from
-the root that leaves a copy never comes back, so the weight of the walks
-that first enter the ideal at a copy is a product over the copies on
-their way: the mass entering a copy by the edge (v, a) is the mass
-entering v's copy, times W(e0, v), the weight of the walks from that
-copy's entry e0 to v inside the component, times the weight of a.  W
-depends on the component and e0 only, so it is summed once per entry
-element: on the McCammond tree of the component entered there (its simple
-paths from e0 along edges inside the component), a spanning tree plus back
-edges to ancestors, read as integer rows.  The walks onto a tree vertex
-sum to a product along its tree path: the letter weights times the Green's
-function G_v = 1/(1 - R_v) at each vertex v on the path, where R_v is the
-weight of the excursions that leave v into its subtree and first come
-back to v (Lawler's loop-erased-walk formula), and W(e0, e) adds these
-over the tree's vertices that end at e.  R_v and G_v depend only on the
-shape of v's subtree (per letter: a child's shape, a back edge and how
-many levels up it goes, or a letter that leaves the component), so
-subtrees of equal shape share one bottom-up reduction, across all trees.
-One pass over the copies in order then forms the masses, interned by
-value, so each distinct product is computed once.
+A walk from the root of the right Cayley graph never comes back to a
+strongly connected component it has left, and what it does after it
+enters a component depends on the entry element alone, not on the path
+that led there.  So W(e0, v), the weight of the walks from entry e0 to v
+inside the component, is summed once per entry element: on the McCammond
+tree of the component entered there (its simple paths from e0 along edges
+inside the component), a spanning tree plus back edges to ancestors, read
+as integer rows.  The walks onto a tree vertex sum to a product along its
+tree path: the letter weights times the Green's function G_v = 1/(1 - R_v)
+at each vertex v on the path, where R_v is the weight of the excursions
+that leave v into its subtree and first come back to v (Lawler's
+loop-erased-walk formula), and W(e0, e) adds these over the tree's
+vertices that end at e.  R_v and G_v depend only on the shape of v's
+subtree (per letter: a child's shape, a back edge and how many levels up
+it goes, or a letter that leaves the component), so subtrees of equal
+shape share one bottom-up reduction, across all trees.  One pass of these
+walk sums, interned by value so that each distinct product is formed
+once, feeds both laws.
+
+The law over S needs one mass per entry element: M(e), the weight of the
+walks that first enter a component at e.  Over the component DAG in
+topological order, from M(gens[a]) = x_a, every edge (v, a) from e's
+component to f adds M(e)·W(e, v)·x_a to M(f).  No expansion is built.
+
+The law over the expansion (Karnofsky-Rhodes, transition-edge
+identification, stored on the semigroup and shared with every other
+reader) is over its tree of copies of the graph's components, each
+entered by one edge.  The mass entering a copy by the edge (v, a) is the
+mass entering v's copy, times W(e0, v) for that copy's entry e0, times the
+weight of a: one pass over the copies in order.  M(e) is these masses
+summed over the copies entered at e.
 
 The normal forms are the simple paths from the root whose last letter,
 and only that, enters the ideal: the trees glued at their entries, walked
@@ -33,28 +42,29 @@ outward, which fixes the printed factored form.
 
 When the minimal ideal is left zero each ideal copy is one vertex, and the
 masses entering them are the stationary distribution of the expanded
-chain; lumping by underlying element gives the chain on the semigroup
-itself.  Otherwise limit mode gives u the limit t -> 0 of the mass of u·0
-on KR(S⁰), S with a zero generator of weight t adjoined and the other
-weights scaled by (1-t).  That limit has a closed form on the minimal ideal
-of KR(S), read from the same sums: pi(u) = h(R(u)) nu(L(u)) / |H|.  Here
-h(R) is the mass entering the minimal right ideal R, an ideal copy,
-nu is the stationary law of the letters' action on the minimal left ideals
+chain; over S the law is M(k) for k in K(S), the expansion's law lumped by
+underlying element.  Otherwise limit mode gives u the limit t -> 0 of the
+mass of u·0 on KR(S⁰), S with a zero generator of weight t adjoined and
+the other weights scaled by (1-t).  That limit has a closed form on a
+minimal ideal, read from the same sums: pi(u) = h(R(u)) nu(L(u)) / |H|.
+Here h(R) is the mass entering the minimal right ideal R (on the
+expansion an ideal copy; on S the sum of M over R's entry elements), nu is
+the stationary law of the letters' action on the minimal left ideals
 (exact elimination on those few classes), and |H| is the size of each
-H-class R ∩ L, on which the law is uniform.  In direct mode every R is one
-vertex, there is one L and |H| = 1.  Both modes name a state by the
-shortlex-first word reaching its vertex, as chains and simulations do;
-only the states of the result are named, and the law over S names none.
-A law is its masses alone; ``zero_limit_names`` gives limit mode's states
-their names u·0 on KR(S⁰).
+H-class R ∩ L, on which the law is uniform.  On the expansion, a state is
+named by the shortlex-first word reaching its vertex, as chains and
+simulations do; over S, by its element's name.  A law is its masses
+alone; ``zero_limit_names`` gives limit mode's states their names u·0 on
+KR(S⁰).
 
 S stores its engine, built on first use, and every law and expression of
-S reads that one; the engine keeps no reference to S, so storing it makes
-no reference cycle.
+S reads that one; the engine keeps only a weak reference to S, so storing
+it makes no reference cycle.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -71,6 +81,7 @@ from .core import (
     zero_name,
 )
 from . import expansions
+from .graphs import closed_classes
 # mccammond is not called here, but perfbench/spans.py wraps it here by name
 from .expansions import KRExpansion, grow_simple_paths, karnofsky_rhodes, mccammond
 from .kleene import (
@@ -148,22 +159,28 @@ class NormalForm:
 
 
 class StationaryEngine:
-    """Walk sums for one semigroup: its expansion, and one McCammond tree
-    per component entry that a copy outside the ideal is entered at.
+    """Walk sums for one semigroup: one McCammond tree per element outside
+    the minimal ideal K(S) at which the walk enters a component, the
+    per-entry masses over S, and, built on the first read that needs it,
+    the expansion's per-copy masses and normal forms.
 
-    Tree vertex v is a simple path inside one component of the right Cayley
-    graph, from the tree's entry to element ``elem[v]``; it extends
-    ``parent[v]`` by ``letter[v]``.  ``out[v][a]`` is the tree child or the
-    ancestor that letter a leads to, or None where a leaves the component.
-    Each tree is one block of vertices in depth-first preorder, children in
-    letter order.  Vertex 0 is the root's tree: the root alone, every letter
-    leaving it.  ``tree_of`` maps an entry element to its tree's first
-    vertex (the root's entry, None, to 0).
+    The entry elements are the generators and the targets of the edges
+    that cross between components.  Tree vertex v is a simple path inside
+    one component of the right Cayley graph, from the tree's entry to
+    element ``elem[v]``; it extends ``parent[v]`` by ``letter[v]``.
+    ``out[v][a]`` is the tree child or the ancestor that letter a leads
+    to, or None where a leaves the component.  Each tree is one block of
+    vertices in depth-first preorder, children in letter order.  Vertex 0
+    is the root's tree: the root alone, every letter leaving it.
+    ``tree_of`` maps an entry element to its tree's first vertex (the
+    root's entry, None, to 0).
     """
 
     def __init__(self, S: ASemigroup):
-        self.size = S.size  # S stores the engine, which keeps no reference to S
-        self.kr: KRExpansion = karnofsky_rhodes(S)
+        # S stores the engine, which keeps a weak reference to S alone
+        self._semigroup = weakref.ref(S)
+        self.size, self.gens, self.gen_names = S.size, list(S.gens), list(S.gen_names)
+        self.ideal = minimal_ideal(S)  # K(S)
         k = S.n_gens
         self.elem: list[int | None] = [None]
         self.parent: list[int | None] = [None]
@@ -171,18 +188,33 @@ class StationaryEngine:
         self.out: list[list[int | None]] = [[None] * k]
         self.tree_of: dict[int | None, int] = {None: 0}
         # per element, its edges that stay in its component
-        comp = S.right_components()
-        inner = [[f if comp[f] == comp[e] else None for f in row]
-                 for e, row in enumerate(S.right_action()[0])]
-        image = self.kr.s_image
-        for w in self.kr.entry[1:]:
-            e = image[w]
-            if e not in self.tree_of and e not in self.kr.base_ideal:
+        self._comp = comp = S.right_components()
+        self._rows = rows = S.right_action()[0]
+        inner = [[f if comp[f] == comp[e] else None for f in row] for e, row in enumerate(rows)]
+        # the walk enters a component at a generator or by an edge that
+        # leaves another
+        self._leaving = [e for e, irow in enumerate(inner) if None in irow]
+        entries = dict.fromkeys(self.gens)
+        for e in self._leaving:
+            for f, g in zip(rows[e], inner[e]):
+                if g is None:
+                    entries[f] = None
+        for e in entries:
+            if e not in self.ideal:
                 # the McCammond tree of e's component entered at e
                 self.tree_of[e] = root = self._add(e, None, None)
                 grow_simple_paths(inner.__getitem__, root, self.elem, self.out, self._add)
         self._shape_table = None  # the tree vertices' shapes, on first use
         self._kleene = None  # the reduction over Kleene weights, on demand
+
+    @cached_property
+    def kr(self) -> KRExpansion:
+        """The expansion of S, built on the first read, by ``values`` over
+        the copies and by the normal forms; the law over S reads none."""
+        S = self._semigroup()
+        if S is None:
+            raise ReferenceError("the semigroup of this engine no longer exists")
+        return karnofsky_rhodes(S)
 
     def _add(self, e: int, p: int | None, a: int | None) -> int:
         """A new tree vertex ending at e, child of p by letter a; at most
@@ -195,7 +227,7 @@ class StationaryEngine:
         self.elem.append(e)
         self.parent.append(p)
         self.letter.append(a)
-        self.out.append([None] * len(self.kr.alphabet))
+        self.out.append([None] * len(self.gens))
         return w
 
     # -- walk sums, one reduction per subtree shape ----------------------------
@@ -248,59 +280,23 @@ class StationaryEngine:
         return self._shape_table
 
     def values(self, xs: Sequence) -> dict[int, object]:
-        """First-entry mass of every ideal copy, keyed by its entry vertex.
+        """First-entry mass of every ideal copy of the expansion, keyed by
+        its entry vertex.
 
-        Each shape is reduced once (``_ShapeSums``).  Top-down in each tree
-        a vertex's prefix is its parent's times its step, so W(e0, e), the
-        weight of the walks from entry e0 to e inside the component, is the
-        sum of the prefixes of e0's tree at e.  A walk never comes back to a
-        copy it has left, so then, over the copies in order, the mass
-        entering a copy by the edge (v, a) is the mass entering v's copy
-        times W(its entry, v) times the weight of a.  Masses and exits are
-        interned by value, so each distinct product is formed once.
+        A walk never comes back to a copy it has left, so over the copies
+        in order, the mass entering a copy by the edge (v, a) is the mass
+        entering v's copy times W(its entry, v) times the weight of a
+        (``_WalkSums``).  Masses and exits are interned by value, so each
+        distinct product is formed once.
         """
-        shape, shapes = self._shapes()
-        sums = _ShapeSums(shapes, xs)
-        ids: dict = {}  # value -> id, for every value below
-        vals: list = []
-        product: dict[tuple[int, int], int] = {}  # pair of ids -> id
-
-        def intern(x) -> int:
-            i = ids.get(x)
-            if i is None:
-                i = ids[x] = len(vals)
-                vals.append(x)
-            return i
-
-        def times(i: int, j: int) -> int:
-            p = product.get((i, j))
-            if p is None:
-                p = product[i, j] = intern(vals[i] * vals[j])
-            return p
-
-        step_id: dict[tuple, int] = {}  # (letter, shape) -> id
-        # (tree, element) -> the prefix ids of the tree's vertices there
-        walks: dict[tuple[int, int | None], list[int]] = {}
-        parent, letter, elem = self.parent, self.letter, self.elem
-        prefix, root = [0] * len(parent), [0] * len(parent)
-        for v, p in enumerate(parent):
-            key = letter[v], shape[v]
-            st = step_id.get(key)
-            if st is None:
-                st = step_id[key] = intern(sums.step(*key))
-            if p is None:
-                root[v], prefix[v] = v, st
-            else:
-                root[v], prefix[v] = root[p], times(prefix[p], st)
-            walks.setdefault((root[v], elem[v]), []).append(prefix[v])
-
+        ws = _WalkSums(self, xs)
+        vals, product, times = ws.vals, ws.product, ws.times
+        exit_id, exit = ws.exit_id, ws.exit
         kr, tree_of = self.kr, self.tree_of
         entry, copy_of, image = kr.entry, kr.copy_of, kr.s_image
         kparent, kletter = kr.parent, kr.parent_gen
         tree = [tree_of.get(image[w]) for w in entry]  # None for an ideal copy
-        mass = [intern(sums.one)] * len(entry)  # per copy, its entering mass's id
-        letter_id = [intern(x) for x in xs]
-        exit_id: dict[tuple, int] = {}  # (tree, element, letter) -> id
+        mass = [ws.one] * len(entry)  # per copy, its entering mass's id
         for c in range(1, len(entry)):
             w = entry[c]
             v = kparent[w]
@@ -308,13 +304,61 @@ class StationaryEngine:
             key = tree[cv], image[v], kletter[w]
             x = exit_id.get(key)
             if x is None:
-                ws = walks[key[:2]]
-                if len(ws) > 1:  # W: the prefixes added, once per (tree, element)
-                    ws[:] = [intern(sum(map(vals.__getitem__, ws[1:]), vals[ws[0]]))]
-                x = exit_id[key] = times(ws[0], letter_id[key[2]])
+                x = exit(key)
             m = product.get((mass[cv], x))
             mass[c] = times(mass[cv], x) if m is None else m
         return {w: vals[m] for w, m, t in zip(entry, mass, tree) if t is None}
+
+    def entry_masses(self, xs: Sequence) -> dict[int, object]:
+        """M(e) for every element e of the minimal ideal at which the walk
+        enters it: the first-entry mass of all the expansion's copies
+        entered at e, summed, with no expansion built.
+
+        What a walk does after it enters a component depends on the entry
+        element alone, so M(f) sums M(e)·W(e, v)·x_a over the edges (v, a)
+        that leave e's component for f, over the component DAG in
+        topological order, from M(gens[a]) = x_a (a sum if two generators
+        are one element).  The walk sums and the interning are ``values``'s.
+        """
+        ws = _WalkSums(self, xs)
+        vals, times, intern, exit = ws.vals, ws.times, ws.intern, ws.exit
+        mass: dict[int, object] = {}
+        for g, x in zip(self.gens, xs):
+            _acc(mass, g, x)
+        tree_of = self.tree_of
+        for entries, exits in self._dag:
+            for e in entries:
+                m, t = intern(mass[e]), tree_of[e]
+                for v, a, f in exits:
+                    _acc(mass, f, vals[times(m, exit((t, v, a)))])
+        return {e: m for e, m in mass.items() if e in self.ideal}
+
+    @cached_property
+    def _dag(self) -> list[tuple[list[int], list[tuple[int, int, int]]]]:
+        """Per component outside the ideal, in topological order: its entry
+        elements and its exits (v, a, v·a), the edges that leave it.  Kahn's
+        algorithm: a component comes once every edge into it is counted off."""
+        comp, rows = self._comp, self._rows
+        exits: dict[int, list[tuple[int, int, int]]] = {}
+        into = [0] * (max(comp) + 1)  # per component, the edges entering it
+        for v in self._leaving:
+            c = comp[v]
+            out = exits.setdefault(c, [])
+            for a, f in enumerate(rows[v]):
+                if comp[f] != c:
+                    out.append((v, a, f))
+                    into[comp[f]] += 1
+        entries: dict[int, list[int]] = {}
+        for e in self.tree_of:
+            if e is not None:
+                entries.setdefault(comp[e], []).append(e)
+        order = [c for c, n in enumerate(into) if n == 0]
+        for c in order:  # the queue: components whose edges in are all counted
+            for _, _, f in exits.get(c, ()):
+                into[comp[f]] -= 1
+                if not into[comp[f]]:
+                    order.append(comp[f])
+        return [(entries[c], exits[c]) for c in order if c in entries]
 
     # -- normal forms and their walk expressions -------------------------------
 
@@ -325,7 +369,7 @@ class StationaryEngine:
         their entries, walked depth first in letter order."""
         out, parent, letter = self.out, self.parent, self.letter
         kr_out, image = self.kr.out, self.kr.s_image
-        ideal, tree_of = self.kr.base_ideal, self.tree_of
+        ideal, tree_of = self.ideal, self.tree_of
         forms: list[NormalForm] = []
         word: list[int] = []  # the letters and tree vertices of the path so far
         path: list[int] = []
@@ -374,7 +418,7 @@ class StationaryEngine:
         """
         shape, shapes = self._shapes()
         if self._kleene is None:
-            letters = [Letter(a) for a in range(len(self.kr.alphabet))]
+            letters = [Letter(a) for a in range(len(self.gens))]
             self._kleene = _ShapeSums(shapes, letters)
         sums = self._kleene
         # per path position, its exits (the vertex d levels above position
@@ -397,13 +441,77 @@ class StationaryEngine:
         expr = out[0][n]
         size = node_count(expr)
         if size > EXPRESSION_CAP:
-            names = self.kr.alphabet
+            names = self.gen_names
             label = label_sep(names).join([names[g] for g in nf.word])
             raise SizeCapExceeded(
                 f"walk expression of normal form {label} with "
                 f"{size} nodes exceeded cap {EXPRESSION_CAP} before the "
                 f"star-of-union rewrite")
         return zimin_rewrite(expr)
+
+
+class _WalkSums:
+    """The walk sums of one engine at one weight vector, interned by value.
+
+    Each shape is reduced once (``_ShapeSums``).  Top-down in each tree a
+    vertex's prefix is its parent's times its step, so W(e0, e), the weight
+    of the walks from entry e0 to e inside the component, is the sum of the
+    prefixes of e0's tree at e, added on first use.  Every value is held
+    once, by id, and each product of two ids is formed once: ``values``
+    reads these per copy of the expansion, ``entry_masses`` per entry
+    element.
+    """
+
+    def __init__(self, engine: StationaryEngine, xs: Sequence):
+        shape, shapes = engine._shapes()
+        sums = _ShapeSums(shapes, xs)
+        self.ids: dict = {}  # value -> id, for every value below
+        self.vals: list = []
+        self.product: dict[tuple[int, int], int] = {}  # pair of ids -> id
+        self.exit_id: dict[tuple, int] = {}  # (tree, element, letter) -> id
+        intern, times = self.intern, self.times
+        step_id: dict[tuple, int] = {}  # (letter, shape) -> id
+        # (tree, element) -> the prefix ids of the tree's vertices there
+        self.walks: dict[tuple[int, int | None], list[int]] = {}
+        setdefault = self.walks.setdefault
+        parent, letter, elem = engine.parent, engine.letter, engine.elem
+        prefix, root = [0] * len(parent), [0] * len(parent)
+        for v, p in enumerate(parent):
+            key = letter[v], shape[v]
+            st = step_id.get(key)
+            if st is None:
+                st = step_id[key] = intern(sums.step(*key))
+            if p is None:
+                root[v], prefix[v] = v, st
+            else:
+                root[v], prefix[v] = root[p], times(prefix[p], st)
+            setdefault((root[v], elem[v]), []).append(prefix[v])
+        self.one = intern(sums.one)
+        self.letter = [intern(x) for x in xs]
+
+    def intern(self, x) -> int:
+        i = self.ids.get(x)
+        if i is None:
+            i = self.ids[x] = len(self.vals)
+            self.vals.append(x)
+        return i
+
+    def times(self, i: int, j: int) -> int:
+        p = self.product.get((i, j))
+        if p is None:
+            p = self.product[i, j] = self.intern(self.vals[i] * self.vals[j])
+        return p
+
+    def exit(self, key: tuple) -> int:
+        """The id of W(tree's entry, element) times the letter's weight, for
+        ``key`` = (tree, element, letter)."""
+        x = self.exit_id.get(key)
+        if x is None:
+            ws = self.walks[key[:2]]
+            if len(ws) > 1:  # W: the prefixes added, once per (tree, element)
+                ws[:] = [self.intern(sum(map(self.vals.__getitem__, ws[1:]), self.vals[ws[0]]))]
+            x = self.exit_id[key] = self.times(ws[0], self.letter[key[2]])
+        return x
 
 
 class _ShapeSums:
@@ -510,9 +618,10 @@ def stationary_kr(S: ASemigroup, xs: Sequence[Fraction],
 
 def stationary_s(S: ASemigroup, xs: Sequence[Fraction],
                  force_limit: bool = False) -> StationaryResult:
-    """Stationary distribution of the walk on the semigroup itself: the
-    expansion-level masses summed by underlying element, with no
-    expansion state named."""
+    """Stationary distribution of the walk on the semigroup itself, over
+    the elements of its minimal ideal, from the masses entering it per
+    entry element (``StationaryEngine.entry_masses``): no expansion is
+    built."""
     return _stationary(S, xs, force_limit, "s")
 
 
@@ -534,34 +643,55 @@ def _engine(S: ASemigroup) -> StationaryEngine:
 
 def _stationary_kr_direct(S: ASemigroup, xs: Sequence, over: str) -> StationaryResult:
     engine = _engine(S)
-    # each ideal copy is one vertex, its entry
-    masses = engine.values(xs)
     if over == "s":
-        return _s_result(S, engine.kr, masses)
-    return _kr_result(engine.kr, masses)
+        return _s_result(S, engine.entry_masses(xs))
+    # each ideal copy is one vertex, its entry
+    return _kr_result(engine.kr, engine.values(xs))
 
 
 def _stationary_kr_limit(S: ASemigroup, xs: Sequence[Fraction],
                          over: str) -> StationaryResult:
-    """Limit mode (see the module docstring): pi(u) = h(R(u)) nu(L(u)) / |H|
-    on the minimal ideal of KR(S), from the direct-mode walk sums."""
+    """Limit mode (see the module docstring) on the minimal ideal of S or of
+    KR(S), from the direct-mode walk sums."""
     engine = _engine(S)
+    if over == "s":
+        # h: per minimal right ideal of S, the mass entering it at its entries
+        K, comp = sorted(minimal_ideal(S)), S.right_components()
+        h: dict[int, Fraction] = {}
+        for e, m in engine.entry_masses(xs).items():
+            _acc(h, comp[e], m)
+        return _s_result(S, _limit_masses(K, comp, h, *_left_ideals(S, K), xs))
     kr = engine.kr
-    ideal = kr.ideal
     # h: first-entry mass per minimal right ideal of the expansion, which
     # are its ideal copies: closed, as K(S)'s components are
     h = {kr.copy_of[u]: m for u, m in engine.values(xs).items()}
-    # nu: the stationary law of the letters' action on the minimal left ideals
-    lefts, action = kr.left_ideals
+    return _kr_result(kr, _limit_masses(kr.ideal, kr.copy_of, h, *kr.left_ideals, xs))
+
+
+def _left_ideals(S: ASemigroup, K: list[int]) -> tuple[list, list]:
+    """S's minimal left ideals, the closed classes of left multiplication
+    on K = K(S) as indices into K, and the letters' action on them: a maps
+    the class of any u to ``action[c][a]``, the class of u·a."""
+    index = {u: i for i, u in enumerate(K)}
+    lefts = closed_classes([[index[S.mult(g, u)] for g in S.gens] for u in K])
+    class_of = {K[i]: c for c, L in enumerate(lefts) for i in L}
+    rows = S.right_action()[0]
+    return lefts, [[class_of[f] for f in rows[K[L[0]]]] for L in lefts]
+
+
+def _limit_masses(ideal: list[int], r_of: Sequence[int], h: dict[int, Fraction],
+                  lefts: list[list[int]], action: list[list[int]],
+                  xs: Sequence[Fraction]) -> dict[int, Fraction]:
+    """pi(u) = h(R(u)) nu(L(u)) / |H| over a minimal ideal: ``h`` per
+    minimal right ideal, u's being ``r_of[u]``; the minimal left ideals as
+    indices into ``ideal`` and the letters' action on them, whose
+    stationary law is nu; |H| the size of each H-class R ∩ L."""
     l_of = {ideal[i]: j for j, L in enumerate(lefts) for i in L}
     nu = _stationary_vector(action, xs)
     # |H| divides h once per right ideal, not once per state
     h_size = len(ideal) // (len(h) * len(lefts))
     h = {c: m / h_size for c, m in h.items()}
-    masses = {u: h[kr.copy_of[u]] * nu[l_of[u]] for u in ideal}
-    if over == "s":
-        return _s_result(S, kr, masses)
-    return _kr_result(kr, masses)
+    return {u: h[r_of[u]] * nu[l_of[u]] for u in ideal}
 
 
 def zero_limit_names(S: ASemigroup) -> dict[str, str]:
@@ -615,15 +745,11 @@ def _kr_result(kr: KRExpansion, masses: dict) -> StationaryResult:
     return StationaryResult({label[v]: masses[v] for v in sorted(masses, key=key.__getitem__)})
 
 
-def _s_result(S: ASemigroup, kr: KRExpansion, masses: dict) -> StationaryResult:
-    """The result over semigroup elements: the masses of the vertices over
-    each element added up, the states named by element and in name order."""
-    by_element: dict[int, object] = {}
-    for v, m in masses.items():
-        _acc(by_element, kr.s_image[v], m)
-    names = {e: S.element_name(e) for e in by_element}
-    order = sorted(by_element, key=names.__getitem__)
-    return StationaryResult({names[e]: by_element[e] for e in order})
+def _s_result(S: ASemigroup, masses: dict[int, object]) -> StationaryResult:
+    """The result over semigroup elements, named by element and in name
+    order."""
+    names = {e: S.element_name(e) for e in masses}
+    return StationaryResult({names[e]: masses[e] for e in sorted(masses, key=names.__getitem__)})
 
 
 def expressions_report(S: ASemigroup) -> dict[str, str]:

@@ -12,7 +12,8 @@ oracle, the first-entry tail of the random word by enumeration, the
 simulator's random stream drawn one output at a time, the product
 formula for expansions that are a tree plus loops, each state's record
 (word, element, vertex and name on KR(S⁰)) read off the expansion, the
-law over the expansion named and ordered by its word tuples, a 300-letter
+law over the expansion named and ordered by its word tuples, the law over
+S lumped from it, every family at its range ends, a 300-letter
 band, the Karnofsky-Rhodes expansion keyed by sets of transition edges, and the
 walk sums on one McCammond tree over the whole expansion.  The CLI, the demos and the benchmark never call them.
 """
@@ -61,6 +62,7 @@ from semiwalk.stationary import (
     _acc,
     _ShapeSums,
     _stationary_vector,
+    stationary_kr,
     validate_probs,
     zero_limit_names,
 )
@@ -74,6 +76,20 @@ DESK_CAPS = {
     name: {key: bounds for key, _, bounds in family.params}
     for name, family in families._FAMILIES.items()
 }
+
+
+def desk_corners() -> list[str]:
+    """Every family with each parameter at the low or high end of its range
+    (a tower's depth range is keyed by its n)."""
+    corners = []
+    for name, caps in DESK_CAPS.items():
+        values = [()]
+        for bounds in caps.values():
+            values = [v + (end,) for v in values for end in sorted(set(
+                bounds[v[0]] if isinstance(bounds, dict) else bounds))]
+        corners += [name + (":" + ",".join(map(str, v)) if v else "")
+                    for v in values]
+    return corners
 
 
 def principal_ideal(S: ASemigroup, e: int) -> frozenset[int]:
@@ -611,6 +627,22 @@ def word_sorted_kr_result(kr: KRExpansion, masses: Mapping[int, Fraction]) -> St
     tuples ``kr.words``: each state by its word's label, in word order."""
     order = sorted(masses, key=kr.words.__getitem__)
     return StationaryResult(dict(zip(kr.names(order), map(masses.__getitem__, order))))
+
+
+def kr_lumped_s(S: ASemigroup, xs: Sequence[Fraction],
+                force_limit: bool = False) -> StationaryResult:
+    """The law over S read off the law over the expansion: each ideal
+    vertex's mass added to its element, the states named by element and in
+    name order.  Lumping is exact, as the walk on the expansion's ideal
+    lumps onto the walk on S."""
+    kr = karnofsky_rhodes(S)
+    vertex = dict(zip(kr.names(kr.ideal), kr.ideal))
+    by_element: dict[int, Fraction] = {}
+    for label, m in stationary_kr(S, xs, force_limit).entries.items():
+        _acc(by_element, kr.s_image[vertex[label]], m)
+    names = {e: S.element_name(e) for e in by_element}
+    return StationaryResult({names[e]: by_element[e]
+                             for e in sorted(by_element, key=names.__getitem__)})
 
 
 def wide_band(identity: bool) -> ASemigroup:

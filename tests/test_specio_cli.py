@@ -17,7 +17,7 @@ from semiwalk.cli import main
 from semiwalk.core import SemigroupError
 from semiwalk.specio import load_spec, semigroup_from_spec
 
-from reference import DESK_CAPS
+from reference import desk_corners
 
 
 def run_cli(args, capsys):
@@ -700,25 +700,11 @@ def test_cli_cyclic_garbage_does_not_grow_with_the_input(capsys, command,
     assert counts[0] == counts[1], counts
 
 
-def _desk_corners():
-    """Every family with each parameter at the low or high end of its range
-    (a tower's depth range is keyed by its n)."""
-    corners = []
-    for name, caps in DESK_CAPS.items():
-        values = [()]
-        for bounds in caps.values():
-            values = [v + (end,) for v in values for end in sorted(set(
-                bounds[v[0]] if isinstance(bounds, dict) else bounds))]
-        corners += [name + (":" + ",".join(map(str, v)) if v else "")
-                    for v in values]
-    return corners
-
-
 def test_desk_corner_count():
-    assert len(_desk_corners()) == 26
+    assert len(desk_corners()) == 26
 
 
-@pytest.mark.parametrize("corner", _desk_corners())
+@pytest.mark.parametrize("corner", desk_corners())
 def test_desk_corners_finish_or_name_the_cap(corner, capsys):
     # in range means a law within the budget; what the caps cannot reach
     # is out of range (see the next test)
@@ -822,6 +808,21 @@ def test_verify_builds_one_chain(family, capsys, monkeypatch):
     code, out, _ = run_cli(args, capsys)
     assert code == 0 and out.endswith("all checks passed\n")
     assert len(built) == 1
+
+
+def test_verify_reports_an_oracle_that_does_not_converge(capsys, monkeypatch):
+    # a failed check, not a traceback: the other checks still run and print
+    args = ["verify", "--family", "rees_zp:4,5", "--simulate", "--walkers", "2",
+            "--steps", "100", "--tv-tol", "1"]
+    code, out, err = run_cli(args, capsys)
+    assert code == 0 and "PASS power-iteration oracle (max diff 2.20e-15)\n" in out
+    passing = out.splitlines()
+    monkeypatch.setattr(chains, "ORACLE_MAX_ITER", 1)
+    code, out, err = run_cli(args, capsys)
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        passing[0], "FAIL power-iteration oracle (no convergence after 1 sweeps)",
+        *passing[2:4], "FAILED: oracle"]
 
 
 def test_cli_exact_ladder_matches_the_benchmark_reference(capsys):
