@@ -25,13 +25,23 @@ engine = StationaryEngine(S)
 
 x = [Fraction(1, 2), Fraction(1, 2)]
 values = engine.values(x)  # per state: each normal form here enters its own
+kr = karnofsky_rhodes(S)
+
+
+def state_of(word):
+    """The expansion vertex a normal form's word enters, along its edges."""
+    v = 0
+    for a in word:
+        v = kr.out[v][a]
+    return v
+
 
 print("normal form | walk language | exact mass at (1/2, 1/2)")
 for nf in engine.normal_forms:
     expr = engine.expression(nf)
     label = S.word_label(nf.word)
     value = evaluate_expr(expr, x)
-    assert value == values[nf.kr_vertex]
+    assert value == values[state_of(nf.word)]
     print(f"  {label:4} | {pretty(expr, S.gen_names):12} | {value}")
 
 print("\ntotal:", sum(values.values()))
@@ -40,9 +50,9 @@ nf0 = engine.normal_forms[0]
 expr0 = engine.expression(nf0)
 truncated = sum(series(expr0, x, 14))
 print(f"partial sums of the {S.word_label(nf0.word)} series up to length 14: "
-      f"{truncated} -> {float(truncated):.6f} vs {float(values[nf0.kr_vertex]):.6f}")
+      f"{truncated} -> {float(truncated):.6f} vs {float(values[state_of(nf0.word)]):.6f}")
 
-mc = mccammond(karnofsky_rhodes(S))
+mc = mccammond(kr)
 dot = to_dot(mc.graph, tree=mc.tree_edges)
 print(f"\nDOT export of the expansion ({mc.graph.n} vertices), first lines:")
 print("\n".join(dot.splitlines()[:5]))

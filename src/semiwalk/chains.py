@@ -39,9 +39,9 @@ def integer_weights(xs: Sequence[Fraction]) -> tuple[list[int], int]:
 @dataclass
 class ActionChain:
     """A walk given by an action table: letter a, of weight
-    ``weights[a] / denom``, moves state i to ``rows[i][a]``.  State i is
-    named ``labels[i]`` and is the expansion vertex ``states[i]``;
-    ``classes`` are the closed classes of ``rows``."""
+    ``weights[a] / denom``, moves state i to ``rows[i][a]``, and the
+    closed class ``classes[c]`` of ``rows`` to ``classes[action[c][a]]``.
+    State i is named ``labels[i]`` and is the expansion vertex ``states[i]``."""
 
     labels: list[str]
     states: list[int]
@@ -49,6 +49,7 @@ class ActionChain:
     weights: list[int]
     denom: int
     classes: list[list[int]]
+    action: list[list[int]]
 
     @property
     def n(self) -> int:
@@ -58,13 +59,13 @@ class ActionChain:
 def build_chain(S: ASemigroup, xs: Sequence[Fraction]) -> ActionChain:
     """Left-multiplication walk on the minimal ideal of the expansion,
     K(KR(S)), read off ``kr.left``: state i is ``kr.ideal[i]``, named by
-    its shortlex-first word, as ``stationary_kr`` names it.  Its rows and
-    closed classes are the ones the expansion stores, ``kr.ideal_left`` and
-    the minimal left ideals."""
+    its shortlex-first word, as ``stationary_kr`` names it.  Its rows,
+    closed classes and their action are the ones the expansion stores,
+    ``kr.ideal_left`` and the minimal left ideals."""
     W, E = integer_weights(validate_probs(S, xs))
     kr = karnofsky_rhodes(S)
     return ActionChain(kr.names(kr.ideal), kr.ideal, kr.ideal_left, W, E,
-                       kr.left_ideals[0])
+                       *kr.left_ideals)
 
 
 def _fixed(mass: Sequence[int], rows: Sequence[Sequence[int]], chain: ActionChain) -> bool:
@@ -85,19 +86,18 @@ def _summed(row: Sequence[int], W: Sequence[int], key: Sequence[Hashable]) -> di
     return out
 
 
-def certify(S: ASemigroup, result, chain: ActionChain) -> bool:
-    """Exact certificate for an expansion-level stationary law.
+def certify(result, chain: ActionChain) -> bool:
+    """Exact certificate for a stationary law, a function of its chain.
 
-    True iff the masses of ``result`` (a ``StationaryResult`` over "kr") are
-    nonnegative, sum to 1, satisfy pi T = pi on ``chain``, which is
-    ``build_chain(S, xs)`` for the law's weights, and put the right mass on
-    each of its closed classes.  Those are the minimal left ideals the
-    expansion stores, on which the letters act through any representative;
-    that action must have one closed class, and the class masses must be
-    stationary for it.  With pi T = pi, which fixes the law within each
-    class, this pins the law.  Nothing is solved: with the law as integers
-    P over D, each check is one integer multiplication through a table,
-    whose image must be P·E.
+    True iff the masses of ``result`` (a ``StationaryResult`` over the
+    chain's labels, for ``build_chain(S, xs)`` the law over "kr" at the
+    same weights) are nonnegative, sum to 1, satisfy pi T = pi on
+    ``chain`` and put the right mass on each of its closed classes: the
+    letters' action on the classes, ``chain.action``, must have one closed
+    class, and the class masses must be stationary for it.  With pi T = pi,
+    which fixes the law within each class, this pins the law.  Nothing is
+    solved: with the law as integers P over D, each check is one integer
+    multiplication through a table, whose image must be P·E.
     """
     pi = result.entries
     if not pi.keys() <= set(chain.labels):
@@ -106,10 +106,9 @@ def certify(S: ASemigroup, result, chain: ActionChain) -> bool:
     P = [v.numerator * (D // v.denominator) for v in (pi.get(lab, 0) for lab in chain.labels)]
     if sum(P) != D or any(p < 0 for p in P) or not _fixed(P, chain.rows, chain):
         return False
-    classes, action = karnofsky_rhodes(S).left_ideals
-    if len(closed_classes(action)) != 1:
+    if len(closed_classes(chain.action)) != 1:
         return False
-    return _fixed([sum([P[i] for i in cls]) for cls in classes], action, chain)
+    return _fixed([sum([P[i] for i in cls]) for cls in chain.classes], chain.action, chain)
 
 
 ORACLE_TOL = 1e-13  # total variation between sweeps that ends the iteration

@@ -244,7 +244,7 @@ def cmd_verify(args) -> int:
           "normalization (exact sum = 1)")
 
     chain = build_chain(S, xs)
-    ok = certify(S, result, chain)
+    ok = certify(result, chain)
     # direct mode prints the certificate's line only when it fails, so a
     # passing run prints the oracle, lumping and simulation lines alone
     if force or not ok:

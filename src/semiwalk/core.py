@@ -15,8 +15,8 @@ a Karnofsky-Rhodes expansion (``KRExpansion.semigroup``) makes no search:
 the expansion's build made the same one, and hands it over with its
 components.
 A semigroup also stores, each built on first use, its minimal ideal K(S)
-(a frozen set), its Karnofsky-Rhodes expansion and the walk-sum engine over
-that expansion; neither of the last two refers to S: no reference cycle.
+(a frozen set), its Karnofsky-Rhodes expansion (no reference to S) and its
+walk-sum engine on S's components (a weak one): no reference cycle.
 
 The minimal right ideals are the closed classes of that right action and
 their union is the minimal ideal (Rhodes and Steinberg, *The q-theory of
@@ -117,9 +117,6 @@ class ASemigroup:
         self._engine = None  # its walk-sum engine, stored by stationary._engine
 
     # -- basic structure ---------------------------------------------------
-
-    def __len__(self) -> int:
-        return self.size
 
     @property
     def n_gens(self) -> int:

@@ -33,12 +33,13 @@ weight of a: one pass over the copies in order.  M(e) is these masses
 summed over the copies entered at e.
 
 The normal forms are the simple paths from the root whose last letter,
-and only that, enters the ideal: the trees glued at their entries, walked
-in letter order, so in the order of their words.  The regular expression
-for a normal form's walk language, the walks that loop-erase to it, is the
-same sum over Kleene expressions: the reduction runs once with letters as
-weights, and per normal form only its path is eliminated, from the root
-outward, which fixes the printed factored form.
+and only that, enters the ideal: the trees glued at their entries by S's
+right action, walked in letter order, so in the order of their words; no
+expansion is built.  The regular expression for a normal form's walk
+language, the walks that loop-erase to it, is the same sum over Kleene
+expressions: the reduction runs once with letters as weights, and per
+normal form only its path is eliminated, from the root outward, which
+fixes the printed factored form.
 
 When the minimal ideal is left zero each ideal copy is one vertex, and the
 masses entering them are the stationary distribution of the expanded
@@ -154,15 +155,14 @@ def validate_probs(S: ASemigroup, xs: Sequence[Fraction]) -> list[Fraction]:
 @dataclass
 class NormalForm:
     word: Word  # a simple path from the root whose last letter enters the ideal
-    kr_vertex: int  # the ideal vertex it enters, an ideal copy's entry
     path: tuple[int, ...]  # per letter, the component-tree vertex it leaves
 
 
 class StationaryEngine:
     """Walk sums for one semigroup: one McCammond tree per element outside
     the minimal ideal K(S) at which the walk enters a component, the
-    per-entry masses over S, and, built on the first read that needs it,
-    the expansion's per-copy masses and normal forms.
+    per-entry masses over S, the normal forms and their expressions, and
+    the expansion's per-copy masses, the one read that builds it.
 
     The entry elements are the generators and the targets of the edges
     that cross between components.  Tree vertex v is a simple path inside
@@ -210,7 +210,7 @@ class StationaryEngine:
     @cached_property
     def kr(self) -> KRExpansion:
         """The expansion of S, built on the first read, by ``values`` over
-        the copies and by the normal forms; the law over S reads none."""
+        its copies; the law over S and the normal forms read none."""
         S = self._semigroup()
         if S is None:
             raise ReferenceError("the semigroup of this engine no longer exists")
@@ -365,32 +365,32 @@ class StationaryEngine:
     @cached_property
     def normal_forms(self) -> list[NormalForm]:
         """The simple paths from the root whose last letter, and only that,
-        enters the ideal, in the order of their words: the trees glued at
-        their entries, walked depth first in letter order."""
-        out, parent, letter = self.out, self.parent, self.letter
-        kr_out, image = self.kr.out, self.kr.s_image
-        ideal, tree_of = self.ideal, self.tree_of
+        enters the ideal, in word order: the trees glued at their entries
+        by S's right action, walked depth first in letter order."""
+        out, parent, letter, elem = self.out, self.parent, self.letter, self.elem
+        rows, gens, ideal, tree_of = self._rows, self.gens, self.ideal, self.tree_of
         forms: list[NormalForm] = []
         word: list[int] = []  # the letters and tree vertices of the path so far
         path: list[int] = []
-        stack = [(0, 0)]  # (tree vertex, expansion vertex) per glued vertex
+        stack = [0]  # the tree vertex per glued vertex
         next_gen = [0]
         while stack:
-            v, kv = stack[-1]
+            v = stack[-1]
             for a in range(next_gen[-1], len(out[v])):
-                w, u = out[v][a], kr_out[kv][a]
+                w = out[v][a]
                 if w is not None:
                     if parent[w] != v or letter[w] != a:
                         continue  # a back edge
-                elif image[u] in ideal:
-                    forms.append(NormalForm((*word, a), u, (*path, v)))
-                    continue
-                else:
-                    w = tree_of[image[u]]
+                else:  # a leaves the component, for the element f
+                    f = gens[a] if elem[v] is None else rows[elem[v]][a]
+                    if f in ideal:
+                        forms.append(NormalForm((*word, a), (*path, v)))
+                        continue
+                    w = tree_of[f]
                 next_gen[-1] = a + 1
                 word.append(a)
                 path.append(v)
-                stack.append((w, u))
+                stack.append(w)
                 next_gen.append(0)
                 break
             else:

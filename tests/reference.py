@@ -12,6 +12,7 @@ oracle, the first-entry tail of the random word by enumeration, the
 simulator's random stream drawn one output at a time, the product
 formula for expansions that are a tree plus loops, each state's record
 (word, element, vertex and name on KR(S⁰)) read off the expansion, the
+expansion vertex a word reaches, the
 law over the expansion named and ordered by its word tuples, the law over
 S lumped from it, every family at its range ends, a 300-letter
 band, the Karnofsky-Rhodes expansion keyed by sets of transition edges, and the
@@ -620,6 +621,15 @@ def lump_by_classifier(
         cls = classify(info)
         entries[cls] = entries.get(cls, Fraction(0)) + d.entries[label]
     return StationaryResult(dict(sorted(entries.items())))
+
+
+def kr_vertex(kr: KRExpansion, word: Word) -> int:
+    """The expansion vertex that ``word`` reaches from the root along
+    ``kr.out``: for a normal form, the ideal vertex it enters."""
+    v = 0
+    for a in word:
+        v = kr.out[v][a]
+    return v
 
 
 def word_sorted_kr_result(kr: KRExpansion, masses: Mapping[int, Fraction]) -> StationaryResult:

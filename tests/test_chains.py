@@ -12,6 +12,7 @@ import pytest
 import semiwalk
 from semiwalk.chains import (
     E_INV_LOWER,
+    ActionChain,
     NotIrreducible,
     build_chain,
     certify,
@@ -400,15 +401,14 @@ def test_mixing_cap_bounds_the_time(name, gen, denominator):
 def test_certify_direct_and_limit_results(p3, b2, z2x01, klein):
     for S in (p3, b2, z2x01, klein):
         xs = uniform_probs(S)
-        assert certify(S, stationary_kr(S, xs), build_chain(S, xs))
+        assert certify(stationary_kr(S, xs), build_chain(S, xs))
 
 
 def test_certify_counterexample(counterexample):
     # several normal forms reach one expansion vertex; the law still
     # lives on the chain's states, under the chain's names
     xs = uniform_probs(counterexample)
-    assert certify(counterexample, stationary_kr(counterexample, xs),
-                   build_chain(counterexample, xs))
+    assert certify(stationary_kr(counterexample, xs), build_chain(counterexample, xs))
 
 
 @pytest.mark.parametrize(
@@ -433,11 +433,11 @@ def test_certify_rejects_wrong_laws(b2):
     moved[a] += F(1, 16)
     moved[b] -= F(1, 16)
     chain = build_chain(b2, HALF)
-    assert not certify(b2, StationaryResult(moved), chain)
-    assert not certify(b2, StationaryResult({a: F(1)}), chain)
+    assert not certify(StationaryResult(moved), chain)
+    assert not certify(StationaryResult({a: F(1)}), chain)
     extra = dict(result.entries)
     extra["not-a-state"] = F(0)
-    assert not certify(b2, StationaryResult(extra), chain)
+    assert not certify(StationaryResult(extra), chain)
 
 
 def test_certify_rejects_a_wrong_mixture_of_closed_classes():
@@ -448,7 +448,7 @@ def test_certify_rejects_a_wrong_mixture_of_closed_classes():
     wrong = {**dict.fromkeys(["a", "ba", "aba", "baba"], F(1, 16)),
              **dict.fromkeys(["b", "ab", "bab", "abab"], F(3, 16))}
     xs = uniform_probs(S)
-    assert not certify(S, StationaryResult(wrong), build_chain(S, xs))
+    assert not certify(StationaryResult(wrong), build_chain(S, xs))
 
 
 def test_certify_rejects_a_law_without_a_class():
@@ -456,8 +456,34 @@ def test_certify_rejects_a_law_without_a_class():
     xs = uniform_probs(S)
     one_class = dict.fromkeys(["a", "ba", "aba", "baba"], F(1, 4))
     chain = build_chain(S, xs)
-    assert not certify(S, StationaryResult(one_class), chain)
-    assert certify(S, stationary_kr(S, xs), chain)
+    assert not certify(StationaryResult(one_class), chain)
+    assert certify(stationary_kr(S, xs), chain)
+
+
+def test_certify_reads_the_chain_alone(monkeypatch):
+    # a hand-built table with no semigroup behind it: letters of weights
+    # 1/3 and 2/3; the first sends states 0 and 1 to 1, the second to 0,
+    # and fixes, respectively swaps, states 2 and 3, so the table has the
+    # closed classes {0, 1} and {2, 3}; the first letter sends either class
+    # to class 1, the second to class 0, one closed class
+    monkeypatch.setattr(semiwalk.chains, "karnofsky_rhodes", None)  # never called
+    rows = [[1, 0], [1, 0], [2, 3], [3, 2]]
+    classes, action = [[0, 1], [2, 3]], [[1, 0], [1, 0]]
+    assert closed_classes(rows) == classes and len(closed_classes(action)) == 1
+    chain = ActionChain(list("pqrs"), [0, 1, 2, 3], rows, [1, 2], 3, classes, action)
+
+    def law(*masses):
+        return StationaryResult(dict(zip(chain.labels, masses)))
+    # class masses 2/3 and 1/3, within the classes 2 : 1 and 1 : 1
+    true = law(F(4, 9), F(2, 9), F(1, 6), F(1, 6))
+    inside = law(F(3, 9), F(3, 9), F(1, 6), F(1, 6))
+    between = law(F(2, 9), F(1, 9), F(1, 3), F(1, 3))  # pi T = pi holds
+    assert certify(true, chain)
+    assert not certify(inside, chain)
+    assert not certify(between, chain)
+    # the class masses are the action's: swapped, it takes the other law
+    swapped = dataclasses.replace(chain, action=[[0, 1], [0, 1]])
+    assert certify(between, swapped) and not certify(true, swapped)
 
 
 def _limit_draws_with_classes(n, seed):
@@ -484,7 +510,7 @@ def test_certify_rejects_reweighted_mixtures_of_closed_classes():
     rng = random.Random(16)
     for S, xs, chain, classes in _limit_draws_with_classes(50, seed=2024):
         law = stationary_kr(S, xs).entries
-        assert certify(S, StationaryResult(law), chain)
+        assert certify(StationaryResult(law), chain)
         mass = [sum(law[lab] for lab in cls) for cls in classes]
         new = mass
         while new == mass:
@@ -493,7 +519,7 @@ def test_certify_rejects_reweighted_mixtures_of_closed_classes():
         wrong = {lab: law[lab] / m * w
                  for cls, m, w in zip(classes, mass, new) for lab in cls}
         assert sum(wrong.values()) == 1
-        assert not certify(S, StationaryResult(wrong), chain)
+        assert not certify(StationaryResult(wrong), chain)
 
 
 @pytest.mark.parametrize("name,forced", [
@@ -502,7 +528,7 @@ def test_certify_rejects_reweighted_mixtures_of_closed_classes():
 def test_certify_passes_the_limit_fixtures(name, forced):
     S = families.build(families.parse_family(name))
     xs = uniform_probs(S)
-    assert certify(S, stationary_kr(S, xs, force_limit=forced), build_chain(S, xs))
+    assert certify(stationary_kr(S, xs, force_limit=forced), build_chain(S, xs))
 
 
 def test_limit_mode_reaches_size_27_draw():
@@ -515,14 +541,14 @@ def test_limit_mode_reaches_size_27_draw():
     assert S.size == 27
     xs = uniform_probs(S)
     result = stationary_kr(S, xs)
-    assert certify(S, result, build_chain(S, xs))
+    assert certify(result, build_chain(S, xs))
 
 
 @pytest.mark.parametrize("name", ["flat_tower:3,2", "rees_zp:4,5", "signed_tsetlin:3"])
 def test_certify_direct_results_of_the_tree_pass(name):
     S = families.build(families.parse_family(name))
     xs = uniform_probs(S)
-    assert certify(S, stationary_kr(S, xs), build_chain(S, xs))
+    assert certify(stationary_kr(S, xs), build_chain(S, xs))
 
 
 # the benchmark's direct-mode ladder up to flat_tower:3,2, and its limit fixtures
@@ -550,7 +576,7 @@ def _wrong_laws(law):
 def _same_verdicts(S, xs, laws, chain):
     ref = fraction_chain(S, xs)
     assert ref.labels == chain.labels
-    verdicts = [certify(S, StationaryResult(law), chain) for law in laws]
+    verdicts = [certify(StationaryResult(law), chain) for law in laws]
     assert verdicts == [fraction_certify(S, xs, StationaryResult(law), ref) for law in laws]
     return verdicts
 

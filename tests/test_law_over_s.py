@@ -1,10 +1,16 @@
 """The law over S from the walk sums per entry element, against the
 expansion's law lumped by element (``reference.kr_lumped_s``)."""
 
+import contextlib
 import gc
+import hashlib
+import importlib.util
+import io
 import random
+import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from reference import desk_corners, kr_lumped_s
@@ -72,6 +78,10 @@ LIMIT_FIXTURES = [("rees_general", False), ("z2x01", False), ("klein", False),
                   ("tsetlin:5", True), ("rees_B:6", True)]
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("the law over S built an expansion")
+
+
 @pytest.mark.parametrize("name,force", [(n, False) for n in LADDER] + LIMIT_FIXTURES)
 def test_over_s_builds_no_expansion(name, force, capsys, monkeypatch):
     # the towers are built from expansions, so the CLI is handed a fresh
@@ -81,13 +91,71 @@ def test_over_s_builds_no_expansion(name, force, capsys, monkeypatch):
     want = "".join(f"{k}: {v}\n" for k, v in kr_lumped_s(S, uniform_probs(S), force).entries.items())
     fresh = families.build(spec)
     monkeypatch.setattr(cli, "build_family", lambda _: fresh)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the law over S built an expansion")
-    monkeypatch.setattr(expansions.KRExpansion, "__init__", refuse)
+    monkeypatch.setattr(expansions.KRExpansion, "__init__", _refuse)
     argv = ["stationary", "--over", "s", "--family", name] + ["--limit-zero"] * force
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == want
+
+
+# SHA-256 of the output of `stationary --over s --expressions`, recorded when
+# the normal forms still read the expansion
+OVER_S_EXPRESSIONS = {
+    ("tsetlin:4",): "d117fa9c18f681e5f8c7e139d054708e15df1a485c71f57a4abb026ab2c4310a",
+    ("rees_zp:4,4",): "ff380d76c9cf18146ef502e0ba34ffb8a2d7dab12afe8c55dc6ecce09f438aad",
+    ("signed_tsetlin:4",): "e40ce454ad7275c514608869d7e004fd1a637f6960b93a79ae62c5baf9558e85",
+    ("flat_tower:3,2",): "5c2ef8cf07489df1a3e68f92aff6f117067a3c261e1b3dabe19edbf0f3193452",
+    ("z2x01",): "42204cdd221d852dbad685fa4ae795582c86ab8b865ef5a28bfe82307510ffc7",
+    ("klein",): "c73f017b12d54081a32f32a95e1466cd37933a29fc354641cff412cc92093bd7",
+    ("tsetlin:5", "--limit-zero"):
+        "36b300acdcc753e3ffe4cce7fb42b434d70a57af28a5c2ee9609c68f2bb7f373",
+}
+
+
+class _Digest(io.TextIOBase):
+    """A text stream that keeps only the SHA-256 of what is written to it."""
+
+    def __init__(self):
+        self.sha256 = hashlib.sha256()
+
+    def write(self, text):
+        self.sha256.update(text.encode())
+        return len(text)
+
+
+@pytest.mark.parametrize("args", list(OVER_S_EXPRESSIONS))
+def test_over_s_expressions_build_no_expansion(args, monkeypatch):
+    # the normal forms are glued by S's right action, so the law over S and
+    # its walk languages build no expansion; flat_tower:3,2 prints its
+    # 1,056 expressions, 42 MB of text, into the digest alone
+    fresh = families.build(families.parse_family(args[0]))
+    monkeypatch.setattr(cli, "build_family", lambda _: fresh)
+    monkeypatch.setattr(expansions.KRExpansion, "__init__", _refuse)
+    out = _Digest()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["stationary", "--over", "s", "--expressions", "--family", *args]) == 0
+    assert out.sha256.hexdigest() == OVER_S_EXPRESSIONS[args]
+
+
+def test_traced_law_over_s_builds_no_expansion(monkeypatch):
+    # the benchmark's tracer (perfbench/spans.py, loaded as it is and left
+    # unchanged) counts each engine's normal forms once it is built; as
+    # they read no expansion, a traced --over s request builds none
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for name, forms in (("bar_tower:2,2", 3_660), ("flat_tower:3,2", 1_056)):
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                argv = ["stationary", "--over", "s", "--family", name]
+                assert tracer.run_request(name, cli.main, argv) == 0
+        finally:
+            tracer.uninstall()
+        assert "expansions.kr_vertices" not in tracer.counts
+        assert tracer.counts["stationary.normal_forms"] == forms
 
 
 def test_law_over_s_past_the_expansion_cap():
@@ -112,13 +180,19 @@ def test_law_over_s_past_the_expansion_cap():
 
 
 def test_engine_reads_the_expansion_through_a_weak_reference():
-    # S stores its engine, so the engine holds S weakly: the law over S
-    # needs no S, an expansion-level read needs S alive
+    # S stores its engine, so the engine holds S weakly: the law over S,
+    # the normal forms and their expressions need no S, the law over the
+    # expansion (``values``) needs S alive
     S = families.build(families.parse_family("flat_tower:3,2"))
-    engine = StationaryEngine(S)
-    want = engine.entry_masses(uniform_probs(S))
+    engine, alive = StationaryEngine(S), StationaryEngine(S)
+    xs = uniform_probs(S)
+    want = engine.entry_masses(xs)
+    forms = alive.normal_forms
+    exprs = [alive.expression(nf) for nf in (forms[0], forms[-1])]
     del S
     gc.collect()
     assert engine.entry_masses([F(1, 6)] * 6) == want
+    assert engine.normal_forms == forms
+    assert [engine.expression(nf) for nf in (forms[0], forms[-1])] == exprs
     with pytest.raises(ReferenceError, match="semigroup of this engine no longer exists"):
-        engine.normal_forms
+        engine.values(xs)

@@ -51,6 +51,7 @@ from reference import (
     enumerate_words,
     is_code_word,
     kr_key_info,
+    kr_vertex,
     lump_by_classifier,
     r_trivial_stationary,
     s_key_info,
@@ -126,7 +127,8 @@ def test_normal_forms_equal_the_tree_reference(b2, p3, z2x01, counterexample):
     # the same words in the same order, each onto the same vertex
     for S in (b2, p3, z2x01, adjoin_zero(z2x01), counterexample):
         ref = TreeEngine(S)
-        assert [(nf.word, nf.kr_vertex) for nf in StationaryEngine(S).normal_forms] == [
+        assert [(nf.word, kr_vertex(ref.kr, nf.word))
+                for nf in StationaryEngine(S).normal_forms] == [
             (ref.mc.words[nf.mc_vertex], nf.kr_vertex) for nf in ref.normal_forms]
 
 
@@ -190,7 +192,8 @@ def assert_expressions_evaluate_to_the_sums(S, xs):
     for nf in engine.normal_forms:
         value = evaluate_expr(engine.expression(nf), xs)
         assert value == want[nf.word]
-        masses[nf.kr_vertex] = masses.get(nf.kr_vertex, 0) + value
+        u = kr_vertex(engine.kr, nf.word)
+        masses[u] = masses.get(u, 0) + value
     assert masses == engine.values(xs)
 
 
@@ -342,7 +345,7 @@ def test_adjoined_zero_table_at_concrete_weight(z2x01):
     onto = kr_key_info(S2, r)["aa" + z].kr_vertex
     engine = StationaryEngine(S2)
     assert [nf.word for nf in engine.normal_forms
-            if nf.kr_vertex == onto] == [(0, 0, 2), (0, 1, 2)]  # aa|ab
+            if kr_vertex(engine.kr, nf.word) == onto] == [(0, 0, 2), (0, 1, 2)]  # aa|ab
     assert normalization_check(r)
 
 
@@ -377,7 +380,7 @@ def test_states_are_named_by_the_first_word_of_their_vertex(counterexample):
     onto = {}  # the normal forms reaching each vertex
     engine = StationaryEngine(S)
     for nf in engine.normal_forms:
-        onto.setdefault(nf.kr_vertex, []).append(nf.word)
+        onto.setdefault(kr_vertex(kr, nf.word), []).append(nf.word)
     info = kr_key_info(S, r)
     assert any(len(onto[ki.kr_vertex]) > 1 for ki in info.values())
     for label, ki in info.items():
@@ -486,10 +489,11 @@ def test_tree_pass_rejects_ideal_entry_off_the_tree(p3):
 ])
 def test_stationary_kr_builds_no_mc_labelled_graph(name, force_limit, monkeypatch):
     # the counterexample's expansion has 194 simple paths over 109 vertices;
-    # z2x01 runs in limit mode.  On a fresh semigroup the law, the chain and
-    # the certificate (its action on the chain's classes) read one
-    # expansion, and no labelled graph is built: the expansion reads S's
-    # right action, not the right Cayley graph, and none for KR or MC.
+    # z2x01 runs in limit mode.  On a fresh semigroup the law and the chain
+    # read one expansion, the certificate none (the action on the chain's
+    # classes is the chain's), and no labelled graph is built: the
+    # expansion reads S's right action, not the right Cayley graph, and
+    # none for KR or MC.
     S = (semigroup_from_transformations(5, COUNTEREXAMPLE_MAPS)
          if name == "counterexample" else families.z2x01())
     xs = uniform_probs(S)
@@ -512,8 +516,8 @@ def test_stationary_kr_builds_no_mc_labelled_graph(name, force_limit, monkeypatc
     spy(stationary)
     spy(chains)
     result = stationary_kr(S, xs, force_limit=force_limit)
-    assert certify(S, result, build_chain(S, xs))
-    assert len(krs) == 3 and all(kr is krs[0] for kr in krs)
+    assert certify(result, build_chain(S, xs))
+    assert len(krs) == 2 and all(kr is krs[0] for kr in krs)
     assert built == []
 
 
@@ -875,7 +879,7 @@ def test_limit_draw_past_the_mccammond_cap():
     engine = stationary._engine(S)
     assert (len(engine.tree_of), len(engine.out)) == (57, 11_186)
     assert len(result.entries) == 2_496 and normalization_check(result)
-    assert certify(S, result, build_chain(S, xs))
+    assert certify(result, build_chain(S, xs))
 
 
 def test_mc_cap_counts_component_tree_vertices(monkeypatch):
