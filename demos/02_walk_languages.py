@@ -24,16 +24,17 @@ S = build(FamilySpec("rees_B", {"n": 2}))
 engine = StationaryEngine(S)
 
 x = [Fraction(1, 2), Fraction(1, 2)]
-values = engine.values(x)  # per state: each normal form here enters its own
+values = engine.values(x)  # per state, by the first word reaching it
 kr = karnofsky_rhodes(S)
 
 
 def state_of(word):
-    """The expansion vertex a normal form's word enters, along its edges."""
+    """The state a normal form's word enters: the expansion vertex it
+    reaches along the edges, named by the first word reaching that vertex."""
     v = 0
     for a in word:
         v = kr.out[v][a]
-    return v
+    return kr.words[v]
 
 
 print("normal form | walk language | exact mass at (1/2, 1/2)")

@@ -25,12 +25,17 @@ topological order, from M(gens[a]) = x_a, every edge (v, a) from e's
 component to f adds M(e)·W(e, v)·x_a to M(f).  No expansion is built.
 
 The law over the expansion (Karnofsky-Rhodes, transition-edge
-identification, stored on the semigroup and shared with every other
-reader) is over its tree of copies of the graph's components, each
-entered by one edge.  The mass entering a copy by the edge (v, a) is the
-mass entering v's copy, times W(e0, v) for that copy's entry e0, times the
-weight of a: one pass over the copies in order.  M(e) is these masses
-summed over the copies entered at e.
+identification) is over its tree of copies of the graph's components,
+each entered by one edge, and that tree is the component DAG unfolded: a
+copy entered at e has one child copy per exit (v, a, f) of e's component,
+entered at f.  The child's mass is its parent's times W(e, v) times the
+weight of a, and its word, the shortlex-first word reaching its entry, is
+its parent's, then the shortlex-first path from e to v inside the
+component, then a.  So the copies are walked depth first in the order of
+their words from S's rows alone, and no expansion is built; the
+expansion's vertex count, the root and per copy its component's size, is
+checked against ``KR_CAP`` before any mass is formed.  M(e) is the masses
+of the copies entered at e, summed.
 
 The normal forms are the simple paths from the root whose last letter,
 and only that, enters the ideal: the trees glued at their entries by S's
@@ -42,19 +47,20 @@ normal form only its path is eliminated, from the root outward, which
 fixes the printed factored form.
 
 When the minimal ideal is left zero each ideal copy is one vertex, and the
-masses entering them are the stationary distribution of the expanded
-chain; over S the law is M(k) for k in K(S), the expansion's law lumped by
-underlying element.  Otherwise limit mode gives u the limit t -> 0 of the
-mass of u·0 on KR(S⁰), S with a zero generator of weight t adjoined and
-the other weights scaled by (1-t).  That limit has a closed form on a
-minimal ideal, read from the same sums: pi(u) = h(R(u)) nu(L(u)) / |H|.
-Here h(R) is the mass entering the minimal right ideal R (on the
-expansion an ideal copy; on S the sum of M over R's entry elements), nu is
-the stationary law of the letters' action on the minimal left ideals
-(exact elimination on those few classes), and |H| is the size of each
-H-class R ∩ L, on which the law is uniform.  On the expansion, a state is
-named by the shortlex-first word reaching its vertex, as chains and
-simulations do; over S, by its element's name.  A law is its masses
+masses entering them, named by their words, are the stationary
+distribution of the expanded chain; over S the law is M(k) for k in K(S),
+the expansion's law lumped by underlying element.  Otherwise limit mode
+gives u the limit t -> 0 of the mass of u·0 on KR(S⁰), S with a zero
+generator of weight t adjoined and the other weights scaled by (1-t).
+That limit has a closed form on a minimal ideal, read from the same sums:
+pi(u) = h(R(u)) nu(L(u)) / |H|.  Here h(R) is the mass entering the
+minimal right ideal R (on the expansion an ideal copy, found by following
+its word into the stored expansion; on S the sum of M over R's entry
+elements), nu is the stationary law of the letters' action on the minimal
+left ideals (exact elimination on those few classes), and |H| is the size
+of each H-class R ∩ L, on which the law is uniform.  On the expansion, a
+state is named by the shortlex-first word reaching its vertex, as chains
+and simulations do; over S, by its element's name.  A law is its masses
 alone; ``zero_limit_names`` gives limit mode's states their names u·0 on
 KR(S⁰).
 
@@ -66,6 +72,7 @@ it makes no reference cycle.
 from __future__ import annotations
 
 import weakref
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -162,7 +169,8 @@ class StationaryEngine:
     """Walk sums for one semigroup: one McCammond tree per element outside
     the minimal ideal K(S) at which the walk enters a component, the
     per-entry masses over S, the normal forms and their expressions, and
-    the expansion's per-copy masses, the one read that builds it.
+    the masses of the expansion's ideal copies, walked over the component
+    DAG without building the expansion.
 
     The entry elements are the generators and the targets of the edges
     that cross between components.  Tree vertex v is a simple path inside
@@ -209,8 +217,9 @@ class StationaryEngine:
 
     @cached_property
     def kr(self) -> KRExpansion:
-        """The expansion of S, built on the first read, by ``values`` over
-        its copies; the law over S and the normal forms read none."""
+        """The expansion of S, built on the first read, by limit mode over
+        the expansion for its ideal and left ideals; ``values``, the law
+        over S and the normal forms read none."""
         S = self._semigroup()
         if S is None:
             raise ReferenceError("the semigroup of this engine no longer exists")
@@ -279,35 +288,54 @@ class StationaryEngine:
         self._shape_table = shape, list(index)
         return self._shape_table
 
-    def values(self, xs: Sequence) -> dict[int, object]:
+    def values(self, xs: Sequence) -> dict[Word, object]:
         """First-entry mass of every ideal copy of the expansion, keyed by
-        its entry vertex.
+        the shortlex-first word reaching its entry, in word order: the copy
+        walk of ``_copy_walk``; no expansion is built."""
+        return self._copy_walk(xs, lambda e, w: w)
 
-        A walk never comes back to a copy it has left, so over the copies
-        in order, the mass entering a copy by the edge (v, a) is the mass
-        entering v's copy times W(its entry, v) times the weight of a
-        (``_WalkSums``).  Masses and exits are interned by value, so each
-        distinct product is formed once.
+    def _copy_walk(self, xs: Sequence, spell) -> dict:
+        """First-entry mass of every ideal copy of the expansion, in the
+        order of their words: the root's key is ``spell(None, ())``, and a
+        copy's key is its parent's plus ``spell(e, path)``, for the
+        parent's entry e (the root's: None) and the path out of it
+        (``_copies``).
+
+        A copy's mass is its parent's times W(e, v) times the weight of a
+        for its exit (v, a) (``_WalkSums``), interned by value so that each
+        distinct product is formed once.  Children are walked in the order
+        of their paths, none a prefix of another (only a path's last letter
+        leaves the component), so depth first the copies come in word
+        order.  An expansion of more than ``KR_CAP`` vertices raises
+        ``SizeCapExceeded`` before any mass is formed.
         """
+        if self._kr_size > expansions.KR_CAP:
+            raise SizeCapExceeded(
+                f"Karnofsky-Rhodes expansion of a semigroup with "
+                f"|S| = {self.size} exceeded cap {expansions.KR_CAP} vertices")
         ws = _WalkSums(self, xs)
-        vals, product, times = ws.vals, ws.product, ws.times
-        exit_id, exit = ws.exit_id, ws.exit
-        kr, tree_of = self.kr, self.tree_of
-        entry, copy_of, image = kr.entry, kr.copy_of, kr.s_image
-        kparent, kletter = kr.parent, kr.parent_gen
-        tree = [tree_of.get(image[w]) for w in entry]  # None for an ideal copy
-        mass = [ws.one] * len(entry)  # per copy, its entering mass's id
-        for c in range(1, len(entry)):
-            w = entry[c]
-            v = kparent[w]
-            cv = copy_of[v]
-            key = tree[cv], image[v], kletter[w]
-            x = exit_id.get(key)
-            if x is None:
-                x = exit(key)
-            m = product.get((mass[cv], x))
-            mass[c] = times(mass[cv], x) if m is None else m
-        return {w: vals[m] for w, m, t in zip(entry, mass, tree) if t is None}
+        vals, product, times, exit = ws.vals, ws.product, ws.times, ws.exit
+        tree_of, ideal = self.tree_of, self.ideal
+        # per entry element, its children's keys, exit ids and entries
+        kids = {e: [(spell(e, w), exit((tree_of[e], v, a)), f) for w, v, a, f in ks]
+                for e, ks in self._copies.items()}
+        masses: dict = {}
+        # depth first: per open copy its key, mass id and children still to walk
+        stack = [(spell(None, ()), ws.one, iter(kids[None]))]
+        while stack:
+            key, m, rest = stack[-1]
+            for k, x, f in rest:
+                p = product.get((m, x))
+                if p is None:
+                    p = times(m, x)
+                if f in ideal:
+                    masses[key + k] = vals[p]
+                else:
+                    stack.append((key + k, p, iter(kids[f])))
+                    break
+            else:
+                stack.pop()
+        return masses
 
     def entry_masses(self, xs: Sequence) -> dict[int, object]:
         """M(e) for every element e of the minimal ideal at which the walk
@@ -359,6 +387,41 @@ class StationaryEngine:
                 if not into[comp[f]]:
                     order.append(comp[f])
         return [(entries[c], exits[c]) for c in order if c in entries]
+
+    @cached_property
+    def _copies(self) -> dict[int | None, list[tuple[Word, int | None, int, int]]]:
+        """Per entry element e, the exits (v, a, f) of its component with
+        their paths, in path order: the shortlex-first word from e to v
+        inside the component (breadth first in letter order), then a.  The
+        root (None) leaves by each letter a for gens[a]."""
+        comp, rows = self._comp, self._rows
+        copies: dict = {None: [((a,), None, a, g) for a, g in enumerate(self.gens)]}
+        for entries, exits in self._dag:
+            for e in entries:
+                c, word = comp[e], {e: ()}
+                queue = [e]
+                for u in queue:  # the queue: discoveries append to it
+                    w = word[u]
+                    for a, f in enumerate(rows[u]):
+                        if f not in word and comp[f] == c:
+                            word[f] = w + (a,)
+                            queue.append(f)
+                copies[e] = sorted((word[v] + (a,), v, a, f) for v, a, f in exits)
+        return copies
+
+    @cached_property
+    def _kr_size(self) -> int:
+        """The expansion's vertex count: the root, then per copy of a
+        component its size.  Over the component DAG in order, each copy of
+        a component opens one copy per exit."""
+        comp = self._comp
+        size = Counter(comp)
+        copies = Counter(self.gens)  # per entry element, the copies entered there
+        for entries, exits in self._dag:
+            n = sum(copies[e] for e in entries)
+            for _, _, f in exits:
+                copies[f] += n
+        return 1 + sum(n * size[comp[e]] for e, n in copies.items())
 
     # -- normal forms and their walk expressions -------------------------------
 
@@ -457,8 +520,8 @@ class _WalkSums:
     vertex's prefix is its parent's times its step, so W(e0, e), the weight
     of the walks from entry e0 to e inside the component, is the sum of the
     prefixes of e0's tree at e, added on first use.  Every value is held
-    once, by id, and each product of two ids is formed once: ``values``
-    reads these per copy of the expansion, ``entry_masses`` per entry
+    once, by id, and each product of two ids is formed once: the copy
+    walk reads these per copy of the expansion, ``entry_masses`` per entry
     element.
     """
 
@@ -645,8 +708,14 @@ def _stationary_kr_direct(S: ASemigroup, xs: Sequence, over: str) -> StationaryR
     engine = _engine(S)
     if over == "s":
         return _s_result(S, engine.entry_masses(xs))
-    # each ideal copy is one vertex, its entry
-    return _kr_result(engine.kr, engine.values(xs))
+    # each ideal copy is one vertex, its entry, named by its word
+    sep = label_sep(S.gen_names)
+    tail = [sep + name for name in S.gen_names]
+
+    def spell(e, path):  # a separator before each letter but the first
+        text = "".join([tail[a] for a in path])
+        return text if e is not None else text[len(sep):]
+    return StationaryResult(engine._copy_walk(xs, spell))
 
 
 def _stationary_kr_limit(S: ASemigroup, xs: Sequence[Fraction],
@@ -663,8 +732,14 @@ def _stationary_kr_limit(S: ASemigroup, xs: Sequence[Fraction],
         return _s_result(S, _limit_masses(K, comp, h, *_left_ideals(S, K), xs))
     kr = engine.kr
     # h: first-entry mass per minimal right ideal of the expansion, which
-    # are its ideal copies: closed, as K(S)'s components are
-    h = {kr.copy_of[u]: m for u, m in engine.values(xs).items()}
+    # are its ideal copies: closed, as K(S)'s components are; each copy is
+    # found by following its word from the root
+    out, h = kr.out, {}
+    for word, m in engine.values(xs).items():
+        v = kr.root
+        for a in word:
+            v = out[v][a]
+        h[kr.copy_of[v]] = m
     return _kr_result(kr, _limit_masses(kr.ideal, kr.copy_of, h, *kr.left_ideals, xs))
 
 

@@ -12,8 +12,8 @@ oracle, the first-entry tail of the random word by enumeration, the
 simulator's random stream drawn one output at a time, the product
 formula for expansions that are a tree plus loops, each state's record
 (word, element, vertex and name on KR(S⁰)) read off the expansion, the
-expansion vertex a word reaches, the
-law over the expansion named and ordered by its word tuples, the law over
+expansion vertex a word reaches and the engine's copy masses keyed by it,
+the law over the expansion named and ordered by its word tuples, the law over
 S lumped from it, every family at its range ends, a 300-letter
 band, the Karnofsky-Rhodes expansion keyed by sets of transition edges, and the
 walk sums on one McCammond tree over the whole expansion.  The CLI, the demos and the benchmark never call them.
@@ -630,6 +630,19 @@ def kr_vertex(kr: KRExpansion, word: Word) -> int:
     for a in word:
         v = kr.out[v][a]
     return v
+
+
+def values_by_vertex(S: ASemigroup, engine, xs: Sequence) -> dict[int, object]:
+    """``engine.values`` keyed by expansion vertex: each ideal copy's word
+    followed from the root along ``kr.out``.  The words must come in
+    order, each the breadth-first tree word of its vertex (the
+    shortlex-first word reaching it)."""
+    vals = engine.values(xs)
+    assert list(vals) == sorted(vals)
+    kr = karnofsky_rhodes(S)
+    by_vertex = {kr_vertex(kr, w): m for w, m in vals.items()}
+    assert [kr.words[u] for u in by_vertex] == list(vals)
+    return by_vertex
 
 
 def word_sorted_kr_result(kr: KRExpansion, masses: Mapping[int, Fraction]) -> StationaryResult:

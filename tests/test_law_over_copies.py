@@ -1,0 +1,160 @@
+"""The law over the expansion from its tree of copies, walked over S's
+component DAG: direct mode builds no expansion, limit mode maps each ideal
+copy's word to its vertex, and the cap is counted before any mass."""
+
+import contextlib
+import hashlib
+import io
+import random
+from fractions import Fraction as F
+
+import pytest
+from reference import (
+    TreeEngine,
+    tree_masses,
+    values_by_vertex,
+    word_sorted_kr_result,
+)
+
+from semiwalk import cli, expansions, families
+from semiwalk.core import (
+    SizeCapExceeded,
+    kernel_is_left_zero,
+    minimal_ideal,
+    semigroup_from_transformations,
+)
+from semiwalk.expansions import karnofsky_rhodes
+from semiwalk.stationary import StationaryEngine, stationary_kr, uniform_probs
+
+# SHA-256 of the output of `stationary`, recorded when the law over the
+# expansion still read the stored expansion
+DIRECT_LADDER = {
+    ("tsetlin:6",): "bb213c592b7a91e64a3f4a08b6b23894c63e4603772e8f3abe466f2afbfdd023",
+    ("signed_tsetlin:4",): "5054de3662ec9a7d96e7de9165e78617a4caab278993ab0589003a6c5112ac55",
+    ("rees_zp:4,5",): "7914e1f126d8a10b17c7a352d18b3014f3c1e1517141f8d44b26d0031a4f1713",
+    ("bar_tower:2,2",): "02024c74917956baaf15e82ae8a826f907de792504c6679d862046e0f1448738",
+    ("flat_tower:3,2",): "b9ecf41a57b88c941d158d5ddafcf8ec1eb8ea024e32f5d77f59a07e51f55b20",
+    ("flat_tower:2,3",): "2d45e841f7e1fc8982f6ea3e86060ef53998c4b427759086ab91961db6d5adc9",
+}
+LIMIT_FIXTURES = {
+    ("rees_general",): "87b10913aa0c5a945536cd979ab90413f4ee18d8bfe941a2d98184c611940d4c",
+    ("z2x01",): "7dc695e46ec86aff306fdc2e538a42f3dbde5e7aecab8f6621fad36ffadd5ff1",
+    ("klein",): "8615ffc03b777fb0d61f89b69c96ca1561f6282fe93a15a8f0804e4e1e742f2c",
+    ("tsetlin:5", "--limit-zero"):
+        "5a8defe0f231c90052197211dd0b4983bfbc56e6a3312ec1942ae5c6786013d8",
+    ("rees_B:6", "--limit-zero"):
+        "c780c36950001941800a8ec3ae52f7314540dcffecb321e70534727c9f9cecc2",
+}
+
+
+def _hand_over(name, monkeypatch) -> None:
+    """Build the family now and have the CLI take it, as the towers are
+    built from expansions."""
+    fresh = families.build(families.parse_family(name))
+    monkeypatch.setattr(cli, "build_family", lambda _: fresh)
+
+
+def _stationary_digest(args) -> str:
+    """SHA-256 of the output of ``stationary --family *args``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["stationary", "--family", *args]) == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the law over the expansion built an expansion")
+
+
+@pytest.mark.parametrize("args", list(DIRECT_LADDER))
+def test_direct_law_builds_no_expansion(args, monkeypatch):
+    _hand_over(args[0], monkeypatch)
+    monkeypatch.setattr(expansions.KRExpansion, "__init__", _refuse)
+    assert _stationary_digest(args) == DIRECT_LADDER[args]
+
+
+@pytest.mark.parametrize("args", list(LIMIT_FIXTURES))
+def test_limit_law_is_unchanged(args, monkeypatch):
+    # limit mode still reads the expansion's ideal and left ideals
+    built = []
+    init = expansions.KRExpansion.__init__
+
+    def counted(self, *a, **kw):
+        built.append(self)
+        init(self, *a, **kw)
+
+    _hand_over(args[0], monkeypatch)
+    monkeypatch.setattr(expansions.KRExpansion, "__init__", counted)
+    assert _stationary_digest(args) == LIMIT_FIXTURES[args]
+    assert len(built) == 1
+
+
+def test_direct_law_equals_the_expansion_reference_on_random_draws(monkeypatch):
+    # 3- to 5-state draws of 2 or 3 maps with |S| <= 150 whose minimal
+    # ideal is left zero, at unequal weights 1..5; the reference sums the
+    # walks on one McCammond tree over the whole expansion per vertex and
+    # names and orders the states by the expansion's words, so a draw whose
+    # tree passes 20,000 simple paths is passed over
+    monkeypatch.setattr(expansions, "MC_CAP", 20_000)
+    rng = random.Random(36)
+    checked = unstable = 0
+    while checked < 100 or unstable < 10:
+        n, k = rng.choice([3, 4, 5]), rng.choice([2, 3])
+        maps = {g: [rng.randrange(n) for _ in range(n)] for g in "abc"[:k]}
+        ints = [rng.randint(1, 5) for _ in range(k)]
+        S = semigroup_from_transformations(n, maps)
+        if S.size > 150 or len(set(ints)) == 1 or not kernel_is_left_zero(S, minimal_ideal(S)):
+            continue
+        try:
+            ref = TreeEngine(S)
+        except SizeCapExceeded:
+            continue
+        xs = [F(i, sum(ints)) for i in ints]
+        want = tree_masses(ref, xs)
+        assert values_by_vertex(S, StationaryEngine(S), xs) == want, maps
+        got = stationary_kr(S, xs).entries
+        assert list(got.items()) == list(word_sorted_kr_result(ref.kr, want).entries.items())
+        checked += 1
+        unstable += len(ref.mc.out) > len(ref.kr.out)
+
+
+def _at_the_cap(S, xs, monkeypatch) -> None:
+    """The law raises with KR_CAP one below the expansion's vertex count,
+    and passes at that count."""
+    n = len(karnofsky_rhodes(S).out)
+    with monkeypatch.context() as m:
+        m.setattr(expansions, "KR_CAP", n - 1)
+        fresh = StationaryEngine(S)
+        with pytest.raises(SizeCapExceeded, match=rf"\|S\| = {S.size} exceeded cap {n - 1} "):
+            fresh.values(xs)
+        S._engine = fresh
+        with pytest.raises(SizeCapExceeded, match=f"exceeded cap {n - 1} vertices"):
+            stationary_kr(S, xs)
+        m.setattr(expansions, "KR_CAP", n)
+        assert stationary_kr(S, xs).total() == 1
+
+
+CAP_FAMILIES = ["tsetlin:6", "signed_tsetlin:4", "rees_zp:4,5", "bar_tower:2,2",
+                "flat_tower:3,2", "flat_tower:2,3", "rees_general", "klein"]
+
+
+@pytest.mark.parametrize("name", CAP_FAMILIES)
+def test_cap_counts_the_expansion_vertices(name, monkeypatch):
+    S = families.build(families.parse_family(name))
+    _at_the_cap(S, uniform_probs(S), monkeypatch)
+
+
+def test_cap_counts_the_expansion_vertices_on_random_draws(monkeypatch):
+    # both modes: a limit-mode law raises at the count before it builds
+    # the expansion
+    rng = random.Random(360)
+    modes = {True: 0, False: 0}
+    while min(modes.values()) < 20:
+        n, k = rng.choice([3, 4]), rng.choice([2, 3])
+        maps = {g: [rng.randrange(n) for _ in range(n)] for g in "abc"[:k]}
+        S = semigroup_from_transformations(n, maps)
+        if S.size > 150:
+            continue
+        ints = [rng.randint(1, 5) for _ in range(k)]
+        _at_the_cap(S, [F(i, sum(ints)) for i in ints], monkeypatch)
+        modes[kernel_is_left_zero(S, minimal_ideal(S))] += 1

@@ -180,19 +180,21 @@ def test_law_over_s_past_the_expansion_cap():
 
 
 def test_engine_reads_the_expansion_through_a_weak_reference():
-    # S stores its engine, so the engine holds S weakly: the law over S,
-    # the normal forms and their expressions need no S, the law over the
-    # expansion (``values``) needs S alive
+    # S stores its engine, so the engine holds S weakly: the laws over S
+    # and over the expansion's copies, the normal forms and their
+    # expressions need no S, the expansion itself (``kr``, which limit mode
+    # reads) needs S alive
     S = families.build(families.parse_family("flat_tower:3,2"))
     engine, alive = StationaryEngine(S), StationaryEngine(S)
     xs = uniform_probs(S)
-    want = engine.entry_masses(xs)
+    want, copies = engine.entry_masses(xs), alive.values(xs)
     forms = alive.normal_forms
     exprs = [alive.expression(nf) for nf in (forms[0], forms[-1])]
     del S
     gc.collect()
     assert engine.entry_masses([F(1, 6)] * 6) == want
+    assert engine.values([F(1, 6)] * 6) == copies
     assert engine.normal_forms == forms
     assert [engine.expression(nf) for nf in (forms[0], forms[-1])] == exprs
     with pytest.raises(ReferenceError, match="semigroup of this engine no longer exists"):
-        engine.values(xs)
+        engine.kr

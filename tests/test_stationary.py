@@ -59,6 +59,7 @@ from reference import (
     tree_law,
     tree_pretty,
     tree_zimin_rewrite,
+    values_by_vertex,
     wide_band,
     word_sorted_kr_result,
 )
@@ -194,7 +195,7 @@ def assert_expressions_evaluate_to_the_sums(S, xs):
         assert value == want[nf.word]
         u = kr_vertex(engine.kr, nf.word)
         masses[u] = masses.get(u, 0) + value
-    assert masses == engine.values(xs)
+    assert masses == values_by_vertex(S, engine, xs)
 
 
 def test_expression_values_match_engine(b2, p3, z2x01_quotient):
@@ -489,11 +490,11 @@ def test_tree_pass_rejects_ideal_entry_off_the_tree(p3):
 ])
 def test_stationary_kr_builds_no_mc_labelled_graph(name, force_limit, monkeypatch):
     # the counterexample's expansion has 194 simple paths over 109 vertices;
-    # z2x01 runs in limit mode.  On a fresh semigroup the law and the chain
-    # read one expansion, the certificate none (the action on the chain's
-    # classes is the chain's), and no labelled graph is built: the
-    # expansion reads S's right action, not the right Cayley graph, and
-    # none for KR or MC.
+    # z2x01 runs in limit mode.  On a fresh semigroup the chain builds the
+    # expansion, limit mode's law reads the same one, direct mode's law and
+    # the certificate none (the action on the chain's classes is the
+    # chain's), and no labelled graph is built: the expansion reads S's
+    # right action, not the right Cayley graph, and none for KR or MC.
     S = (semigroup_from_transformations(5, COUNTEREXAMPLE_MAPS)
          if name == "counterexample" else families.z2x01())
     xs = uniform_probs(S)
@@ -516,8 +517,12 @@ def test_stationary_kr_builds_no_mc_labelled_graph(name, force_limit, monkeypatc
     spy(stationary)
     spy(chains)
     result = stationary_kr(S, xs, force_limit=force_limit)
+    # direct mode names its states from the copy walk, and only limit
+    # mode's law reads the expansion beside the chain
+    direct = kernel_is_left_zero(S, minimal_ideal(S)) and not force_limit
+    assert len(krs) == (0 if direct else 1)
     assert certify(result, build_chain(S, xs))
-    assert len(krs) == 2 and all(kr is krs[0] for kr in krs)
+    assert len(krs) == (1 if direct else 2) and all(kr is krs[0] for kr in krs)
     assert built == []
 
 
@@ -654,7 +659,7 @@ def test_values_equal_per_vertex_reference(name):
     S = (semigroup_from_transformations(5, COUNTEREXAMPLE_MAPS)
          if name == "counterexample" else families.build(families.parse_family(name)))
     xs = uniform_probs(S)
-    assert StationaryEngine(S).values(xs) == reference_values(TreeEngine(S), xs)
+    assert values_by_vertex(S, StationaryEngine(S), xs) == reference_values(TreeEngine(S), xs)
 
 
 def test_values_equal_per_vertex_reference_on_random_draws(monkeypatch):
@@ -677,7 +682,7 @@ def test_values_equal_per_vertex_reference_on_random_draws(monkeypatch):
         ints = [rng.randint(1, 9) for _ in range(k)]
         xs = [F(i, sum(ints)) for i in ints]
         ref = TreeEngine(S)
-        assert StationaryEngine(S).values(xs) == reference_values(ref, xs)
+        assert values_by_vertex(S, StationaryEngine(S), xs) == reference_values(ref, xs)
         checked += 1
         unstable += len(ref.mc.out) > len(ref.kr.out)
     assert unstable > 0
