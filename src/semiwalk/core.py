@@ -16,7 +16,7 @@ the expansion's build made the same one, and hands it over with its
 components.
 A semigroup also stores, each built on first use, its minimal ideal K(S)
 (a frozen set), its Karnofsky-Rhodes expansion (no reference to S) and its
-walk-sum engine on S's components (a weak one): no reference cycle.
+walk-sum engine on S's components (none either): no reference cycle.
 
 The minimal right ideals are the closed classes of that right action and
 their union is the minimal ideal (Rhodes and Steinberg, *The q-theory of

@@ -54,24 +54,34 @@ gives u the limit t -> 0 of the mass of u·0 on KR(S⁰), S with a zero
 generator of weight t adjoined and the other weights scaled by (1-t).
 That limit has a closed form on a minimal ideal, read from the same sums:
 pi(u) = h(R(u)) nu(L(u)) / |H|.  Here h(R) is the mass entering the
-minimal right ideal R (on the expansion an ideal copy, found by following
-its word into the stored expansion; on S the sum of M over R's entry
-elements), nu is the stationary law of the letters' action on the minimal
-left ideals (exact elimination on those few classes), and |H| is the size
-of each H-class R ∩ L, on which the law is uniform.  On the expansion, a
-state is named by the shortlex-first word reaching its vertex, as chains
-and simulations do; over S, by its element's name.  A law is its masses
-alone; ``zero_limit_names`` gives limit mode's states their names u·0 on
-KR(S⁰).
+minimal right ideal R (on the expansion an ideal copy, its first-entry
+mass; on S the sum of M over R's entry elements), nu is the stationary
+law of the letters' action on the minimal left ideals (exact elimination
+on those few classes), and |H| is the size of each H-class R ∩ L, on
+which the law is uniform.
+
+Only h is the expansion's own; nu and |H| are S's.  Take u in K(KR) in
+the ideal copy c over t ∈ K(S).  For x in K(KR), the product x·u reads
+u's word into x's ideal copy, which is closed, so K(KR)·u is the set of
+(c', s) with c' an ideal copy and s ∈ R(c') ∩ L_S(t).  So the minimal
+left ideals of the expansion are the preimages of S's, the letters act on
+them as on S's, and |H| is the same.  The states of an ideal copy entered
+at f are the elements t of f's component, and the shortlex-first word
+reaching t's vertex is the copy's word, then the shortlex-first path from
+f to t inside the component: no expansion is built in either mode.
+
+On the expansion, a state is named by the shortlex-first word reaching
+its vertex, as chains and simulations do; over S, by its element's name.
+A law is its masses alone; ``zero_limit_names`` gives limit mode's states
+their names u·0 on KR(S⁰).
 
 S stores its engine, built on first use, and every law and expression of
-S reads that one; the engine keeps only a weak reference to S, so storing
-it makes no reference cycle.
+S reads that one; the engine keeps no reference to S, so storing it makes
+no reference cycle.
 """
 
 from __future__ import annotations
 
-import weakref
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -91,7 +101,7 @@ from .core import (
 from . import expansions
 from .graphs import closed_classes
 # mccammond is not called here, but perfbench/spans.py wraps it here by name
-from .expansions import KRExpansion, grow_simple_paths, karnofsky_rhodes, mccammond
+from .expansions import grow_simple_paths, karnofsky_rhodes, mccammond
 from .kleene import (
     EPSILON,
     KleeneExpr,
@@ -170,7 +180,9 @@ class StationaryEngine:
     the minimal ideal K(S) at which the walk enters a component, the
     per-entry masses over S, the normal forms and their expressions, and
     the masses of the expansion's ideal copies, walked over the component
-    DAG without building the expansion.
+    DAG without building the expansion, with the paths inside a component
+    that name each ideal copy's states in limit mode.  The engine reads S
+    once, when it is built, and keeps no reference to it.
 
     The entry elements are the generators and the targets of the edges
     that cross between components.  Tree vertex v is a simple path inside
@@ -185,8 +197,6 @@ class StationaryEngine:
     """
 
     def __init__(self, S: ASemigroup):
-        # S stores the engine, which keeps a weak reference to S alone
-        self._semigroup = weakref.ref(S)
         self.size, self.gens, self.gen_names = S.size, list(S.gens), list(S.gen_names)
         self.ideal = minimal_ideal(S)  # K(S)
         k = S.n_gens
@@ -214,16 +224,6 @@ class StationaryEngine:
                 grow_simple_paths(inner.__getitem__, root, self.elem, self.out, self._add)
         self._shape_table = None  # the tree vertices' shapes, on first use
         self._kleene = None  # the reduction over Kleene weights, on demand
-
-    @cached_property
-    def kr(self) -> KRExpansion:
-        """The expansion of S, built on the first read, by limit mode over
-        the expansion for its ideal and left ideals; ``values``, the law
-        over S and the normal forms read none."""
-        S = self._semigroup()
-        if S is None:
-            raise ReferenceError("the semigroup of this engine no longer exists")
-        return karnofsky_rhodes(S)
 
     def _add(self, e: int, p: int | None, a: int | None) -> int:
         """A new tree vertex ending at e, child of p by letter a; at most
@@ -391,23 +391,28 @@ class StationaryEngine:
     @cached_property
     def _copies(self) -> dict[int | None, list[tuple[Word, int | None, int, int]]]:
         """Per entry element e, the exits (v, a, f) of its component with
-        their paths, in path order: the shortlex-first word from e to v
-        inside the component (breadth first in letter order), then a.  The
-        root (None) leaves by each letter a for gens[a]."""
-        comp, rows = self._comp, self._rows
+        their paths, in path order: ``_paths(e)[v]``, then a.  The root
+        (None) leaves by each letter a for gens[a]."""
         copies: dict = {None: [((a,), None, a, g) for a, g in enumerate(self.gens)]}
         for entries, exits in self._dag:
             for e in entries:
-                c, word = comp[e], {e: ()}
-                queue = [e]
-                for u in queue:  # the queue: discoveries append to it
-                    w = word[u]
-                    for a, f in enumerate(rows[u]):
-                        if f not in word and comp[f] == c:
-                            word[f] = w + (a,)
-                            queue.append(f)
+                word = self._paths(e)
                 copies[e] = sorted((word[v] + (a,), v, a, f) for v, a, f in exits)
         return copies
+
+    def _paths(self, e: int) -> dict[int, Word]:
+        """The shortlex-first word from e to each element of e's component
+        inside it: breadth first in letter order, so in that order."""
+        comp, rows = self._comp, self._rows
+        c, word = comp[e], {e: ()}
+        queue = [e]
+        for u in queue:  # the queue: discoveries append to it
+            w = word[u]
+            for a, f in enumerate(rows[u]):
+                if f not in word and comp[f] == c:
+                    word[f] = w + (a,)
+                    queue.append(f)
+        return word
 
     @cached_property
     def _kr_size(self) -> int:
@@ -721,26 +726,38 @@ def _stationary_kr_direct(S: ASemigroup, xs: Sequence, over: str) -> StationaryR
 def _stationary_kr_limit(S: ASemigroup, xs: Sequence[Fraction],
                          over: str) -> StationaryResult:
     """Limit mode (see the module docstring) on the minimal ideal of S or of
-    KR(S), from the direct-mode walk sums."""
+    KR(S), from the direct-mode walk sums and S's own left ideals.
+
+    Over S, h(R) is the mass entering the component R at its entries.  Over
+    the expansion, h of an ideal copy is its first-entry mass (``values``),
+    and its entry f is its word read through S's rows; its states are the
+    elements t of f's component, named by the copy's word then the path
+    from f to t (``_paths``), and sorted by those paths, as breadth-first
+    order is shortlex, not word order."""
     engine = _engine(S)
     if over == "s":
-        # h: per minimal right ideal of S, the mass entering it at its entries
-        K, comp = sorted(minimal_ideal(S)), S.right_components()
-        h: dict[int, Fraction] = {}
+        comp, h = S.right_components(), {}
         for e, m in engine.entry_masses(xs).items():
             _acc(h, comp[e], m)
-        return _s_result(S, _limit_masses(K, comp, h, *_left_ideals(S, K), xs))
-    kr = engine.kr
-    # h: first-entry mass per minimal right ideal of the expansion, which
-    # are its ideal copies: closed, as K(S)'s components are; each copy is
-    # found by following its word from the root
-    out, h = kr.out, {}
-    for word, m in engine.values(xs).items():
-        v = kr.root
-        for a in word:
-            v = out[v][a]
-        h[kr.copy_of[v]] = m
-    return _kr_result(kr, _limit_masses(kr.ideal, kr.copy_of, h, *kr.left_ideals, xs))
+        return _s_result(S, {u: h[comp[u]] * x for u, x in _limit_factors(S, xs).items()})
+    copies = engine.values(xs)  # first: past KR_CAP it raises before any other work
+    factor = _limit_factors(S, xs)
+    rows, gens = S.right_action()[0], S.gens
+    tail = [label_sep(S.gen_names) + name for name in S.gen_names]
+    states: dict[int, list[tuple[str, Fraction]]] = {}  # per entry f, on first use
+    law: dict[str, Fraction] = {}
+    for word, m in copies.items():
+        f = gens[word[0]]
+        for a in word[1:]:
+            f = rows[f][a]
+        copy = states.get(f)
+        if copy is None:
+            paths = sorted((p, t) for t, p in engine._paths(f).items())
+            copy = states[f] = [("".join([tail[a] for a in p]), factor[t]) for p, t in paths]
+        name = S.word_label(word)
+        for text, x in copy:
+            law[name + text] = m * x
+    return StationaryResult(law)
 
 
 def _left_ideals(S: ASemigroup, K: list[int]) -> tuple[list, list]:
@@ -754,19 +771,17 @@ def _left_ideals(S: ASemigroup, K: list[int]) -> tuple[list, list]:
     return lefts, [[class_of[f] for f in rows[K[L[0]]]] for L in lefts]
 
 
-def _limit_masses(ideal: list[int], r_of: Sequence[int], h: dict[int, Fraction],
-                  lefts: list[list[int]], action: list[list[int]],
-                  xs: Sequence[Fraction]) -> dict[int, Fraction]:
-    """pi(u) = h(R(u)) nu(L(u)) / |H| over a minimal ideal: ``h`` per
-    minimal right ideal, u's being ``r_of[u]``; the minimal left ideals as
-    indices into ``ideal`` and the letters' action on them, whose
-    stationary law is nu; |H| the size of each H-class R ∩ L."""
-    l_of = {ideal[i]: j for j, L in enumerate(lefts) for i in L}
+def _limit_factors(S: ASemigroup, xs: Sequence[Fraction]) -> dict[int, Fraction]:
+    """nu(L(t)) / |H| for every t in K(S), the factor of pi that does not
+    depend on t's right ideal: nu is the stationary law of the letters'
+    action on the minimal left ideals, and |H| = |K| / (#R·#L) the size of
+    each H-class R ∩ L."""
+    K = sorted(minimal_ideal(S))
+    lefts, action = _left_ideals(S, K)
     nu = _stationary_vector(action, xs)
-    # |H| divides h once per right ideal, not once per state
-    h_size = len(ideal) // (len(h) * len(lefts))
-    h = {c: m / h_size for c, m in h.items()}
-    return {u: h[r_of[u]] * nu[l_of[u]] for u in ideal}
+    comp = S.right_components()
+    h_size = len(K) // (len({comp[u] for u in K}) * len(lefts))
+    return {K[i]: nu[c] / h_size for c, L in enumerate(lefts) for i in L}
 
 
 def zero_limit_names(S: ASemigroup) -> dict[str, str]:
@@ -800,24 +815,6 @@ def _stationary_vector(succ: list[list[int]], xs: Sequence[Fraction]) -> list[Fr
             if r != c and f:
                 rows[r] = [v - f * w for v, w in zip(rows[r], rows[c])]
     return [row[n] for row in rows]
-
-
-def _kr_result(kr: KRExpansion, masses: dict) -> StationaryResult:
-    """The result over expansion vertices.  A state is named by the
-    shortlex-first word reaching its vertex, and states come in the order
-    of those words.
-
-    One top-down pass names every vertex and keys it by its word as a
-    string, one code point per letter, so that string order is the word
-    tuples' order; the root, the empty word, is never a state."""
-    names, sep = kr.alphabet, label_sep(kr.alphabet)
-    tail = [sep + n for n in names]
-    char = [chr(a) for a in range(len(names))]
-    label, key = [""], [""]
-    for p, a in zip(kr.parent[1:], kr.parent_gen[1:]):
-        label.append(label[p] + tail[a] if p else names[a])
-        key.append(key[p] + char[a])
-    return StationaryResult({label[v]: masses[v] for v in sorted(masses, key=key.__getitem__)})
 
 
 def _s_result(S: ASemigroup, masses: dict[int, object]) -> StationaryResult:

@@ -13,7 +13,8 @@ simulator's random stream drawn one output at a time, the product
 formula for expansions that are a tree plus loops, each state's record
 (word, element, vertex and name on KR(S⁰)) read off the expansion, the
 expansion vertex a word reaches and the engine's copy masses keyed by it,
-the law over the expansion named and ordered by its word tuples, the law over
+the law over the expansion named and ordered by its word tuples, limit
+mode's law over the expansion read off the expansion, the law over
 S lumped from it, every family at its range ends, a 300-letter
 band, the Karnofsky-Rhodes expansion keyed by sets of transition edges, and the
 walk sums on one McCammond tree over the whole expansion.  The CLI, the demos and the benchmark never call them.
@@ -650,6 +651,21 @@ def word_sorted_kr_result(kr: KRExpansion, masses: Mapping[int, Fraction]) -> St
     tuples ``kr.words``: each state by its word's label, in word order."""
     order = sorted(masses, key=kr.words.__getitem__)
     return StationaryResult(dict(zip(kr.names(order), map(masses.__getitem__, order))))
+
+
+def kr_limit_law(S: ASemigroup, xs: Sequence[Fraction]) -> StationaryResult:
+    """Limit mode's law over the expansion read off the expansion itself:
+    h per ideal copy from ``values_by_vertex``, the expansion's own minimal
+    left ideals and their stationary law, |H| = |K(KR)| / (#R·#L), and the
+    states named and ordered by ``word_sorted_kr_result``."""
+    kr = karnofsky_rhodes(S)
+    h = {kr.copy_of[u]: m for u, m in values_by_vertex(S, StationaryEngine(S), xs).items()}
+    lefts, action = kr.left_ideals
+    nu = _stationary_vector(action, xs)
+    l_of = {kr.ideal[i]: j for j, L in enumerate(lefts) for i in L}
+    h_size = len(kr.ideal) // (len(h) * len(lefts))
+    masses = {u: h[kr.copy_of[u]] / h_size * nu[l_of[u]] for u in kr.ideal}
+    return word_sorted_kr_result(kr, masses)
 
 
 def kr_lumped_s(S: ASemigroup, xs: Sequence[Fraction],

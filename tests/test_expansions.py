@@ -212,7 +212,6 @@ def test_kr_cap_failure_stores_nothing(monkeypatch):
     assert karnofsky_rhodes(S) is kr
     monkeypatch.setattr(expansions, "KR_CAP", n - 1)
     assert karnofsky_rhodes(S) is kr
-    assert StationaryEngine(S).kr is kr
 
 
 def test_dot_export_marks_back_edges(b2):

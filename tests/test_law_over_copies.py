@@ -1,16 +1,19 @@
 """The law over the expansion from its tree of copies, walked over S's
-component DAG: direct mode builds no expansion, limit mode maps each ideal
-copy's word to its vertex, and the cap is counted before any mass."""
+component DAG: neither mode builds an expansion, limit mode reads S's own
+left ideals, which the expansion's are the preimages of, and the cap is
+counted before any mass."""
 
 import contextlib
 import hashlib
 import io
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from reference import (
     TreeEngine,
+    kr_limit_law,
     tree_masses,
     values_by_vertex,
     word_sorted_kr_result,
@@ -24,7 +27,7 @@ from semiwalk.core import (
     semigroup_from_transformations,
 )
 from semiwalk.expansions import karnofsky_rhodes
-from semiwalk.stationary import StationaryEngine, stationary_kr, uniform_probs
+from semiwalk.stationary import StationaryEngine, _left_ideals, stationary_kr, uniform_probs
 
 # SHA-256 of the output of `stationary`, recorded when the law over the
 # expansion still read the stored expansion
@@ -44,7 +47,12 @@ LIMIT_FIXTURES = {
         "5a8defe0f231c90052197211dd0b4983bfbc56e6a3312ec1942ae5c6786013d8",
     ("rees_B:6", "--limit-zero"):
         "c780c36950001941800a8ec3ae52f7314540dcffecb321e70534727c9f9cecc2",
+    # kernels that are left zero, forced into limit mode: the law is direct
+    # mode's, byte for byte
+    ("bar_tower:2,2", "--limit-zero"): DIRECT_LADDER["bar_tower:2,2",],
+    ("flat_tower:3,2", "--limit-zero"): DIRECT_LADDER["flat_tower:3,2",],
 }
+SPEC = Path(__file__).parent / "specs" / "maps4_s172.json"
 
 
 def _hand_over(name, monkeypatch) -> None:
@@ -54,11 +62,11 @@ def _hand_over(name, monkeypatch) -> None:
     monkeypatch.setattr(cli, "build_family", lambda _: fresh)
 
 
-def _stationary_digest(args) -> str:
+def _stationary_digest(args, source="--family") -> str:
     """SHA-256 of the output of ``stationary --family *args``."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert cli.main(["stationary", "--family", *args]) == 0
+        assert cli.main(["stationary", source, *args]) == 0
     return hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
@@ -75,18 +83,17 @@ def test_direct_law_builds_no_expansion(args, monkeypatch):
 
 @pytest.mark.parametrize("args", list(LIMIT_FIXTURES))
 def test_limit_law_is_unchanged(args, monkeypatch):
-    # limit mode still reads the expansion's ideal and left ideals
-    built = []
-    init = expansions.KRExpansion.__init__
-
-    def counted(self, *a, **kw):
-        built.append(self)
-        init(self, *a, **kw)
-
+    # limit mode reads S's left ideals and builds no expansion
     _hand_over(args[0], monkeypatch)
-    monkeypatch.setattr(expansions.KRExpansion, "__init__", counted)
+    monkeypatch.setattr(expansions.KRExpansion, "__init__", _refuse)
     assert _stationary_digest(args) == LIMIT_FIXTURES[args]
-    assert len(built) == 1
+
+
+def test_limit_law_past_the_mccammond_cap_builds_no_expansion(monkeypatch):
+    # |S| = 172, kernel not left zero, 2,496 states
+    monkeypatch.setattr(expansions.KRExpansion, "__init__", _refuse)
+    assert (_stationary_digest([str(SPEC)], "--spec")
+            == "52dce789ac0d6abf7a067249482a44f98c85c6d3de644b61416d5761de2592f1")
 
 
 def test_direct_law_equals_the_expansion_reference_on_random_draws(monkeypatch):
@@ -145,8 +152,8 @@ def test_cap_counts_the_expansion_vertices(name, monkeypatch):
 
 
 def test_cap_counts_the_expansion_vertices_on_random_draws(monkeypatch):
-    # both modes: a limit-mode law raises at the count before it builds
-    # the expansion
+    # both modes: limit mode reads the same walk, so it raises at the
+    # same count
     rng = random.Random(360)
     modes = {True: 0, False: 0}
     while min(modes.values()) < 20:
@@ -158,3 +165,55 @@ def test_cap_counts_the_expansion_vertices_on_random_draws(monkeypatch):
         ints = [rng.randint(1, 5) for _ in range(k)]
         _at_the_cap(S, [F(i, sum(ints)) for i in ints], monkeypatch)
         modes[kernel_is_left_zero(S, minimal_ideal(S))] += 1
+
+
+def _draws(seed):
+    """Seeded 3- to 5-state draws of 2 or 3 maps with |S| <= 150, each with
+    unequal weights 1..5, and whether its kernel is left zero."""
+    rng = random.Random(seed)
+    while True:
+        n, k = rng.choice([3, 4, 5]), rng.choice([2, 3])
+        maps = {g: [rng.randrange(n) for _ in range(n)] for g in "abc"[:k]}
+        ints = [rng.randint(1, 5) for _ in range(k)]
+        S = semigroup_from_transformations(n, maps)
+        if S.size <= 150 and len(set(ints)) > 1:
+            yield S, [F(i, sum(ints)) for i in ints], kernel_is_left_zero(S, minimal_ideal(S))
+
+
+def test_limit_law_equals_the_expansion_reference_on_random_draws():
+    # 300 draws in limit mode and 100 forced into it: the same names, order
+    # and values as the law read off the expansion's ideal copies and left
+    # ideals
+    modes = {True: 0, False: 0}
+    for S, xs, direct in _draws(37):
+        if modes[False] >= 300 and modes[True] >= 100:
+            break
+        got = stationary_kr(S, xs, force_limit=True).entries
+        assert list(got.items()) == list(kr_limit_law(S, xs).entries.items())
+        modes[direct] += 1
+
+
+def _assert_left_ideals_are_preimages(S) -> None:
+    """The expansion's minimal left ideals are the preimages of S's under
+    ``s_image``, and the letters act on them as on S's."""
+    kr, K = karnofsky_rhodes(S), sorted(minimal_ideal(S))
+    lefts, action = _left_ideals(S, K)
+    class_of = {K[i]: c for c, L in enumerate(lefts) for i in L}
+    kr_lefts, kr_action = kr.left_ideals
+    # each expansion class to the S class of its first vertex's image
+    ren = [class_of[kr.s_image[kr.ideal[L[0]]]] for L in kr_lefts]
+    assert sorted(ren) == list(range(len(lefts)))
+    for c, L in enumerate(kr_lefts):
+        assert {kr.ideal[i] for i in L} == {u for u in kr.ideal
+                                             if class_of[kr.s_image[u]] == ren[c]}
+    assert [[ren[d] for d in row] for row in kr_action] == [action[c] for c in ren]
+
+
+@pytest.mark.parametrize("name", CAP_FAMILIES)
+def test_expansion_left_ideals_are_preimages_of_the_semigroup_s(name):
+    _assert_left_ideals_are_preimages(families.build(families.parse_family(name)))
+
+
+def test_expansion_left_ideals_are_preimages_on_random_draws():
+    for _, (S, _, _) in zip(range(300), _draws(370)):
+        _assert_left_ideals_are_preimages(S)

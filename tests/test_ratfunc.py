@@ -16,7 +16,6 @@ from semiwalk.families import build, parse_family
 from semiwalk.graphs import closed_classes
 from semiwalk.ratfunc import RatF
 from semiwalk.stationary import (
-    _kr_result,
     _stationary_kr_direct,
     stationary_kr,
     stationary_s,
@@ -24,7 +23,7 @@ from semiwalk.stationary import (
     zero_limit_names,
 )
 
-from reference import adjoin_zero, kr_key_info
+from reference import adjoin_zero, kr_key_info, word_sorted_kr_result
 
 T = RatF((0, 1))
 ONE = RatF.const(1)
@@ -215,7 +214,7 @@ def reference_limit(S, xs):
             continue
         assert u not in masses
         masses[u], alt_labels[kr.names([u])[0]] = limit, alt_label
-    law = _kr_result(kr, masses)
+    law = word_sorted_kr_result(kr, masses)
     return law, kr_key_info(S, law, alt_labels)
 
 
@@ -261,7 +260,7 @@ def test_limit_mode_matches_s0_route(S, xs, digest):
     assert list(info.items()) == list(want_info.items())
 
 
-def test_limit_mode_expands_s_once_and_no_s0(monkeypatch):
+def test_limit_mode_expands_neither_s_nor_s0(monkeypatch):
     S = build(parse_family("rees_general"))
     seen = []
 
@@ -281,7 +280,7 @@ def test_limit_mode_expands_s_once_and_no_s0(monkeypatch):
     spy("mccammond")
     monkeypatch.setattr(core.ASemigroup, "__init__", no_semigroup)
     stationary_kr(S, uniform_probs(S))
-    # one expansion of S and no McCammond expansion: the engine's trees
-    # cover the components of S alone
-    assert [name for name, _, _ in seen] == ["karnofsky_rhodes"]
-    assert seen[0][1] is S
+    # no expansion of S, no McCammond expansion and no S⁰: limit mode reads
+    # S's own left ideals, and the engine's trees cover the components of
+    # S alone
+    assert seen == []

@@ -502,14 +502,15 @@ def test_cli_verify_rejects_bad_tv_tol(capsys, monkeypatch, value):
     assert err.startswith(f"error: --tv-tol must be at least 0, got {float(value)}")
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "--family", "flat_tower:3,2", "--simulate", "--walkers", "2",
-     "--steps", "100", "--tv-tol", "1"],
-    ["verify", "--family", "z2x01"],
+@pytest.mark.parametrize("argv,readers", [
+    (["verify", "--family", "flat_tower:3,2", "--simulate", "--walkers", "2",
+      "--steps", "100", "--tv-tol", "1"], 2),
+    (["verify", "--family", "z2x01"], 1),
 ], ids=["verify-simulate", "verify-limit"])
-def test_cli_expands_the_semigroup_once(capsys, monkeypatch, argv):
-    # every reader of the Karnofsky-Rhodes expansion in one command (law,
-    # chain, certificate, simulation) shares one object
+def test_cli_expands_the_semigroup_once(capsys, monkeypatch, argv, readers):
+    # every reader of the Karnofsky-Rhodes expansion in one command (the
+    # chain and the simulation; the law and the certificate read none)
+    # shares one object: in limit mode the chain is the only reader
     krs = []
 
     def spy(module):
@@ -524,15 +525,15 @@ def test_cli_expands_the_semigroup_once(capsys, monkeypatch, argv):
         spy(module)
     code, _, _ = run_cli(argv, capsys)
     assert code == 0
-    assert len(krs) >= 2 and all(kr is krs[0] for kr in krs)
+    assert len(krs) == readers and all(kr is krs[0] for kr in krs)
 
 
-def test_cli_stationary_expressions_builds_one_kr_and_no_mccammond(capsys, monkeypatch):
+def test_cli_stationary_expressions_builds_no_expansion(capsys, monkeypatch):
     # the law and the walk languages read one engine, in direct and in
-    # limit mode: limit mode over kr builds one expansion, direct mode and
-    # the law over s none, as the copies are walked over S's component DAG
-    # and the normal forms are glued by S's right action; no McCammond
-    # expansion is built, the engine's trees cover the components alone
+    # limit mode, over kr and over s, and build neither expansion: the
+    # copies are walked over S's component DAG, limit mode reads S's left
+    # ideals, the normal forms are glued by S's right action, and the
+    # engine's McCammond trees cover the components alone
     krs = []
     init = expansions.KRExpansion.__init__
 
@@ -548,12 +549,10 @@ def test_cli_stationary_expressions_builds_one_kr_and_no_mccammond(capsys, monke
         monkeypatch.setattr(module, "mccammond", refuse)
     for family in (["rees_zp:4,4"], ["z2x01"], ["tsetlin:3", "--limit-zero"],
                    ["rees_zp:4,4", "--over", "s"], ["z2x01", "--over", "s"]):
-        krs.clear()
         code, out, _ = run_cli(["stationary", "--expressions", "--family", *family],
                                capsys)
         assert code == 0 and "# walk languages per normal form" in out
-        limit = family[0] == "z2x01" or "--limit-zero" in family
-        assert len(krs) == (1 if limit and "s" not in family else 0), family
+        assert krs == [], family
 
 
 def test_cli_byte_identical_reruns(capsys):

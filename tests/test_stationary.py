@@ -51,6 +51,7 @@ from reference import (
     enumerate_words,
     is_code_word,
     kr_key_info,
+    kr_limit_law,
     kr_vertex,
     lump_by_classifier,
     r_trivial_stationary,
@@ -61,7 +62,6 @@ from reference import (
     tree_zimin_rewrite,
     values_by_vertex,
     wide_band,
-    word_sorted_kr_result,
 )
 
 F = Fraction
@@ -187,13 +187,13 @@ def test_tsetlin_expression_structure(p3):
 def assert_expressions_evaluate_to_the_sums(S, xs):
     """Each form's expression evaluates to the reference's walk sum onto
     it, and they add up to the engine's mass per vertex."""
-    engine = StationaryEngine(S)
+    engine, kr = StationaryEngine(S), karnofsky_rhodes(S)
     want = tree_values_by_word(S, xs)
     masses = {}
     for nf in engine.normal_forms:
         value = evaluate_expr(engine.expression(nf), xs)
         assert value == want[nf.word]
-        u = kr_vertex(engine.kr, nf.word)
+        u = kr_vertex(kr, nf.word)
         masses[u] = masses.get(u, 0) + value
     assert masses == values_by_vertex(S, engine, xs)
 
@@ -346,7 +346,7 @@ def test_adjoined_zero_table_at_concrete_weight(z2x01):
     onto = kr_key_info(S2, r)["aa" + z].kr_vertex
     engine = StationaryEngine(S2)
     assert [nf.word for nf in engine.normal_forms
-            if kr_vertex(engine.kr, nf.word) == onto] == [(0, 0, 2), (0, 1, 2)]  # aa|ab
+            if kr_vertex(karnofsky_rhodes(S2), nf.word) == onto] == [(0, 0, 2), (0, 1, 2)]  # aa|ab
     assert normalization_check(r)
 
 
@@ -491,10 +491,10 @@ def test_tree_pass_rejects_ideal_entry_off_the_tree(p3):
 def test_stationary_kr_builds_no_mc_labelled_graph(name, force_limit, monkeypatch):
     # the counterexample's expansion has 194 simple paths over 109 vertices;
     # z2x01 runs in limit mode.  On a fresh semigroup the chain builds the
-    # expansion, limit mode's law reads the same one, direct mode's law and
-    # the certificate none (the action on the chain's classes is the
-    # chain's), and no labelled graph is built: the expansion reads S's
-    # right action, not the right Cayley graph, and none for KR or MC.
+    # expansion, the law in either mode and the certificate none (the
+    # action on the chain's classes is the chain's), and no labelled graph
+    # is built: the expansion reads S's right action, not the right Cayley
+    # graph, and none for KR or MC.
     S = (semigroup_from_transformations(5, COUNTEREXAMPLE_MAPS)
          if name == "counterexample" else families.z2x01())
     xs = uniform_probs(S)
@@ -517,12 +517,10 @@ def test_stationary_kr_builds_no_mc_labelled_graph(name, force_limit, monkeypatc
     spy(stationary)
     spy(chains)
     result = stationary_kr(S, xs, force_limit=force_limit)
-    # direct mode names its states from the copy walk, and only limit
-    # mode's law reads the expansion beside the chain
-    direct = kernel_is_left_zero(S, minimal_ideal(S)) and not force_limit
-    assert len(krs) == (0 if direct else 1)
+    # neither mode's law reads the expansion: only the chain builds it
+    assert krs == []
     assert certify(result, build_chain(S, xs))
-    assert len(krs) == (1 if direct else 2) and all(kr is krs[0] for kr in krs)
+    assert len(krs) == 1
     assert built == []
 
 
@@ -828,16 +826,17 @@ KR_RESULT_CASES = [
 
 @pytest.mark.parametrize("name", KR_RESULT_CASES)
 def test_kr_result_names_and_orders_as_the_sorted_words(name):
-    # every ideal vertex a state, listed against vertex order; the 300
-    # letters of the bands pass chr(255) and join with a middle dot
+    # the law over the expansion forced into limit mode: every ideal vertex
+    # a state, named and ordered by its word as the expansion's tree gives
+    # it; the 300 letters of the bands pass chr(255) and join with a middle
+    # dot
     if name.startswith("band"):
         S = wide_band(name == "band_with_identity")
     else:
         S = families.build(families.parse_family(name))
-    kr = karnofsky_rhodes(S)
-    masses = {u: F(i) for i, u in enumerate(reversed(kr.ideal))}
-    got = stationary._kr_result(kr, masses).entries
-    assert list(got.items()) == list(word_sorted_kr_result(kr, masses).entries.items())
+    xs = uniform_probs(S)
+    got = stationary_kr(S, xs, force_limit=True).entries
+    assert list(got.items()) == list(kr_limit_law(S, xs).entries.items())
 
 
 def _law_by_vertex(S, result):
