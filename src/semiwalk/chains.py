@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Mapping, Sequence
 
-# minimal_ideal and mccammond are not called here; perfbench/spans.py wraps them
-from .core import ASemigroup, SemigroupError, SizeCapExceeded, minimal_ideal
+from .core import (ASemigroup, SemigroupError, SizeCapExceeded, kernel_is_left_zero,
+                   minimal_ideal)
+# mccammond is not called here; perfbench/spans.py wraps it
 from .expansions import karnofsky_rhodes, mccammond
 from .graphs import closed_classes
 from .stationary import validate_probs
@@ -194,18 +195,17 @@ class MixingBound:
 
 def mixing_bound(S: ASemigroup, xs: Sequence[Fraction]) -> MixingBound:
     """The tail, pushed a letter at a time through the right action outside
-    K as integers over D^k, D the weights' least common denominator.  K is
-    left zero iff some x is fixed by every generator ({x} is then a minimal
-    right ideal, and all have one size), and is then the set of those;
-    otherwise SemigroupError.  Past ``MIXING_CAP`` element-bits of work
-    (the elements outside K times the bits of D^k, summed over the steps),
-    SizeCapExceeded."""
+    K = K(S) as integers over D^k, D the weights' least common denominator.
+    SemigroupError unless K is left zero.  Past ``MIXING_CAP`` element-bits
+    of work (the elements outside K times the bits of D^k, summed over the
+    steps), SizeCapExceeded."""
     xs = validate_probs(S, xs)
-    rows = S.right_action()[0]
-    live = [e for e, row in enumerate(rows) if any(f != e for f in row)]
-    if len(live) == S.size:
+    K = minimal_ideal(S)
+    if not kernel_is_left_zero(S, K):
         raise SemigroupError("minimal ideal is not left zero: the mixing bound's "
                              "coupling holds only in direct mode")
+    rows = S.right_action()[0]
+    live = [e for e in range(S.size) if e not in K]
     ws, denom = integer_weights(xs)
     mass = [0] * S.size  # mass[e] / scale, scale = denom^k: the product of k letters is e
     for e, w in zip(S.gens, ws):

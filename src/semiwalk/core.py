@@ -14,13 +14,16 @@ simulator's start word all read this one search.  A semigroup made from
 a Karnofsky-Rhodes expansion (``KRExpansion.semigroup``) makes no search:
 the expansion's build made the same one, and hands it over with its
 components.
-A semigroup also stores, each built on first use, its minimal ideal K(S)
-(a frozen set), its Karnofsky-Rhodes expansion (no reference to S) and its
-walk-sum engine on S's components (none either): no reference cycle.
+A semigroup also stores, each built on first use, its component DAG, its
+minimal ideal K(S) (a frozen set), its Karnofsky-Rhodes expansion (no
+reference to S) and its walk-sum engine on S's components (none either):
+no reference cycle.  The minimal ideal, the engine and the expansion's
+count ``expansions.kr_size`` all read the one DAG.
 
-The minimal right ideals are the closed classes of that right action and
-their union is the minimal ideal (Rhodes and Steinberg, *The q-theory of
-Finite Semigroups*, 2009), which is how ``minimal_ideal`` finds it.
+The minimal right ideals are the components no edge leaves, those outside
+the DAG, and their union is the minimal ideal (Rhodes and Steinberg, *The
+q-theory of Finite Semigroups*, 2009), which is how ``minimal_ideal``
+finds it.
 
 Only ``semigroup_from_table`` holds a table, the one it is given.  The
 pipeline only ever multiplies by a generator on one side, so the built-in
@@ -112,6 +115,7 @@ class ASemigroup:
                 raise SemigroupError("element names must be unique")
         self._right_action: tuple[list[list[int]], list[int], list[Word]] | None = None
         self._components: list[int] | None = None  # stored by right_components
+        self._dag: list | None = None  # stored by component_dag
         self._minimal_ideal: frozenset[int] | None = None  # stored by minimal_ideal
         self._kr = None  # its Karnofsky-Rhodes expansion, stored by karnofsky_rhodes
         self._engine = None  # its walk-sum engine, stored by stationary._engine
@@ -169,13 +173,42 @@ class ASemigroup:
         """The strongly connected component of each element in the right
         action (its R-class), one Tarjan search stored on S, or the
         expansion's copies where ``KRExpansion.semigroup`` made S.  The
-        minimal ideal and the Karnofsky-Rhodes expansion's transition edges
-        both read it."""
+        component DAG and the Karnofsky-Rhodes expansion's build read it."""
         if self._components is None:
             from .graphs import sccs  # local import, graphs depends on core
 
             self._components = sccs(self.right_action()[0])
         return self._components
+
+    def component_dag(self) -> list[tuple[list[int], list[tuple[int, int, int]]]]:
+        """Per component that some edge leaves, in topological order (Kahn's
+        algorithm), its entry elements, where a walk enters it (generators
+        first, then by the edges in), and its exits (v, a, v·a), the edges
+        that leave it, by v and a: one scan of the right action, stored."""
+        if self._dag is None:
+            rows, comp = self.right_action()[0], self.right_components()
+            exits: dict[int, list[tuple[int, int, int]]] = {}
+            into = [0] * (max(comp) + 1)  # per component, the edges entering it
+            found = dict.fromkeys(self.gens)
+            for v, row in enumerate(rows):
+                c = comp[v]
+                for a, f in enumerate(row):
+                    if comp[f] != c:
+                        exits.setdefault(c, []).append((v, a, f))
+                        into[comp[f]] += 1
+                        found[f] = None
+            entries: dict[int, list[int]] = {}
+            for e in found:
+                if comp[e] in exits:
+                    entries.setdefault(comp[e], []).append(e)
+            order = [c for c, n in enumerate(into) if n == 0]
+            for c in order:  # the queue: components whose edges in are all counted
+                for _, _, f in exits.get(c, ()):
+                    into[comp[f]] -= 1
+                    if not into[comp[f]]:
+                        order.append(comp[f])
+            self._dag = [(entries[c], exits[c]) for c in order if c in exits]
+        return self._dag
 
     def word_label(self, word: Sequence[int]) -> str:
         """Printable form of a generator word, parts joined by ``label_sep``."""
@@ -322,14 +355,14 @@ def minimal_ideal(S: ASemigroup) -> frozenset[int]:
     """The unique minimal two-sided ideal K(S), stored on S: later calls
     return the same set.
 
-    The minimal right ideals are the closed classes of the right action of
-    the generators, and their union is the minimal ideal.
+    The minimal right ideals are the components of the right action that
+    no edge leaves, those outside the component DAG, and their union is
+    the minimal ideal.
     """
     if S._minimal_ideal is None:
-        from .graphs import closed_classes  # local import, graphs depends on core
-
-        classes = closed_classes(S.right_action()[0], S.right_components())
-        S._minimal_ideal = frozenset(e for R in classes for e in R)
+        comp = S.right_components()
+        dag = {comp[entries[0]] for entries, _ in S.component_dag()}
+        S._minimal_ideal = frozenset(e for e, c in enumerate(comp) if c not in dag)
     return S._minimal_ideal
 
 

@@ -7,17 +7,19 @@ the same element of the underlying semigroup *and* their paths in the right
 Cayley graph cross the same set of transition edges.  A path never
 re-enters a strongly connected component it has left, nor crosses one edge
 twice, so the expansion is a tree of copies of the graph's components,
-each entered by exactly one edge; it is built copy by copy, and every
-vertex knows its copy and every copy its entry.  The result is again a
-right Cayley graph, so it carries a semigroup structure of its own, and
-its build is that semigroup's right-action search: ``semigroup`` hands
-the search and the R-classes (the copies) to the semigroup it makes.
-The expansion is stored on the semigroup, and every reader shares that
-one.  It keeps K(S), so it finds its own minimal ideal (the vertices over
-K(S)) and minimal left ideals once, on first use, for every reader.  The
-letters' left action is one table, built top-down along the breadth-first
-tree on first use; the expansion-ideal chain and the minimal left ideals
-both read that table.
+each entered by exactly one edge: S's component DAG unfolded.  Its size,
+the root plus per copy its component's size, is counted over that DAG
+(``kr_size``) and checked against ``KR_CAP`` before anything is built;
+then it is built copy by copy, and every vertex knows its copy.  The
+result is again a right Cayley graph, so it carries a semigroup structure
+of its own, and its build is that semigroup's right-action search:
+``semigroup`` hands the search and the R-classes (the copies) to the
+semigroup it makes.  The expansion is stored on the semigroup, and every
+reader shares that one.  It keeps K(S), so it finds its own minimal
+ideal (the vertices over K(S)) and minimal left ideals once, on first
+use, for every reader.  The letters' left action is one table, built
+top-down along the breadth-first tree on first use; the expansion-ideal
+chain and the minimal left ideals both read that table.
 
 The McCammond expansion of a deterministic rooted graph has one vertex per
 simple path from the root; an edge either extends a simple path (tree edge)
@@ -28,14 +30,13 @@ such trees per component instead (``stationary.StationaryEngine``).
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
 
 from .core import ASemigroup, SizeCapExceeded, Word, label_sep, minimal_ideal
 from .graphs import ROOT_LABEL, RootedLabeledGraph, closed_classes, right_cayley_rows
-# right_cayley, sccs and transition_edges are not called here, since the
-# build needs no vertex labels, S stores its components and the build tells
-# crossings by them, but perfbench/spans.py times the expansion's graph
-# work by these names
+# not called here, since the build reads S's rows and components and needs no
+# labels, but perfbench/spans.py times the expansion's graph work by these names
 from .graphs import right_cayley, sccs, transition_edges
 
 # size caps in vertices, read at each call
@@ -97,17 +98,16 @@ class KRExpansion(ExpansionTree):
     every vertex's left multiples by the letters.
 
     Vertex v lies in copy ``copy_of[v]`` of a component of the graph it
-    expands, and copy c is entered at vertex ``entry[c]`` by its tree edge
-    alone; copy 0 is the root's.  Copies are numbered in the order their
-    entries were found, so a copy comes after the copy its entry edge
-    leaves.  ``base_ideal`` is K(S), the minimal ideal of S.
+    expands, and each copy is entered at its first vertex, its entry, by
+    its tree edge alone; copy 0 is the root's.  Copies are numbered in the
+    order their entries were found, so a copy comes after the copy its
+    entry edge leaves.  ``base_ideal`` is K(S), the minimal ideal of S.
     """
 
     def __init__(self, alphabet, base_image, out, parent, parent_gen, endpoint,
-                 copy_of, entry, base_ideal):
+                 copy_of, base_ideal):
         super().__init__(alphabet, base_image, out, parent, parent_gen, endpoint)
         self.copy_of: list[int] = copy_of
-        self.entry: list[int] = entry
         self.base_ideal: frozenset[int] = base_ideal
 
     @cached_property
@@ -181,9 +181,33 @@ class KRExpansion(ExpansionTree):
         return T
 
 
+def kr_size(S: ASemigroup) -> int:
+    """The expansion's vertex count, with nothing built: the root, then per
+    copy of a component its size.  Over the component DAG in order, each
+    copy of a component opens one copy per exit."""
+    comp = S.right_components()
+    size = Counter(comp)
+    copies = dict(Counter(S.gens))  # per entry element, the copies entered there
+    for entries, exits in S.component_dag():
+        n = sum([copies[e] for e in entries])
+        for _, _, f in exits:
+            copies[f] = copies.get(f, 0) + n
+    return 1 + sum(n * size[comp[e]] for e, n in copies.items())
+
+
+def check_kr_cap(size: int, vertices: int) -> None:
+    """SizeCapExceeded if an expansion of ``vertices`` vertices, that of a
+    semigroup with |S| = ``size``, passes ``KR_CAP``."""
+    if vertices > KR_CAP:
+        raise SizeCapExceeded(
+            f"Karnofsky-Rhodes expansion of a semigroup with "
+            f"|S| = {size} exceeded cap {KR_CAP} vertices")
+
+
 def karnofsky_rhodes(S: ASemigroup) -> KRExpansion:
     """The expansion of S, stored on S: later calls return the same object.
-    A build that passes ``KR_CAP`` vertices raises and stores nothing.
+    An expansion of more than ``KR_CAP`` vertices, counted by ``kr_size``,
+    raises before anything is built and stores nothing.
 
     A path never re-enters a component it has left, so its set of crossed
     transition edges is a chain whose last edge names the copy it is in:
@@ -195,6 +219,7 @@ def karnofsky_rhodes(S: ASemigroup) -> KRExpansion:
     """
     if S._kr is not None:
         return S._kr
+    check_kr_cap(S.size, kr_size(S))
     gout, image = right_cayley_rows(S)
     # S's components, relabelled to the graph's vertices; the root, which
     # no edge enters, is a component of its own, numbered last
@@ -214,7 +239,6 @@ def karnofsky_rhodes(S: ASemigroup) -> KRExpansion:
     # per vertex in order of discovery: (parent, letter, graph vertex, copy)
     found: list[tuple] = [(None, None, 0, 0)]
     out: list[list[int]] = []  # filled in the same order
-    entry = [0]
     tables = [[0]]  # per copy, its vertex at each position, None until found
     for v, (_, _, rv, c) in enumerate(found):  # the queue: discoveries append to it
         table, row = tables[c], []
@@ -222,16 +246,10 @@ def karnofsky_rhodes(S: ASemigroup) -> KRExpansion:
             w = table[p] if p is not None else None
             if w is None:
                 w = len(found)
-                if w >= KR_CAP:
-                    raise SizeCapExceeded(
-                        f"Karnofsky-Rhodes expansion of a semigroup with "
-                        f"|S| = {S.size} exceeded cap {KR_CAP} vertices"
-                    )
                 if p is None:  # a crossing opens a new copy of u's component
                     fresh = [None] * size[vcomp[u]]
                     fresh[pos[u]] = w
-                    found.append((v, a, u, len(entry)))
-                    entry.append(w)
+                    found.append((v, a, u, len(tables)))
                     tables.append(fresh)
                 else:
                     table[p] = w
@@ -241,7 +259,7 @@ def karnofsky_rhodes(S: ASemigroup) -> KRExpansion:
 
     parent, parent_gen, endpoint, copy_of = map(list, zip(*found))
     S._kr = KRExpansion(list(S.gen_names), image, out, parent, parent_gen, endpoint,
-                        copy_of, entry, minimal_ideal(S))
+                        copy_of, minimal_ideal(S))
     return S._kr
 
 

@@ -7,8 +7,8 @@ adjoined identity and vertex i > 0 the i-th element discovered from the
 generators in index order, so vertex numbering, SCC numbering and DOT
 output are reproducible across runs.  On any right action (a semigroup's
 table or an expansion graph) the closed classes are the minimal right
-ideals, whose union is the minimal ideal; ``core.minimal_ideal`` finds
-K(S) that way.
+ideals, whose union is the minimal ideal; ``core.minimal_ideal`` reads
+K(S) off S's stored component DAG instead, as the components it leaves out.
 """
 
 from __future__ import annotations
@@ -145,17 +145,13 @@ def sccs(G: RootedLabeledGraph | Sequence[Sequence[int | None]]) -> list[int]:
     return [rank[c] for c in comp]
 
 
-def closed_classes(
-    succ: Sequence[Sequence[int | None]], comp: list[int] | None = None
-) -> list[list[int]]:
+def closed_classes(succ: Sequence[Sequence[int | None]]) -> list[list[int]]:
     """The closed classes: strongly connected components with no edge out.
 
-    Takes successor lists (None entries are skipped) and, if already
-    known, the component id per vertex.  Each class lists its vertices in
-    increasing order; classes come by smallest vertex.
+    Takes successor lists (None entries are skipped).  Each class lists its
+    vertices in increasing order; classes come by smallest vertex.
     """
-    if comp is None:
-        comp = sccs(succ)
+    comp = sccs(succ)
     closed = [True] * (max(comp, default=-1) + 1)
     for v, row in enumerate(succ):
         for w in row:

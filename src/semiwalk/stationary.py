@@ -33,9 +33,9 @@ weight of a, and its word, the shortlex-first word reaching its entry, is
 its parent's, then the shortlex-first path from e to v inside the
 component, then a.  So the copies are walked depth first in the order of
 their words from S's rows alone, and no expansion is built; the
-expansion's vertex count, the root and per copy its component's size, is
-checked against ``KR_CAP`` before any mass is formed.  M(e) is the masses
-of the copies entered at e, summed.
+expansion's vertex count, the root and per copy its component's size
+(``expansions.kr_size``), is checked against ``KR_CAP`` before the engine
+is built.  M(e) is the masses of the copies entered at e, summed.
 
 The normal forms are the simple paths from the root whose last letter,
 and only that, enters the ideal: the trees glued at their entries by S's
@@ -82,7 +82,6 @@ no reference cycle.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -101,7 +100,7 @@ from .core import (
 from . import expansions
 from .graphs import closed_classes
 # mccammond is not called here, but perfbench/spans.py wraps it here by name
-from .expansions import grow_simple_paths, karnofsky_rhodes, mccammond
+from .expansions import check_kr_cap, grow_simple_paths, karnofsky_rhodes, kr_size, mccammond
 from .kleene import (
     EPSILON,
     KleeneExpr,
@@ -182,12 +181,13 @@ class StationaryEngine:
     the masses of the expansion's ideal copies, walked over the component
     DAG without building the expansion, with the paths inside a component
     that name each ideal copy's states in limit mode.  The engine reads S
-    once, when it is built, and keeps no reference to it.
+    once, when it is built, and keeps no reference to it: its rows,
+    components, component DAG ``dag`` and expansion size ``kr_vertices``.
 
-    The entry elements are the generators and the targets of the edges
-    that cross between components.  Tree vertex v is a simple path inside
-    one component of the right Cayley graph, from the tree's entry to
-    element ``elem[v]``; it extends ``parent[v]`` by ``letter[v]``.
+    The trees are those of the DAG's entry elements.  Tree vertex v is a
+    simple path inside one component of the right Cayley graph, from the
+    tree's entry to element ``elem[v]``; it extends ``parent[v]`` by
+    ``letter[v]``.
     ``out[v][a]`` is the tree child or the ancestor that letter a leads
     to, or None where a leaves the component.  Each tree is one block of
     vertices in depth-first preorder, children in letter order.  Vertex 0
@@ -205,20 +205,14 @@ class StationaryEngine:
         self.letter: list[int | None] = [None]
         self.out: list[list[int | None]] = [[None] * k]
         self.tree_of: dict[int | None, int] = {None: 0}
+        self.dag = S.component_dag()
+        self.kr_vertices = kr_size(S)
         # per element, its edges that stay in its component
         self._comp = comp = S.right_components()
         self._rows = rows = S.right_action()[0]
         inner = [[f if comp[f] == comp[e] else None for f in row] for e, row in enumerate(rows)]
-        # the walk enters a component at a generator or by an edge that
-        # leaves another
-        self._leaving = [e for e, irow in enumerate(inner) if None in irow]
-        entries = dict.fromkeys(self.gens)
-        for e in self._leaving:
-            for f, g in zip(rows[e], inner[e]):
-                if g is None:
-                    entries[f] = None
-        for e in entries:
-            if e not in self.ideal:
+        for entries, _ in self.dag:
+            for e in entries:
                 # the McCammond tree of e's component entered at e
                 self.tree_of[e] = root = self._add(e, None, None)
                 grow_simple_paths(inner.__getitem__, root, self.elem, self.out, self._add)
@@ -309,10 +303,7 @@ class StationaryEngine:
         order.  An expansion of more than ``KR_CAP`` vertices raises
         ``SizeCapExceeded`` before any mass is formed.
         """
-        if self._kr_size > expansions.KR_CAP:
-            raise SizeCapExceeded(
-                f"Karnofsky-Rhodes expansion of a semigroup with "
-                f"|S| = {self.size} exceeded cap {expansions.KR_CAP} vertices")
+        check_kr_cap(self.size, self.kr_vertices)
         ws = _WalkSums(self, xs)
         vals, product, times, exit = ws.vals, ws.product, ws.times, ws.exit
         tree_of, ideal = self.tree_of, self.ideal
@@ -354,7 +345,7 @@ class StationaryEngine:
         for g, x in zip(self.gens, xs):
             _acc(mass, g, x)
         tree_of = self.tree_of
-        for entries, exits in self._dag:
+        for entries, exits in self.dag:
             for e in entries:
                 m, t = intern(mass[e]), tree_of[e]
                 for v, a, f in exits:
@@ -362,39 +353,12 @@ class StationaryEngine:
         return {e: m for e, m in mass.items() if e in self.ideal}
 
     @cached_property
-    def _dag(self) -> list[tuple[list[int], list[tuple[int, int, int]]]]:
-        """Per component outside the ideal, in topological order: its entry
-        elements and its exits (v, a, v·a), the edges that leave it.  Kahn's
-        algorithm: a component comes once every edge into it is counted off."""
-        comp, rows = self._comp, self._rows
-        exits: dict[int, list[tuple[int, int, int]]] = {}
-        into = [0] * (max(comp) + 1)  # per component, the edges entering it
-        for v in self._leaving:
-            c = comp[v]
-            out = exits.setdefault(c, [])
-            for a, f in enumerate(rows[v]):
-                if comp[f] != c:
-                    out.append((v, a, f))
-                    into[comp[f]] += 1
-        entries: dict[int, list[int]] = {}
-        for e in self.tree_of:
-            if e is not None:
-                entries.setdefault(comp[e], []).append(e)
-        order = [c for c, n in enumerate(into) if n == 0]
-        for c in order:  # the queue: components whose edges in are all counted
-            for _, _, f in exits.get(c, ()):
-                into[comp[f]] -= 1
-                if not into[comp[f]]:
-                    order.append(comp[f])
-        return [(entries[c], exits[c]) for c in order if c in entries]
-
-    @cached_property
     def _copies(self) -> dict[int | None, list[tuple[Word, int | None, int, int]]]:
         """Per entry element e, the exits (v, a, f) of its component with
         their paths, in path order: ``_paths(e)[v]``, then a.  The root
         (None) leaves by each letter a for gens[a]."""
         copies: dict = {None: [((a,), None, a, g) for a, g in enumerate(self.gens)]}
-        for entries, exits in self._dag:
+        for entries, exits in self.dag:
             for e in entries:
                 word = self._paths(e)
                 copies[e] = sorted((word[v] + (a,), v, a, f) for v, a, f in exits)
@@ -413,20 +377,6 @@ class StationaryEngine:
                     word[f] = w + (a,)
                     queue.append(f)
         return word
-
-    @cached_property
-    def _kr_size(self) -> int:
-        """The expansion's vertex count: the root, then per copy of a
-        component its size.  Over the component DAG in order, each copy of
-        a component opens one copy per exit."""
-        comp = self._comp
-        size = Counter(comp)
-        copies = Counter(self.gens)  # per entry element, the copies entered there
-        for entries, exits in self._dag:
-            n = sum(copies[e] for e in entries)
-            for _, _, f in exits:
-                copies[f] += n
-        return 1 + sum(n * size[comp[e]] for e, n in copies.items())
 
     # -- normal forms and their walk expressions -------------------------------
 
@@ -694,8 +644,12 @@ def stationary_s(S: ASemigroup, xs: Sequence[Fraction],
 
 
 def _stationary(S, xs, force_limit, over: str) -> StationaryResult:
-    """The law over the expansion ("kr") or the semigroup ("s")."""
+    """The law over the expansion ("kr") or the semigroup ("s").  Over the
+    expansion, its vertex count is checked against ``KR_CAP`` before the
+    engine is built."""
     xs = validate_probs(S, xs)
+    if over == "kr":
+        check_kr_cap(S.size, kr_size(S))
     if kernel_is_left_zero(S, minimal_ideal(S)) and not force_limit:
         return _stationary_kr_direct(S, xs, over)
     return _stationary_kr_limit(S, xs, over)
@@ -740,7 +694,7 @@ def _stationary_kr_limit(S: ASemigroup, xs: Sequence[Fraction],
         for e, m in engine.entry_masses(xs).items():
             _acc(h, comp[e], m)
         return _s_result(S, {u: h[comp[u]] * x for u, x in _limit_factors(S, xs).items()})
-    copies = engine.values(xs)  # first: past KR_CAP it raises before any other work
+    copies = engine.values(xs)
     factor = _limit_factors(S, xs)
     rows, gens = S.right_action()[0], S.gens
     tail = [label_sep(S.gen_names) + name for name in S.gen_names]

@@ -1,7 +1,8 @@
 """Constructions the tests use as references, not part of the library.
 
 Each one checks library code or a claim of the paper from another side:
-the two-sided ideals and quotients of a semigroup, S with a zero adjoined
+the minimal ideal as the union of the closed classes, the two-sided
+ideals and quotients of a semigroup, S with a zero adjoined
 (whose direct law at zero weight t tends to limit mode's law as t -> 0),
 stability of the expansions, the words an expression describes, the
 walk-expression rewrite and printer walked as trees, the semaphore code
@@ -106,6 +107,12 @@ def principal_ideal(S: ASemigroup, e: int) -> frozenset[int]:
                     seen.add(v)
                     stack.append(v)
     return frozenset(seen)
+
+
+def closed_class_ideal(S: ASemigroup) -> frozenset[int]:
+    """K(S) as the union of the closed classes of the generators' right
+    action, its minimal right ideals, each found by its own SCC search."""
+    return frozenset(e for R in closed_classes(S.right_action()[0]) for e in R)
 
 
 def is_left_zero(S: ASemigroup, I: frozenset[int]) -> bool:

@@ -333,8 +333,14 @@ def test_total_variation_is_at_most_the_tail(name, xs):
 
 
 def test_mixing_bound_reads_no_expansion(monkeypatch):
+    # nor any search but S's one stored search for its components, which
+    # K(S) is read off
+    names = ("tsetlin:3", "flat_tower:2,1")
     want = [mixing_bound(families.build(families.parse_family(name)), X236)
-            for name in ("tsetlin:3", "flat_tower:2,1")]
+            for name in names]
+    semigroups = [families.build(families.parse_family(name)) for name in names]
+    for S in semigroups:
+        S.right_components()
 
     def refuse(*args, **kwargs):
         raise AssertionError("mixing_bound built an expansion")
@@ -345,8 +351,7 @@ def test_mixing_bound_reads_no_expansion(monkeypatch):
                         (semiwalk.expansions, "mccammond"),
                         (semiwalk.graphs, "sccs")):
         monkeypatch.setattr(owner, attr, refuse)
-    got = [mixing_bound(families.build(families.parse_family(name)), X236)
-           for name in ("tsetlin:3", "flat_tower:2,1")]
+    got = [mixing_bound(S, X236) for S in semigroups]
     assert got == want
 
 

@@ -14,7 +14,7 @@ from semiwalk.core import (
     minimal_ideal,
     semigroup_from_transformations,
 )
-from semiwalk.expansions import karnofsky_rhodes, mccammond
+from semiwalk.expansions import karnofsky_rhodes, kr_size, mccammond
 from semiwalk.graphs import (
     RootedLabeledGraph,
     closed_classes,
@@ -304,15 +304,21 @@ LADDER = ["tsetlin:6", "signed_tsetlin:4", "rees_zp:4,5", "bar_tower:2,2",
 
 def assert_copies_equal_the_frozenset_build(S):
     """The build copy by copy gives the same arrays as the one keyed by sets
-    of transition edges, and its copies are what it says: each vertex lies
-    over its copy's component, and the one edge into a copy from outside
-    is the tree edge to its entry, from an earlier copy."""
+    of transition edges, its vertex count is ``kr_size``'s, and its copies
+    are what it says: each vertex lies over its copy's component, and the
+    one edge into a copy from outside is the tree edge to its entry, its
+    first vertex, from an earlier copy."""
     kr = karnofsky_rhodes(S)
     assert (kr.out, kr.parent, kr.parent_gen, kr.endpoint) == frozenset_kr(S)
+    assert kr_size(S) == len(kr.out)
     comp = S.right_components()
-    copy_of, entry = kr.copy_of, kr.entry
+    copy_of = kr.copy_of
+    first: dict[int, int] = {}
+    for v, c in enumerate(copy_of):
+        first.setdefault(c, v)
+    entry = list(first.values())
     assert (copy_of[0], entry[0]) == (0, 0)
-    assert [copy_of[w] for w in entry] == list(range(len(entry)))
+    assert list(first) == list(range(len(entry)))
     assert all(copy_of[kr.parent[w]] < c for c, w in enumerate(entry) if c)
     for v, image in enumerate(kr.s_image[1:], 1):
         assert comp[image] == comp[kr.s_image[entry[copy_of[v]]]]

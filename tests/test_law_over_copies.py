@@ -1,7 +1,8 @@
 """The law over the expansion from its tree of copies, walked over S's
-component DAG: neither mode builds an expansion, limit mode reads S's own
-left ideals, which the expansion's are the preimages of, and the cap is
-counted before any mass."""
+stored component DAG: neither mode builds an expansion, limit mode reads
+S's own left ideals, which the expansion's are the preimages of, and the
+expansion's vertex count, read off the same DAG, is checked against the
+cap before the expansion or the engine is built."""
 
 import contextlib
 import hashlib
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 from reference import (
     TreeEngine,
+    closed_class_ideal,
     kr_limit_law,
     tree_masses,
     values_by_vertex,
@@ -26,7 +28,7 @@ from semiwalk.core import (
     minimal_ideal,
     semigroup_from_transformations,
 )
-from semiwalk.expansions import karnofsky_rhodes
+from semiwalk.expansions import karnofsky_rhodes, kr_size
 from semiwalk.stationary import StationaryEngine, _left_ideals, stationary_kr, uniform_probs
 
 # SHA-256 of the output of `stationary`, recorded when the law over the
@@ -125,24 +127,54 @@ def test_direct_law_equals_the_expansion_reference_on_random_draws(monkeypatch):
         unstable += len(ref.mc.out) > len(ref.kr.out)
 
 
+def _assert_component_dag(S) -> None:
+    """S's stored component DAG: its components are those that some edge
+    leaves, so the minimal ideal read off it is the union of the closed
+    classes, and each exit leads to a later component or a closed one."""
+    K = minimal_ideal(S)
+    assert K == closed_class_ideal(S)
+    rows, comp, dag = S.right_action()[0], S.right_components(), S.component_dag()
+    rank = {comp[entries[0]]: i for i, (entries, _) in enumerate(dag)}
+    for i, (entries, exits) in enumerate(dag):
+        assert {comp[e] for e in entries} == {comp[v] for v, _, _ in exits} == {comp[entries[0]]}
+        for v, a, f in exits:
+            assert rows[v][a] == f and comp[f] != comp[v]
+            assert f in K or rank[comp[f]] > i
+
+
+def _refuse_engine(*args, **kwargs):
+    raise AssertionError("the law built its engine past KR_CAP")
+
+
 def _at_the_cap(S, xs, monkeypatch) -> None:
-    """The law raises with KR_CAP one below the expansion's vertex count,
-    and passes at that count."""
-    n = len(karnofsky_rhodes(S).out)
+    """With KR_CAP one below the expansion's vertex count, the expansion
+    raises before its search and the law before its engine, and so does the
+    engine's own copy walk; at that count both pass, and the expansion has
+    that many vertices."""
+    _assert_component_dag(S)
+    n = kr_size(S)
+    engine = StationaryEngine(S)
     with monkeypatch.context() as m:
         m.setattr(expansions, "KR_CAP", n - 1)
-        fresh = StationaryEngine(S)
-        with pytest.raises(SizeCapExceeded, match=rf"\|S\| = {S.size} exceeded cap {n - 1} "):
-            fresh.values(xs)
-        S._engine = fresh
-        with pytest.raises(SizeCapExceeded, match=f"exceeded cap {n - 1} vertices"):
-            stationary_kr(S, xs)
+        message = rf"\|S\| = {S.size} exceeded cap {n - 1} vertices"
+        with pytest.raises(SizeCapExceeded, match=message):
+            engine.values(xs)
+        with monkeypatch.context() as refused:
+            refused.setattr(expansions, "right_cayley_rows", _refuse)
+            refused.setattr(expansions.KRExpansion, "__init__", _refuse)
+            refused.setattr(StationaryEngine, "__init__", _refuse_engine)
+            with pytest.raises(SizeCapExceeded, match=message):
+                karnofsky_rhodes(S)
+            with pytest.raises(SizeCapExceeded, match=message):
+                stationary_kr(S, xs)
         m.setattr(expansions, "KR_CAP", n)
+        assert len(karnofsky_rhodes(S).out) == n
         assert stationary_kr(S, xs).total() == 1
 
 
 CAP_FAMILIES = ["tsetlin:6", "signed_tsetlin:4", "rees_zp:4,5", "bar_tower:2,2",
-                "flat_tower:3,2", "flat_tower:2,3", "rees_general", "klein"]
+                "flat_tower:3,2", "flat_tower:2,3", "rees_general", "klein",
+                "z2x01", "flipflop", "tsetlin:5", "rees_B:6", "burnside_straightline:3"]
 
 
 @pytest.mark.parametrize("name", CAP_FAMILIES)
@@ -169,7 +201,8 @@ def test_cap_counts_the_expansion_vertices_on_random_draws(monkeypatch):
 
 def _draws(seed):
     """Seeded 3- to 5-state draws of 2 or 3 maps with |S| <= 150, each with
-    unequal weights 1..5, and whether its kernel is left zero."""
+    unequal weights 1..5, and whether its kernel is left zero; each draw's
+    component DAG is checked first."""
     rng = random.Random(seed)
     while True:
         n, k = rng.choice([3, 4, 5]), rng.choice([2, 3])
@@ -177,6 +210,7 @@ def _draws(seed):
         ints = [rng.randint(1, 5) for _ in range(k)]
         S = semigroup_from_transformations(n, maps)
         if S.size <= 150 and len(set(ints)) > 1:
+            _assert_component_dag(S)
             yield S, [F(i, sum(ints)) for i in ints], kernel_is_left_zero(S, minimal_ideal(S))
 
 
