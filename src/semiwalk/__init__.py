@@ -56,9 +56,11 @@ from .stationary import (
     normalization_check,
     parse_probs,
     stationary_kr,
+    stationary_law,
     stationary_s,
     uniform_probs,
     validate_probs,
+    walk_expressions,
 )
 from .chains import (
     MixingBound,

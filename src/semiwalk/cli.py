@@ -46,8 +46,10 @@ from .stationary import (
     normalization_check,
     parse_probs,
     stationary_kr,
+    stationary_law,
     stationary_s,
     uniform_probs,
+    walk_expressions,
 )
 
 USAGE_ERROR = 2
@@ -155,6 +157,22 @@ def _frac(v: Fraction, as_float: bool = False) -> str:
     return repr(float(v)) if as_float else str(v)  # n/d, or n when d = 1
 
 
+def _formatted(law, as_float: bool):
+    """(name, text) per (name, mass) pair of a law, each mass object
+    formatted once: the walk makes equal masses one object, and a law has
+    few (flat_tower:2,3: 48,620 states, 333 masses).  Keyed by identity,
+    as hashing a Fraction costs more than formatting it; ``held`` keeps
+    each mass alive, so no other object takes its id."""
+    text: dict[int, str] = {}
+    held = []
+    for name, v in law:
+        t = text.get(id(v))
+        if t is None:
+            t = text[id(v)] = _frac(v, as_float)
+            held.append(v)
+        yield name, t
+
+
 def cmd_build(args) -> int:
     S = _load(args)
     K = minimal_ideal(S)
@@ -197,19 +215,22 @@ def cmd_expand(args) -> int:
 def cmd_stationary(args) -> int:
     S = _load(args)
     xs = _probs(args, S)
-    if args.over == "s":
-        result = stationary_s(S, xs, force_limit=args.limit_zero)
-    else:
-        result = stationary_kr(S, xs, force_limit=args.limit_zero)
-    # built before anything is printed, so a cap it hits leaves stdout empty
-    report = expressions_report(S) if args.expressions else {}
-    rows = ((k, _frac(v, args.as_float)) for k, v in result.entries.items())
-    if args.format == "json":
+    if args.format == "json":  # one JSON value, built whole
+        if args.over == "s":
+            result = stationary_s(S, xs, force_limit=args.limit_zero)
+        else:
+            result = stationary_kr(S, xs, force_limit=args.limit_zero)
+        law = dict(_formatted(result.entries.items(), args.as_float))
         # with expressions, one object holding both, so stdout stays JSON
-        law = dict(rows)
-        print(json.dumps({"law": law, "expressions": report} if args.expressions
-                         else law, ensure_ascii=False))
+        print(json.dumps({"law": law, "expressions": expressions_report(S)}
+                         if args.expressions else law, ensure_ascii=False))
         return 0
+    # Every cap is checked before the first line is printed, so a cap hit
+    # leaves stdout empty: the law's before stationary_law returns, the
+    # expressions' as walk_expressions builds them all.  Then each line is
+    # written as it is made: no law or expression text is held whole.
+    rows = _formatted(stationary_law(S, xs, args.limit_zero, args.over), args.as_float)
+    forms = walk_expressions(S) if args.expressions else ()
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(("state", "probability"))
@@ -218,8 +239,7 @@ def cmd_stationary(args) -> int:
         sys.stdout.writelines(f"{k}: {v}\n" for k, v in rows)
     if args.expressions:
         print("# walk languages per normal form")
-        for k, v in report.items():
-            print(f"{k}: {v}")
+        sys.stdout.writelines(f"{k}: {v}\n" for k, v in forms)
     return 0
 
 

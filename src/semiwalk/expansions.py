@@ -182,13 +182,19 @@ class KRExpansion(ExpansionTree):
 
 
 def kr_size(S: ASemigroup) -> int:
-    """The expansion's vertex count, with nothing built: the root, then per
-    copy of a component its size.  Over the component DAG in order, each
+    """The expansion's vertex count, with nothing built: ``copy_tree_size``
+    of S's components and component DAG."""
+    return copy_tree_size(S.right_components(), S.component_dag(), S.gens)
+
+
+def copy_tree_size(comp: list[int], dag: list, gens: list[int]) -> int:
+    """The vertex count of the tree of copies that a component DAG unfolds
+    into, given each element's component and the generators: the root,
+    then per copy of a component its size.  Over the DAG in order, each
     copy of a component opens one copy per exit."""
-    comp = S.right_components()
     size = Counter(comp)
-    copies = dict(Counter(S.gens))  # per entry element, the copies entered there
-    for entries, exits in S.component_dag():
+    copies = dict(Counter(gens))  # per entry element, the copies entered there
+    for entries, exits in dag:
         n = sum([copies[e] for e in entries])
         for _, _, f in exits:
             copies[f] = copies.get(f, 0) + n

@@ -72,8 +72,13 @@ f to t inside the component: no expansion is built in either mode.
 
 On the expansion, a state is named by the shortlex-first word reaching
 its vertex, as chains and simulations do; over S, by its element's name.
-A law is its masses alone; ``zero_limit_names`` gives limit mode's states
-their names u·0 on KR(S⁰).
+A law is an iterator of (name, mass) pairs in print order
+(``stationary_law``): every cap is checked and the walk sums formed before
+it starts, then over the expansion the copy walk makes each pair as it is
+read, so the law is never held whole, and copies of equal mass share one
+mass object.  ``StationaryResult`` is that law as a dict.
+``zero_limit_names`` gives limit mode's states their names u·0 on
+KR(S⁰).
 
 S stores its engine, built on first use, and every law and expression of
 S reads that one; the engine keeps no reference to S, so storing it makes
@@ -85,7 +90,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .core import (
     ASemigroup,
@@ -182,7 +187,10 @@ class StationaryEngine:
     DAG without building the expansion, with the paths inside a component
     that name each ideal copy's states in limit mode.  The engine reads S
     once, when it is built, and keeps no reference to it: its rows,
-    components, component DAG ``dag`` and expansion size ``kr_vertices``.
+    components and component DAG ``dag``.  ``kr_vertices``, the
+    expansion's vertex count, is counted over ``dag`` on the first copy
+    walk, unless the law over the expansion, which counts it before the
+    engine is built, has handed it over.
 
     The trees are those of the DAG's entry elements.  Tree vertex v is a
     simple path inside one component of the right Cayley graph, from the
@@ -206,7 +214,7 @@ class StationaryEngine:
         self.out: list[list[int | None]] = [[None] * k]
         self.tree_of: dict[int | None, int] = {None: 0}
         self.dag = S.component_dag()
-        self.kr_vertices = kr_size(S)
+        self.kr_vertices: int | None = None
         # per element, its edges that stay in its component
         self._comp = comp = S.right_components()
         self._rows = rows = S.right_action()[0]
@@ -286,47 +294,59 @@ class StationaryEngine:
         """First-entry mass of every ideal copy of the expansion, keyed by
         the shortlex-first word reaching its entry, in word order: the copy
         walk of ``_copy_walk``; no expansion is built."""
-        return self._copy_walk(xs, lambda e, w: w)
+        return {word: m for word, _, m in self._copy_walk(xs, lambda e, w: w)}
 
-    def _copy_walk(self, xs: Sequence, spell) -> dict:
-        """First-entry mass of every ideal copy of the expansion, in the
-        order of their words: the root's key is ``spell(None, ())``, and a
-        copy's key is its parent's plus ``spell(e, path)``, for the
-        parent's entry e (the root's: None) and the path out of it
-        (``_copies``).
+    def _copy_walk(self, xs: Sequence, spell) -> Iterator[tuple[object, int, object]]:
+        """(key, entry element, first-entry mass) per ideal copy of the
+        expansion, in the order of their words: the root's key is
+        ``spell(None, ())``, and a copy's key is its parent's plus
+        ``spell(e, path)``, for the parent's entry e (the root's: None) and
+        the path out of it (``_copies``).
 
         A copy's mass is its parent's times W(e, v) times the weight of a
         for its exit (v, a) (``_WalkSums``), interned by value so that each
-        distinct product is formed once.  Children are walked in the order
-        of their paths, none a prefix of another (only a path's last letter
-        leaves the component), so depth first the copies come in word
-        order.  An expansion of more than ``KR_CAP`` vertices raises
-        ``SizeCapExceeded`` before any mass is formed.
+        distinct product is formed once, and copies of equal mass share one
+        object.  Children are walked in the order of their paths, none a
+        prefix of another (only a path's last letter leaves the component),
+        so depth first the copies come in word order.  An expansion of more
+        than ``KR_CAP`` vertices raises ``SizeCapExceeded``, and the walk
+        sums are formed, before this returns; the copies are walked as the
+        iterator is read.
         """
+        if self.kr_vertices is None:
+            self.kr_vertices = expansions.copy_tree_size(self._comp, self.dag, self.gens)
         check_kr_cap(self.size, self.kr_vertices)
         ws = _WalkSums(self, xs)
-        vals, product, times, exit = ws.vals, ws.product, ws.times, ws.exit
+        vals, times, exit = ws.vals, ws.times, ws.exit
         tree_of, ideal = self.tree_of, self.ideal
-        # per entry element, its children's keys, exit ids and entries
-        kids = {e: [(spell(e, w), exit((tree_of[e], v, a)), f) for w, v, a, f in ks]
-                for e, ks in self._copies.items()}
-        masses: dict = {}
-        # depth first: per open copy its key, mass id and children still to walk
-        stack = [(spell(None, ()), ws.one, iter(kids[None]))]
-        while stack:
-            key, m, rest = stack[-1]
-            for k, x, f in rest:
-                p = product.get((m, x))
-                if p is None:
-                    p = times(m, x)
-                if f in ideal:
-                    masses[key + k] = vals[p]
+        # per entry element, its children's keys, exit ids and entries, and
+        # whether each is an ideal copy
+        kids = {e: [(spell(e, w), exit((tree_of[e], v, a)), f, f in ideal)
+                    for w, v, a, f in ks] for e, ks in self._copies.items()}
+        made: dict[tuple[int, int | None], list[int]] = {}
+
+        def children(m: int, e: int | None):
+            """The children of a copy of mass id m entered at e, each with
+            its mass id; the ids are formed once per (m, e)."""
+            ms = made.get((m, e))
+            if ms is None:
+                ms = made[m, e] = [times(m, x) for _, x, _, _ in kids[e]]
+            return zip(kids[e], ms)
+
+        def walk():
+            # depth first: per open copy its key and children still to walk
+            stack = [(spell(None, ()), children(ws.one, None))]
+            while stack:
+                key, rest = stack[-1]
+                for (k, _, f, leaf), p in rest:
+                    if leaf:
+                        yield key + k, f, vals[p]
+                    else:
+                        stack.append((key + k, children(p, f)))
+                        break
                 else:
-                    stack.append((key + k, p, iter(kids[f])))
-                    break
-            else:
-                stack.pop()
-        return masses
+                    stack.pop()
+        return walk()
 
     def entry_masses(self, xs: Sequence) -> dict[int, object]:
         """M(e) for every element e of the minimal ideal at which the walk
@@ -631,7 +651,7 @@ def stationary_kr(S: ASemigroup, xs: Sequence[Fraction],
     rational masses.  Falls back to the adjoined-zero limit when the
     minimal ideal is not left zero (or when forced).
     """
-    return _stationary(S, xs, force_limit, "kr")
+    return StationaryResult(dict(stationary_law(S, xs, force_limit, "kr")))
 
 
 def stationary_s(S: ASemigroup, xs: Sequence[Fraction],
@@ -640,16 +660,23 @@ def stationary_s(S: ASemigroup, xs: Sequence[Fraction],
     the elements of its minimal ideal, from the masses entering it per
     entry element (``StationaryEngine.entry_masses``): no expansion is
     built."""
-    return _stationary(S, xs, force_limit, "s")
+    return StationaryResult(dict(stationary_law(S, xs, force_limit, "s")))
 
 
-def _stationary(S, xs, force_limit, over: str) -> StationaryResult:
-    """The law over the expansion ("kr") or the semigroup ("s").  Over the
-    expansion, its vertex count is checked against ``KR_CAP`` before the
-    engine is built."""
+def stationary_law(S: ASemigroup, xs: Sequence[Fraction], force_limit: bool,
+                   over: str) -> Iterator[tuple[str, Fraction]]:
+    """The law over the expansion ("kr") or the semigroup ("s"): (state
+    name, mass) per state, in print order.  Every cap is checked, and the
+    engine and the walk sums are built, before this returns; over the
+    expansion the copies are then walked as the iterator is read, so the
+    law is never held whole.  Equal masses of the walk are one object.
+    Over the expansion, its vertex count is checked against ``KR_CAP``
+    before the engine is built, and handed to the engine."""
     xs = validate_probs(S, xs)
-    if over == "kr":
-        check_kr_cap(S.size, kr_size(S))
+    if over == "kr" and S._engine is None:
+        vertices = kr_size(S)
+        check_kr_cap(S.size, vertices)
+        _engine(S).kr_vertices = vertices
     if kernel_is_left_zero(S, minimal_ideal(S)) and not force_limit:
         return _stationary_kr_direct(S, xs, over)
     return _stationary_kr_limit(S, xs, over)
@@ -663,55 +690,65 @@ def _engine(S: ASemigroup) -> StationaryEngine:
     return S._engine
 
 
-def _stationary_kr_direct(S: ASemigroup, xs: Sequence, over: str) -> StationaryResult:
-    engine = _engine(S)
-    if over == "s":
-        return _s_result(S, engine.entry_masses(xs))
-    # each ideal copy is one vertex, its entry, named by its word
+def _spell(S: ASemigroup):
+    """The copy walk's key maker that names the copies by their words, a
+    separator before each letter but the first, as ``S.word_label``."""
     sep = label_sep(S.gen_names)
     tail = [sep + name for name in S.gen_names]
 
-    def spell(e, path):  # a separator before each letter but the first
+    def spell(e, path):
         text = "".join([tail[a] for a in path])
         return text if e is not None else text[len(sep):]
-    return StationaryResult(engine._copy_walk(xs, spell))
+    return spell
+
+
+def _stationary_kr_direct(S: ASemigroup, xs: Sequence,
+                          over: str) -> Iterator[tuple[str, object]]:
+    engine = _engine(S)
+    if over == "s":
+        return iter(_s_law(S, engine.entry_masses(xs)).items())
+    # each ideal copy is one vertex, its entry, named by its word
+    return ((name, m) for name, _, m in engine._copy_walk(xs, _spell(S)))
 
 
 def _stationary_kr_limit(S: ASemigroup, xs: Sequence[Fraction],
-                         over: str) -> StationaryResult:
+                         over: str) -> Iterator[tuple[str, Fraction]]:
     """Limit mode (see the module docstring) on the minimal ideal of S or of
     KR(S), from the direct-mode walk sums and S's own left ideals.
 
     Over S, h(R) is the mass entering the component R at its entries.  Over
-    the expansion, h of an ideal copy is its first-entry mass (``values``),
-    and its entry f is its word read through S's rows; its states are the
-    elements t of f's component, named by the copy's word then the path
-    from f to t (``_paths``), and sorted by those paths, as breadth-first
-    order is shortlex, not word order."""
+    the expansion, h of an ideal copy is its first-entry mass, and f its
+    entry (``_copy_walk``); its states are the elements t of f's component,
+    named by the copy's word then the path from f to t (``_paths``), and
+    sorted by those paths, as breadth-first order is shortlex, not word
+    order.  A state's mass is h times t's factor: each distinct pair of
+    objects is multiplied once, so equal masses stay one object."""
     engine = _engine(S)
     if over == "s":
         comp, h = S.right_components(), {}
         for e, m in engine.entry_masses(xs).items():
             _acc(h, comp[e], m)
-        return _s_result(S, {u: h[comp[u]] * x for u, x in _limit_factors(S, xs).items()})
-    copies = engine.values(xs)
+        factor = _limit_factors(S, xs)
+        return iter(_s_law(S, {u: h[comp[u]] * x for u, x in factor.items()}).items())
+    copies = engine._copy_walk(xs, _spell(S))  # raises past KR_CAP before other work
     factor = _limit_factors(S, xs)
-    rows, gens = S.right_action()[0], S.gens
     tail = [label_sep(S.gen_names) + name for name in S.gen_names]
-    states: dict[int, list[tuple[str, Fraction]]] = {}  # per entry f, on first use
-    law: dict[str, Fraction] = {}
-    for word, m in copies.items():
-        f = gens[word[0]]
-        for a in word[1:]:
-            f = rows[f][a]
-        copy = states.get(f)
-        if copy is None:
-            paths = sorted((p, t) for t, p in engine._paths(f).items())
-            copy = states[f] = [("".join([tail[a] for a in p]), factor[t]) for p, t in paths]
-        name = S.word_label(word)
-        for text, x in copy:
-            law[name + text] = m * x
-    return StationaryResult(law)
+
+    def law():
+        states: dict[int, list[tuple[str, Fraction]]] = {}  # per entry f, on first use
+        # keyed by identity: the walk holds every h, and ``states`` every factor
+        products: dict[tuple[int, int], Fraction] = {}
+        for name, f, m in copies:
+            copy = states.get(f)
+            if copy is None:
+                paths = sorted((p, t) for t, p in engine._paths(f).items())
+                copy = states[f] = [("".join([tail[a] for a in p]), factor[t]) for p, t in paths]
+            for text, x in copy:
+                mx = products.get((id(m), id(x)))
+                if mx is None:
+                    mx = products[id(m), id(x)] = m * x
+                yield name + text, mx
+    return law()
 
 
 def _left_ideals(S: ASemigroup, K: list[int]) -> tuple[list, list]:
@@ -735,7 +772,8 @@ def _limit_factors(S: ASemigroup, xs: Sequence[Fraction]) -> dict[int, Fraction]
     nu = _stationary_vector(action, xs)
     comp = S.right_components()
     h_size = len(K) // (len({comp[u] for u in K}) * len(lefts))
-    return {K[i]: nu[c] / h_size for c, L in enumerate(lefts) for i in L}
+    per_class = [m / h_size for m in nu]
+    return {K[i]: per_class[c] for c, L in enumerate(lefts) for i in L}
 
 
 def zero_limit_names(S: ASemigroup) -> dict[str, str]:
@@ -771,15 +809,23 @@ def _stationary_vector(succ: list[list[int]], xs: Sequence[Fraction]) -> list[Fr
     return [row[n] for row in rows]
 
 
-def _s_result(S: ASemigroup, masses: dict[int, object]) -> StationaryResult:
-    """The result over semigroup elements, named by element and in name
+def _s_law(S: ASemigroup, masses: dict[int, object]) -> dict[str, object]:
+    """The law over semigroup elements, named by element and in name
     order."""
     names = {e: S.element_name(e) for e in masses}
-    return StationaryResult({names[e]: masses[e] for e in sorted(masses, key=names.__getitem__)})
+    return {names[e]: masses[e] for e in sorted(masses, key=names.__getitem__)}
+
+
+def walk_expressions(S: ASemigroup) -> Iterator[tuple[str, str]]:
+    """(label, pretty-printed walk expression) per normal form, in word
+    order.  Every expression is built, and ``EXPRESSION_CAP`` checked,
+    before this returns; each is pretty-printed as the iterator reaches
+    it, so the expressions are held, not their text."""
+    engine = _engine(S)
+    forms = [(S.word_label(nf.word), engine.expression(nf)) for nf in engine.normal_forms]
+    return ((label, pretty(expr, S.gen_names)) for label, expr in forms)
 
 
 def expressions_report(S: ASemigroup) -> dict[str, str]:
     """Pretty-printed expression per normal form (dict preserves sort order)."""
-    engine = _engine(S)
-    return {S.word_label(nf.word): pretty(engine.expression(nf), S.gen_names)
-            for nf in engine.normal_forms}
+    return dict(walk_expressions(S))

@@ -21,7 +21,7 @@ from reference import (
     word_sorted_kr_result,
 )
 
-from semiwalk import cli, expansions, families
+from semiwalk import cli, expansions, families, stationary
 from semiwalk.core import (
     SizeCapExceeded,
     kernel_is_left_zero,
@@ -181,6 +181,34 @@ CAP_FAMILIES = ["tsetlin:6", "signed_tsetlin:4", "rees_zp:4,5", "bar_tower:2,2",
 def test_cap_counts_the_expansion_vertices(name, monkeypatch):
     S = families.build(families.parse_family(name))
     _at_the_cap(S, uniform_probs(S), monkeypatch)
+
+
+@pytest.mark.parametrize("name", ["tsetlin:5", "flat_tower:3,2", "z2x01"])
+def test_each_law_counts_the_expansion_at_most_once(name, monkeypatch):
+    # the law over the expansion counts it before the engine is built and
+    # hands the count over; the law over S never reads it; an engine built
+    # on its own counts it on its first copy walk, once
+    counted = []
+    count = expansions.copy_tree_size
+
+    def counting(*args):
+        counted.append(args)
+        return count(*args)
+    monkeypatch.setattr(expansions, "copy_tree_size", counting)
+    for over, times in (("kr", 1), ("s", 0)):
+        for force_limit in (False, True):
+            S = families.build(families.parse_family(name))
+            counted.clear()
+            law = stationary.stationary_law(S, uniform_probs(S), force_limit, over)
+            assert sum(1 for _ in law) and len(counted) == times, (over, force_limit)
+            if over == "kr":  # a second law reads the engine's count
+                stationary_kr(S, uniform_probs(S), force_limit=force_limit)
+                assert len(counted) == 1
+    engine = StationaryEngine(families.build(families.parse_family(name)))
+    counted.clear()
+    engine.values(uniform_probs(S))
+    engine.values(uniform_probs(S))
+    assert len(counted) == 1
 
 
 def test_cap_counts_the_expansion_vertices_on_random_draws(monkeypatch):

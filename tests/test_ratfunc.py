@@ -16,6 +16,7 @@ from semiwalk.families import build, parse_family
 from semiwalk.graphs import closed_classes
 from semiwalk.ratfunc import RatF
 from semiwalk.stationary import (
+    StationaryResult,
     _stationary_kr_direct,
     stationary_kr,
     stationary_s,
@@ -103,7 +104,7 @@ def ratf_s0(S, xs):
     t = RatF((0, 1))
     one = RatF.const(1)
     weights = [RatF.const(v) * (one - t) for v in xs] + [t]
-    sym = _stationary_kr_direct(S2, weights, "kr")
+    sym = StationaryResult(dict(_stationary_kr_direct(S2, weights, "kr")))
     return S2, sym, {label: f.limit_at_zero() for label, f in sym.entries.items()}
 
 
