@@ -47,7 +47,6 @@ from .stationary import (
     parse_probs,
     stationary_kr,
     stationary_law,
-    stationary_s,
     uniform_probs,
     walk_expressions,
 )
@@ -95,15 +94,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(required=True)
 
-    def add_command(name, summary):
-        """A subcommand with the input options every command takes; the
-        parsed namespace names it in ``command``."""
+    def add_command(name, summary, walk=False):
+        """A subcommand with the input options every command takes, and
+        with ``walk`` the letters' weights; the parsed namespace names it
+        in ``command``."""
         sp = sub.add_parser(name, help=summary)
         sp.set_defaults(command=name)
         g = sp.add_mutually_exclusive_group(required=True)
         g.add_argument("--family", help="built-in family, e.g. tsetlin:3 or rees_B:2")
         g.add_argument("--spec", help="path to a JSON semigroup spec")
-        sp.add_argument("--probs", help="exact probabilities, e.g. a=1/2,b=1/2")
+        if walk:
+            sp.add_argument("--probs", help="exact probabilities, e.g. a=1/2,b=1/2")
         return sp
 
     b = add_command("build", "construct a semigroup and summarize it")
@@ -117,17 +118,18 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--format", choices=("text", "dot"), default="text")
     e.add_argument("--out", help="write output to this file instead of stdout")
 
-    s = add_command("stationary", "exact stationary distribution")
+    s = add_command("stationary", "exact stationary distribution", walk=True)
     s.add_argument("--over", choices=("kr", "s"), default="kr",
                    help="states of the expansion (kr) or of the semigroup (s)")
     s.add_argument("--limit-zero", action="store_true",
-                   help="force the adjoined-zero limit pipeline")
+                   help="accepted and ignored: one closed form, the adjoined-"
+                        "zero limit, gives the law on every minimal ideal")
     s.add_argument("--expressions", action="store_true",
                    help="include the walk-language expression per normal form")
     s.add_argument("--format", choices=("json", "csv", "text"), default="text")
     s.add_argument("--float", action="store_true", dest="as_float")
 
-    v = add_command("verify", "cross-check the exact engine")
+    v = add_command("verify", "cross-check the exact engine", walk=True)
     v.add_argument("--simulate", action="store_true", help="add a Monte Carlo check")
     v.add_argument("--walkers", type=int, default=20)
     v.add_argument("--steps", type=int, default=50_000,
@@ -137,7 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="TV tolerance for --simulate; default "
                         "sqrt(states / (walkers * steps)), to 4 decimals")
 
-    add_command("mixing", "steps until the first-entry tail is at most 1/e")
+    add_command("mixing", "steps until the first-entry tail is at most 1/e", walk=True)
     return p
 
 
@@ -215,21 +217,17 @@ def cmd_expand(args) -> int:
 def cmd_stationary(args) -> int:
     S = _load(args)
     xs = _probs(args, S)
-    if args.format == "json":  # one JSON value, built whole
-        if args.over == "s":
-            result = stationary_s(S, xs, force_limit=args.limit_zero)
-        else:
-            result = stationary_kr(S, xs, force_limit=args.limit_zero)
-        law = dict(_formatted(result.entries.items(), args.as_float))
-        # with expressions, one object holding both, so stdout stays JSON
-        print(json.dumps({"law": law, "expressions": expressions_report(S)}
-                         if args.expressions else law, ensure_ascii=False))
-        return 0
     # Every cap is checked before the first line is printed, so a cap hit
     # leaves stdout empty: the law's before stationary_law returns, the
     # expressions' as walk_expressions builds them all.  Then each line is
     # written as it is made: no law or expression text is held whole.
-    rows = _formatted(stationary_law(S, xs, args.limit_zero, args.over), args.as_float)
+    rows = _formatted(stationary_law(S, xs, args.over), args.as_float)
+    if args.format == "json":  # one JSON value, built whole
+        law = dict(rows)
+        # with expressions, one object holding both, so stdout stays JSON
+        print(json.dumps({"law": law, "expressions": expressions_report(S)}
+                         if args.expressions else law, ensure_ascii=False))
+        return 0
     forms = walk_expressions(S) if args.expressions else ()
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")

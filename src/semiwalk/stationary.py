@@ -46,19 +46,17 @@ expressions: the reduction runs once with letters as weights, and per
 normal form only its path is eliminated, from the root outward, which
 fixes the printed factored form.
 
-When the minimal ideal is left zero each ideal copy is one vertex, and the
-masses entering them, named by their words, are the stationary
-distribution of the expanded chain; over S the law is M(k) for k in K(S),
-the expansion's law lumped by underlying element.  Otherwise limit mode
-gives u the limit t -> 0 of the mass of u·0 on KR(S⁰), S with a zero
-generator of weight t adjoined and the other weights scaled by (1-t).
-That limit has a closed form on a minimal ideal, read from the same sums:
-pi(u) = h(R(u)) nu(L(u)) / |H|.  Here h(R) is the mass entering the
+One closed form gives the law on every minimal ideal: the limit t -> 0
+of the mass of u·0 on KR(S⁰), S with a zero generator of weight t
+adjoined and the other weights scaled by (1-t), which the same sums give
+as pi(u) = h(R(u)) nu(L(u)) / |H|.  Here h(R) is the mass entering the
 minimal right ideal R (on the expansion an ideal copy, its first-entry
 mass; on S the sum of M over R's entry elements), nu is the stationary
 law of the letters' action on the minimal left ideals (exact elimination
 on those few classes), and |H| is the size of each H-class R ∩ L, on
-which the law is uniform.
+which the law is uniform.  On a left-zero minimal ideal (direct mode)
+each minimal right ideal is one element and there is one minimal left
+ideal, so nu = |H| = 1 and the law is the mass entering each state.
 
 Only h is the expansion's own; nu and |H| are S's.  Take u in K(KR) in
 the ideal copy c over t ∈ K(S).  For x in K(KR), the product x·u reads
@@ -68,17 +66,16 @@ left ideals of the expansion are the preimages of S's, the letters act on
 them as on S's, and |H| is the same.  The states of an ideal copy entered
 at f are the elements t of f's component, and the shortlex-first word
 reaching t's vertex is the copy's word, then the shortlex-first path from
-f to t inside the component: no expansion is built in either mode.
+f to t inside the component: no expansion is built.
 
 On the expansion, a state is named by the shortlex-first word reaching
 its vertex, as chains and simulations do; over S, by its element's name.
 A law is an iterator of (name, mass) pairs in print order
 (``stationary_law``): every cap is checked and the walk sums formed before
 it starts, then over the expansion the copy walk makes each pair as it is
-read, so the law is never held whole, and copies of equal mass share one
+read, so the law is never held whole, and states of equal mass share one
 mass object.  ``StationaryResult`` is that law as a dict.
-``zero_limit_names`` gives limit mode's states their names u·0 on
-KR(S⁰).
+``zero_limit_names`` gives the states their names u·0 on KR(S⁰).
 
 S stores its engine, built on first use, and every law and expression of
 S reads that one; the engine keeps no reference to S, so storing it makes
@@ -97,13 +94,11 @@ from .core import (
     SemigroupError,
     SizeCapExceeded,
     Word,
-    kernel_is_left_zero,
     label_sep,
     minimal_ideal,
     zero_name,
 )
 from . import expansions
-from .graphs import closed_classes
 # mccammond is not called here, but perfbench/spans.py wraps it here by name
 from .expansions import check_kr_cap, grow_simple_paths, karnofsky_rhodes, kr_size, mccammond
 from .kleene import (
@@ -185,12 +180,12 @@ class StationaryEngine:
     per-entry masses over S, the normal forms and their expressions, and
     the masses of the expansion's ideal copies, walked over the component
     DAG without building the expansion, with the paths inside a component
-    that name each ideal copy's states in limit mode.  The engine reads S
-    once, when it is built, and keeps no reference to it: its rows,
-    components and component DAG ``dag``.  ``kr_vertices``, the
-    expansion's vertex count, is counted over ``dag`` on the first copy
-    walk, unless the law over the expansion, which counts it before the
-    engine is built, has handed it over.
+    that name each ideal copy's states.  The engine reads S once, when it
+    is built, and keeps no reference to it: its rows, components and
+    component DAG ``dag``.  ``kr_vertices``, the expansion's vertex count,
+    is counted over ``dag`` on the first copy walk, unless the law over the
+    expansion, which counts it before the engine is built, has handed it
+    over.
 
     The trees are those of the DAG's entry elements.  Tree vertex v is a
     simple path inside one component of the right Cayley graph, from the
@@ -294,22 +289,27 @@ class StationaryEngine:
         """First-entry mass of every ideal copy of the expansion, keyed by
         the shortlex-first word reaching its entry, in word order: the copy
         walk of ``_copy_walk``; no expansion is built."""
-        return {word: m for word, _, m in self._copy_walk(xs, lambda e, w: w)}
+        return dict(self._copy_walk(xs, lambda e, w: w))
 
-    def _copy_walk(self, xs: Sequence, spell) -> Iterator[tuple[object, int, object]]:
-        """(key, entry element, first-entry mass) per ideal copy of the
-        expansion, in the order of their words: the root's key is
-        ``spell(None, ())``, and a copy's key is its parent's plus
-        ``spell(e, path)``, for the parent's entry e (the root's: None) and
-        the path out of it (``_copies``).
+    def _copy_walk(self, xs: Sequence, spell, factor: dict | None = None
+                   ) -> Iterator[tuple[object, object]]:
+        """(key, mass) per state of the expansion's ideal copies, in word
+        order: the root's key is ``spell(None, ())``, and a copy's key is
+        its parent's plus ``spell(e, path)``, for the parent's entry e (the
+        root's: None) and the path out of it (``_copies``).
 
         A copy's mass is its parent's times W(e, v) times the weight of a
         for its exit (v, a) (``_WalkSums``), interned by value so that each
-        distinct product is formed once, and copies of equal mass share one
-        object.  Children are walked in the order of their paths, none a
-        prefix of another (only a path's last letter leaves the component),
-        so depth first the copies come in word order.  An expansion of more
-        than ``KR_CAP`` vertices raises ``SizeCapExceeded``, and the walk
+        distinct product is formed once and equal masses are one object.
+        Without ``factor`` (None or empty) each ideal copy is one state.
+        With it, a copy entered at f has a state per element t of f's
+        component, keyed by the copy's key plus ``spell(f, path)`` for the
+        path from f to t (``_paths``), in path order, of mass the copy's
+        times ``factor[t]``, an object few states share: each such product
+        is formed once.  Children are walked in path order, none a prefix
+        of another (only a path's last letter leaves the component), so
+        depth first the states come in word order.  Past
+        ``KR_CAP`` vertices ``SizeCapExceeded`` is raised, and the walk
         sums are formed, before this returns; the copies are walked as the
         iterator is read.
         """
@@ -317,30 +317,54 @@ class StationaryEngine:
             self.kr_vertices = expansions.copy_tree_size(self._comp, self.dag, self.gens)
         check_kr_cap(self.size, self.kr_vertices)
         ws = _WalkSums(self, xs)
-        vals, times, exit = ws.vals, ws.times, ws.exit
+        vals, times, exit, one = ws.vals, ws.times, ws.exit, ws.one
         tree_of, ideal = self.tree_of, self.ideal
-        # per entry element, its children's keys, exit ids and entries, and
-        # whether each is an ideal copy
-        kids = {e: [(spell(e, w), exit((tree_of[e], v, a)), f, f in ideal)
-                    for w, v, a, f in ks] for e, ks in self._copies.items()}
-        made: dict[tuple[int, int | None], list[int]] = {}
+        # per ideal entry, (key suffix, factor) per state of its copies; with
+        # no factor a copy is one state, keyed by its entry's suffix
+        states, here = {}, spell(next(iter(ideal)), ())
+        # per entry element, one item per child copy or per state of a child
+        # ideal copy: its key, exit id, entry, whether a state, factor
+        kids: dict[int | None, list] = {}
+        for e, ks in self._copies.items():
+            items = kids[e] = []
+            for w, v, a, f in ks:
+                k, x = spell(e, w), exit((tree_of[e], v, a))
+                if f not in ideal:
+                    items.append((k, x, f, False, None))
+                elif not factor:
+                    items.append((k + here, x, f, True, None))
+                else:
+                    if f not in states:
+                        paths = sorted((p, t) for t, p in self._paths(f).items())
+                        states[f] = [(spell(f, p), factor[t]) for p, t in paths]
+                    items += [(k + s, x, f, True, y) for s, y in states[f]]
+        made: dict[tuple[int, int | None], list] = {}
+        scaled: dict[tuple[int, int], object] = {}
+
+        def state(p: int, y):
+            """The copy's mass, of id p, times factor y, once per (p, y)."""
+            v = scaled.get((p, id(y)))
+            if v is None:
+                v = scaled[p, id(y)] = vals[p] * y
+            return v
 
         def children(m: int, e: int | None):
-            """The children of a copy of mass id m entered at e, each with
-            its mass id; the ids are formed once per (m, e)."""
+            """The items of a copy of mass id m entered at e, with their
+            masses (states) or mass ids (copies), formed once per (m, e)."""
             ms = made.get((m, e))
             if ms is None:
-                ms = made[m, e] = [times(m, x) for _, x, _, _ in kids[e]]
+                ms = made[m, e] = [times(m, x) if not leaf else vals[times(m, x)] if y is None
+                                   else state(times(m, x), y) for _, x, _, leaf, y in kids[e]]
             return zip(kids[e], ms)
 
         def walk():
-            # depth first: per open copy its key and children still to walk
-            stack = [(spell(None, ()), children(ws.one, None))]
+            # depth first: per open copy its key and items still to walk
+            stack = [(spell(None, ()), children(one, None))]
             while stack:
                 key, rest = stack[-1]
-                for (k, _, f, leaf), p in rest:
+                for (k, _, f, leaf, _), p in rest:
                     if leaf:
-                        yield key + k, f, vals[p]
+                        yield key + k, p
                     else:
                         stack.append((key + k, children(p, f)))
                         break
@@ -643,33 +667,31 @@ def normalization_check(d: StationaryResult) -> bool:
 # -- the two stationary distributions --------------------------------------------
 
 
-def stationary_kr(S: ASemigroup, xs: Sequence[Fraction],
-                  force_limit: bool = False) -> StationaryResult:
+def stationary_kr(S: ASemigroup, xs: Sequence[Fraction]) -> StationaryResult:
     """Stationary distribution of the walk on the expanded semigroup.
 
     States are the elements of the minimal ideal of the expansion; exact
-    rational masses.  Falls back to the adjoined-zero limit when the
-    minimal ideal is not left zero (or when forced).
+    rational masses, by the closed form of ``stationary_law``.
     """
-    return StationaryResult(dict(stationary_law(S, xs, force_limit, "kr")))
+    return StationaryResult(dict(stationary_law(S, xs, "kr")))
 
 
-def stationary_s(S: ASemigroup, xs: Sequence[Fraction],
-                 force_limit: bool = False) -> StationaryResult:
+def stationary_s(S: ASemigroup, xs: Sequence[Fraction]) -> StationaryResult:
     """Stationary distribution of the walk on the semigroup itself, over
     the elements of its minimal ideal, from the masses entering it per
     entry element (``StationaryEngine.entry_masses``): no expansion is
     built."""
-    return StationaryResult(dict(stationary_law(S, xs, force_limit, "s")))
+    return StationaryResult(dict(stationary_law(S, xs, "s")))
 
 
-def stationary_law(S: ASemigroup, xs: Sequence[Fraction], force_limit: bool,
+def stationary_law(S: ASemigroup, xs: Sequence[Fraction],
                    over: str) -> Iterator[tuple[str, Fraction]]:
-    """The law over the expansion ("kr") or the semigroup ("s"): (state
-    name, mass) per state, in print order.  Every cap is checked, and the
-    engine and the walk sums are built, before this returns; over the
-    expansion the copies are then walked as the iterator is read, so the
-    law is never held whole.  Equal masses of the walk are one object.
+    """The law over the expansion ("kr") or the semigroup ("s"), by the one
+    closed form pi(u) = h(R(u)) nu(L(u)) / |H| (the module docstring):
+    (state name, mass) per state, in print order.  Every cap is checked,
+    and the engine and the walk sums are built, before this returns; over
+    the expansion the copies are then walked as the iterator is read, so
+    the law is never held whole.  Equal masses of the walk are one object.
     Over the expansion, its vertex count is checked against ``KR_CAP``
     before the engine is built, and handed to the engine."""
     xs = validate_probs(S, xs)
@@ -677,8 +699,6 @@ def stationary_law(S: ASemigroup, xs: Sequence[Fraction], force_limit: bool,
         vertices = kr_size(S)
         check_kr_cap(S.size, vertices)
         _engine(S).kr_vertices = vertices
-    if kernel_is_left_zero(S, minimal_ideal(S)) and not force_limit:
-        return _stationary_kr_direct(S, xs, over)
     return _stationary_kr_limit(S, xs, over)
 
 
@@ -702,83 +722,65 @@ def _spell(S: ASemigroup):
     return spell
 
 
-def _stationary_kr_direct(S: ASemigroup, xs: Sequence,
-                          over: str) -> Iterator[tuple[str, object]]:
-    engine = _engine(S)
-    if over == "s":
-        return iter(_s_law(S, engine.entry_masses(xs)).items())
-    # each ideal copy is one vertex, its entry, named by its word
-    return ((name, m) for name, _, m in engine._copy_walk(xs, _spell(S)))
-
-
 def _stationary_kr_limit(S: ASemigroup, xs: Sequence[Fraction],
                          over: str) -> Iterator[tuple[str, Fraction]]:
-    """Limit mode (see the module docstring) on the minimal ideal of S or of
-    KR(S), from the direct-mode walk sums and S's own left ideals.
-
-    Over S, h(R) is the mass entering the component R at its entries.  Over
-    the expansion, h of an ideal copy is its first-entry mass, and f its
-    entry (``_copy_walk``); its states are the elements t of f's component,
-    named by the copy's word then the path from f to t (``_paths``), and
-    sorted by those paths, as breadth-first order is shortlex, not word
-    order.  A state's mass is h times t's factor: each distinct pair of
-    objects is multiplied once, so equal masses stay one object."""
+    """pi(u) = h(R(u)) nu(L(u)) / |H| on the minimal ideal of S or of
+    KR(S) (the module docstring).  Over S, h(R) is the mass entering the
+    component R at its entries; over the expansion, h of an ideal copy is
+    its first-entry mass, and the copy walk names and orders its states."""
     engine = _engine(S)
-    if over == "s":
-        comp, h = S.right_components(), {}
-        for e, m in engine.entry_masses(xs).items():
-            _acc(h, comp[e], m)
-        factor = _limit_factors(S, xs)
-        return iter(_s_law(S, {u: h[comp[u]] * x for u, x in factor.items()}).items())
-    copies = engine._copy_walk(xs, _spell(S))  # raises past KR_CAP before other work
-    factor = _limit_factors(S, xs)
-    tail = [label_sep(S.gen_names) + name for name in S.gen_names]
-
-    def law():
-        states: dict[int, list[tuple[str, Fraction]]] = {}  # per entry f, on first use
-        # keyed by identity: the walk holds every h, and ``states`` every factor
-        products: dict[tuple[int, int], Fraction] = {}
-        for name, f, m in copies:
-            copy = states.get(f)
-            if copy is None:
-                paths = sorted((p, t) for t, p in engine._paths(f).items())
-                copy = states[f] = [("".join([tail[a] for a in p]), factor[t]) for p, t in paths]
-            for text, x in copy:
-                mx = products.get((id(m), id(x)))
-                if mx is None:
-                    mx = products[id(m), id(x)] = m * x
-                yield name + text, mx
-    return law()
+    if over == "kr":
+        return engine._copy_walk(xs, _spell(S), _limit_factors(S, xs))
+    comp, h = S.right_components(), {}
+    for e, m in engine.entry_masses(xs).items():
+        _acc(h, comp[e], m)
+    law = {u: h[comp[u]] for u in minimal_ideal(S)}
+    law.update((u, law[u] * x) for u, x in _limit_factors(S, xs).items())
+    return iter(_s_law(S, law).items())
 
 
-def _left_ideals(S: ASemigroup, K: list[int]) -> tuple[list, list]:
-    """S's minimal left ideals, the closed classes of left multiplication
-    on K = K(S) as indices into K, and the letters' action on them: a maps
-    the class of any u to ``action[c][a]``, the class of u·a."""
-    index = {u: i for i, u in enumerate(K)}
-    lefts = closed_classes([[index[S.mult(g, u)] for g in S.gens] for u in K])
-    class_of = {K[i]: c for c, L in enumerate(lefts) for i in L}
-    rows = S.right_action()[0]
-    return lefts, [[class_of[f] for f in rows[K[L[0]]]] for L in lefts]
+# The one route under its old name, which perfbench/spans.py wraps by name
+_stationary_kr_direct = _stationary_kr_limit
+
+
+def _left_classes(S: ASemigroup) -> tuple[dict[int, int], list[list[int]], int]:
+    """S's minimal left ideals, read off the idempotents f of one minimal
+    right ideal R0, one per H-class, with no product in S: the class of
+    every t in K(S), the letters' action on the classes, and |H|.
+
+    t L f exactly when t·f = t (t·f = t puts t in S·f; t = s·f gives
+    t·f = s·f·f = t), and t·f is read along f's word through S's rows; the
+    last class takes what no other f fixes.  Letter a maps L(f) to L(f·a),
+    and |H| = |R0| / #idempotents."""
+    K = sorted(minimal_ideal(S))
+    rows, _, words = S.right_action()
+    comp = S.right_components()
+    r0 = [u for u in K if comp[u] == comp[K[0]]]
+
+    def times(ts: list[int], f: int) -> list[int]:  # t·f for each t in ts
+        for a in words[f]:
+            ts = [rows[t][a] for t in ts]
+        return ts
+    idem = [f for f in r0 if times([f], f) == [f]]
+    class_of = dict.fromkeys(K, len(idem) - 1)
+    for c, f in enumerate(idem[:-1]):
+        class_of.update((t, c) for t, tf in zip(K, times(K, f)) if tf == t)
+    return class_of, [[class_of[g] for g in rows[f]] for f in idem], len(r0) // len(idem)
 
 
 def _limit_factors(S: ASemigroup, xs: Sequence[Fraction]) -> dict[int, Fraction]:
-    """nu(L(t)) / |H| for every t in K(S), the factor of pi that does not
-    depend on t's right ideal: nu is the stationary law of the letters'
-    action on the minimal left ideals, and |H| = |K| / (#R·#L) the size of
-    each H-class R ∩ L."""
-    K = sorted(minimal_ideal(S))
-    lefts, action = _left_ideals(S, K)
-    nu = _stationary_vector(action, xs)
-    comp = S.right_components()
-    h_size = len(K) // (len({comp[u] for u in K}) * len(lefts))
-    per_class = [m / h_size for m in nu]
-    return {K[i]: per_class[c] for c, L in enumerate(lefts) for i in L}
+    """nu(L(t)) / |H| for every t in K(S), one object per minimal left
+    ideal (``_left_classes``): nu is the stationary law of the letters'
+    action on them.  A factor is 1 only where there is one left ideal and
+    |H| = 1, a left-zero minimal ideal, and then none is given."""
+    class_of, action, h_size = _left_classes(S)
+    per_class = [m / h_size for m in _stationary_vector(action, xs)]
+    return {} if per_class == [1] else {t: per_class[c] for t, c in class_of.items()}
 
 
 def zero_limit_names(S: ASemigroup) -> dict[str, str]:
-    """Each state of the limit-mode law over the expansion, by its name, to
-    its name u·0 on KR(S⁰): u's word then the zero letter first reaches u·0."""
+    """Each state of the law over the expansion, by its name, to its name
+    u·0 on KR(S⁰): u's word then the zero letter first reaches u·0."""
     kr = karnofsky_rhodes(S)
     names0 = S.gen_names + [zero_name(S)]
     sep, z = label_sep(names0), (S.n_gens,)

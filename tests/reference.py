@@ -15,7 +15,8 @@ formula for expansions that are a tree plus loops, each state's record
 (word, element, vertex and name on KR(S⁰)) read off the expansion, the
 expansion vertex a word reaches and the engine's copy masses keyed by it,
 the law over the expansion named and ordered by its word tuples, limit
-mode's law over the expansion read off the expansion, the law over
+mode's law over the expansion read off the expansion, S's minimal left
+ideals as the closed classes of left multiplication, the law over
 S lumped from it, every family at its range ends, a 300-letter
 band, the Karnofsky-Rhodes expansion keyed by sets of transition edges, and the
 walk sums on one McCammond tree over the whole expansion.  The CLI, the demos and the benchmark never call them.
@@ -660,6 +661,17 @@ def word_sorted_kr_result(kr: KRExpansion, masses: Mapping[int, Fraction]) -> St
     return StationaryResult(dict(zip(kr.names(order), map(masses.__getitem__, order))))
 
 
+def _left_ideals(S: ASemigroup, K: list[int]) -> tuple[list, list]:
+    """S's minimal left ideals, the closed classes of left multiplication
+    on K = K(S) as indices into K, and the letters' action on them: a maps
+    the class of any u to ``action[c][a]``, the class of u·a."""
+    index = {u: i for i, u in enumerate(K)}
+    lefts = closed_classes([[index[S.mult(g, u)] for g in S.gens] for u in K])
+    class_of = {K[i]: c for c, L in enumerate(lefts) for i in L}
+    rows = S.right_action()[0]
+    return lefts, [[class_of[f] for f in rows[K[L[0]]]] for L in lefts]
+
+
 def kr_limit_law(S: ASemigroup, xs: Sequence[Fraction]) -> StationaryResult:
     """Limit mode's law over the expansion read off the expansion itself:
     h per ideal copy from ``values_by_vertex``, the expansion's own minimal
@@ -675,8 +687,7 @@ def kr_limit_law(S: ASemigroup, xs: Sequence[Fraction]) -> StationaryResult:
     return word_sorted_kr_result(kr, masses)
 
 
-def kr_lumped_s(S: ASemigroup, xs: Sequence[Fraction],
-                force_limit: bool = False) -> StationaryResult:
+def kr_lumped_s(S: ASemigroup, xs: Sequence[Fraction]) -> StationaryResult:
     """The law over S read off the law over the expansion: each ideal
     vertex's mass added to its element, the states named by element and in
     name order.  Lumping is exact, as the walk on the expansion's ideal
@@ -684,7 +695,7 @@ def kr_lumped_s(S: ASemigroup, xs: Sequence[Fraction],
     kr = karnofsky_rhodes(S)
     vertex = dict(zip(kr.names(kr.ideal), kr.ideal))
     by_element: dict[int, Fraction] = {}
-    for label, m in stationary_kr(S, xs, force_limit).entries.items():
+    for label, m in stationary_kr(S, xs).entries.items():
         _acc(by_element, kr.s_image[vertex[label]], m)
     names = {e: S.element_name(e) for e in by_element}
     return StationaryResult({names[e]: by_element[e]

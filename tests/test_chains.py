@@ -527,13 +527,15 @@ def test_certify_rejects_reweighted_mixtures_of_closed_classes():
         assert not certify(StationaryResult(wrong), chain)
 
 
+# True: the benchmark runs the fixture with --limit-zero, which selects
+# nothing now
 @pytest.mark.parametrize("name,forced", [
     ("rees_general", False), ("z2x01", False), ("klein", False),
     ("tsetlin:5", True), ("rees_B:6", True)])
 def test_certify_passes_the_limit_fixtures(name, forced):
     S = families.build(families.parse_family(name))
     xs = uniform_probs(S)
-    assert certify(stationary_kr(S, xs, force_limit=forced), build_chain(S, xs))
+    assert certify(stationary_kr(S, xs), build_chain(S, xs))
 
 
 def test_limit_mode_reaches_size_27_draw():
@@ -556,7 +558,8 @@ def test_certify_direct_results_of_the_tree_pass(name):
     assert certify(stationary_kr(S, xs), build_chain(S, xs))
 
 
-# the benchmark's direct-mode ladder up to flat_tower:3,2, and its limit fixtures
+# the benchmark's direct-mode ladder up to flat_tower:3,2, and its limit
+# fixtures (True: run with --limit-zero, which selects nothing now)
 LADDER = ["tsetlin:6", "signed_tsetlin:4", "rees_zp:4,5", "bar_tower:2,2", "flat_tower:3,2"]
 LIMIT_FIXTURES = [("rees_general", False), ("z2x01", False), ("klein", False),
                   ("tsetlin:5", True), ("rees_B:6", True)]
@@ -593,7 +596,7 @@ def test_integer_checks_agree_with_the_fraction_reference(name, forced):
     S = families.build(families.parse_family(name))
     xs = _skewed(S)
     chain = build_chain(S, xs)
-    law = stationary_kr(S, xs, force_limit=forced).entries
+    law = stationary_kr(S, xs).entries
     assert _same_verdicts(S, xs, [law, *_wrong_laws(law)], chain) == [True] + [False] * 4
     image = karnofsky_rhodes(S).s_image
     by_element = [image[v] for v in chain.states]

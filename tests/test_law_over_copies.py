@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 from reference import (
     TreeEngine,
+    _left_ideals,
     closed_class_ideal,
     kr_limit_law,
     tree_masses,
@@ -29,7 +30,7 @@ from semiwalk.core import (
     semigroup_from_transformations,
 )
 from semiwalk.expansions import karnofsky_rhodes, kr_size
-from semiwalk.stationary import StationaryEngine, _left_ideals, stationary_kr, uniform_probs
+from semiwalk.stationary import StationaryEngine, _left_classes, stationary_kr, uniform_probs
 
 # SHA-256 of the output of `stationary`, recorded when the law over the
 # expansion still read the stored expansion
@@ -49,8 +50,8 @@ LIMIT_FIXTURES = {
         "5a8defe0f231c90052197211dd0b4983bfbc56e6a3312ec1942ae5c6786013d8",
     ("rees_B:6", "--limit-zero"):
         "c780c36950001941800a8ec3ae52f7314540dcffecb321e70534727c9f9cecc2",
-    # kernels that are left zero, forced into limit mode: the law is direct
-    # mode's, byte for byte
+    # kernels that are left zero, with the flag that once forced limit
+    # mode: the law is the direct one, byte for byte
     ("bar_tower:2,2", "--limit-zero"): DIRECT_LADDER["bar_tower:2,2",],
     ("flat_tower:3,2", "--limit-zero"): DIRECT_LADDER["flat_tower:3,2",],
 }
@@ -196,14 +197,13 @@ def test_each_law_counts_the_expansion_at_most_once(name, monkeypatch):
         return count(*args)
     monkeypatch.setattr(expansions, "copy_tree_size", counting)
     for over, times in (("kr", 1), ("s", 0)):
-        for force_limit in (False, True):
-            S = families.build(families.parse_family(name))
-            counted.clear()
-            law = stationary.stationary_law(S, uniform_probs(S), force_limit, over)
-            assert sum(1 for _ in law) and len(counted) == times, (over, force_limit)
-            if over == "kr":  # a second law reads the engine's count
-                stationary_kr(S, uniform_probs(S), force_limit=force_limit)
-                assert len(counted) == 1
+        S = families.build(families.parse_family(name))
+        counted.clear()
+        law = stationary.stationary_law(S, uniform_probs(S), over)
+        assert sum(1 for _ in law) and len(counted) == times, over
+        if over == "kr":  # a second law reads the engine's count
+            stationary_kr(S, uniform_probs(S))
+            assert len(counted) == 1
     engine = StationaryEngine(families.build(families.parse_family(name)))
     counted.clear()
     engine.values(uniform_probs(S))
@@ -243,14 +243,14 @@ def _draws(seed):
 
 
 def test_limit_law_equals_the_expansion_reference_on_random_draws():
-    # 300 draws in limit mode and 100 forced into it: the same names, order
-    # and values as the law read off the expansion's ideal copies and left
-    # ideals
+    # 300 draws whose minimal ideal is not left zero and 100 whose is: the
+    # same names, order and values as the law read off the expansion's
+    # ideal copies and left ideals
     modes = {True: 0, False: 0}
     for S, xs, direct in _draws(37):
         if modes[False] >= 300 and modes[True] >= 100:
             break
-        got = stationary_kr(S, xs, force_limit=True).entries
+        got = stationary_kr(S, xs).entries
         assert list(got.items()) == list(kr_limit_law(S, xs).entries.items())
         modes[direct] += 1
 
@@ -258,17 +258,18 @@ def test_limit_law_equals_the_expansion_reference_on_random_draws():
 def _assert_left_ideals_are_preimages(S) -> None:
     """The expansion's minimal left ideals are the preimages of S's under
     ``s_image``, and the letters act on them as on S's."""
-    kr, K = karnofsky_rhodes(S), sorted(minimal_ideal(S))
-    lefts, action = _left_ideals(S, K)
-    class_of = {K[i]: c for c, L in enumerate(lefts) for i in L}
+    kr = karnofsky_rhodes(S)
+    class_of, action, h_size = _left_classes(S)
+    n = len(action)
     kr_lefts, kr_action = kr.left_ideals
     # each expansion class to the S class of its first vertex's image
     ren = [class_of[kr.s_image[kr.ideal[L[0]]]] for L in kr_lefts]
-    assert sorted(ren) == list(range(len(lefts)))
+    assert sorted(ren) == list(range(n))
     for c, L in enumerate(kr_lefts):
         assert {kr.ideal[i] for i in L} == {u for u in kr.ideal
                                              if class_of[kr.s_image[u]] == ren[c]}
     assert [[ren[d] for d in row] for row in kr_action] == [action[c] for c in ren]
+    assert h_size == len(kr.ideal) // (len({kr.copy_of[u] for u in kr.ideal}) * n)
 
 
 @pytest.mark.parametrize("name", CAP_FAMILIES)
@@ -279,3 +280,37 @@ def test_expansion_left_ideals_are_preimages_of_the_semigroup_s(name):
 def test_expansion_left_ideals_are_preimages_on_random_draws():
     for _, (S, _, _) in zip(range(300), _draws(370)):
         _assert_left_ideals_are_preimages(S)
+
+
+def _assert_left_classes_match_the_reference(S) -> None:
+    """The minimal left ideals read off the idempotents of one minimal
+    right ideal are the closed classes of left multiplication on K(S), with
+    the same letter action and the same |H|."""
+    K = sorted(minimal_ideal(S))
+    lefts, action = _left_ideals(S, K)
+    want = {K[i]: c for c, L in enumerate(lefts) for i in L}
+    class_of, got_action, h_size = _left_classes(S)
+    assert sorted(class_of) == K
+    ren = {}  # each class to the reference's class of its elements
+    for t, c in class_of.items():
+        assert ren.setdefault(c, want[t]) == want[t]
+    assert sorted(ren.values()) == list(range(len(lefts))) == sorted(ren)
+    assert [action[ren[c]] for c in sorted(ren)] == [[ren[d] for d in row] for row in got_action]
+    comp = S.right_components()
+    assert h_size == len(K) // (len({comp[u] for u in K}) * len(lefts))
+
+
+@pytest.mark.parametrize("name", sorted(set(families._FAMILIES) | set(CAP_FAMILIES)))
+def test_left_classes_match_the_closed_class_reference(name):
+    _assert_left_classes_match_the_reference(families.build(families.parse_family(name)))
+
+
+def test_left_classes_match_the_closed_class_reference_on_random_draws():
+    # 300 draws, at least 50 whose minimal ideal is left zero and 50 whose
+    # is not
+    modes = {True: 0, False: 0}
+    for S, _, direct in _draws(371):
+        if sum(modes.values()) >= 300 and min(modes.values()) >= 50:
+            break
+        _assert_left_classes_match_the_reference(S)
+        modes[direct] += 1

@@ -37,7 +37,8 @@ def _items(result):
 
 
 # every family at its defaults and at the ends of its ranges, and the two
-# limit fixtures the benchmark forces into limit mode
+# fixtures the benchmark runs with --limit-zero (True), which selects
+# nothing now
 FAMILY_CASES = [(name, False) for name in sorted(set(families._FAMILIES) | set(desk_corners()))]
 FAMILY_CASES += [("tsetlin:5", True), ("rees_B:6", True)]
 
@@ -48,13 +49,12 @@ def test_law_over_s_equals_the_lumped_expansion_law(name, force):
     S = families.build(families.parse_family(name))
     k = S.n_gens
     for xs in (uniform_probs(S), [F(i + 1, k * (k + 1) // 2) for i in range(k)]):
-        assert _items(stationary_s(S, xs, force)) == _items(kr_lumped_s(S, xs, force))
+        assert _items(stationary_s(S, xs)) == _items(kr_lumped_s(S, xs))
 
 
 def test_law_over_s_equals_the_lumped_expansion_law_on_random_draws():
     # 3- and 4-state draws of 2 or 3 maps with |S| <= 150 at unequal
-    # weights 1..5; limit mode comes with most kernels, direct mode is also
-    # forced into it
+    # weights 1..5; most kernels are not left zero
     rng = random.Random(34)
     modes = {True: 0, False: 0}  # draws by whether their kernel is left zero
     while sum(modes.values()) < 120 or modes[False] < 60 or modes[True] < 10:
@@ -66,10 +66,9 @@ def test_law_over_s_equals_the_lumped_expansion_law_on_random_draws():
             continue
         xs = [F(i, sum(ints)) for i in ints]
         direct = kernel_is_left_zero(S, minimal_ideal(S))
-        for force in {False, direct}:
-            got = stationary_s(S, xs, force)
-            assert _items(got) == _items(kr_lumped_s(S, xs, force)), maps
-            assert normalization_check(got)
+        got = stationary_s(S, xs)
+        assert _items(got) == _items(kr_lumped_s(S, xs)), maps
+        assert normalization_check(got)
         modes[direct] += 1
 
 
@@ -89,7 +88,7 @@ def test_over_s_builds_no_expansion(name, force, capsys, monkeypatch):
     # copy built before the spy is set
     spec = families.parse_family(name)
     S = families.build(spec)
-    want = "".join(f"{k}: {v}\n" for k, v in kr_lumped_s(S, uniform_probs(S), force).entries.items())
+    want = "".join(f"{k}: {v}\n" for k, v in kr_lumped_s(S, uniform_probs(S)).entries.items())
     fresh = families.build(spec)
     monkeypatch.setattr(cli, "build_family", lambda _: fresh)
     monkeypatch.setattr(expansions.KRExpansion, "__init__", _refuse)

@@ -17,7 +17,8 @@ from semiwalk.graphs import closed_classes
 from semiwalk.ratfunc import RatF
 from semiwalk.stationary import (
     StationaryResult,
-    _stationary_kr_direct,
+    _engine,
+    _spell,
     stationary_kr,
     stationary_s,
     uniform_probs,
@@ -97,20 +98,21 @@ def random_limit_draws(n, seed):
 
 
 def ratf_s0(S, xs):
-    """The direct pipeline on S⁰, S with a zero generator of weight t
-    adjoined and the other weights scaled by (1-t), over full rational
-    functions: S⁰, the result and its limit per state."""
+    """The walk over S⁰, S with a zero generator of weight t adjoined and
+    the other weights scaled by (1-t), over full rational functions: each
+    ideal copy's first-entry mass, no factor applied (S⁰'s minimal ideal is
+    its zero).  S⁰, the result and its limit per state."""
     S2 = adjoin_zero(S)
     t = RatF((0, 1))
     one = RatF.const(1)
     weights = [RatF.const(v) * (one - t) for v in xs] + [t]
-    sym = StationaryResult(dict(_stationary_kr_direct(S2, weights, "kr")))
+    sym = StationaryResult(dict(_engine(S2)._copy_walk(weights, _spell(S2))))
     return S2, sym, {label: f.limit_at_zero() for label, f in sym.entries.items()}
 
 
 def assert_matches_ratf(S):
     xs = uniform_probs(S)
-    got = stationary_kr(S, xs, force_limit=True)
+    got = stationary_kr(S, xs)
     alt = zero_limit_names(S)
     by_alt = {alt[k]: v for k, v in got.entries.items()}
     want = ratf_s0(S, xs)[2]
@@ -197,7 +199,7 @@ def test_limit_draw_of_size_72_at_unequal_weights():
 
 
 def reference_limit(S, xs):
-    """The S⁰ route: run the direct pipeline on S⁰ over ``RatF`` weights (see
+    """The S⁰ route: run the walk over S⁰ over ``RatF`` weights (see
     ``ratf_s0``) and map each state u·0 back to the vertex of u in KR(S),
     keeping the minimal ideal of KR(S).  The law, and its states' records
     with their names u·0 from this route."""
@@ -251,7 +253,7 @@ S27_DIGESTS = {
 
 @pytest.mark.parametrize("S,xs,digest", _limit_cases())
 def test_limit_mode_matches_s0_route(S, xs, digest):
-    got = stationary_kr(S, xs, force_limit=True)
+    got = stationary_kr(S, xs)
     info = kr_key_info(S, got, zero_limit_names(S))
     if digest is not None:
         assert _digest((list(got.entries.items()), list(info.items()))) == digest

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from semiwalk import chains, cli, expansions, graphs, simulate, stationary
+from semiwalk import chains, cli, expansions, families, graphs, simulate, stationary
 from semiwalk.cli import main
 from semiwalk.core import SemigroupError
 from semiwalk.specio import load_spec, semigroup_from_spec
@@ -870,3 +870,36 @@ def test_cli_mixing_names_the_stage_and_exits_2(argv, message, capsys):
     code, out, err = run_cli(["mixing", *argv], capsys)
     assert time.perf_counter() - start < 2
     assert (code, out) == (2, "") and err.startswith(message)
+
+
+@pytest.mark.parametrize("command", [["build"], ["expand", "--kr"]])
+def test_probs_is_refused_where_no_walk_runs(command, capsys):
+    # build and expand read no weights, so --probs is a usage error there
+    code, out, err = _outcome([*command, "--family", "tsetlin:2", "--probs", "a=oops"], capsys)
+    assert (code, out) == (2, "")
+    assert "error: unrecognized arguments: --probs a=oops" in err
+
+
+@pytest.mark.parametrize("command", [["stationary"], ["verify"], ["mixing"]])
+def test_probs_is_read_where_a_walk_runs(command, capsys):
+    argv = [*command, "--family", "tsetlin:2", "--probs"]
+    assert _outcome([*argv, "1=1/3,2=2/3"], capsys)[0] == 0
+    code, out, err = _outcome([*argv, "a=oops"], capsys)
+    assert (code, out, err) == (2, "", "error: bad probability 'oops'\n")
+
+
+LIMIT_ZERO_SOURCES = [["--family", name] for name in sorted(families._FAMILIES)]
+LIMIT_ZERO_SOURCES += [["--spec", str(Path(__file__).parent / "specs" / "maps4_s172.json")]]
+
+
+@pytest.mark.parametrize("source", LIMIT_ZERO_SOURCES,
+                         ids=[s[1] for s in LIMIT_ZERO_SOURCES[:-1]] + ["maps4_s172"])
+@pytest.mark.parametrize("over", ["kr", "s"])
+def test_limit_zero_selects_nothing(source, over, capsys):
+    # one closed form gives every law, so the flag, still accepted, changes
+    # no byte
+    argv = ["stationary", *source, "--over", over]
+    plain = _outcome(argv, capsys)
+    assert plain[0] == 0 and plain[1] and plain[2] == ""
+    assert _outcome(argv + ["--limit-zero"], capsys) == plain
+

@@ -62,6 +62,7 @@ from reference import (
     tree_zimin_rewrite,
     values_by_vertex,
     wide_band,
+    word_sorted_kr_result,
 )
 
 F = Fraction
@@ -360,16 +361,18 @@ def test_limit_mode_alt_labels(z2x01):
 
 
 def test_limit_reproduces_direct_when_left_zero(b2, p3, flipflop, counterexample):
-    # the limit adjoins a zero to the tower's 7,319 elements, multiplying
-    # by the relations where a table would hold 7,320^2 entries
+    # on a left-zero minimal ideal the closed form is the walk that applies
+    # no factor: each ideal copy's first-entry mass, named through the
+    # expansion; the tower has 7,319 elements
     tower = families.build(families.parse_family("bar_tower:2,2"))
     for S, xs in ((b2, HALF), (p3, [F(1, 2), F(1, 3), F(1, 6)]),
                   (flipflop, X25), (tower, uniform_probs(tower)),
                   (counterexample, uniform_probs(counterexample))):
-        direct = stationary_kr(S, xs)
-        limit = stationary_kr(S, xs, force_limit=True)
+        assert kernel_is_left_zero(S, minimal_ideal(S))
+        law = stationary_kr(S, xs)
+        walk = word_sorted_kr_result(karnofsky_rhodes(S), values_by_vertex(S, StationaryEngine(S), xs))
         # the same states, named alike and in the same order
-        assert list(direct.entries.items()) == list(limit.entries.items())
+        assert list(law.entries.items()) == list(walk.entries.items())
 
 
 def test_states_are_named_by_the_first_word_of_their_vertex(counterexample):
@@ -485,6 +488,7 @@ def test_tree_pass_rejects_ideal_entry_off_the_tree(p3):
         engine.values(uniform_probs(p3))
 
 
+# the second value once forced the closed form, which every law now takes
 @pytest.mark.parametrize("name, force_limit", [
     ("counterexample", False), ("counterexample", True), ("z2x01", False),
 ])
@@ -516,8 +520,8 @@ def test_stationary_kr_builds_no_mc_labelled_graph(name, force_limit, monkeypatc
     monkeypatch.setattr(RootedLabeledGraph, "__init__", counted_init)
     spy(stationary)
     spy(chains)
-    result = stationary_kr(S, xs, force_limit=force_limit)
-    # neither mode's law reads the expansion: only the chain builds it
+    result = stationary_kr(S, xs)
+    # the law does not read the expansion: only the chain builds it
     assert krs == []
     assert certify(result, build_chain(S, xs))
     assert len(krs) == 1
@@ -760,6 +764,7 @@ def test_kleene_reduction_built_once_per_engine(monkeypatch):
     assert calls == [True, False, True]
 
 
+# the second value once forced the closed form, which every law now takes
 @pytest.mark.parametrize("name,force", [("flat_tower:2,2", False), ("z2x01", False),
                                         ("tsetlin:3", True)])
 def test_one_engine_per_semigroup(name, force, monkeypatch):
@@ -775,9 +780,9 @@ def test_one_engine_per_semigroup(name, force, monkeypatch):
     S = families.build(families.parse_family(name))
     k = S.n_gens
     weights = [F(i + 1, k * (k + 1) // 2) for i in range(k)]
-    first = stationary_kr(S, uniform_probs(S), force_limit=force)
-    second = stationary_kr(S, weights, force_limit=force)
-    stationary_s(S, weights, force_limit=force)
+    first = stationary_kr(S, uniform_probs(S))
+    second = stationary_kr(S, weights)
+    stationary_s(S, weights)
     report = expressions_report(S)
     assert built == [S] and first.entries != second.entries and report
 
@@ -826,16 +831,15 @@ KR_RESULT_CASES = [
 
 @pytest.mark.parametrize("name", KR_RESULT_CASES)
 def test_kr_result_names_and_orders_as_the_sorted_words(name):
-    # the law over the expansion forced into limit mode: every ideal vertex
-    # a state, named and ordered by its word as the expansion's tree gives
-    # it; the 300 letters of the bands pass chr(255) and join with a middle
-    # dot
+    # the law over the expansion: every ideal vertex a state, named and
+    # ordered by its word as the expansion's tree gives it; the 300 letters
+    # of the bands pass chr(255) and join with a middle dot
     if name.startswith("band"):
         S = wide_band(name == "band_with_identity")
     else:
         S = families.build(families.parse_family(name))
     xs = uniform_probs(S)
-    got = stationary_kr(S, xs, force_limit=True).entries
+    got = stationary_kr(S, xs).entries
     assert list(got.items()) == list(kr_limit_law(S, xs).entries.items())
 
 
@@ -845,9 +849,9 @@ def _law_by_vertex(S, result):
 
 def test_law_equals_tree_reference_on_random_draws(monkeypatch):
     # 4- and 5-state draws of 2 or 3 maps with |S| <= 150 at random rational
-    # weights, 100 whose minimal ideal is left zero (direct mode, also
-    # forced into limit mode) and 100 whose is not; a draw whose McCammond
-    # expansion passes 20,000 simple paths is passed over
+    # weights, 100 whose minimal ideal is left zero (checked against both
+    # references) and 100 whose is not; a draw whose McCammond expansion
+    # passes 20,000 simple paths is passed over
     monkeypatch.setattr(expansions, "MC_CAP", 20_000)
     rng = random.Random(25)
     modes, unstable = Counter(), 0
@@ -864,10 +868,10 @@ def test_law_equals_tree_reference_on_random_draws(monkeypatch):
         except SizeCapExceeded:
             continue
         xs = [F(i, sum(ints)) for i in ints]
+        got = stationary_kr(S, xs)
+        assert normalization_check(got)
         for limit in {not direct, True}:
-            got = stationary_kr(S, xs, force_limit=limit)
             assert _law_by_vertex(S, got) == tree_law(S, xs, limit)
-            assert normalization_check(got)
         modes[direct] += 1
         unstable += len(ref.mc.out) > len(ref.kr.out)
     assert unstable >= 10
@@ -932,8 +936,8 @@ def test_reference_records_match_the_recorded_digests(name, force):
     # mode among them, are the ones the library made
     S = families.build(families.parse_family(name))
     xs = uniform_probs(S)
-    r_kr = stationary_kr(S, xs, force_limit=force)
-    r_s = stationary_s(S, xs, force_limit=force)
+    r_kr = stationary_kr(S, xs)
+    r_s = stationary_s(S, xs)
     limit = force or not kernel_is_left_zero(S, minimal_ideal(S))
     alt = zero_limit_names(S) if limit else None
     want_kr, want_s = KEY_INFO_DIGESTS[name, force]

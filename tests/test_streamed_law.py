@@ -46,7 +46,7 @@ def _refuse(*args, **kwargs):
 def test_stationary_prints_the_built_law_without_building_it(family, limit, capsys,
                                                              monkeypatch):
     S = families.build(families.parse_family(family))
-    entries = stationary_kr(S, uniform_probs(S), force_limit=limit).entries
+    entries = stationary_kr(S, uniform_probs(S)).entries
     monkeypatch.setattr(stationary.StationaryResult, "__init__", _refuse)
     extra = ["--limit-zero"] if limit else []
     for form in ("text", "csv"):
@@ -89,7 +89,7 @@ def test_a_cap_hit_prints_no_partial_law(family, cap, count, unit, capsys, monke
     monkeypatch.setattr(expansions, cap, limit)
     with pytest.raises(SizeCapExceeded, match=f"exceeded cap {limit} {unit}"):
         stationary_law(families.build(families.parse_family(family)),
-                       uniform_probs(S), False, "kr")  # raised before it is read
+                       uniform_probs(S), "kr")  # raised before it is read
     for form in ("text", "csv"):
         code, out, err = _run(["stationary", "--family", family, "--format", form], capsys)
         assert (code, out) == (2, "")

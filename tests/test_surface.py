@@ -18,11 +18,19 @@ A parameter that no caller sets is a constant, and tests monkeypatch it.
 Every call in ``demos/`` and ``perfbench/`` to a function or class imported
 from ``semiwalk`` passes arguments its signature accepts, so a parameter
 removed from the library cannot leave a caller there behind unnoticed.
+The benchmark's tracer wraps library names by attribute, so it must install
+and uninstall cleanly: a name deleted or renamed in the library fails here.
+
+``code_lines`` counts the library's lines of code for CI's size report.
 """
 
 import ast
 import importlib
+import importlib.util
 import inspect
+import io
+import sys
+import tokenize
 from collections import Counter, defaultdict
 from pathlib import Path
 from typing import NamedTuple
@@ -227,3 +235,76 @@ def test_calls_from_demos_and_benchmark_match_the_signatures():
     # perfbench/validate.py still passes build_chain the state space that
     # the library no longer takes; the next benchmark change mends it
     assert signature_mismatches() == ["perfbench/validate.py:58 build_chain"]
+
+
+def test_the_tracer_installs_and_restores_every_wrapped_name(monkeypatch):
+    # perfbench/spans.py is loaded from its file, with no bytecode written
+    # there; install raises AttributeError for a wrapped name the library
+    # no longer has, and uninstall puts every original back
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        saved = list(tracer._saved)
+    finally:
+        tracer.uninstall()
+    originals = {}
+    for owner, attr, value in saved:
+        originals.setdefault((owner, attr), value)
+    assert len(originals) > 20
+    assert all(getattr(owner, attr) is value for (owner, attr), value in originals.items())
+
+
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def _code_line_numbers(text: str) -> set[int]:
+    """The lines of a module that hold a token of code, docstrings left
+    out: a line with only a comment holds none."""
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in _NOT_CODE:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                lines -= set(range(first.lineno, first.end_lineno + 1))
+    return lines
+
+
+def code_lines(folder: str) -> int:
+    """Lines of code in the modules of ``folder``: non-blank lines with
+    comments and docstrings left out."""
+    return sum(len(_code_line_numbers(p.read_text(encoding="utf-8")))
+               for p in sorted((ROOT / folder).glob("*.py")))
+
+
+def test_code_lines_leave_out_comments_and_docstrings():
+    text = '''"""A module
+docstring."""
+
+# a comment
+X = """a string
+over two lines"""  # not a docstring
+
+
+class C:
+    """One line."""
+
+    def f(self):
+        """Two
+        lines."""
+        return [1,
+                2]  # trailing
+'''
+    assert sorted(_code_line_numbers(text)) == [5, 6, 9, 12, 15, 16]
+    assert 0 < code_lines("src/semiwalk") < sum(
+        1 for p in (ROOT / "src/semiwalk").glob("*.py")
+        for line in p.read_text(encoding="utf-8").splitlines() if line.strip())
+
