@@ -19,6 +19,7 @@ import argparse
 import csv
 import functools
 import gc
+import itertools
 import json
 import math
 import os
@@ -233,10 +234,13 @@ def cmd_stationary(args) -> int:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(("state", "probability"))
         writer.writerows(rows)
-    else:
-        sys.stdout.writelines(f"{k}: {v}\n" for k, v in rows)
+    else:  # the law's short lines, up to 256 to a write
+        lines = (f"{k}: {v}\n" for k, v in rows)
+        while block := "".join(itertools.islice(lines, 256)):
+            sys.stdout.write(block)
     if args.expressions:
         print("# walk languages per normal form")
+        # one write each: a walk language can run to megabytes
         sys.stdout.writelines(f"{k}: {v}\n" for k, v in forms)
     return 0
 

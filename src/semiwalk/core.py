@@ -10,10 +10,12 @@ reaching each element.  That word is shortest possible, with ties broken
 lexicographically, and discovery order is the shortlex order of those
 words, so all derived labelling is deterministic across runs.
 Representative words, the right Cayley graph, the minimal ideal and the
-simulator's start word all read this one search.  A semigroup made from
-a Karnofsky-Rhodes expansion (``KRExpansion.semigroup``) makes no search:
-the expansion's build made the same one, and hands it over with its
-components.
+simulator's start word all read this one search.  Two constructions
+make none: they made the same search while building S and hand it over.
+The transformation closure (``semigroup_from_transformations``) finds
+elements in its discovery order, so it records each row and first word as
+it goes; a Karnofsky-Rhodes expansion (``KRExpansion.semigroup``) hands
+over its build's search with its components.
 A semigroup also stores, each built on first use, its component DAG, its
 minimal ideal K(S) (a frozen set), its Karnofsky-Rhodes expansion (no
 reference to S) and its walk-sum engine on S's components (none either):
@@ -40,6 +42,7 @@ set of a right Cayley graph is the semigroup with one adjoined identity.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 Word = tuple[int, ...]
@@ -143,8 +146,10 @@ class ASemigroup:
         Returns ``(rows, order, words)``: ``rows[e][a] = e·gens[a]``, the
         elements in discovery order from the generators in index order,
         and per element the first word reaching it, its shortlex-least
-        word.  Computed once, with |S|·k products, unless an expansion's
-        build handed it over (``KRExpansion.semigroup``).
+        word.  Computed once, with |S|·k products, unless the
+        construction made it and handed it over: the transformation
+        closure (``semigroup_from_transformations``) and an expansion's
+        build (``KRExpansion.semigroup``) do.
         """
         if self._right_action is None:
             gens, mult = self.gens, self.mult
@@ -301,7 +306,9 @@ def semigroup_from_transformations(
 
     The product f*g acts as "f then g": (f*g)(q) = g(f(q)).  This matches
     the right-Cayley convention where following the edge labelled ``a``
-    from the vertex of ``w`` lands on the vertex of ``wa``.
+    from the vertex of ``w`` lands on the vertex of ``wa``.  The closure
+    is the right action's search, which S keeps: |S|·k compositions in
+    all, and none by ``S.mult`` until a later caller multiplies.
     """
     if not _is_int(n_states):
         raise SemigroupError(f"states must be an integer, got {n_states!r}")
@@ -321,31 +328,41 @@ def semigroup_from_transformations(
 
     index: dict[tuple[int, ...], int] = {}
     elements: list[tuple[int, ...]] = []
+    words: list[Word] = []
     gens: list[int] = []
-    for m in gen_maps:
+    for a, m in enumerate(gen_maps):
         if m not in index:
             index[m] = len(elements)
             elements.append(m)
+            words.append((a,))
         gens.append(index[m])
-    head = 0
-    while head < len(elements):
-        f = elements[head]
-        head += 1
-        for m in gen_maps:
-            fg = tuple(map(m.__getitem__, f))
-            if fg not in index:
+    rows: list[list[int]] = []
+    for e, f in enumerate(elements):  # the queue: discoveries append to it
+        if n_states > 1:
+            products = map(itemgetter(*f), gen_maps)  # f then each generator
+        else:  # itemgetter returns a bare entry for one index and needs one
+            products = (tuple(map(m.__getitem__, f)) for m in gen_maps)
+        row: list[int] = []
+        rows.append(row)
+        for a, fg in enumerate(products):
+            i = index.get(fg)
+            if i is None:
                 if len(elements) >= CLOSURE_CAP:
                     raise ClosureTooLarge(
                         f"transformation closure on {n_states} states "
                         f"exceeded cap {CLOSURE_CAP} elements"
                     )
-                index[fg] = len(elements)
+                i = index[fg] = len(elements)
                 elements.append(fg)
+                words.append(words[e] + (a,))
+            row.append(i)
 
     def mult(i: int, j: int) -> int:
         return index[tuple(map(elements[j].__getitem__, elements[i]))]
 
-    return ASemigroup(len(elements), gens, gen_names, mult)
+    S = ASemigroup(len(elements), gens, gen_names, mult)
+    S._right_action = rows, list(range(len(elements))), words
+    return S
 
 
 # -- ideals -------------------------------------------------------------------

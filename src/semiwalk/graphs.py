@@ -94,50 +94,46 @@ def sccs(G: RootedLabeledGraph | Sequence[Sequence[int | None]]) -> list[int]:
     n = len(succ)
     index = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
+    comp = [-1] * n  # -1 exactly while a visited vertex is on the stack
     stack: list[int] = []
-    comp = [-1] * n
     counter = 0
     n_comp = 0
 
     for start in range(n):
         if index[start] != -1:
             continue
-        work = [(start, 0)]
-        while work:
-            v, ei = work.pop()
-            if ei == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            row = succ[v]
-            advanced = False
-            while ei < len(row):
-                w = row[ei]
-                ei += 1
+        index[start] = low[start] = counter
+        counter += 1
+        stack.append(start)
+        path = [start]  # the open vertices, each with its row's iterator
+        rows = [iter(succ[start])]
+        while path:
+            v = path[-1]
+            for w in rows[-1]:
                 if w is None:
                     continue
-                if index[w] == -1:
-                    work.append((v, ei))
-                    work.append((w, 0))
-                    advanced = True
+                if index[w] == -1:  # descend; v's row resumes after w
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    path.append(w)
+                    rows.append(iter(succ[w]))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = n_comp
-                    if w == v:
-                        break
-                n_comp += 1
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+                if comp[w] == -1 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:  # v's row is done
+                path.pop()
+                rows.pop()
+                lv = low[v]
+                if lv == index[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = n_comp
+                        if w == v:
+                            break
+                    n_comp += 1
+                elif lv < low[path[-1]]:  # v is not a root, so it has a parent
+                    low[path[-1]] = lv
 
     rank: dict[int, int] = {}  # by smallest contained vertex: first seen first
     for c in comp:

@@ -108,25 +108,52 @@ def test_transition_edges_p3_all_nonloop(p3):
     assert len(trans) == 12  # the covering edges of the subset lattice
 
 
+def _mutual_reachability(succ):
+    """Per vertex, the set of vertices it reaches and that reach it."""
+    reach = []
+    for v in range(len(succ)):
+        seen = {v}
+        stack = [v]
+        while stack:
+            for w in succ[stack.pop()]:
+                if w is not None and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        reach.append(seen)
+    return [{w for w in reach[v] if v in reach[w]} for v in range(len(succ))]
+
+
 def test_scc_matches_mutual_reachability(b2, z2x01, klein, counterexample):
     for S in (b2, z2x01, klein, counterexample):
         g = right_cayley(S)
         comp = sccs(g)
-        reach = []
+        classes = _mutual_reachability(g.out)
         for v in range(g.n):
-            seen = {v}
-            stack = [v]
-            while stack:
-                u = stack.pop()
-                for w in g.out[u]:
-                    if w is not None and w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            reach.append(seen)
-        for v in range(g.n):
-            for w in range(g.n):
-                same = comp[v] == comp[w]
-                assert same == (w in reach[v] and v in reach[w])
+            assert {w for w in range(g.n) if comp[w] == comp[v]} == classes[v]
+
+
+def test_sccs_of_random_successor_lists_with_gaps():
+    # components are the mutual-reachability classes, None entries are no
+    # edges, and ids count up in order of each component's smallest vertex
+    rng = random.Random(7)
+    for _ in range(400):
+        n = rng.randrange(40)
+        k = rng.randrange(4)
+        succ = [[rng.choice([None, None, *range(n)]) for _ in range(k)]
+                for _ in range(n)]
+        comp = sccs(succ)
+        classes = _mutual_reachability(succ)
+        for v in range(n):
+            assert {w for w in range(n) if comp[w] == comp[v]} == classes[v]
+        firsts = [c for v, c in enumerate(comp) if min(classes[v]) == v]
+        assert firsts == list(range(len(firsts)))
+
+
+def test_sccs_of_a_long_cycle_without_recursion():
+    # a depth-first path of 10^5 vertices, far past the recursion limit
+    n = 10 ** 5
+    assert sccs([[None, (v + 1) % n] for v in range(n)]) == [0] * n
+    assert sccs([[v + 1] for v in range(n - 1)] + [[]]) == list(range(n))
 
 
 def test_isomorphism_detects_difference(p2, flipflop):

@@ -205,7 +205,8 @@ def _counted(S):
 @pytest.mark.parametrize("states, size, length", [(5, 610, 16)])
 def test_start_word_makes_one_search_of_products(states, size, length):
     # a rotates the states, b sends the last state to the first; the
-    # expansion (21,726 vertices) multiplies only in S's right-action search
+    # expansion (21,726 vertices) reads S's right action, which the
+    # closure made, so nothing multiplies
     S = semigroup_from_transformations(states, {
         "a": [(i + 1) % states for i in range(states)],
         "b": [0] + list(range(1, states - 1)) + [0],
@@ -214,7 +215,7 @@ def test_start_word_makes_one_search_of_products(states, size, length):
     word = _start_word(S)
     I = minimal_ideal(S)
     assert S.size == size and len(word) == length
-    assert calls[0] <= S.size * S.n_gens
+    assert calls[0] == 0
     assert S.product(word) in I
     assert all(S.product(word[:j]) not in I for j in range(1, length))
 
@@ -224,3 +225,36 @@ def test_kernel_is_left_zero_reads_every_generator():
     S = semigroup_from_transformations(2, {"e": [0, 1], "s": [1, 0], "c": [0, 0]})
     K = minimal_ideal(S)
     assert len(K) == 2 and not kernel_is_left_zero(S, K)
+
+
+def _closure_draw(rng):
+    """(states, maps): 0 to 5 states and 1 to 4 maps, a quarter of the
+    draws identity maps only and a quarter with a map given twice."""
+    states, k = rng.randrange(6), rng.randrange(1, 5)
+    maps = [[rng.randrange(states) for _ in range(states)] for _ in range(k)]
+    kind = rng.randrange(4)
+    if kind == 0:
+        maps = [list(range(states))] * k
+    elif kind == 1 and k > 1:
+        maps[rng.randrange(1, k)] = maps[0]
+    return states, dict(zip("abcd", maps))
+
+
+def test_closure_hands_over_the_search_through_mult():
+    # the closure's rows, discovery order and words, which S keeps, are
+    # the breadth-first search of the right action through S.mult
+    rng = random.Random(41)
+    kinds = set()
+    for _ in range(1200):
+        states, maps = _closure_draw(rng)
+        S = semigroup_from_transformations(states, maps)
+        handed = S._right_action
+        assert handed is not None
+        S._right_action = None
+        assert S.right_action() == handed, (states, maps)
+        values = list(maps.values())
+        kinds.add(states)
+        kinds.add("identity" if all(m == list(range(states)) for m in values)
+                  else "repeated" if len(set(map(tuple, values))) < len(values)
+                  else "distinct")
+    assert kinds >= {0, 1, 5, "identity", "repeated", "distinct"}
